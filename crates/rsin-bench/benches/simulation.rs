@@ -44,6 +44,7 @@ fn bench_dynamic(c: &mut Criterion) {
             black_box(
                 SystemSim::new(&net, cfg)
                     .run(&MaxFlowScheduler::default())
+                    .unwrap()
                     .completed,
             )
         })

@@ -20,7 +20,7 @@
 //!
 //! * determinism — every thread count must produce bit-identical blocking
 //!   statistics;
-//! * replicated determinism — `run_replicated` over `--replicas` replicas
+//! * replicated determinism — `run_trials` over `--replicas` replicas
 //!   (default 4) must produce bit-identical merged statistics at 1, 2, and
 //!   8 worker threads;
 //! * zero-overhead-when-off telemetry — the `NoopProbe` observed scheduling
@@ -45,6 +45,7 @@
 //! `--telemetry <path>` additionally runs the observed hot path under a live
 //! `rsin_obs::Telemetry` sink and writes its JSON report.
 
+use rsin_bench::take_flag;
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::IncrementalScheduler;
 use rsin_core::scheduler::InterShardPolicy;
@@ -59,12 +60,12 @@ use rsin_obs::{FlightRecorder, NoopProbe, Probe, Telemetry, Tracer};
 use rsin_sim::blocking::{
     compare_schedulers_pools, compare_schedulers_threads, run_blocking_threads, BlockingConfig,
 };
-use rsin_sim::replicate::run_replicated;
+use rsin_sim::replicate::{merge_faulted, run_trials, ReplicatedStats, TrialGrid};
 use rsin_sim::sharded::{
     run_flat_trials, run_paired_trials, run_sharded_trials, ShardedTrialConfig,
 };
 use rsin_sim::stream::{generate_commands, replay_batch, replay_incremental, StreamCommand};
-use rsin_sim::system::{DynamicConfig, SystemSim};
+use rsin_sim::system::{DegradedPolicy, DynamicConfig, SystemSim};
 use rsin_sim::workload::{random_snapshot, trial_rng};
 use rsin_topology::builders::omega;
 use rsin_topology::{GlobalTopology, Network, ShardedNetwork, ShardedSpec};
@@ -311,18 +312,6 @@ fn parse_floor(text: &str, key: &str) -> Option<f64> {
     num.parse().ok()
 }
 
-/// Pop `--flag value` out of `args`; returns the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry_path = take_flag(&mut args, "--telemetry");
@@ -474,9 +463,19 @@ fn main() {
         seed: 41,
         ..DynamicConfig::default()
     };
-    let rep_reference = run_replicated(&net, &max_flow, &dyn_cfg, replicas, 1);
+    let rep_grid = TrialGrid {
+        configs: &[dyn_cfg],
+        trials: replicas,
+        faults: None,
+        policy: DegradedPolicy::Bfs,
+    };
+    let replicated = |threads| -> ReplicatedStats {
+        let rows = run_trials(&net, &max_flow, &rep_grid, threads).expect("replicated run");
+        merge_faulted(&rows[0]).stats
+    };
+    let rep_reference = replicated(1);
     for t in [2usize, 8] {
-        let r = run_replicated(&net, &max_flow, &dyn_cfg, replicas, t);
+        let r = replicated(t);
         assert_eq!(
             rep_reference.completed, r.completed,
             "replicated completed drifted at {t} threads"
@@ -517,11 +516,7 @@ fn main() {
     }
     let rep_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rep_secs = time_min(|| {
-        black_box(
-            run_replicated(&net, &max_flow, &dyn_cfg, replicas, rep_threads)
-                .response
-                .mean,
-        );
+        black_box(replicated(rep_threads).response.mean);
     });
     println!("  replicated_dynamic: {rep_secs:.4}s ({replicas} replicas, {rep_threads} threads)");
     rows.push(Row {
@@ -555,14 +550,20 @@ fn main() {
                 ..heavy_cfg
             },
         )
-        .run(&max_flow);
+        .run(&max_flow)
+        .unwrap();
         assert_eq!(calm.shed_arrivals, 0, "sub-critical run must not shed");
-        let hot = SystemSim::new(&net, heavy_cfg).run(&max_flow);
+        let hot = SystemSim::new(&net, heavy_cfg).run(&max_flow).unwrap();
         assert!(hot.shed_arrivals > 0, "rho 1.5 must overflow the bound");
         assert!(hot.final_queue > 0, "rho 1.5 must carry a backlog");
     }
     let heavy_secs = time_min(|| {
-        black_box(SystemSim::new(&net, heavy_cfg).run(&max_flow).completed);
+        black_box(
+            SystemSim::new(&net, heavy_cfg)
+                .run(&max_flow)
+                .unwrap()
+                .completed,
+        );
     });
     println!("  heavy_traffic: {heavy_secs:.4}s (rho 1.5, batch 4, bound 32)");
     rows.push(Row {

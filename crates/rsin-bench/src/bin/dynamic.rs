@@ -29,10 +29,12 @@
 //! own `rsin_obs::Telemetry` sink; the reports are merged in replica order
 //! and written as JSON to the given path.
 
-use rsin_bench::{emit_table, network_by_name};
+use rsin_bench::{emit_table, network_by_name, parse_or_exit, take_flag};
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
-use rsin_sim::replicate::{run_replicated_probed, run_replicated_sweep, ReplicatedStats};
-use rsin_sim::system::DynamicConfig;
+use rsin_sim::replicate::{
+    merge_faulted, run_trials, run_trials_observed, ReplicatedStats, TrialGrid,
+};
+use rsin_sim::system::{DegradedPolicy, DynamicConfig};
 
 const LOADS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
@@ -41,25 +43,29 @@ const RHOS: [f64; 4] = [0.9, 0.95, 0.99, 1.05];
 
 /// Pop a bare `--flag` out of `args`; returns whether it was present.
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
+    let i = args.iter().position(|a| a == flag);
+    i.map(|i| args.remove(i)).is_some()
 }
 
-/// Pop `--flag value` out of `args`; returns the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
+/// Fault-free replicated sweep: one merged row per configuration.
+fn sweep(
+    net: &rsin_topology::Network,
+    scheduler: &dyn Scheduler,
+    configs: &[DynamicConfig],
+    replicas: usize,
+    threads: usize,
+) -> Vec<ReplicatedStats> {
+    let grid = TrialGrid {
+        configs,
+        trials: replicas,
+        faults: None,
+        policy: DegradedPolicy::Bfs,
+    };
+    run_trials(net, scheduler, &grid, threads)
+        .expect("dynamic sweep")
+        .iter()
+        .map(|row| merge_faulted(row).stats)
+        .collect()
 }
 
 fn json_row(load: f64, scheduler: &str, s: &ReplicatedStats) -> String {
@@ -115,17 +121,13 @@ fn main() {
     let json_path = take_flag(&mut args, "--json");
     let heavy = take_switch(&mut args, "--heavy");
     let replicas: usize = take_flag(&mut args, "--replicas")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+        .map_or(1, |v| parse_or_exit("--replicas", &v))
         .max(1);
     let threads_flag: Option<usize> =
-        take_flag(&mut args, "--threads").and_then(|v| v.parse().ok());
-    let horizon = args
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(3000.0f64);
+        take_flag(&mut args, "--threads").map(|v| parse_or_exit("--threads", &v));
+    let horizon: f64 = args.first().map_or(3000.0, |a| parse_or_exit("horizon", a));
     let threads = threads_flag
-        .or_else(|| args.get(1).and_then(|a| a.parse().ok()))
+        .or_else(|| args.get(1).map(|a| parse_or_exit("threads", a)))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let net = network_by_name("omega-8").unwrap();
     let optimal = MaxFlowScheduler::default();
@@ -154,8 +156,8 @@ fn main() {
     // replica is a pure function of (seed, replica) and the merges run
     // sequentially in replica order.
     for s in &schedulers {
-        let sweep = run_replicated_sweep(&net, *s, &configs, replicas, threads);
-        for (load, stats) in LOADS.iter().zip(&sweep) {
+        let merged = sweep(&net, *s, &configs, replicas, threads);
+        for (load, stats) in LOADS.iter().zip(&merged) {
             rows.push(vec![
                 format!("{load:.1}"),
                 s.name().to_string(),
@@ -207,8 +209,8 @@ fn main() {
             .collect();
         let mut heavy_rows = Vec::new();
         for s in &schedulers {
-            let sweep = run_replicated_sweep(&net, *s, &heavy_configs, replicas, threads);
-            for (rho, stats) in RHOS.iter().zip(&sweep) {
+            let merged = sweep(&net, *s, &heavy_configs, replicas, threads);
+            for (rho, stats) in RHOS.iter().zip(&merged) {
                 heavy_rows.push(vec![
                     format!("{rho:.2}"),
                     s.name().to_string(),
@@ -278,7 +280,14 @@ fn main() {
             seed: 42,
             ..DynamicConfig::default()
         };
-        let (_, report) = run_replicated_probed(&net, &optimal, &cfg, replicas, threads);
+        let grid = TrialGrid {
+            configs: &[cfg],
+            trials: replicas,
+            faults: None,
+            policy: DegradedPolicy::Bfs,
+        };
+        let (_, report) =
+            run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
         let json = report.to_json("dynamic");
         if let Err(e) = std::fs::write(&tpath, &json) {
             eprintln!("warning: could not write {tpath}: {e}");

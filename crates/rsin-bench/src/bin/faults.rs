@@ -51,26 +51,25 @@
 //! `faults_report.json`).
 //!
 //! With `--telemetry <path>`, one bounded probed capture (omega-8,
-//! max-flow, rate 0.005) re-runs after the sweep under a live
-//! `rsin_obs::Telemetry` sink and its JSON report — per-solver phase
-//! counters, cycle-latency histograms, and the fault/repair event trace —
-//! is written to the given path. With `--trace <path>`, the same capture
+//! max-flow, rate 0.005) re-runs after the sweep with one
+//! `rsin_obs::Telemetry` sink per trial, and the reports, merged in trial
+//! order — per-solver phase counters, cycle-latency histograms, and the
+//! fault/repair event trace — are written as JSON to the given path. With `--trace <path>`, the same capture
 //! configuration re-runs one trial under a flight recorder and the
 //! per-request lifecycle (submit/allocate/release spans plus shed and
 //! recovered markers) is exported as Chrome trace-event JSON for Perfetto.
 //! Probes and tracers only observe, so the sweep's numbers are unaffected.
 
-use rsin_bench::{emit_table, network_by_name};
+use rsin_bench::{emit_table, network_by_name, parse_or_exit, take_flag, usage_error};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
-use rsin_obs::{FlightRecorder, NoopProbe, Telemetry};
-use rsin_sim::replicate::merge_faulted;
+use rsin_obs::{FlightRecorder, NoopProbe};
+use rsin_sim::replicate::{merge_faulted, run_trials, run_trials_observed, TrialGrid};
 use rsin_sim::system::{
-    fault_plan_seed, run_faulted_trials_model, run_faulted_trials_policy_probed, DegradedPolicy,
-    DynamicConfig, FaultModel, FaultedStats, SystemSim,
+    fault_plan_seed, DegradedPolicy, DynamicConfig, FaultModel, FaultedStats, SystemSim,
 };
-use rsin_topology::{FaultPlan, FaultPlanConfig};
+use rsin_topology::{FaultPlan, FaultPlanConfig, Network};
 
 const SEED: u64 = 42;
 const SIM_TIME: f64 = 400.0;
@@ -213,18 +212,6 @@ fn json_report(rows: &[Row], trials: usize, policy: DegradedPolicy, model: Fault
     s
 }
 
-/// Pop `--flag value` out of `args`; returns the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let policy = match take_flag(&mut args, "--policy").as_deref() {
@@ -266,15 +253,18 @@ fn main() {
     let telemetry_path = take_flag(&mut args, "--telemetry");
     let trace_path = take_flag(&mut args, "--trace");
     let replicas_flag: Option<usize> =
-        take_flag(&mut args, "--replicas").and_then(|v| v.parse().ok());
+        take_flag(&mut args, "--replicas").map(|v| parse_or_exit("--replicas", &v));
     let threads_flag: Option<usize> =
-        take_flag(&mut args, "--threads").and_then(|v| v.parse().ok());
+        take_flag(&mut args, "--threads").map(|v| parse_or_exit("--threads", &v));
     let json_flag = take_flag(&mut args, "--json");
     let trials: usize = replicas_flag
-        .or_else(|| args.first().and_then(|a| a.parse().ok()))
+        .or_else(|| args.first().map(|a| parse_or_exit("trials", a)))
         .unwrap_or(6);
+    if trials == 0 {
+        usage_error("the trial count must be at least 1");
+    }
     let threads = threads_flag
-        .or_else(|| args.get(1).and_then(|a| a.parse().ok()))
+        .or_else(|| args.get(1).map(|a| parse_or_exit("threads", a)))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let json_path = json_flag
         .or_else(|| args.get(2).cloned())
@@ -312,32 +302,32 @@ fn main() {
         policy.name(),
         model.name()
     );
+    // One row of `trials` trials of `cfg` under `fcfg` and the chosen model.
+    let run = |net: &Network, scheduler: &dyn Scheduler, fcfg: &FaultPlanConfig| {
+        let grid = TrialGrid {
+            configs: &[cfg],
+            trials,
+            faults: Some((fcfg, model)),
+            policy,
+        };
+        run_trials(net, scheduler, &grid, threads)
+            .expect("faulted sweep")
+            .remove(0)
+    };
     let mut rows = Vec::new();
     for name in &networks {
         let net = network_by_name(name).unwrap();
         for (sname, scheduler) in schedulers {
             // Rate 0 is the fault-free baseline of the same arrival streams
             // (an empty plan under every model).
-            let baseline = run_faulted_trials_model(
-                &net,
-                scheduler,
-                &cfg,
-                &fault_cfg_for(model, 0.0),
-                trials,
-                threads,
-                policy,
-                model,
-            );
+            let baseline = run(&net, scheduler, &fault_cfg_for(model, 0.0));
             let rates: &[f64] = if matches!(model, FaultModel::Correlated { .. }) {
                 &CORRELATED_RATES
             } else {
                 &RATES
             };
             for &rate in rates {
-                let fcfg = fault_cfg_for(model, rate);
-                let stats = run_faulted_trials_model(
-                    &net, scheduler, &cfg, &fcfg, trials, threads, policy, model,
-                );
+                let stats = run(&net, scheduler, &fault_cfg_for(model, rate));
                 // PR invariant: faults are capacity patches, never rebuilds
                 // — correlated domain events expand to member toggles on
                 // the same patch path, and Byzantine onsets touch no link
@@ -412,14 +402,18 @@ fn main() {
     if let Some(tpath) = telemetry_path {
         // One bounded probed capture at a rate that reliably produces both
         // failures and repairs within the horizon; the sweep above already
-        // ran unprobed, so this re-run only feeds the telemetry sink.
-        let telemetry = Telemetry::new();
+        // ran unprobed, so this re-run only feeds the telemetry sinks.
         let net = network_by_name("omega-8").unwrap();
         let fcfg = FaultPlanConfig::links(0.005, MEAN_REPAIR, SIM_TIME);
-        let _ = run_faulted_trials_policy_probed(
-            &net, &optimal, &cfg, &fcfg, trials, threads, policy, &telemetry,
-        );
-        let json = telemetry.report().to_json("faults");
+        let grid = TrialGrid {
+            configs: &[cfg],
+            trials,
+            faults: Some((&fcfg, FaultModel::Independent)),
+            policy,
+        };
+        let (_, report) =
+            run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
+        let json = report.to_json("faults");
         if let Err(e) = std::fs::write(&tpath, &json) {
             eprintln!("warning: could not write {tpath}: {e}");
         } else {

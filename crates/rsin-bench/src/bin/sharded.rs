@@ -34,7 +34,7 @@
 //! trials it ran.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, take_flag};
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
 use rsin_obs::Counter;
 use rsin_sim::sharded::{run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig};
@@ -43,18 +43,6 @@ use rsin_topology::{GlobalTopology, ShardedNetwork, ShardedSpec};
 use std::time::Instant;
 
 const LOADS: [f64; 3] = [0.25, 0.5, 0.9];
-
-/// Pop `--flag value` out of `args`; returns the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
 
 struct SweepPoint {
     shards: usize,
@@ -226,13 +214,14 @@ fn main() {
         // Heavy-traffic regime on the flattened composition: the dynamic
         // discrete-event model at utilization targets up to past
         // saturation (bursty batch-4 arrivals, 64-deep bounded queues),
-        // via `run_sharded_dynamic` on the smallest sweep composition.
+        // on the flattened smallest sweep composition.
         use rsin_core::scheduler::MaxFlowScheduler;
-        use rsin_sim::sharded::run_sharded_dynamic;
-        use rsin_sim::system::DynamicConfig;
+        use rsin_sim::system::{DynamicConfig, SystemSim};
         let shards = *shard_counts.first().expect("--shards is nonempty");
         let net = ShardedNetwork::new(ShardedSpec::new(shards, local, globals[0]))
-            .expect("sweep composition is well-formed");
+            .expect("sweep composition is well-formed")
+            .flatten()
+            .expect("flattenable composition");
         let mut hrows = Vec::new();
         for &rho in &[0.9, 0.95, 0.99, 1.05] {
             let cfg = DynamicConfig {
@@ -244,8 +233,9 @@ fn main() {
                 seed,
                 ..DynamicConfig::default()
             };
-            let stats = run_sharded_dynamic(&net, &MaxFlowScheduler::default(), cfg)
-                .expect("flattenable composition");
+            let stats = SystemSim::new(&net, cfg)
+                .run(&MaxFlowScheduler::default())
+                .expect("dynamic sharded run");
             let offered = stats.completed + stats.final_queue + stats.shed_arrivals;
             hrows.push(vec![
                 format!("{rho:.2}"),

@@ -111,6 +111,38 @@ pub fn standard_networks() -> Vec<Network> {
         .collect()
 }
 
+/// Pop `--flag value` out of `args`; returns the value. A flag with no
+/// value after it is a usage error: print it and exit with code 2.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    pop_flag(args, flag).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// Parse `value` (named `what` in the message), exiting with code 2 when it
+/// does not parse instead of falling back to a default.
+pub fn parse_or_exit<T: std::str::FromStr>(what: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{what} wants a number, got {value:?}")))
+}
+
+/// Print a usage error and exit with code 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+fn pop_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("{flag} needs a value"));
+    }
+    let v = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(v))
+}
+
 /// Format a mean ± CI pair as a percentage.
 pub fn pct(mean: f64, ci: f64) -> String {
     format!("{:5.2}% ±{:.2}", 100.0 * mean, 100.0 * ci)
@@ -147,6 +179,25 @@ mod tests {
         let nets = standard_networks();
         assert_eq!(nets.len(), 5);
         assert!(nets.iter().all(|n| n.num_processors() == 8));
+    }
+
+    #[test]
+    fn take_flag_pops_the_flag_and_its_value() {
+        let mut args: Vec<String> = ["400", "--replicas", "4", "--json", "out.json"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(take_flag(&mut args, "--replicas").as_deref(), Some("4"));
+        assert_eq!(take_flag(&mut args, "--threads"), None);
+        assert_eq!(take_flag(&mut args, "--json").as_deref(), Some("out.json"));
+        assert_eq!(args, ["400"]);
+        let mut dangling = vec!["--json".to_string()];
+        assert_eq!(
+            pop_flag(&mut dangling, "--json"),
+            Err("--json needs a value".to_string())
+        );
+        assert_eq!(parse_or_exit::<usize>("--threads", "8"), 8);
+        assert_eq!(parse_or_exit::<f64>("horizon", "400"), 400.0);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`pool`] — the work-stealing-free worker pool every parallel
 //!   experiment axis (trials, sweep points, fault trials, replicas, and
 //!   per-scheduler comparison rows) runs on;
-//! * [`replicate`] — replicated dynamic runs: independent `(seed, replica)`
-//!   streams of one configuration, merged deterministically;
+//! * [`replicate`] — the one batch path for dynamic runs: a
+//!   [`TrialGrid`] of configurations × independent `(seed, trial)` streams
+//!   on one worker pool, with replicas merged deterministically;
 //! * [`sharded`] — sharded-system experiments: pooled hierarchical
 //!   scheduling cycles, flat-oracle conformance trials, and the streaming
 //!   [`sharded::ShardedSession`] over an MRSIN-of-MRSINs;
@@ -71,17 +72,14 @@ pub use stream::{
 };
 
 pub use replicate::{
-    merge_dynamic, merge_faulted, run_replicated, run_replicated_faulted, run_replicated_probed,
-    run_replicated_sweep, ReplicatedFaultedStats, ReplicatedStats,
+    merge_dynamic, merge_faulted, run_trials, run_trials_observed, ReplicatedFaultedStats,
+    ReplicatedStats, TrialGrid,
 };
 pub use sharded::{
-    compare_sharded_pools, run_flat_trials, run_paired_trials, run_sharded_dynamic,
-    run_sharded_trials, schedule_pooled, sharded_snapshot, ShardedSession, ShardedStats,
-    ShardedTrialConfig,
+    compare_sharded_pools, run_flat_trials, run_paired_trials, run_sharded_trials, schedule_pooled,
+    sharded_snapshot, ShardedSession, ShardedStats, ShardedTrialConfig,
 };
 pub use system::{
-    fault_plan_seed, plan_for_model, run_faulted_trials, run_faulted_trials_model,
-    run_faulted_trials_policy, run_faulted_trials_policy_probed, run_faulted_trials_probed,
-    run_sweep, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel, FaultedStats, SimError,
-    SystemSim,
+    fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel,
+    FaultedStats, SimError, SystemSim,
 };

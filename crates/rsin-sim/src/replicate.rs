@@ -1,30 +1,27 @@
-//! Replicated dynamic runs: independent `(seed, replica)` RNG-stream
-//! simulations of *one* configuration, merged deterministically.
+//! Trial grids: the one batch path for dynamic simulations. A
+//! [`TrialGrid`] names configurations × trials plus a fault process and a
+//! degraded policy; [`run_trials`] (and [`run_trials_observed`], which adds
+//! telemetry) runs every cell on one worker pool. A row's trials are
+//! independent replicas — trial `t` draws the `(cfg.seed, t)` stream, the
+//! convention every other experiment here uses — and merge through
+//! [`merge_dynamic`] / [`merge_faulted`].
 //!
-//! A single long dynamic simulation was the last serial surface of the
-//! experiment grid (ROADMAP item 3): load sweeps parallelize across
-//! configurations, blocking experiments across trials, but one
-//! `(network, scheduler, config)` point ran on one core no matter how long
-//! the horizon. Replication is the standard fix from parallel
-//! discrete-event simulation practice: run `replicas` statistically
-//! independent copies of the model — replica `r` draws its arrivals from
-//! the `(cfg.seed, r)` stream, exactly the `(seed, trial)` convention every
-//! other experiment here uses — and pool their outputs.
-//!
-//! Determinism contract (the same one PR 1 established for blocking
-//! trials): replicas land in an index-addressed slot table and the merge
-//! runs **sequentially in replica order** after every replica finishes.
-//! [`Sample::merge`] keeps counts, extremes, histogram buckets — hence p99
-//! — exactly equal to the single-stream computation, and fixes the
-//! floating-point evaluation order of the pooled mean/CI, so the returned
-//! statistics are bit-identical for any thread count. A property test in
-//! `tests/replication.rs` pins that, and the CI `determinism` job
+//! Determinism contract: cells land in an index-addressed slot table and
+//! the merge runs **sequentially in replica order** after every replica
+//! finishes. [`Sample::merge`] keeps counts, extremes, histogram buckets —
+//! hence p99 — exactly equal to the single-stream computation, and fixes
+//! the floating-point evaluation order of the pooled mean/CI, so the
+//! returned statistics are bit-identical for any thread count. A property
+//! test in `tests/replication.rs` pins that, and the CI `determinism` job
 //! byte-compares the exported JSON across thread counts.
 
 use crate::metrics::{Sample, Summary};
-use crate::system::{DynamicConfig, DynamicStats, FaultedStats, SystemSim};
+use crate::system::{
+    fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel,
+    FaultedStats, SimError, SystemSim,
+};
 use rsin_core::scheduler::Scheduler;
-use rsin_obs::{Telemetry, TelemetryReport};
+use rsin_obs::{NoopProbe, Probe, Telemetry, TelemetryReport};
 use rsin_topology::{FaultPlan, FaultPlanConfig, Network};
 
 /// Pooled statistics of `replicas` independent dynamic runs.
@@ -187,94 +184,106 @@ pub fn merge_faulted(per_replica: &[FaultedStats]) -> ReplicatedFaultedStats {
     }
 }
 
-/// Run `replicas` independent fault-free dynamic simulations of `cfg` on a
-/// `threads`-worker pool and merge them (replica `r` = the `(cfg.seed, r)`
-/// stream, so replica 0 reproduces [`SystemSim::run`] exactly).
-pub fn run_replicated(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    replicas: usize,
-    threads: usize,
-) -> ReplicatedStats {
-    let per_replica = crate::pool::run_indexed(replicas, threads, |r| {
-        SystemSim::new(net, *cfg)
-            .run_faulted_trial(scheduler, &FaultPlan::empty(), r as u64)
-            .stats
-    });
-    merge_dynamic(&per_replica)
+/// One batch of dynamic trials: every configuration in `configs` runs
+/// `trials` independent trials under the same fault process and degraded
+/// policy.
+#[derive(Debug, Clone, Copy)]
+pub struct TrialGrid<'a> {
+    /// The configurations, one result row each.
+    pub configs: &'a [DynamicConfig],
+    /// Trials per configuration (the replicas of one row).
+    pub trials: usize,
+    /// Fault process of every trial; `None` runs each trial under
+    /// [`FaultPlan::empty`].
+    pub faults: Option<(&'a FaultPlanConfig, FaultModel)>,
+    /// How blocked requests are handled while something is faulty.
+    pub policy: DegradedPolicy,
 }
 
-/// Replicated faulted runs: replica `r` additionally draws its fault plan
-/// from [`fault_plan_seed`](crate::system::fault_plan_seed)`(cfg.seed, r)`,
-/// mirroring
-/// [`run_faulted_trials`](crate::system::run_faulted_trials) — this *is*
-/// that batch plus the deterministic merge.
-pub fn run_replicated_faulted(
+/// Run every cell of `grid`, cell `k` reporting to `probe(k)`, and reshape
+/// the results into one row per configuration.
+fn run_grid<'p, P>(
     net: &Network,
     scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    replicas: usize,
+    grid: &TrialGrid,
     threads: usize,
-) -> ReplicatedFaultedStats {
-    let per_replica =
-        crate::system::run_faulted_trials(net, scheduler, cfg, fault_cfg, replicas, threads);
-    merge_faulted(&per_replica)
+    probe: P,
+) -> Result<Vec<Vec<FaultedStats>>, SimError>
+where
+    P: Sync + Fn(usize) -> &'p dyn Probe,
+{
+    let trials = grid.trials;
+    if grid.configs.is_empty() || trials == 0 {
+        return Err(SimError::EmptyGrid {
+            configs: grid.configs.len(),
+            trials,
+        });
+    }
+    // Cell k = (config k / trials, trial k % trials): the (cfg.seed, t)
+    // stream under the plan drawn from fault_plan_seed(cfg.seed, t).
+    let cells = crate::pool::run_indexed(grid.configs.len() * trials, threads, |k| {
+        let cfg = grid.configs[k / trials];
+        let trial = (k % trials) as u64;
+        let plan = match grid.faults {
+            None => FaultPlan::empty(),
+            Some((fault_cfg, model)) => {
+                plan_for_model(net, fault_cfg, model, fault_plan_seed(cfg.seed, trial))
+            }
+        };
+        SystemSim::new(net, cfg).try_run_faulted_trial_policy_probed(
+            scheduler,
+            &plan,
+            trial,
+            grid.policy,
+            probe(k),
+        )
+    });
+    let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(cells.chunks(trials).map(<[_]>::to_vec).collect())
 }
 
-/// Replicate every configuration of a load sweep on **one** flattened
-/// `(config, replica)` task grid, so a sweep with few points still saturates
-/// the pool. Returns one [`ReplicatedStats`] per configuration, in input
-/// order.
-pub fn run_replicated_sweep(
+/// Run every `(config, trial)` cell of `grid` on one `threads`-worker pool,
+/// so a sweep with few configurations still saturates the pool. Returns one
+/// row of trials per configuration, in input order; cell `(c, t)` draws the
+/// `(cfg.seed, t)` stream and the fault plan of
+/// [`fault_plan_seed`]`(cfg.seed, t)`, so trial 0 of a fault-free row
+/// reproduces [`SystemSim::run`] exactly and the rows are bit-identical for
+/// any thread count. An empty grid is a [`SimError::EmptyGrid`].
+pub fn run_trials(
     net: &Network,
     scheduler: &dyn Scheduler,
-    configs: &[DynamicConfig],
-    replicas: usize,
+    grid: &TrialGrid,
     threads: usize,
-) -> Vec<ReplicatedStats> {
-    let replicas = replicas.max(1);
-    let per: Vec<DynamicStats> = crate::pool::run_indexed(configs.len() * replicas, threads, |k| {
-        let (ci, r) = (k / replicas, k % replicas);
-        SystemSim::new(net, configs[ci])
-            .run_faulted_trial(scheduler, &FaultPlan::empty(), r as u64)
-            .stats
-    });
-    per.chunks(replicas).map(merge_dynamic).collect()
+) -> Result<Vec<Vec<FaultedStats>>, SimError> {
+    run_grid(net, scheduler, grid, threads, |_| &NoopProbe)
 }
 
-/// [`run_replicated`] under telemetry: each replica records into its **own**
-/// [`Telemetry`] sink and the per-replica reports are merged in replica
-/// order via [`TelemetryReport::merge`]. Unlike sharing one live sink
-/// across workers (where the event trace interleaves in wall-clock order),
-/// the merged counters, solver totals, and event stream are independent of
-/// the thread count; only the span-latency histograms keep wall-clock
-/// noise, since they measure real nanoseconds.
-pub fn run_replicated_probed(
+/// [`run_trials`] under telemetry: each cell records into its **own**
+/// [`Telemetry`] sink and the reports merge in cell order
+/// ([`TelemetryReport::merge`]), so counters, solver totals, and events are
+/// independent of the thread count (span latencies stay wall-clock). Probes
+/// only observe, so the rows are bit-identical to [`run_trials`].
+pub fn run_trials_observed(
     net: &Network,
     scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    replicas: usize,
+    grid: &TrialGrid,
     threads: usize,
-) -> (ReplicatedStats, TelemetryReport) {
-    let replicas = replicas.max(1);
-    let sinks: Vec<Telemetry> = (0..replicas).map(|_| Telemetry::new()).collect();
-    let per_replica = crate::pool::run_indexed(replicas, threads, |r| {
-        SystemSim::new(net, *cfg)
-            .run_faulted_trial_probed(scheduler, &FaultPlan::empty(), r as u64, &sinks[r])
-            .stats
-    });
+) -> Result<(Vec<Vec<FaultedStats>>, TelemetryReport), SimError> {
+    let sinks: Vec<Telemetry> = (0..grid.configs.len() * grid.trials)
+        .map(|_| Telemetry::new())
+        .collect();
+    let rows = run_grid(net, scheduler, grid, threads, |k| &sinks[k])?;
     let mut report = sinks[0].report();
     for sink in &sinks[1..] {
         report.merge(&sink.report());
     }
-    (merge_dynamic(&per_replica), report)
+    Ok((rows, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::tests::stat_bits;
     use rsin_core::scheduler::MaxFlowScheduler;
     use rsin_topology::builders::omega;
 
@@ -287,13 +296,41 @@ mod tests {
         }
     }
 
+    /// A one-configuration grid of `trials` trials under the BFS policy.
+    fn grid<'a>(
+        cfg: &'a DynamicConfig,
+        trials: usize,
+        faults: Option<&'a FaultPlanConfig>,
+    ) -> TrialGrid<'a> {
+        TrialGrid {
+            configs: std::slice::from_ref(cfg),
+            trials,
+            faults: faults.map(|f| (f, FaultModel::Independent)),
+            policy: DegradedPolicy::Bfs,
+        }
+    }
+
+    /// `replicas` fault-free trials of `cfg`, merged.
+    fn replicated(cfg: &DynamicConfig, replicas: usize, threads: usize) -> ReplicatedStats {
+        let net = omega(8).unwrap();
+        let rows = run_trials(
+            &net,
+            &MaxFlowScheduler::default(),
+            &grid(cfg, replicas, None),
+            threads,
+        )
+        .unwrap();
+        merge_faulted(&rows[0]).stats
+    }
+
     #[test]
     fn one_replica_reproduces_the_single_run() {
         let net = omega(8).unwrap();
         let cfg = small_cfg();
-        let scheduler = MaxFlowScheduler::default();
-        let single = SystemSim::new(&net, cfg).run(&scheduler);
-        let rep = run_replicated(&net, &scheduler, &cfg, 1, 1);
+        let single = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let rep = replicated(&cfg, 1, 1);
         assert_eq!(rep.replicas, 1);
         assert_eq!(rep.completed, single.completed);
         assert_eq!(rep.cycles, single.cycles);
@@ -306,12 +343,13 @@ mod tests {
     fn replicas_are_independent_streams() {
         let net = omega(8).unwrap();
         let cfg = small_cfg();
-        let scheduler = MaxFlowScheduler::default();
-        let rep = run_replicated(&net, &scheduler, &cfg, 4, 1);
+        let rep = replicated(&cfg, 4, 1);
         assert_eq!(rep.replicas, 4);
         // Four replicas pool four times the tasks of one (roughly), and the
         // across-replica utilization CI must be non-degenerate.
-        let single = SystemSim::new(&net, cfg).run(&scheduler);
+        let single = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert!(rep.completed > 2 * single.completed);
         assert!(rep.utilization.ci95 > 0.0);
         assert_eq!(rep.response.n, rep.completed);
@@ -319,12 +357,10 @@ mod tests {
 
     #[test]
     fn replicated_stats_bit_identical_across_thread_counts() {
-        let net = omega(8).unwrap();
         let cfg = small_cfg();
-        let scheduler = MaxFlowScheduler::default();
-        let serial = run_replicated(&net, &scheduler, &cfg, 5, 1);
+        let serial = replicated(&cfg, 5, 1);
         for threads in [2, 3, 8] {
-            let parallel = run_replicated(&net, &scheduler, &cfg, 5, threads);
+            let parallel = replicated(&cfg, 5, threads);
             assert_eq!(serial.completed, parallel.completed, "threads={threads}");
             assert_eq!(serial.cycles, parallel.cycles, "threads={threads}");
             for (a, b) in [
@@ -347,7 +383,8 @@ mod tests {
         let cfg = small_cfg();
         let scheduler = MaxFlowScheduler::default();
         let fcfg = FaultPlanConfig::links(0.004, 15.0, cfg.sim_time);
-        let per = crate::system::run_faulted_trials(&net, &scheduler, &cfg, &fcfg, 3, 1);
+        let faulted = grid(&cfg, 3, Some(&fcfg));
+        let per = run_trials(&net, &scheduler, &faulted, 1).unwrap().remove(0);
         let merged = merge_faulted(&per);
         assert_eq!(merged.stats.replicas, 3);
         assert_eq!(merged.failures, per.iter().map(|f| f.failures).sum::<u64>());
@@ -355,7 +392,7 @@ mod tests {
             merged.transform_rebuilds,
             per.iter().map(|f| f.transform_rebuilds).sum::<u64>()
         );
-        let direct = run_replicated_faulted(&net, &scheduler, &cfg, &fcfg, 3, 2);
+        let direct = merge_faulted(&run_trials(&net, &scheduler, &faulted, 2).unwrap()[0]);
         assert_eq!(direct.failures, merged.failures);
         assert_eq!(
             direct.stats.response.mean.to_bits(),
@@ -377,7 +414,9 @@ mod tests {
         let cfg = small_cfg();
         let scheduler = MaxFlowScheduler::default();
         let fcfg = FaultPlanConfig::links(0.01, 2.0, cfg.sim_time);
-        let per = crate::system::run_faulted_trials(&net, &scheduler, &cfg, &fcfg, 2, 1);
+        let per = run_trials(&net, &scheduler, &grid(&cfg, 2, Some(&fcfg)), 1)
+            .unwrap()
+            .remove(0);
         let baseline = merge_faulted(&per);
         let mut poisoned = per[0];
         poisoned.mean_recovery = f64::NAN;
@@ -401,26 +440,104 @@ mod tests {
 
     #[test]
     fn replicated_sweep_matches_per_config_replication() {
+        // Row c of a multi-config grid merges to config c's own replication.
+        let net = omega(8).unwrap();
+        let configs = [0.2, 0.5].map(|arrival_rate| DynamicConfig {
+            arrival_rate,
+            ..small_cfg()
+        });
+        let sweep = TrialGrid {
+            configs: &configs,
+            ..grid(&configs[0], 3, None)
+        };
+        let swept = run_trials(&net, &MaxFlowScheduler::default(), &sweep, 4).unwrap();
+        assert_eq!(swept.len(), 2);
+        for (cfg, row) in configs.iter().zip(&swept) {
+            let (s, direct) = (merge_faulted(row).stats, replicated(cfg, 3, 1));
+            assert_eq!(s.completed, direct.completed);
+            assert_eq!(s.response.mean.to_bits(), direct.response.mean.to_bits());
+            let (a, b) = (s.utilization.ci95, direct.utilization.ci95);
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn every_grid_cell_is_its_own_single_trial() {
+        // Cell (c, t) of a multi-config faulted grid is exactly the single
+        // trial t of config c under the plan the grid draws for it.
         let net = omega(8).unwrap();
         let scheduler = MaxFlowScheduler::default();
-        let configs: Vec<DynamicConfig> = [0.2, 0.5]
+        let configs: Vec<DynamicConfig> = [(0.2, 3), (0.5, 9)]
             .iter()
-            .map(|&rate| DynamicConfig {
+            .map(|&(rate, seed)| DynamicConfig {
                 arrival_rate: rate,
+                seed,
+                priority_levels: 3,
                 ..small_cfg()
             })
             .collect();
-        let swept = run_replicated_sweep(&net, &scheduler, &configs, 3, 4);
-        assert_eq!(swept.len(), 2);
-        for (cfg, s) in configs.iter().zip(&swept) {
-            let direct = run_replicated(&net, &scheduler, cfg, 3, 1);
-            assert_eq!(s.completed, direct.completed);
-            assert_eq!(s.response.mean.to_bits(), direct.response.mean.to_bits());
-            assert_eq!(
-                s.utilization.ci95.to_bits(),
-                direct.utilization.ci95.to_bits()
-            );
+        let fcfg = FaultPlanConfig::links(0.004, 15.0, small_cfg().sim_time);
+        for (faults, policy) in [
+            (None, DegradedPolicy::Bfs),
+            (Some((&fcfg, FaultModel::Independent)), DegradedPolicy::Bfs),
+            (
+                Some((&fcfg, FaultModel::Correlated { domain_boxes: 2 })),
+                DegradedPolicy::Priced,
+            ),
+        ] {
+            let grid = TrialGrid {
+                configs: &configs,
+                trials: 3,
+                faults,
+                policy,
+            };
+            let rows = run_trials(&net, &scheduler, &grid, 4).unwrap();
+            assert_eq!(rows.len(), configs.len());
+            for (cfg, row) in configs.iter().zip(&rows) {
+                assert_eq!(row.len(), 3);
+                for (t, cell) in row.iter().enumerate() {
+                    let t = t as u64;
+                    let plan = match faults {
+                        None => FaultPlan::empty(),
+                        Some((f, model)) => {
+                            plan_for_model(&net, f, model, fault_plan_seed(cfg.seed, t))
+                        }
+                    };
+                    let single = SystemSim::new(&net, *cfg)
+                        .try_run_faulted_trial_policy_probed(
+                            &scheduler, &plan, t, policy, &NoopProbe,
+                        )
+                        .unwrap();
+                    assert_eq!(stat_bits(cell), stat_bits(&single), "{policy:?} t={t}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn empty_grids_are_rejected() {
+        let net = omega(8).unwrap();
+        let scheduler = MaxFlowScheduler::default();
+        let cfg = small_cfg();
+        let no_trials = grid(&cfg, 0, None);
+        assert_eq!(
+            run_trials(&net, &scheduler, &no_trials, 2).unwrap_err(),
+            SimError::EmptyGrid {
+                configs: 1,
+                trials: 0
+            }
+        );
+        let no_configs = TrialGrid {
+            configs: &[],
+            ..grid(&cfg, 3, None)
+        };
+        assert_eq!(
+            run_trials_observed(&net, &scheduler, &no_configs, 2).unwrap_err(),
+            SimError::EmptyGrid {
+                configs: 0,
+                trials: 3
+            }
+        );
     }
 
     #[test]
@@ -428,8 +545,10 @@ mod tests {
         let net = omega(8).unwrap();
         let cfg = small_cfg();
         let scheduler = MaxFlowScheduler::default();
-        let plain = run_replicated(&net, &scheduler, &cfg, 3, 2);
-        let (probed, report) = run_replicated_probed(&net, &scheduler, &cfg, 3, 2);
+        let plain = replicated(&cfg, 3, 2);
+        let (rows, report) =
+            run_trials_observed(&net, &scheduler, &grid(&cfg, 3, None), 2).unwrap();
+        let probed = merge_faulted(&rows[0]).stats;
         assert_eq!(plain.completed, probed.completed);
         assert_eq!(
             plain.response.mean.to_bits(),
@@ -438,5 +557,11 @@ mod tests {
         // Every replica's cycles land in the merged counters.
         let cycles = report.counters[rsin_obs::Counter::Cycles.index()];
         assert_eq!(cycles, plain.cycles);
+        // Per-cell sinks merged in cell order: counters and the event trace
+        // do not depend on the thread count.
+        let (_, serial) = run_trials_observed(&net, &scheduler, &grid(&cfg, 3, None), 1).unwrap();
+        assert_eq!(serial.counters, report.counters);
+        assert!(!serial.events.is_empty());
+        assert_eq!(serial.events, report.events);
     }
 }

@@ -286,21 +286,6 @@ pub fn compare_sharded_pools(
     })
 }
 
-/// Dynamic (discrete-event) simulation of a sharded system: flatten the
-/// composition and run the standard [`crate::system::SystemSim`] on it.
-/// The sharded entry point of the dynamic model — hierarchical placement
-/// is a per-cycle concern, so the dynamic simulation exercises the flat
-/// composed fabric.
-pub fn run_sharded_dynamic(
-    net: &ShardedNetwork,
-    scheduler: &dyn Scheduler,
-    cfg: crate::system::DynamicConfig,
-) -> Result<crate::system::DynamicStats, rsin_topology::NetworkError> {
-    let flat = net.flatten()?;
-    let sim = crate::system::SystemSim::new(&flat, cfg);
-    Ok(sim.run(scheduler))
-}
-
 /// Where an active origin currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OriginState {
@@ -709,7 +694,10 @@ mod tests {
             warmup: 10.0,
             ..Default::default()
         };
-        let stats = run_sharded_dynamic(&net, &MaxFlowScheduler::default(), cfg).unwrap();
+        let flat = net.flatten().unwrap();
+        let stats = crate::system::SystemSim::new(&flat, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert!(stats.completed > 0);
     }
 

@@ -156,11 +156,10 @@ impl DegradedPolicy {
 
 /// Typed failure of a dynamic simulation run.
 ///
-/// The event loop used to `panic!`/`unwrap` at these sites; every failure is
-/// either a scheduler error bubbling up or a simulator bookkeeping invariant,
-/// and the `try_*` entry points surface them as values instead of tearing a
-/// worker thread down mid-experiment. The panicking entry points remain as
-/// thin boundaries over the `try_*` ones.
+/// Every failure is either a scheduler error bubbling up, a simulator
+/// bookkeeping invariant, or an empty trial grid; every entry point returns
+/// them as values instead of tearing a worker thread down mid-experiment,
+/// and callers unwrap at the edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The scheduler returned an error mid-cycle.
@@ -179,6 +178,14 @@ pub enum SimError {
     },
     /// A simulator bookkeeping invariant broke (queue/assignment mismatch).
     State(&'static str),
+    /// A [`TrialGrid`](crate::replicate::TrialGrid) with no configuration
+    /// or no trial per configuration: there is nothing to run or merge.
+    EmptyGrid {
+        /// Configurations in the grid.
+        configs: usize,
+        /// Trials per configuration.
+        trials: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -189,6 +196,10 @@ impl std::fmt::Display for SimError {
             }
             SimError::Circuit { context, error } => write!(f, "{context}: {error}"),
             SimError::State(m) => write!(f, "simulator invariant violated: {m}"),
+            SimError::EmptyGrid { configs, trials } => write!(
+                f,
+                "empty trial grid: {configs} config(s) x {trials} trial(s)"
+            ),
         }
     }
 }
@@ -357,108 +368,43 @@ impl<'n> SystemSim<'n> {
         SystemSim { net, cfg }
     }
 
-    /// Run to the horizon under the given scheduler.
-    pub fn run(&self, scheduler: &dyn Scheduler) -> DynamicStats {
+    /// Run the fault-free trial 0 to the horizon under the given scheduler.
+    pub fn run(&self, scheduler: &dyn Scheduler) -> Result<DynamicStats, SimError> {
         // Delegating with an empty plan is bit-identical to the fault-free
         // loop: no fault events enter the heap, no extra RNG draws happen,
         // and fault-free cycles never take the degraded-retry path.
-        self.run_faulted_trial(scheduler, &FaultPlan::empty(), 0)
-            .stats
+        self.try_run_faulted_trial_policy_probed(
+            scheduler,
+            &FaultPlan::empty(),
+            0,
+            DegradedPolicy::Bfs,
+            &NoopProbe,
+        )
+        .map(|f| f.stats)
     }
 
-    /// [`Self::run`] reporting to a telemetry probe. Probes only observe —
-    /// the statistics are bit-identical to the unobserved run.
-    pub fn run_probed(&self, scheduler: &dyn Scheduler, probe: &dyn Probe) -> DynamicStats {
-        self.run_faulted_trial_probed(scheduler, &FaultPlan::empty(), 0, probe)
-            .stats
-    }
-
-    /// Run to the horizon with the given fault plan injected (trial 0's RNG
-    /// stream). See [`SystemSim::run_faulted_trial`].
-    pub fn run_faulted(&self, scheduler: &dyn Scheduler, plan: &FaultPlan) -> FaultedStats {
-        self.run_faulted_trial(scheduler, plan, 0)
-    }
-
-    /// Run to the horizon under the given scheduler with `plan`'s fault
-    /// events interleaved into the event stream, drawing arrivals and
-    /// service times from the `(cfg.seed, trial)` RNG stream.
+    /// Run one trial to the horizon: arrivals and service times come from
+    /// the `(cfg.seed, trial)` RNG stream and `plan`'s fault events are
+    /// interleaved into the event stream.
     ///
     /// Fault events are pushed into the event heap up front and consume no
     /// simulation randomness, so a run with [`FaultPlan::empty`] reproduces
     /// [`SystemSim::run`] exactly. While at least one component is faulty,
-    /// scheduling cycles go through
-    /// [`Scheduler::try_schedule_degraded`] — primary discipline, then
-    /// alternate-path retry for blocked requests — and the shed/recovered
-    /// counts feed the survival metrics. The transformation graph is never
+    /// blocked requests are handled by `policy` (see [`DegradedPolicy`]),
+    /// and the shed/recovered counts feed the survival metrics; the policy
+    /// only takes effect while something is faulty, so all policies are
+    /// bit-identical under an empty plan. The transformation graph is never
     /// rebuilt on a fault or repair: toggles arrive as incremental capacity
     /// patches (see `FaultedStats::transform_rebuilds`).
-    pub fn run_faulted_trial(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-    ) -> FaultedStats {
-        self.run_faulted_trial_probed(scheduler, plan, trial, &NoopProbe)
-    }
-
-    /// [`Self::run_faulted_trial`] with an explicit degraded-mode policy:
-    /// how blocked requests are handled during faulty cycles (shed
-    /// immediately, BFS-retried, or recovered by a residual min-cost solve;
-    /// see [`DegradedPolicy`]). [`Self::run_faulted_trial`] is the
-    /// [`DegradedPolicy::Bfs`] special case. The policy only takes effect
-    /// while something is faulty, so all policies are bit-identical under an
-    /// empty plan.
-    pub fn run_faulted_trial_policy(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-        policy: DegradedPolicy,
-    ) -> FaultedStats {
-        self.run_faulted_trial_policy_probed(scheduler, plan, trial, policy, &NoopProbe)
-    }
-
-    /// [`Self::run_faulted_trial`] reporting to a telemetry probe: arrival,
-    /// release, fault, and repair events go into the probe's trace (with
-    /// matching counters), per-cycle queue depths land in
-    /// [`rsin_obs::Hist::QueueDepth`], and every scheduling cycle runs
-    /// through the scheduler's observed entry points
-    /// ([`Scheduler::try_schedule_observed`] /
-    /// [`Scheduler::try_schedule_degraded_observed`]). Probes only observe:
-    /// they consume no simulation randomness and influence no control flow,
-    /// so the returned statistics are bit-identical to the unobserved run
-    /// ([`NoopProbe`] is exactly that run).
-    pub fn run_faulted_trial_probed(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-        probe: &dyn Probe,
-    ) -> FaultedStats {
-        self.run_faulted_trial_policy_probed(scheduler, plan, trial, DegradedPolicy::Bfs, probe)
-    }
-
-    /// [`Self::run_faulted_trial_policy`] reporting to a telemetry probe
-    /// (see [`Self::run_faulted_trial_probed`] for the probe contract).
     ///
-    /// Panics on [`SimError`] — the historical boundary behaviour for
-    /// experiment drivers. Use [`Self::try_run_faulted_trial_policy_probed`]
-    /// to handle failures as values.
-    pub fn run_faulted_trial_policy_probed(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-        policy: DegradedPolicy,
-        probe: &dyn Probe,
-    ) -> FaultedStats {
-        self.try_run_faulted_trial_policy_probed(scheduler, plan, trial, policy, probe)
-            .unwrap_or_else(|e| panic!("dynamic simulation failed: {e}"))
-    }
-
-    /// [`Self::run_faulted_trial_policy_probed`] with typed errors: the
-    /// event loop propagates scheduler failures and bookkeeping-invariant
-    /// violations as [`SimError`] instead of panicking mid-run.
+    /// `probe` receives arrival, release, fault, and repair events (with
+    /// matching counters), per-cycle queue depths in
+    /// [`rsin_obs::Hist::QueueDepth`], and every scheduling cycle runs
+    /// through the scheduler's observed entry points. Probes only observe:
+    /// they consume no simulation randomness and influence no control flow,
+    /// so the statistics are bit-identical to the [`NoopProbe`] run.
+    /// Scheduler failures and bookkeeping-invariant violations come back as
+    /// [`SimError`].
     pub fn try_run_faulted_trial_policy_probed(
         &self,
         scheduler: &dyn Scheduler,
@@ -920,123 +866,6 @@ impl<'n> SystemSim<'n> {
     }
 }
 
-/// Run one dynamic simulation per configuration, fanning the runs out over
-/// `threads` scoped workers.
-///
-/// Each run is fully determined by its own `DynamicConfig` (seeded RNG, own
-/// event heap, own circuit state), so results land in input order and are
-/// bit-identical for any thread count. This is the batch path for load
-/// sweeps (e.g. utilization vs arrival rate curves), where the runs are
-/// embarrassingly parallel but each one reuses its scheduling scratch
-/// across thousands of cycles.
-pub fn run_sweep(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    configs: &[DynamicConfig],
-    threads: usize,
-) -> Vec<DynamicStats> {
-    crate::pool::run_indexed(configs.len(), threads, |i| {
-        SystemSim::new(net, configs[i]).run(scheduler)
-    })
-}
-
-/// Run `trials` independent faulted dynamic simulations, fanning them out
-/// over `threads` scoped workers.
-///
-/// Trial `t` draws its arrivals from the `(cfg.seed, t)` RNG stream and its
-/// fault plan from [`fault_plan_seed`]`(cfg.seed, t)`, so each trial is a
-/// self-contained deterministic unit: results land in trial order and are
-/// bit-identical for any thread count — the same convention as
-/// [`run_sweep`] and the Monte-Carlo blocking experiments.
-pub fn run_faulted_trials(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    trials: usize,
-    threads: usize,
-) -> Vec<FaultedStats> {
-    run_faulted_trials_policy(
-        net,
-        scheduler,
-        cfg,
-        fault_cfg,
-        trials,
-        threads,
-        DegradedPolicy::Bfs,
-    )
-}
-
-/// [`run_faulted_trials`] with an explicit degraded-mode policy (see
-/// [`DegradedPolicy`]); the unsuffixed entry is the [`DegradedPolicy::Bfs`]
-/// special case. Same determinism contract: results land in trial order and
-/// are bit-identical for any thread count.
-pub fn run_faulted_trials_policy(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    trials: usize,
-    threads: usize,
-    policy: DegradedPolicy,
-) -> Vec<FaultedStats> {
-    crate::pool::run_indexed(trials, threads, |trial| {
-        let plan = FaultPlan::generate(net, fault_cfg, fault_plan_seed(cfg.seed, trial as u64));
-        SystemSim::new(net, *cfg).run_faulted_trial_policy(scheduler, &plan, trial as u64, policy)
-    })
-}
-
-/// [`run_faulted_trials`] with every trial reporting into one shared
-/// telemetry probe ([`Probe`] is `Sync`; a live `rsin_obs::Telemetry` sink
-/// accumulates with relaxed atomics, so the aggregate counters are exact
-/// while event interleaving across workers is wall-clock order). Statistics
-/// stay bit-identical to the unobserved runs for any thread count.
-pub fn run_faulted_trials_probed(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    trials: usize,
-    threads: usize,
-    probe: &dyn Probe,
-) -> Vec<FaultedStats> {
-    run_faulted_trials_policy_probed(
-        net,
-        scheduler,
-        cfg,
-        fault_cfg,
-        trials,
-        threads,
-        DegradedPolicy::Bfs,
-        probe,
-    )
-}
-
-/// [`run_faulted_trials_policy`] with every trial reporting into one shared
-/// telemetry probe (same contract as [`run_faulted_trials_probed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_faulted_trials_policy_probed(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    trials: usize,
-    threads: usize,
-    policy: DegradedPolicy,
-    probe: &dyn Probe,
-) -> Vec<FaultedStats> {
-    crate::pool::run_indexed(trials, threads, |trial| {
-        let plan = FaultPlan::generate(net, fault_cfg, fault_plan_seed(cfg.seed, trial as u64));
-        SystemSim::new(net, *cfg).run_faulted_trial_policy_probed(
-            scheduler,
-            &plan,
-            trial as u64,
-            policy,
-            probe,
-        )
-    })
-}
-
 /// Which fault process drives a faulted trial (DESIGN §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultModel {
@@ -1072,8 +901,9 @@ impl FaultModel {
 }
 
 /// Build trial `trial`'s fault plan for `model` — the single plan-selection
-/// point shared by [`run_faulted_trials_model`] and the experiment binaries,
-/// so a CLI sweep and a test replaying one trial agree event-for-event.
+/// point shared by [`run_trials`](crate::replicate::run_trials) and the
+/// experiment binaries, so a CLI sweep and a test replaying one trial agree
+/// event-for-event.
 pub fn plan_for_model(
     net: &Network,
     fault_cfg: &FaultPlanConfig,
@@ -1091,38 +921,61 @@ pub fn plan_for_model(
     }
 }
 
-/// [`run_faulted_trials_policy`] under an explicit [`FaultModel`]; the
-/// existing entry points are the [`FaultModel::Independent`] special case.
-/// Same determinism contract: trial `t` draws its plan from
-/// [`fault_plan_seed`]`(cfg.seed, t)` under the chosen model, results land
-/// in trial order and are bit-identical for any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_faulted_trials_model(
-    net: &Network,
-    scheduler: &dyn Scheduler,
-    cfg: &DynamicConfig,
-    fault_cfg: &FaultPlanConfig,
-    trials: usize,
-    threads: usize,
-    policy: DegradedPolicy,
-    model: FaultModel,
-) -> Vec<FaultedStats> {
-    crate::pool::run_indexed(trials, threads, |trial| {
-        let plan = plan_for_model(
-            net,
-            fault_cfg,
-            model,
-            fault_plan_seed(cfg.seed, trial as u64),
-        );
-        SystemSim::new(net, *cfg).run_faulted_trial_policy(scheduler, &plan, trial as u64, policy)
-    })
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler};
     use rsin_topology::builders::omega;
+
+    /// One max-flow trial of `cfg` under `plan`.
+    fn trial(
+        net: &Network,
+        cfg: DynamicConfig,
+        plan: &FaultPlan,
+        trial: u64,
+        policy: DegradedPolicy,
+    ) -> FaultedStats {
+        SystemSim::new(net, cfg)
+            .try_run_faulted_trial_policy_probed(
+                &MaxFlowScheduler::default(),
+                plan,
+                trial,
+                policy,
+                &NoopProbe,
+            )
+            .unwrap()
+    }
+
+    /// Every statistic of a trial as raw bits, for bit-for-bit comparisons.
+    pub(crate) fn stat_bits(f: &FaultedStats) -> Vec<u64> {
+        let s = &f.stats;
+        vec![
+            s.utilization.to_bits(),
+            s.mean_response.to_bits(),
+            s.response_ci95.to_bits(),
+            s.response_p99.to_bits(),
+            s.completed,
+            s.mean_queue.to_bits(),
+            s.cycles,
+            s.mean_blocking.to_bits(),
+            s.shed_arrivals,
+            s.final_queue,
+            f.allocations,
+            f.shed_total,
+            f.recovered_total,
+            f.failures,
+            f.repairs,
+            f.mean_recovery.to_bits(),
+            f.recoveries_observed,
+            f.transform_rebuilds,
+            f.recovery_cost as u64,
+            f.misrouted,
+            f.byz_flagged,
+            f.byz_false_positives,
+            f.mean_detection_cycles.to_bits(),
+            f.detections_observed,
+        ]
+    }
 
     #[test]
     fn light_load_completes_tasks() {
@@ -1132,7 +985,9 @@ mod tests {
             sim_time: 2000.0,
             ..DynamicConfig::default()
         };
-        let stats = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+        let stats = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert!(stats.completed > 100, "completed {}", stats.completed);
         assert!(stats.utilization > 0.0 && stats.utilization < 0.5);
         assert!(stats.mean_response > 0.0);
@@ -1151,9 +1006,9 @@ mod tests {
             ..DynamicConfig::default()
         };
         let sim = SystemSim::new(&net, light);
-        let u_light = sim.run(&MaxFlowScheduler::default()).utilization;
+        let u_light = sim.run(&MaxFlowScheduler::default()).unwrap().utilization;
         let sim = SystemSim::new(&net, heavy);
-        let u_heavy = sim.run(&MaxFlowScheduler::default()).utilization;
+        let u_heavy = sim.run(&MaxFlowScheduler::default()).unwrap().utilization;
         assert!(u_heavy > u_light, "{u_heavy} vs {u_light}");
     }
 
@@ -1161,8 +1016,12 @@ mod tests {
     fn deterministic_given_seed() {
         let net = omega(8).unwrap();
         let cfg = DynamicConfig::default();
-        let a = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
-        let b = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+        let a = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let b = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.cycles, b.cycles);
         assert!((a.mean_response - b.mean_response).abs() < 1e-12);
@@ -1234,8 +1093,12 @@ mod tests {
             sim_time: 500.0,
             ..DynamicConfig::default()
         };
-        let opt = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
-        let heu = SystemSim::new(&net, cfg).run(&GreedyScheduler::default());
+        let opt = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let heu = SystemSim::new(&net, cfg)
+            .run(&GreedyScheduler::default())
+            .unwrap();
         // Same arrival stream (same seed): the optimal mapping can only
         // help utilization; allow small stochastic slack since decisions
         // diverge after the first cycle.
@@ -1253,7 +1116,9 @@ mod tests {
             types: 2,
             ..DynamicConfig::default()
         };
-        let stats = SystemSim::new(&net, cfg).run(&MultiCommodityScheduler::default());
+        let stats = SystemSim::new(&net, cfg)
+            .run(&MultiCommodityScheduler::default())
+            .unwrap();
         assert!(stats.completed > 30, "completed {}", stats.completed);
         assert!(stats.utilization > 0.05);
     }
@@ -1269,10 +1134,13 @@ mod tests {
             warmup: 20.0,
             ..DynamicConfig::default()
         };
-        let homo = SystemSim::new(&net, base).run(&MaxFlowScheduler::default());
+        let homo = SystemSim::new(&net, base)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         let typed_cfg = DynamicConfig { types: 4, ..base };
         let typed = SystemSim::new(&net, typed_cfg)
-            .run(&rsin_core::scheduler::MultiCommodityScheduler::default());
+            .run(&rsin_core::scheduler::MultiCommodityScheduler::default())
+            .unwrap();
         assert!(
             typed.mean_response >= homo.mean_response * 0.8,
             "typed {} vs homo {}",
@@ -1282,46 +1150,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_individual_runs_for_any_thread_count() {
-        let net = omega(8).unwrap();
-        let configs: Vec<DynamicConfig> = [0.05, 0.2, 0.4, 0.6, 0.8]
-            .iter()
-            .map(|&rate| DynamicConfig {
-                arrival_rate: rate,
-                sim_time: 150.0,
-                warmup: 20.0,
-                ..DynamicConfig::default()
-            })
-            .collect();
-        let scheduler = MaxFlowScheduler::default();
-        let serial = run_sweep(&net, &scheduler, &configs, 1);
-        for threads in [2, 4, 8] {
-            let parallel = run_sweep(&net, &scheduler, &configs, threads);
-            assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.completed, b.completed, "threads={threads}");
-                assert_eq!(a.cycles, b.cycles, "threads={threads}");
-                assert_eq!(
-                    a.mean_response.to_bits(),
-                    b.mean_response.to_bits(),
-                    "threads={threads}"
-                );
-                assert_eq!(
-                    a.utilization.to_bits(),
-                    b.utilization.to_bits(),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_plan_reports_fault_free_metrics() {
         let net = omega(8).unwrap();
         let cfg = DynamicConfig::default();
-        let base = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
-        let faulted = SystemSim::new(&net, cfg)
-            .run_faulted(&MaxFlowScheduler::default(), &FaultPlan::empty());
+        let base = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let faulted = trial(&net, cfg, &FaultPlan::empty(), 0, DegradedPolicy::Bfs);
         assert_eq!(base.completed, faulted.stats.completed);
         assert_eq!(base.cycles, faulted.stats.cycles);
         assert_eq!(
@@ -1352,8 +1187,10 @@ mod tests {
         let fcfg = FaultPlanConfig::links(0.002, 30.0, cfg.sim_time);
         let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, 0));
         assert!(plan.failure_count() > 0, "plan must inject faults mid-run");
-        let baseline = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
-        let faulted = SystemSim::new(&net, cfg).run_faulted(&MaxFlowScheduler::default(), &plan);
+        let baseline = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let faulted = trial(&net, cfg, &plan, 0, DegradedPolicy::Bfs);
         assert!(faulted.failures > 0);
         assert!(faulted.stats.completed > 0);
         // Survival: the faulted run still completes close to the baseline
@@ -1373,48 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_trials_bit_identical_across_thread_counts() {
-        use rsin_topology::FaultPlanConfig;
-        let net = omega(8).unwrap();
-        let cfg = DynamicConfig {
-            arrival_rate: 0.4,
-            sim_time: 200.0,
-            warmup: 20.0,
-            ..DynamicConfig::default()
-        };
-        let fcfg = FaultPlanConfig::links(0.003, 20.0, cfg.sim_time);
-        let scheduler = MaxFlowScheduler::default();
-        let serial = run_faulted_trials(&net, &scheduler, &cfg, &fcfg, 5, 1);
-        assert_eq!(serial.len(), 5);
-        for threads in [2, 4, 8] {
-            let parallel = run_faulted_trials(&net, &scheduler, &cfg, &fcfg, 5, threads);
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.stats.completed, b.stats.completed, "threads={threads}");
-                assert_eq!(a.allocations, b.allocations, "threads={threads}");
-                assert_eq!(a.shed_total, b.shed_total, "threads={threads}");
-                assert_eq!(a.failures, b.failures, "threads={threads}");
-                assert_eq!(
-                    a.stats.mean_response.to_bits(),
-                    b.stats.mean_response.to_bits(),
-                    "threads={threads}"
-                );
-                assert_eq!(
-                    a.mean_recovery.to_bits(),
-                    b.mean_recovery.to_bits(),
-                    "threads={threads}"
-                );
-            }
-        }
-        // Trials must actually differ (independent streams).
-        assert!(
-            serial
-                .windows(2)
-                .any(|w| w[0].stats.completed != w[1].stats.completed),
-            "independent trials should diverge"
-        );
-    }
-
-    #[test]
     fn repairs_are_followed_by_recovery() {
         use rsin_topology::FaultPlanConfig;
         let net = omega(8).unwrap();
@@ -1427,8 +1222,7 @@ mod tests {
         // Heavy faulting with quick repairs so recovery intervals occur.
         let fcfg = FaultPlanConfig::links(0.004, 10.0, cfg.sim_time);
         let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, 1));
-        let faulted =
-            SystemSim::new(&net, cfg).run_faulted_trial(&MaxFlowScheduler::default(), &plan, 1);
+        let faulted = trial(&net, cfg, &plan, 1, DegradedPolicy::Bfs);
         assert!(faulted.repairs > 0, "plan must include repairs");
         assert!(
             faulted.recoveries_observed > 0,
@@ -1450,14 +1244,13 @@ mod tests {
             priority_levels: 3,
             ..DynamicConfig::default()
         };
-        let s = MaxFlowScheduler::default();
         let runs: Vec<FaultedStats> = [
             DegradedPolicy::None,
             DegradedPolicy::Bfs,
             DegradedPolicy::Priced,
         ]
         .iter()
-        .map(|&p| SystemSim::new(&net, cfg).run_faulted_trial_policy(&s, &FaultPlan::empty(), 0, p))
+        .map(|&p| trial(&net, cfg, &FaultPlan::empty(), 0, p))
         .collect();
         for w in runs.windows(2) {
             assert_eq!(w[0].stats.completed, w[1].stats.completed);
@@ -1468,52 +1261,6 @@ mod tests {
             );
         }
         assert!(runs.iter().all(|r| r.recovery_cost == 0));
-    }
-
-    #[test]
-    fn priced_policy_bit_identical_across_thread_counts() {
-        use rsin_core::scheduler::AddressMappedScheduler;
-        use rsin_topology::FaultPlanConfig;
-        // Address mapping binds blind, so faulty cycles actually exercise
-        // the residual min-cost recovery; the result must still be
-        // bit-identical for any worker count.
-        let net = omega(8).unwrap();
-        let cfg = DynamicConfig {
-            arrival_rate: 0.5,
-            sim_time: 200.0,
-            warmup: 20.0,
-            priority_levels: 4,
-            ..DynamicConfig::default()
-        };
-        let fcfg = FaultPlanConfig::links(0.004, 15.0, cfg.sim_time);
-        let scheduler = AddressMappedScheduler::new(7);
-        let serial =
-            run_faulted_trials_policy(&net, &scheduler, &cfg, &fcfg, 5, 1, DegradedPolicy::Priced);
-        for threads in [2, 8] {
-            let parallel = run_faulted_trials_policy(
-                &net,
-                &scheduler,
-                &cfg,
-                &fcfg,
-                5,
-                threads,
-                DegradedPolicy::Priced,
-            );
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.stats.completed, b.stats.completed, "threads={threads}");
-                assert_eq!(a.recovery_cost, b.recovery_cost, "threads={threads}");
-                assert_eq!(a.recovered_total, b.recovered_total, "threads={threads}");
-                assert_eq!(
-                    a.stats.mean_response.to_bits(),
-                    b.stats.mean_response.to_bits(),
-                    "threads={threads}"
-                );
-            }
-        }
-        assert!(
-            serial.iter().all(|r| r.recovery_cost >= 0),
-            "recovery cost is a sum of nonnegative per-cycle costs"
-        );
     }
 
     #[test]
@@ -1528,12 +1275,16 @@ mod tests {
             ..DynamicConfig::default()
         };
         assert_eq!(cfg.priority_levels, 1);
-        let a = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+        let a = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         let leveled = DynamicConfig {
             priority_levels: 5,
             ..cfg
         };
-        let b = SystemSim::new(&net, leveled).run(&MaxFlowScheduler::default());
+        let b = SystemSim::new(&net, leveled)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         // Max-flow ignores prices entirely, so even with levels > 1 the
         // decision sequence (and hence all dynamics) is unchanged.
         assert_eq!(a.completed, b.completed);
@@ -1562,8 +1313,12 @@ mod tests {
             ..explicit
         };
         assert_eq!(targeted.effective_arrival_rate(8, 8), 0.25);
-        let a = SystemSim::new(&net, explicit).run(&MaxFlowScheduler::default());
-        let b = SystemSim::new(&net, targeted).run(&MaxFlowScheduler::default());
+        let a = SystemSim::new(&net, explicit)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
+        let b = SystemSim::new(&net, targeted)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mean_response.to_bits(), b.mean_response.to_bits());
@@ -1588,7 +1343,9 @@ mod tests {
                     warmup: 100.0,
                     ..DynamicConfig::default()
                 };
-                SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default())
+                SystemSim::new(&net, cfg)
+                    .run(&MaxFlowScheduler::default())
+                    .unwrap()
             })
             .collect();
         for (w, pair) in runs.windows(2).enumerate() {
@@ -1619,13 +1376,15 @@ mod tests {
             ..DynamicConfig::default()
         };
         let calm = SystemSim::new(&net, DynamicConfig { rho: 0.7, ..base })
-            .run(&MaxFlowScheduler::default());
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert_eq!(
             calm.shed_arrivals, 0,
             "a 32-deep bound must never fill at rho 0.7"
         );
         let hot = SystemSim::new(&net, DynamicConfig { rho: 1.05, ..base })
-            .run(&MaxFlowScheduler::default());
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         assert!(
             hot.shed_arrivals > 0,
             "past saturation the bounded queue must overflow"
@@ -1647,7 +1406,9 @@ mod tests {
             warmup: 200.0,
             ..DynamicConfig::default()
         };
-        let smooth = SystemSim::new(&net, base).run(&MaxFlowScheduler::default());
+        let smooth = SystemSim::new(&net, base)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         let bursty = SystemSim::new(
             &net,
             DynamicConfig {
@@ -1655,7 +1416,8 @@ mod tests {
                 ..base
             },
         )
-        .run(&MaxFlowScheduler::default());
+        .run(&MaxFlowScheduler::default())
+        .unwrap();
         let ratio = bursty.completed as f64 / smooth.completed as f64;
         assert!(
             (0.75..=1.25).contains(&ratio),
@@ -1678,104 +1440,12 @@ mod tests {
             warmup: 0.0,
             ..DynamicConfig::default()
         };
-        let stats = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+        let stats = SystemSim::new(&net, cfg)
+            .run(&MaxFlowScheduler::default())
+            .unwrap();
         let arrivals_upper = (0.3 * 4.0 * 300.0 * 2.0) as u64;
         assert!(stats.completed < arrivals_upper);
         assert!(stats.cycles > 0);
-    }
-
-    #[test]
-    fn independent_model_reproduces_legacy_entry_point_bit_for_bit() {
-        use rsin_topology::FaultPlanConfig;
-        let net = omega(8).unwrap();
-        let cfg = DynamicConfig {
-            arrival_rate: 0.4,
-            sim_time: 200.0,
-            warmup: 20.0,
-            ..DynamicConfig::default()
-        };
-        let fcfg = FaultPlanConfig::links(0.003, 20.0, cfg.sim_time);
-        let scheduler = MaxFlowScheduler::default();
-        let legacy =
-            run_faulted_trials_policy(&net, &scheduler, &cfg, &fcfg, 3, 1, DegradedPolicy::Bfs);
-        let model = run_faulted_trials_model(
-            &net,
-            &scheduler,
-            &cfg,
-            &fcfg,
-            3,
-            2,
-            DegradedPolicy::Bfs,
-            FaultModel::Independent,
-        );
-        for (a, b) in legacy.iter().zip(&model) {
-            assert_eq!(a.stats.completed, b.stats.completed);
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(
-                a.stats.mean_response.to_bits(),
-                b.stats.mean_response.to_bits()
-            );
-            assert_eq!(a.misrouted, 0);
-            assert_eq!(b.misrouted, 0);
-        }
-    }
-
-    #[test]
-    fn correlated_domain_trials_patch_only_and_bit_identical_across_threads() {
-        use rsin_topology::FaultPlanConfig;
-        let net = omega(8).unwrap();
-        let cfg = DynamicConfig {
-            arrival_rate: 0.5,
-            sim_time: 400.0,
-            warmup: 40.0,
-            ..DynamicConfig::default()
-        };
-        let fcfg = FaultPlanConfig::links(0.01, 25.0, cfg.sim_time);
-        let scheduler = MaxFlowScheduler::default();
-        let model = FaultModel::Correlated { domain_boxes: 2 };
-        let serial = run_faulted_trials_model(
-            &net,
-            &scheduler,
-            &cfg,
-            &fcfg,
-            4,
-            1,
-            DegradedPolicy::Bfs,
-            model,
-        );
-        assert!(
-            serial.iter().any(|s| s.failures > 0),
-            "correlated plans must inject domain failures"
-        );
-        for s in &serial {
-            // Domain events flow through the incremental patch path: one
-            // rebuild for the transformation shape, none for the faults.
-            assert_eq!(s.transform_rebuilds, 1);
-            assert_eq!(s.misrouted, 0, "correlated faults are fail-stop");
-            assert_eq!(s.byz_flagged, 0, "detector must stay disengaged");
-        }
-        for threads in [2, 8] {
-            let parallel = run_faulted_trials_model(
-                &net,
-                &scheduler,
-                &cfg,
-                &fcfg,
-                4,
-                threads,
-                DegradedPolicy::Bfs,
-                model,
-            );
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.stats.completed, b.stats.completed, "threads={threads}");
-                assert_eq!(a.failures, b.failures, "threads={threads}");
-                assert_eq!(a.shed_total, b.shed_total, "threads={threads}");
-                assert_eq!(
-                    a.stats.mean_response.to_bits(),
-                    b.stats.mean_response.to_bits(),
-                    "threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1794,7 +1464,6 @@ mod tests {
             mean_repair: 80.0,
             horizon: cfg.sim_time,
         };
-        let scheduler = MaxFlowScheduler::default();
         let plan = plan_for_model(
             &net,
             &fcfg,
@@ -1802,12 +1471,7 @@ mod tests {
             fault_plan_seed(cfg.seed, 0),
         );
         assert!(plan.has_byzantine() && plan.failure_count() > 0);
-        let run = SystemSim::new(&net, cfg).run_faulted_trial_policy(
-            &scheduler,
-            &plan,
-            0,
-            DegradedPolicy::Bfs,
-        );
+        let run = trial(&net, cfg, &plan, 0, DegradedPolicy::Bfs);
         // The lie manifests: circuits establish but fail to deliver…
         assert!(run.misrouted > 0, "no circuit was ever misrouted");
         // …and the differential detector catches the liar with repeat
@@ -1825,54 +1489,193 @@ mod tests {
     }
 
     #[test]
+    fn sweep_matches_individual_runs_for_any_thread_count() {
+        trial_grid_bit_identical_across_thread_counts("fault-free sweep");
+    }
+
+    #[test]
+    fn faulted_trials_bit_identical_across_thread_counts() {
+        trial_grid_bit_identical_across_thread_counts("independent/bfs");
+    }
+
+    #[test]
+    fn priced_policy_bit_identical_across_thread_counts() {
+        trial_grid_bit_identical_across_thread_counts("independent/priced");
+    }
+
+    #[test]
+    fn correlated_domain_trials_patch_only_and_bit_identical_across_threads() {
+        trial_grid_bit_identical_across_thread_counts("correlated");
+    }
+
+    #[test]
     fn byzantine_trials_bit_identical_across_thread_counts() {
-        use rsin_topology::FaultPlanConfig;
+        trial_grid_bit_identical_across_thread_counts("byzantine");
+    }
+
+    #[test]
+    fn independent_model_reproduces_legacy_entry_point_bit_for_bit() {
+        // The independent model draws the classic `FaultPlan::generate` plan.
+        use crate::replicate::{run_trials, TrialGrid};
         let net = omega(8).unwrap();
         let cfg = DynamicConfig {
             arrival_rate: 0.4,
-            sim_time: 300.0,
-            warmup: 30.0,
+            sim_time: 200.0,
+            warmup: 20.0,
             ..DynamicConfig::default()
         };
-        let fcfg = FaultPlanConfig {
+        let fcfg = FaultPlanConfig::links(0.003, 20.0, cfg.sim_time);
+        let grid = TrialGrid {
+            configs: std::slice::from_ref(&cfg),
+            trials: 3,
+            faults: Some((&fcfg, FaultModel::Independent)),
+            policy: DegradedPolicy::Bfs,
+        };
+        let model = run_trials(&net, &MaxFlowScheduler::default(), &grid, 2).unwrap();
+        for (t, cell) in (0..).zip(&model[0]) {
+            let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, t));
+            let legacy = trial(&net, cfg, &plan, t, DegradedPolicy::Bfs);
+            assert_eq!(stat_bits(&legacy), stat_bits(cell), "t={t}");
+            assert_eq!(cell.misrouted, 0);
+        }
+    }
+
+    /// Runs the named row of the trial-grid table at 1 and 4 threads,
+    /// compares every cell bit for bit, then applies the row's own checks.
+    fn trial_grid_bit_identical_across_thread_counts(only: &str) {
+        use crate::replicate::{run_trials, TrialGrid};
+        use rsin_core::scheduler::AddressMappedScheduler;
+        let net = omega(8).unwrap();
+        let cfg = |arrival_rate, sim_time, warmup| DynamicConfig {
+            arrival_rate,
+            sim_time,
+            warmup,
+            ..DynamicConfig::default()
+        };
+        let sweep: Vec<DynamicConfig> = [0.05, 0.2, 0.4, 0.6, 0.8]
+            .iter()
+            .map(|&rate| cfg(rate, 150.0, 20.0))
+            .collect();
+        let independent = [cfg(0.4, 200.0, 20.0)];
+        let independent_faults = FaultPlanConfig::links(0.003, 20.0, 200.0);
+        // Address mapping binds blind, so faulty cycles actually exercise
+        // the residual min-cost recovery.
+        let priced = [DynamicConfig {
+            priority_levels: 4,
+            ..cfg(0.5, 200.0, 20.0)
+        }];
+        let priced_faults = FaultPlanConfig::links(0.004, 15.0, 200.0);
+        let correlated = [cfg(0.5, 400.0, 40.0)];
+        let correlated_faults = FaultPlanConfig::links(0.01, 25.0, 400.0);
+        let byzantine = [cfg(0.4, 300.0, 30.0)];
+        let byzantine_faults = FaultPlanConfig {
             link_failure_rate: 0.0,
             box_failure_rate: 0.002,
             mean_repair: 60.0,
-            horizon: cfg.sim_time,
+            horizon: 300.0,
         };
-        let scheduler = MaxFlowScheduler::default();
-        let serial = run_faulted_trials_model(
-            &net,
-            &scheduler,
-            &cfg,
-            &fcfg,
-            4,
-            1,
-            DegradedPolicy::Bfs,
-            FaultModel::Byzantine,
+        let max_flow = MaxFlowScheduler::default();
+        let addr = AddressMappedScheduler::new(7);
+        let grid = |configs, trials, faults, policy| TrialGrid {
+            configs,
+            trials,
+            faults,
+            policy,
+        };
+        // (case, scheduler, grid, what the serial rows must also show)
+        type Case<'a> = (
+            &'a str,
+            &'a dyn Scheduler,
+            TrialGrid<'a>,
+            fn(&[FaultedStats]),
         );
-        assert!(serial.iter().any(|s| s.misrouted > 0));
-        for threads in [2, 8] {
-            let parallel = run_faulted_trials_model(
-                &net,
-                &scheduler,
-                &cfg,
-                &fcfg,
-                4,
-                threads,
-                DegradedPolicy::Bfs,
-                FaultModel::Byzantine,
-            );
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.misrouted, b.misrouted, "threads={threads}");
-                assert_eq!(a.byz_flagged, b.byz_flagged, "threads={threads}");
-                assert_eq!(a.stats.completed, b.stats.completed, "threads={threads}");
-                assert_eq!(
-                    a.mean_detection_cycles.to_bits(),
-                    b.mean_detection_cycles.to_bits(),
-                    "threads={threads}"
-                );
-            }
+        let cases: [Case; 5] = [
+            (
+                "fault-free sweep",
+                &max_flow,
+                grid(&sweep, 1, None, DegradedPolicy::Bfs),
+                |_| {},
+            ),
+            (
+                "independent/bfs",
+                &max_flow,
+                grid(
+                    &independent,
+                    5,
+                    Some((&independent_faults, FaultModel::Independent)),
+                    DegradedPolicy::Bfs,
+                ),
+                |runs| {
+                    assert!(
+                        runs.windows(2)
+                            .any(|w| w[0].stats.completed != w[1].stats.completed),
+                        "independent trials should diverge"
+                    );
+                    assert!(runs.iter().all(|r| r.misrouted == 0));
+                },
+            ),
+            (
+                "independent/priced",
+                &addr,
+                grid(
+                    &priced,
+                    5,
+                    Some((&priced_faults, FaultModel::Independent)),
+                    DegradedPolicy::Priced,
+                ),
+                |runs| {
+                    assert!(
+                        runs.iter().all(|r| r.recovery_cost >= 0),
+                        "recovery cost is a sum of nonnegative per-cycle costs"
+                    );
+                },
+            ),
+            (
+                "correlated",
+                &max_flow,
+                grid(
+                    &correlated,
+                    4,
+                    Some((
+                        &correlated_faults,
+                        FaultModel::Correlated { domain_boxes: 2 },
+                    )),
+                    DegradedPolicy::Bfs,
+                ),
+                |runs| {
+                    assert!(
+                        runs.iter().any(|s| s.failures > 0),
+                        "correlated plans must inject domain failures"
+                    );
+                    for s in runs {
+                        // Domain events flow through the incremental patch
+                        // path: one rebuild for the transformation shape,
+                        // none for the faults.
+                        assert_eq!(s.transform_rebuilds, 1);
+                        assert_eq!(s.misrouted, 0, "correlated faults are fail-stop");
+                        assert_eq!(s.byz_flagged, 0, "detector must stay disengaged");
+                    }
+                },
+            ),
+            (
+                "byzantine",
+                &max_flow,
+                grid(
+                    &byzantine,
+                    4,
+                    Some((&byzantine_faults, FaultModel::Byzantine)),
+                    DegradedPolicy::Bfs,
+                ),
+                |runs| assert!(runs.iter().any(|s| s.misrouted > 0)),
+            ),
+        ];
+        let (case, scheduler, grid, check) = cases.iter().find(|c| c.0 == only).unwrap();
+        let serial = run_trials(&net, *scheduler, grid, 1).unwrap();
+        let parallel = run_trials(&net, *scheduler, grid, 4).unwrap();
+        assert_eq!(serial.len(), grid.configs.len(), "{case}");
+        for (a, b) in serial.concat().iter().zip(&parallel.concat()) {
+            assert_eq!(stat_bits(a), stat_bits(b), "{case}");
         }
+        check(&serial.concat());
     }
 }

@@ -1,6 +1,7 @@
 //! Property test pinning the replicated-run determinism contract: the
-//! merged statistics of `run_replicated` are **bit-identical** for any
-//! worker-thread count, across random configurations and replica counts.
+//! merged statistics of a replicated `run_trials` row are **bit-identical**
+//! for any worker-thread count, across random configurations and replica
+//! counts.
 //!
 //! This is the in-process half of the determinism gate; the CI
 //! `determinism` job byte-compares the exported JSON of the `dynamic` and
@@ -9,8 +10,8 @@
 use proptest::prelude::*;
 use rsin_core::scheduler::MaxFlowScheduler;
 use rsin_sim::metrics::Summary;
-use rsin_sim::replicate::run_replicated;
-use rsin_sim::system::DynamicConfig;
+use rsin_sim::replicate::{merge_faulted, run_trials, TrialGrid};
+use rsin_sim::system::{DegradedPolicy, DynamicConfig};
 use rsin_topology::builders::omega;
 
 fn assert_summary_bits(a: &Summary, b: &Summary, what: &str) {
@@ -42,9 +43,18 @@ proptest! {
             ..DynamicConfig::default()
         };
         let scheduler = MaxFlowScheduler::default();
-        let serial = run_replicated(&net, &scheduler, &cfg, replicas, 1);
+        let grid = TrialGrid {
+            configs: &[cfg],
+            trials: replicas,
+            faults: None,
+            policy: DegradedPolicy::Bfs,
+        };
+        let replicated = |threads| {
+            merge_faulted(&run_trials(&net, &scheduler, &grid, threads).unwrap()[0]).stats
+        };
+        let serial = replicated(1);
         for threads in [2usize, 3, 8] {
-            let parallel = run_replicated(&net, &scheduler, &cfg, replicas, threads);
+            let parallel = replicated(threads);
             prop_assert_eq!(serial.replicas, parallel.replicas);
             prop_assert_eq!(serial.completed, parallel.completed);
             prop_assert_eq!(serial.cycles, parallel.cycles);

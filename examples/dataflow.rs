@@ -54,7 +54,7 @@ fn main() {
                 priority_levels: 1,
                 ..DynamicConfig::default()
             };
-            let stats = SystemSim::new(&net, cfg).run(*s);
+            let stats = SystemSim::new(&net, cfg).run(*s).unwrap();
             println!(
                 "{:<12} {:<26} {:>11.3} {:>10.3} {:>9.2} {:>10}",
                 format!("{rate:.1}/block"),

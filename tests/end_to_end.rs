@@ -93,7 +93,9 @@ fn dynamic_simulation_full_stack() {
         priority_levels: 1,
         ..DynamicConfig::default()
     };
-    let stats = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+    let stats = SystemSim::new(&net, cfg)
+        .run(&MaxFlowScheduler::default())
+        .unwrap();
     assert!(stats.completed > 200);
     assert!(stats.utilization > 0.1 && stats.utilization <= 1.0);
     assert!(
@@ -118,8 +120,12 @@ fn distributed_engine_in_dynamic_loop() {
         warmup: 20.0,
         ..DynamicConfig::default()
     };
-    let stats = SystemSim::new(&net, cfg).run(&DistributedScheduler);
-    let reference = SystemSim::new(&net, cfg).run(&MaxFlowScheduler::default());
+    let stats = SystemSim::new(&net, cfg)
+        .run(&DistributedScheduler)
+        .unwrap();
+    let reference = SystemSim::new(&net, cfg)
+        .run(&MaxFlowScheduler::default())
+        .unwrap();
     // Both are optimal per cycle with the same arrival stream; identical
     // allocation *counts* per cycle, possibly different pairings, so allow
     // small drift in downstream statistics.
