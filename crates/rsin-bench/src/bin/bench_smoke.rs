@@ -45,7 +45,7 @@
 //! `--telemetry <path>` additionally runs the observed hot path under a live
 //! `rsin_obs::Telemetry` sink and writes its JSON report.
 
-use rsin_bench::take_flag;
+use rsin_bench::{parse_or_exit, take_flag};
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::IncrementalScheduler;
 use rsin_core::scheduler::InterShardPolicy;
@@ -316,8 +316,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry_path = take_flag(&mut args, "--telemetry");
     let replicas: usize = take_flag(&mut args, "--replicas")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
+        .map_or(4, |v| parse_or_exit("--replicas", &v))
         .max(1);
     let out_path = args
         .first()

@@ -34,7 +34,7 @@
 //! trials it ran.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use rsin_bench::{emit_table, take_flag};
+use rsin_bench::{emit_table, parse_or_exit, take_flag};
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
 use rsin_obs::Counter;
 use rsin_sim::sharded::{run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig};
@@ -82,11 +82,9 @@ fn main() {
     let shard_counts: Vec<usize> = take_flag(&mut args, "--shards")
         .unwrap_or_else(|| "2,4,8,16".into())
         .split(',')
-        .map(|s| s.trim().parse().expect("--shards wants a CSV of counts"))
+        .map(|s| parse_or_exit("--shards", s.trim()))
         .collect();
-    let local: usize = take_flag(&mut args, "--local")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let local: usize = take_flag(&mut args, "--local").map_or(16, |v| parse_or_exit("--local", &v));
     let globals: Vec<GlobalTopology> = match take_flag(&mut args, "--global").as_deref() {
         None | Some("both") => vec![GlobalTopology::Crossbar, GlobalTopology::Omega],
         Some("crossbar") => vec![GlobalTopology::Crossbar],
@@ -105,19 +103,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let trials: u64 = take_flag(&mut args, "--trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let threads: usize = take_flag(&mut args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let trials: u64 =
+        take_flag(&mut args, "--trials").map_or(16, |v| parse_or_exit("--trials", &v));
+    let threads: usize = take_flag(&mut args, "--threads").map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |v| parse_or_exit("--threads", &v),
+    );
     let shard_pool: usize = take_flag(&mut args, "--shard-pool")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+        .map_or(1, |v| parse_or_exit("--shard-pool", &v))
         .max(1);
-    let seed: u64 = take_flag(&mut args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(23);
+    let seed: u64 = take_flag(&mut args, "--seed").map_or(23, |v| parse_or_exit("--seed", &v));
     let json_path = take_flag(&mut args, "--json");
     let breakdown_path = take_flag(&mut args, "--breakdown");
     let heavy = match args.iter().position(|a| a == "--heavy") {

@@ -1,5 +1,6 @@
-//! The sweep binaries reject numeric arguments that do not parse (exit code
-//! 2) instead of silently running with a default.
+//! The sweep and benchmark binaries reject numeric arguments that do not
+//! parse (exit code 2) instead of silently running with a default or
+//! panicking.
 
 use std::process::Command;
 
@@ -23,4 +24,18 @@ fn unparseable_numbers_are_usage_errors() {
     assert_eq!(exit_code(faults, &["--replicas", "0"]), Some(2));
     assert_eq!(exit_code(faults, &["4", "many"]), Some(2));
     assert_eq!(exit_code(faults, &["--json"]), Some(2));
+    let sharded = env!("CARGO_BIN_EXE_sharded");
+    for flag in [
+        "--local",
+        "--trials",
+        "--threads",
+        "--shard-pool",
+        "--seed",
+        "--shards",
+    ] {
+        assert_eq!(exit_code(sharded, &[flag, "x"]), Some(2), "sharded {flag}");
+    }
+    assert_eq!(exit_code(sharded, &["--shards", "2,four"]), Some(2));
+    let smoke = env!("CARGO_BIN_EXE_bench_smoke");
+    assert_eq!(exit_code(smoke, &["--replicas", "1.5"]), Some(2));
 }

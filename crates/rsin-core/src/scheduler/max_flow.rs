@@ -1,6 +1,8 @@
 //! The optimal homogeneous scheduler: Transformation 1 + maximum flow.
 
-use super::{finish_outcome, PricedDegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
+use super::{
+    check_ids, finish_outcome, PricedDegradedOutcome, ScheduleError, ScheduleScratch, Scheduler,
+};
 use crate::mapping::extract;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::homogeneous;
@@ -43,6 +45,7 @@ impl Scheduler for MaxFlowScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let mut t = homogeneous::transform(problem);
         let r = max_flow::solve(&mut t.flow, t.source, t.sink, self.algorithm);
         let assignments = extract(&t)?;
@@ -61,6 +64,7 @@ impl Scheduler for MaxFlowScheduler {
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let ScheduleScratch {
             solve,
             max_flow: reusable,
@@ -85,6 +89,7 @@ impl Scheduler for MaxFlowScheduler {
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let span = probe.start();
         let ScheduleScratch {
             solve,

@@ -2,8 +2,8 @@
 //! flow.
 
 use super::{
-    finish_outcome, priced_retry_blocked, PricedDegradedOutcome, ScheduleError, ScheduleScratch,
-    Scheduler,
+    check_ids, finish_outcome, priced_retry_blocked, PricedDegradedOutcome, ScheduleError,
+    ScheduleScratch, Scheduler,
 };
 use crate::mapping::extract;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
@@ -46,6 +46,7 @@ impl Scheduler for MinCostScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let (mut t, f0) = priority::transform(problem);
         let r = min_cost::solve(&mut t.flow, t.source, t.sink, f0, self.algorithm);
         let assignments = extract(&t)?;
@@ -64,6 +65,7 @@ impl Scheduler for MinCostScheduler {
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let ScheduleScratch {
             solve,
             min_cost: reusable,
@@ -87,6 +89,7 @@ impl Scheduler for MinCostScheduler {
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let span = probe.start();
         let ScheduleScratch {
             solve,

@@ -42,7 +42,7 @@ use crate::transform::reusable::ReusableTransform;
 use rsin_flow::min_cost::Algorithm as MinCostAlgorithm;
 use rsin_flow::SolveScratch;
 use rsin_topology::circuit::CircuitError;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Why a scheduler could not produce an outcome for a snapshot.
 ///
@@ -550,10 +550,33 @@ pub trait Scheduler: Sync {
     }
 }
 
+/// Reject snapshot ids the network does not have, before any dense table
+/// is indexed by them: a request from an unknown processor is
+/// [`ScheduleError::UnknownProcessor`], a free resource past the last port
+/// the same `Internal` error [`HierarchicalScheduler::place`] reports.
+pub(crate) fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> {
+    let net = problem.circuits.network();
+    if let Some(r) = problem
+        .requests
+        .iter()
+        .find(|r| r.processor >= net.num_processors())
+    {
+        return Err(ScheduleError::UnknownProcessor(r.processor));
+    }
+    if problem
+        .free
+        .iter()
+        .any(|f| f.resource >= net.num_resources())
+    {
+        return Err(ScheduleError::Internal("free resource port out of range"));
+    }
+    Ok(())
+}
+
 /// Shared outcome assembly: derive the blocked list and the
-/// Transformation-2 cost of the accepted assignments. Indexes requests and
-/// resources by id once, so each assignment costs O(1) instead of a linear
-/// scan (quadratic per cycle before).
+/// Transformation-2 cost of the accepted assignments. Requests and
+/// resources are indexed by id in dense tables sized by the largest id of
+/// the snapshot, so each assignment costs O(1) with no hashing.
 pub(crate) fn finish_outcome(
     problem: &ScheduleProblem,
     assignments: Vec<Assignment>,
@@ -561,31 +584,35 @@ pub(crate) fn finish_outcome(
 ) -> ScheduleOutcome {
     let gamma_max = problem.max_priority() as i64;
     let q_max = problem.max_preference() as i64;
-    let priority_of: HashMap<usize, i64> = problem
-        .requests
-        .iter()
-        .map(|r| (r.processor, r.priority as i64))
-        .collect();
-    let preference_of: HashMap<usize, i64> = problem
-        .free
-        .iter()
-        .map(|f| (f.resource, f.preference as i64))
-        .collect();
+    // Per processor: its request's priority (last one wins, as a map
+    // would) and whether an assignment serves it.
+    let np = problem.requests.iter().map(|r| r.processor + 1).max();
+    let mut priority_of: Vec<Option<i64>> = vec![None; np.unwrap_or(0)];
+    for r in &problem.requests {
+        priority_of[r.processor] = Some(r.priority as i64);
+    }
+    let nr = problem.free.iter().map(|f| f.resource + 1).max();
+    let mut preference_of: Vec<Option<i64>> = vec![None; nr.unwrap_or(0)];
+    for f in &problem.free {
+        preference_of[f.resource] = Some(f.preference as i64);
+    }
+    let mut allocated = vec![false; priority_of.len()];
     let mut total_cost = 0;
     for a in &assignments {
-        if let (Some(&prio), Some(&pref)) = (
-            priority_of.get(&a.processor),
-            preference_of.get(&a.resource),
-        ) {
+        if let (Some(Some(prio)), Some(Some(pref))) =
+            (priority_of.get(a.processor), preference_of.get(a.resource))
+        {
             total_cost += (gamma_max - prio) + (q_max - pref);
         }
+        if let Some(hit) = allocated.get_mut(a.processor) {
+            *hit = true;
+        }
     }
-    let allocated: HashSet<usize> = assignments.iter().map(|a| a.processor).collect();
     let blocked = problem
         .requests
         .iter()
         .map(|r| r.processor)
-        .filter(|p| !allocated.contains(p))
+        .filter(|&p| !allocated[p])
         .collect();
     ScheduleOutcome {
         assignments,
@@ -827,5 +854,45 @@ mod tests {
         assert_eq!(out.total_cost, 12);
         assert_eq!(out.blocked, vec![1]);
         assert_eq!(out.estimated_instructions, 7);
+    }
+
+    /// The error of every id-validating entry point of the two optimal
+    /// schedulers on `problem` (fresh, reusing and observed cycle each).
+    fn optimal_entry_point_errors(problem: &ScheduleProblem) -> Vec<ScheduleError> {
+        let schedulers: [&dyn Scheduler; 2] =
+            [&MaxFlowScheduler::default(), &MinCostScheduler::default()];
+        let mut errors = Vec::new();
+        for s in schedulers {
+            let mut scratch = ScheduleScratch::new();
+            errors.push(s.try_schedule(problem).unwrap_err());
+            errors.push(s.try_schedule_reusing(problem, &mut scratch).unwrap_err());
+            errors.push(
+                s.try_schedule_observed(problem, &mut scratch, &rsin_obs::NoopProbe)
+                    .unwrap_err(),
+            );
+        }
+        errors
+    }
+
+    #[test]
+    fn unknown_processor_is_a_typed_error() {
+        let net = omega(8).unwrap();
+        let cs = CircuitState::new(&net);
+        let problem = ScheduleProblem::homogeneous(&cs, &[0, 8], &[0, 1]);
+        assert_eq!(
+            optimal_entry_point_errors(&problem),
+            vec![ScheduleError::UnknownProcessor(8); 6]
+        );
+    }
+
+    #[test]
+    fn out_of_range_resource_is_a_typed_error() {
+        let net = omega(8).unwrap();
+        let cs = CircuitState::new(&net);
+        let problem = ScheduleProblem::homogeneous(&cs, &[0], &[1, 99]);
+        assert_eq!(
+            optimal_entry_point_errors(&problem),
+            vec![ScheduleError::Internal("free resource port out of range"); 6]
+        );
     }
 }

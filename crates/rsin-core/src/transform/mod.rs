@@ -41,9 +41,10 @@ pub struct Transformed {
     /// For each forward arc (by `ArcId.0 / 2`): the network link it mirrors
     /// (`None` for source/sink/bypass arcs).
     pub arc_link: Vec<Option<LinkId>>,
-    /// `(processor, s→p arc)` per requesting processor.
+    /// `(processor, s→p arc)` per requesting processor, in ascending arc
+    /// order (every transformation pushes them as it creates the arcs).
     pub request_arcs: Vec<(usize, ArcId)>,
-    /// `(resource, r→t arc)` per free resource.
+    /// `(resource, r→t arc)` per free resource, in ascending arc order.
     pub resource_arcs: Vec<(usize, ArcId)>,
     /// The bypass node `u` (Transformation 2 only).
     pub bypass: Option<NodeId>,
@@ -55,21 +56,25 @@ impl Transformed {
         self.arc_link.get(a.index() / 2).copied().flatten()
     }
 
-    /// Processor whose request arc is `a`, if `a` is one.
+    /// Processor whose request arc is `a`, if `a` is one (binary search
+    /// over the ascending `request_arcs`).
     pub fn processor_of_arc(&self, a: ArcId) -> Option<usize> {
-        self.request_arcs
-            .iter()
-            .find(|(_, arc)| *arc == a)
-            .map(|(p, _)| *p)
+        owner_of_arc(&self.request_arcs, a)
     }
 
-    /// Resource whose sink arc is `a`, if `a` is one.
+    /// Resource whose sink arc is `a`, if `a` is one (binary search over
+    /// the ascending `resource_arcs`).
     pub fn resource_of_arc(&self, a: ArcId) -> Option<usize> {
-        self.resource_arcs
-            .iter()
-            .find(|(_, arc)| *arc == a)
-            .map(|(r, _)| *r)
+        owner_of_arc(&self.resource_arcs, a)
     }
+}
+
+/// The element owning arc `a` in an `(element, arc)` table sorted by arc.
+fn owner_of_arc(table: &[(usize, ArcId)], a: ArcId) -> Option<usize> {
+    table
+        .binary_search_by_key(&a, |&(_, arc)| arc)
+        .ok()
+        .map(|i| table[i].0)
 }
 
 /// Shared sub-builder: create flow nodes for boxes and requested/free

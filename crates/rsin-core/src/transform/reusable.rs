@@ -17,13 +17,18 @@
 //! property test pins that equivalence on random snapshots.
 //!
 //! The graph is rebuilt automatically when a snapshot arrives from a
-//! different topology (detected by a cheap FNV fingerprint of the link
-//! structure), so one scratch can serve sweeps over several networks.
+//! different topology (detected by comparing [`Network::fingerprint`], the
+//! FNV hash of the link structure cached at network build), so one scratch
+//! can serve sweeps over several networks.
+//!
+//! Apart from the link diff, a configure touches only the request, bypass
+//! and resource arcs of the previous snapshot and of this one, so its cost
+//! follows the snapshot, not the topology (DESIGN.md §6).
 
 use super::{mirror_network, Transformed};
 use crate::model::ScheduleProblem;
 use rsin_flow::{ArcId, Flow, FlowNetwork};
-use rsin_topology::{LinkId, Network, NodeRef};
+use rsin_topology::{LinkId, Network};
 
 /// A lazily built, capacity-toggled superset transformation graph.
 ///
@@ -59,41 +64,20 @@ struct Inner {
     ///
     /// [`configure`]: ReusableTransform::configure
     link_avail: Vec<bool>,
-}
-
-/// FNV-1a over the network's element counts and link endpoints: cheap,
-/// order-sensitive, and collision-safe enough to detect "same topology as
-/// last time" (a false positive needs two *different* topologies colliding
-/// within one scratch's lifetime).
-fn fingerprint(net: &Network) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let encode = |n: NodeRef| -> u64 {
-        match n {
-            NodeRef::Processor(p) => (p as u64) << 2,
-            NodeRef::Box(b) => ((b as u64) << 2) | 1,
-            NodeRef::Resource(r) => ((r as u64) << 2) | 2,
-        }
-    };
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(PRIME);
-    };
-    mix(net.num_processors() as u64);
-    mix(net.num_boxes() as u64);
-    mix(net.num_resources() as u64);
-    mix(net.num_links() as u64);
-    for (_, link) in net.links() {
-        mix(encode(link.src));
-        mix(encode(link.dst));
-    }
-    h
+    /// Processors whose request (and bypass) arcs the last configure
+    /// enabled: the next configure disables exactly these.
+    enabled_requests: Vec<usize>,
+    /// Resources whose sink arcs the last configure enabled.
+    enabled_resources: Vec<usize>,
+    /// Set when [`ReusableTransform::transformed_mut`] handed out the graph:
+    /// the caller may have enabled any request or resource arc, so the next
+    /// configure disables all of them.
+    lent: bool,
 }
 
 /// Build the superset graph: every processor, resource, and link mirrored,
 /// every tunable arc created with capacity 0 ("disabled").
-fn build(net: &Network, priced: bool, fp: u64) -> Inner {
+fn build(net: &Network, priced: bool) -> Inner {
     let np = net.num_processors();
     let nr = net.num_resources();
     let mut flow = FlowNetwork::with_capacity(
@@ -148,10 +132,13 @@ fn build(net: &Network, priced: bool, fp: u64) -> Inner {
             bypass,
         },
         priced,
-        fingerprint: fp,
+        fingerprint: net.fingerprint(),
         bypass_arcs,
         bypass_sink_arc,
         link_avail: vec![true; net.num_links()],
+        enabled_requests: Vec::new(),
+        enabled_resources: Vec::new(),
+        lent: false,
     }
 }
 
@@ -193,8 +180,13 @@ impl ReusableTransform {
 
     /// The currently built transform, for solving directly after
     /// [`patch_link`](Self::patch_link). `None` until the first configure.
+    /// The caller may retune any request or resource arc; the next
+    /// `configure_*` then disables all of them before applying its snapshot.
     pub fn transformed_mut(&mut self) -> Option<&mut Transformed> {
-        self.inner.as_mut().map(|i| &mut i.t)
+        self.inner.as_mut().map(|i| {
+            i.lent = true;
+            &mut i.t
+        })
     }
 
     /// Read-only view of the currently built transform (e.g. to decompose
@@ -206,6 +198,9 @@ impl ReusableTransform {
 
     /// Retune the superset for `problem` in the Transformation-1 shape
     /// (unit capacities, no costs) and return it ready to solve.
+    ///
+    /// Panics on a processor or resource id the network lacks; the
+    /// schedulers reject those first with a typed `ScheduleError`.
     pub fn configure_max_flow(&mut self, problem: &ScheduleProblem) -> &mut Transformed {
         self.configure(problem, false).0
     }
@@ -219,13 +214,12 @@ impl ReusableTransform {
 
     fn configure(&mut self, problem: &ScheduleProblem, priced: bool) -> (&mut Transformed, Flow) {
         let net = problem.circuits.network();
-        let fp = fingerprint(net);
         let stale = match &self.inner {
-            Some(inner) => inner.fingerprint != fp || inner.priced != priced,
+            Some(inner) => inner.fingerprint != net.fingerprint() || inner.priced != priced,
             None => true,
         };
         if stale {
-            self.inner = Some(build(net, priced, fp));
+            self.inner = Some(build(net, priced));
             self.rebuild_count += 1;
         }
         let Inner {
@@ -233,6 +227,9 @@ impl ReusableTransform {
             bypass_arcs,
             bypass_sink_arc,
             link_avail,
+            enabled_requests,
+            enabled_resources,
+            lent,
             ..
         } = self.inner.as_mut().expect("just built");
         t.flow.reset();
@@ -250,12 +247,22 @@ impl ReusableTransform {
             }
         }
 
-        // Request arcs: disable all, then enable (and price) the requesters.
-        for &(_, a) in &t.request_arcs {
-            t.flow.set_cap(a, 0);
+        // Request and resource arcs: disable the previous snapshot's, then
+        // enable (and price) this one's.
+        if std::mem::take(lent) {
+            enabled_requests.clear();
+            enabled_requests.extend(0..t.request_arcs.len());
+            enabled_resources.clear();
+            enabled_resources.extend(0..t.resource_arcs.len());
         }
-        for &b in bypass_arcs.iter() {
-            t.flow.set_cap(b, 0);
+        for p in enabled_requests.drain(..) {
+            t.flow.set_cap(t.request_arcs[p].1, 0);
+            if let Some(&b) = bypass_arcs.get(p) {
+                t.flow.set_cap(b, 0);
+            }
+        }
+        for r in enabled_resources.drain(..) {
+            t.flow.set_cap(t.resource_arcs[r].1, 0);
         }
         let gamma_max = problem.max_priority() as i64;
         let q_max = problem.max_preference() as i64;
@@ -272,11 +279,7 @@ impl ReusableTransform {
                 // module docs): bypassing urgent requests is strictly dearer.
                 t.flow.set_cost(b, bypass_cost + req.priority as i64);
             }
-        }
-
-        // Resource arcs: disable all, then enable (and price) the free ones.
-        for &(_, a) in &t.resource_arcs {
-            t.flow.set_cap(a, 0);
+            enabled_requests.push(p);
         }
         for res in &problem.free {
             let (r, a) = t.resource_arcs[res.resource];
@@ -285,6 +288,7 @@ impl ReusableTransform {
             if priced {
                 t.flow.set_cost(a, q_max - res.preference as i64);
             }
+            enabled_resources.push(r);
         }
 
         // The (u, t) leg carries every unallocated request.
@@ -493,5 +497,100 @@ mod tests {
         assert_eq!(assignments[0].processor, 3);
         assert_eq!(assignments[0].resource, 6);
         verify(&assignments, &tiny).unwrap();
+    }
+
+    #[test]
+    fn network_fingerprint_is_per_topology() {
+        let omega_a = omega(8).unwrap();
+        let omega_b = omega(8).unwrap();
+        let cube = generalized_cube(8).unwrap();
+        assert_eq!(omega_a.fingerprint(), omega_b.fingerprint());
+        assert_ne!(omega_a.fingerprint(), cube.fingerprint());
+    }
+
+    /// The request/resource arcs a configure leaves enabled, as sorted
+    /// `(processors, resources)` lists read back from the capacities.
+    fn enabled_arcs(reusable: &ReusableTransform) -> (Vec<usize>, Vec<usize>) {
+        let t = reusable.transformed().unwrap();
+        let on = |arcs: &[(usize, ArcId)]| -> Vec<usize> {
+            arcs.iter()
+                .filter(|&&(_, a)| t.flow.cap(a) > 0)
+                .map(|&(x, _)| x)
+                .collect()
+        };
+        (on(&t.request_arcs), on(&t.resource_arcs))
+    }
+
+    #[test]
+    fn configure_sequence_leaves_no_stale_arcs() {
+        let net = omega(8).unwrap();
+        let mut cs = CircuitState::new(&net);
+        let mut reusable = ReusableTransform::new();
+        let mut priced = ReusableTransform::new();
+        // Shrinking, then growing, then the same snapshot under fault
+        // toggles, then an empty one.
+        // (requesting processors, free resources, link toggled first).
+        type Step = (&'static [usize], &'static [usize], Option<(u32, bool)>);
+        let steps: [Step; 6] = [
+            (&[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1, 2, 3, 4, 5, 6, 7], None),
+            (&[2, 5], &[7], None),
+            (&[1, 3, 4, 6], &[0, 2, 5, 6], None),
+            (&[1, 3, 4, 6], &[0, 2, 5, 6], Some((9, true))),
+            (&[0, 6], &[3, 4], Some((9, false))),
+            (&[], &[], None),
+        ];
+        for (procs, res, toggle) in steps {
+            if let Some((raw, fail)) = toggle {
+                let lid = LinkId(raw);
+                if fail {
+                    cs.fail_link(lid);
+                } else {
+                    cs.repair_link(lid);
+                }
+            }
+            let problem = ScheduleProblem::homogeneous(&cs, procs, res);
+            let want = (procs.to_vec(), res.to_vec());
+
+            let t = reusable.configure_max_flow(&problem);
+            let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
+            verify(&extract(t).unwrap(), &problem).unwrap();
+            assert_eq!(enabled_arcs(&reusable), want);
+
+            let (t, f0) = priced.configure_min_cost(&problem);
+            let got = min_cost::solve(
+                &mut t.flow,
+                t.source,
+                t.sink,
+                f0,
+                min_cost::Algorithm::SuccessiveShortestPaths,
+            );
+            assert_eq!(got.flow, procs.len() as i64);
+            assert_eq!(extract(t).unwrap().len() as i64, r.value);
+            assert_eq!(enabled_arcs(&priced), want);
+            let inner = priced.inner.as_ref().unwrap();
+            let bypassing: Vec<usize> = (0..8)
+                .filter(|&p| inner.t.flow.cap(inner.bypass_arcs[p]) > 0)
+                .collect();
+            assert_eq!(bypassing, procs, "bypass legs follow the requests");
+        }
+        assert_eq!(reusable.rebuilds(), 1);
+        assert_eq!(priced.rebuilds(), 1);
+    }
+
+    #[test]
+    fn configure_after_lending_the_graph_disables_every_arc() {
+        let net = omega(8).unwrap();
+        let cs = CircuitState::new(&net);
+        let mut reusable = ReusableTransform::new();
+        reusable.configure_max_flow(&ScheduleProblem::homogeneous(&cs, &[0], &[0]));
+        // A caller enables arcs behind configure's back ...
+        let t = reusable.transformed_mut().unwrap();
+        for i in 0..8 {
+            t.flow.set_cap(t.request_arcs[i].1, 1);
+            t.flow.set_cap(t.resource_arcs[i].1, 1);
+        }
+        // ... and the next configure still applies exactly its snapshot.
+        reusable.configure_max_flow(&ScheduleProblem::homogeneous(&cs, &[3], &[5]));
+        assert_eq!(enabled_arcs(&reusable), (vec![3], vec![5]));
     }
 }

@@ -7,6 +7,7 @@
 //! how a flow assignment is turned back into a request→resource mapping.
 
 use crate::graph::{ArcId, FlowNetwork, NodeId};
+use crate::Flow;
 
 /// One unit-flow path from source to sink (sequence of forward arc ids).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,37 +40,30 @@ impl FlowPath {
 /// allocated — but their flow is still consumed so the remaining paths
 /// decompose correctly.
 ///
-/// The flow in `g` is not modified; bookkeeping uses a scratch copy of the
-/// per-arc flow counts.
+/// Every step leaves a node over its first forward out-arc (in adjacency
+/// order) with flow left to route. Flow left only shrinks, so that arc never
+/// moves backwards: each node keeps a cursor into its out-arcs plus the
+/// units already routed over the cursor arc, and an arc's flow is read from
+/// its twin's residual. The flow in `g` is not modified. Past one zeroed
+/// cursor per node, the work is proportional to the paths and the out-arcs
+/// they pass over — no per-arc flow copy, no rescans.
 pub fn decompose_unit_flow(
     g: &FlowNetwork,
     s: NodeId,
     t: NodeId,
     skip: Option<NodeId>,
 ) -> Vec<FlowPath> {
-    // remaining[a] = flow remaining to route through forward arc a.
-    let mut remaining: Vec<i64> = g.forward_arcs().map(|(_, a)| a.flow.max(0)).collect();
+    let mut cursors = vec![Cursor::default(); g.num_nodes()];
     let mut paths = Vec::new();
     // Start a new path over an unexhausted source arc, until none remain.
-    while let Some(start) = g
-        .out_arcs(s)
-        .iter()
-        .copied()
-        .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
-    {
+    while let Some(start) = next_arc(g, &mut cursors[s.index()], s) {
         let mut arcs = vec![start];
-        remaining[start.index() / 2] -= 1;
-        let mut u = g.arc(start).to;
+        let mut u = g.head(start);
         let mut skipped = Some(u) == skip;
         while u != t {
-            let next = g
-                .out_arcs(u)
-                .iter()
-                .copied()
-                .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
+            let next = next_arc(g, &mut cursors[u.index()], u)
                 .expect("legal flow must continue to the sink");
-            remaining[next.index() / 2] -= 1;
-            u = g.arc(next).to;
+            u = g.head(next);
             if Some(u) == skip {
                 skipped = true;
             }
@@ -82,10 +76,162 @@ pub fn decompose_unit_flow(
     paths
 }
 
+/// Where a node's out-arc walk stands: arcs before `slot` have no flow
+/// left, `used` units of the arc at `slot` are routed, later arcs are
+/// untouched.
+#[derive(Clone, Copy, Default)]
+struct Cursor {
+    slot: u32,
+    used: u32,
+}
+
+/// Route one unit out of `u`: its first forward out-arc with flow left,
+/// or `None` when every one is exhausted.
+fn next_arc(g: &FlowNetwork, c: &mut Cursor, u: NodeId) -> Option<ArcId> {
+    let out = g.out_arcs(u);
+    while let Some(&a) = out.get(c.slot as usize) {
+        // A forward arc's flow is its twin's residual.
+        if a.is_forward() && g.residual(a.twin()) > Flow::from(c.used) {
+            c.used += 1;
+            return Some(a);
+        }
+        c.slot += 1;
+        c.used = 0;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::max_flow::{solve, Algorithm};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The original O(A) decomposition, kept as the exact-order oracle:
+    /// materialise every forward arc's flow, then rescan each node's
+    /// out-arcs from the start for every unit routed.
+    fn reference_decompose(
+        g: &FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        skip: Option<NodeId>,
+    ) -> Vec<FlowPath> {
+        let mut remaining: Vec<i64> = g.forward_arcs().map(|(_, a)| a.flow.max(0)).collect();
+        let mut paths = Vec::new();
+        while let Some(start) = g
+            .out_arcs(s)
+            .iter()
+            .copied()
+            .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
+        {
+            let mut arcs = vec![start];
+            remaining[start.index() / 2] -= 1;
+            let mut u = g.arc(start).to;
+            let mut skipped = Some(u) == skip;
+            while u != t {
+                let next = g
+                    .out_arcs(u)
+                    .iter()
+                    .copied()
+                    .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
+                    .expect("legal flow must continue to the sink");
+                remaining[next.index() / 2] -= 1;
+                u = g.arc(next).to;
+                if Some(u) == skip {
+                    skipped = true;
+                }
+                arcs.push(next);
+            }
+            if !skipped {
+                paths.push(FlowPath { arcs });
+            }
+        }
+        paths
+    }
+
+    /// A random graph in the shape of Transformation 1 (`priced == false`)
+    /// or 2: `s` → requesting processors → layers of unit-capacity
+    /// switchbox arcs (some occupied, capacity 0) → free resources → `t`,
+    /// plus, when priced, a bypass node `u` fed by every request with one
+    /// multi-unit `(u, t)` arc. Returns `(g, s, t, bypass, F₀)`.
+    fn random_transform(
+        seed: u64,
+        priced: bool,
+    ) -> (FlowNetwork, NodeId, NodeId, Option<NodeId>, Flow) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = FlowNetwork::new();
+        let s = g.add_node("s");
+        let t = g.add_node("t");
+        let u = priced.then(|| g.add_node("u"));
+        let width = rng.random_range(2..6usize);
+        let depth = rng.random_range(1..4usize);
+        let layers: Vec<Vec<NodeId>> = (0..depth + 2)
+            .map(|l| {
+                (0..width)
+                    .map(|i| g.add_node(format!("n{l}_{i}")))
+                    .collect()
+            })
+            .collect();
+        for pair in layers.windows(2) {
+            for &a in &pair[0] {
+                for _ in 0..rng.random_range(1..3usize) {
+                    let b = pair[1][rng.random_range(0..width)];
+                    let cap = Flow::from(rng.random_range(0..5u32) != 0);
+                    g.add_arc(a, b, cap, 0);
+                }
+            }
+        }
+        let mut requests = 0;
+        for &p in &layers[0] {
+            if rng.random_bool(0.7) {
+                requests += 1;
+                let prio = rng.random_range(0..4i64);
+                g.add_arc(s, p, 1, if priced { prio } else { 0 });
+                if let Some(u) = u {
+                    g.add_arc(p, u, 1, 5 + prio);
+                }
+            }
+        }
+        for &r in &layers[depth + 1] {
+            if rng.random_bool(0.7) {
+                let pref = rng.random_range(0..4i64);
+                g.add_arc(r, t, 1, if priced { pref } else { 0 });
+            }
+        }
+        if let Some(u) = u {
+            g.add_arc(u, t, requests, 5);
+        }
+        (g, s, t, u, requests)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cursor decomposition returns exactly the oracle's path list
+        /// — same paths, same order — on solved Transformation-1 and
+        /// Transformation-2 shaped graphs, bypass skips and the multi-unit
+        /// `(u, t)` arc included.
+        #[test]
+        fn cursor_decomposition_matches_reference(seed in 0u64..u64::MAX, priced in any::<bool>()) {
+            let (mut g, s, t, u, f0) = random_transform(seed, priced);
+            if priced {
+                crate::min_cost::solve(
+                    &mut g,
+                    s,
+                    t,
+                    f0,
+                    crate::min_cost::Algorithm::SuccessiveShortestPaths,
+                );
+            } else {
+                solve(&mut g, s, t, Algorithm::Dinic);
+            }
+            let want = reference_decompose(&g, s, t, u);
+            let got = decompose_unit_flow(&g, s, t, u);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn decomposes_into_disjoint_paths() {

@@ -473,6 +473,14 @@ impl<'n> SystemSim<'n> {
         let mut next_req = 0u64;
         let mut transmitting = vec![false; np];
         let mut busy = vec![false; nr];
+        // Running totals of busy resources and queued tasks, so the time
+        // integrals cost O(1) per event instead of a scan of every port.
+        let mut busy_count = 0usize;
+        let mut queued = 0usize;
+        // Per-cycle snapshot buffers, handed to the scheduler inside the
+        // `ScheduleProblem` and taken back after the cycle.
+        let mut requests: Vec<ScheduleRequest> = Vec::with_capacity(np);
+        let mut free: Vec<FreeResource> = Vec::with_capacity(nr);
 
         let mut busy_integral = 0.0;
         let mut queue_integral = 0.0;
@@ -517,8 +525,8 @@ impl<'n> SystemSim<'n> {
             let now = ev.time;
             if now > cfg.warmup {
                 let dt = now - last_t;
-                busy_integral += dt * busy.iter().filter(|b| **b).count() as f64;
-                queue_integral += dt * queue.iter().map(|q| q.len()).sum::<usize>() as f64;
+                busy_integral += dt * busy_count as f64;
+                queue_integral += dt * queued as f64;
                 last_t = now;
             }
             match ev.kind {
@@ -545,6 +553,7 @@ impl<'n> SystemSim<'n> {
                         }
                         tracer.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
                         queue[processor].push_back((now, ty, next_req));
+                        queued += 1;
                     }
                     let next = now + exponential(&mut rng, gap_rate);
                     push(&mut heap, &mut seq, next, EventKind::Arrival { processor });
@@ -587,10 +596,13 @@ impl<'n> SystemSim<'n> {
                         // the task returns to the front of its queue to be
                         // retried with its original arrival time.
                         queue[processor].push_front((arrived, ty, req));
+                        queued += 1;
                     }
                 }
                 EventKind::ServiceDone { resource, arrived } => {
-                    busy[resource] = false;
+                    if std::mem::replace(&mut busy[resource], false) {
+                        busy_count -= 1;
+                    }
                     if now > cfg.warmup {
                         response.push(now - arrived);
                         completed += 1;
@@ -648,39 +660,34 @@ impl<'n> SystemSim<'n> {
                 }
             }
             // Scheduling cycle whenever requests and resources coexist.
-            let requests: Vec<ScheduleRequest> = (0..np)
-                .filter(|&p| !transmitting[p])
-                .filter_map(|p| {
-                    // `front()` folds the non-empty check into the type
-                    // lookup; a drained queue simply contributes no request.
-                    queue[p].front().map(|&(_, ty, _)| ScheduleRequest {
-                        processor: p,
-                        priority: 1 + (p as u32) % levels,
-                        resource_type: ty,
-                    })
+            requests.clear();
+            requests.extend((0..np).filter(|&p| !transmitting[p]).filter_map(|p| {
+                // `front()` folds the non-empty check into the type
+                // lookup; a drained queue simply contributes no request.
+                queue[p].front().map(|&(_, ty, _)| ScheduleRequest {
+                    processor: p,
+                    priority: 1 + (p as u32) % levels,
+                    resource_type: ty,
                 })
-                .collect();
-            let free: Vec<FreeResource> = (0..nr)
-                .filter(|&r| !busy[r])
-                .map(|r| FreeResource {
-                    resource: r,
-                    preference: 1 + (r as u32) % levels,
-                    resource_type: if cfg.types > 1 { r % cfg.types } else { 0 },
-                })
-                .collect();
+            }));
+            free.clear();
+            free.extend((0..nr).filter(|&r| !busy[r]).map(|r| FreeResource {
+                resource: r,
+                preference: 1 + (r as u32) % levels,
+                resource_type: if cfg.types > 1 { r % cfg.types } else { 0 },
+            }));
             if requests.is_empty() || free.is_empty() {
                 continue;
             }
             if probe.enabled() {
-                let depth: usize = queue.iter().map(|q| q.len()).sum();
-                probe.record(rsin_obs::Hist::QueueDepth, depth as u64);
+                probe.record(rsin_obs::Hist::QueueDepth, queued as u64);
             }
             let denom_requests = requests.len();
             let denom_free = free.len();
             let problem = ScheduleProblem {
                 circuits: &cs,
-                requests,
-                free,
+                requests: std::mem::take(&mut requests),
+                free: std::mem::take(&mut free),
             };
             // Degraded-mode scheduling only while something is actually
             // faulty; fault-free cycles take the ordinary path so `run()`
@@ -755,7 +762,7 @@ impl<'n> SystemSim<'n> {
                     to_quarantine.push(b);
                 }
             }
-            drop(problem);
+            ScheduleProblem { requests, free, .. } = problem;
             cycles += 1;
             shed_total += shed;
             recovered_total += recovered;
@@ -794,6 +801,7 @@ impl<'n> SystemSim<'n> {
                 let (arrived, ty, req) = queue[a.processor].pop_front().ok_or(SimError::State(
                     "assignment for a processor with an empty queue",
                 ))?;
+                queued -= 1;
                 tracer.span(
                     req,
                     SpanPhase::Allocate,
@@ -806,7 +814,9 @@ impl<'n> SystemSim<'n> {
                 // it stays free for honest traffic.
                 let delivered = delivered_flags.get(i).copied().unwrap_or(true);
                 if delivered {
-                    busy[a.resource] = true;
+                    if !std::mem::replace(&mut busy[a.resource], true) {
+                        busy_count += 1;
+                    }
                 } else {
                     misrouted += 1;
                 }
@@ -845,7 +855,7 @@ impl<'n> SystemSim<'n> {
                 cycles,
                 mean_blocking: blocking.mean(),
                 shed_arrivals,
-                final_queue: queue.iter().map(|q| q.len() as u64).sum(),
+                final_queue: queued as u64,
                 response,
             },
             allocations,

@@ -113,9 +113,19 @@ pub struct Network {
     box_in: Vec<Vec<Option<LinkId>>>,
     box_out: Vec<Vec<Option<LinkId>>>,
     num_stages: usize,
+    /// See [`Network::fingerprint`].
+    fingerprint: u64,
 }
 
 impl Network {
+    /// Topology fingerprint, computed once by [`NetworkBuilder::build`]
+    /// (the network never changes afterwards): equal for two builds of the
+    /// same topology. Per-topology caches (the reusable transformation
+    /// graphs) compare it instead of re-hashing the links.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// Topology name (e.g. `"omega-8"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -287,6 +297,36 @@ impl NetworkBuilder {
         self.boxes.len() - 1
     }
 
+    /// FNV-1a over element counts and link endpoints: cheap,
+    /// order-sensitive, and collision-safe enough to tell "same topology as
+    /// last time" (a false positive needs two *different* topologies
+    /// colliding).
+    fn fingerprint(&self) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let encode = |n: NodeRef| -> u64 {
+            match n {
+                NodeRef::Processor(p) => (p as u64) << 2,
+                NodeRef::Box(b) => ((b as u64) << 2) | 1,
+                NodeRef::Resource(r) => ((r as u64) << 2) | 2,
+            }
+        };
+        let mut h = OFFSET;
+        let mut mix = |v: u64| {
+            h ^= v;
+            h = h.wrapping_mul(PRIME);
+        };
+        mix(self.num_processors as u64);
+        mix(self.boxes.len() as u64);
+        mix(self.num_resources as u64);
+        mix(self.links.len() as u64);
+        for link in &self.links {
+            mix(encode(link.src));
+            mix(encode(link.dst));
+        }
+        h
+    }
+
     /// Wire processor `p` to input port `port` of box `b`.
     pub fn link_proc_to_box(&mut self, p: usize, b: usize, port: usize) {
         self.links.push(Link {
@@ -444,6 +484,7 @@ impl NetworkBuilder {
             return Err(NetworkError::Cyclic);
         }
         let num_stages = self.boxes.iter().map(|b| b.stage + 1).max().unwrap_or(0);
+        let fingerprint = self.fingerprint();
         Ok(Network {
             name: self.name,
             num_processors: self.num_processors,
@@ -455,6 +496,7 @@ impl NetworkBuilder {
             box_in,
             box_out,
             num_stages,
+            fingerprint,
         })
     }
 }
