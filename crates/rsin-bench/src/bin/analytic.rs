@@ -13,7 +13,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, parse_or_exit};
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{MaxFlowScheduler, Scheduler};
 use rsin_sim::analytic::patel_acceptance;
@@ -25,8 +25,7 @@ use rsin_topology::CircuitState;
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2000u64);
+        .map_or(2000u64, |a| parse_or_exit("trials", &a));
     let n = 16usize;
     let stages = 4usize;
     let net = omega(n).unwrap();

@@ -229,7 +229,8 @@ fn csr_dinic_batch(g: &mut FlowNetwork, s: NodeId, t: NodeId, scratch: &mut Solv
 /// time in Bellman–Ford negative-cycle sweeps — node-by-node adjacency
 /// walks with one compare-and-relax per arc — so of the min-cost solvers
 /// it is the one whose running time is the adjacency walk the CSR layout
-/// flattens (SSP hides the walk behind Dijkstra heap traffic).
+/// flattens (SSP also spends its time on the Dijkstra bucket queue and
+/// the per-augmentation potential and distance sweeps).
 fn csr_min_cost_batch(
     g: &mut FlowNetwork,
     s: NodeId,

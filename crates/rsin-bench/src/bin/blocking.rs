@@ -13,7 +13,7 @@
 //! optimal in the low single digits, heuristics an order of magnitude
 //! worse — is the reproduction target.
 
-use rsin_bench::{emit_table, pct, standard_networks};
+use rsin_bench::{emit_table, parse_or_exit, pct, standard_networks};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
@@ -24,14 +24,13 @@ use rsin_sim::metrics::Sample;
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2000u64);
+        .map_or(2000u64, |a| parse_or_exit("trials", &a));
     // Worker threads for each Monte-Carlo batch (arg 2). The statistics are
     // bit-identical for any value; default to the host's parallelism.
-    let threads = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let threads = std::env::args().nth(2).map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |a| parse_or_exit("threads", &a),
+    );
     let optimal = MaxFlowScheduler::default();
     let distributed = DistributedScheduler;
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(7));

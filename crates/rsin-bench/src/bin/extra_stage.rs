@@ -9,7 +9,7 @@
 //! Omega and reports optimal-vs-heuristic blocking and the gap between
 //! them.
 
-use rsin_bench::{emit_table, pct};
+use rsin_bench::{emit_table, parse_or_exit, pct};
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
 use rsin_sim::blocking::{run_blocking, BlockingConfig};
 use rsin_topology::builders::{omega_dilated, omega_extra_stage};
@@ -18,8 +18,7 @@ use rsin_topology::Network;
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2000u64);
+        .map_or(2000u64, |a| parse_or_exit("trials", &a));
     let optimal = MaxFlowScheduler::default();
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(9));
     println!(

@@ -6,7 +6,7 @@
 //! of resource types on 8×8 networks and compares the joint LP optimum
 //! against the sequential per-type heuristic, reporting LP integrality.
 
-use rsin_bench::{emit_table, standard_networks};
+use rsin_bench::{emit_table, parse_or_exit, standard_networks};
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{MultiCommodityScheduler, Scheduler};
 use rsin_core::transform::hetero::transform_max;
@@ -17,8 +17,7 @@ use rsin_sim::workload::{random_snapshot, random_types, trial_rng};
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(200u64);
+        .map_or(200u64, |a| parse_or_exit("trials", &a));
     println!("HETERO — multicommodity scheduling, {trials} trials per cell\n");
     let mut rows = Vec::new();
     for net in standard_networks() {

@@ -10,15 +10,14 @@
 //! Sweeps the number of pre-established circuits and reports blocking for
 //! the optimal and heuristic schedulers.
 
-use rsin_bench::{emit_table, network_by_name, pct};
+use rsin_bench::{emit_table, network_by_name, parse_or_exit, pct};
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
 use rsin_sim::blocking::{run_blocking, BlockingConfig};
 
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2000u64);
+        .map_or(2000u64, |a| parse_or_exit("trials", &a));
     let optimal = MaxFlowScheduler::default();
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(3));
     let schedulers: Vec<&dyn Scheduler> = vec![&optimal, &greedy];

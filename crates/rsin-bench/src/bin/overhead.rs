@@ -9,7 +9,7 @@
 //! circuit state, and compares the accumulated scheduling time.
 
 use rand::Rng;
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, parse_or_exit};
 use rsin_core::model::ScheduleRequest;
 use rsin_core::scheduler::MaxFlowScheduler;
 use rsin_distrib::DistributedSystem;
@@ -21,8 +21,7 @@ use rsin_topology::builders::omega;
 fn main() {
     let rounds = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(500u64);
+        .map_or(500u64, |a| parse_or_exit("rounds", &a));
     let model = CostModel::default();
     println!(
         "OVERHEAD — {rounds} request/release rounds, monitor vs distributed\n\

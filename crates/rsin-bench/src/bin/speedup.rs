@@ -11,7 +11,7 @@
 //! through the software max-flow (instruction-counted) and the token
 //! engine (clock-counted), and prices both with the mid-1980s cost model.
 
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, parse_or_exit};
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{MaxFlowScheduler, Scheduler};
 use rsin_distrib::TokenEngine;
@@ -23,8 +23,7 @@ use rsin_topology::builders::omega;
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(300u64);
+        .map_or(300u64, |a| parse_or_exit("trials", &a));
     let model = CostModel::default();
     println!(
         "SPEEDUP — monitor ({} ns/instruction) vs token propagation ({} ns/clock), {trials} trials\n",

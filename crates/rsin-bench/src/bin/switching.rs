@@ -7,15 +7,14 @@
 //! fabric load and reports mean delivery times under both disciplines
 //! (discrete-time model documented in `rsin_sim::packet`).
 
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, parse_or_exit};
 use rsin_sim::packet::{compare_mean, SwitchingConfig};
 use rsin_sim::workload::trial_rng;
 
 fn main() {
     let trials = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(4000u64);
+        .map_or(4000u64, |a| parse_or_exit("trials", &a));
     println!("SWITCH — mean task delivery time (slots), 4-stage fabric, {trials} trials/cell\n");
     let mut rows = Vec::new();
     for &task_len in &[2u64, 10, 50] {

@@ -5,15 +5,14 @@
 //! state, path structure, and blocking classification, computed — not
 //! quoted — from the actual structures.
 
-use rsin_bench::emit_table;
+use rsin_bench::{emit_table, parse_or_exit};
 use rsin_topology::analysis::{analyze, BlockingClass};
 use rsin_topology::builders;
 
 fn main() {
     let samples = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(40usize);
+        .map_or(40usize, |a| parse_or_exit("samples", &a));
     let nets = vec![
         builders::omega(8).unwrap(),
         builders::baseline(8).unwrap(),

@@ -147,7 +147,7 @@ impl Scheduler for ExhaustiveScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        let mut scratch: CircuitState = problem.circuits.clone();
+        let mut scratch: CircuitState = problem.circuits.clone_link_state();
         let mut search = Search {
             problem,
             gamma_max: problem.max_priority() as i64,

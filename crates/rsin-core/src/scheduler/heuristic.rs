@@ -90,7 +90,7 @@ impl Scheduler for GreedyScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        let mut scratch: CircuitState = problem.circuits.clone();
+        let mut scratch: CircuitState = problem.circuits.clone_link_state();
         let mut taken = vec![false; problem.free.len()];
         let mut assignments = Vec::new();
         for i in self.ordered_requests(problem) {
@@ -145,7 +145,7 @@ impl Scheduler for AddressMappedScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        let mut scratch: CircuitState = problem.circuits.clone();
+        let mut scratch: CircuitState = problem.circuits.clone_link_state();
         let mut state = self.seed | 1;
         let mut taken = vec![false; problem.free.len()];
         let mut assignments = Vec::new();

@@ -42,7 +42,6 @@ use crate::transform::reusable::ReusableTransform;
 use rsin_flow::min_cost::Algorithm as MinCostAlgorithm;
 use rsin_flow::SolveScratch;
 use rsin_topology::circuit::CircuitError;
-use std::collections::HashSet;
 
 /// Why a scheduler could not produce an outcome for a snapshot.
 ///
@@ -175,7 +174,7 @@ fn retry_blocked(
         });
     }
     let primary_cost = primary.total_cost;
-    let mut cs = problem.circuits.clone();
+    let mut cs = problem.circuits.clone_link_state();
     let mut taken = vec![false; problem.free.len()];
     for a in &primary.assignments {
         if let Some(k) = problem.free.iter().position(|f| f.resource == a.resource) {
@@ -281,14 +280,20 @@ fn priced_retry_blocked(
             outcome: primary,
         });
     }
+    // The flags below are dense tables indexed by processor / resource id.
+    check_ids(problem)?;
     let primary_cost = primary.total_cost;
-    let mut cs = problem.circuits.clone();
-    let mut taken: HashSet<usize> = HashSet::new();
+    let mut cs = problem.circuits.clone_link_state();
+    let net = problem.circuits.network();
+    let mut taken = vec![false; net.num_resources()];
     for a in &primary.assignments {
-        taken.insert(a.resource);
+        taken[a.resource] = true;
         cs.establish(&a.path)?;
     }
-    let blocked: HashSet<usize> = primary.blocked.iter().copied().collect();
+    let mut blocked = vec![false; net.num_processors()];
+    for &p in &primary.blocked {
+        blocked[p] = true;
+    }
     let mut estimated_instructions = primary.estimated_instructions;
     let mut assignments = primary.assignments;
     let mut recovered = 0;
@@ -297,7 +302,7 @@ fn priced_retry_blocked(
     let mut types: Vec<usize> = problem
         .requests
         .iter()
-        .filter(|r| blocked.contains(&r.processor))
+        .filter(|r| blocked[r.processor])
         .map(|r| r.resource_type)
         .collect();
     types.sort_unstable();
@@ -306,13 +311,13 @@ fn priced_retry_blocked(
         let requests: Vec<_> = problem
             .requests
             .iter()
-            .filter(|r| blocked.contains(&r.processor) && r.resource_type == ty)
+            .filter(|r| blocked[r.processor] && r.resource_type == ty)
             .copied()
             .collect();
         let free: Vec<_> = problem
             .free
             .iter()
-            .filter(|f| !taken.contains(&f.resource) && f.resource_type == ty)
+            .filter(|f| !taken[f.resource] && f.resource_type == ty)
             .copied()
             .collect();
         if free.is_empty() {
@@ -346,7 +351,7 @@ fn priced_retry_blocked(
         };
         for a in found {
             cs.establish(&a.path)?;
-            taken.insert(a.resource);
+            taken[a.resource] = true;
             recovered += 1;
             assignments.push(a);
         }
@@ -807,6 +812,24 @@ mod tests {
         assert_eq!(priced.shed, 1);
         assert_eq!(priced.recovery_cost, 0);
         assert_eq!(scratch.rebuilds(), 1, "min-cost shape must stay unbuilt");
+    }
+
+    #[test]
+    fn priced_retry_rejects_out_of_range_ids() {
+        // The retry's blocked/taken flags are dense id-indexed tables, so a
+        // snapshot naming a processor the network lacks is a typed error.
+        let net = omega(8).unwrap();
+        let cs = CircuitState::new(&net);
+        let problem = ScheduleProblem::homogeneous(&cs, &[0, 99], &[2]);
+        let primary = finish_outcome(&problem, Vec::new(), 0);
+        let r = priced_retry_blocked(
+            &problem,
+            primary,
+            &mut ScheduleScratch::new(),
+            MinCostAlgorithm::SuccessiveShortestPaths,
+            &rsin_obs::NoopProbe,
+        );
+        assert!(matches!(r, Err(ScheduleError::UnknownProcessor(99))));
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl MultiCommodityScheduler {
     fn sequential(&self, problem: &ScheduleProblem) -> Result<Vec<Assignment>, ScheduleError> {
         // Allocate types one at a time against a scratch circuit state so
         // later types see the links consumed by earlier ones.
-        let mut scratch: CircuitState = problem.circuits.clone();
+        let mut scratch: CircuitState = problem.circuits.clone_link_state();
         let mut all = Vec::new();
         for ty in problem.resource_types() {
             let sub = ScheduleProblem {

@@ -61,13 +61,21 @@ impl Algorithm {
 pub struct MinCostResult {
     /// Flow value actually circulated (`min(target, max-flow)`).
     pub flow: Flow,
-    /// Total cost `Σ w(e)·f(e)` of the final assignment.
+    /// Total cost `Σ w(e)·f(e)` of the final assignment. For SSP this is
+    /// the cost of the flow the call pushed, which equals the total only
+    /// under SSP's zero-start-flow precondition (see [`solve`]).
     pub cost: Cost,
     /// Operation counters.
     pub stats: OpStats,
 }
 
 /// Compute a minimum-cost flow of value `min(target, max-flow)` in place.
+///
+/// [`Algorithm::SuccessiveShortestPaths`] requires `g` to carry zero flow
+/// (a fresh or [`FlowNetwork::reset`] network): its returned `cost` sums
+/// this call's augmentations only, and a broken precondition may panic
+/// (a negative reduced cost). The other algorithms return the network's
+/// total `flow_cost()`.
 pub fn solve(
     g: &mut FlowNetwork,
     s: NodeId,

@@ -33,9 +33,9 @@
 
 use crate::graph::{ArcId, NodeId};
 use crate::min_cost::out_of_kilter::KilterNetwork;
+use crate::min_cost::ssp::BucketQueue;
 use crate::{Cost, Flow};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sentinel for "node not levelled" in the scratch BFS (the plain Dinic uses
 /// `Option<u32>`; the scratch variant packs the same information into a bare
@@ -66,8 +66,8 @@ pub struct SolveScratch {
     pub(crate) dist: Vec<Cost>,
     /// SSP: predecessor arc on the shortest-path tree.
     pub(crate) parent: Vec<Option<ArcId>>,
-    /// SSP: Dijkstra priority queue.
-    pub(crate) heap: BinaryHeap<Reverse<(Cost, u32)>>,
+    /// SSP: Dijkstra priority queue (distance buckets plus overflow heap).
+    pub(crate) dist_queue: BucketQueue,
     /// Out-of-kilter: reusable circulation network (arcs, potentials and
     /// labeling buffers), re-populated per solve via `reset`.
     pub(crate) kilter: KilterNetwork,

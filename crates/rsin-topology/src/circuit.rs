@@ -72,6 +72,22 @@ impl<'a> CircuitState<'a> {
         }
     }
 
+    /// A copy with the same link and box state — occupied, faulty and
+    /// Byzantine — but an empty circuit table, for schedulers that pin new
+    /// circuits onto a scratch copy. O(links + boxes), where a `clone()`
+    /// also copies every circuit this state ever established (released
+    /// slots included). Links held by the original's circuits stay occupied
+    /// in the copy, but those circuits cannot be released there.
+    pub fn clone_link_state(&self) -> Self {
+        CircuitState {
+            net: self.net,
+            occupied: self.occupied.clone(),
+            faulty: self.faulty.clone(),
+            byzantine: self.byzantine.clone(),
+            circuits: Vec::new(),
+        }
+    }
+
     /// The underlying network.
     pub fn network(&self) -> &'a Network {
         self.net
@@ -451,6 +467,37 @@ mod tests {
         cs.set_byzantine_box(0, false);
         assert_eq!(cs.first_byzantine_on(&path), None);
         assert!(!cs.is_byzantine_box(0));
+    }
+
+    #[test]
+    fn link_state_copy_keeps_links_and_boxes_but_no_circuits() {
+        let net = two_stage();
+        let mut cs = CircuitState::new(&net);
+        // Many establish/release rounds grow the circuit table; leave one
+        // circuit live, one link faulty and one box misrouting.
+        for _ in 0..50 {
+            let c = cs.connect(0, 0).unwrap();
+            cs.release(c).unwrap();
+        }
+        // New circuits on a copy number from zero.
+        let mut fresh = cs.clone_link_state();
+        assert_eq!(fresh.connect(0, 0), Ok(CircuitId(0)));
+        let live = cs.connect(1, 1).unwrap();
+        let spare = cs.find_path(0, 0).unwrap();
+        cs.fail_link(spare[1]);
+        cs.set_byzantine_box(1, true);
+        let copy = cs.clone_link_state();
+        for l in 0..net.num_links() as u32 {
+            let l = LinkId(l);
+            assert_eq!(copy.is_free(l), cs.is_free(l), "{l:?}");
+            assert_eq!(copy.is_faulty(l), cs.is_faulty(l), "{l:?}");
+        }
+        for b in 0..net.num_boxes() {
+            assert_eq!(copy.is_byzantine_box(b), cs.is_byzantine_box(b));
+        }
+        assert_eq!(copy.occupied_count(), 3);
+        assert!(copy.circuit_links(live).is_none());
+        assert!(copy.circuit_links(CircuitId(0)).is_none());
     }
 
     #[test]
