@@ -37,7 +37,7 @@
 //!   smaller machines both per-core gates print a skip note instead;
 //! * sharded hierarchy — the hierarchical two-stage scheduler on a 4-shard
 //!   composition must produce bit-identical statistics at every
-//!   thread/shard-pool width, never allocate more than the flat Theorem-2
+//!   thread count, never allocate more than the flat Theorem-2
 //!   oracle on the same snapshots, and (when the baseline carries a
 //!   `min_shard_speedup` and the machine has ≥ 4 cores) beat the flat
 //!   single-solver fresh solve by at least that factor.
@@ -676,9 +676,9 @@ fn main() {
     // Sharded-hierarchy rows (ISSUE 7): the two-stage scheduler on a
     // 4-shard × omega-16 composition vs the flat Theorem-2 fresh solve on
     // the flattened fabric, over the same (seed, trial) snapshots. Three
-    // contracts come first: thread/shard-pool invariance of every
-    // statistic, per-shard rebuilds() == 1, and per-trial hier ≤ flat
-    // conformance; then the hierarchical row runs with pooled trials while
+    // contracts come first: thread invariance of every statistic,
+    // per-shard rebuilds() == 1, and per-trial hier ≤ flat conformance;
+    // then the hierarchical row runs with pooled trials while
     // the flat row stays single-solver — the gate below reads
     // `min_shard_speedup` from the baseline.
     let snet = ShardedNetwork::new(ShardedSpec::new(4, 16, GlobalTopology::Crossbar))
@@ -690,13 +690,13 @@ fn main() {
         free: 32,
         seed: 41,
     };
-    let sref = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 1, 1);
+    let sref = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 1);
     assert!(
         sref.rebuilds_ok,
         "a shard rebuilt its transformation graph mid-run"
     );
-    for (t, p) in [(4usize, 1usize), (1, 4), (8, 2)] {
-        let r = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, t, p);
+    for t in [4, 1, 8] {
+        let r = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, t);
         for (name, a, b) in [
             ("blocking.mean", sref.blocking.mean, r.blocking.mean),
             ("allocated.mean", sref.allocated.mean, r.allocated.mean),
@@ -710,7 +710,7 @@ fn main() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "sharded {name} drifted at {t} threads / shard pool {p}"
+                "sharded {name} drifted at {t} threads"
             );
         }
     }
@@ -731,7 +731,7 @@ fn main() {
     }
     let hier_secs = time_min(|| {
         black_box(
-            run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 4, 1)
+            run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 4)
                 .allocated
                 .mean,
         );

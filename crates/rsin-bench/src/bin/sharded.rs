@@ -3,15 +3,15 @@
 //! Sweeps shard count × global topology × offered load over the sharded
 //! composition, running the two-stage
 //! [`rsin_core::scheduler::HierarchicalScheduler`] (inter-shard
-//! placement, then per-shard zero-rebuild solves fanned out on a fixed-width
-//! pool) and reporting blocking, allocation, and cross-shard traffic. At the
+//! placement, then per-shard zero-rebuild solves in shard order) and
+//! reporting blocking, allocation, and cross-shard traffic. At the
 //! top of the sweep (16 shards × omega-16 locals) the flattened fabric has
 //! thousands of box ports, and across a sweep the scheduler decides on the
 //! order of 10⁵ concurrent requests.
 //!
 //! Usage: `sharded [--shards CSV] [--local N] [--global crossbar|omega|both]
 //! [--policy token|mincost|both] [--trials N] [--threads N]
-//! [--shard-pool N] [--seed S] [--json FILE] [--breakdown FILE]`
+//! [--seed S] [--json FILE] [--breakdown FILE]`
 //!
 //! With `--breakdown <path>`, one bounded observed capture re-runs after the
 //! sweep at the largest shard count (first global/policy, load 0.9) with a
@@ -25,8 +25,8 @@
 //! Determinism contract: every statistic in the table and in the `--json`
 //! report is a pure function of `(seed, trial)` with sequential trial-order
 //! and shard-order reductions, so the JSON file is **byte-identical for any
-//! `--threads` and any `--shard-pool` value** (the CI `shard-determinism`
-//! job byte-compares it across both axes). Wall-clock throughput
+//! `--threads` value** (the CI `shard-determinism` job byte-compares it
+//! across thread counts). Wall-clock throughput
 //! (decisions/sec) goes to stdout only and never into the JSON.
 //!
 //! Every sweep point asserts the per-shard rebuild invariant: each worker's
@@ -56,7 +56,7 @@ struct SweepPoint {
 
 fn json_row(p: &SweepPoint) -> String {
     // No wall-clock numbers in here: the report must be byte-identical
-    // however many worker threads or per-shard pool slots produced it.
+    // however many worker threads produced it.
     format!(
         "    {{\"shards\": {}, \"local\": {}, \"global\": \"{}\", \
          \"policy\": \"{}\", \"load\": {}, \"requests\": {}, \
@@ -109,9 +109,6 @@ fn main() {
         || std::thread::available_parallelism().map_or(1, |n| n.get()),
         |v| parse_or_exit("--threads", &v),
     );
-    let shard_pool: usize = take_flag(&mut args, "--shard-pool")
-        .map_or(1, |v| parse_or_exit("--shard-pool", &v))
-        .max(1);
     let seed: u64 = take_flag(&mut args, "--seed").map_or(23, |v| parse_or_exit("--seed", &v));
     let json_path = take_flag(&mut args, "--json");
     let breakdown_path = take_flag(&mut args, "--breakdown");
@@ -127,10 +124,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    println!(
-        "SHARDED — {trials} trial(s)/point, {threads} worker thread(s), \
-         shard pool width {shard_pool}, seed {seed}\n"
-    );
+    println!("SHARDED — {trials} trial(s)/point, {threads} worker thread(s), seed {seed}\n");
 
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -150,7 +144,7 @@ fn main() {
                         seed,
                     };
                     let t0 = Instant::now();
-                    let stats = run_sharded_trials(&net, policy, &cfg, threads, shard_pool);
+                    let stats = run_sharded_trials(&net, policy, &cfg, threads);
                     let secs = t0.elapsed().as_secs_f64();
                     assert!(
                         stats.rebuilds_ok,

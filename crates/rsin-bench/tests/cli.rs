@@ -25,17 +25,12 @@ fn unparseable_numbers_are_usage_errors() {
     assert_eq!(exit_code(faults, &["4", "many"]), Some(2));
     assert_eq!(exit_code(faults, &["--json"]), Some(2));
     let sharded = env!("CARGO_BIN_EXE_sharded");
-    for flag in [
-        "--local",
-        "--trials",
-        "--threads",
-        "--shard-pool",
-        "--seed",
-        "--shards",
-    ] {
+    for flag in ["--local", "--trials", "--threads", "--seed", "--shards"] {
         assert_eq!(exit_code(sharded, &[flag, "x"]), Some(2), "sharded {flag}");
     }
     assert_eq!(exit_code(sharded, &["--shards", "2,four"]), Some(2));
+    // A removed flag is an unknown argument.
+    assert_eq!(exit_code(sharded, &["--shard-pool", "1"]), Some(2));
     let smoke = env!("CARGO_BIN_EXE_bench_smoke");
     assert_eq!(exit_code(smoke, &["--replicas", "1.5"]), Some(2));
 }

@@ -699,6 +699,9 @@ mod tests {
         assert_eq!(g.residual(a.twin()), 1);
     }
 
+    // The residual check is a `debug_assert!` on the hot path, so the panic
+    // only exists in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "push exceeds residual")]
     fn push_over_capacity_panics_in_debug() {

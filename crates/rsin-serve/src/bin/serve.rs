@@ -9,7 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! serve [--net <name>] [--backend maxflow|mincost] [--workers N]
+//! serve [--net <name>] [--backend maxflow|mincost]
 //!       [--seed S] [--events N] [--load F] [--trial T]
 //!       [--record FILE] [--replay FILE] [--decisions FILE] [--sweep]
 //!       [--heavy] [--json] [--stats-every N] [--stats-latency] [--trace FILE]
@@ -61,7 +61,6 @@ use std::time::Instant;
 struct Args {
     net: String,
     backend: IncrementalBackend,
-    workers: usize,
     seed: u64,
     trial: u64,
     events: usize,
@@ -81,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         net: "omega16".to_string(),
         backend: IncrementalBackend::MaxFlow,
-        workers: 1,
         seed: 7,
         trial: 0,
         events: 512,
@@ -114,11 +112,16 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown backend {other:?}")),
                 }
             }
-            "--workers" => args.workers = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--trial" => args.trial = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--events" => args.events = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--load" => args.load = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
+            "--load" => {
+                let v = value(&mut i)?;
+                args.load = v.parse().map_err(|e| format!("--load {v:?}: {e}"))?;
+                if !(args.load.is_finite() && args.load >= 0.0) {
+                    return Err(format!("--load {v:?}: must be a finite value >= 0"));
+                }
+            }
             "--record" => args.record = Some(value(&mut i)?),
             "--replay" => args.replay = Some(value(&mut i)?),
             "--decisions" => args.decisions = Some(value(&mut i)?),
@@ -236,7 +239,6 @@ fn sweep(net: &Network, args: &Args) {
         let telemetry = Arc::new(Telemetry::new());
         let config = ServerConfig {
             backend: args.backend,
-            workers: args.workers,
             stats_latency: false,
         };
         let report = serve_commands_probed(
@@ -328,7 +330,6 @@ fn run() -> Result<(), String> {
 
     let config = ServerConfig {
         backend: args.backend,
-        workers: args.workers,
         stats_latency: args.stats_latency,
     };
     let recorder = args

@@ -1,24 +1,23 @@
 //! # rsin-serve — streaming scheduler service
 //!
 //! A long-lived event loop over the warm-start
-//! [`IncrementalScheduler`]: commands arrive on an mpsc submit channel, one
-//! scheduler thread makes every decision **incrementally** on the retained
-//! residual flow (the transformation graph is built exactly once —
-//! `rebuilds` stays 1 for the lifetime of the service), and a pool of
-//! format workers renders the canonical decision-log lines.
+//! [`IncrementalScheduler`]: commands arrive on an mpsc submit channel, and
+//! one scheduler thread makes every decision **incrementally** on the
+//! retained residual flow (the transformation graph is built exactly once —
+//! `rebuilds` stays 1 for the lifetime of the service) and renders the
+//! canonical decision-log line for it.
 //!
 //! ## Determinism contract
 //!
-//! The scheduler thread is the single decision maker and stamps every
-//! decision with a sequence number in submission order; worker threads only
-//! *format* already-made decisions, and the collector sorts the finished
-//! lines by sequence number. In-band `S` probes are snapshotted *and
-//! rendered* on the scheduler thread (a stats line quotes live occupancy,
-//! which only that thread sees consistently) and merely pass through the
-//! sorted pipeline. The emitted log — decision, error, and stats lines
-//! alike — is therefore byte-identical for any worker count; the CI
-//! `determinism` job replays a recorded command log (with interleaved `S`
-//! probes) at 1 and 8 workers and `cmp`s the logs. Wall-clock latency
+//! One thread decides and renders in submission order. The scheduler thread
+//! stamps every command with its sequence number, renders the decision,
+//! error, or in-band `S` stats line on the spot (a stats line quotes live
+//! occupancy at the probe's exact position in the stream), and appends it to
+//! the log, so the log is in sequence order by construction. The emitted
+//! log — decision, error, and stats lines alike — is therefore a pure
+//! function of the command stream; the CI `determinism` job replays a
+//! recorded command log (with interleaved `S` probes) and `cmp`s it against
+//! the log of the same stream generated in-process. Wall-clock latency
 //! quantiles are the one nondeterministic readout, so they only appear
 //! under [`ServerConfig::stats_latency`], which CI leaves off.
 //!
@@ -35,7 +34,7 @@ use rsin_obs::{NoopProbe, NoopTracer, Probe, Tracer, WindowedHistogram};
 use rsin_sim::stream::{format_decision, StreamCommand};
 use rsin_topology::Network;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How a [`Server`] is run.
@@ -43,10 +42,6 @@ use std::thread::JoinHandle;
 pub struct ServerConfig {
     /// Flow discipline for the retained graph.
     pub backend: IncrementalBackend,
-    /// Number of format worker threads (clamped to at least 1). The
-    /// decision *log* is worker-count-invariant; workers only parallelize
-    /// rendering.
-    pub workers: usize,
     /// Append wall-clock decision-latency quantiles (`p50_ns=`/`p90_ns=`/
     /// `p99_ns=`, over the window since the previous `S` probe) to every
     /// stats line. Off by default: latency values vary run to run, so the
@@ -58,7 +53,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             backend: IncrementalBackend::MaxFlow,
-            workers: 1,
             stats_latency: false,
         }
     }
@@ -146,7 +140,7 @@ pub struct StatsSnapshot {
 /// The canonical stats line for probe `seq` (newline not included). Only
 /// deterministic event-count fields — wall-clock quantiles are appended
 /// separately (and only under [`ServerConfig::stats_latency`]) so this
-/// rendering is byte-identical at any worker count.
+/// rendering is a pure function of the command prefix.
 pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
     format!(
         "{seq} stats decisions={} errors={} allocated={} queued={} allocs={} \
@@ -165,6 +159,7 @@ pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
 
 /// What the scheduler thread hands back at shutdown.
 struct LoopStats {
+    lines: Vec<String>,
     decisions: u64,
     errors: u64,
     stats_probes: u64,
@@ -176,13 +171,11 @@ struct LoopStats {
 /// A running streaming scheduler service.
 ///
 /// Built by [`Server::start`]; fed with [`Server::submit`]; torn down with
-/// [`Server::finish`], which closes the submit channel, drains the
-/// pipeline, and returns the [`ServeReport`].
+/// [`Server::finish`], which closes the submit channel, joins the scheduler
+/// thread, and returns the [`ServeReport`].
 pub struct Server {
     submit: Option<mpsc::Sender<StreamCommand>>,
     scheduler: Option<JoinHandle<LoopStats>>,
-    workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<Vec<(u64, String)>>>,
 }
 
 impl Server {
@@ -215,41 +208,12 @@ impl Server {
     ) -> Server {
         let inc = IncrementalScheduler::new(net, config.backend);
         let (submit_tx, submit_rx) = mpsc::channel::<StreamCommand>();
-        let (work_tx, work_rx) = mpsc::channel::<(u64, Work)>();
-        let (line_tx, line_rx) = mpsc::channel::<(u64, String)>();
-
         let scheduler = std::thread::spawn(move || {
-            scheduler_loop(
-                inc,
-                &*probe,
-                &*tracer,
-                config.stats_latency,
-                submit_rx,
-                work_tx,
-            )
+            scheduler_loop(inc, &*probe, &*tracer, config.stats_latency, submit_rx)
         });
-
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let work_rx = Arc::clone(&work_rx);
-                let line_tx = line_tx.clone();
-                std::thread::spawn(move || worker_loop(&work_rx, &line_tx))
-            })
-            .collect();
-        drop(line_tx);
-
-        let collector = std::thread::spawn(move || {
-            let mut lines: Vec<(u64, String)> = line_rx.iter().collect();
-            lines.sort_by_key(|&(seq, _)| seq);
-            lines
-        });
-
         Server {
             submit: Some(submit_tx),
             scheduler: Some(scheduler),
-            workers,
-            collector: Some(collector),
         }
     }
 
@@ -262,7 +226,8 @@ impl Server {
             .map_err(|_| Closed)
     }
 
-    /// Close the submit channel, drain every stage, and return the report.
+    /// Close the submit channel, let the scheduler thread drain it, and
+    /// return the report.
     pub fn finish(mut self) -> ServeReport {
         self.submit.take();
         let stats = self
@@ -271,17 +236,8 @@ impl Server {
             .expect("finish runs once")
             .join()
             .expect("scheduler thread never panics");
-        for w in self.workers.drain(..) {
-            w.join().expect("worker threads never panic");
-        }
-        let lines = self
-            .collector
-            .take()
-            .expect("finish runs once")
-            .join()
-            .expect("collector thread never panics");
         ServeReport {
-            lines: lines.into_iter().map(|(_, l)| l).collect(),
+            lines: stats.lines,
             decisions: stats.decisions,
             errors: stats.errors,
             stats_probes: stats.stats_probes,
@@ -294,20 +250,11 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Closing the submit side is enough: every stage downstream drains
-        // and exits on channel disconnect. Detached handles finish on their
-        // own; nothing blocks.
+        // Closing the submit side is enough: the scheduler thread drains the
+        // channel and exits on disconnect. The detached handle finishes on
+        // its own; nothing blocks.
         self.submit.take();
     }
-}
-
-/// What the scheduler thread hands a worker: an undecided rendering job, or
-/// a line it had to render itself. `S` probes snapshot live scheduler state,
-/// so their lines are formatted on the scheduler thread at the probe's exact
-/// position in the stream and only *pass through* the seq-sorted pipeline.
-enum Work {
-    Decision(Result<rsin_core::scheduler::StreamDecision, ScheduleError>),
-    Rendered(String),
 }
 
 fn scheduler_loop(
@@ -316,8 +263,8 @@ fn scheduler_loop(
     tracer: &dyn Tracer,
     stats_latency: bool,
     submit_rx: mpsc::Receiver<StreamCommand>,
-    work_tx: mpsc::Sender<(u64, Work)>,
 ) -> LoopStats {
+    let mut lines = Vec::new();
     let mut snap = StatsSnapshot::default();
     let mut stats_probes = 0u64;
     let mut latency = WindowedHistogram::new();
@@ -341,9 +288,7 @@ fn scheduler_loop(
                     w.p99()
                 ));
             }
-            if work_tx.send((seq, Work::Rendered(line))).is_err() {
-                break;
-            }
+            lines.push(line);
             continue;
         }
         let started = stats_latency.then(std::time::Instant::now);
@@ -355,7 +300,7 @@ fn scheduler_loop(
         if let Some(t) = started {
             latency.record(t.elapsed().as_nanos() as u64);
         }
-        match &result {
+        let line = match &result {
             Ok(d) => {
                 snap.decisions += 1;
                 use rsin_core::scheduler::StreamDecision as D;
@@ -368,46 +313,23 @@ fn scheduler_loop(
                     }
                     D::Withdrawn { .. } => snap.withdraws += 1,
                 }
+                format_decision(seq, d)
             }
-            Err(_) => snap.errors += 1,
-        }
-        if work_tx.send((seq, Work::Decision(result))).is_err() {
-            break;
-        }
+            Err(e) => {
+                snap.errors += 1;
+                format_error(seq, e)
+            }
+        };
+        lines.push(line);
     }
     LoopStats {
+        lines,
         decisions: snap.decisions,
         errors: snap.errors,
         stats_probes,
         allocated: inc.allocated_count(),
         queued: inc.queued_count(),
         rebuilds: inc.rebuilds(),
-    }
-}
-
-fn worker_loop(
-    work_rx: &Mutex<mpsc::Receiver<(u64, Work)>>,
-    line_tx: &mpsc::Sender<(u64, String)>,
-) {
-    loop {
-        // Hold the lock only for the recv; formatting runs unlocked so
-        // workers overlap.
-        let item = match work_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let (seq, work) = match item {
-            Ok(it) => it,
-            Err(_) => return,
-        };
-        let line = match work {
-            Work::Decision(Ok(d)) => format_decision(seq, &d),
-            Work::Decision(Err(e)) => format_error(seq, &e),
-            Work::Rendered(line) => line,
-        };
-        if line_tx.send((seq, line)).is_err() {
-            return;
-        }
     }
 }
 
@@ -451,30 +373,81 @@ mod tests {
     use super::*;
     use rsin_core::scheduler::StreamDecision;
     use rsin_obs::{Counter, Telemetry};
-    use rsin_sim::stream::{generate_commands, replay_incremental};
+    use rsin_sim::stream::{generate_commands, replay_incremental, with_stats_every};
     use rsin_topology::builders::omega;
 
-    fn cfg(workers: usize, backend: IncrementalBackend) -> ServerConfig {
+    fn cfg(backend: IncrementalBackend) -> ServerConfig {
         ServerConfig {
             backend,
-            workers,
             stats_latency: false,
         }
     }
 
+    /// The server-free reference log: `replay_incremental` decisions
+    /// rendered with `format_decision`, and every `S` probe rendered with
+    /// `format_stats` from counts and occupancy derived from the decisions
+    /// before it.
+    fn reference_log(
+        net: &Network,
+        backend: IncrementalBackend,
+        cmds: &[StreamCommand],
+    ) -> Vec<String> {
+        let mut decisions = replay_incremental(net, backend, cmds).unwrap().into_iter();
+        let mut snap = StatsSnapshot::default();
+        let mut lines = Vec::with_capacity(cmds.len());
+        for (seq, cmd) in cmds.iter().enumerate() {
+            let seq = seq as u64;
+            if matches!(cmd, StreamCommand::Stats) {
+                lines.push(format_stats(seq, &snap));
+                continue;
+            }
+            let d = decisions.next().expect("one decision per command");
+            snap.decisions += 1;
+            match d {
+                StreamDecision::Allocated { .. } => {
+                    snap.allocs += 1;
+                    snap.allocated += 1;
+                }
+                StreamDecision::Queued { .. } => {
+                    snap.queues += 1;
+                    snap.queued += 1;
+                }
+                StreamDecision::Released { promoted, .. } => {
+                    snap.releases += 1;
+                    if promoted.is_some() {
+                        snap.promotes += 1;
+                        snap.queued -= 1;
+                    } else {
+                        snap.allocated -= 1;
+                    }
+                }
+                StreamDecision::Withdrawn { .. } => {
+                    snap.withdraws += 1;
+                    snap.queued -= 1;
+                }
+            }
+            lines.push(format_decision(seq, &d));
+        }
+        lines
+    }
+
     #[test]
     fn decision_log_is_byte_identical_across_worker_counts() {
+        // One thread decides and renders, so the log equals the server-free
+        // reference line for line, in seq order, on either backend.
         let net = omega(8).unwrap();
-        let cmds = generate_commands(8, 400, 0.7, 21, 0);
+        let cmds = with_stats_every(&generate_commands(8, 400, 0.7, 21, 0), 64);
         for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-            let one = serve_commands(&net, cfg(1, backend), &cmds);
-            for workers in [2, 8] {
-                let many = serve_commands(&net, cfg(workers, backend), &cmds);
-                assert_eq!(one.log(), many.log(), "workers={workers} {backend:?}");
-            }
-            assert_eq!(one.rebuilds, 1);
-            assert_eq!(one.decisions, cmds.len() as u64);
-            assert_eq!(one.errors, 0);
+            let report = serve_commands(&net, cfg(backend), &cmds);
+            assert_eq!(
+                report.lines,
+                reference_log(&net, backend, &cmds),
+                "{backend:?}"
+            );
+            assert_eq!(report.rebuilds, 1);
+            assert_eq!(report.decisions, 400);
+            assert_eq!(report.stats_probes, 7);
+            assert_eq!(report.errors, 0);
         }
     }
 
@@ -482,7 +455,7 @@ mod tests {
     fn server_log_matches_direct_replay() {
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 200, 0.6, 9, 0);
-        let report = serve_commands(&net, cfg(4, IncrementalBackend::MaxFlow), &cmds);
+        let report = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
         let direct = replay_incremental(&net, IncrementalBackend::MaxFlow, &cmds).unwrap();
         let want: Vec<String> = direct
             .iter()
@@ -495,7 +468,7 @@ mod tests {
     #[test]
     fn malformed_commands_become_error_lines_and_service_survives() {
         let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(2, IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
         server
             .submit(StreamCommand::Request { processor: 0 })
             .unwrap();
@@ -538,7 +511,7 @@ mod tests {
         let telemetry = Arc::new(Telemetry::new());
         let report = serve_commands_probed(
             &net,
-            cfg(2, IncrementalBackend::MaxFlow),
+            cfg(IncrementalBackend::MaxFlow),
             &cmds,
             Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
         );
@@ -559,36 +532,39 @@ mod tests {
     #[test]
     fn stats_lines_snapshot_the_stream_position_at_any_worker_count() {
         let net = omega(8).unwrap();
-        let cmds = rsin_sim::stream::with_stats_every(&generate_commands(8, 300, 0.7, 21, 0), 50);
-        let one = serve_commands(&net, cfg(1, IncrementalBackend::MaxFlow), &cmds);
-        for workers in [2, 8] {
-            let many = serve_commands(&net, cfg(workers, IncrementalBackend::MaxFlow), &cmds);
-            assert_eq!(one.log(), many.log(), "stats lines broke determinism");
+        let cmds = with_stats_every(&generate_commands(8, 300, 0.7, 21, 0), 50);
+        for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
+            let one = serve_commands(&net, cfg(backend), &cmds);
+            assert_eq!(
+                one.lines,
+                reference_log(&net, backend, &cmds),
+                "stats lines left their stream position ({backend:?})"
+            );
+            assert_eq!(one.stats_probes, 6, "one probe per 50-command chunk");
+            assert_eq!(one.decisions, 300);
+            let stats: Vec<&String> = one.lines.iter().filter(|l| l.contains(" stats ")).collect();
+            assert_eq!(stats.len(), 6);
+            // The first probe sits at seq 50 and has seen exactly 50 decisions.
+            assert!(
+                stats[0].starts_with("50 stats decisions=50 errors=0 "),
+                "{}",
+                stats[0]
+            );
+            // The last probe's cumulative per-kind counts add up to the final
+            // report, and its occupancy matches shutdown occupancy (no
+            // commands follow it).
+            let last = stats.last().unwrap();
+            assert!(
+                last.contains(&format!(
+                    "allocated={} queued={}",
+                    one.allocated, one.queued
+                )),
+                "{last}"
+            );
+            assert!(last.contains("decisions=300"), "{last}");
+            // No wall-clock fields without the flag.
+            assert!(!last.contains("p50_ns="), "{last}");
         }
-        assert_eq!(one.stats_probes, 6, "one probe per 50-command chunk");
-        assert_eq!(one.decisions, 300);
-        let stats: Vec<&String> = one.lines.iter().filter(|l| l.contains(" stats ")).collect();
-        assert_eq!(stats.len(), 6);
-        // The first probe sits at seq 50 and has seen exactly 50 decisions.
-        assert!(
-            stats[0].starts_with("50 stats decisions=50 errors=0 "),
-            "{}",
-            stats[0]
-        );
-        // The last probe's cumulative per-kind counts add up to the final
-        // report, and its occupancy matches shutdown occupancy (no commands
-        // follow it).
-        let last = stats.last().unwrap();
-        assert!(
-            last.contains(&format!(
-                "allocated={} queued={}",
-                one.allocated, one.queued
-            )),
-            "{last}"
-        );
-        assert!(last.contains("decisions=300"), "{last}");
-        // No wall-clock fields without the flag.
-        assert!(!last.contains("p50_ns="), "{last}");
     }
 
     #[test]
@@ -596,7 +572,7 @@ mod tests {
         let net = omega(8).unwrap();
         let mut cmds = generate_commands(8, 40, 0.7, 3, 0);
         cmds.push(StreamCommand::Stats);
-        let mut config = cfg(2, IncrementalBackend::MaxFlow);
+        let mut config = cfg(IncrementalBackend::MaxFlow);
         config.stats_latency = true;
         let report = serve_commands(&net, config, &cmds);
         let stats_line = report
@@ -608,7 +584,7 @@ mod tests {
             assert!(stats_line.contains(field), "{stats_line}");
         }
         // The deterministic prefix is unchanged by the flag.
-        let plain = serve_commands(&net, cfg(2, IncrementalBackend::MaxFlow), &cmds);
+        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
         let plain_line = plain.lines.iter().find(|l| l.contains(" stats ")).unwrap();
         assert!(stats_line.starts_with(plain_line.as_str()), "{stats_line}");
     }
@@ -618,11 +594,11 @@ mod tests {
         use rsin_obs::{validate_spans, FlightRecorder, SpanPhase};
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 200, 0.8, 17, 0);
-        let plain = serve_commands(&net, cfg(4, IncrementalBackend::MaxFlow), &cmds);
+        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
         let recorder = Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY));
         let traced = serve_commands_traced(
             &net,
-            cfg(4, IncrementalBackend::MaxFlow),
+            cfg(IncrementalBackend::MaxFlow),
             &cmds,
             Arc::new(NoopProbe),
             Arc::clone(&recorder) as Arc<dyn Tracer + Send + Sync>,
@@ -652,7 +628,7 @@ mod tests {
         // Saturate a tiny crossbar-free scenario: more requests than
         // resources forces queueing, then a release must promote.
         let net = omega(4).unwrap();
-        let server = Server::start(&net, cfg(1, IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
         for p in 0..4 {
             server
                 .submit(StreamCommand::Request { processor: p })
@@ -671,7 +647,7 @@ mod tests {
     #[test]
     fn drop_without_finish_does_not_hang() {
         let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(4, IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
         server
             .submit(StreamCommand::Request { processor: 1 })
             .unwrap();

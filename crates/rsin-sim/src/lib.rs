@@ -21,8 +21,8 @@
 //! * [`replicate`] — the one batch path for dynamic runs: a
 //!   [`TrialGrid`] of configurations × independent `(seed, trial)` streams
 //!   on one worker pool, with replicas merged deterministically;
-//! * [`sharded`] — sharded-system experiments: pooled hierarchical
-//!   scheduling cycles, flat-oracle conformance trials, and the streaming
+//! * [`sharded`] — sharded-system experiments: hierarchical and
+//!   flat-oracle conformance trials, and the streaming
 //!   [`sharded::ShardedSession`] over an MRSIN-of-MRSINs;
 //! * [`stream`] — streaming command logs for the incremental scheduler:
 //!   deterministic request/release generators, the `R`/`F` text codec, the
@@ -76,8 +76,8 @@ pub use replicate::{
     ReplicatedStats, TrialGrid,
 };
 pub use sharded::{
-    compare_sharded_pools, run_flat_trials, run_paired_trials, run_sharded_trials, schedule_pooled,
-    sharded_snapshot, ShardedSession, ShardedStats, ShardedTrialConfig,
+    run_flat_trials, run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedSession,
+    ShardedStats, ShardedTrialConfig,
 };
 pub use system::{
     fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel,

@@ -1,24 +1,16 @@
-//! Sharded-system experiments: pooled hierarchical scheduling, flat-oracle
-//! conformance trials, and a streaming session over a sharded MRSIN.
+//! Sharded-system experiments: hierarchical and flat-oracle conformance
+//! trials, and a streaming session over a sharded MRSIN.
 //!
 //! The scheduling logic lives in
 //! [`rsin_core::scheduler::hierarchical`]; this module supplies the
 //! execution and measurement shell around it:
 //!
-//! * [`schedule_pooled`] — one hierarchical cycle with the per-shard solves
-//!   fanned out on a fixed-width [`crate::pool`] and reduced in sequential
-//!   shard order, bit-identical to the serial
-//!   [`HierarchicalScheduler::schedule`] at any pool width;
 //! * [`run_sharded_trials`] / [`run_flat_trials`] — Monte-Carlo blocking
 //!   trials of the hierarchical scheduler and of the flat Theorem-2 fresh
 //!   solve on the *same* `(seed, trial)` snapshots, for conformance and
 //!   speedup comparisons;
 //! * [`run_paired_trials`] — per-trial `(hierarchical, flat)` allocation
 //!   pairs, the raw material of the `hier ≤ flat` conformance gates;
-//! * [`compare_sharded_pools`] — the sharded analogue of
-//!   [`crate::blocking::compare_schedulers_pools`]: hierarchical and flat
-//!   rows each on their own worker pool, finishing in max-of-rows
-//!   wall-clock;
 //! * [`ShardedSession`] — a long-lived streaming session: one warm
 //!   [`IncrementalScheduler`] per shard plus a persistent global circuit
 //!   state, admitting each arrival to its home shard when capacity remains
@@ -29,35 +21,14 @@ use crate::metrics::{Sample, Summary};
 use crate::workload::trial_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rsin_core::model::{ScheduleOutcome, ScheduleProblem};
-use rsin_core::scheduler::hierarchical::{
-    HierarchicalOutcome, HierarchicalScheduler, InterShardPolicy,
-};
+use rsin_core::model::ScheduleProblem;
+use rsin_core::scheduler::hierarchical::{HierarchicalScheduler, InterShardPolicy};
 use rsin_core::scheduler::{
     IncrementalBackend, IncrementalScheduler, MaxFlowScheduler, PromotedRequest, ScheduleError,
     ScheduleScratch, Scheduler, StreamDecision,
 };
 use rsin_topology::{CircuitId, CircuitState, LinkId, Network, ShardedNetwork};
 use std::collections::VecDeque;
-
-/// One hierarchical cycle with stage-2 fanned out on a `shard_pool`-wide
-/// worker pool: place, solve every shard concurrently, reduce in
-/// sequential shard order. Bit-identical to
-/// [`HierarchicalScheduler::schedule`] for every pool width (the reduction
-/// order, not the solve order, fixes the result).
-pub fn schedule_pooled(
-    h: &HierarchicalScheduler<'_>,
-    requests: &[usize],
-    free: &[usize],
-    shard_pool: usize,
-) -> Result<HierarchicalOutcome, ScheduleError> {
-    let placement = h.place(requests, free)?;
-    let outcomes: Vec<ScheduleOutcome> =
-        crate::pool::run_indexed(h.shards(), shard_pool, |s| h.solve_shard(&placement, s))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-    h.reduce(&placement, &outcomes)
-}
 
 /// Parameters of a sharded Monte-Carlo experiment.
 #[derive(Debug, Clone, Copy)]
@@ -148,18 +119,16 @@ fn reduce_trials(results: &[ShardedTrialResult]) -> ShardedStats {
 /// Monte-Carlo trials of the hierarchical scheduler: `threads` workers pull
 /// trials from a shared cursor, each owning one [`HierarchicalScheduler`]
 /// (so each worker's per-shard scratches are built once and reused), and
-/// each trial fans its per-shard solves out on a `shard_pool`-wide pool.
+/// each trial runs one [`HierarchicalScheduler::schedule`] cycle.
 ///
-/// Determinism contract: trial `i` is a pure function of `(cfg.seed, i)`,
-/// results reduce sequentially in trial order, and the per-cycle reduction
-/// is shard-ordered — the returned [`ShardedStats`] is bit-identical for
-/// any `threads` and any `shard_pool`.
+/// Determinism contract: trial `i` is a pure function of `(cfg.seed, i)`
+/// and results reduce sequentially in trial order — the returned
+/// [`ShardedStats`] is bit-identical for any `threads`.
 pub fn run_sharded_trials(
     net: &ShardedNetwork,
     policy: InterShardPolicy,
     cfg: &ShardedTrialConfig,
     threads: usize,
-    shard_pool: usize,
 ) -> ShardedStats {
     let results = crate::pool::run_indexed_with(
         cfg.trials as usize,
@@ -170,7 +139,8 @@ pub fn run_sharded_trials(
             let (requests, free) =
                 sharded_snapshot(net.num_ports(), cfg.requests, cfg.free, &mut rng);
             let denom = requests.len().min(free.len());
-            let out = schedule_pooled(h, &requests, &free, shard_pool)
+            let out = h
+                .schedule(&requests, &free)
                 .expect("hierarchical cycle failed on a well-formed snapshot");
             // Every cycle solves every shard (even empty ones), so after any
             // trial each shard of this worker has built exactly once — the
@@ -255,35 +225,6 @@ pub fn run_paired_trials(
             (hier.allocated(), flat_out.allocated())
         },
     )
-}
-
-/// The sharded comparison table: one row for the hierarchical scheduler
-/// (pooled per-shard solves) and one for the flat fresh-solve oracle, each
-/// row running on its own `threads_per_row`-worker pool — the sharded
-/// analogue of [`crate::blocking::compare_schedulers_pools`]. Rows come
-/// back `(name, stats)` in fixed order (hierarchical first) and every
-/// statistic is bit-identical for any pool width.
-pub fn compare_sharded_pools(
-    net: &ShardedNetwork,
-    flat: &Network,
-    policy: InterShardPolicy,
-    cfg: &ShardedTrialConfig,
-    threads_per_row: usize,
-    shard_pool: usize,
-) -> Vec<(String, ShardedStats)> {
-    crate::pool::run_indexed(2, 2, |i| {
-        if i == 0 {
-            (
-                format!("hier-{}", policy.name()),
-                run_sharded_trials(net, policy, cfg, threads_per_row, shard_pool),
-            )
-        } else {
-            (
-                "flat-maxflow".to_string(),
-                run_flat_trials(flat, cfg, threads_per_row),
-            )
-        }
-    })
 }
 
 /// Where an active origin currently sits.
@@ -609,19 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_cycle_matches_serial_bitwise() {
-        let net = sharded(4, 8, 2);
-        let h = HierarchicalScheduler::new(&net, InterShardPolicy::TokenRing);
-        let requests: Vec<usize> = (0..20).collect();
-        let free: Vec<usize> = (10..32).collect();
-        let serial = h.schedule(&requests, &free).unwrap();
-        for pool in [1, 2, 4, 8] {
-            let pooled = schedule_pooled(&h, &requests, &free, pool).unwrap();
-            assert_eq!(pooled, serial, "pool width {pool}");
-        }
-    }
-
-    #[test]
     fn trials_are_thread_and_pool_invariant() {
         let net = sharded(2, 8, 2);
         let cfg = ShardedTrialConfig {
@@ -630,10 +558,10 @@ mod tests {
             free: 10,
             seed: 41,
         };
-        let one = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1, 1);
+        let one = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1);
         assert!(one.rebuilds_ok);
-        for (threads, pool) in [(2, 1), (1, 4), (8, 2), (3, 3)] {
-            let other = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, threads, pool);
+        for threads in [2, 3, 8] {
+            let other = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, threads);
             assert_eq!(one.blocking.mean.to_bits(), other.blocking.mean.to_bits());
             assert_eq!(one.blocking.ci95.to_bits(), other.blocking.ci95.to_bits());
             assert_eq!(one.allocated.mean.to_bits(), other.allocated.mean.to_bits());
@@ -666,24 +594,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn comparison_table_is_ordered_and_consistent() {
-        let net = sharded(2, 4, 1);
-        let flat = net.flatten().unwrap();
-        let cfg = ShardedTrialConfig {
-            trials: 15,
-            requests: 5,
-            free: 5,
-            seed: 47,
-        };
-        let rows = compare_sharded_pools(&net, &flat, InterShardPolicy::TokenRing, &cfg, 2, 2);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "hier-token");
-        assert_eq!(rows[1].0, "flat-maxflow");
-        assert!(rows[0].1.allocated.mean <= rows[1].1.allocated.mean + 1e-12);
-        assert!(rows[0].1.rebuilds_ok && rows[1].1.rebuilds_ok);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use rsin_core::scheduler::{
     HierarchicalScheduler, InterShardPolicy, MaxFlowScheduler, ScheduleScratch, Scheduler,
     StreamDecision,
 };
-use rsin_sim::sharded::{run_paired_trials, schedule_pooled, ShardedSession, ShardedTrialConfig};
+use rsin_sim::sharded::{run_paired_trials, ShardedSession, ShardedTrialConfig};
 use rsin_topology::{CircuitState, GlobalTopology, ShardedNetwork, ShardedSpec};
 use std::collections::HashSet;
 
@@ -82,12 +82,11 @@ proptest! {
     #[test]
     fn hierarchical_stays_within_the_flat_oracle(
         (spec, requests, free) in arb_case(),
-        pool in 1usize..=4,
     ) {
         let net = ShardedNetwork::new(spec).expect("arb specs are well-formed");
         let flat = net.flatten().expect("compositions flatten");
         let h = HierarchicalScheduler::new(&net, InterShardPolicy::TokenRing);
-        let out = schedule_pooled(&h, &requests, &free, pool).expect("cycle solves");
+        let out = h.schedule(&requests, &free).expect("cycle solves");
         prop_assert_eq!(h.rebuilds_per_shard(), vec![1; net.shards()]);
         // The outcome is a matching: each processor from the request set,
         // each resource from the free set, nothing doubly assigned.

@@ -106,30 +106,28 @@ proptest! {
 
     /// The serve pipeline inherits transparency byte-for-byte: the decision
     /// log (with interleaved `S` stats lines) is identical plain vs traced,
-    /// on both backends, at several worker counts.
+    /// on both backends.
     #[test]
     fn traced_serve_log_is_byte_identical(seed in 0u64..64) {
         let net = omega(8).unwrap();
         let commands = with_stats_every(&generate_commands(8, 96, 0.6, seed, 0), 24);
         for backend in BACKENDS {
-            let cfg = |workers| ServerConfig { backend, workers, stats_latency: false };
-            let baseline = serve_commands(&net, cfg(1), &commands).log();
-            for workers in [1usize, 4] {
-                let recorder = Arc::new(FlightRecorder::new(
-                    rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
-                ));
-                let report = serve_commands_traced(
-                    &net,
-                    cfg(workers),
-                    &commands,
-                    Arc::new(NoopProbe),
-                    recorder.clone(),
-                );
-                prop_assert_eq!(&report.log(), &baseline);
-                let snap = recorder.snapshot();
-                if let Err(e) = validate_spans(&snap.events) {
-                    prop_assert!(false, "ill-formed serve span stream: {}", e);
-                }
+            let cfg = ServerConfig { backend, stats_latency: false };
+            let baseline = serve_commands(&net, cfg, &commands).log();
+            let recorder = Arc::new(FlightRecorder::new(
+                rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
+            ));
+            let report = serve_commands_traced(
+                &net,
+                cfg,
+                &commands,
+                Arc::new(NoopProbe),
+                recorder.clone(),
+            );
+            prop_assert_eq!(&report.log(), &baseline);
+            let snap = recorder.snapshot();
+            if let Err(e) = validate_spans(&snap.events) {
+                prop_assert!(false, "ill-formed serve span stream: {}", e);
             }
         }
     }
