@@ -13,7 +13,7 @@ use crate::model::ScheduleProblem;
 use crate::transform::hetero::HeteroTransformed;
 use crate::transform::Transformed;
 use rsin_flow::multicommodity::MultiSolution;
-use rsin_flow::path::decompose_unit_flow;
+use rsin_flow::path::for_each_unit_path;
 use rsin_flow::{ArcId, Flow};
 use rsin_topology::{CircuitId, CircuitState, LinkId, NodeRef};
 use std::collections::HashSet;
@@ -41,26 +41,28 @@ pub enum MappingError {
 /// Decompose the flow in a transformed network into assignments.
 ///
 /// The flow must already be computed (and legal); bypass flow is ignored.
+/// Paths are walked in one reused arc buffer ([`for_each_unit_path`]);
+/// each assignment gets one exact-size link list.
 pub fn extract(t: &Transformed) -> Result<Vec<Assignment>, MappingError> {
-    let paths = decompose_unit_flow(&t.flow, t.source, t.sink, t.bypass);
-    let mut out = Vec::with_capacity(paths.len());
-    for p in paths {
-        let (&first, rest) = p.arcs.split_first().ok_or(MappingError::MalformedPath)?;
+    let mut out = Vec::new();
+    for_each_unit_path(&t.flow, t.source, t.sink, t.bypass, |arcs| {
+        let (&first, rest) = arcs.split_first().ok_or(MappingError::MalformedPath)?;
         let (&last, middle) = rest.split_last().ok_or(MappingError::MalformedPath)?;
         let processor = t
             .processor_of_arc(first)
             .ok_or(MappingError::MalformedPath)?;
         let resource = t.resource_of_arc(last).ok_or(MappingError::MalformedPath)?;
-        let path = middle
-            .iter()
-            .map(|&a| t.link_of_arc(a).ok_or(MappingError::MissingLink))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut path = Vec::with_capacity(middle.len());
+        for &a in middle {
+            path.push(t.link_of_arc(a).ok_or(MappingError::MissingLink)?);
+        }
         out.push(Assignment {
             processor,
             resource,
             path,
         });
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 

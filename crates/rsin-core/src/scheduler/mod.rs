@@ -28,7 +28,7 @@ pub use exhaustive::ExhaustiveScheduler;
 pub use heuristic::{AddressMappedScheduler, GreedyScheduler, RequestOrder};
 pub use hierarchical::{
     GlobalAssignment, HierarchicalOutcome, HierarchicalScheduler, InterShardPolicy, Placement,
-    ShardBreakdown, ShardPlan,
+    RemoteSearch, ShardBreakdown, ShardPlan,
 };
 pub use incremental::{IncrementalBackend, IncrementalScheduler, PromotedRequest, StreamDecision};
 pub use matching::MatchingScheduler;

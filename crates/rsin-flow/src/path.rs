@@ -38,7 +38,28 @@ impl FlowPath {
 /// Completed paths that visit the `skip` node (the bypass node `u`) are
 /// *dropped* from the result — they represent requests that were not
 /// allocated — but their flow is still consumed so the remaining paths
-/// decompose correctly.
+/// decompose correctly. The paths are those [`for_each_unit_path`] visits,
+/// in its order.
+pub fn decompose_unit_flow(
+    g: &FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    skip: Option<NodeId>,
+) -> Vec<FlowPath> {
+    let mut paths = Vec::new();
+    for_each_unit_path(g, s, t, skip, |arcs| {
+        paths.push(FlowPath {
+            arcs: arcs.to_vec(),
+        });
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
+    paths
+}
+
+/// Walk the unit paths of [`decompose_unit_flow`] without materialising
+/// them: `visit` sees each kept path's arcs, `s` to `t`, in one reused
+/// buffer, and the first error it returns stops the walk.
 ///
 /// Every step leaves a node over its first forward out-arc (in adjacency
 /// order) with flow left to route. Flow left only shrinks, so that arc never
@@ -46,18 +67,21 @@ impl FlowPath {
 /// units already routed over the cursor arc, and an arc's flow is read from
 /// its twin's residual. The flow in `g` is not modified. Past one zeroed
 /// cursor per node, the work is proportional to the paths and the out-arcs
-/// they pass over — no per-arc flow copy, no rescans.
-pub fn decompose_unit_flow(
+/// they pass over — no per-arc flow copy, no rescans, no per-path
+/// allocation.
+pub fn for_each_unit_path<E>(
     g: &FlowNetwork,
     s: NodeId,
     t: NodeId,
     skip: Option<NodeId>,
-) -> Vec<FlowPath> {
+    mut visit: impl FnMut(&[ArcId]) -> Result<(), E>,
+) -> Result<(), E> {
     let mut cursors = vec![Cursor::default(); g.num_nodes()];
-    let mut paths = Vec::new();
+    let mut arcs = Vec::new();
     // Start a new path over an unexhausted source arc, until none remain.
     while let Some(start) = next_arc(g, &mut cursors[s.index()], s) {
-        let mut arcs = vec![start];
+        arcs.clear();
+        arcs.push(start);
         let mut u = g.head(start);
         let mut skipped = Some(u) == skip;
         while u != t {
@@ -70,10 +94,10 @@ pub fn decompose_unit_flow(
             arcs.push(next);
         }
         if !skipped {
-            paths.push(FlowPath { arcs });
+            visit(&arcs)?;
         }
     }
-    paths
+    Ok(())
 }
 
 /// Where a node's out-arc walk stands: arcs before `slot` have no flow
@@ -229,7 +253,24 @@ mod tests {
             }
             let want = reference_decompose(&g, s, t, u);
             let got = decompose_unit_flow(&g, s, t, u);
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&got, &want);
+            // The visitor sees exactly those paths, in order, and an error
+            // stops the walk at the path that raised it.
+            let mut visited = Vec::new();
+            let walked = for_each_unit_path(&g, s, t, u, |arcs| {
+                visited.push(arcs.to_vec());
+                if visited.len() == 2 { Err(visited.len()) } else { Ok(()) }
+            });
+            let want_arcs: Vec<Vec<ArcId>> = want.into_iter().map(|p| p.arcs).collect();
+            prop_assert_eq!(walked, if want_arcs.len() >= 2 { Err(2) } else { Ok(()) });
+            prop_assert_eq!(visited.as_slice(), &want_arcs[..want_arcs.len().min(2)]);
+            let mut all = Vec::new();
+            for_each_unit_path(&g, s, t, u, |arcs| {
+                all.push(arcs.to_vec());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            prop_assert_eq!(all, want_arcs);
         }
     }
 

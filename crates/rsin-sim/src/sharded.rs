@@ -22,12 +22,12 @@ use crate::workload::trial_rng;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rsin_core::model::ScheduleProblem;
-use rsin_core::scheduler::hierarchical::{HierarchicalScheduler, InterShardPolicy};
+use rsin_core::scheduler::hierarchical::{HierarchicalScheduler, InterShardPolicy, RemoteSearch};
 use rsin_core::scheduler::{
     IncrementalBackend, IncrementalScheduler, MaxFlowScheduler, PromotedRequest, ScheduleError,
     ScheduleScratch, Scheduler, StreamDecision,
 };
-use rsin_topology::{CircuitId, CircuitState, LinkId, Network, ShardedNetwork};
+use rsin_topology::{CircuitId, CircuitState, Network, ShardedNetwork};
 use std::collections::VecDeque;
 
 /// Parameters of a sharded Monte-Carlo experiment.
@@ -263,6 +263,7 @@ pub struct ShardedSession<'n> {
     policy: InterShardPolicy,
     shards: Vec<IncrementalScheduler>,
     global: CircuitState<'n>,
+    search: RemoteSearch,
     origin: Vec<OriginState>,
     /// `port_origin[shard][port]` — which origin occupies the local port.
     port_origin: Vec<Vec<Option<usize>>>,
@@ -285,6 +286,7 @@ impl<'n> ShardedSession<'n> {
                 .map(|_| IncrementalScheduler::new(net.local(), backend))
                 .collect(),
             global: CircuitState::new(net.global()),
+            search: RemoteSearch::default(),
             origin: vec![OriginState::Idle; net.num_ports()],
             port_origin: vec![vec![None; n]; net.shards()],
             overflow: VecDeque::new(),
@@ -447,8 +449,15 @@ impl<'n> ShardedSession<'n> {
                 return self.seat(origin, home, port, None).map(Some);
             }
         }
-        if let Some((t, path)) = self.pick_remote(home) {
-            let cid = self.global.establish(&path)?;
+        // A remote target needs resource capacity and an idle port.
+        let (shards, port_origin) = (&self.shards, &self.port_origin);
+        let picked = self
+            .search
+            .pick_target(self.net, self.policy, home, &self.global, |t| {
+                shards[t].allocated_count() < n && port_origin[t].iter().any(Option::is_none)
+            });
+        if let Some((t, path)) = picked {
+            let cid = self.global.establish(path)?;
             let port = self
                 .idle_port(t)
                 .ok_or(ScheduleError::Internal("picked shard has no idle port"))?;
@@ -467,43 +476,6 @@ impl<'n> ShardedSession<'n> {
 
     fn idle_port(&self, shard: usize) -> Option<usize> {
         self.port_origin[shard].iter().position(|o| o.is_none())
-    }
-
-    /// Choose a remote target with genuine spare capacity and a routable
-    /// global circuit, per the policy. Mirrors the batch scheduler's
-    /// stage-1 pick, but against the session's persistent global state.
-    fn pick_remote(&self, home: usize) -> Option<(usize, Vec<LinkId>)> {
-        let s_count = self.net.shards();
-        let viable = |t: usize| t != home && self.has_capacity(t) && self.idle_port(t).is_some();
-        let route = |t: usize| -> Option<Vec<LinkId>> {
-            let down: Vec<usize> = self.net.uplink_slots(t).collect();
-            self.net
-                .uplink_slots(home)
-                .find_map(|up| self.global.find_path_to_any(up, &down).map(|(_, p)| p))
-        };
-        match self.policy {
-            InterShardPolicy::TokenRing => (1..s_count).find_map(|d| {
-                let t = (home + d) % s_count;
-                if !viable(t) {
-                    return None;
-                }
-                route(t).map(|path| (t, path))
-            }),
-            InterShardPolicy::MinCost => {
-                let mut best: Option<(usize, Vec<LinkId>)> = None;
-                for t in 0..s_count {
-                    if !viable(t) {
-                        continue;
-                    }
-                    if let Some(path) = route(t) {
-                        if best.as_ref().is_none_or(|(_, b)| path.len() < b.len()) {
-                            best = Some((t, path));
-                        }
-                    }
-                }
-                best
-            }
-        }
     }
 
     /// Submit `origin`'s request to `shard` at local `port` and globalize

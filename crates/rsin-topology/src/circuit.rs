@@ -14,7 +14,49 @@
 //! mapping is shown to beat (≈20 % vs ≈2 % on an 8×8 cube MRSIN).
 
 use crate::network::{LinkId, Network, NodeRef};
-use std::collections::VecDeque;
+
+/// Reusable buffers for [`CircuitState::find_path_to_any_in`].
+///
+/// Tables are indexed by resource, box and link id and grow to the
+/// network on first use. A search resets only the entries it touched —
+/// the candidates and the links it reached — so its cost follows the
+/// part of the network it explores, not the whole topology.
+#[derive(Debug, Default)]
+pub struct PathSearch {
+    /// Per resource: is it a candidate of the running search?
+    want: Vec<bool>,
+    /// Per box: have its outputs been scanned?
+    expanded: Vec<bool>,
+    /// Per link: the link it was reached over (`None` when unreached, and
+    /// for the start link).
+    parent: Vec<Option<LinkId>>,
+    /// Reached links in BFS order (the FIFO, never popped, so the reset
+    /// knows what to clear).
+    queue: Vec<LinkId>,
+    /// The path of the last successful search.
+    path: Vec<LinkId>,
+}
+
+impl PathSearch {
+    /// The path the last successful search returned (empty before any).
+    pub fn path(&self) -> &[LinkId] {
+        &self.path
+    }
+
+    /// Size the tables for `net`. Tables are all-clear between searches,
+    /// so only their lengths can be stale.
+    fn fit(&mut self, net: &Network) {
+        if self.want.len() != net.num_resources() {
+            self.want = vec![false; net.num_resources()];
+        }
+        if self.expanded.len() != net.num_boxes() {
+            self.expanded = vec![false; net.num_boxes()];
+        }
+        if self.parent.len() != net.num_links() {
+            self.parent = vec![None; net.num_links()];
+        }
+    }
+}
 
 /// Handle to an established circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -243,6 +285,19 @@ impl<'a> CircuitState<'a> {
         Ok(())
     }
 
+    /// Release every live circuit at once and restart circuit numbering,
+    /// leaving faulty links and misrouting boxes as they are: with no
+    /// faults this is the state [`new`](Self::new) returns, at O(links
+    /// held) instead of O(links) and with the circuit table's capacity
+    /// kept.
+    pub fn release_all(&mut self) {
+        for links in self.circuits.drain(..).flatten() {
+            for l in links {
+                self.occupied[l.index()] = false;
+            }
+        }
+    }
+
     /// Links of a live circuit.
     pub fn circuit_links(&self, c: CircuitId) -> Option<&[LinkId]> {
         self.circuits.get(c.0 as usize)?.as_deref()
@@ -273,42 +328,81 @@ impl<'a> CircuitState<'a> {
     /// the network without a destination tag and grabbing the first free
     /// resource it reaches.
     pub fn find_path_to_any(&self, p: usize, candidates: &[usize]) -> Option<(usize, Vec<LinkId>)> {
-        let mut want = vec![false; self.net.num_resources()];
+        self.find_path_to_any_in(p, candidates, &mut PathSearch::default())
+            .map(|(r, path)| (r, path.to_vec()))
+    }
+
+    /// [`find_path_to_any`](Self::find_path_to_any) over the reusable
+    /// buffers of `search`: the same BFS, the same `(resource, path)`, but
+    /// no allocation once `search` has grown to this network. The path
+    /// borrows `search` and stays readable through [`PathSearch::path`]
+    /// until the next search.
+    pub fn find_path_to_any_in<'s>(
+        &self,
+        p: usize,
+        candidates: &[usize],
+        search: &'s mut PathSearch,
+    ) -> Option<(usize, &'s [LinkId])> {
+        search.fit(self.net);
         for &r in candidates {
-            want[r] = true;
+            search.want[r] = true;
         }
+        let found = self.bfs(p, search);
+        // Every table is clean again for the next search: only the
+        // candidates and the links the BFS reached were touched.
+        for &r in candidates {
+            search.want[r] = false;
+        }
+        for &l in &search.queue {
+            search.parent[l.index()] = None;
+            if let NodeRef::Box(b) = self.net.link(l).dst {
+                search.expanded[b] = false;
+            }
+        }
+        search.queue.clear();
+        found.map(|r| (r, search.path.as_slice()))
+    }
+
+    /// BFS over elements via free links from `p`'s processor link to the
+    /// first wanted resource; on success the path is in `search.path`.
+    fn bfs(&self, p: usize, search: &mut PathSearch) -> Option<usize> {
         let start = self.net.processor_link(p)?;
         if !self.is_free(start) {
             return None;
         }
-        // BFS over elements via free links; parent[link] chains the path.
-        let mut visited_box = vec![false; self.net.num_boxes()];
-        let mut queue: VecDeque<LinkId> = VecDeque::new();
-        let mut parent: Vec<Option<LinkId>> = vec![None; self.net.num_links()];
-        queue.push_back(start);
-        while let Some(l) = queue.pop_front() {
+        let PathSearch {
+            want,
+            expanded,
+            parent,
+            queue,
+            path,
+        } = search;
+        queue.push(start);
+        let mut head = 0;
+        while let Some(&l) = queue.get(head) {
+            head += 1;
             match self.net.link(l).dst {
                 NodeRef::Resource(r) => {
                     if want[r] {
-                        // Reconstruct.
-                        let mut path = vec![l];
+                        path.clear();
+                        path.push(l);
                         let mut cur = l;
                         while let Some(prev) = parent[cur.index()] {
                             path.push(prev);
                             cur = prev;
                         }
                         path.reverse();
-                        return Some((r, path));
+                        return Some(r);
                     }
                 }
                 NodeRef::Box(b) => {
-                    if !visited_box[b] {
-                        visited_box[b] = true;
-                        for next in self.net.out_links(NodeRef::Box(b)) {
+                    if !expanded[b] {
+                        expanded[b] = true;
+                        for &next in self.net.box_outputs(b).iter().flatten() {
                             if self.is_free(next) && parent[next.index()].is_none() && next != start
                             {
                                 parent[next.index()] = Some(l);
-                                queue.push_back(next);
+                                queue.push(next);
                             }
                         }
                     }
@@ -329,7 +423,109 @@ impl<'a> CircuitState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builders::{omega, omega_3dp};
     use crate::network::NetworkBuilder;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// The original allocating BFS, kept as the exact-order oracle for
+    /// [`CircuitState::find_path_to_any_in`]: fresh tables per call and a
+    /// `Vec` of out-links per expanded box.
+    fn reference_find_path_to_any(
+        cs: &CircuitState<'_>,
+        p: usize,
+        candidates: &[usize],
+    ) -> Option<(usize, Vec<LinkId>)> {
+        let net = cs.network();
+        let mut want = vec![false; net.num_resources()];
+        for &r in candidates {
+            want[r] = true;
+        }
+        let start = net.processor_link(p)?;
+        if !cs.is_free(start) {
+            return None;
+        }
+        let mut visited_box = vec![false; net.num_boxes()];
+        let mut queue: VecDeque<LinkId> = VecDeque::new();
+        let mut parent: Vec<Option<LinkId>> = vec![None; net.num_links()];
+        queue.push_back(start);
+        while let Some(l) = queue.pop_front() {
+            match net.link(l).dst {
+                NodeRef::Resource(r) => {
+                    if want[r] {
+                        let mut path = vec![l];
+                        let mut cur = l;
+                        while let Some(prev) = parent[cur.index()] {
+                            path.push(prev);
+                            cur = prev;
+                        }
+                        path.reverse();
+                        return Some((r, path));
+                    }
+                }
+                NodeRef::Box(b) => {
+                    if !visited_box[b] {
+                        visited_box[b] = true;
+                        for next in net.out_links(NodeRef::Box(b)) {
+                            if cs.is_free(next) && parent[next.index()].is_none() && next != start {
+                                parent[next.index()] = Some(l);
+                                queue.push_back(next);
+                            }
+                        }
+                    }
+                }
+                NodeRef::Processor(_) => unreachable!("links never end at processors"),
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One `PathSearch` reused across a run of searches returns exactly
+        /// the `(resource, path)` of a fresh `find_path_to_any` and of the
+        /// allocating reference, on omega and 3dp-omega with random
+        /// occupied and faulty links. Established paths and repairs change
+        /// the link state between searches, so stale buffers would show.
+        #[test]
+        fn reused_search_matches_fresh_search(
+            three_dp in any::<bool>(),
+            bits in 2u32..5,
+            marks in proptest::collection::vec(0u8..10, 1024),
+            queries in proptest::collection::vec(
+                (0usize..64, proptest::collection::vec(0usize..64, 0..6), 0u8..4),
+                1..40,
+            ),
+        ) {
+            let n = 1usize << bits;
+            let net = if three_dp { omega_3dp(n) } else { omega(n) }.unwrap();
+            let mut cs = CircuitState::new(&net);
+            for (l, &m) in marks.iter().take(net.num_links()).enumerate() {
+                match m {
+                    0 => cs.occupied[l] = true,
+                    1 => cs.fail_link(LinkId(l as u32)),
+                    _ => {}
+                }
+            }
+            let mut search = PathSearch::default();
+            for (p, candidates, then) in queries {
+                let (p, candidates) = (p % n, candidates.iter().map(|r| r % n).collect::<Vec<_>>());
+                let want = reference_find_path_to_any(&cs, p, &candidates);
+                prop_assert_eq!(&cs.find_path_to_any(p, &candidates), &want);
+                let got = cs.find_path_to_any_in(p, &candidates, &mut search);
+                prop_assert_eq!(got.map(|(r, path)| (r, path.to_vec())), want.clone());
+                match (then, want) {
+                    (0, Some((_, path))) => {
+                        prop_assert_eq!(search.path(), path.as_slice());
+                        cs.establish(&path).unwrap();
+                    }
+                    (1, _) => cs.repair_link(LinkId((p * 7 % net.num_links()) as u32)),
+                    _ => {}
+                }
+            }
+        }
+    }
 
     /// 2 stages of one 2x2 box each, straight wiring: p0,p1 -> box0 -> box1 -> r0,r1.
     fn two_stage() -> Network {
@@ -498,6 +694,23 @@ mod tests {
         assert_eq!(copy.occupied_count(), 3);
         assert!(copy.circuit_links(live).is_none());
         assert!(copy.circuit_links(CircuitId(0)).is_none());
+    }
+
+    #[test]
+    fn release_all_frees_circuits_and_keeps_faults() {
+        let net = two_stage();
+        let mut cs = CircuitState::new(&net);
+        cs.connect(0, 0).unwrap();
+        cs.connect(1, 1).unwrap();
+        let spare = cs.find_path(0, 0);
+        assert!(spare.is_none(), "both processor links are held");
+        cs.fail_link(LinkId(0));
+        cs.release_all();
+        assert_eq!(cs.occupied_count(), 0);
+        assert_eq!(cs.faulty_count(), 1);
+        assert!(cs.circuit_links(CircuitId(0)).is_none());
+        // Numbering restarts, as on a fresh state.
+        assert_eq!(cs.connect(1, 0), Ok(CircuitId(0)));
     }
 
     #[test]

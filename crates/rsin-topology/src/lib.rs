@@ -64,7 +64,7 @@ pub mod routing;
 pub mod sharded;
 pub mod switchbox;
 
-pub use circuit::{CircuitError, CircuitId, CircuitState};
+pub use circuit::{CircuitError, CircuitId, CircuitState, PathSearch};
 pub use fault::{
     FaultAction, FaultDomain, FaultEvent, FaultPlan, FaultPlanConfig, FaultPlanError, FaultTarget,
 };
