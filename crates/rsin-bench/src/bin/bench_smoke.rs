@@ -56,7 +56,7 @@ use rsin_core::scheduler::{
 use rsin_flow::graph::{FlowNetwork, NodeId};
 use rsin_flow::max_flow::Algorithm;
 use rsin_flow::{max_flow, min_cost, SolveScratch};
-use rsin_obs::{FlightRecorder, NoopProbe, Probe, Telemetry, Tracer};
+use rsin_obs::{FlightRecorder, NoopProbe, Probe, Telemetry};
 use rsin_sim::blocking::{
     compare_schedulers_pools, compare_schedulers_threads, run_blocking_threads, BlockingConfig,
 };
@@ -149,20 +149,16 @@ fn reset_batch_observed(
     total
 }
 
-/// The streaming replay through the traced entry points — with a live
-/// [`FlightRecorder`] this times the span-recording hot path against the
-/// plain `stream_incremental` row.
-fn replay_traced(net: &Network, commands: &[StreamCommand], tracer: &dyn Tracer) -> usize {
+/// The streaming replay through the observed entry points — with a live
+/// [`FlightRecorder`] as the probe this times the span-recording hot path
+/// against the plain `stream_incremental` row.
+fn replay_traced(net: &Network, commands: &[StreamCommand], probe: &dyn Probe) -> usize {
     let mut inc = IncrementalScheduler::new(net, IncrementalBackend::MaxFlow);
     let mut decisions = 0usize;
     for c in commands {
         match *c {
-            StreamCommand::Request { processor } => {
-                inc.request_traced(processor, &NoopProbe, tracer)
-            }
-            StreamCommand::Release { processor } => {
-                inc.release_traced(processor, &NoopProbe, tracer)
-            }
+            StreamCommand::Request { processor } => inc.request_observed(processor, probe),
+            StreamCommand::Release { processor } => inc.release_observed(processor, probe),
             StreamCommand::Stats => continue,
         }
         .expect("valid stream");
@@ -942,7 +938,8 @@ fn main() {
                 );
                 if speedup < min_csr {
                     eprintln!(
-                        "bench_smoke: {row_name} is only x{speedup:.2} faster than the pre-CSR                          layout, below floor x{min_csr}"
+                        "bench_smoke: {row_name} is only x{speedup:.2} faster than the pre-CSR \
+                         layout, below floor x{min_csr}"
                     );
                     failed = true;
                 }

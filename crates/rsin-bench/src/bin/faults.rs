@@ -53,18 +53,19 @@
 //! With `--telemetry <path>`, one bounded probed capture (omega-8,
 //! max-flow, rate 0.005) re-runs after the sweep with one
 //! `rsin_obs::Telemetry` sink per trial, and the reports, merged in trial
-//! order — per-solver phase counters, cycle-latency histograms, and the
-//! fault/repair event trace — are written as JSON to the given path. With `--trace <path>`, the same capture
-//! configuration re-runs one trial under a flight recorder and the
-//! per-request lifecycle (submit/allocate/release spans plus shed and
-//! recovered markers) is exported as Chrome trace-event JSON for Perfetto.
-//! Probes and tracers only observe, so the sweep's numbers are unaffected.
+//! order — counters, per-solver phase counts, and histograms such as cycle
+//! latency — are written as JSON to the given path. With `--trace <path>`,
+//! the same capture configuration re-runs one trial with a flight recorder
+//! as its probe, and the timeline — per-request submit/allocate/release
+//! spans plus fault, repair, shed and recovered markers — is exported as
+//! Chrome trace-event JSON for Perfetto. Probes only observe, so the
+//! sweep's numbers are unaffected.
 
 use rsin_bench::{emit_table, network_by_name, parse_or_exit, take_flag, usage_error};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
-use rsin_obs::{FlightRecorder, NoopProbe};
+use rsin_obs::FlightRecorder;
 use rsin_sim::replicate::{merge_faulted, run_trials, run_trials_observed, TrialGrid};
 use rsin_sim::system::{
     fault_plan_seed, DegradedPolicy, DynamicConfig, FaultModel, FaultedStats, SystemSim,
@@ -428,7 +429,7 @@ fn main() {
         let fcfg = FaultPlanConfig::links(0.005, MEAN_REPAIR, SIM_TIME);
         let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, 0));
         let sim = SystemSim::new(&net, cfg);
-        sim.try_run_faulted_trial_policy_traced(&optimal, &plan, 0, policy, &NoopProbe, &recorder)
+        sim.try_run_faulted_trial_policy_probed(&optimal, &plan, 0, policy, &recorder)
             .expect("traced capture trial");
         let snap = recorder.snapshot();
         let json = snap.to_chrome_json("faults/omega-8/max-flow");

@@ -41,7 +41,7 @@ use crate::model::ScheduleProblem;
 use crate::transform::reusable::ReusableTransform;
 use crate::transform::Transformed;
 use rsin_flow::{ArcId, Cost, SolveScratch};
-use rsin_obs::{Counter, Hist, NoopProbe, NoopTracer, Probe, SpanPhase, Tracer};
+use rsin_obs::{Counter, Hist, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{CircuitState, Network};
 
 /// Which flow discipline the incremental scheduler augments with.
@@ -130,7 +130,7 @@ pub struct IncrementalScheduler {
     allocated: usize,
     queued: usize,
     /// Next request id to hand out (fresh, monotonically increasing — ids
-    /// are assigned whether or not a tracer is attached, so traced and
+    /// are assigned whether or not a recorder is attached, so traced and
     /// untraced runs agree on them).
     next_req: u64,
     /// Id of the open request per processor (valid while not `Idle`).
@@ -252,36 +252,25 @@ impl IncrementalScheduler {
         self.request_observed(processor, &NoopProbe)
     }
 
-    /// [`request`](Self::request) with per-decision probe reporting.
+    /// [`request`](Self::request) with per-decision probe reporting: the
+    /// `stream_*` counters, the `DecisionLatencyNs` histogram, and the
+    /// lifecycle spans. The accepted arrival is assigned a fresh request id
+    /// and emits a `Submit` span followed by its decision span
+    /// (`Allocate`/`Queue`), as one [`Probe::span_pair`] sharing a
+    /// timestamp. Probes only record — the decision is bit-identical under
+    /// any probe (a property test pins this).
     pub fn request_observed(
         &mut self,
         processor: usize,
         probe: &dyn Probe,
-    ) -> Result<StreamDecision, ScheduleError> {
-        self.request_traced(processor, probe, &NoopTracer)
-    }
-
-    /// [`request`](Self::request) with probe reporting *and* lifecycle
-    /// tracing: the accepted arrival is assigned a fresh request id and
-    /// emits a `Submit` span followed by its decision span
-    /// (`Allocate`/`Queue`), as one [`Tracer::span_pair`] sharing a
-    /// timestamp (in-call decision latency lives in the
-    /// `DecisionLatencyNs` histogram, not the trace). Tracers only
-    /// record — the decision is bit-identical under any tracer (a
-    /// property test pins this).
-    pub fn request_traced(
-        &mut self,
-        processor: usize,
-        probe: &dyn Probe,
-        tracer: &dyn Tracer,
     ) -> Result<StreamDecision, ScheduleError> {
         match self.state.get(processor) {
             None => return Err(ScheduleError::UnknownProcessor(processor)),
             Some(ProcState::Idle) => {}
             Some(_) => return Err(ScheduleError::DuplicateRequest(processor)),
         }
-        // Ids advance on every accepted arrival, traced or not, so a tracer
-        // attached mid-stream still sees globally unique ids.
+        // Ids advance on every accepted arrival, traced or not, so a
+        // recorder attached mid-stream still sees globally unique ids.
         let req = self.next_req;
         self.next_req += 1;
         self.req_ids[processor] = req;
@@ -309,7 +298,7 @@ impl IncrementalScheduler {
             ))?;
             self.state[processor] = ProcState::Allocated;
             self.allocated += 1;
-            tracer.span_pair(
+            probe.span_pair(
                 (req, SpanPhase::Submit, processor as u64, 0),
                 (req, SpanPhase::Allocate, processor as u64, resource as u64),
             );
@@ -320,7 +309,7 @@ impl IncrementalScheduler {
         } else {
             self.state[processor] = ProcState::Queued;
             self.queued += 1;
-            tracer.span_pair(
+            probe.span_pair(
                 (req, SpanPhase::Submit, processor as u64, 0),
                 (req, SpanPhase::Queue, processor as u64, 0),
             );
@@ -338,25 +327,15 @@ impl IncrementalScheduler {
         self.release_observed(processor, &NoopProbe)
     }
 
-    /// [`release`](Self::release) with per-decision probe reporting.
+    /// [`release`](Self::release) with per-decision probe reporting: the
+    /// closing request emits its terminal span (`Release`/`Withdraw`), and
+    /// a promotion emits `Promote` under the promoted request's id, paired
+    /// with the `Release` that caused it. Same contract as
+    /// [`request_observed`](Self::request_observed).
     pub fn release_observed(
         &mut self,
         processor: usize,
         probe: &dyn Probe,
-    ) -> Result<StreamDecision, ScheduleError> {
-        self.release_traced(processor, probe, &NoopTracer)
-    }
-
-    /// [`release`](Self::release) with probe reporting *and* lifecycle
-    /// tracing: the closing request emits its terminal span
-    /// (`Release`/`Withdraw`), and a promotion emits `Promote` under the
-    /// promoted request's id, paired with the `Release` that caused it.
-    /// Same contract as [`request_traced`](Self::request_traced).
-    pub fn release_traced(
-        &mut self,
-        processor: usize,
-        probe: &dyn Probe,
-        tracer: &dyn Tracer,
     ) -> Result<StreamDecision, ScheduleError> {
         let state = *self
             .state
@@ -372,7 +351,7 @@ impl IncrementalScheduler {
                 t.flow.set_cap(arc, 0);
                 self.state[processor] = ProcState::Idle;
                 self.queued -= 1;
-                tracer.span(req, SpanPhase::Withdraw, processor as u64, 0);
+                probe.span(req, SpanPhase::Withdraw, processor as u64, 0);
                 let decision = StreamDecision::Withdrawn { processor };
                 record_decision(probe, span, &decision);
                 Ok(decision)
@@ -440,7 +419,7 @@ impl IncrementalScheduler {
                 // step — one span pair, one timestamp.
                 let release = (req, SpanPhase::Release, processor as u64, freed as u64);
                 match promoted {
-                    Some(p) => tracer.span_pair(
+                    Some(p) => probe.span_pair(
                         release,
                         (
                             self.req_ids[p.processor],
@@ -449,7 +428,7 @@ impl IncrementalScheduler {
                             p.resource as u64,
                         ),
                     ),
-                    None => tracer.span(release.0, release.1, release.2, release.3),
+                    None => probe.span(release.0, release.1, release.2, release.3),
                 }
                 let decision = StreamDecision::Released {
                     processor,
@@ -644,9 +623,9 @@ mod tests {
         ];
         for &(arrive, p) in script {
             let (a, b) = if arrive {
-                (plain.request(p), traced.request_traced(p, &NoopProbe, &fr))
+                (plain.request(p), traced.request_observed(p, &fr))
             } else {
-                (plain.release(p), traced.release_traced(p, &NoopProbe, &fr))
+                (plain.release(p), traced.release_observed(p, &fr))
             };
             assert_eq!(a, b, "tracing changed a decision at p{p}");
         }

@@ -354,11 +354,11 @@ proptest! {
         }
     }
 
-    /// Probe equivalence: attaching any probe — the no-op ZST or a live
-    /// `Telemetry` sink — to the observed scheduling path never changes the
-    /// outcome. Probes only watch; allocation count, total cost, and mapping
-    /// validity are identical to the plain reusable solve on the same
-    /// scratch-warming sequence.
+    /// Probe equivalence: attaching any probe — the no-op ZST, a live
+    /// `Telemetry` sink, or a live `FlightRecorder` — to the observed
+    /// scheduling path never changes the outcome. Probes only watch;
+    /// allocation count, total cost, and mapping validity are identical to
+    /// the plain reusable solve on the same scratch-warming sequence.
     #[test]
     fn probes_never_change_schedule_outcomes(
         which in 0usize..3,
@@ -366,6 +366,7 @@ proptest! {
     ) {
         let net = network(which);
         let telemetry = rsin_obs::Telemetry::new();
+        let recorder = rsin_obs::FlightRecorder::new(1 << 10);
         let mf = MaxFlowScheduler::default();
         let mc = MinCostScheduler::default();
         let schedulers: [&dyn Scheduler; 2] = [&mf, &mc];
@@ -373,6 +374,7 @@ proptest! {
             let mut plain = ScheduleScratch::new();
             let mut noop = ScheduleScratch::new();
             let mut live = ScheduleScratch::new();
+            let mut recorded = ScheduleScratch::new();
             for snap in &snaps {
                 let cs = circuit_state(&net, snap);
                 let problem = ScheduleProblem::homogeneous(&cs, &snap.requesting, &snap.free);
@@ -383,7 +385,10 @@ proptest! {
                 let with_live = scheduler
                     .try_schedule_observed(&problem, &mut live, &telemetry)
                     .unwrap();
-                for observed in [&with_noop, &with_live] {
+                let with_recorder = scheduler
+                    .try_schedule_observed(&problem, &mut recorded, &recorder)
+                    .unwrap();
+                for observed in [&with_noop, &with_live, &with_recorder] {
                     prop_assert_eq!(observed.allocated(), base.allocated());
                     prop_assert_eq!(observed.total_cost, base.total_cost);
                     prop_assert!(verify(&observed.assignments, &problem).is_ok());

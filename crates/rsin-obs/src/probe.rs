@@ -1,6 +1,7 @@
 //! The [`Probe`] trait: the single instrumentation seam every layer of the
 //! workspace reports through, and the enums naming what can be reported.
 
+use crate::trace::SpanPhase;
 use std::time::Instant;
 
 /// Monotonic counters a probe can accumulate. One variant per event class
@@ -277,38 +278,6 @@ pub struct SolveCounts {
     pub phases: u64,
 }
 
-/// Kinds of events traced into the ring buffer by the dynamic simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A task arrived at a processor (`a` = processor).
-    Arrival,
-    /// A circuit was released after transmission (`a` = processor,
-    /// `b` = resource).
-    Release,
-    /// A fault-plan `Fail` event applied (`a` = plan event index).
-    Fault,
-    /// A fault-plan `Repair` event applied (`a` = plan event index).
-    Repair,
-    /// A degraded cycle shed requests (`a` = count).
-    Shed,
-    /// A degraded cycle recovered blocked requests (`a` = count).
-    Recovered,
-}
-
-impl EventKind {
-    /// JSON key.
-    pub const fn name(self) -> &'static str {
-        match self {
-            EventKind::Arrival => "arrival",
-            EventKind::Release => "release",
-            EventKind::Fault => "fault",
-            EventKind::Repair => "repair",
-            EventKind::Shed => "shed",
-            EventKind::Recovered => "recovered",
-        }
-    }
-}
-
 /// An in-flight latency measurement. Disabled probes return an empty span,
 /// so no clock is ever read when telemetry is off.
 #[derive(Debug)]
@@ -335,11 +304,16 @@ impl Span {
 
 /// The instrumentation seam. Every method defaults to an inlined no-op, so
 /// a probe that overrides nothing (notably [`NoopProbe`]) costs nothing
-/// beyond one virtual call per *solve or cycle* at the `&dyn Probe` call
-/// sites — and literally nothing where the concrete type is statically
-/// known.
+/// beyond one virtual call per *solve, cycle or lifecycle step* at the
+/// `&dyn Probe` call sites — and literally nothing where the concrete type
+/// is statically known.
 ///
-/// `Sync` is a supertrait so one probe can sink events from concurrent
+/// Two sinks implement it: [`Telemetry`](crate::Telemetry) keeps counters,
+/// solver totals and histograms, and
+/// [`FlightRecorder`](crate::FlightRecorder) keeps the lifecycle spans.
+/// Each overrides only its half; the other half stays the no-op default.
+///
+/// `Sync` is a supertrait so one probe can sink reports from concurrent
 /// Monte-Carlo workers (`rsin-sim` shares `&dyn Probe` across threads).
 ///
 /// Contract for implementors (see DESIGN.md §8): record only — never
@@ -372,13 +346,6 @@ pub trait Probe: Sync {
         let _ = (hist, value);
     }
 
-    /// Trace a timestamped event into the ring buffer. `time` is simulation
-    /// time; `a`/`b` are kind-specific operands (see [`EventKind`]).
-    #[inline]
-    fn event(&self, time: f64, kind: EventKind, a: u64, b: u64) {
-        let _ = (time, kind, a, b);
-    }
-
     /// Open a latency span (reads the monotonic clock only when enabled).
     #[inline]
     fn start(&self) -> Span {
@@ -389,6 +356,25 @@ pub trait Probe: Sync {
     #[inline]
     fn finish(&self, span: Span, hist: Hist) {
         let _ = (span, hist);
+    }
+
+    /// Record one lifecycle span of request `req` (see [`SpanPhase`] for
+    /// the operands; per-cycle markers pass `req == 0`).
+    #[inline]
+    fn span(&self, req: u64, phase: SpanPhase, a: u64, b: u64) {
+        let _ = (req, phase, a, b);
+    }
+
+    /// Record two causally adjacent spans (e.g. `Submit` and the decision
+    /// it produced) sharing one timestamp. The default delegates to
+    /// [`Probe::span`] twice; the flight recorder overrides it to amortize
+    /// the timebase read and slot claim — the streaming scheduler's request
+    /// path emits every decision through here, which is what keeps it
+    /// inside the bench_smoke tracing-overhead gate.
+    #[inline]
+    fn span_pair(&self, first: (u64, SpanPhase, u64, u64), second: (u64, SpanPhase, u64, u64)) {
+        self.span(first.0, first.1, first.2, first.3);
+        self.span(second.0, second.1, second.2, second.3);
     }
 }
 
@@ -417,7 +403,8 @@ mod tests {
         p.finish(span, Hist::CycleLatencyNs);
         p.add(Counter::Cycles, 3);
         p.record(Hist::QueueDepth, 7);
-        p.event(1.0, EventKind::Arrival, 0, 0);
+        p.span(1, SpanPhase::Submit, 0, 0);
+        p.span_pair((1, SpanPhase::Submit, 0, 0), (1, SpanPhase::Allocate, 0, 1));
         p.solver(SolverId::MaxFlowDinic, SolveCounts::default());
     }
 

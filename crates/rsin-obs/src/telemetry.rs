@@ -1,17 +1,11 @@
-//! The standard live probe: atomic counters, per-solver accumulators,
-//! histograms, and the event ring behind one [`Probe`] implementation,
-//! exportable as a JSON [`TelemetryReport`].
+//! The standard live probe: atomic counters, per-solver accumulators, and
+//! histograms behind one [`Probe`] implementation, exportable as a JSON
+//! [`TelemetryReport`]. Lifecycle spans are the
+//! [`FlightRecorder`](crate::FlightRecorder)'s half of the seam.
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
-use crate::probe::{Counter, EventKind, Hist, Probe, SolveCounts, SolverId, Span};
-use crate::ring::{EventRing, TraceEvent};
+use crate::probe::{Counter, Hist, Probe, SolveCounts, SolverId, Span};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Default event-ring capacity: generous enough that a typical experiment's
-/// full fault/repair history survives alongside the (much chattier)
-/// arrival/release stream.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]
 struct SolverAccum {
@@ -34,15 +28,13 @@ impl SolverAccum {
     }
 }
 
-/// A live telemetry sink. Counter and histogram recording is wait-free
-/// (relaxed atomics); only the event trace takes a mutex, and only callers
-/// that actually trace events pay for it.
+/// A live telemetry sink. All recording is wait-free (relaxed atomics) and
+/// its memory is fixed at construction.
 #[derive(Debug)]
 pub struct Telemetry {
     counters: [AtomicU64; Counter::ALL.len()],
     solvers: [SolverAccum; SolverId::ALL.len()],
     hists: [AtomicHistogram; Hist::ALL.len()],
-    ring: Mutex<EventRing>,
 }
 
 impl Default for Telemetry {
@@ -52,18 +44,12 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A sink with the default ring capacity.
+    /// An empty sink.
     pub fn new() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A sink tracing at most `capacity` events (older ones are evicted).
-    pub fn with_ring_capacity(capacity: usize) -> Self {
         Telemetry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             solvers: std::array::from_fn(|_| SolverAccum::new()),
             hists: std::array::from_fn(|_| AtomicHistogram::new()),
-            ring: Mutex::new(EventRing::new(capacity)),
         }
     }
 
@@ -79,7 +65,6 @@ impl Telemetry {
 
     /// Point-in-time report of everything recorded so far.
     pub fn report(&self) -> TelemetryReport {
-        let ring = self.ring.lock().expect("telemetry ring poisoned");
         TelemetryReport {
             counters: Counter::ALL.map(|c| self.counter(c)),
             solvers: SolverId::ALL.map(|s| {
@@ -95,8 +80,6 @@ impl Telemetry {
                 }
             }),
             hists: Hist::ALL.map(|h| self.histogram(h)),
-            events: ring.to_vec(),
-            events_dropped: ring.dropped(),
         }
     }
 }
@@ -126,13 +109,6 @@ impl Probe for Telemetry {
     #[inline]
     fn record(&self, hist: Hist, value: u64) {
         self.hists[hist.index()].record(value);
-    }
-
-    fn event(&self, time: f64, kind: EventKind, a: u64, b: u64) {
-        self.ring
-            .lock()
-            .expect("telemetry ring poisoned")
-            .push(TraceEvent { time, kind, a, b });
     }
 
     #[inline]
@@ -167,23 +143,16 @@ pub struct TelemetryReport {
     pub solvers: [SolverReport; SolverId::ALL.len()],
     /// Histogram snapshots, indexed like [`Hist::ALL`].
     pub hists: [HistogramSnapshot; Hist::ALL.len()],
-    /// Surviving trace events, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Events evicted from the ring by wraparound.
-    pub events_dropped: u64,
 }
 
 impl TelemetryReport {
     /// Fold `other` into this report: counters, solver totals, and
-    /// histogram buckets add exactly; event traces concatenate and re-sort
-    /// by simulated time (stably, so same-time events keep self-then-other
-    /// order); `events_dropped` adds.
+    /// histogram buckets add exactly.
     ///
     /// This is how replicated runs (`rsin-sim`) aggregate telemetry: each
     /// replica records into its own sink and the reports merge afterwards
-    /// **in replica order**, so the merged counters, solver totals, and
-    /// event stream are independent of how many worker threads ran the
-    /// replicas. The span-latency histograms merge exactly too, but their
+    /// **in replica order**, so the merged counters and solver totals are
+    /// independent of how many worker threads ran the replicas. The span-latency histograms merge exactly too, but their
     /// *contents* are wall-clock nanoseconds and therefore vary run to run
     /// regardless of merging.
     pub fn merge(&mut self, other: &TelemetryReport) {
@@ -200,14 +169,11 @@ impl TelemetryReport {
         for (h, oh) in self.hists.iter_mut().zip(&other.hists) {
             h.merge(oh);
         }
-        self.events.extend(other.events.iter().copied());
-        self.events.sort_by(|a, b| a.time.total_cmp(&b.time));
-        self.events_dropped += other.events_dropped;
     }
 
     /// Encode the report as JSON. `source` names the producing experiment.
     pub fn to_json(&self, source: &str) -> String {
-        let mut s = String::with_capacity(4096 + 64 * self.events.len());
+        let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str(&format!("  \"source\": \"{source}\",\n"));
         s.push_str("  \"counters\": {");
@@ -269,19 +235,6 @@ impl TelemetryReport {
                 if i + 1 < Hist::ALL.len() { "," } else { "" }
             ));
         }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"events_dropped\": {},\n", self.events_dropped));
-        s.push_str("  \"events\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"time\": {:.6}, \"kind\": \"{}\", \"a\": {}, \"b\": {}}}{}\n",
-                e.time,
-                e.kind.name(),
-                e.a,
-                e.b,
-                if i + 1 < self.events.len() { "," } else { "" },
-            ));
-        }
         s.push_str("  ]\n}\n");
         s
     }
@@ -340,24 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn events_trace_through_the_ring() {
-        let t = Telemetry::with_ring_capacity(2);
-        t.event(1.0, EventKind::Fault, 0, 0);
-        t.event(2.0, EventKind::Repair, 0, 0);
-        t.event(3.0, EventKind::Arrival, 1, 0);
-        let r = t.report();
-        assert_eq!(r.events.len(), 2);
-        assert_eq!(r.events_dropped, 1);
-        assert_eq!(r.events[0].kind, EventKind::Repair);
-    }
-
-    #[test]
     fn json_contains_expected_keys() {
         let t = Telemetry::new();
         t.add(Counter::Cycles, 1);
         t.solver(SolverId::MinCostSsp, SolveCounts::default());
         t.record(Hist::QueueDepth, 4);
-        t.event(0.5, EventKind::Fault, 7, 0);
         let json = t.report().to_json("unit-test");
         for key in [
             "\"source\": \"unit-test\"",
@@ -365,17 +305,16 @@ mod tests {
             "\"min_cost_ssp\"",
             "\"queue_depth\"",
             "\"p99\"",
-            "\"kind\": \"fault\"",
-            "\"events_dropped\": 0",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
+        assert!(!json.contains("\"events"), "no event trace in:\n{json}");
     }
 
     #[test]
     fn merge_equals_recording_into_one_sink() {
         // Two sinks fed disjoint streams, merged, must equal one sink fed
-        // both streams (events compared as sets ordered by time).
+        // both streams.
         let a = Telemetry::new();
         let b = Telemetry::new();
         let both = Telemetry::new();
@@ -392,7 +331,6 @@ mod tests {
                 },
             );
             t.record(Hist::QueueDepth, time as u64 + 3);
-            t.event(time, EventKind::Arrival, 0, 0);
         }
         let mut merged = a.report();
         merged.merge(&b.report());
@@ -410,35 +348,6 @@ mod tests {
             assert_eq!(mh.sum, eh.sum);
             assert_eq!(mh.p99(), eh.p99());
         }
-        assert_eq!(merged.events.len(), expect.events.len());
-        for (me, ee) in merged.events.iter().zip(&expect.events) {
-            assert_eq!(me.time.to_bits(), ee.time.to_bits());
-            assert_eq!(me.kind, ee.kind);
-        }
-        assert_eq!(merged.events_dropped, expect.events_dropped);
-    }
-
-    #[test]
-    fn merge_sorts_events_by_time_stably() {
-        let a = Telemetry::new();
-        let b = Telemetry::new();
-        a.event(2.0, EventKind::Fault, 1, 0);
-        a.event(5.0, EventKind::Repair, 1, 0);
-        b.event(2.0, EventKind::Arrival, 2, 0);
-        b.event(3.0, EventKind::Release, 2, 0);
-        let mut merged = a.report();
-        merged.merge(&b.report());
-        let kinds: Vec<EventKind> = merged.events.iter().map(|e| e.kind).collect();
-        // Same-time tie at 2.0 keeps self (Fault) before other (Arrival).
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::Fault,
-                EventKind::Arrival,
-                EventKind::Release,
-                EventKind::Repair
-            ]
-        );
     }
 
     #[test]
@@ -446,12 +355,10 @@ mod tests {
         let a = Telemetry::new();
         a.add(Counter::Cycles, 7);
         a.record(Hist::QueueDepth, 2);
-        a.event(1.5, EventKind::Arrival, 0, 0);
         let mut merged = a.report();
         merged.merge(&Telemetry::new().report());
         let expect = a.report();
         assert_eq!(merged.counters, expect.counters);
-        assert_eq!(merged.events.len(), expect.events.len());
         assert_eq!(merged.hists[Hist::QueueDepth.index()].count, 1);
     }
 

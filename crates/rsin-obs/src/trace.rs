@@ -13,16 +13,17 @@
 //! Submit → Queue → Withdraw              (queued, released before service)
 //! ```
 //!
-//! plus free-floating [`SpanPhase::Shed`] / [`SpanPhase::Recovered`] markers
-//! from degraded (faulted) scheduling cycles, which carry per-cycle counts
-//! rather than request ids. [`validate_spans`] checks the chain grammar:
-//! every `Release` matches a prior `Allocate`/`Promote`, every `Withdraw` a
-//! prior `Queue`, and no id is reused while open.
+//! plus free-floating per-cycle markers that carry no request id: a
+//! simulated run's [`SpanPhase::Fault`] / [`SpanPhase::Repair`] toggles and
+//! its degraded cycles' [`SpanPhase::Shed`] / [`SpanPhase::Recovered`]
+//! counts. [`validate_spans`] checks the chain grammar: every `Release`
+//! matches a prior `Allocate`/`Promote`, every `Withdraw` a prior `Queue`,
+//! and no id is reused while open.
 //!
-//! The seam is the [`Tracer`] trait, mirroring the
-//! [`Probe`](crate::Probe) contract: every method has an inlined empty
-//! default so the [`NoopTracer`] ZST compiles to nothing, tracers never
-//! influence control flow, never consume simulation randomness, and use
+//! Spans go through the one observation seam,
+//! [`Probe::span`]/[`Probe::span_pair`], under the [`Probe`] contract:
+//! inlined empty defaults (so [`NoopProbe`](crate::NoopProbe) compiles to
+//! nothing), no influence on control flow, no simulation randomness,
 //! bounded memory. The live implementation, [`FlightRecorder`], timestamps
 //! each span against its construction anchor and records into a lock-free
 //! fixed-capacity slot ring with exact drop accounting.
@@ -34,6 +35,7 @@
 //! whose bytes depend only on the span sequence — the form determinism
 //! tests compare.
 
+use crate::probe::Probe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -63,6 +65,13 @@ pub enum SpanPhase {
     /// A degraded cycle recovered blocked requests (`a` = count; no
     /// request id).
     Recovered,
+    /// A fault-plan `Fail` event was applied (`a` = component index, `b` =
+    /// target kind: 0 link, 1 box, 2 correlated domain, 3 Byzantine box;
+    /// no request id).
+    Fault,
+    /// A fault-plan `Repair` event was applied (operands as for
+    /// [`SpanPhase::Fault`]; no request id).
+    Repair,
 }
 
 impl SpanPhase {
@@ -77,18 +86,23 @@ impl SpanPhase {
             SpanPhase::Withdraw => "withdraw",
             SpanPhase::Shed => "shed",
             SpanPhase::Recovered => "recovered",
+            SpanPhase::Fault => "fault",
+            SpanPhase::Repair => "repair",
         }
     }
 
     /// Whether this phase carries a request id (lifecycle phases do;
-    /// `Shed`/`Recovered` are per-cycle markers).
+    /// `Shed`/`Recovered`/`Fault`/`Repair` are per-cycle markers).
     pub const fn has_request_id(self) -> bool {
-        !matches!(self, SpanPhase::Shed | SpanPhase::Recovered)
+        !matches!(
+            self,
+            SpanPhase::Shed | SpanPhase::Recovered | SpanPhase::Fault | SpanPhase::Repair
+        )
     }
 
     /// All phases, indexed by [`SpanPhase::index`] — the wire encoding of
     /// the recorder's atomic slots.
-    pub const ALL: [SpanPhase; 8] = [
+    pub const ALL: [SpanPhase; 10] = [
         SpanPhase::Submit,
         SpanPhase::Allocate,
         SpanPhase::Queue,
@@ -97,20 +111,13 @@ impl SpanPhase {
         SpanPhase::Withdraw,
         SpanPhase::Shed,
         SpanPhase::Recovered,
+        SpanPhase::Fault,
+        SpanPhase::Repair,
     ];
 
-    /// Position in [`SpanPhase::ALL`].
+    /// Position in [`SpanPhase::ALL`] (declaration order).
     pub const fn index(self) -> usize {
-        match self {
-            SpanPhase::Submit => 0,
-            SpanPhase::Allocate => 1,
-            SpanPhase::Queue => 2,
-            SpanPhase::Promote => 3,
-            SpanPhase::Release => 4,
-            SpanPhase::Withdraw => 5,
-            SpanPhase::Shed => 6,
-            SpanPhase::Recovered => 7,
-        }
+        self as usize
     }
 }
 
@@ -132,47 +139,6 @@ pub struct SpanEvent {
     pub b: u64,
 }
 
-/// The tracing seam. Same contract as [`Probe`](crate::Probe): every method
-/// defaults to an inlined no-op so [`NoopTracer`] costs nothing; tracers
-/// only record — they never influence control flow, never consume
-/// simulation randomness, and use bounded memory.
-///
-/// `Sync` is a supertrait so one recorder can sink spans from concurrent
-/// workers.
-pub trait Tracer: Sync {
-    /// Whether this tracer records anything. Callers may use this to skip
-    /// *computing* expensive span operands, never to change semantics.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Record one lifecycle span.
-    #[inline]
-    fn span(&self, req: u64, phase: SpanPhase, a: u64, b: u64) {
-        let _ = (req, phase, a, b);
-    }
-
-    /// Record two causally adjacent spans (e.g. `Submit` and the decision
-    /// it produced) sharing one timestamp. The default delegates to
-    /// [`Tracer::span`] twice; live tracers override it to amortize the
-    /// timebase read and ring reservation — the streaming scheduler's
-    /// request path emits every decision through here, which is what keeps
-    /// it inside the bench_smoke tracing-overhead gate.
-    #[inline]
-    fn span_pair(&self, first: (u64, SpanPhase, u64, u64), second: (u64, SpanPhase, u64, u64)) {
-        self.span(first.0, first.1, first.2, first.3);
-        self.span(second.0, second.1, second.2, second.3);
-    }
-}
-
-/// The default tracer: a zero-sized type whose methods are the trait's
-/// empty defaults — the optimizer erases every call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {}
-
 /// One lock-free ring slot: the five [`SpanEvent`] fields as relaxed
 /// atomics, so writers never serialize on a lock.
 #[derive(Debug, Default)]
@@ -184,7 +150,7 @@ struct SpanSlot {
     b: AtomicU64,
 }
 
-/// The live tracer: a bounded in-memory flight recorder. Spans are
+/// The live span sink: a bounded in-memory flight recorder. Spans are
 /// timestamped against the construction anchor and written into a
 /// lock-free slot ring, so memory stays fixed and the most recent history
 /// survives; [`FlightRecorder::snapshot`] freezes it for export.
@@ -331,7 +297,7 @@ impl FlightRecorder {
     }
 }
 
-impl Tracer for FlightRecorder {
+impl Probe for FlightRecorder {
     #[inline]
     fn enabled(&self) -> bool {
         true
@@ -381,10 +347,11 @@ impl TraceSnapshot {
     ///
     /// Each request id becomes one async track (`ph: "b"`/`"n"`/`"e"` with
     /// a shared `id`), so the viewer shows a lane per in-flight request
-    /// with its submit→decision→release chain; per-cycle `Shed`/`Recovered`
-    /// markers become instant events (`ph: "i"`). Timestamps are the
-    /// recorded monotonic nanoseconds converted to microseconds (the
-    /// format's unit).
+    /// with its submit→decision→release chain; per-cycle markers become
+    /// instant events (`ph: "i"`): `Shed`/`Recovered` with their count,
+    /// `Fault`/`Repair` with their component and target kind. Timestamps
+    /// are the recorded monotonic nanoseconds converted to microseconds
+    /// (the format's unit).
     pub fn to_chrome_json(&self, process_name: &str) -> String {
         let mut s = String::with_capacity(128 + 160 * self.events.len());
         s.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
@@ -412,12 +379,17 @@ impl TraceSnapshot {
                     e.b,
                 ));
             } else {
+                let (cat, args) = match e.phase {
+                    SpanPhase::Fault | SpanPhase::Repair => (
+                        "fault",
+                        format!("\"component\": {}, \"target_kind\": {}", e.a, e.b),
+                    ),
+                    _ => ("degraded", format!("\"count\": {}", e.a)),
+                };
                 s.push_str(&format!(
-                    "  {{\"name\": \"{}\", \"cat\": \"degraded\", \"ph\": \"i\", \"s\": \"g\", \
-                     \"pid\": 0, \"tid\": 0, \"ts\": {ts_us:.3}, \
-                     \"args\": {{\"count\": {}}}}}",
+                    "  {{\"name\": \"{}\", \"cat\": \"{cat}\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": 0, \"tid\": 0, \"ts\": {ts_us:.3}, \"args\": {{{args}}}}}",
                     e.phase.name(),
-                    e.a,
                 ));
             }
         }
@@ -477,7 +449,8 @@ impl std::error::Error for SpanError {}
 /// * `Allocate`/`Queue` require a submitted id; `Promote` a queued one;
 /// * `Release` closes only allocated/promoted ids, `Withdraw` only queued
 ///   ones;
-/// * `Shed`/`Recovered` markers are free-floating and always legal.
+/// * `Shed`/`Recovered`/`Fault`/`Repair` markers are free-floating and
+///   always legal.
 ///
 /// Requests still open at the end of the slice are fine (a live system
 /// always has requests in flight).
@@ -491,7 +464,7 @@ pub fn validate_spans(events: &[SpanEvent]) -> Result<(), SpanError> {
             reason,
         };
         match e.phase {
-            SpanPhase::Shed | SpanPhase::Recovered => {}
+            SpanPhase::Shed | SpanPhase::Recovered | SpanPhase::Fault | SpanPhase::Repair => {}
             SpanPhase::Submit => {
                 if open.insert(e.req, OpenState::Submitted).is_some() {
                     return Err(fail("id reused while open"));
@@ -541,12 +514,26 @@ mod tests {
         }
     }
 
+    /// A per-cycle marker (no request id).
+    fn marker(phase: SpanPhase) -> SpanEvent {
+        SpanEvent {
+            req: 0,
+            phase,
+            ts_ns: 0,
+            a: 2,
+            b: 1,
+        }
+    }
+
+    /// The no-op tracer is [`NoopProbe`](crate::NoopProbe): the inlined
+    /// empty span defaults cost no state and record nothing.
     #[test]
     fn noop_tracer_is_zero_sized_and_silent() {
-        assert_eq!(std::mem::size_of::<NoopTracer>(), 0);
-        let t = NoopTracer;
+        assert_eq!(std::mem::size_of::<crate::NoopProbe>(), 0);
+        let t = crate::NoopProbe;
         assert!(!t.enabled());
         t.span(1, SpanPhase::Submit, 0, 0);
+        t.span_pair((1, SpanPhase::Submit, 0, 0), (1, SpanPhase::Allocate, 0, 1));
     }
 
     #[test]
@@ -579,6 +566,54 @@ mod tests {
         assert_eq!(snap.pushed, 5);
         assert_eq!(snap.dropped, 3);
         assert_eq!(snap.events[0].req, 3, "oldest survivor first");
+    }
+
+    #[test]
+    fn zero_capacity_recorder_retains_nothing_and_accounts_every_drop() {
+        let fr = FlightRecorder::new(0);
+        for i in 0..5 {
+            fr.span(i, SpanPhase::Submit, i, 0);
+        }
+        fr.span_pair((5, SpanPhase::Submit, 5, 0), (5, SpanPhase::Queue, 5, 0));
+        let snap = fr.snapshot();
+        assert!(snap.events.is_empty());
+        assert_eq!((snap.pushed, snap.dropped), (7, 7));
+    }
+
+    #[test]
+    fn capacity_one_recorder_holds_exactly_the_latest() {
+        let fr = FlightRecorder::new(1);
+        fr.span(1, SpanPhase::Submit, 1, 0);
+        assert_eq!(fr.snapshot().dropped, 0);
+        fr.span(2, SpanPhase::Submit, 2, 0);
+        fr.span(3, SpanPhase::Submit, 3, 0);
+        let snap = fr.snapshot();
+        assert_eq!((snap.events.len(), snap.pushed, snap.dropped), (1, 3, 2));
+        assert_eq!(snap.events[0].req, 3);
+    }
+
+    #[test]
+    fn recorder_exact_capacity_boundary() {
+        // Capacity rounds up to a power of two: 4 slots hold 4 spans, and
+        // the fifth (a pair straddling the boundary) evicts the oldest.
+        let fr = FlightRecorder::new(4);
+        for i in 0..3 {
+            fr.span(i, SpanPhase::Submit, i, 0);
+        }
+        assert_eq!(fr.snapshot().dropped, 0);
+        fr.span_pair((3, SpanPhase::Submit, 3, 0), (3, SpanPhase::Queue, 3, 0));
+        let snap = fr.snapshot();
+        assert_eq!((snap.pushed, snap.dropped), (5, 1));
+        let kept: Vec<(u64, SpanPhase)> = snap.events.iter().map(|e| (e.req, e.phase)).collect();
+        assert_eq!(
+            kept,
+            vec![
+                (1, SpanPhase::Submit),
+                (2, SpanPhase::Submit),
+                (3, SpanPhase::Submit),
+                (3, SpanPhase::Queue)
+            ]
+        );
     }
 
     #[test]
@@ -620,9 +655,16 @@ mod tests {
                     b: 0,
                 },
                 sp(1, SpanPhase::Promote),
+                SpanEvent {
+                    req: 0,
+                    phase: SpanPhase::Fault,
+                    ts_ns: 50,
+                    a: 9,
+                    b: 2,
+                },
                 sp(1, SpanPhase::Release),
             ],
-            pushed: 6,
+            pushed: 7,
             dropped: 1,
         };
         let json = snap.to_chrome_json("unit-test");
@@ -634,6 +676,9 @@ mod tests {
             "\"ph\": \"i\"",
             "\"phase\": \"promote\"",
             "\"name\": \"shed\"",
+            "\"count\": 3",
+            "\"name\": \"fault\", \"cat\": \"fault\"",
+            "\"component\": 9, \"target_kind\": 2",
             "\"spans_dropped\": 1",
             "\"name\": \"unit-test\"",
         ] {
@@ -664,14 +709,11 @@ mod tests {
             sp(3, SpanPhase::Queue),
             sp(3, SpanPhase::Withdraw),
             sp(4, SpanPhase::Submit),
-            // Free-floating degraded markers.
-            SpanEvent {
-                req: 0,
-                phase: SpanPhase::Recovered,
-                ts_ns: 0,
-                a: 2,
-                b: 0,
-            },
+            // Free-floating per-cycle markers.
+            marker(SpanPhase::Recovered),
+            marker(SpanPhase::Fault),
+            marker(SpanPhase::Repair),
+            marker(SpanPhase::Shed),
         ];
         validate_spans(&events).expect("legal chains validate");
     }
@@ -684,6 +726,20 @@ mod tests {
                 "id reused while open",
             ),
             (vec![sp(1, SpanPhase::Allocate)], "allocate without submit"),
+            (
+                // Markers neither open nor close a request.
+                vec![
+                    sp(1, SpanPhase::Submit),
+                    marker(SpanPhase::Fault),
+                    marker(SpanPhase::Repair),
+                    sp(1, SpanPhase::Submit),
+                ],
+                "id reused while open",
+            ),
+            (
+                vec![marker(SpanPhase::Repair), sp(0, SpanPhase::Release)],
+                "release of an unknown id",
+            ),
             (
                 vec![
                     sp(1, SpanPhase::Submit),

@@ -1,25 +1,15 @@
 //! Epoch-rotated windowed statistics: "what happened recently", not "what
 //! happened ever".
 //!
-//! Lifetime counters and histograms ([`Telemetry`](crate::Telemetry))
-//! cannot answer "what is p99 decision latency over the last window" —
-//! after an hour of traffic, one slow minute disappears into the lifetime
-//! tail. This module keeps a **current** and a **previous** window per
-//! statistic and rotates them on an externally driven epoch tick (the owner
-//! decides the cadence: every `S` introspection command in `rsin-serve`,
-//! every N cycles in a sim). The previous window is the completed one —
-//! readers quote it, because the current window is still filling.
-//!
-//! Rotation is cooperative and deterministic: nothing here reads a clock.
-//! Epoch counting makes merging exact — replicas that rotate in lockstep
-//! merge window-by-window with plain integer adds, exactly like
-//! [`TelemetryReport::merge`](crate::TelemetryReport::merge); merging
-//! windows from different epochs is a logic error and asserts.
-//!
-//! [`EwmaRate`] smooths per-epoch counts into a rate estimate with an
-//! exponentially weighted moving average; replicas' rates are additive, so
-//! merged rates sum (exact up to float rounding — the one non-integer
-//! statistic in the module).
+//! Lifetime histograms ([`Telemetry`](crate::Telemetry)) cannot answer
+//! "what is p99 decision latency over the last window" — after an hour of
+//! traffic, one slow minute disappears into the lifetime tail.
+//! [`WindowedHistogram`] keeps a **current** and a **previous** window and
+//! rotates them on an externally driven tick (the owner decides the
+//! cadence: every `S` introspection command in `rsin-serve`). The previous
+//! window is the completed one — readers quote it, because the current
+//! window is still filling. Rotation is cooperative and deterministic:
+//! nothing here reads a clock.
 
 use crate::hist::{bucket_of, HistogramSnapshot, BUCKETS};
 
@@ -31,73 +21,13 @@ fn empty_snapshot() -> HistogramSnapshot {
     }
 }
 
-/// A counter with a current and a previous window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowedCounter {
-    epoch: u64,
-    cur: u64,
-    prev: u64,
-}
-
-impl WindowedCounter {
-    /// A counter at epoch 0 with both windows empty.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to the current window.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.cur += n;
-    }
-
-    /// Close the current window: it becomes the previous one, a fresh
-    /// current window opens, and the epoch advances.
-    pub fn rotate(&mut self) {
-        self.prev = self.cur;
-        self.cur = 0;
-        self.epoch += 1;
-    }
-
-    /// Count in the still-filling current window.
-    pub fn current(&self) -> u64 {
-        self.cur
-    }
-
-    /// Count in the last completed window (0 before the first rotation).
-    pub fn previous(&self) -> u64 {
-        self.prev
-    }
-
-    /// Completed rotations.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Fold a lockstep replica's windows into this one (exact integer
-    /// adds). Panics if the replicas' epochs diverged — that means the
-    /// owner did not rotate them together, and the windows no longer cover
-    /// the same interval.
-    pub fn merge(&mut self, other: &WindowedCounter) {
-        assert_eq!(
-            self.epoch, other.epoch,
-            "merging windowed counters from different epochs"
-        );
-        self.cur += other.cur;
-        self.prev += other.prev;
-    }
-}
-
 /// A log2 histogram with a current and a previous window, quantile readout
 /// on both (via [`HistogramSnapshot`]'s interpolated p50/p90/p99).
 ///
 /// Single-writer by design (`&mut self` recording): the owner is one
-/// thread — e.g. the serve scheduler thread — and replicas merge
-/// afterwards. For shared-nothing concurrent recording use one instance per
-/// worker and [`WindowedHistogram::merge`].
+/// thread — e.g. the serve scheduler thread.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
-    epoch: u64,
     cur: HistogramSnapshot,
     prev: HistogramSnapshot,
 }
@@ -109,10 +39,9 @@ impl Default for WindowedHistogram {
 }
 
 impl WindowedHistogram {
-    /// A histogram at epoch 0 with both windows empty.
+    /// A histogram with both windows empty.
     pub fn new() -> Self {
         WindowedHistogram {
-            epoch: 0,
             cur: empty_snapshot(),
             prev: empty_snapshot(),
         }
@@ -126,10 +55,10 @@ impl WindowedHistogram {
         self.cur.sum += v;
     }
 
-    /// Close the current window (see [`WindowedCounter::rotate`]).
+    /// Close the current window: it becomes the previous one and a fresh
+    /// current window opens.
     pub fn rotate(&mut self) {
         self.prev = std::mem::replace(&mut self.cur, empty_snapshot());
-        self.epoch += 1;
     }
 
     /// The still-filling current window.
@@ -141,106 +70,11 @@ impl WindowedHistogram {
     pub fn previous(&self) -> &HistogramSnapshot {
         &self.prev
     }
-
-    /// Completed rotations.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Fold a lockstep replica's windows into this one, bucket by bucket
-    /// (exact; same contract as [`WindowedCounter::merge`]).
-    pub fn merge(&mut self, other: &WindowedHistogram) {
-        assert_eq!(
-            self.epoch, other.epoch,
-            "merging windowed histograms from different epochs"
-        );
-        self.cur.merge(&other.cur);
-        self.prev.merge(&other.prev);
-    }
-}
-
-/// An exponentially weighted moving average over per-epoch counts: a
-/// smoothed "events per window" rate.
-///
-/// The first observed epoch primes the average at its count; each later
-/// epoch folds in as `rate = alpha * count + (1 - alpha) * rate`. Rates of
-/// independent replicas are additive (the EWMA is linear in its inputs), so
-/// [`EwmaRate::merge`] sums them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EwmaRate {
-    alpha: f64,
-    rate: f64,
-    epochs: u64,
-}
-
-impl EwmaRate {
-    /// A rate estimator with smoothing factor `alpha` in (0, 1]; higher
-    /// alpha weights recent windows more. Panics outside that range.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        EwmaRate {
-            alpha,
-            rate: 0.0,
-            epochs: 0,
-        }
-    }
-
-    /// Fold in one completed epoch's event count.
-    pub fn observe(&mut self, count: u64) {
-        if self.epochs == 0 {
-            self.rate = count as f64;
-        } else {
-            self.rate = self.alpha * count as f64 + (1.0 - self.alpha) * self.rate;
-        }
-        self.epochs += 1;
-    }
-
-    /// The smoothed events-per-epoch rate (0 before any observation).
-    pub fn per_epoch(&self) -> f64 {
-        self.rate
-    }
-
-    /// Epochs observed.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Fold a lockstep replica's rate into this one: rates sum. Panics if
-    /// the smoothing factors or epoch counts diverged (then the sum is not
-    /// the EWMA of the summed streams).
-    pub fn merge(&mut self, other: &EwmaRate) {
-        assert_eq!(
-            self.alpha.to_bits(),
-            other.alpha.to_bits(),
-            "merging EWMAs with different smoothing factors"
-        );
-        assert_eq!(
-            self.epochs, other.epochs,
-            "merging EWMAs from different epochs"
-        );
-        self.rate += other.rate;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_rotation_moves_current_to_previous() {
-        let mut c = WindowedCounter::new();
-        c.add(3);
-        c.add(4);
-        assert_eq!((c.current(), c.previous(), c.epoch()), (7, 0, 0));
-        c.rotate();
-        assert_eq!((c.current(), c.previous(), c.epoch()), (0, 7, 1));
-        c.add(1);
-        c.rotate();
-        assert_eq!((c.current(), c.previous(), c.epoch()), (0, 1, 2));
-    }
 
     #[test]
     fn histogram_windows_are_independent() {
@@ -262,102 +96,5 @@ mod tests {
         h.rotate();
         assert_eq!(h.previous().count, 2);
         assert_eq!(h.current().count, 0);
-    }
-
-    #[test]
-    fn lockstep_merge_equals_single_stream() {
-        // Two replicas fed disjoint halves of a stream, rotated in
-        // lockstep, must merge to exactly the one-sink result.
-        let mut a = WindowedHistogram::new();
-        let mut b = WindowedHistogram::new();
-        let mut one = WindowedHistogram::new();
-        for round in 0..3u64 {
-            for v in 0..10u64 {
-                let v = round * 100 + v;
-                if v % 2 == 0 {
-                    a.record(v);
-                } else {
-                    b.record(v);
-                }
-                one.record(v);
-            }
-            a.rotate();
-            b.rotate();
-            one.rotate();
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.epoch(), one.epoch());
-        assert_eq!(merged.previous().buckets, one.previous().buckets);
-        assert_eq!(merged.previous().count, one.previous().count);
-        assert_eq!(merged.previous().sum, one.previous().sum);
-        assert_eq!(merged.previous().p50(), one.previous().p50());
-        assert_eq!(merged.previous().p99(), one.previous().p99());
-
-        let mut ca = WindowedCounter::new();
-        let mut cb = WindowedCounter::new();
-        ca.add(5);
-        cb.add(7);
-        ca.rotate();
-        cb.rotate();
-        let mut cm = ca.clone();
-        cm.merge(&cb);
-        assert_eq!(cm.previous(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different epochs")]
-    fn merging_diverged_epochs_panics() {
-        let mut a = WindowedCounter::new();
-        let b = WindowedCounter::new();
-        a.rotate();
-        a.merge(&b);
-    }
-
-    #[test]
-    fn ewma_primes_then_smooths() {
-        let mut r = EwmaRate::new(0.5);
-        assert_eq!(r.per_epoch(), 0.0);
-        r.observe(100);
-        assert_eq!(r.per_epoch(), 100.0, "first epoch primes");
-        r.observe(0);
-        assert_eq!(r.per_epoch(), 50.0);
-        r.observe(0);
-        assert_eq!(r.per_epoch(), 25.0);
-        assert_eq!(r.epochs(), 3);
-    }
-
-    #[test]
-    fn ewma_tracks_a_step_change() {
-        let mut r = EwmaRate::new(0.3);
-        for _ in 0..50 {
-            r.observe(10);
-        }
-        assert!((r.per_epoch() - 10.0).abs() < 1e-6);
-        for _ in 0..50 {
-            r.observe(40);
-        }
-        assert!((r.per_epoch() - 40.0).abs() < 1e-3, "converged to new rate");
-    }
-
-    #[test]
-    fn ewma_replica_rates_sum() {
-        let mut a = EwmaRate::new(0.25);
-        let mut b = EwmaRate::new(0.25);
-        let mut one = EwmaRate::new(0.25);
-        for (ca, cb) in [(10u64, 30u64), (20, 20), (5, 15)] {
-            a.observe(ca);
-            b.observe(cb);
-            one.observe(ca + cb);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert!((merged.per_epoch() - one.per_epoch()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = EwmaRate::new(0.0);
     }
 }

@@ -47,8 +47,8 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rsin_core::scheduler::IncrementalBackend;
-use rsin_obs::{FlightRecorder, Hist, NoopProbe, Probe, Telemetry, Tracer};
-use rsin_serve::{serve_commands_probed, serve_commands_traced, ServeReport, ServerConfig};
+use rsin_obs::{FlightRecorder, Hist, NoopProbe, Probe, Telemetry};
+use rsin_serve::{serve_commands_probed, ServeReport, ServerConfig};
 use rsin_sim::stream::{
     encode_commands, generate_commands, parse_commands, replay_batch, replay_incremental,
     with_stats_every, StreamCommand,
@@ -336,12 +336,12 @@ fn run() -> Result<(), String> {
         .trace
         .as_ref()
         .map(|_| Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY)));
-    let tracer: Arc<dyn Tracer + Send + Sync> = match &recorder {
-        Some(r) => Arc::clone(r) as Arc<dyn Tracer + Send + Sync>,
-        None => Arc::new(rsin_obs::NoopTracer),
+    let probe: Arc<dyn Probe + Send + Sync> = match &recorder {
+        Some(r) => Arc::clone(r) as Arc<dyn Probe + Send + Sync>,
+        None => Arc::new(NoopProbe),
     };
     let t0 = Instant::now();
-    let report = serve_commands_traced(&net, config, &cmds, Arc::new(NoopProbe), tracer);
+    let report = serve_commands_probed(&net, config, &cmds, probe);
     let secs = t0.elapsed().as_secs_f64();
 
     match &args.decisions {

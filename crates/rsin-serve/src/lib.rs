@@ -30,7 +30,7 @@
 //! cancel/augment invariants the scheduler relies on.
 
 use rsin_core::scheduler::{IncrementalBackend, IncrementalScheduler, ScheduleError};
-use rsin_obs::{NoopProbe, NoopTracer, Probe, Tracer, WindowedHistogram};
+use rsin_obs::{NoopProbe, Probe, WindowedHistogram};
 use rsin_sim::stream::{format_decision, StreamCommand};
 use rsin_topology::Network;
 use std::sync::mpsc;
@@ -184,32 +184,22 @@ impl Server {
         Self::start_probed(net, config, Arc::new(NoopProbe))
     }
 
-    /// Start the event loop with per-decision probe reporting: every
-    /// decision bumps the `stream_*` counters and records its latency in
-    /// `decision_latency_ns` (see `rsin-obs`).
+    /// Start the event loop with per-decision probe reporting. A
+    /// [`Telemetry`](rsin_obs::Telemetry) probe gets the `stream_*`
+    /// counters and each decision's latency in `decision_latency_ns`; a
+    /// [`FlightRecorder`](rsin_obs::FlightRecorder) gets every decision's
+    /// submit/allocate/queue/promote/release span, for export after
+    /// [`finish`](Self::finish). Probes never change decisions or log
+    /// bytes.
     pub fn start_probed(
         net: &Network,
         config: ServerConfig,
         probe: Arc<dyn Probe + Send + Sync>,
     ) -> Server {
-        Self::start_traced(net, config, probe, Arc::new(NoopTracer))
-    }
-
-    /// [`start_probed`](Self::start_probed) plus per-request lifecycle
-    /// spans: every decision emits its submit/allocate/queue/promote/
-    /// release span into `tracer` (typically a flight recorder the caller
-    /// exports after [`finish`](Self::finish)). Tracing never changes
-    /// decisions or log bytes.
-    pub fn start_traced(
-        net: &Network,
-        config: ServerConfig,
-        probe: Arc<dyn Probe + Send + Sync>,
-        tracer: Arc<dyn Tracer + Send + Sync>,
-    ) -> Server {
         let inc = IncrementalScheduler::new(net, config.backend);
         let (submit_tx, submit_rx) = mpsc::channel::<StreamCommand>();
         let scheduler = std::thread::spawn(move || {
-            scheduler_loop(inc, &*probe, &*tracer, config.stats_latency, submit_rx)
+            scheduler_loop(inc, &*probe, config.stats_latency, submit_rx)
         });
         Server {
             submit: Some(submit_tx),
@@ -260,7 +250,6 @@ impl Drop for Server {
 fn scheduler_loop(
     mut inc: IncrementalScheduler,
     probe: &dyn Probe,
-    tracer: &dyn Tracer,
     stats_latency: bool,
     submit_rx: mpsc::Receiver<StreamCommand>,
 ) -> LoopStats {
@@ -293,8 +282,8 @@ fn scheduler_loop(
         }
         let started = stats_latency.then(std::time::Instant::now);
         let result = match cmd {
-            StreamCommand::Request { processor } => inc.request_traced(processor, probe, tracer),
-            StreamCommand::Release { processor } => inc.release_traced(processor, probe, tracer),
+            StreamCommand::Request { processor } => inc.request_observed(processor, probe),
+            StreamCommand::Release { processor } => inc.release_observed(processor, probe),
             StreamCommand::Stats => unreachable!("handled above"),
         };
         if let Some(t) = started {
@@ -342,25 +331,14 @@ pub fn serve_commands(
     serve_commands_probed(net, config, commands, Arc::new(NoopProbe))
 }
 
-/// [`serve_commands`] with probe reporting.
+/// [`serve_commands`] with probe reporting (see [`Server::start_probed`]).
 pub fn serve_commands_probed(
     net: &Network,
     config: ServerConfig,
     commands: &[StreamCommand],
     probe: Arc<dyn Probe + Send + Sync>,
 ) -> ServeReport {
-    serve_commands_traced(net, config, commands, probe, Arc::new(NoopTracer))
-}
-
-/// [`serve_commands`] with probe and lifecycle-span reporting.
-pub fn serve_commands_traced(
-    net: &Network,
-    config: ServerConfig,
-    commands: &[StreamCommand],
-    probe: Arc<dyn Probe + Send + Sync>,
-    tracer: Arc<dyn Tracer + Send + Sync>,
-) -> ServeReport {
-    let server = Server::start_traced(net, config, probe, tracer);
+    let server = Server::start_probed(net, config, probe);
     for &cmd in commands {
         // The loop outlives the submit side by construction here.
         server.submit(cmd).expect("event loop is running");
@@ -596,12 +574,11 @@ mod tests {
         let cmds = generate_commands(8, 200, 0.8, 17, 0);
         let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
         let recorder = Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY));
-        let traced = serve_commands_traced(
+        let traced = serve_commands_probed(
             &net,
             cfg(IncrementalBackend::MaxFlow),
             &cmds,
-            Arc::new(NoopProbe),
-            Arc::clone(&recorder) as Arc<dyn Tracer + Send + Sync>,
+            Arc::clone(&recorder) as Arc<dyn Probe + Send + Sync>,
         );
         assert_eq!(plain.log(), traced.log(), "tracing must not change the log");
         let snap = recorder.snapshot();

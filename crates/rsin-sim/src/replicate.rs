@@ -260,7 +260,7 @@ pub fn run_trials(
 
 /// [`run_trials`] under telemetry: each cell records into its **own**
 /// [`Telemetry`] sink and the reports merge in cell order
-/// ([`TelemetryReport::merge`]), so counters, solver totals, and events are
+/// ([`TelemetryReport::merge`]), so counters and solver totals are
 /// independent of the thread count (span latencies stay wall-clock). Probes
 /// only observe, so the rows are bit-identical to [`run_trials`].
 pub fn run_trials_observed(
@@ -557,11 +557,12 @@ mod tests {
         // Every replica's cycles land in the merged counters.
         let cycles = report.counters[rsin_obs::Counter::Cycles.index()];
         assert_eq!(cycles, plain.cycles);
-        // Per-cell sinks merged in cell order: counters and the event trace
+        // Per-cell sinks merged in cell order: counters and solver totals
         // do not depend on the thread count.
         let (_, serial) = run_trials_observed(&net, &scheduler, &grid(&cfg, 3, None), 1).unwrap();
         assert_eq!(serial.counters, report.counters);
-        assert!(!serial.events.is_empty());
-        assert_eq!(serial.events, report.events);
+        let solves = |r: &TelemetryReport| r.solvers.map(|s| (s.solves, s.counts));
+        assert!(serial.solvers.iter().any(|s| s.solves > 0));
+        assert_eq!(solves(&serial), solves(&report));
     }
 }

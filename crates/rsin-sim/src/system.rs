@@ -22,7 +22,7 @@ use rand::Rng;
 use rsin_core::conformance::ConformanceDetector;
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{ScheduleError, ScheduleScratch, Scheduler};
-use rsin_obs::{Counter, NoopProbe, NoopTracer, Probe, SpanPhase, Tracer};
+use rsin_obs::{Counter, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{
     CircuitError, CircuitId, CircuitState, FaultAction, FaultDomain, FaultPlan, FaultPlanConfig,
     FaultTarget, Network,
@@ -298,7 +298,7 @@ pub struct FaultedStats {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
+enum EventType {
     Arrival {
         processor: usize,
     },
@@ -307,8 +307,8 @@ enum EventKind {
         resource: usize,
         circuit: CircuitId,
         arrived: f64,
-        /// Lifecycle-trace request id of the transmitting task (0 when the
-        /// run is untraced).
+        /// Lifecycle-trace request id of the transmitting task (assigned
+        /// whether or not a recorder is attached).
         req: u64,
         /// The task's resource type, kept so a misrouted task can re-queue.
         ty: usize,
@@ -332,7 +332,7 @@ enum EventKind {
 struct Event {
     time: f64,
     seq: u64,
-    kind: EventKind,
+    kind: EventType,
 }
 
 impl PartialEq for Event {
@@ -397,14 +397,18 @@ impl<'n> SystemSim<'n> {
     /// rebuilt on a fault or repair: toggles arrive as incremental capacity
     /// patches (see `FaultedStats::transform_rebuilds`).
     ///
-    /// `probe` receives arrival, release, fault, and repair events (with
-    /// matching counters), per-cycle queue depths in
-    /// [`rsin_obs::Hist::QueueDepth`], and every scheduling cycle runs
-    /// through the scheduler's observed entry points. Probes only observe:
-    /// they consume no simulation randomness and influence no control flow,
-    /// so the statistics are bit-identical to the [`NoopProbe`] run.
-    /// Scheduler failures and bookkeeping-invariant violations come back as
-    /// [`SimError`].
+    /// `probe` receives the arrival, release, fault, and repair counters,
+    /// per-cycle queue depths in [`rsin_obs::Hist::QueueDepth`], and every
+    /// scheduling cycle runs through the scheduler's observed entry points.
+    /// It also receives the per-request lifecycle spans: every task emits
+    /// `submit` at arrival, `allocate` when its circuit is established, and
+    /// `release` when transmission completes, with `fault` / `repair`
+    /// markers on every applied plan event and `shed` / `recovered`
+    /// markers on degraded cycles. Request ids are globally unique within
+    /// the run. Probes only observe: they consume no simulation randomness
+    /// and influence no control flow, so the statistics are bit-identical
+    /// to the [`NoopProbe`] run. Scheduler failures and
+    /// bookkeeping-invariant violations come back as [`SimError`].
     pub fn try_run_faulted_trial_policy_probed(
         &self,
         scheduler: &dyn Scheduler,
@@ -412,25 +416,6 @@ impl<'n> SystemSim<'n> {
         trial: u64,
         policy: DegradedPolicy,
         probe: &dyn Probe,
-    ) -> Result<FaultedStats, SimError> {
-        self.try_run_faulted_trial_policy_traced(scheduler, plan, trial, policy, probe, &NoopTracer)
-    }
-
-    /// [`Self::try_run_faulted_trial_policy_probed`] plus per-request
-    /// lifecycle spans: every task emits `submit` at arrival, `allocate`
-    /// when its circuit is established, and `release` when transmission
-    /// completes, with `shed` / `recovered` markers on degraded cycles.
-    /// Request ids are globally unique within the run. The tracer follows
-    /// the probe contract — it only records, so statistics are
-    /// bit-identical to the untraced run.
-    pub fn try_run_faulted_trial_policy_traced(
-        &self,
-        scheduler: &dyn Scheduler,
-        plan: &FaultPlan,
-        trial: u64,
-        policy: DegradedPolicy,
-        probe: &dyn Probe,
-        tracer: &dyn Tracer,
     ) -> Result<FaultedStats, SimError> {
         let cfg = &self.cfg;
         let mut rng: StdRng = trial_rng(cfg.seed, trial);
@@ -447,7 +432,7 @@ impl<'n> SystemSim<'n> {
 
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventKind| {
+        let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventType| {
             *seq += 1;
             heap.push(Event {
                 time,
@@ -457,10 +442,10 @@ impl<'n> SystemSim<'n> {
         };
         for p in 0..np {
             let t = exponential(&mut rng, gap_rate);
-            push(&mut heap, &mut seq, t, EventKind::Arrival { processor: p });
+            push(&mut heap, &mut seq, t, EventType::Arrival { processor: p });
         }
         for (index, fe) in plan.events().iter().enumerate() {
-            push(&mut heap, &mut seq, fe.time, EventKind::Fault { index });
+            push(&mut heap, &mut seq, fe.time, EventType::Fault { index });
         }
 
         let mut cs = CircuitState::new(self.net);
@@ -530,11 +515,8 @@ impl<'n> SystemSim<'n> {
                 last_t = now;
             }
             match ev.kind {
-                EventKind::Arrival { processor } => {
+                EventType::Arrival { processor } => {
                     probe.add(Counter::Requests, batch as u64);
-                    if probe.enabled() {
-                        probe.event(now, rsin_obs::EventKind::Arrival, processor as u64, 0);
-                    }
                     // One burst of `batch` tasks per event (batch 1 = the
                     // classic per-task Poisson stream, draw-for-draw). A
                     // task arriving at a full bounded queue is shed: it
@@ -551,14 +533,14 @@ impl<'n> SystemSim<'n> {
                             shed_arrivals += 1;
                             continue;
                         }
-                        tracer.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
+                        probe.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
                         queue[processor].push_back((now, ty, next_req));
                         queued += 1;
                     }
                     let next = now + exponential(&mut rng, gap_rate);
-                    push(&mut heap, &mut seq, next, EventKind::Arrival { processor });
+                    push(&mut heap, &mut seq, next, EventType::Arrival { processor });
                 }
-                EventKind::TransmissionDone {
+                EventType::TransmissionDone {
                     processor,
                     resource,
                     circuit,
@@ -572,15 +554,7 @@ impl<'n> SystemSim<'n> {
                         error,
                     })?;
                     probe.add(Counter::Releases, 1);
-                    tracer.span(req, SpanPhase::Release, processor as u64, resource as u64);
-                    if probe.enabled() {
-                        probe.event(
-                            now,
-                            rsin_obs::EventKind::Release,
-                            processor as u64,
-                            resource as u64,
-                        );
-                    }
+                    probe.span(req, SpanPhase::Release, processor as u64, resource as u64);
                     transmitting[processor] = false;
                     if delivered {
                         let done = now + exponential(&mut rng, 1.0 / cfg.mean_service);
@@ -588,7 +562,7 @@ impl<'n> SystemSim<'n> {
                             &mut heap,
                             &mut seq,
                             done,
-                            EventKind::ServiceDone { resource, arrived },
+                            EventType::ServiceDone { resource, arrived },
                         );
                     } else {
                         // A Byzantine box misrouted the circuit: nothing
@@ -599,7 +573,7 @@ impl<'n> SystemSim<'n> {
                         queued += 1;
                     }
                 }
-                EventKind::ServiceDone { resource, arrived } => {
+                EventType::ServiceDone { resource, arrived } => {
                     if std::mem::replace(&mut busy[resource], false) {
                         busy_count -= 1;
                     }
@@ -608,21 +582,23 @@ impl<'n> SystemSim<'n> {
                         completed += 1;
                     }
                 }
-                EventKind::Fault { index } => {
+                EventType::Fault { index } => {
                     let fe = &plan.events()[index];
                     plan.apply_event(index, &mut cs);
-                    match fe.action {
+                    let phase = match fe.action {
                         FaultAction::Fail => {
                             failures += 1;
                             probe.add(Counter::Faults, 1);
+                            SpanPhase::Fault
                         }
                         FaultAction::Repair => {
                             repairs += 1;
                             probe.add(Counter::Repairs, 1);
                             // Measure recovery from the *latest* repair.
                             pending_recovery = Some(now);
+                            SpanPhase::Repair
                         }
-                    }
+                    };
                     if let FaultTarget::ByzantineBox(b) = fe.target {
                         match fe.action {
                             // Onset stamps the cycle count so detection
@@ -642,21 +618,15 @@ impl<'n> SystemSim<'n> {
                             }
                         }
                     }
-                    if probe.enabled() {
-                        // Operands: component index, and 0 = link / 1 = box
-                        // / 2 = correlated domain / 3 = Byzantine box.
-                        let (component, target_kind) = match fe.target {
-                            FaultTarget::Link(l) => (l.index() as u64, 0),
-                            FaultTarget::Box(b) => (b as u64, 1),
-                            FaultTarget::Domain(d) => (d as u64, 2),
-                            FaultTarget::ByzantineBox(b) => (b as u64, 3),
-                        };
-                        let kind = match fe.action {
-                            FaultAction::Fail => rsin_obs::EventKind::Fault,
-                            FaultAction::Repair => rsin_obs::EventKind::Repair,
-                        };
-                        probe.event(now, kind, component, target_kind);
-                    }
+                    // Operands: component index, and 0 = link / 1 = box /
+                    // 2 = correlated domain / 3 = Byzantine box.
+                    let (component, target_kind) = match fe.target {
+                        FaultTarget::Link(l) => (l.index() as u64, 0),
+                        FaultTarget::Box(b) => (b as u64, 1),
+                        FaultTarget::Domain(d) => (d as u64, 2),
+                        FaultTarget::ByzantineBox(b) => (b as u64, 3),
+                    };
+                    probe.span(0, phase, component, target_kind);
                 }
             }
             // Scheduling cycle whenever requests and resources coexist.
@@ -767,21 +737,11 @@ impl<'n> SystemSim<'n> {
             shed_total += shed;
             recovered_total += recovered;
             recovery_cost_total += recovery_cost;
-            if probe.enabled() {
-                if recovered > 0 {
-                    probe.event(now, rsin_obs::EventKind::Recovered, recovered, 0);
-                }
-                if shed > 0 {
-                    probe.event(now, rsin_obs::EventKind::Shed, shed, 0);
-                }
+            if recovered > 0 {
+                probe.span(0, SpanPhase::Recovered, recovered, 0);
             }
-            if tracer.enabled() {
-                if recovered > 0 {
-                    tracer.span(0, SpanPhase::Recovered, recovered, 0);
-                }
-                if shed > 0 {
-                    tracer.span(0, SpanPhase::Shed, shed, 0);
-                }
+            if shed > 0 {
+                probe.span(0, SpanPhase::Shed, shed, 0);
             }
             if shed == 0 {
                 if let Some(t0) = pending_recovery.take() {
@@ -802,7 +762,7 @@ impl<'n> SystemSim<'n> {
                     "assignment for a processor with an empty queue",
                 ))?;
                 queued -= 1;
-                tracer.span(
+                probe.span(
                     req,
                     SpanPhase::Allocate,
                     a.processor as u64,
@@ -825,7 +785,7 @@ impl<'n> SystemSim<'n> {
                     &mut heap,
                     &mut seq,
                     tx_done,
-                    EventKind::TransmissionDone {
+                    EventType::TransmissionDone {
                         processor: a.processor,
                         resource: a.resource,
                         circuit,
@@ -1061,12 +1021,11 @@ pub(crate) mod tests {
             .unwrap();
         let recorder = FlightRecorder::new(1 << 20);
         let traced = sim
-            .try_run_faulted_trial_policy_traced(
+            .try_run_faulted_trial_policy_probed(
                 &scheduler,
                 &plan,
                 0,
                 DegradedPolicy::Bfs,
-                &NoopProbe,
                 &recorder,
             )
             .unwrap();
@@ -1092,6 +1051,10 @@ pub(crate) mod tests {
         if traced.shed_total > 0 {
             assert!(count(SpanPhase::Shed) > 0, "degraded cycles marked");
         }
+        // Every applied plan event is one marker on the same timeline.
+        assert!(traced.failures > 0 && traced.repairs > 0, "plan toggles");
+        assert_eq!(count(SpanPhase::Fault), traced.failures);
+        assert_eq!(count(SpanPhase::Repair), traced.repairs);
     }
 
     #[test]

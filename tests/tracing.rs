@@ -1,9 +1,9 @@
 //! Tracing transparency (proptest).
 //!
-//! The tracer contract (DESIGN.md §13): tracers *observe* the request
-//! lifecycle, they never steer it. For arbitrary interleaved
+//! The probe contract (DESIGN.md §13): a probe *observes* the request
+//! lifecycle, it never steers it. For arbitrary interleaved
 //! arrival/release scripts, on both incremental flow backends, running the
-//! same stream plain, under the [`NoopTracer`], and under a live
+//! same stream plain, under the [`NoopProbe`], and under a live
 //! [`FlightRecorder`] must produce identical decision sequences and
 //! identical retained allocation counts — and the recorded spans must form
 //! well-chained request lifecycles (`Submit → {Allocate | Queue →
@@ -13,8 +13,8 @@
 
 use proptest::prelude::*;
 use rsin_core::scheduler::{IncrementalBackend, IncrementalScheduler, StreamDecision};
-use rsin_obs::{validate_spans, FlightRecorder, NoopProbe, NoopTracer, SpanPhase};
-use rsin_serve::{serve_commands, serve_commands_traced, ServerConfig};
+use rsin_obs::{validate_spans, FlightRecorder, NoopProbe, SpanPhase};
+use rsin_serve::{serve_commands, serve_commands_probed, ServerConfig};
 use rsin_sim::stream::{generate_commands, with_stats_every};
 use rsin_topology::builders::omega;
 use std::sync::Arc;
@@ -46,16 +46,16 @@ fn run_lockstep(
             active[p] = false;
             (
                 plain.release(p),
-                noop.release_traced(p, &NoopProbe, &NoopTracer),
-                live.release_traced(p, &NoopProbe, &recorder),
+                noop.release_observed(p, &NoopProbe),
+                live.release_observed(p, &recorder),
             )
         } else {
             active[p] = true;
             submits += 1;
             (
                 plain.request(p),
-                noop.request_traced(p, &NoopProbe, &NoopTracer),
-                live.request_traced(p, &NoopProbe, &recorder),
+                noop.request_observed(p, &NoopProbe),
+                live.request_observed(p, &recorder),
             )
         };
         let d0 = d0.expect("valid interleavings never error");
@@ -117,13 +117,7 @@ proptest! {
             let recorder = Arc::new(FlightRecorder::new(
                 rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
             ));
-            let report = serve_commands_traced(
-                &net,
-                cfg,
-                &commands,
-                Arc::new(NoopProbe),
-                recorder.clone(),
-            );
+            let report = serve_commands_probed(&net, cfg, &commands, recorder.clone());
             prop_assert_eq!(&report.log(), &baseline);
             let snap = recorder.snapshot();
             if let Err(e) = validate_spans(&snap.events) {
@@ -134,7 +128,7 @@ proptest! {
 }
 
 /// Decisions must concern the commanded processor even when traced (guards
-/// against the tracer's request-id bookkeeping leaking into routing).
+/// against the spans' request-id bookkeeping leaking into routing).
 #[test]
 fn traced_decisions_name_the_commanded_processor() {
     let net = omega(8).unwrap();
@@ -144,10 +138,10 @@ fn traced_decisions_name_the_commanded_processor() {
     for p in [0usize, 3, 0, 3, 5, 5, 1, 2, 1, 2] {
         let d = if active[p] {
             active[p] = false;
-            inc.release_traced(p, &NoopProbe, &recorder).unwrap()
+            inc.release_observed(p, &recorder).unwrap()
         } else {
             active[p] = true;
-            inc.request_traced(p, &NoopProbe, &recorder).unwrap()
+            inc.request_observed(p, &recorder).unwrap()
         };
         let named = match d {
             StreamDecision::Allocated { processor, .. }
