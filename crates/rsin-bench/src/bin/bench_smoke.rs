@@ -1,160 +1,193 @@
-//! BENCH_SMOKE — self-timed hot-path regression gate for CI.
+//! BENCH_SMOKE — exact op-count ledger plus in-process contracts for CI.
 //!
-//! The criterion shim prints human output only, so CI gates on this
-//! dedicated binary instead: it wall-clock-times the `hot_path` bench's
-//! workloads (the threaded blocking batch at 1/2/4/8 workers plus the
-//! reset-per-trial scheduling rows) with min-of-N repetitions and writes a
-//! JSON report.
+//! Usage: `bench_smoke [--telemetry <path>] [out.tsv]` (default
+//! `OPS_ledger.tsv`). Any other argument is a usage error (exit 2).
 //!
-//! Usage: `bench_smoke [--telemetry <path>] [--replicas <n>] <out.json>
-//! [baseline.json]`
+//! The ledger counts work, as the paper does: instructions for the monitor,
+//! clock periods for the token engine (§IV). It runs CI-scale versions of
+//! the benchmark's four workloads (same topologies, schedulers and
+//! policies) plus the 64-snapshot reset batch under a live
+//! `rsin_obs::Telemetry` sink, and writes one tab-separated line per
+//! `(workload, layer, unit)`: `workload layer unit total ops`, where `ops`
+//! is what the total is counted over (cycles, decisions, trials or
+//! shards). Every value is an integer and repeats exactly from run to run,
+//! so CI `cmp`s the file against `ci/op-ledger.tsv`; any change to a count
+//! needs a deliberate baseline bump. Before writing, every row that names
+//! work a path must do is checked non-zero (solves and arc scans on every
+//! solver path, faults and degraded cycles on the faulted workload) and
+//! every transformation must have been built exactly once per owner, so an
+//! empty or bypassed path cannot become a baseline. Allocation counts stay
+//! out: they move with the standard library's allocation pattern.
 //!
-//! Raw seconds are not comparable across machines, so every row also
-//! carries a *normalized* time: row seconds divided by the seconds of a
-//! fixed single-core integer calibration loop measured in the same process.
-//! When a baseline file is given, the gate fails (exit 1) if any row's
-//! normalized time regresses more than 25 % over the baseline's — slow CI
-//! hardware cancels out of the ratio, real hot-path regressions do not.
+//! The contracts, asserted first: blocking statistics bit-identical at
+//! 1/2/4/8 threads; replicated dynamic statistics bit-identical at 1/2/8
+//! threads; the heavy-traffic regime sheds at ρ 1.5 and not at ρ 0.7;
+//! incremental ≡ batch allocation counts on every stream prefix; sharded
+//! statistics thread-invariant with one transformation build per shard and
+//! hierarchical ≤ flat on every trial.
 //!
-//! Six contracts are asserted on the way:
+//! Four paired-ratio gates follow, each timing both sides back to back in
+//! every repetition and taking the best ratio, so machine speed and load
+//! spikes cancel: the `NoopProbe` observed batch and the flight-recorded
+//! stream replay stay within 1.25× of their plain twins, the incremental
+//! stream beats per-event batch re-solves by 2×, and (on ≥ 4 cores) the
+//! 4-thread blocking batch beats 1 thread by 1.5×.
 //!
-//! * determinism — every thread count must produce bit-identical blocking
-//!   statistics;
-//! * replicated determinism — `run_trials` over `--replicas` replicas
-//!   (default 4) must produce bit-identical merged statistics at 1, 2, and
-//!   8 worker threads;
-//! * zero-overhead-when-off telemetry — the `NoopProbe` observed scheduling
-//!   row must stay within the regression limit of the unobserved row,
-//!   in-process (no baseline needed);
-//! * parallel efficiency — when the baseline carries a
-//!   `min_parallel_speedup` and the machine has ≥ 4 cores, the 4-thread
-//!   blocking row must beat the 1-thread row by at least that factor;
-//! * scheduler-pool efficiency — when the baseline carries a
-//!   `min_pool_speedup` and the machine has ≥ 4 cores, the four-scheduler
-//!   comparison table run on per-scheduler pools
-//!   (`compare_schedulers_pools`) must beat the serial row-after-row table
-//!   by at least that factor (max-of-rows vs. sum-of-rows wall-clock). On
-//!   smaller machines both per-core gates print a skip note instead;
-//! * sharded hierarchy — the hierarchical two-stage scheduler on a 4-shard
-//!   composition must produce bit-identical statistics at every
-//!   thread count, never allocate more than the flat Theorem-2
-//!   oracle on the same snapshots, and (when the baseline carries a
-//!   `min_shard_speedup` and the machine has ≥ 4 cores) beat the flat
-//!   single-solver fresh solve by at least that factor.
-//!
-//! `--telemetry <path>` additionally runs the observed hot path under a live
-//! `rsin_obs::Telemetry` sink and writes its JSON report.
+//! `--telemetry <path>` writes the reset batch's telemetry report as JSON.
 
-use rsin_bench::{parse_or_exit, take_flag};
+use rsin_bench::{take_flag, usage_error};
 use rsin_core::model::ScheduleProblem;
-use rsin_core::scheduler::IncrementalScheduler;
-use rsin_core::scheduler::InterShardPolicy;
 use rsin_core::scheduler::{
-    IncrementalBackend, MaxFlowScheduler, MinCostScheduler, ScheduleScratch, Scheduler,
-    StreamDecision,
+    HierarchicalScheduler, IncrementalBackend, IncrementalScheduler, InterShardPolicy,
+    MaxFlowScheduler, MinCostScheduler, ScheduleScratch, Scheduler, StreamDecision,
 };
-use rsin_flow::graph::{FlowNetwork, NodeId};
-use rsin_flow::max_flow::Algorithm;
-use rsin_flow::{max_flow, min_cost, SolveScratch};
-use rsin_obs::{FlightRecorder, NoopProbe, Probe, Telemetry};
-use rsin_sim::blocking::{
-    compare_schedulers_pools, compare_schedulers_threads, run_blocking_threads, BlockingConfig,
-};
+use rsin_obs::telemetry::SolverReport;
+use rsin_obs::{Counter, FlightRecorder, NoopProbe, Probe, Telemetry, TelemetryReport};
+use rsin_sim::blocking::{run_blocking_threads, BlockingConfig};
 use rsin_sim::replicate::{merge_faulted, run_trials, ReplicatedStats, TrialGrid};
 use rsin_sim::sharded::{
-    run_flat_trials, run_paired_trials, run_sharded_trials, ShardedTrialConfig,
+    run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedTrialConfig,
 };
 use rsin_sim::stream::{generate_commands, replay_batch, replay_incremental, StreamCommand};
-use rsin_sim::system::{DegradedPolicy, DynamicConfig, SystemSim};
+use rsin_sim::system::{
+    fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, FaultModel, SystemSim,
+};
 use rsin_sim::workload::{random_snapshot, trial_rng};
-use rsin_topology::builders::omega;
-use rsin_topology::{GlobalTopology, Network, ShardedNetwork, ShardedSpec};
+use rsin_topology::builders::{omega, omega_3dp};
+use rsin_topology::{
+    CircuitState, FaultPlan, FaultPlanConfig, GlobalTopology, Network, ShardedNetwork, ShardedSpec,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
-const THREAD_ROWS: [usize; 4] = [1, 2, 4, 8];
+const SEED: u64 = 41;
 const REPS: usize = 5;
 const BATCH_TRIALS: u64 = 64;
-const REGRESSION_LIMIT: f64 = 1.25;
+const REPLICAS: usize = 4;
+/// Ceiling on observed / plain time for the two observation-overhead gates.
+const OVERHEAD_LIMIT: f64 = 1.25;
+/// Floor on batch re-solve / incremental time for the same stream.
+const MIN_STREAM_SPEEDUP: f64 = 2.0;
+/// Floor on 1-thread / 4-thread time for the blocking batch (≥ 4 cores).
+const MIN_PARALLEL_SPEEDUP: f64 = 1.5;
+/// Trials per sim ledger workload: enough cycles to reach every unit.
+const SIM_TRIALS: u64 = 4;
+const STREAM_EVENTS: usize = 20_000;
+const SHARD_CYCLES: u64 = 256;
+
+/// What a ledger row must show before the ledger may be written.
+#[derive(Clone, Copy)]
+enum Need {
+    Any,
+    NonZero,
+    /// Exactly one per op: one transformation build per trial, scheduler
+    /// or shard.
+    OnePerOp,
+}
+
+/// `(workload, layer, unit)`.
+type Key = (&'static str, &'static str, &'static str);
 
 struct Row {
-    name: String,
-    secs: f64,
-    normalized: f64,
+    key: Key,
+    total: u64,
+    ops: u64,
+    need: Need,
 }
 
-/// Fixed single-core integer workload whose wall time anchors the
-/// normalization (xorshift64*, enough iterations to dominate timer noise).
-fn calibration_secs() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut acc = 0u64;
-        for _ in 0..20_000_000u64 {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            acc = acc.wrapping_add(x.wrapping_mul(0x2545_F491_4F6C_DD1D));
+#[derive(Default)]
+struct Ledger(Vec<Row>);
+
+impl Ledger {
+    fn put(&mut self, key: Key, total: u64, ops: u64, need: Need) {
+        self.0.push(Row {
+            key,
+            total,
+            ops,
+            need,
+        });
+    }
+
+    /// The solver-work units of `r`, summed over solvers (the benchmark's
+    /// `flow.*` vocabulary), counted over `ops`.
+    fn flow(&mut self, workload: &'static str, layer: &'static str, r: &TelemetryReport, ops: u64) {
+        let sum = |f: fn(&SolverReport) -> u64| r.solvers.iter().map(f).sum();
+        let level = r.counters[Counter::DinicLevelArcScans.index()];
+        let blocking = r.counters[Counter::DinicBlockingArcScans.index()];
+        for (unit, total, need) in [
+            ("solves", sum(|s| s.solves), Need::NonZero),
+            ("node_visits", sum(|s| s.counts.node_visits), Need::Any),
+            ("arc_scans", sum(|s| s.counts.arc_scans), Need::NonZero),
+            ("augmentations", sum(|s| s.counts.augmentations), Need::Any),
+            ("phases", sum(|s| s.counts.phases), Need::Any),
+            ("dinic_level_arc_scans", level, Need::Any),
+            ("dinic_blocking_arc_scans", blocking, Need::Any),
+        ] {
+            self.put((workload, layer, unit), total, ops, need);
         }
-        black_box(acc);
-        best = best.min(start.elapsed().as_secs_f64());
     }
-    best
+
+    /// Raise the requirement on an existing row.
+    fn need(&mut self, key: Key, need: Need) {
+        let row = self.0.iter_mut().find(|r| r.key == key);
+        row.expect("ledger row exists").need = need;
+    }
+
+    fn violations(&self) -> Vec<String> {
+        self.0
+            .iter()
+            .filter(|r| match r.need {
+                Need::Any => false,
+                Need::NonZero => r.total == 0,
+                Need::OnePerOp => r.total != r.ops,
+            })
+            .map(|r| format!("{:?}: {} over {}", r.key, r.total, r.ops))
+            .collect()
+    }
+
+    fn to_tsv(&self) -> String {
+        let mut s = String::from("workload\tlayer\tunit\ttotal\tops\n");
+        for Row {
+            key, total, ops, ..
+        } in &self.0
+        {
+            s += &format!("{}\t{}\t{}\t{total}\t{ops}\n", key.0, key.1, key.2);
+        }
+        s
+    }
 }
 
-/// Min-of-reps wall time of a workload.
-fn time_min<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// The `hot_path` bench's reset-per-trial batch: schedule a fixed snapshot
-/// stream through a reused scratch.
-fn reset_batch(net: &Network, scheduler: &dyn Scheduler, scratch: &mut ScheduleScratch) -> usize {
-    let mut total = 0;
-    for trial in 0..BATCH_TRIALS {
-        let mut rng = trial_rng(41, trial);
-        let snap = random_snapshot(net, 8, 8, 2, &mut rng);
-        let problem = ScheduleProblem::homogeneous(&snap.circuits, &snap.requesting, &snap.free);
-        total += scheduler.schedule_reusing(&problem, scratch).allocated();
-    }
-    total
-}
-
-/// [`reset_batch`] through the observed scheduling entry point — with
-/// `NoopProbe` this times the zero-overhead-when-off claim, with a live
-/// `Telemetry` it produces the exported report.
-fn reset_batch_observed(
+/// The 64-snapshot reset-per-trial batch on omega-16 through a reused
+/// scratch: the observed scheduling entry point when `probe` is set, the
+/// plain one otherwise.
+fn reset_batch(
     net: &Network,
     scheduler: &dyn Scheduler,
     scratch: &mut ScheduleScratch,
-    probe: &dyn Probe,
+    probe: Option<&dyn Probe>,
 ) -> usize {
     let mut total = 0;
     for trial in 0..BATCH_TRIALS {
-        let mut rng = trial_rng(41, trial);
-        let snap = random_snapshot(net, 8, 8, 2, &mut rng);
+        let snap = random_snapshot(net, 8, 8, 2, &mut trial_rng(SEED, trial));
         let problem = ScheduleProblem::homogeneous(&snap.circuits, &snap.requesting, &snap.free);
-        total += scheduler
-            .try_schedule_observed(&problem, scratch, probe)
-            .expect("well-formed snapshot")
-            .allocated();
+        total += match probe {
+            Some(p) => scheduler
+                .try_schedule_observed(&problem, scratch, p)
+                .expect("well-formed snapshot"),
+            None => scheduler.schedule_reusing(&problem, scratch),
+        }
+        .allocated();
     }
     total
 }
 
-/// The streaming replay through the observed entry points — with a live
-/// [`FlightRecorder`] as the probe this times the span-recording hot path
-/// against the plain `stream_incremental` row.
-fn replay_traced(net: &Network, commands: &[StreamCommand], probe: &dyn Probe) -> usize {
+/// A command stream through the observed incremental entry points.
+fn replay_observed(
+    net: &Network,
+    commands: &[StreamCommand],
+    probe: &dyn Probe,
+) -> IncrementalScheduler {
     let mut inc = IncrementalScheduler::new(net, IncrementalBackend::MaxFlow);
-    let mut decisions = 0usize;
     for c in commands {
         match *c {
             StreamCommand::Request { processor } => inc.request_observed(processor, probe),
@@ -162,344 +195,85 @@ fn replay_traced(net: &Network, commands: &[StreamCommand], probe: &dyn Probe) -
             StreamCommand::Stats => continue,
         }
         .expect("valid stream");
-        decisions += 1;
     }
-    decisions
+    inc
 }
 
-/// Deterministic layered DAG exercising the solver core's adjacency walk:
-/// `layers` ranks of `width` nodes, each node wired to `degree`
-/// pseudo-random nodes of the next rank (xorshift64*, fixed seed), with
-/// small mixed capacities and costs. Big enough that adjacency-list cache
-/// behaviour — the quantity the CSR rows gate — dominates the solve.
-fn csr_network(width: usize, layers: usize, degree: usize) -> (FlowNetwork, NodeId, NodeId) {
-    let mut g = FlowNetwork::with_capacity(width * layers + 2, width * layers * degree);
-    let s = g.add_node("s");
-    let t = g.add_node("t");
-    let mut ranks: Vec<Vec<NodeId>> = Vec::with_capacity(layers);
-    for l in 0..layers {
-        ranks.push(
-            (0..width)
-                .map(|i| g.add_node(format!("n{l}_{i}")))
-                .collect(),
-        );
-    }
-    let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = || {
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    for &u in &ranks[0] {
-        g.add_arc(s, u, 2, 0);
-    }
-    for l in 0..layers - 1 {
-        for &u in &ranks[l] {
-            for _ in 0..degree {
-                let v = ranks[l + 1][(next() as usize) % width];
-                g.add_arc(u, v, 1 + (next() % 3) as i64, 1 + (next() % 2) as i64);
-            }
-        }
-    }
-    for &u in &ranks[layers - 1] {
-        g.add_arc(u, t, 2, 0);
-    }
-    (g, s, t)
+/// Gate `time(candidate) / time(reference) <= limit`. Both sides run back
+/// to back in each of [`REPS`] repetitions and the best ratio counts, so
+/// machine speed and load spikes cancel. Returns whether the gate held.
+fn gate<A, B>(
+    name: &str,
+    limit: f64,
+    mut candidate: impl FnMut() -> A,
+    mut reference: impl FnMut() -> B,
+) -> bool {
+    let ratio = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(reference());
+            let reference = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            black_box(candidate());
+            start.elapsed().as_secs_f64() / reference
+        })
+        .fold(f64::INFINITY, f64::min);
+    let verdict = if ratio <= limit { "ok" } else { "FAILED" };
+    println!("  {name}: x{ratio:.3} of the reference time (limit x{limit:.3}) {verdict}");
+    ratio <= limit
 }
 
-/// The `csr_dinic` row body: repeated reset + scratch Dinic solves on one
-/// retained solver-core network (the zero-rebuild hot path, minus the
-/// transformation layer, so the row isolates the adjacency walk itself).
-fn csr_dinic_batch(g: &mut FlowNetwork, s: NodeId, t: NodeId, scratch: &mut SolveScratch) -> i64 {
-    let mut total = 0;
-    for _ in 0..12 {
-        g.reset();
-        total += max_flow::solve_with(g, s, t, Algorithm::Dinic, scratch).value;
-    }
-    total
-}
-
-/// The `csr_min_cost` row body: repeated reset + scratch cycle-canceling
-/// solves to the full flow value. Cycle canceling spends nearly all of its
-/// time in Bellman–Ford negative-cycle sweeps — node-by-node adjacency
-/// walks with one compare-and-relax per arc — so of the min-cost solvers
-/// it is the one whose running time is the adjacency walk the CSR layout
-/// flattens (SSP also spends its time on the Dijkstra bucket queue and
-/// the per-augmentation potential and distance sweeps).
-fn csr_min_cost_batch(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: i64,
-    scratch: &mut SolveScratch,
-) -> i64 {
-    let mut total = 0;
-    for _ in 0..3 {
-        g.reset();
-        total += min_cost::solve_with(
-            g,
-            s,
-            t,
-            target,
-            min_cost::Algorithm::CycleCanceling,
-            scratch,
-        )
-        .cost;
-    }
-    total
-}
-
-fn emit_json(path: &str, calib: f64, rows: &[Row]) -> std::io::Result<()> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"bench\": \"hot_path_smoke\",\n");
-    s.push_str(&format!("  \"reps\": {REPS},\n"));
-    s.push_str(&format!("  \"calibration_secs\": {calib:.6},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"secs\": {:.6}, \"normalized\": {:.6}}}{}\n",
-            r.name,
-            r.secs,
-            r.normalized,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// Extract `(name, normalized)` pairs from a report produced by
-/// [`emit_json`] (fixed format, no general JSON parser needed).
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.trim().strip_prefix("{\"name\": \"") else {
-            continue;
-        };
-        let Some((name, rest)) = rest.split_once('"') else {
-            continue;
-        };
-        let Some((_, rest)) = rest.split_once("\"normalized\": ") else {
-            continue;
-        };
-        let num: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            rows.push((name.to_string(), v));
-        }
-    }
-    rows
-}
-
-/// Extract a top-level named floor (e.g. `min_parallel_speedup`,
-/// `min_pool_speedup`) from a baseline file, if present (fixed format, like
-/// [`parse_baseline`]).
-fn parse_floor(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let idx = text.find(&needle)?;
-    let rest = text[idx + needle.len()..].trim_start();
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
-}
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let telemetry_path = take_flag(&mut args, "--telemetry");
-    let replicas: usize = take_flag(&mut args, "--replicas")
-        .map_or(4, |v| parse_or_exit("--replicas", &v))
-        .max(1);
-    let out_path = args
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "BENCH_hot_path.json".into());
-    let baseline_path = args.get(1).cloned();
-
-    let net = omega(16).unwrap();
-    let cfg = BlockingConfig {
-        trials: 1024,
-        requests: 8,
-        resources: 8,
-        occupied_circuits: 2,
-        seed: 41,
-    };
-    let max_flow = MaxFlowScheduler::default();
-    let min_cost = MinCostScheduler::default();
-
-    println!("bench_smoke: calibrating...");
-    let calib = calibration_secs();
-    println!("  calibration loop: {calib:.4}s");
-
-    // Determinism contract across the thread rows, checked before timing.
-    let reference = run_blocking_threads(&net, &max_flow, &cfg, 1);
-    for &t in &THREAD_ROWS[1..] {
-        let r = run_blocking_threads(&net, &max_flow, &cfg, t);
+fn check_blocking_threads(net: &Network, cfg: &BlockingConfig) {
+    let reference = run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, 1);
+    for t in [2, 4, 8] {
+        let r = run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, t);
         assert_eq!(
             reference.blocking.mean.to_bits(),
             r.blocking.mean.to_bits(),
             "thread count {t} changed the statistics"
         );
     }
+}
 
-    let mut rows = Vec::new();
-    for &t in &THREAD_ROWS {
-        let secs = time_min(|| {
-            black_box(run_blocking_threads(&net, &max_flow, &cfg, t).blocking.mean);
-        });
-        println!("  blocking_threads_{t}: {secs:.4}s");
-        rows.push(Row {
-            name: format!("blocking_threads_{t}"),
-            secs,
-            normalized: secs / calib,
-        });
-    }
-    for (name, s) in [
-        ("reset_per_trial_max_flow", &max_flow as &dyn Scheduler),
-        ("reset_per_trial_min_cost", &min_cost as &dyn Scheduler),
-    ] {
-        let mut scratch = ScheduleScratch::new();
-        let secs = time_min(|| {
-            black_box(reset_batch(&net, s, &mut scratch));
-        });
-        println!("  {name}: {secs:.4}s");
-        rows.push(Row {
-            name: name.to_string(),
-            secs,
-            normalized: secs / calib,
-        });
-    }
-
-    // Solver-core rows (ISSUE 9): repeated zero-rebuild solves on one big
-    // layered DAG, isolating the adjacency walk the CSR layout flattens.
-    // Gated against the committed *pre-CSR* observed values in the baseline
-    // (`pre_csr_dinic` / `pre_csr_min_cost`) by `min_csr_speedup` below.
-    {
-        let (mut cg, cs, ct) = csr_network(64, 24, 20);
-        let mut scratch = SolveScratch::new();
-        let secs = time_min(|| {
-            black_box(csr_dinic_batch(&mut cg, cs, ct, &mut scratch));
-        });
-        println!("  csr_dinic: {secs:.4}s");
-        rows.push(Row {
-            name: "csr_dinic".to_string(),
-            secs,
-            normalized: secs / calib,
-        });
-        // Smaller network for the cycle-canceling row: Bellman–Ford sweeps
-        // are O(V·E) per canceled cycle, and the full-value target avoids
-        // the (cold-path) overshoot walk.
-        let (mut mg, ms, mt) = csr_network(20, 8, 4);
-        mg.reset();
-        let target = max_flow::solve_with(&mut mg, ms, mt, Algorithm::Dinic, &mut scratch).value;
-        let secs = time_min(|| {
-            black_box(csr_min_cost_batch(&mut mg, ms, mt, target, &mut scratch));
-        });
-        println!("  csr_min_cost: {secs:.4}s");
-        rows.push(Row {
-            name: "csr_min_cost".to_string(),
-            secs,
-            normalized: secs / calib,
-        });
-    }
-
-    // Scheduler-pool rows (ROADMAP item 2): the same four-scheduler
-    // comparison table run serially row after row vs. on per-scheduler
-    // pools. The four max-flow variants cost about the same per trial, so
-    // on >= 4 cores the pooled table should approach max-of-rows
-    // wall-clock. Bit-identity between the two is asserted first.
-    let dinic = MaxFlowScheduler::new(Algorithm::Dinic);
-    let edmonds_karp = MaxFlowScheduler::new(Algorithm::EdmondsKarp);
-    let push_relabel = MaxFlowScheduler::new(Algorithm::PushRelabel);
-    let capacity_scaling = MaxFlowScheduler::new(Algorithm::CapacityScaling);
-    let table: [&dyn Scheduler; 4] = [&dinic, &edmonds_karp, &push_relabel, &capacity_scaling];
-    let table_cfg = BlockingConfig { trials: 512, ..cfg };
-    let serial_table = compare_schedulers_threads(&net, &table, &table_cfg, 1);
-    let pooled_table = compare_schedulers_pools(&net, &table, &table_cfg, 1);
-    for ((n1, a), (n2, b)) in serial_table.iter().zip(&pooled_table) {
-        assert_eq!(n1, n2, "pooled table reordered the rows");
-        assert_eq!(
-            a.blocking.mean.to_bits(),
-            b.blocking.mean.to_bits(),
-            "per-scheduler pools changed the statistics for {n1}"
-        );
-    }
-    let serial_secs = time_min(|| {
-        black_box(compare_schedulers_threads(&net, &table, &table_cfg, 1));
-    });
-    println!("  scheduler_table_serial: {serial_secs:.4}s");
-    rows.push(Row {
-        name: "scheduler_table_serial".to_string(),
-        secs: serial_secs,
-        normalized: serial_secs / calib,
-    });
-    let pool_secs = time_min(|| {
-        black_box(compare_schedulers_pools(&net, &table, &table_cfg, 1));
-    });
-    let pool_speedup = serial_secs / pool_secs;
-    println!("  scheduler_table_pools: {pool_secs:.4}s (x{pool_speedup:.2} vs serial)");
-    rows.push(Row {
-        name: "scheduler_table_pools".to_string(),
-        secs: pool_secs,
-        normalized: pool_secs / calib,
-    });
-
-    // Replicated-dynamic rows (ROADMAP item 3): the merged statistics of a
-    // replicated single-config dynamic run must be bit-identical at 1, 2,
-    // and 8 worker threads, then the run itself is timed at full width.
-    let dyn_cfg = DynamicConfig {
+fn check_replicated(net: &Network) {
+    let cfg = DynamicConfig {
         arrival_rate: 0.5,
         sim_time: 150.0,
         warmup: 15.0,
-        seed: 41,
+        seed: SEED,
         ..DynamicConfig::default()
     };
-    let rep_grid = TrialGrid {
-        configs: &[dyn_cfg],
-        trials: replicas,
+    let grid = TrialGrid {
+        configs: &[cfg],
+        trials: REPLICAS,
         faults: None,
         policy: DegradedPolicy::Bfs,
     };
     let replicated = |threads| -> ReplicatedStats {
-        let rows = run_trials(&net, &max_flow, &rep_grid, threads).expect("replicated run");
+        let rows =
+            run_trials(net, &MaxFlowScheduler::default(), &grid, threads).expect("replicated run");
         merge_faulted(&rows[0]).stats
     };
-    let rep_reference = replicated(1);
+    let reference = replicated(1);
     for t in [2usize, 8] {
         let r = replicated(t);
         assert_eq!(
-            rep_reference.completed, r.completed,
-            "replicated completed drifted at {t} threads"
+            reference.completed, r.completed,
+            "completed drifted at {t} threads"
         );
-        assert_eq!(
-            rep_reference.cycles, r.cycles,
-            "replicated cycles drifted at {t} threads"
-        );
+        assert_eq!(reference.cycles, r.cycles, "cycles drifted at {t} threads");
         for (name, a, b) in [
-            (
-                "response.mean",
-                rep_reference.response.mean,
-                r.response.mean,
-            ),
-            (
-                "response.ci95",
-                rep_reference.response.ci95,
-                r.response.ci95,
-            ),
-            ("response.p99", rep_reference.response.p99, r.response.p99),
+            ("response.mean", reference.response.mean, r.response.mean),
+            ("response.ci95", reference.response.ci95, r.response.ci95),
+            ("response.p99", reference.response.p99, r.response.p99),
             (
                 "utilization.mean",
-                rep_reference.utilization.mean,
+                reference.utilization.mean,
                 r.utilization.mean,
             ),
             (
                 "mean_queue.mean",
-                rep_reference.mean_queue.mean,
+                reference.mean_queue.mean,
                 r.mean_queue.mean,
             ),
         ] {
@@ -510,196 +284,78 @@ fn main() {
             );
         }
     }
-    let rep_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let rep_secs = time_min(|| {
-        black_box(replicated(rep_threads).response.mean);
-    });
-    println!("  replicated_dynamic: {rep_secs:.4}s ({replicas} replicas, {rep_threads} threads)");
-    rows.push(Row {
-        name: "replicated_dynamic".to_string(),
-        secs: rep_secs,
-        normalized: rep_secs / calib,
-    });
+}
 
-    // Heavy-traffic row (ISSUE 9): the dynamic model past saturation —
-    // bursty batch-4 arrivals against 32-deep bounded queues at a
-    // utilization target well past critical (rho 1.5, so the short bench
-    // horizon still drives the bound into overflow; the near-critical
-    // rho = {0.9..1.05} ladder lives in the `dynamic --heavy` sweep where
-    // horizons are long). The regime's invariants are asserted before
-    // timing: a sub-critical run sheds nothing, the overloaded run sheds
-    // and carries a backlog to the horizon.
-    let heavy_cfg = DynamicConfig {
+/// Past saturation (ρ 1.5, batch-4 arrivals, 32-deep queues) the bound
+/// overflows and a backlog reaches the horizon; at ρ 0.7 nothing sheds.
+fn check_heavy_traffic(net: &Network) {
+    let cfg = DynamicConfig {
         rho: 1.5,
         batch_size: 4,
         queue_capacity: 32,
         sim_time: 120.0,
         warmup: 12.0,
-        seed: 41,
+        seed: SEED,
         ..DynamicConfig::default()
     };
-    {
-        let calm = SystemSim::new(
-            &net,
-            DynamicConfig {
-                rho: 0.7,
-                ..heavy_cfg
-            },
-        )
-        .run(&max_flow)
-        .unwrap();
-        assert_eq!(calm.shed_arrivals, 0, "sub-critical run must not shed");
-        let hot = SystemSim::new(&net, heavy_cfg).run(&max_flow).unwrap();
-        assert!(hot.shed_arrivals > 0, "rho 1.5 must overflow the bound");
-        assert!(hot.final_queue > 0, "rho 1.5 must carry a backlog");
-    }
-    let heavy_secs = time_min(|| {
-        black_box(
-            SystemSim::new(&net, heavy_cfg)
-                .run(&max_flow)
-                .unwrap()
-                .completed,
-        );
-    });
-    println!("  heavy_traffic: {heavy_secs:.4}s (rho 1.5, batch 4, bound 32)");
-    rows.push(Row {
-        name: "heavy_traffic".to_string(),
-        secs: heavy_secs,
-        normalized: heavy_secs / calib,
-    });
+    let run = |rho| {
+        SystemSim::new(net, DynamicConfig { rho, ..cfg })
+            .run(&MaxFlowScheduler::default())
+            .expect("heavy-traffic run")
+    };
+    assert_eq!(run(0.7).shed_arrivals, 0, "sub-critical run must not shed");
+    let hot = run(1.5);
+    assert!(hot.shed_arrivals > 0, "rho 1.5 must overflow the bound");
+    assert!(hot.final_queue > 0, "rho 1.5 must carry a backlog");
+}
 
-    // Streaming rows: warm-start incremental decisions vs per-event batch
-    // re-solves on the same recorded command stream (the rsin-serve hot
-    // path). Allocation-count equivalence on every prefix is asserted
-    // before timing; the speedup gate reads `min_stream_speedup` from the
-    // baseline. Both sides are single-threaded, so there is no core-count
-    // skip — the ratio is meaningful on any machine.
-    let stream_cmds = generate_commands(net.num_processors(), 384, 0.8, 41, 0);
-    {
-        let decisions = replay_incremental(&net, IncrementalBackend::MaxFlow, &stream_cmds)
-            .expect("valid stream");
-        let batch_counts = replay_batch(&net, &stream_cmds).expect("batch replays");
-        let mut allocated = 0usize;
-        for (d, &want) in decisions.iter().zip(&batch_counts) {
-            match d {
-                StreamDecision::Allocated { .. } => allocated += 1,
-                StreamDecision::Released { promoted, .. } => {
-                    allocated -= 1;
-                    if promoted.is_some() {
-                        allocated += 1;
-                    }
+fn check_stream_equivalence(net: &Network, cmds: &[StreamCommand]) {
+    let decisions =
+        replay_incremental(net, IncrementalBackend::MaxFlow, cmds).expect("valid stream");
+    let batch_counts = replay_batch(net, cmds).expect("batch replays");
+    let mut allocated = 0usize;
+    for (d, &want) in decisions.iter().zip(&batch_counts) {
+        match d {
+            StreamDecision::Allocated { .. } => allocated += 1,
+            StreamDecision::Released { promoted, .. } => {
+                allocated -= 1;
+                if promoted.is_some() {
+                    allocated += 1;
                 }
-                StreamDecision::Queued { .. } | StreamDecision::Withdrawn { .. } => {}
             }
-            assert_eq!(allocated, want, "incremental diverged from batch re-solve");
+            StreamDecision::Queued { .. } | StreamDecision::Withdrawn { .. } => {}
         }
+        assert_eq!(allocated, want, "incremental diverged from batch re-solve");
     }
-    let stream_inc_secs = time_min(|| {
-        black_box(
-            replay_incremental(&net, IncrementalBackend::MaxFlow, &stream_cmds)
-                .expect("valid stream")
-                .len(),
-        );
-    });
-    println!("  stream_incremental: {stream_inc_secs:.4}s");
-    rows.push(Row {
-        name: "stream_incremental".to_string(),
-        secs: stream_inc_secs,
-        normalized: stream_inc_secs / calib,
-    });
-    let stream_batch_secs = time_min(|| {
-        black_box(
-            replay_batch(&net, &stream_cmds)
-                .expect("batch replays")
-                .len(),
-        );
-    });
-    let stream_speedup = stream_batch_secs / stream_inc_secs;
-    println!("  stream_batch: {stream_batch_secs:.4}s (incremental x{stream_speedup:.2} faster)");
-    rows.push(Row {
-        name: "stream_batch".to_string(),
-        secs: stream_batch_secs,
-        normalized: stream_batch_secs / calib,
-    });
+}
 
-    // Tracing overhead gate (ISSUE 8): the same incremental replay with a
-    // live flight recorder capturing every lifecycle span must stay within
-    // the regression limit of the untraced row, measured in the same
-    // process so machine speed cancels exactly. One replay is only tens of
-    // microseconds, so each rep times a 32-replay loop — and the two sides
-    // run back-to-back inside every rep with the gate taking the best
-    // paired ratio, so a load spike hitting one phase but not the other
-    // (the usual CI flake) inflates both or neither.
-    const TRACE_GATE_LOOPS: usize = 64;
-    let recorder = FlightRecorder::new(1 << 16);
-    let mut trace_overhead = f64::INFINITY;
-    let mut traced_loop_secs = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        for _ in 0..TRACE_GATE_LOOPS {
-            black_box(
-                replay_incremental(&net, IncrementalBackend::MaxFlow, &stream_cmds)
-                    .expect("valid stream")
-                    .len(),
-            );
-        }
-        let untraced = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        for _ in 0..TRACE_GATE_LOOPS {
-            black_box(replay_traced(&net, &stream_cmds, &recorder));
-        }
-        let traced = start.elapsed().as_secs_f64();
-        trace_overhead = trace_overhead.min(traced / untraced);
-        traced_loop_secs = traced_loop_secs.min(traced);
-    }
-    let stream_traced_secs = traced_loop_secs / TRACE_GATE_LOOPS as f64;
-    println!(
-        "  stream_incremental_traced: {stream_traced_secs:.4}s (x{trace_overhead:.3} of untraced)"
-    );
-    rows.push(Row {
-        name: "stream_incremental_traced".to_string(),
-        secs: stream_traced_secs,
-        normalized: stream_traced_secs / calib,
-    });
-    if trace_overhead > REGRESSION_LIMIT {
-        eprintln!(
-            "bench_smoke: traced streaming replay is x{trace_overhead:.3} of the untraced one \
-             (limit {REGRESSION_LIMIT}) — span recording is too hot for the request path"
-        );
-        std::process::exit(1);
-    }
-
-    // Sharded-hierarchy rows (ISSUE 7): the two-stage scheduler on a
-    // 4-shard × omega-16 composition vs the flat Theorem-2 fresh solve on
-    // the flattened fabric, over the same (seed, trial) snapshots. Three
-    // contracts come first: thread invariance of every statistic,
-    // per-shard rebuilds() == 1, and per-trial hier ≤ flat conformance;
-    // then the hierarchical row runs with pooled trials while
-    // the flat row stays single-solver — the gate below reads
-    // `min_shard_speedup` from the baseline.
-    let snet = ShardedNetwork::new(ShardedSpec::new(4, 16, GlobalTopology::Crossbar))
+/// The two-stage scheduler on 4 shards × omega-16 under a crossbar:
+/// thread-invariant statistics, one transformation build per shard, and
+/// never more allocations than the flat Theorem-2 oracle.
+fn check_sharded() {
+    let net = ShardedNetwork::new(ShardedSpec::new(4, 16, GlobalTopology::Crossbar))
         .expect("4x16 crossbar composition is well-formed");
-    let sflat = snet.flatten().expect("composition flattens");
-    let scfg = ShardedTrialConfig {
+    let flat = net.flatten().expect("composition flattens");
+    let cfg = ShardedTrialConfig {
         trials: 128,
         requests: 32,
         free: 32,
-        seed: 41,
+        seed: SEED,
     };
-    let sref = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 1);
+    let reference = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1);
     assert!(
-        sref.rebuilds_ok,
-        "a shard rebuilt its transformation graph mid-run"
+        reference.rebuilds_ok,
+        "a shard rebuilt its transformation graph"
     );
     for t in [4, 1, 8] {
-        let r = run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, t);
+        let r = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, t);
         for (name, a, b) in [
-            ("blocking.mean", sref.blocking.mean, r.blocking.mean),
-            ("allocated.mean", sref.allocated.mean, r.allocated.mean),
-            ("remote.mean", sref.remote.mean, r.remote.mean),
+            ("blocking.mean", reference.blocking.mean, r.blocking.mean),
+            ("allocated.mean", reference.allocated.mean, r.allocated.mean),
+            ("remote.mean", reference.remote.mean, r.remote.mean),
             (
                 "stage1_blocked.mean",
-                sref.stage1_blocked.mean,
+                reference.stage1_blocked.mean,
                 r.stage1_blocked.mean,
             ),
         ] {
@@ -710,273 +366,280 @@ fn main() {
             );
         }
     }
-    for (trial, (hier, flat)) in run_paired_trials(
-        &snet,
-        &sflat,
-        InterShardPolicy::TokenRing,
-        &scfg,
-        rep_threads,
-    )
-    .iter()
-    .enumerate()
-    {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let paired = run_paired_trials(&net, &flat, InterShardPolicy::TokenRing, &cfg, threads);
+    for (trial, (hier, flat)) in paired.iter().enumerate() {
         assert!(
             hier <= flat,
-            "trial {trial}: hierarchical allocated {hier}, above the flat oracle's {flat}"
+            "trial {trial}: hierarchical {hier} above flat {flat}"
         );
     }
-    let hier_secs = time_min(|| {
-        black_box(
-            run_sharded_trials(&snet, InterShardPolicy::TokenRing, &scfg, 4)
-                .allocated
-                .mean,
-        );
-    });
-    println!("  sharded_hier: {hier_secs:.4}s");
-    rows.push(Row {
-        name: "sharded_hier".to_string(),
-        secs: hier_secs,
-        normalized: hier_secs / calib,
-    });
-    let flat_secs = time_min(|| {
-        black_box(run_flat_trials(&sflat, &scfg, 1).allocated.mean);
-    });
-    let shard_speedup = flat_secs / hier_secs;
-    println!("  sharded_flat: {flat_secs:.4}s (hierarchical x{shard_speedup:.2} faster)");
-    rows.push(Row {
-        name: "sharded_flat".to_string(),
-        secs: flat_secs,
-        normalized: flat_secs / calib,
-    });
+}
 
-    // Zero-overhead-when-off gate: the observed hot path under NoopProbe
-    // must stay within the regression limit of the plain one. Each rep
-    // times the plain and observed batches back to back and the gate takes
-    // the min of the per-rep ratios, so slow phases of a shared machine hit
-    // both sides of at least one rep equally and cancel out of the ratio.
-    let (observed_secs, overhead) = {
-        let mut scratch = ScheduleScratch::new();
-        let mut best_ratio = f64::INFINITY;
-        let mut best_secs = f64::INFINITY;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            black_box(reset_batch(&net, &max_flow, &mut scratch));
-            let plain = start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            black_box(reset_batch_observed(
-                &net,
-                &max_flow,
-                &mut scratch,
-                &NoopProbe,
-            ));
-            let observed = start.elapsed().as_secs_f64();
-            best_ratio = best_ratio.min(observed / plain);
-            best_secs = best_secs.min(observed);
-        }
-        (best_secs, best_ratio)
-    };
-    println!("  reset_per_trial_max_flow_observed: {observed_secs:.4}s (x{overhead:.3} of plain)");
-    rows.push(Row {
-        name: "reset_per_trial_max_flow_observed".to_string(),
-        secs: observed_secs,
-        normalized: observed_secs / calib,
-    });
-    if overhead > REGRESSION_LIMIT {
-        eprintln!(
-            "bench_smoke: NoopProbe observed path is x{overhead:.3} of the plain path \
-             (limit {REGRESSION_LIMIT}) — telemetry is not zero-overhead-when-off"
+/// `serve_stream` at CI scale: an omega-64 stream at load 0.8 through the
+/// observed incremental scheduler.
+fn ledger_stream(ledger: &mut Ledger) {
+    let net = omega(64).expect("omega-64");
+    let cmds = generate_commands(64, STREAM_EVENTS, 0.8, SEED, 0);
+    let telemetry = Telemetry::new();
+    let inc = replay_observed(&net, &cmds, &telemetry);
+    let n = cmds.len() as u64;
+    for (unit, c, need) in [
+        ("decisions", Counter::StreamDecisions, Need::NonZero),
+        ("allocated", Counter::StreamAllocated, Need::NonZero),
+        ("queued", Counter::StreamQueued, Need::Any),
+        ("released", Counter::StreamReleased, Need::NonZero),
+        ("promoted", Counter::StreamPromoted, Need::Any),
+    ] {
+        ledger.put(
+            ("serve_stream", "stream", unit),
+            telemetry.counter(c),
+            n,
+            need,
         );
+    }
+    let key = ("serve_stream", "transform", "rebuilds");
+    ledger.put(key, inc.rebuilds(), 1, Need::OnePerOp);
+}
+
+/// One sim workload at CI scale: [`SIM_TRIALS`] trials of the observed
+/// faulted-trial entry point under the priced degraded policy, with
+/// correlated stage-power-domain faults when `faults` is set.
+fn ledger_sim(
+    ledger: &mut Ledger,
+    workload: &'static str,
+    net: &Network,
+    scheduler: &dyn Scheduler,
+    cfg: DynamicConfig,
+    faults: Option<FaultPlanConfig>,
+) {
+    let telemetry = Telemetry::new();
+    let mut rebuilds = 0;
+    for trial in 0..SIM_TRIALS {
+        let plan = faults.as_ref().map_or_else(FaultPlan::empty, |f| {
+            let model = FaultModel::Correlated { domain_boxes: 2 };
+            plan_for_model(net, f, model, fault_plan_seed(cfg.seed, trial))
+        });
+        let stats = SystemSim::new(net, cfg)
+            .try_run_faulted_trial_policy_probed(
+                scheduler,
+                &plan,
+                trial,
+                DegradedPolicy::Priced,
+                &telemetry,
+            )
+            .expect("sim trial");
+        rebuilds += stats.transform_rebuilds;
+    }
+    let r = telemetry.report();
+    let counter = |c: Counter| r.counters[c.index()];
+    let cycles = counter(Counter::Cycles);
+    for (unit, c, ops, need) in [
+        ("cycles", Counter::Cycles, SIM_TRIALS, Need::NonZero),
+        (
+            "degraded_cycles",
+            Counter::DegradedCycles,
+            cycles,
+            Need::Any,
+        ),
+        ("recovered", Counter::Recovered, cycles, Need::Any),
+        ("shed", Counter::Shed, cycles, Need::Any),
+        ("faults", Counter::Faults, SIM_TRIALS, Need::Any),
+        ("repairs", Counter::Repairs, SIM_TRIALS, Need::Any),
+    ] {
+        ledger.put((workload, "sim", unit), counter(c), ops, need);
+    }
+    ledger.flow(workload, "flow", &r, cycles);
+    let key = (workload, "transform", "transform_rebuilds");
+    ledger.put(key, rebuilds, SIM_TRIALS, Need::OnePerOp);
+}
+
+/// `sharded_cycle` at CI scale: 8 shards × omega-16 under a global omega,
+/// token ring, load 0.9, plus the flat Theorem-2 oracle on the same
+/// snapshots.
+fn ledger_sharded(ledger: &mut Ledger) {
+    const W: &str = "sharded_cycle";
+    let net = ShardedNetwork::new(ShardedSpec::new(8, 16, GlobalTopology::Omega))
+        .expect("8x16 omega composition is well-formed");
+    let flat_net = net.flatten().expect("composition flattens");
+    let h = HierarchicalScheduler::observed(&net, InterShardPolicy::TokenRing);
+    let flat = Telemetry::new();
+    let mut flat_scratch = ScheduleScratch::new();
+    let mut flat_allocated = 0;
+    let total = net.num_ports();
+    let k = ((total as f64 * 0.9).round() as usize).max(1);
+    for c in 0..SHARD_CYCLES {
+        let (req, free) = sharded_snapshot(total, k, k, &mut trial_rng(SEED, c));
+        h.schedule(&req, &free).expect("hierarchical cycle");
+        let cs = CircuitState::new(&flat_net);
+        let problem = ScheduleProblem::homogeneous(&cs, &req, &free);
+        flat_allocated += MaxFlowScheduler::default()
+            .try_schedule_observed(&problem, &mut flat_scratch, &flat)
+            .expect("flat oracle")
+            .allocated() as u64;
+    }
+    let merged = h.shard_report().expect("observed scheduler").merged;
+    let counter = |c: Counter| merged.counters[c.index()];
+    for (layer, unit, c) in [
+        ("place", "home_placed", Counter::ShardHomePlaced),
+        ("place", "remote_in", Counter::ShardRemoteIn),
+        ("shards", "allocated", Counter::ShardAllocated),
+    ] {
+        ledger.put((W, layer, unit), counter(c), SHARD_CYCLES, Need::NonZero);
+    }
+    let rebuilds = h.rebuilds_per_shard();
+    let shards = rebuilds.len() as u64;
+    let key = (W, "shards", "rebuilds_per_shard");
+    ledger.put(key, rebuilds.iter().sum(), shards, Need::OnePerOp);
+    ledger.flow(W, "flow", &merged, SHARD_CYCLES);
+    let key = (W, "flat", "allocated");
+    ledger.put(key, flat_allocated, SHARD_CYCLES, Need::NonZero);
+    ledger.flow(W, "flat", &flat.report(), SHARD_CYCLES);
+}
+
+/// The reset batch for both schedulers; returns their telemetry merged.
+fn ledger_reset_batch(ledger: &mut Ledger, net: &Network) -> TelemetryReport {
+    let mut scratch = ScheduleScratch::new();
+    let max_flow = Telemetry::new();
+    reset_batch(
+        net,
+        &MaxFlowScheduler::default(),
+        &mut scratch,
+        Some(&max_flow),
+    );
+    let min_cost = Telemetry::new();
+    reset_batch(
+        net,
+        &MinCostScheduler::default(),
+        &mut scratch,
+        Some(&min_cost),
+    );
+    let mut merged = max_flow.report();
+    ledger.flow("reset_batch", "max_flow", &merged, BATCH_TRIALS);
+    let min_cost = min_cost.report();
+    ledger.flow("reset_batch", "min_cost", &min_cost, BATCH_TRIALS);
+    merged.merge(&min_cost);
+    merged
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let telemetry_path = take_flag(&mut args, "--telemetry");
+    if let Some(stray) = args.iter().find(|a| a.starts_with('-')).or(args.get(1)) {
+        usage_error(&format!("unknown argument {stray:?}"));
+    }
+    let out_path = args.pop().unwrap_or_else(|| "OPS_ledger.tsv".into());
+
+    let net = omega(16).expect("omega-16");
+    let blocking_cfg = BlockingConfig {
+        trials: 1024,
+        requests: 8,
+        resources: 8,
+        occupied_circuits: 2,
+        seed: SEED,
+    };
+    let stream_cmds = generate_commands(net.num_processors(), 384, 0.8, SEED, 0);
+
+    println!("bench_smoke: contracts");
+    check_blocking_threads(&net, &blocking_cfg);
+    check_replicated(&net);
+    check_heavy_traffic(&net);
+    check_stream_equivalence(&net, &stream_cmds);
+    check_sharded();
+
+    println!("bench_smoke: op-count ledger");
+    let mut ledger = Ledger::default();
+    ledger_stream(&mut ledger);
+    let heavy = DynamicConfig {
+        rho: 0.99,
+        queue_capacity: 32,
+        sim_time: 30.0,
+        warmup: 3.0,
+        seed: SEED,
+        ..DynamicConfig::default()
+    };
+    let omega64 = omega(64).expect("omega-64");
+    let dinic = MaxFlowScheduler::default();
+    ledger_sim(&mut ledger, "dynamic_heavy", &omega64, &dinic, heavy, None);
+    let faulted = DynamicConfig {
+        rho: 0.9,
+        priority_levels: 4,
+        sim_time: 200.0,
+        warmup: 20.0,
+        seed: SEED,
+        ..DynamicConfig::default()
+    };
+    let faults = FaultPlanConfig::links(0.0005, 25.0, faulted.sim_time);
+    let net3dp = omega_3dp(16).expect("3dp-omega-16");
+    let ssp = MinCostScheduler::default();
+    let w = "faulted_correlated";
+    ledger_sim(&mut ledger, w, &net3dp, &ssp, faulted, Some(faults));
+    ledger_sharded(&mut ledger);
+    let telemetry = ledger_reset_batch(&mut ledger, &net);
+
+    // The faulted workload must have injected faults and degraded cycles.
+    for unit in ["faults", "degraded_cycles"] {
+        ledger.need((w, "sim", unit), Need::NonZero);
+    }
+    let violations = ledger.violations();
+    if !violations.is_empty() {
+        eprintln!("bench_smoke: ledger rows show a path that did no work:");
+        for v in &violations {
+            eprintln!("  {v}");
+        }
         std::process::exit(1);
     }
-
-    if let Err(e) = emit_json(&out_path, calib, &rows) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(2);
+    let tsv = ledger.to_tsv();
+    print!("{tsv}");
+    if let Err(e) = std::fs::write(&out_path, tsv) {
+        usage_error(&format!("could not write {out_path}: {e}"));
     }
-    println!("report written to {out_path}");
-
+    println!("ledger written to {out_path}");
     if let Some(path) = &telemetry_path {
-        let telemetry = Telemetry::new();
-        let mut scratch = ScheduleScratch::new();
-        reset_batch_observed(&net, &max_flow, &mut scratch, &telemetry);
-        reset_batch_observed(&net, &min_cost, &mut scratch, &telemetry);
-        if let Err(e) = std::fs::write(path, telemetry.report().to_json("bench_smoke")) {
-            eprintln!("error: could not write telemetry {path}: {e}");
-            std::process::exit(2);
+        if let Err(e) = std::fs::write(path, telemetry.to_json("bench_smoke")) {
+            usage_error(&format!("could not write telemetry {path}: {e}"));
         }
         println!("telemetry written to {path}");
     }
 
-    let Some(baseline_path) = baseline_path else {
-        return;
-    };
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: could not read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("error: baseline {baseline_path} has no rows");
-        std::process::exit(2);
-    }
-    let mut failed = false;
-    for row in &rows {
-        let Some((_, base)) = baseline.iter().find(|(n, _)| *n == row.name) else {
-            println!("  {}: no baseline row, skipping", row.name);
-            continue;
-        };
-        let ratio = row.normalized / base;
-        let verdict = if ratio > REGRESSION_LIMIT {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {}: normalized {:.4} vs baseline {:.4} (x{:.2}) {}",
-            row.name, row.normalized, base, ratio, verdict
+    println!("bench_smoke: paired-ratio gates");
+    let max_flow = MaxFlowScheduler::default();
+    let (mut observed, mut plain) = (ScheduleScratch::new(), ScheduleScratch::new());
+    let mut ok = gate(
+        "noop_probe_overhead",
+        OVERHEAD_LIMIT,
+        || reset_batch(&net, &max_flow, &mut observed, Some(&NoopProbe)),
+        || reset_batch(&net, &max_flow, &mut plain, None),
+    );
+    let incremental = || replay_incremental(&net, IncrementalBackend::MaxFlow, &stream_cmds);
+    // One replay is tens of microseconds: each side times a 64-replay loop.
+    let recorder = FlightRecorder::new(1 << 16);
+    ok &= gate(
+        "trace_overhead",
+        OVERHEAD_LIMIT,
+        || (0..64).for_each(|_| drop(black_box(replay_observed(&net, &stream_cmds, &recorder)))),
+        || (0..64).for_each(|_| drop(black_box(incremental()))),
+    );
+    ok &= gate(
+        "incremental_vs_batch",
+        MIN_STREAM_SPEEDUP.recip(),
+        incremental,
+        || replay_batch(&net, &stream_cmds),
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 4 {
+        let blocking = |t| run_blocking_threads(&net, &max_flow, &blocking_cfg, t);
+        ok &= gate(
+            "threads_4_vs_1",
+            MIN_PARALLEL_SPEEDUP.recip(),
+            || blocking(4),
+            || blocking(1),
         );
+    } else {
+        println!("  threads_4_vs_1: skipped ({cores} core(s), gate needs >= 4)");
     }
-    // Parallel-efficiency gate (ROADMAP item): with enough cores, the
-    // 4-thread blocking row must actually outrun the 1-thread row. The
-    // in-process secs ratio is machine-independent; the floor comes from
-    // the baseline file so CI hardware changes tune one number, not code.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if let Some(min_speedup) = parse_floor(&text, "min_parallel_speedup") {
-        if cores >= 4 {
-            let t1 = rows.iter().find(|r| r.name == "blocking_threads_1");
-            let t4 = rows.iter().find(|r| r.name == "blocking_threads_4");
-            if let (Some(t1), Some(t4)) = (t1, t4) {
-                let speedup = t1.secs / t4.secs;
-                println!(
-                    "  parallel efficiency: 4-thread speedup x{speedup:.2} (floor x{min_speedup})"
-                );
-                if speedup < min_speedup {
-                    eprintln!(
-                        "bench_smoke: 4-thread speedup x{speedup:.2} below floor x{min_speedup}"
-                    );
-                    failed = true;
-                }
-            }
-        } else {
-            println!("  parallel efficiency: skipped ({cores} core(s) available, gate needs >= 4)");
-        }
-    }
-    // Scheduler-pool efficiency gate (ROADMAP item 2): per-scheduler pools
-    // must turn the comparison table's sum-of-rows into roughly
-    // max-of-rows. Same skip rule as above — the pooled table cannot beat
-    // serial without free cores.
-    if let Some(min_pool) = parse_floor(&text, "min_pool_speedup") {
-        if cores >= 4 {
-            let serial = rows.iter().find(|r| r.name == "scheduler_table_serial");
-            let pooled = rows.iter().find(|r| r.name == "scheduler_table_pools");
-            if let (Some(serial), Some(pooled)) = (serial, pooled) {
-                let speedup = serial.secs / pooled.secs;
-                println!(
-                    "  scheduler-pool efficiency: table speedup x{speedup:.2} (floor x{min_pool})"
-                );
-                if speedup < min_pool {
-                    eprintln!(
-                        "bench_smoke: scheduler-pool table speedup x{speedup:.2} below floor \
-                         x{min_pool}"
-                    );
-                    failed = true;
-                }
-            }
-        } else {
-            println!(
-                "  scheduler-pool efficiency: skipped ({cores} core(s) available, gate needs >= 4)"
-            );
-        }
-    }
-
-    // Streaming warm-start gate (ISSUE 6 acceptance): incremental decisions
-    // must beat per-event batch re-solves by the baseline floor. Both sides
-    // are single-threaded, so unlike the two gates above there is no
-    // core-count skip — the in-process ratio holds on any machine.
-    if let Some(min_stream) = parse_floor(&text, "min_stream_speedup") {
-        let inc = rows.iter().find(|r| r.name == "stream_incremental");
-        let batch = rows.iter().find(|r| r.name == "stream_batch");
-        if let (Some(inc), Some(batch)) = (inc, batch) {
-            let speedup = batch.secs / inc.secs;
-            println!(
-                "  streaming warm-start: incremental speedup x{speedup:.2} (floor x{min_stream})"
-            );
-            if speedup < min_stream {
-                eprintln!(
-                    "bench_smoke: streaming incremental speedup x{speedup:.2} below floor \
-                     x{min_stream}"
-                );
-                failed = true;
-            }
-        }
-    }
-
-    // CSR data-layout gate (ISSUE 9 acceptance): the flattened hot-lane
-    // solver core must beat the committed **pre-CSR** observed rows
-    // (`pre_csr_dinic` / `pre_csr_min_cost`, normalized measurements of
-    // the nested `Vec<Vec<ArcId>>` + arc-struct layout on the identical
-    // workload) by the baseline floor. Both sides are normalized by the
-    // calibration loop, so machine speed cancels like the per-row
-    // regression check above.
-    if let Some(min_csr) = parse_floor(&text, "min_csr_speedup") {
-        for (row_name, pre_name) in [
-            ("csr_dinic", "pre_csr_dinic"),
-            ("csr_min_cost", "pre_csr_min_cost"),
-        ] {
-            let cur = rows.iter().find(|r| r.name == row_name);
-            let pre = baseline.iter().find(|(n, _)| n == pre_name);
-            if let (Some(cur), Some((_, pre_norm))) = (cur, pre) {
-                let speedup = pre_norm / cur.normalized;
-                println!(
-                    "  csr layout: {row_name} x{speedup:.2} vs pre-CSR reference (floor x{min_csr})"
-                );
-                if speedup < min_csr {
-                    eprintln!(
-                        "bench_smoke: {row_name} is only x{speedup:.2} faster than the pre-CSR \
-                         layout, below floor x{min_csr}"
-                    );
-                    failed = true;
-                }
-            }
-        }
-    }
-
-    // Sharded-hierarchy gate (ISSUE 7 acceptance): the hierarchical
-    // scheduler with pooled trials must beat the flat single-solver fresh
-    // solve by the baseline floor. The hierarchical row uses 4 worker
-    // threads, so the gate keeps the same ≥ 4-core skip rule as the other
-    // parallel gates.
-    if let Some(min_shard) = parse_floor(&text, "min_shard_speedup") {
-        if cores >= 4 {
-            let hier = rows.iter().find(|r| r.name == "sharded_hier");
-            let flat = rows.iter().find(|r| r.name == "sharded_flat");
-            if let (Some(hier), Some(flat)) = (hier, flat) {
-                let speedup = flat.secs / hier.secs;
-                println!(
-                    "  sharded hierarchy: hierarchical speedup x{speedup:.2} (floor x{min_shard})"
-                );
-                if speedup < min_shard {
-                    eprintln!(
-                        "bench_smoke: sharded hierarchical speedup x{speedup:.2} below floor \
-                         x{min_shard}"
-                    );
-                    failed = true;
-                }
-            }
-        } else {
-            println!("  sharded hierarchy: skipped ({cores} core(s) available, gate needs >= 4)");
-        }
-    }
-
-    if failed {
-        eprintln!("bench_smoke: normalized regression over {REGRESSION_LIMIT}x detected");
+    if !ok {
+        eprintln!("bench_smoke: a paired-ratio gate failed");
         std::process::exit(1);
     }
-    println!("bench_smoke: within {REGRESSION_LIMIT}x of baseline");
 }

@@ -31,8 +31,12 @@ fn unparseable_numbers_are_usage_errors() {
     assert_eq!(exit_code(sharded, &["--shards", "2,four"]), Some(2));
     // A removed flag is an unknown argument.
     assert_eq!(exit_code(sharded, &["--shard-pool", "1"]), Some(2));
+    // `bench_smoke` takes `--telemetry <path>` and one output path; a stray
+    // flag is not an output path, and `--replicas` is gone.
     let smoke = env!("CARGO_BIN_EXE_bench_smoke");
-    assert_eq!(exit_code(smoke, &["--replicas", "1.5"]), Some(2));
+    assert_eq!(exit_code(smoke, &["--bogus"]), Some(2));
+    assert_eq!(exit_code(smoke, &["--replicas", "4"]), Some(2));
+    assert_eq!(exit_code(smoke, &["a.tsv", "b.tsv"]), Some(2));
 }
 
 #[test]

@@ -38,7 +38,8 @@
 //! 3. a probe uses bounded memory — counters and histograms are fixed
 //!    arrays, the flight recorder is a fixed-capacity slot ring;
 //! 4. with [`NoopProbe`], the observed entry points must be within noise of
-//!    the unobserved ones (asserted by a `bench_smoke` row in CI).
+//!    the unobserved ones (asserted by `bench_smoke`'s `noop_probe_overhead`
+//!    paired-ratio gate in CI).
 
 pub mod hist;
 pub mod probe;

@@ -370,7 +370,7 @@ pub trait Probe: Sync {
     /// [`Probe::span`] twice; the flight recorder overrides it to amortize
     /// the timebase read and slot claim — the streaming scheduler's request
     /// path emits every decision through here, which is what keeps it
-    /// inside the bench_smoke tracing-overhead gate.
+    /// inside `bench_smoke`'s `trace_overhead` gate.
     #[inline]
     fn span_pair(&self, first: (u64, SpanPhase, u64, u64), second: (u64, SpanPhase, u64, u64)) {
         self.span(first.0, first.1, first.2, first.3);

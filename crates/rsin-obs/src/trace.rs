@@ -155,9 +155,9 @@ struct SpanSlot {
 /// lock-free slot ring, so memory stays fixed and the most recent history
 /// survives; [`FlightRecorder::snapshot`] freezes it for export.
 ///
-/// Two hot-path choices keep the traced streaming scheduler inside the
-/// bench_smoke overhead gate (≤ 1.25× the untraced replay, whose decisions
-/// are only ~200 ns each):
+/// Two hot-path choices keep the traced streaming scheduler inside
+/// `bench_smoke`'s `trace_overhead` gate (≤ 1.25× the untraced replay,
+/// whose decisions are only ~200 ns each):
 ///
 /// * spans store *raw timebase ticks* (the TSC on x86-64, where one
 ///   `clock_gettime` per span would dominate; monotonic clock nanoseconds

@@ -132,66 +132,6 @@ pub fn run_blocking_threads(
     }
 }
 
-/// Run the same trials for several schedulers (shared snapshots via the
-/// seed), returning `(name, stats)` rows — one table line per scheduler.
-/// Fully serial: one scheduler at a time, one thread for its trials.
-pub fn compare_schedulers(
-    net: &Network,
-    schedulers: &[&dyn Scheduler],
-    cfg: &BlockingConfig,
-) -> Vec<(&'static str, BlockingStats)> {
-    compare_schedulers_threads(net, schedulers, cfg, 1)
-}
-
-/// [`compare_schedulers`] with a total worker budget of `threads`, split
-/// across *both* grid axes: the scheduler rows run on an outer pool of
-/// `min(threads, rows)` workers, and each row fans its trials out over
-/// `threads / rows` (at least 1) inner workers. A multi-row table therefore
-/// finishes in max-of-rows rather than sum-of-rows wall-clock once
-/// `threads > 1`, while `threads == 1` remains the fully serial loop.
-///
-/// Rows come back in input order and every statistic is bit-identical for
-/// any thread count — each row is a [`run_blocking_threads`] call, which is
-/// itself thread-count-invariant.
-pub fn compare_schedulers_threads(
-    net: &Network,
-    schedulers: &[&dyn Scheduler],
-    cfg: &BlockingConfig,
-    threads: usize,
-) -> Vec<(&'static str, BlockingStats)> {
-    let rows = schedulers.len();
-    let threads = threads.max(1);
-    let inner = (threads / rows.max(1)).max(1);
-    crate::pool::run_indexed(rows, threads.min(rows), |i| {
-        (
-            schedulers[i].name(),
-            run_blocking_threads(net, schedulers[i], cfg, inner),
-        )
-    })
-}
-
-/// One independent worker pool per scheduler: row `i` gets its own
-/// `threads_per_scheduler`-worker pool and all pools run concurrently, so
-/// the table finishes in max-of-rows wall-clock regardless of how the rows'
-/// costs are skewed. This is the explicit-width variant of
-/// [`compare_schedulers_threads`] for callers that size pools themselves
-/// (the `bench_smoke` scheduler-parallel gate times exactly this against
-/// the serial loop).
-pub fn compare_schedulers_pools(
-    net: &Network,
-    schedulers: &[&dyn Scheduler],
-    cfg: &BlockingConfig,
-    threads_per_scheduler: usize,
-) -> Vec<(&'static str, BlockingStats)> {
-    let rows = schedulers.len();
-    crate::pool::run_indexed(rows, rows, |i| {
-        (
-            schedulers[i].name(),
-            run_blocking_threads(net, schedulers[i], cfg, threads_per_scheduler),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,55 +235,5 @@ mod tests {
         let b = run_blocking(&net, &MaxFlowScheduler::default(), &cfg);
         assert_eq!(a.blocking.mean.to_bits(), b.blocking.mean.to_bits());
         assert_eq!(a.blocking.n, 3);
-    }
-
-    #[test]
-    fn scheduler_pools_match_serial_rows_bit_for_bit() {
-        // The tentpole contract: running each scheduler on its own pool
-        // (and splitting a thread budget across the scheduler axis) must
-        // reproduce the serial row-by-row table exactly.
-        let net = omega(8).unwrap();
-        let cfg = BlockingConfig {
-            trials: 61,
-            requests: 5,
-            resources: 5,
-            occupied_circuits: 1,
-            seed: 31,
-        };
-        let opt = MaxFlowScheduler::default();
-        let heu = GreedyScheduler::default();
-        let schedulers: [&dyn rsin_core::scheduler::Scheduler; 2] = [&opt, &heu];
-        let serial = compare_schedulers(&net, &schedulers, &cfg);
-        for (budget, per_pool) in [(4, 1), (8, 2), (2, 3)] {
-            let budgeted = compare_schedulers_threads(&net, &schedulers, &cfg, budget);
-            let pooled = compare_schedulers_pools(&net, &schedulers, &cfg, per_pool);
-            for rows in [&budgeted, &pooled] {
-                assert_eq!(rows.len(), serial.len());
-                for (a, b) in serial.iter().zip(rows.iter()) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.blocking.mean.to_bits(), b.1.blocking.mean.to_bits());
-                    assert_eq!(a.1.blocking.ci95.to_bits(), b.1.blocking.ci95.to_bits());
-                    assert_eq!(a.1.allocated.mean.to_bits(), b.1.allocated.mean.to_bits());
-                    assert_eq!(a.1.trials_with_blocking, b.1.trials_with_blocking);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compare_returns_one_row_per_scheduler() {
-        let net = omega(8).unwrap();
-        let cfg = BlockingConfig {
-            trials: 20,
-            requests: 3,
-            resources: 3,
-            occupied_circuits: 0,
-            seed: 19,
-        };
-        let opt = MaxFlowScheduler::default();
-        let heu = GreedyScheduler::default();
-        let rows = compare_schedulers(&net, &[&opt, &heu], &cfg);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "max-flow(dinic)");
     }
 }

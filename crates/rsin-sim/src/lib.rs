@@ -62,10 +62,7 @@ pub mod stream;
 pub mod system;
 pub mod workload;
 
-pub use blocking::{
-    compare_schedulers_pools, compare_schedulers_threads, run_blocking, run_blocking_threads,
-    BlockingConfig, BlockingStats,
-};
+pub use blocking::{run_blocking, run_blocking_threads, BlockingConfig, BlockingStats};
 pub use stream::{
     encode_commands, format_decision, generate_commands, parse_commands, replay_batch,
     replay_incremental, CodecError, CodecErrorKind, StreamCommand,

@@ -2,9 +2,8 @@
 //! grid.
 //!
 //! Every parallel surface in this crate — blocking trials, load sweeps,
-//! faulted trials, replicated dynamic runs, and the per-scheduler pools of
-//! [`compare_schedulers_pools`](crate::blocking::compare_schedulers_pools) —
-//! shares the same execution shape:
+//! faulted trials, replicated dynamic runs and sharded trials — shares the
+//! same execution shape:
 //!
 //! * `tasks` independent units of work, each a **pure function of its
 //!   index** (the `(seed, trial)` / `(seed, replica)` RNG-stream convention
