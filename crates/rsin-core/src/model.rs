@@ -7,7 +7,7 @@
 //! request→resource mapping minimizing total cost; with equal priorities and
 //! preferences this reduces to maximizing the number of allocations.
 
-use rsin_topology::{CircuitState, LinkId};
+use rsin_topology::CircuitState;
 
 /// A pending request from one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,15 +179,6 @@ impl ScheduleOutcome {
         }
         1.0 - self.assignments.len() as f64 / denominator as f64
     }
-}
-
-/// Paths of an outcome, keyed by processor, for assertions in tests.
-pub fn path_of(outcome: &ScheduleOutcome, processor: usize) -> Option<&[LinkId]> {
-    outcome
-        .assignments
-        .iter()
-        .find(|a| a.processor == processor)
-        .map(|a| a.path.as_slice())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! the flow-based schedulers match its allocation count and cost on small
 //! random instances.
 
-use super::{finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use rsin_topology::{CircuitState, LinkId, NodeRef};
@@ -147,6 +147,7 @@ impl Scheduler for ExhaustiveScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let mut scratch: CircuitState = problem.circuits.clone_link_state();
         let mut search = Search {
             problem,

@@ -12,10 +12,9 @@
 //!   link state; the request then blocks if its unique destination is
 //!   unreachable. Models the address-mapping networks of the introduction.
 
-use super::{finish_outcome, ScheduleError, Scheduler};
+use super::{finish_outcome, Residual, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
-use rsin_topology::CircuitState;
 
 /// Order in which a greedy scheduler serves requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,38 +89,10 @@ impl Scheduler for GreedyScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        let mut scratch: CircuitState = problem.circuits.clone_link_state();
-        let mut taken = vec![false; problem.free.len()];
-        let mut assignments = Vec::new();
-        for i in self.ordered_requests(problem) {
-            let req = &problem.requests[i];
-            // Candidate resources: free, same type, not yet taken this cycle.
-            let candidates: Vec<usize> = problem
-                .free
-                .iter()
-                .enumerate()
-                .filter(|(k, f)| !taken[*k] && f.resource_type == req.resource_type)
-                .map(|(_, f)| f.resource)
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            if let Some((resource, path)) = scratch.find_path_to_any(req.processor, &candidates) {
-                scratch.establish(&path)?;
-                let k = problem
-                    .free
-                    .iter()
-                    .position(|f| f.resource == resource)
-                    .unwrap();
-                taken[k] = true;
-                assignments.push(Assignment {
-                    processor: req.processor,
-                    resource,
-                    path,
-                });
-            }
-        }
-        Ok(finish_outcome(problem, assignments, 0))
+        let mut residual = Residual::pin(problem, Vec::new())?;
+        let order = self.ordered_requests(problem);
+        residual.route_to_any(problem, order.iter().map(|&i| &problem.requests[i]))?;
+        Ok(finish_outcome(problem, residual.assignments, 0))
     }
 }
 
@@ -145,36 +116,29 @@ impl Scheduler for AddressMappedScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        let mut scratch: CircuitState = problem.circuits.clone_link_state();
+        let mut residual = Residual::pin(problem, Vec::new())?;
         let mut state = self.seed | 1;
-        let mut taken = vec![false; problem.free.len()];
-        let mut assignments = Vec::new();
         for req in &problem.requests {
             // Bind to a uniformly chosen untaken resource of the right type
             // *before* looking at the network.
-            let candidates: Vec<usize> = problem
-                .free
-                .iter()
-                .enumerate()
-                .filter(|(k, f)| !taken[*k] && f.resource_type == req.resource_type)
-                .map(|(k, _)| k)
+            let candidates: Vec<usize> = residual
+                .untaken(problem, req.resource_type)
+                .map(|f| f.resource)
                 .collect();
             if candidates.is_empty() {
                 continue;
             }
-            let k = candidates[(xorshift(&mut state) % candidates.len() as u64) as usize];
-            taken[k] = true; // the binding consumes the resource even if routing fails
-            let resource = problem.free[k].resource;
-            if let Some(path) = scratch.find_path(req.processor, resource) {
-                scratch.establish(&path)?;
-                assignments.push(Assignment {
+            let resource = candidates[(xorshift(&mut state) % candidates.len() as u64) as usize];
+            residual.taken[resource] = true; // the binding consumes the resource even if routing fails
+            if let Some(path) = residual.circuits.find_path(req.processor, resource) {
+                residual.commit(Assignment {
                     processor: req.processor,
                     resource,
                     path,
-                });
+                })?;
             }
         }
-        Ok(finish_outcome(problem, assignments, 0))
+        Ok(finish_outcome(problem, residual.assignments, 0))
     }
 }
 

@@ -175,30 +175,6 @@ impl IncrementalScheduler {
         }
     }
 
-    /// [`IncrementalBackend::MaxFlow`] convenience constructor.
-    pub fn new_max_flow(net: &Network) -> Self {
-        Self::new(net, IncrementalBackend::MaxFlow)
-    }
-
-    /// Streaming scheduler over the flat composition of a sharded system:
-    /// flattens `net` (splitters, per-shard fabrics, global network,
-    /// mergers) and builds the superset graph over the result. Global port
-    /// numbering carries over — stream commands address processors by their
-    /// global port. The flattening can fail only on a malformed
-    /// composition, so the error is surfaced rather than panicking.
-    pub fn new_sharded(
-        net: &rsin_topology::ShardedNetwork,
-        backend: IncrementalBackend,
-    ) -> Result<Self, rsin_topology::NetworkError> {
-        let flat = net.flatten()?;
-        Ok(Self::new(&flat, backend))
-    }
-
-    /// [`IncrementalBackend::MinCost`] convenience constructor.
-    pub fn new_min_cost(net: &Network) -> Self {
-        Self::new(net, IncrementalBackend::MinCost)
-    }
-
     /// The backend this scheduler augments with.
     pub fn backend(&self) -> IncrementalBackend {
         self.backend
@@ -475,7 +451,7 @@ mod tests {
     #[test]
     fn arrivals_allocate_and_duplicate_requests_are_typed_errors() {
         let net = omega(8).unwrap();
-        let mut inc = IncrementalScheduler::new_max_flow(&net);
+        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
         let d = inc.request(0).unwrap();
         assert!(matches!(d, StreamDecision::Allocated { processor: 0, .. }));
         assert_eq!(inc.allocated_count(), 1);
@@ -495,7 +471,7 @@ mod tests {
         // so queue nothing; instead occupy everything, then check a release
         // frees capacity that the next arrival takes.
         let net = omega(8).unwrap();
-        let mut inc = IncrementalScheduler::new_max_flow(&net);
+        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
         for p in 0..8 {
             assert!(matches!(
                 inc.request(p).unwrap(),
@@ -527,7 +503,7 @@ mod tests {
         // to force queueing, occupy all 8 then request a 9th... there is no
         // 9th processor. Instead drive to saturation and withdraw.
         let net = omega(8).unwrap();
-        let mut inc = IncrementalScheduler::new_max_flow(&net);
+        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
         for p in 0..8 {
             inc.request(p).unwrap();
         }
@@ -589,7 +565,7 @@ mod tests {
     #[test]
     fn min_cost_backend_honors_resource_prices() {
         let net = omega(8).unwrap();
-        let mut inc = IncrementalScheduler::new_min_cost(&net);
+        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MinCost);
         // Make r5 the unique cheapest resource; the first arrival that can
         // reach it should take it.
         for r in 0..8 {
@@ -607,8 +583,8 @@ mod tests {
     fn traced_stream_is_decision_identical_and_emits_well_formed_spans() {
         use rsin_obs::{validate_spans, FlightRecorder, SpanPhase};
         let net = omega(8).unwrap();
-        let mut plain = IncrementalScheduler::new_max_flow(&net);
-        let mut traced = IncrementalScheduler::new_max_flow(&net);
+        let mut plain = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
+        let mut traced = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
         let fr = FlightRecorder::new(1024);
         // Saturate, churn a few releases/re-requests, then drain two.
         let script: &[(bool, usize)] = &[

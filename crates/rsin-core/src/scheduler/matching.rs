@@ -7,7 +7,7 @@
 //! reduction. This scheduler refuses deeper networks (where pairwise
 //! accessibility ignores interior link sharing and would overcount).
 
-use super::{finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use rsin_flow::bipartite::Bipartite;
@@ -26,6 +26,7 @@ impl Scheduler for MatchingScheduler {
     /// Panics if the network has more than one stage: interior links of
     /// deeper MINs are shared between circuits, which matching cannot see.
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let net = problem.circuits.network();
         assert!(
             net.num_stages() <= 1,

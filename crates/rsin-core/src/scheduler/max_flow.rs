@@ -1,7 +1,7 @@
 //! The optimal homogeneous scheduler: Transformation 1 + maximum flow.
 
 use super::{
-    check_ids, finish_outcome, PricedDegradedOutcome, ScheduleError, ScheduleScratch, Scheduler,
+    check_ids, finish_outcome, DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler,
 };
 use crate::mapping::extract;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
@@ -120,14 +120,8 @@ impl Scheduler for MaxFlowScheduler {
         primary: ScheduleOutcome,
         _scratch: &mut ScheduleScratch,
         _probe: &dyn rsin_obs::Probe,
-    ) -> Result<PricedDegradedOutcome, ScheduleError> {
-        let shed = primary.blocked.len();
-        Ok(PricedDegradedOutcome {
-            recovered: 0,
-            shed,
-            recovery_cost: 0,
-            outcome: primary,
-        })
+    ) -> Result<DegradedOutcome, ScheduleError> {
+        Ok(DegradedOutcome::shed_all(primary))
     }
 }
 

@@ -2,7 +2,7 @@
 //! flow.
 
 use super::{
-    check_ids, finish_outcome, priced_retry_blocked, PricedDegradedOutcome, ScheduleError,
+    check_ids, finish_outcome, priced_retry_blocked, DegradedOutcome, ScheduleError,
     ScheduleScratch, Scheduler,
 };
 use crate::mapping::extract;
@@ -125,7 +125,7 @@ impl Scheduler for MinCostScheduler {
         primary: ScheduleOutcome,
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
-    ) -> Result<PricedDegradedOutcome, ScheduleError> {
+    ) -> Result<DegradedOutcome, ScheduleError> {
         priced_retry_blocked(problem, primary, scratch, self.algorithm, probe)
     }
 }

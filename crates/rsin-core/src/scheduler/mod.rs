@@ -37,11 +37,12 @@ pub use min_cost::MinCostScheduler;
 pub use multicommodity::MultiCommodityScheduler;
 
 use crate::mapping::{extract, Assignment, MappingError};
-use crate::model::{ScheduleOutcome, ScheduleProblem};
+use crate::model::{FreeResource, ScheduleOutcome, ScheduleProblem, ScheduleRequest};
 use crate::transform::reusable::ReusableTransform;
 use rsin_flow::min_cost::Algorithm as MinCostAlgorithm;
 use rsin_flow::SolveScratch;
 use rsin_topology::circuit::CircuitError;
+use rsin_topology::CircuitState;
 
 /// Why a scheduler could not produce an outcome for a snapshot.
 ///
@@ -136,13 +137,15 @@ const _: () = {
 };
 
 /// Outcome of a degraded-mode scheduling cycle
-/// ([`Scheduler::try_schedule_degraded`]): the merged mapping plus how many
-/// blocked requests the alternate-path retry rescued, and how many were
-/// shed (left unallocated this cycle).
+/// ([`Scheduler::try_schedule_degraded`] and
+/// [`Scheduler::try_schedule_degraded_priced`]): the merged mapping plus
+/// how many blocked requests the retry rescued, and how many were shed
+/// (left unallocated this cycle).
 #[derive(Debug, Clone)]
 pub struct DegradedOutcome {
     /// The merged outcome: primary assignments plus recovered ones, with
-    /// `blocked` listing only the shed requests.
+    /// `blocked` listing only the shed requests. `total_cost` is computed
+    /// on the original problem's cost scale.
     pub outcome: ScheduleOutcome,
     /// Requests the primary pass blocked but the retry re-routed to an
     /// alternate free resource.
@@ -152,109 +155,161 @@ pub struct DegradedOutcome {
     /// Transformation-2 cost added by the recovered assignments: merged
     /// total cost minus the primary pass's total cost, both on the original
     /// problem's cost scale. Always ≥ 0 (recovered assignments only add
-    /// nonnegative terms). The BFS retry picks alternates blindly, so this
-    /// is what priced degraded-mode scheduling minimizes instead.
+    /// nonnegative terms). The BFS retry picks alternates blindly; the
+    /// priced retry's is minimal among maximal recoveries (Theorem 3
+    /// applied to the residual).
     pub recovery_cost: i64,
 }
 
+/// The priced retry's outcome: the same [`DegradedOutcome`], kept under
+/// this name only because external [`Scheduler`] implementations still
+/// spell it in their method signatures.
+pub type PricedDegradedOutcome = DegradedOutcome;
+
+impl DegradedOutcome {
+    /// `primary` unchanged, every blocked request shed.
+    pub(crate) fn shed_all(primary: ScheduleOutcome) -> Self {
+        DegradedOutcome {
+            recovered: 0,
+            shed: primary.blocked.len(),
+            recovery_cost: 0,
+            outcome: primary,
+        }
+    }
+}
+
+/// The residual of a cycle: a copy of the snapshot's link state with the
+/// cycle's assignments so far established on it, and which resources (by
+/// id) they took. Every heuristic and every degraded retry routes over one
+/// of these.
+struct Residual<'n> {
+    circuits: CircuitState<'n>,
+    taken: Vec<bool>,
+    assignments: Vec<Assignment>,
+}
+
+impl<'n> Residual<'n> {
+    /// Validate the snapshot's ids (`taken` and the circuit state are
+    /// indexed by them), then pin `pinned` onto a copy of its link state.
+    fn pin(
+        problem: &ScheduleProblem<'_, 'n>,
+        pinned: Vec<Assignment>,
+    ) -> Result<Self, ScheduleError> {
+        check_ids(problem)?;
+        let mut circuits = problem.circuits.clone_link_state();
+        let mut taken = vec![false; problem.circuits.network().num_resources()];
+        for a in &pinned {
+            if let Some(t) = taken.get_mut(a.resource) {
+                *t = true;
+            }
+            circuits.establish(&a.path)?;
+        }
+        Ok(Residual {
+            circuits,
+            taken,
+            assignments: pinned,
+        })
+    }
+
+    /// The untaken free resources of type `ty`, in free-list order.
+    fn untaken<'p>(
+        &'p self,
+        problem: &'p ScheduleProblem,
+        ty: usize,
+    ) -> impl Iterator<Item = &'p FreeResource> {
+        problem
+            .free
+            .iter()
+            .filter(move |f| !self.taken[f.resource] && f.resource_type == ty)
+    }
+
+    /// Establish `a`'s circuit, take its resource and keep the assignment.
+    fn commit(&mut self, a: Assignment) -> Result<(), ScheduleError> {
+        self.circuits.establish(&a.path)?;
+        self.taken[a.resource] = true;
+        self.assignments.push(a);
+        Ok(())
+    }
+
+    /// The paper's heuristic routing: each request in turn BFSes over the
+    /// free links to *any* untaken resource of its type, with no lookahead
+    /// over the requests after it.
+    fn route_to_any<'r>(
+        &mut self,
+        problem: &ScheduleProblem,
+        requests: impl IntoIterator<Item = &'r ScheduleRequest>,
+    ) -> Result<(), ScheduleError> {
+        for req in requests {
+            let candidates: Vec<usize> = self
+                .untaken(problem, req.resource_type)
+                .map(|f| f.resource)
+                .collect();
+            if candidates.is_empty() {
+                continue;
+            }
+            if let Some((resource, path)) =
+                self.circuits.find_path_to_any(req.processor, &candidates)
+            {
+                self.commit(Assignment {
+                    processor: req.processor,
+                    resource,
+                    path,
+                })?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Degraded-mode recovery, the one pipeline both retries run: pin the
+/// primary assignments onto the residual, let `route` recover the blocked
+/// requests over it (returning the work it spent, in estimated
+/// instructions), and merge. The merged outcome is re-costed on the
+/// original problem via [`finish_outcome`], so `recovery_cost` and the
+/// merged `total_cost` share one scale.
+fn recover(
+    problem: &ScheduleProblem,
+    primary: ScheduleOutcome,
+    route: impl FnOnce(&mut Residual<'_>, &[usize]) -> Result<u64, ScheduleError>,
+) -> Result<DegradedOutcome, ScheduleError> {
+    if primary.blocked.is_empty() {
+        return Ok(DegradedOutcome::shed_all(primary));
+    }
+    let pinned = primary.assignments.len();
+    let mut residual = Residual::pin(problem, primary.assignments)?;
+    let spent = route(&mut residual, &primary.blocked)?;
+    let recovered = residual.assignments.len() - pinned;
+    let outcome = finish_outcome(
+        problem,
+        residual.assignments,
+        primary.estimated_instructions + spent,
+    );
+    Ok(DegradedOutcome {
+        recovery_cost: outcome.total_cost - primary.total_cost,
+        shed: outcome.blocked.len(),
+        recovered,
+        outcome,
+    })
+}
+
 /// Retry every blocked request of `primary` over the residual free links:
-/// the primary assignments are pinned onto a copy of the circuit state, and
 /// each blocked request BFSes to *any* still-untaken, type-compatible free
 /// resource. Recovered requests join the assignments; the rest are shed.
 fn retry_blocked(
     problem: &ScheduleProblem,
     primary: ScheduleOutcome,
 ) -> Result<DegradedOutcome, ScheduleError> {
-    if primary.blocked.is_empty() {
-        return Ok(DegradedOutcome {
-            recovered: 0,
-            shed: 0,
-            recovery_cost: 0,
-            outcome: primary,
-        });
-    }
-    let primary_cost = primary.total_cost;
-    let mut cs = problem.circuits.clone_link_state();
-    let mut taken = vec![false; problem.free.len()];
-    for a in &primary.assignments {
-        if let Some(k) = problem.free.iter().position(|f| f.resource == a.resource) {
-            taken[k] = true;
-        }
-        cs.establish(&a.path)?;
-    }
-    let estimated_instructions = primary.estimated_instructions;
-    let mut assignments = primary.assignments;
-    let mut recovered = 0;
-    for &p in &primary.blocked {
-        let Some(req) = problem.requests.iter().find(|r| r.processor == p) else {
-            continue;
-        };
-        let candidates: Vec<usize> = problem
-            .free
+    recover(problem, primary, |residual, blocked| {
+        let requests = blocked
             .iter()
-            .enumerate()
-            .filter(|(k, f)| !taken[*k] && f.resource_type == req.resource_type)
-            .map(|(_, f)| f.resource)
-            .collect();
-        if candidates.is_empty() {
-            continue;
-        }
-        if let Some((resource, path)) = cs.find_path_to_any(p, &candidates) {
-            cs.establish(&path)?;
-            // The resource was drawn from `candidates` ⊆ `problem.free`, so
-            // a miss here means the snapshot mutated underneath us.
-            let k = problem
-                .free
-                .iter()
-                .position(|f| f.resource == resource)
-                .ok_or(ScheduleError::Internal(
-                    "recovered resource missing from the free list",
-                ))?;
-            taken[k] = true;
-            assignments.push(Assignment {
-                processor: p,
-                resource,
-                path,
-            });
-            recovered += 1;
-        }
-    }
-    let outcome = finish_outcome(problem, assignments, estimated_instructions);
-    let shed = outcome.blocked.len();
-    Ok(DegradedOutcome {
-        recovery_cost: outcome.total_cost - primary_cost,
-        outcome,
-        recovered,
-        shed,
+            .filter_map(|&p| problem.requests.iter().find(|r| r.processor == p));
+        residual.route_to_any(problem, requests)?;
+        Ok(0)
     })
 }
 
-/// Outcome of a *priced* degraded-mode scheduling cycle
-/// ([`Scheduler::try_schedule_degraded_priced`]): like [`DegradedOutcome`],
-/// but the recovery pass is a residual Transformation-2 min-cost solve
-/// instead of a blind BFS, so among all maximal recoveries this one has
-/// minimum `recovery_cost`.
-#[derive(Debug, Clone)]
-pub struct PricedDegradedOutcome {
-    /// The merged outcome: primary assignments plus recovered ones, with
-    /// `blocked` listing only the shed requests. `total_cost` is computed
-    /// on the original problem's cost scale.
-    pub outcome: ScheduleOutcome,
-    /// Requests the primary pass blocked but the residual min-cost solve
-    /// re-routed to an alternate free resource.
-    pub recovered: usize,
-    /// Requests still unallocated after the priced retry (absorbed by the
-    /// residual transformation's bypass node).
-    pub shed: usize,
-    /// Transformation-2 cost added by the recovered assignments: merged
-    /// total cost minus the primary pass's total cost. Always ≥ 0, and
-    /// minimal among maximal recoveries (Theorem 3 applied to the residual).
-    pub recovery_cost: i64,
-}
-
-/// Priced retry of every blocked request of `primary`: pin the primary
-/// assignments onto a copy of the circuit state, then — per resource type,
-/// since Transformation 2 is type-blind — build a residual min-cost
+/// Priced retry of every blocked request of `primary`: per resource type,
+/// since Transformation 2 is type-blind, build a residual min-cost
 /// subproblem over only that type's blocked requests and still-untaken free
 /// resources and solve it through the scratch's reusable Transformation-2
 /// graph (occupied links enter as capacity patches, never a rebuild; the
@@ -262,108 +317,89 @@ pub struct PricedDegradedOutcome {
 ///
 /// The residual's local `γ'_max`/`q'_max` shift every allocation cost by a
 /// per-round constant relative to the full problem's scale, which never
-/// changes the argmin; the merged outcome is then re-costed on the
-/// *original* problem via [`finish_outcome`], so `recovery_cost` and the
-/// merged `total_cost` share one scale.
+/// changes the argmin; [`recover`] re-costs the merged outcome on the
+/// original problem.
 fn priced_retry_blocked(
     problem: &ScheduleProblem,
     primary: ScheduleOutcome,
     scratch: &mut ScheduleScratch,
     algorithm: MinCostAlgorithm,
     probe: &dyn rsin_obs::Probe,
-) -> Result<PricedDegradedOutcome, ScheduleError> {
-    if primary.blocked.is_empty() {
-        return Ok(PricedDegradedOutcome {
-            recovered: 0,
-            shed: 0,
-            recovery_cost: 0,
-            outcome: primary,
-        });
-    }
-    // The flags below are dense tables indexed by processor / resource id.
-    check_ids(problem)?;
-    let primary_cost = primary.total_cost;
-    let mut cs = problem.circuits.clone_link_state();
-    let net = problem.circuits.network();
-    let mut taken = vec![false; net.num_resources()];
-    for a in &primary.assignments {
-        taken[a.resource] = true;
-        cs.establish(&a.path)?;
-    }
-    let mut blocked = vec![false; net.num_processors()];
-    for &p in &primary.blocked {
-        blocked[p] = true;
-    }
-    let mut estimated_instructions = primary.estimated_instructions;
-    let mut assignments = primary.assignments;
-    let mut recovered = 0;
-    // One residual round per type, in ascending type order; recovered
-    // circuits are established between rounds so rounds stay link-disjoint.
-    let mut types: Vec<usize> = problem
-        .requests
-        .iter()
-        .filter(|r| blocked[r.processor])
-        .map(|r| r.resource_type)
-        .collect();
-    types.sort_unstable();
-    types.dedup();
-    for ty in types {
-        let requests: Vec<_> = problem
+) -> Result<DegradedOutcome, ScheduleError> {
+    recover(problem, primary, |residual, blocked_list| {
+        let mut blocked = vec![false; problem.circuits.network().num_processors()];
+        for &p in blocked_list {
+            blocked[p] = true;
+        }
+        let mut spent = 0;
+        // One residual round per type, in ascending type order; recovered
+        // circuits are established between rounds so rounds stay
+        // link-disjoint.
+        let mut types: Vec<usize> = problem
             .requests
             .iter()
-            .filter(|r| blocked[r.processor] && r.resource_type == ty)
-            .copied()
+            .filter(|r| blocked[r.processor])
+            .map(|r| r.resource_type)
             .collect();
-        let free: Vec<_> = problem
-            .free
-            .iter()
-            .filter(|f| !taken[f.resource] && f.resource_type == ty)
-            .copied()
-            .collect();
-        if free.is_empty() {
-            continue;
-        }
-        // Scope the residual solve so `cs`'s immutable borrow ends before
-        // the recovered circuits are pinned.
-        let found = {
-            let residual = ScheduleProblem {
-                circuits: &cs,
-                requests,
-                free,
+        types.sort_unstable();
+        types.dedup();
+        for ty in types {
+            let requests: Vec<_> = problem
+                .requests
+                .iter()
+                .filter(|r| blocked[r.processor] && r.resource_type == ty)
+                .copied()
+                .collect();
+            let free: Vec<_> = residual.untaken(problem, ty).copied().collect();
+            if free.is_empty() {
+                continue;
+            }
+            // Scope the residual solve so the circuits' immutable borrow
+            // ends before the recovered circuits are pinned.
+            let found = {
+                let sub = ScheduleProblem {
+                    circuits: &residual.circuits,
+                    requests,
+                    free,
+                };
+                let ScheduleScratch {
+                    solve,
+                    min_cost: reusable,
+                    ..
+                } = &mut *scratch;
+                let (t, f0) = reusable.configure_min_cost(&sub);
+                let r = rsin_flow::min_cost::solve_residual_observed(
+                    &mut t.flow,
+                    t.source,
+                    t.sink,
+                    f0,
+                    algorithm,
+                    solve,
+                    probe,
+                );
+                spent += r.stats.estimated_instructions();
+                extract(t)?
             };
-            let ScheduleScratch {
-                solve,
-                min_cost: reusable,
-                ..
-            } = scratch;
-            let (t, f0) = reusable.configure_min_cost(&residual);
-            let r = rsin_flow::min_cost::solve_residual_observed(
-                &mut t.flow,
-                t.source,
-                t.sink,
-                f0,
-                algorithm,
-                solve,
-                probe,
-            );
-            estimated_instructions += r.stats.estimated_instructions();
-            extract(t)?
-        };
-        for a in found {
-            cs.establish(&a.path)?;
-            taken[a.resource] = true;
-            recovered += 1;
-            assignments.push(a);
+            for a in found {
+                residual.commit(a)?;
+            }
         }
-    }
-    let outcome = finish_outcome(problem, assignments, estimated_instructions);
-    let shed = outcome.blocked.len();
-    Ok(PricedDegradedOutcome {
-        recovery_cost: outcome.total_cost - primary_cost,
-        recovered,
-        shed,
-        outcome,
+        Ok(spent)
     })
+}
+
+/// Count a degraded cycle's rescue/shed/cost totals into `probe`: the
+/// epilogue both observed degraded entry points share.
+fn report_degraded(probe: &dyn rsin_obs::Probe, degraded: &DegradedOutcome) {
+    probe.add(rsin_obs::Counter::DegradedCycles, 1);
+    probe.add(rsin_obs::Counter::Recovered, degraded.recovered as u64);
+    probe.add(rsin_obs::Counter::Shed, degraded.shed as u64);
+    debug_assert!(degraded.recovery_cost >= 0);
+    probe.add(
+        rsin_obs::Counter::RecoveryCost,
+        degraded.recovery_cost as u64,
+    );
+    probe.record(rsin_obs::Hist::RecoveryCost, degraded.recovery_cost as u64);
 }
 
 /// A scheduling discipline: map pending requests to free resources for one
@@ -413,13 +449,15 @@ pub trait Scheduler: Sync {
     /// maximum, so `recovered` is 0 by construction; the retry matters for
     /// the heuristic disciplines (notably address-mapped binding, whose
     /// blind bindings fail precisely when links die under them).
+    ///
+    /// Forwards to [`Self::try_schedule_degraded_observed`] with
+    /// [`rsin_obs::NoopProbe`].
     fn try_schedule_degraded(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
     ) -> Result<DegradedOutcome, ScheduleError> {
-        let primary = self.try_schedule_reusing(problem, scratch)?;
-        retry_blocked(problem, primary)
+        self.try_schedule_degraded_observed(problem, scratch, &rsin_obs::NoopProbe)
     }
 
     /// The recovery pass of priced degraded-mode scheduling: given the
@@ -437,7 +475,7 @@ pub trait Scheduler: Sync {
         primary: ScheduleOutcome,
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
-    ) -> Result<PricedDegradedOutcome, ScheduleError> {
+    ) -> Result<DegradedOutcome, ScheduleError> {
         priced_retry_blocked(
             problem,
             primary,
@@ -461,13 +499,15 @@ pub trait Scheduler: Sync {
     /// (the optimality oracle in the property suite pins this), and the
     /// residual solve reuses the scratch's transformation graph, so
     /// [`ScheduleScratch::rebuilds`] stays at 1 across fault toggles.
+    ///
+    /// Forwards to [`Self::try_schedule_degraded_priced_observed`] with
+    /// [`rsin_obs::NoopProbe`].
     fn try_schedule_degraded_priced(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
-    ) -> Result<PricedDegradedOutcome, ScheduleError> {
-        let primary = self.try_schedule_reusing(problem, scratch)?;
-        self.priced_retry(problem, primary, scratch, &rsin_obs::NoopProbe)
+    ) -> Result<DegradedOutcome, ScheduleError> {
+        self.try_schedule_degraded_priced_observed(problem, scratch, &rsin_obs::NoopProbe)
     }
 
     /// [`Self::try_schedule_reusing`] reporting the cycle to a telemetry
@@ -504,15 +544,7 @@ pub trait Scheduler: Sync {
     ) -> Result<DegradedOutcome, ScheduleError> {
         let primary = self.try_schedule_observed(problem, scratch, probe)?;
         let degraded = retry_blocked(problem, primary)?;
-        probe.add(rsin_obs::Counter::DegradedCycles, 1);
-        probe.add(rsin_obs::Counter::Recovered, degraded.recovered as u64);
-        probe.add(rsin_obs::Counter::Shed, degraded.shed as u64);
-        debug_assert!(degraded.recovery_cost >= 0);
-        probe.add(
-            rsin_obs::Counter::RecoveryCost,
-            degraded.recovery_cost as u64,
-        );
-        probe.record(rsin_obs::Hist::RecoveryCost, degraded.recovery_cost as u64);
+        report_degraded(probe, &degraded);
         Ok(degraded)
     }
 
@@ -529,15 +561,10 @@ pub trait Scheduler: Sync {
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
-    ) -> Result<PricedDegradedOutcome, ScheduleError> {
+    ) -> Result<DegradedOutcome, ScheduleError> {
         let primary = self.try_schedule_observed(problem, scratch, probe)?;
         let priced = self.priced_retry(problem, primary, scratch, probe)?;
-        probe.add(rsin_obs::Counter::DegradedCycles, 1);
-        probe.add(rsin_obs::Counter::Recovered, priced.recovered as u64);
-        probe.add(rsin_obs::Counter::Shed, priced.shed as u64);
-        debug_assert!(priced.recovery_cost >= 0);
-        probe.add(rsin_obs::Counter::RecoveryCost, priced.recovery_cost as u64);
-        probe.record(rsin_obs::Hist::RecoveryCost, priced.recovery_cost as u64);
+        report_degraded(probe, &priced);
         Ok(priced)
     }
 
@@ -631,7 +658,7 @@ pub(crate) fn finish_outcome(
 mod tests {
     use super::*;
     use crate::mapping::verify;
-    use rsin_topology::builders::omega;
+    use rsin_topology::builders::{crossbar, omega};
     use rsin_topology::CircuitState;
 
     /// Every scheduler must produce a *valid* mapping on the Fig. 2
@@ -879,11 +906,20 @@ mod tests {
         assert_eq!(out.estimated_instructions, 7);
     }
 
-    /// The error of every id-validating entry point of the two optimal
-    /// schedulers on `problem` (fresh, reusing and observed cycle each).
-    fn optimal_entry_point_errors(problem: &ScheduleProblem) -> Vec<ScheduleError> {
-        let schedulers: [&dyn Scheduler; 2] =
-            [&MaxFlowScheduler::default(), &MinCostScheduler::default()];
+    /// The error of every entry point of every scheduler on `problem`
+    /// (fresh, reusing, observed, degraded and priced degraded cycle each).
+    /// Callers build `problem` on a crossbar, the one topology all seven
+    /// schedulers accept (matching refuses multistage networks).
+    fn entry_point_errors(problem: &ScheduleProblem) -> Vec<ScheduleError> {
+        let schedulers: [&dyn Scheduler; 7] = [
+            &MaxFlowScheduler::default(),
+            &MinCostScheduler::default(),
+            &MultiCommodityScheduler::default(),
+            &MatchingScheduler,
+            &GreedyScheduler::default(),
+            &AddressMappedScheduler::new(42),
+            &ExhaustiveScheduler::default(),
+        ];
         let mut errors = Vec::new();
         for s in schedulers {
             let mut scratch = ScheduleScratch::new();
@@ -893,29 +929,34 @@ mod tests {
                 s.try_schedule_observed(problem, &mut scratch, &rsin_obs::NoopProbe)
                     .unwrap_err(),
             );
+            errors.push(s.try_schedule_degraded(problem, &mut scratch).unwrap_err());
+            errors.push(
+                s.try_schedule_degraded_priced(problem, &mut scratch)
+                    .unwrap_err(),
+            );
         }
         errors
     }
 
     #[test]
     fn unknown_processor_is_a_typed_error() {
-        let net = omega(8).unwrap();
+        let net = crossbar(8, 8).unwrap();
         let cs = CircuitState::new(&net);
         let problem = ScheduleProblem::homogeneous(&cs, &[0, 8], &[0, 1]);
         assert_eq!(
-            optimal_entry_point_errors(&problem),
-            vec![ScheduleError::UnknownProcessor(8); 6]
+            entry_point_errors(&problem),
+            vec![ScheduleError::UnknownProcessor(8); 35]
         );
     }
 
     #[test]
     fn out_of_range_resource_is_a_typed_error() {
-        let net = omega(8).unwrap();
+        let net = crossbar(8, 8).unwrap();
         let cs = CircuitState::new(&net);
         let problem = ScheduleProblem::homogeneous(&cs, &[0], &[1, 99]);
         assert_eq!(
-            optimal_entry_point_errors(&problem),
-            vec![ScheduleError::Internal("free resource port out of range"); 6]
+            entry_point_errors(&problem),
+            vec![ScheduleError::Internal("free resource port out of range"); 35]
         );
     }
 }

@@ -1,6 +1,6 @@
 //! The heterogeneous scheduler: multicommodity LP with integral fallback.
 
-use super::{finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
 use crate::mapping::{extract, extract_hetero, Assignment};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::{hetero, homogeneous};
@@ -76,6 +76,7 @@ impl Scheduler for MultiCommodityScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         // LP errors (infeasible demand, non-fixed commodities) are not fatal:
         // the sequential fallback below always produces an integral mapping.
         let (t, sol) = if self.use_priorities {

@@ -154,11 +154,6 @@ impl Netlist {
         }
         self.outputs.iter().map(|&w| d[w]).max().unwrap_or(0)
     }
-
-    /// Number of declared outputs.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
-    }
 }
 
 /// Input layout of the request-phase duplication logic for one **output**

@@ -560,23 +560,6 @@ impl FlowNetwork {
         self.cost_csr[self.arc_pos[i ^ 1] as usize] = -cost;
     }
 
-    /// Net flow out of a node (positive at the source, negative at the sink,
-    /// zero elsewhere for a conserved flow). Full forward-arc scan; needs no
-    /// adjacency, so it works on a stale CSR cache too.
-    pub fn net_out_flow(&self, n: NodeId) -> Flow {
-        let mut net = 0;
-        for i in (0..self.tail.len()).step_by(2) {
-            let f = self.cap[i] - self.res_of(i);
-            if self.tail[i] == n {
-                net += f;
-            }
-            if self.head[i] == n {
-                net -= f;
-            }
-        }
-        net
-    }
-
     /// Check the two legality conditions of the paper's Section III-A:
     /// capacity limitation on every arc and flow conservation at every node
     /// except `s` and `t`. Returns the total flow leaving `s` when legal.

@@ -157,17 +157,6 @@ pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
     )
 }
 
-/// What the scheduler thread hands back at shutdown.
-struct LoopStats {
-    lines: Vec<String>,
-    decisions: u64,
-    errors: u64,
-    stats_probes: u64,
-    allocated: usize,
-    queued: usize,
-    rebuilds: u64,
-}
-
 /// A running streaming scheduler service.
 ///
 /// Built by [`Server::start`]; fed with [`Server::submit`]; torn down with
@@ -175,7 +164,7 @@ struct LoopStats {
 /// thread, and returns the [`ServeReport`].
 pub struct Server {
     submit: Option<mpsc::Sender<StreamCommand>>,
-    scheduler: Option<JoinHandle<LoopStats>>,
+    scheduler: Option<JoinHandle<ServeReport>>,
 }
 
 impl Server {
@@ -220,21 +209,11 @@ impl Server {
     /// return the report.
     pub fn finish(mut self) -> ServeReport {
         self.submit.take();
-        let stats = self
-            .scheduler
+        self.scheduler
             .take()
             .expect("finish runs once")
             .join()
-            .expect("scheduler thread never panics");
-        ServeReport {
-            lines: stats.lines,
-            decisions: stats.decisions,
-            errors: stats.errors,
-            stats_probes: stats.stats_probes,
-            allocated: stats.allocated,
-            queued: stats.queued,
-            rebuilds: stats.rebuilds,
-        }
+            .expect("scheduler thread never panics")
     }
 }
 
@@ -252,7 +231,7 @@ fn scheduler_loop(
     probe: &dyn Probe,
     stats_latency: bool,
     submit_rx: mpsc::Receiver<StreamCommand>,
-) -> LoopStats {
+) -> ServeReport {
     let mut lines = Vec::new();
     let mut snap = StatsSnapshot::default();
     let mut stats_probes = 0u64;
@@ -311,7 +290,7 @@ fn scheduler_loop(
         };
         lines.push(line);
     }
-    LoopStats {
+    ServeReport {
         lines,
         decisions: snap.decisions,
         errors: snap.errors,

@@ -73,8 +73,8 @@ pub use replicate::{
     ReplicatedStats, TrialGrid,
 };
 pub use sharded::{
-    run_flat_trials, run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedSession,
-    ShardedStats, ShardedTrialConfig,
+    run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedSession, ShardedStats,
+    ShardedTrialConfig,
 };
 pub use system::{
     fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel,

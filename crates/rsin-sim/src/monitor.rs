@@ -6,9 +6,10 @@
 //! Requests received or resources released during a scheduling cycle will
 //! not be processed until the next cycle."
 //!
-//! [`Monitor`] wraps any [`Scheduler`] with exactly those semantics:
-//! requests and releases arriving *during* a cycle are queued and only
-//! become visible at the next snapshot. It also prices each cycle with the
+//! [`Monitor`] wraps any [`Scheduler`] with exactly those semantics, and
+//! the Fig. 6 deferral holds by construction: [`Monitor::cycle`] borrows
+//! the monitor mutably, so no request or release can land while a cycle
+//! runs, and whatever arrives after it is seen by the next snapshot. It also prices each cycle with the
 //! [`CostModel`] so experiments can compare the monitor's scheduling
 //! latency against the distributed engine's.
 
@@ -40,16 +41,12 @@ pub struct Monitor<'n> {
     circuits: CircuitState<'n>,
     /// Requests visible to the next cycle.
     pending: Vec<ScheduleRequest>,
-    /// Requests that arrived during the current cycle (deferred).
-    arriving: Vec<ScheduleRequest>,
-    /// Resource availability visible to the next cycle; deferred releases.
+    /// Resource availability visible to the next cycle.
     free: Vec<bool>,
-    deferred_release: Vec<usize>,
     /// Resource type per resource (0 everywhere in homogeneous systems).
     resource_types: Vec<usize>,
     /// Live circuits per processor (so task completion can release them).
     live: Vec<Option<(CircuitId, usize)>>,
-    in_cycle: bool,
     policy: BatchingPolicy,
     cost: CostModel,
     /// Total microseconds spent scheduling (monitor latency).
@@ -81,12 +78,9 @@ impl<'n> Monitor<'n> {
         Monitor {
             circuits: CircuitState::new(net),
             pending: Vec::new(),
-            arriving: Vec::new(),
             free: vec![true; net.num_resources()],
-            deferred_release: Vec::new(),
             resource_types,
             live: vec![None; net.num_processors()],
-            in_cycle: false,
             policy: BatchingPolicy::Immediate,
             cost,
             scheduling_us: 0.0,
@@ -104,24 +98,14 @@ impl<'n> Monitor<'n> {
         self.policy = policy;
     }
 
-    /// A processor submits a request. Visible immediately unless a cycle is
-    /// in progress, in which case it waits for the next one.
+    /// A processor submits a request; the next cycle sees it.
     pub fn submit(&mut self, request: ScheduleRequest) {
-        if self.in_cycle {
-            self.arriving.push(request);
-        } else {
-            self.pending.push(request);
-        }
+        self.pending.push(request);
     }
 
-    /// A resource finishes its task. The release is deferred to the next
-    /// cycle when one is in progress.
+    /// A resource finishes its task; the next cycle sees it free.
     pub fn release_resource(&mut self, resource: usize) {
-        if self.in_cycle {
-            self.deferred_release.push(resource);
-        } else {
-            self.free[resource] = true;
-        }
+        self.free[resource] = true;
     }
 
     /// A processor finishes transmitting: its circuit is torn down (the
@@ -160,7 +144,6 @@ impl<'n> Monitor<'n> {
                 }
             }
         }
-        self.in_cycle = true;
         let problem = ScheduleProblem {
             circuits: &self.circuits,
             requests: self.pending.clone(),
@@ -188,12 +171,6 @@ impl<'n> Monitor<'n> {
         let latency_us = self.cost.monitor_us(outcome.estimated_instructions);
         self.scheduling_us += latency_us;
         self.cycles += 1;
-        // End of cycle: deferred events become visible.
-        self.in_cycle = false;
-        self.pending.append(&mut self.arriving);
-        for r in self.deferred_release.drain(..) {
-            self.free[r] = true;
-        }
         Some(CycleOutcome {
             outcome,
             latency_us,
@@ -259,29 +236,6 @@ mod tests {
         m.submit(req(a.processor));
         let c2 = m.cycle(&MaxFlowScheduler::default()).unwrap();
         assert_eq!(c2.outcome.allocated(), 1);
-    }
-
-    #[test]
-    fn mid_cycle_arrivals_wait_for_next_cycle() {
-        // Simulated by submitting while in_cycle is forced via the deferred
-        // API path: requests pushed to `arriving` must not be served by the
-        // running cycle but must appear afterwards.
-        let net = omega(8).unwrap();
-        let mut m = Monitor::new(&net, CostModel::default());
-        m.submit(req(0));
-        // Emulate an arrival during the cycle by toggling the flag around
-        // a manual submit (the SystemSim integration does this for real).
-        m.in_cycle = true;
-        m.submit(req(5));
-        m.in_cycle = false;
-        assert_eq!(m.pending_count(), 1, "p6's request is deferred");
-        let c = m.cycle(&MaxFlowScheduler::default()).unwrap();
-        assert_eq!(c.outcome.allocated(), 1);
-        assert_eq!(c.outcome.assignments[0].processor, 0);
-        // Now the deferred request is visible.
-        assert_eq!(m.pending_count(), 1);
-        let c2 = m.cycle(&MaxFlowScheduler::default()).unwrap();
-        assert_eq!(c2.outcome.assignments[0].processor, 5);
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! [`rsin_core::scheduler::hierarchical`]; this module supplies the
 //! execution and measurement shell around it:
 //!
-//! * [`run_sharded_trials`] / [`run_flat_trials`] — Monte-Carlo blocking
-//!   trials of the hierarchical scheduler and of the flat Theorem-2 fresh
-//!   solve on the *same* `(seed, trial)` snapshots, for conformance and
-//!   speedup comparisons;
+//! * [`run_sharded_trials`] — Monte-Carlo blocking trials of the
+//!   hierarchical scheduler on seeded `(seed, trial)` snapshots;
 //! * [`run_paired_trials`] — per-trial `(hierarchical, flat)` allocation
 //!   pairs, the raw material of the `hier ≤ flat` conformance gates;
 //! * [`ShardedSession`] — a long-lived streaming session: one warm
@@ -162,37 +160,6 @@ pub fn run_sharded_trials(
     reduce_trials(&results)
 }
 
-/// The flat oracle on the same snapshots: a Theorem-2 fresh solve over the
-/// flattened composition per trial, one single-threaded solver per worker.
-/// Global ports number the flat network's processors and resources
-/// directly, so trial `i` sees exactly the snapshot of
-/// [`run_sharded_trials`] trial `i`.
-pub fn run_flat_trials(flat: &Network, cfg: &ShardedTrialConfig, threads: usize) -> ShardedStats {
-    let scheduler = MaxFlowScheduler::default();
-    let results = crate::pool::run_indexed_with(
-        cfg.trials as usize,
-        threads,
-        ScheduleScratch::new,
-        |scratch, trial| {
-            let mut rng = trial_rng(cfg.seed, trial as u64);
-            let (requests, free) =
-                sharded_snapshot(flat.num_processors(), cfg.requests, cfg.free, &mut rng);
-            let denom = requests.len().min(free.len());
-            let cs = CircuitState::new(flat);
-            let problem = ScheduleProblem::homogeneous(&cs, &requests, &free);
-            let out = scheduler.schedule_reusing(&problem, scratch);
-            ShardedTrialResult {
-                blocking: out.blocking_fraction(denom),
-                allocated: out.allocated() as f64,
-                remote: 0.0,
-                stage1_blocked: 0.0,
-                rebuilds_ok: scratch.rebuilds() == 1,
-            }
-        },
-    );
-    reduce_trials(&results)
-}
-
 /// Per-trial `(hierarchical allocated, flat allocated)` pairs on shared
 /// snapshots — the conformance raw data: hierarchical must never exceed
 /// flat, and stays above a configured fraction of it in aggregate.
@@ -303,11 +270,6 @@ impl<'n> ShardedSession<'n> {
     /// shard or waiting in the session overflow FIFO.
     pub fn queued_count(&self) -> usize {
         self.shards.iter().map(|s| s.queued_count()).sum::<usize>() + self.overflow.len()
-    }
-
-    /// Origins waiting in the session-level overflow FIFO.
-    pub fn overflow_count(&self) -> usize {
-        self.overflow.len()
     }
 
     /// Origins currently seated on a non-home shard (each holds one

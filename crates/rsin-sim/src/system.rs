@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rsin_core::conformance::ConformanceDetector;
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
-use rsin_core::scheduler::{ScheduleError, ScheduleScratch, Scheduler};
+use rsin_core::scheduler::{DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
 use rsin_obs::{Counter, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{
     CircuitError, CircuitId, CircuitState, FaultAction, FaultDomain, FaultPlan, FaultPlanConfig,
@@ -667,44 +667,32 @@ impl<'n> SystemSim<'n> {
                 scheduler: scheduler.name(),
                 error,
             };
-            let (out, recovered, shed, recovery_cost) = if cs.faulty_count() > 0 {
-                match policy {
-                    DegradedPolicy::None => {
-                        let out = scheduler
-                            .try_schedule_observed(&problem, &mut scratch, probe)
-                            .map_err(fail)?;
-                        let shed = out.blocked.len() as u64;
-                        (out, 0, shed, 0)
-                    }
-                    DegradedPolicy::Bfs => {
-                        let d = scheduler
-                            .try_schedule_degraded_observed(&problem, &mut scratch, probe)
-                            .map_err(fail)?;
-                        (
-                            d.outcome,
-                            d.recovered as u64,
-                            d.shed as u64,
-                            d.recovery_cost,
-                        )
-                    }
-                    DegradedPolicy::Priced => {
-                        let d = scheduler
-                            .try_schedule_degraded_priced_observed(&problem, &mut scratch, probe)
-                            .map_err(fail)?;
-                        (
-                            d.outcome,
-                            d.recovered as u64,
-                            d.shed as u64,
-                            d.recovery_cost,
-                        )
-                    }
+            let faulty = cs.faulty_count() > 0;
+            let DegradedOutcome {
+                outcome: out,
+                recovered,
+                shed,
+                recovery_cost,
+            } = match policy {
+                DegradedPolicy::Bfs if faulty => {
+                    scheduler.try_schedule_degraded_observed(&problem, &mut scratch, probe)
                 }
-            } else {
-                let out = scheduler
+                DegradedPolicy::Priced if faulty => {
+                    scheduler.try_schedule_degraded_priced_observed(&problem, &mut scratch, probe)
+                }
+                // No retry: under faults every blocked request is shed; a
+                // fault-free cycle sheds nothing.
+                _ => scheduler
                     .try_schedule_observed(&problem, &mut scratch, probe)
-                    .map_err(fail)?;
-                (out, 0, 0, 0)
-            };
+                    .map(|outcome| DegradedOutcome {
+                        shed: if faulty { outcome.blocked.len() } else { 0 },
+                        recovered: 0,
+                        recovery_cost: 0,
+                        outcome,
+                    }),
+            }
+            .map_err(fail)?;
+            let (recovered, shed) = (recovered as u64, shed as u64);
             debug_assert!(rsin_core::mapping::verify(&out.assignments, &problem).is_ok());
             // Differential conformance check (Byzantine runs only): the
             // Dinic oracle certifies this cycle's realized allocation on the

@@ -54,16 +54,6 @@ impl Switchbox {
         Switchbox::new(2, 2)
     }
 
-    /// Number of input ports.
-    pub fn num_inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Number of output ports.
-    pub fn num_outputs(&self) -> usize {
-        self.outputs
-    }
-
     /// Connect input `i` to output `o` (fails on broadcast/conflict).
     pub fn connect(&mut self, i: usize, o: usize) -> Result<(), SwitchboxError> {
         if i >= self.inputs || o >= self.outputs {
