@@ -13,7 +13,7 @@ use crate::model::ScheduleProblem;
 use crate::transform::hetero::HeteroTransformed;
 use crate::transform::Transformed;
 use rsin_flow::multicommodity::MultiSolution;
-use rsin_flow::path::for_each_unit_path;
+use rsin_flow::path::{for_each_unit_path, PathWalk};
 use rsin_flow::{ArcId, Flow};
 use rsin_topology::{CircuitId, CircuitState, LinkId, NodeRef};
 use std::collections::HashSet;
@@ -41,11 +41,11 @@ pub enum MappingError {
 /// Decompose the flow in a transformed network into assignments.
 ///
 /// The flow must already be computed (and legal); bypass flow is ignored.
-/// Paths are walked in one reused arc buffer ([`for_each_unit_path`]);
-/// each assignment gets one exact-size link list.
-pub fn extract(t: &Transformed) -> Result<Vec<Assignment>, MappingError> {
+/// Paths are walked with the reusable buffers of `walk`
+/// ([`for_each_unit_path`]); each assignment gets one exact-size link list.
+pub fn extract(t: &Transformed, walk: &mut PathWalk) -> Result<Vec<Assignment>, MappingError> {
     let mut out = Vec::new();
-    for_each_unit_path(&t.flow, t.source, t.sink, t.bypass, |arcs| {
+    for_each_unit_path(&t.flow, t.source, t.sink, t.bypass, walk, |arcs| {
         let (&first, rest) = arcs.split_first().ok_or(MappingError::MalformedPath)?;
         let (&last, middle) = rest.split_last().ok_or(MappingError::MalformedPath)?;
         let processor = t
@@ -235,7 +235,7 @@ mod tests {
         let mut t = homogeneous::transform(&problem);
         let r = solve(&mut t.flow, t.source, t.sink, Algorithm::Dinic);
         assert_eq!(r.value, 5);
-        let assignments = extract(&t).unwrap();
+        let assignments = extract(&t, &mut PathWalk::default()).unwrap();
         assert_eq!(assignments.len(), 5);
         verify(&assignments, &problem).unwrap();
         // Each path crosses the 3-stage Omega: 4 links.
@@ -251,7 +251,7 @@ mod tests {
         let problem = ScheduleProblem::homogeneous(&cs, &[0, 1], &[0, 1]);
         let mut t = homogeneous::transform(&problem);
         solve(&mut t.flow, t.source, t.sink, Algorithm::Dinic);
-        let assignments = extract(&t).unwrap();
+        let assignments = extract(&t, &mut PathWalk::default()).unwrap();
         let circuits = apply(&assignments, &mut cs).unwrap();
         assert_eq!(circuits.len(), 2);
         assert_eq!(cs.occupied_count(), 8);
@@ -264,7 +264,7 @@ mod tests {
         let problem = ScheduleProblem::homogeneous(&cs, &[0], &[0]);
         let mut t = homogeneous::transform(&problem);
         solve(&mut t.flow, t.source, t.sink, Algorithm::Dinic);
-        let assignments = extract(&t).unwrap();
+        let assignments = extract(&t, &mut PathWalk::default()).unwrap();
         // Occupy one of the links first, so apply must fail and roll back.
         let before = {
             let mut doubled = assignments.clone();

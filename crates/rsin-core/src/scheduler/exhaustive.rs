@@ -9,7 +9,7 @@
 //! the flow-based schedulers match its allocation count and cost on small
 //! random instances.
 
-use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, OutcomeTables, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use rsin_topology::{CircuitState, LinkId, NodeRef};
@@ -162,7 +162,12 @@ impl Scheduler for ExhaustiveScheduler {
         let mut current = Vec::new();
         search.go(0, &mut scratch, &mut taken, &mut current);
         let best = search.best;
-        Ok(finish_outcome(problem, best, search.steps))
+        Ok(finish_outcome(
+            problem,
+            best,
+            search.steps,
+            &mut OutcomeTables::default(),
+        ))
     }
 }
 

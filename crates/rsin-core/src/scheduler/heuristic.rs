@@ -12,7 +12,7 @@
 //!   link state; the request then blocks if its unique destination is
 //!   unreachable. Models the address-mapping networks of the introduction.
 
-use super::{finish_outcome, Residual, ScheduleError, Scheduler};
+use super::{finish_outcome, OutcomeTables, Residual, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 
@@ -92,7 +92,12 @@ impl Scheduler for GreedyScheduler {
         let mut residual = Residual::pin(problem, Vec::new())?;
         let order = self.ordered_requests(problem);
         residual.route_to_any(problem, order.iter().map(|&i| &problem.requests[i]))?;
-        Ok(finish_outcome(problem, residual.assignments, 0))
+        Ok(finish_outcome(
+            problem,
+            residual.assignments,
+            0,
+            &mut OutcomeTables::default(),
+        ))
     }
 }
 
@@ -138,7 +143,12 @@ impl Scheduler for AddressMappedScheduler {
                 })?;
             }
         }
-        Ok(finish_outcome(problem, residual.assignments, 0))
+        Ok(finish_outcome(
+            problem,
+            residual.assignments,
+            0,
+            &mut OutcomeTables::default(),
+        ))
     }
 }
 

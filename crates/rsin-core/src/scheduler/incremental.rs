@@ -40,6 +40,7 @@ use crate::mapping::{extract, Assignment};
 use crate::model::ScheduleProblem;
 use crate::transform::reusable::ReusableTransform;
 use crate::transform::Transformed;
+use rsin_flow::path::PathWalk;
 use rsin_flow::{ArcId, Cost, SolveScratch};
 use rsin_obs::{Counter, Hist, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{CircuitState, Network};
@@ -215,7 +216,7 @@ impl IncrementalScheduler {
     /// verification and snapshots, not the per-decision path.
     pub fn assignments(&self) -> Result<Vec<Assignment>, ScheduleError> {
         match self.reusable.transformed() {
-            Some(t) => extract(t).map_err(ScheduleError::from),
+            Some(t) => extract(t, &mut PathWalk::default()).map_err(ScheduleError::from),
             None => Ok(Vec::new()),
         }
     }

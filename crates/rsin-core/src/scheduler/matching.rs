@@ -7,7 +7,7 @@
 //! reduction. This scheduler refuses deeper networks (where pairwise
 //! accessibility ignores interior link sharing and would overcount).
 
-use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, OutcomeTables, ScheduleError, Scheduler};
 use crate::mapping::Assignment;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use rsin_flow::bipartite::Bipartite;
@@ -62,7 +62,12 @@ impl Scheduler for MatchingScheduler {
         }
         // Work model: ~10 instructions per BFS/DFS phase edge touch.
         let instructions = (m.phases as u64) * 10 * (problem.requests.len() as u64 + 1);
-        Ok(finish_outcome(problem, assignments, instructions))
+        Ok(finish_outcome(
+            problem,
+            assignments,
+            instructions,
+            &mut OutcomeTables::default(),
+        ))
     }
 }
 

@@ -1,12 +1,14 @@
 //! The optimal homogeneous scheduler: Transformation 1 + maximum flow.
 
 use super::{
-    check_ids, finish_outcome, DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler,
+    check_ids, finish_outcome, DegradedOutcome, OutcomeTables, ScheduleError, ScheduleScratch,
+    Scheduler,
 };
 use crate::mapping::extract;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::homogeneous;
 use rsin_flow::max_flow::{self, Algorithm};
+use rsin_flow::path::PathWalk;
 
 /// Optimal scheduler for homogeneous MRSINs with equal priorities
 /// (Section III-B). Maximizes the number of allocated resources; by
@@ -48,12 +50,13 @@ impl Scheduler for MaxFlowScheduler {
         check_ids(problem)?;
         let mut t = homogeneous::transform(problem);
         let r = max_flow::solve(&mut t.flow, t.source, t.sink, self.algorithm);
-        let assignments = extract(&t)?;
+        let assignments = extract(&t, &mut PathWalk::default())?;
         debug_assert_eq!(assignments.len() as i64, r.value);
         Ok(finish_outcome(
             problem,
             assignments,
             r.stats.estimated_instructions(),
+            &mut OutcomeTables::default(),
         ))
     }
 
@@ -68,16 +71,18 @@ impl Scheduler for MaxFlowScheduler {
         let ScheduleScratch {
             solve,
             max_flow: reusable,
+            outcome,
             ..
         } = scratch;
         let t = reusable.configure_max_flow(problem);
         let r = max_flow::solve_with(&mut t.flow, t.source, t.sink, self.algorithm, solve);
-        let assignments = extract(t)?;
+        let assignments = reusable.extract()?;
         debug_assert_eq!(assignments.len() as i64, r.value);
         Ok(finish_outcome(
             problem,
             assignments,
             r.stats.estimated_instructions(),
+            outcome,
         ))
     }
 
@@ -94,14 +99,26 @@ impl Scheduler for MaxFlowScheduler {
         let ScheduleScratch {
             solve,
             max_flow: reusable,
+            outcome,
             ..
         } = scratch;
+        let stage = probe.start();
         let t = reusable.configure_max_flow(problem);
+        probe.finish(stage, rsin_obs::Hist::ConfigureNs);
         let r =
             max_flow::solve_observed(&mut t.flow, t.source, t.sink, self.algorithm, solve, probe);
-        let assignments = extract(t)?;
+        let stage = probe.start();
+        let assignments = reusable.extract()?;
+        probe.finish(stage, rsin_obs::Hist::ExtractNs);
         debug_assert_eq!(assignments.len() as i64, r.value);
-        let out = finish_outcome(problem, assignments, r.stats.estimated_instructions());
+        let stage = probe.start();
+        let out = finish_outcome(
+            problem,
+            assignments,
+            r.stats.estimated_instructions(),
+            outcome,
+        );
+        probe.finish(stage, rsin_obs::Hist::FinishNs);
         probe.finish(span, rsin_obs::Hist::CycleLatencyNs);
         probe.add(rsin_obs::Counter::Cycles, 1);
         Ok(out)

@@ -2,13 +2,14 @@
 //! flow.
 
 use super::{
-    check_ids, finish_outcome, priced_retry_blocked, DegradedOutcome, ScheduleError,
+    check_ids, finish_outcome, priced_retry_blocked, DegradedOutcome, OutcomeTables, ScheduleError,
     ScheduleScratch, Scheduler,
 };
 use crate::mapping::extract;
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::priority;
 use rsin_flow::min_cost::{self, Algorithm};
+use rsin_flow::path::PathWalk;
 
 /// Optimal scheduler for homogeneous MRSINs with request priorities and
 /// resource preferences (Section III-C, Theorem 3). Maximizes the number of
@@ -49,11 +50,12 @@ impl Scheduler for MinCostScheduler {
         check_ids(problem)?;
         let (mut t, f0) = priority::transform(problem);
         let r = min_cost::solve(&mut t.flow, t.source, t.sink, f0, self.algorithm);
-        let assignments = extract(&t)?;
+        let assignments = extract(&t, &mut PathWalk::default())?;
         Ok(finish_outcome(
             problem,
             assignments,
             r.stats.estimated_instructions(),
+            &mut OutcomeTables::default(),
         ))
     }
 
@@ -69,15 +71,17 @@ impl Scheduler for MinCostScheduler {
         let ScheduleScratch {
             solve,
             min_cost: reusable,
+            outcome,
             ..
         } = scratch;
         let (t, f0) = reusable.configure_min_cost(problem);
         let r = min_cost::solve_with(&mut t.flow, t.source, t.sink, f0, self.algorithm, solve);
-        let assignments = extract(t)?;
+        let assignments = reusable.extract()?;
         Ok(finish_outcome(
             problem,
             assignments,
             r.stats.estimated_instructions(),
+            outcome,
         ))
     }
 
@@ -94,9 +98,12 @@ impl Scheduler for MinCostScheduler {
         let ScheduleScratch {
             solve,
             min_cost: reusable,
+            outcome,
             ..
         } = scratch;
+        let stage = probe.start();
         let (t, f0) = reusable.configure_min_cost(problem);
+        probe.finish(stage, rsin_obs::Hist::ConfigureNs);
         let r = min_cost::solve_observed(
             &mut t.flow,
             t.source,
@@ -106,19 +113,32 @@ impl Scheduler for MinCostScheduler {
             solve,
             probe,
         );
-        let assignments = extract(t)?;
-        let out = finish_outcome(problem, assignments, r.stats.estimated_instructions());
+        let stage = probe.start();
+        let assignments = reusable.extract()?;
+        probe.finish(stage, rsin_obs::Hist::ExtractNs);
+        let stage = probe.start();
+        let out = finish_outcome(
+            problem,
+            assignments,
+            r.stats.estimated_instructions(),
+            outcome,
+        );
+        probe.finish(stage, rsin_obs::Hist::FinishNs);
         probe.finish(span, rsin_obs::Hist::CycleLatencyNs);
         probe.add(rsin_obs::Counter::Cycles, 1);
         Ok(out)
     }
 
-    /// Priced retry running this scheduler's own min-cost algorithm on the
-    /// residual. The primary mapping is already optimal (Theorem 3), so the
-    /// residual provably recovers nothing — running it anyway is a cheap
-    /// live self-check that the residual construction is conservative, and
-    /// it reuses the same Transformation-2 graph the primary solve just
-    /// configured, so rebuilds stay at 1.
+    /// Shed directly when the snapshot has one resource type: the primary
+    /// mapping is then a maximum mapping (Transformation 2's bypass routes
+    /// all `F₀` units, and the min-cost flow takes a real allocation over
+    /// every bypass it can, Theorem 3), so a recovered request would be a
+    /// link-disjoint extension of a maximum mapping — a contradiction.
+    /// Debug builds still run the residual as an oracle and assert it
+    /// recovers nothing. Transformation 2 is type-blind, so a snapshot with
+    /// several types keeps the residual retry, solved with this scheduler's
+    /// own algorithm on the same Transformation-2 graph the primary solve
+    /// configured (rebuilds stay at 1).
     fn priced_retry(
         &self,
         problem: &ScheduleProblem,
@@ -126,7 +146,37 @@ impl Scheduler for MinCostScheduler {
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<DegradedOutcome, ScheduleError> {
-        priced_retry_blocked(problem, primary, scratch, self.algorithm, probe)
+        if !single_type(problem) {
+            return priced_retry_blocked(problem, primary, scratch, self.algorithm, probe);
+        }
+        if cfg!(debug_assertions) {
+            let oracle = priced_retry_blocked(
+                problem,
+                primary.clone(),
+                scratch,
+                self.algorithm,
+                &rsin_obs::NoopProbe,
+            )?;
+            assert_eq!(
+                oracle.recovered, 0,
+                "Theorem 3: the residual of a maximum primary recovers nothing"
+            );
+        }
+        Ok(DegradedOutcome::shed_all(primary))
+    }
+}
+
+/// Does every request and every free resource of the snapshot have the same
+/// resource type?
+fn single_type(problem: &ScheduleProblem) -> bool {
+    let mut types = problem
+        .requests
+        .iter()
+        .map(|r| r.resource_type)
+        .chain(problem.free.iter().map(|f| f.resource_type));
+    match types.next() {
+        Some(ty) => types.all(|t| t == ty),
+        None => true,
     }
 }
 

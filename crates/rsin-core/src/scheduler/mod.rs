@@ -36,7 +36,7 @@ pub use max_flow::MaxFlowScheduler;
 pub use min_cost::MinCostScheduler;
 pub use multicommodity::MultiCommodityScheduler;
 
-use crate::mapping::{extract, Assignment, MappingError};
+use crate::mapping::{Assignment, MappingError};
 use crate::model::{FreeResource, ScheduleOutcome, ScheduleProblem, ScheduleRequest};
 use crate::transform::reusable::ReusableTransform;
 use rsin_flow::min_cost::Algorithm as MinCostAlgorithm;
@@ -111,6 +111,19 @@ pub struct ScheduleScratch {
     pub(crate) max_flow: ReusableTransform,
     /// Superset Transformation-2 graph (min-cost schedulers).
     pub(crate) min_cost: ReusableTransform,
+    /// [`finish_outcome`]'s id-indexed tables.
+    pub(crate) outcome: OutcomeTables,
+}
+
+/// The id-indexed tables of [`finish_outcome`]: per processor its request's
+/// priority and whether an assignment serves it, per resource its
+/// preference. They grow to the largest id seen and are left all-clear, so
+/// a call touches only the entries of its snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct OutcomeTables {
+    priority_of: Vec<Option<i64>>,
+    preference_of: Vec<Option<i64>>,
+    allocated: Vec<bool>,
 }
 
 impl ScheduleScratch {
@@ -270,6 +283,7 @@ impl<'n> Residual<'n> {
 fn recover(
     problem: &ScheduleProblem,
     primary: ScheduleOutcome,
+    tables: &mut OutcomeTables,
     route: impl FnOnce(&mut Residual<'_>, &[usize]) -> Result<u64, ScheduleError>,
 ) -> Result<DegradedOutcome, ScheduleError> {
     if primary.blocked.is_empty() {
@@ -283,6 +297,7 @@ fn recover(
         problem,
         residual.assignments,
         primary.estimated_instructions + spent,
+        tables,
     );
     Ok(DegradedOutcome {
         recovery_cost: outcome.total_cost - primary.total_cost,
@@ -298,8 +313,9 @@ fn recover(
 fn retry_blocked(
     problem: &ScheduleProblem,
     primary: ScheduleOutcome,
+    tables: &mut OutcomeTables,
 ) -> Result<DegradedOutcome, ScheduleError> {
-    recover(problem, primary, |residual, blocked| {
+    recover(problem, primary, tables, |residual, blocked| {
         let requests = blocked
             .iter()
             .filter_map(|&p| problem.requests.iter().find(|r| r.processor == p));
@@ -326,7 +342,13 @@ fn priced_retry_blocked(
     algorithm: MinCostAlgorithm,
     probe: &dyn rsin_obs::Probe,
 ) -> Result<DegradedOutcome, ScheduleError> {
-    recover(problem, primary, |residual, blocked_list| {
+    let ScheduleScratch {
+        solve,
+        min_cost: reusable,
+        outcome,
+        ..
+    } = scratch;
+    recover(problem, primary, outcome, |residual, blocked_list| {
         let mut blocked = vec![false; problem.circuits.network().num_processors()];
         for &p in blocked_list {
             blocked[p] = true;
@@ -362,11 +384,6 @@ fn priced_retry_blocked(
                     requests,
                     free,
                 };
-                let ScheduleScratch {
-                    solve,
-                    min_cost: reusable,
-                    ..
-                } = &mut *scratch;
                 let (t, f0) = reusable.configure_min_cost(&sub);
                 let r = rsin_flow::min_cost::solve_residual_observed(
                     &mut t.flow,
@@ -378,7 +395,7 @@ fn priced_retry_blocked(
                     probe,
                 );
                 spent += r.stats.estimated_instructions();
-                extract(t)?
+                reusable.extract()?
             };
             for a in found {
                 residual.commit(a)?;
@@ -543,7 +560,7 @@ pub trait Scheduler: Sync {
         probe: &dyn rsin_obs::Probe,
     ) -> Result<DegradedOutcome, ScheduleError> {
         let primary = self.try_schedule_observed(problem, scratch, probe)?;
-        let degraded = retry_blocked(problem, primary)?;
+        let degraded = retry_blocked(problem, primary, &mut scratch.outcome)?;
         report_degraded(probe, &degraded);
         Ok(degraded)
     }
@@ -607,28 +624,39 @@ pub(crate) fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> 
 
 /// Shared outcome assembly: derive the blocked list and the
 /// Transformation-2 cost of the accepted assignments. Requests and
-/// resources are indexed by id in dense tables sized by the largest id of
-/// the snapshot, so each assignment costs O(1) with no hashing.
+/// resources are indexed by id in the dense `tables`, so each assignment
+/// costs O(1) with no hashing, and the tables are cleared entry by entry,
+/// so the call follows the snapshot, not the largest id.
 pub(crate) fn finish_outcome(
     problem: &ScheduleProblem,
     assignments: Vec<Assignment>,
     estimated_instructions: u64,
+    tables: &mut OutcomeTables,
 ) -> ScheduleOutcome {
+    let OutcomeTables {
+        priority_of,
+        preference_of,
+        allocated,
+    } = tables;
     let gamma_max = problem.max_priority() as i64;
     let q_max = problem.max_preference() as i64;
     // Per processor: its request's priority (last one wins, as a map
     // would) and whether an assignment serves it.
     let np = problem.requests.iter().map(|r| r.processor + 1).max();
-    let mut priority_of: Vec<Option<i64>> = vec![None; np.unwrap_or(0)];
+    if let Some(np) = np.filter(|&np| np > priority_of.len()) {
+        priority_of.resize(np, None);
+        allocated.resize(np, false);
+    }
     for r in &problem.requests {
         priority_of[r.processor] = Some(r.priority as i64);
     }
     let nr = problem.free.iter().map(|f| f.resource + 1).max();
-    let mut preference_of: Vec<Option<i64>> = vec![None; nr.unwrap_or(0)];
+    if let Some(nr) = nr.filter(|&nr| nr > preference_of.len()) {
+        preference_of.resize(nr, None);
+    }
     for f in &problem.free {
         preference_of[f.resource] = Some(f.preference as i64);
     }
-    let mut allocated = vec![false; priority_of.len()];
     let mut total_cost = 0;
     for a in &assignments {
         if let (Some(Some(prio)), Some(Some(pref))) =
@@ -636,8 +664,10 @@ pub(crate) fn finish_outcome(
         {
             total_cost += (gamma_max - prio) + (q_max - pref);
         }
-        if let Some(hit) = allocated.get_mut(a.processor) {
-            *hit = true;
+        // Only a requesting processor's flag is set, so the clearing pass
+        // over the requests below reaches every set flag.
+        if let Some(Some(_)) = priority_of.get(a.processor) {
+            allocated[a.processor] = true;
         }
     }
     let blocked = problem
@@ -646,6 +676,13 @@ pub(crate) fn finish_outcome(
         .map(|r| r.processor)
         .filter(|&p| !allocated[p])
         .collect();
+    for r in &problem.requests {
+        priority_of[r.processor] = None;
+        allocated[r.processor] = false;
+    }
+    for f in &problem.free {
+        preference_of[f.resource] = None;
+    }
     ScheduleOutcome {
         assignments,
         blocked,
@@ -822,6 +859,44 @@ mod tests {
     }
 
     #[test]
+    fn priced_retry_on_single_type_min_cost_sheds_without_a_residual_solve() {
+        // Theorem 3: with one resource type the min-cost primary is a
+        // maximum mapping, so the priced retry sheds directly and the cycle
+        // runs one solve. A second type brings the residual retry back.
+        let net = omega(8).unwrap();
+        let mut cs = CircuitState::new(&net);
+        cs.fail_link(net.processor_link(2).unwrap()); // p2 cannot route
+        let mut problem = ScheduleProblem::with_priorities(
+            &cs,
+            &[(0, 3), (2, 9), (4, 1)],
+            &[(0, 2), (3, 8), (5, 10), (7, 4)],
+        );
+        let cycle = |problem: &ScheduleProblem| {
+            let telemetry = rsin_obs::Telemetry::new();
+            let priced = MinCostScheduler::default()
+                .try_schedule_degraded_priced_observed(
+                    problem,
+                    &mut ScheduleScratch::new(),
+                    &telemetry,
+                )
+                .unwrap();
+            let solves: u64 = telemetry.report().solvers.iter().map(|s| s.solves).sum();
+            (priced, solves)
+        };
+        let (priced, solves) = cycle(&problem);
+        assert_eq!((priced.recovered, priced.shed), (0, 1));
+        assert_eq!(priced.outcome.blocked, vec![2]);
+        assert_eq!(solves, 1, "no residual solve");
+        // p0 and r3 become type 1: p2's type still has an untaken
+        // resource, so the residual round runs (and recovers nothing).
+        problem.requests[0].resource_type = 1;
+        problem.free[1].resource_type = 1;
+        let (priced, solves) = cycle(&problem);
+        assert_eq!(priced.recovered, 0);
+        assert_eq!(solves, 2, "one primary and one residual solve");
+    }
+
+    #[test]
     fn priced_degraded_on_max_flow_skips_residual() {
         // Max-flow's override sheds directly (Theorem 2) and must never
         // build the min-cost transformation shape.
@@ -848,7 +923,7 @@ mod tests {
         let net = omega(8).unwrap();
         let cs = CircuitState::new(&net);
         let problem = ScheduleProblem::homogeneous(&cs, &[0, 99], &[2]);
-        let primary = finish_outcome(&problem, Vec::new(), 0);
+        let primary = finish_outcome(&problem, Vec::new(), 0, &mut OutcomeTables::default());
         let r = priced_retry_blocked(
             &problem,
             primary,
@@ -868,7 +943,7 @@ mod tests {
         let mut problem = ScheduleProblem::homogeneous(&cs, &[0, 1], &[2, 4]);
         problem.requests[1].resource_type = 1;
         problem.free[0].resource_type = 1; // r2 is the only type-1 resource
-        let primary = finish_outcome(&problem, Vec::new(), 0);
+        let primary = finish_outcome(&problem, Vec::new(), 0, &mut OutcomeTables::default());
         assert_eq!(primary.blocked.len(), 2);
         let mut scratch = ScheduleScratch::new();
         let priced = priced_retry_blocked(
@@ -899,7 +974,7 @@ mod tests {
             resource: 0,
             path,
         };
-        let out = finish_outcome(&problem, vec![a], 7);
+        let out = finish_outcome(&problem, vec![a], 7, &mut OutcomeTables::default());
         // gamma_max = 10, q_max = 10; cost = (10-3) + (10-5) = 12.
         assert_eq!(out.total_cost, 12);
         assert_eq!(out.blocked, vec![1]);

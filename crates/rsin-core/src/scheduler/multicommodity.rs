@@ -1,11 +1,12 @@
 //! The heterogeneous scheduler: multicommodity LP with integral fallback.
 
-use super::{check_ids, finish_outcome, ScheduleError, Scheduler};
+use super::{check_ids, finish_outcome, OutcomeTables, ScheduleError, Scheduler};
 use crate::mapping::{extract, extract_hetero, Assignment};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::{hetero, homogeneous};
 use rsin_flow::max_flow;
 use rsin_flow::multicommodity;
+use rsin_flow::path::PathWalk;
 use rsin_topology::CircuitState;
 
 /// Optimal scheduler for heterogeneous MRSINs (Section III-D): one
@@ -55,7 +56,7 @@ impl MultiCommodityScheduler {
             };
             let mut t = homogeneous::transform(&sub);
             max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            let assignments = extract(&t)?;
+            let assignments = extract(&t, &mut PathWalk::default())?;
             for a in &assignments {
                 // Paths are free and arc-disjoint within one solve.
                 scratch.establish(&a.path)?;
@@ -96,13 +97,19 @@ impl Scheduler for MultiCommodityScheduler {
                     problem,
                     assignments,
                     100 * sol.pivots as u64,
+                    &mut OutcomeTables::default(),
                 ))
             }
             _ => {
                 // Fractional vertex or infeasible demand formulation:
                 // integral sequential fallback.
                 let assignments = self.sequential(problem)?;
-                Ok(finish_outcome(problem, assignments, 0))
+                Ok(finish_outcome(
+                    problem,
+                    assignments,
+                    0,
+                    &mut OutcomeTables::default(),
+                ))
             }
         }
     }

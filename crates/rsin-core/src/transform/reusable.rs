@@ -21,12 +21,15 @@
 //! FNV hash of the link structure cached at network build), so one scratch
 //! can serve sweeps over several networks.
 //!
-//! Apart from the link diff, a configure touches only the request, bypass
-//! and resource arcs of the previous snapshot and of this one, so its cost
-//! follows the snapshot, not the topology (DESIGN.md §6).
+//! A configure costs what changed since the last one, not what the topology
+//! holds (DESIGN.md §6): link availability and the request and resource
+//! arcs are diffed as bit words and only flipped arcs are written, and the
+//! flow reset restores only the arcs the last decomposition walked.
 
 use super::{mirror_network, Transformed};
+use crate::mapping::{self, Assignment, MappingError};
 use crate::model::ScheduleProblem;
+use rsin_flow::path::PathWalk;
 use rsin_flow::{ArcId, Flow, FlowNetwork};
 use rsin_topology::{LinkId, Network};
 
@@ -57,22 +60,64 @@ struct Inner {
     bypass_arcs: Vec<ArcId>,
     /// The `(u, t)` arc absorbing unallocated requests (priced shape only).
     bypass_sink_arc: Option<ArcId>,
-    /// Last-configured availability per topology link (all `true` at
-    /// build: the superset mirrors every link at unit capacity).
-    /// [`configure`] diffs against this and patches only the arcs whose
-    /// availability flipped.
+    /// Last-configured availability per topology link, as bit words in the
+    /// layout of [`CircuitState::free_link_words`] (all set at build: the
+    /// superset mirrors every link at unit capacity). [`configure`] XORs
+    /// against this and patches only the arcs whose bit flipped.
     ///
+    /// [`CircuitState::free_link_words`]: rsin_topology::CircuitState::free_link_words
     /// [`configure`]: ReusableTransform::configure
-    link_avail: Vec<bool>,
-    /// Processors whose request (and bypass) arcs the last configure
-    /// enabled: the next configure disables exactly these.
-    enabled_requests: Vec<usize>,
-    /// Resources whose sink arcs the last configure enabled.
-    enabled_resources: Vec<usize>,
+    link_avail: Vec<u64>,
+    /// Processors whose request (and bypass) arcs are enabled, one bit per
+    /// processor.
+    requests_on: Vec<u64>,
+    /// Resources whose sink arcs are enabled, one bit per resource.
+    resources_on: Vec<u64>,
+    /// The bits a configure is bringing the graph to (reused buffer).
+    want: Vec<u64>,
+    /// The last decomposition's buffers. Its trail lists the arcs that
+    /// carry flow, so the next configure restores only those.
+    walk: PathWalk,
     /// Set when [`ReusableTransform::transformed_mut`] handed out the graph:
-    /// the caller may have enabled any request or resource arc, so the next
-    /// configure disables all of them.
+    /// the caller may have pushed flow anywhere and retuned any request or
+    /// resource arc, so the next configure sweeps the flow and rewrites
+    /// every boundary arc.
     lent: bool,
+}
+
+/// `n` set bits in words, the rest of the last word clear.
+fn ones(n: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; n.div_ceil(64)];
+    if let (Some(last), r @ 1..) = (words.last_mut(), n % 64) {
+        *last = (1 << r) - 1;
+    }
+    words
+}
+
+/// Is bit `i` of `words` set?
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Bring the arcs whose bits `on` holds to `want`: call `set(i, bit)` for
+/// every bit `i` that differs (for all `n` bits when `all`), then copy
+/// `want` into `on`.
+fn apply_bits(on: &mut [u64], want: &[u64], n: usize, all: bool, mut set: impl FnMut(usize, bool)) {
+    if all {
+        for i in 0..n {
+            set(i, bit(want, i));
+        }
+    } else {
+        for (w, (&was, &now)) in on.iter().zip(want).enumerate() {
+            let mut flipped = was ^ now;
+            while flipped != 0 {
+                let i = w * 64 + flipped.trailing_zeros() as usize;
+                flipped &= flipped - 1;
+                set(i, bit(want, i));
+            }
+        }
+    }
+    on.copy_from_slice(want);
 }
 
 /// Build the superset graph: every processor, resource, and link mirrored,
@@ -135,9 +180,11 @@ fn build(net: &Network, priced: bool) -> Inner {
         fingerprint: net.fingerprint(),
         bypass_arcs,
         bypass_sink_arc,
-        link_avail: vec![true; net.num_links()],
-        enabled_requests: Vec::new(),
-        enabled_resources: Vec::new(),
+        link_avail: ones(net.num_links()),
+        requests_on: vec![0; np.div_ceil(64)],
+        resources_on: vec![0; nr.div_ceil(64)],
+        want: Vec::new(),
+        walk: PathWalk::default(),
         lent: false,
     }
 }
@@ -169,19 +216,20 @@ impl ReusableTransform {
         let Some(inner) = self.inner.as_mut() else {
             return false;
         };
-        if inner.link_avail[lid.index()] == available {
+        if bit(&inner.link_avail, lid.index()) == available {
             return false;
         }
         let a = inner.t.link_arc[lid.index()].expect("superset mirrors every link");
         inner.t.flow.set_cap(a, Flow::from(available));
-        inner.link_avail[lid.index()] = available;
+        inner.link_avail[lid.index() / 64] ^= 1 << (lid.index() % 64);
         true
     }
 
     /// The currently built transform, for solving directly after
     /// [`patch_link`](Self::patch_link). `None` until the first configure.
-    /// The caller may retune any request or resource arc; the next
-    /// `configure_*` then disables all of them before applying its snapshot.
+    /// The caller may push flow and retune any request or resource arc; the
+    /// next `configure_*` then sweeps all flow and rewrites every one of
+    /// them before applying its snapshot.
     pub fn transformed_mut(&mut self) -> Option<&mut Transformed> {
         self.inner.as_mut().map(|i| {
             i.lent = true;
@@ -212,6 +260,17 @@ impl ReusableTransform {
         self.configure(problem, true)
     }
 
+    /// Decompose the flow of the last solve into assignments
+    /// ([`mapping::extract`]) with this graph's reusable walk buffers. The
+    /// walk also records the arcs that carry flow, so the next configure
+    /// restores only those. Empty until the first configure.
+    pub fn extract(&mut self) -> Result<Vec<Assignment>, MappingError> {
+        match self.inner.as_mut() {
+            Some(inner) => mapping::extract(&inner.t, &mut inner.walk),
+            None => Ok(Vec::new()),
+        }
+    }
+
     fn configure(&mut self, problem: &ScheduleProblem, priced: bool) -> (&mut Transformed, Flow) {
         let net = problem.circuits.network();
         let stale = match &self.inner {
@@ -227,76 +286,90 @@ impl ReusableTransform {
             bypass_arcs,
             bypass_sink_arc,
             link_avail,
-            enabled_requests,
-            enabled_resources,
+            requests_on,
+            resources_on,
+            want,
+            walk,
             lent,
             ..
         } = self.inner.as_mut().expect("just built");
-        t.flow.reset();
+        let lent = std::mem::take(lent);
+
+        // Flow: the transform graphs are DAGs, so every arc carrying flow
+        // lies on a path the last decomposition walked. Restore those arcs,
+        // or sweep when nothing was recorded since the last configure or
+        // the graph was lent out.
+        match walk.carried() {
+            Some(carried) if !lent => t.flow.reset_carried(carried),
+            _ => t.flow.reset(),
+        }
+        walk.forget();
 
         // Network links: free = unit capacity, occupied/faulty = invisible.
-        // Diffed against the last-configured availability, so a snapshot
-        // that toggles k links (a released circuit, an injected fault, a
-        // repair) patches exactly k arcs.
-        for (lid, _) in net.links() {
-            let avail = problem.circuits.is_free(lid);
-            if link_avail[lid.index()] != avail {
-                let a = t.link_arc[lid.index()].expect("superset mirrors every link");
-                t.flow.set_cap(a, Flow::from(avail));
-                link_avail[lid.index()] = avail;
-            }
-        }
+        // One XOR per 64 links against the last-configured words, so a
+        // snapshot that toggles k links (a released circuit, an injected
+        // fault, a repair) patches exactly k arcs.
+        want.clear();
+        want.extend(problem.circuits.free_link_words());
+        apply_bits(link_avail, want, net.num_links(), false, |l, avail| {
+            let a = t.link_arc[l].expect("superset mirrors every link");
+            t.flow.set_cap(a, Flow::from(avail));
+        });
 
-        // Request and resource arcs: disable the previous snapshot's, then
-        // enable (and price) this one's.
-        if std::mem::take(lent) {
-            enabled_requests.clear();
-            enabled_requests.extend(0..t.request_arcs.len());
-            enabled_resources.clear();
-            enabled_resources.extend(0..t.resource_arcs.len());
-        }
-        for p in enabled_requests.drain(..) {
-            t.flow.set_cap(t.request_arcs[p].1, 0);
+        // Request (and bypass) arcs, then resource arcs: flip the ones whose
+        // enablement changed since the last configure.
+        let np = t.request_arcs.len();
+        set_bits(want, np, problem.requests.iter().map(|r| r.processor));
+        apply_bits(requests_on, want, np, lent, |p, on| {
+            t.flow.set_cap(t.request_arcs[p].1, Flow::from(on));
             if let Some(&b) = bypass_arcs.get(p) {
-                t.flow.set_cap(b, 0);
+                t.flow.set_cap(b, Flow::from(on));
             }
-        }
-        for r in enabled_resources.drain(..) {
-            t.flow.set_cap(t.resource_arcs[r].1, 0);
-        }
-        let gamma_max = problem.max_priority() as i64;
-        let q_max = problem.max_preference() as i64;
-        let bypass_cost = (gamma_max + 1).max(q_max + 1);
-        for req in &problem.requests {
-            let (p, a) = t.request_arcs[req.processor];
-            debug_assert_eq!(p, req.processor, "request_arcs indexed by processor");
-            t.flow.set_cap(a, 1);
-            if priced {
+        });
+        let nr = t.resource_arcs.len();
+        set_bits(want, nr, problem.free.iter().map(|f| f.resource));
+        apply_bits(resources_on, want, nr, lent, |r, on| {
+            t.flow.set_cap(t.resource_arcs[r].1, Flow::from(on));
+        });
+
+        // The priced shape sets this snapshot's costs.
+        if priced {
+            let gamma_max = problem.max_priority() as i64;
+            let q_max = problem.max_preference() as i64;
+            let bypass_cost = (gamma_max + 1).max(q_max + 1);
+            for req in &problem.requests {
+                let (p, a) = t.request_arcs[req.processor];
+                debug_assert_eq!(p, req.processor, "request_arcs indexed by processor");
                 t.flow.set_cost(a, gamma_max - req.priority as i64);
-                let b = bypass_arcs[req.processor];
-                t.flow.set_cap(b, 1);
                 // Same priority surcharge as priority::transform (see its
                 // module docs): bypassing urgent requests is strictly dearer.
-                t.flow.set_cost(b, bypass_cost + req.priority as i64);
+                t.flow
+                    .set_cost(bypass_arcs[p], bypass_cost + req.priority as i64);
             }
-            enabled_requests.push(p);
-        }
-        for res in &problem.free {
-            let (r, a) = t.resource_arcs[res.resource];
-            debug_assert_eq!(r, res.resource, "resource_arcs indexed by resource");
-            t.flow.set_cap(a, 1);
-            if priced {
+            for res in &problem.free {
+                let (r, a) = t.resource_arcs[res.resource];
+                debug_assert_eq!(r, res.resource, "resource_arcs indexed by resource");
                 t.flow.set_cost(a, q_max - res.preference as i64);
             }
-            enabled_resources.push(r);
-        }
-
-        // The (u, t) leg carries every unallocated request.
-        if let Some(ua) = *bypass_sink_arc {
-            t.flow.set_cap(ua, problem.requests.len() as Flow);
-            t.flow.set_cost(ua, bypass_cost);
+            // The (u, t) leg carries every unallocated request.
+            if let Some(ua) = *bypass_sink_arc {
+                t.flow.set_cap(ua, problem.requests.len() as Flow);
+                t.flow.set_cost(ua, bypass_cost);
+            }
         }
         (t, problem.requests.len() as Flow)
+    }
+}
+
+/// Fill `words` with the bits of `ids` over `n` bits.
+///
+/// Panics on an id of `n` or more, as indexing the arcs would.
+fn set_bits(words: &mut Vec<u64>, n: usize, ids: impl Iterator<Item = usize>) {
+    words.clear();
+    words.resize(n.div_ceil(64), 0);
+    for i in ids {
+        assert!(i < n, "snapshot id {i} past the network's {n} ports");
+        words[i / 64] |= 1 << (i % 64);
     }
 }
 
@@ -304,10 +377,12 @@ impl ReusableTransform {
 mod tests {
     use super::super::{homogeneous, priority};
     use super::*;
-    use crate::mapping::{extract, verify};
+    use crate::mapping::verify;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rsin_flow::{max_flow, min_cost};
-    use rsin_topology::builders::{generalized_cube, omega};
-    use rsin_topology::CircuitState;
+    use rsin_topology::builders::{generalized_cube, omega, omega_3dp};
+    use rsin_topology::{CircuitState, NodeRef};
 
     #[test]
     fn reconfigured_superset_matches_fresh_build_value() {
@@ -330,7 +405,7 @@ mod tests {
             let t = reusable.configure_max_flow(&problem);
             let got = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
             assert_eq!(got.value, want.value);
-            let assignments = extract(t).unwrap();
+            let assignments = reusable.extract().unwrap();
             assert_eq!(assignments.len() as i64, want.value);
             verify(&assignments, &problem).unwrap();
         }
@@ -365,7 +440,7 @@ mod tests {
                 min_cost::Algorithm::SuccessiveShortestPaths,
             );
             assert_eq!((got.flow, got.cost), (want.flow, want.cost));
-            let assignments = extract(t).unwrap();
+            let assignments = reusable.extract().unwrap();
             verify(&assignments, &problem).unwrap();
         }
     }
@@ -386,7 +461,7 @@ mod tests {
             let p2 = ScheduleProblem::homogeneous(&cube_cs, &[1, 3, 5, 7], &[0, 3, 5, 7]);
             let t = reusable.configure_max_flow(&p2);
             let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            let assignments = extract(t).unwrap();
+            let assignments = reusable.extract().unwrap();
             assert_eq!(assignments.len() as i64, r.value);
             verify(&assignments, &p2).unwrap();
         }
@@ -492,7 +567,7 @@ mod tests {
         let t = reusable.configure_max_flow(&tiny);
         let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
         assert_eq!(r.value, 1);
-        let assignments = extract(t).unwrap();
+        let assignments = reusable.extract().unwrap();
         assert_eq!(assignments.len(), 1);
         assert_eq!(assignments[0].processor, 3);
         assert_eq!(assignments[0].resource, 6);
@@ -553,7 +628,7 @@ mod tests {
 
             let t = reusable.configure_max_flow(&problem);
             let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            verify(&extract(t).unwrap(), &problem).unwrap();
+            verify(&reusable.extract().unwrap(), &problem).unwrap();
             assert_eq!(enabled_arcs(&reusable), want);
 
             let (t, f0) = priced.configure_min_cost(&problem);
@@ -565,7 +640,7 @@ mod tests {
                 min_cost::Algorithm::SuccessiveShortestPaths,
             );
             assert_eq!(got.flow, procs.len() as i64);
-            assert_eq!(extract(t).unwrap().len() as i64, r.value);
+            assert_eq!(priced.extract().unwrap().len() as i64, r.value);
             assert_eq!(enabled_arcs(&priced), want);
             let inner = priced.inner.as_ref().unwrap();
             let bypassing: Vec<usize> = (0..8)
@@ -592,5 +667,174 @@ mod tests {
         // ... and the next configure still applies exactly its snapshot.
         reusable.configure_max_flow(&ScheduleProblem::homogeneous(&cs, &[3], &[5]));
         assert_eq!(enabled_arcs(&reusable), (vec![3], vec![5]));
+    }
+
+    /// The link state a `CircuitState` must report, kept as plain flags.
+    struct LinkModel {
+        occupied: Vec<bool>,
+        faulty: Vec<bool>,
+    }
+
+    impl LinkModel {
+        fn check(&self, cs: &CircuitState<'_>) -> Result<(), TestCaseError> {
+            let copy = cs.clone_link_state();
+            for (l, (&occ, &bad)) in self.occupied.iter().zip(&self.faulty).enumerate() {
+                let lid = LinkId(l as u32);
+                prop_assert_eq!(cs.is_free(lid), !occ && !bad, "link {}", l);
+                prop_assert_eq!(cs.is_faulty(lid), bad, "link {}", l);
+                prop_assert_eq!(copy.is_free(lid), !occ && !bad, "copied link {}", l);
+                prop_assert_eq!(copy.is_faulty(lid), bad, "copied link {}", l);
+            }
+            let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count();
+            prop_assert_eq!(cs.faulty_count(), count(&self.faulty));
+            prop_assert_eq!(cs.occupied_count(), count(&self.occupied));
+            prop_assert_eq!(copy.occupied_count(), count(&self.occupied));
+            let free: u32 = cs.free_link_words().map(u64::count_ones).sum();
+            let want = (0..self.occupied.len())
+                .filter(|&l| !self.occupied[l] && !self.faulty[l])
+                .count();
+            prop_assert_eq!(free as usize, want, "free words carry no stray bits");
+            Ok(())
+        }
+    }
+
+    /// One step of the diff proptest: `(op, a, b)` picks the circuit-state
+    /// change, then `(requests, free)` masks pick the snapshot.
+    type Step = ((u8, usize, usize), u64, u64, bool);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bit-word diff configure leaves exactly the capacities of a
+        /// freshly built transform configured on the same snapshot, with no
+        /// flow left, after any sequence of circuit, fault and repair
+        /// changes — with a solve (and usually a decomposition, whose walk
+        /// the next reset restores) between configures, and the graph
+        /// sometimes lent out, patched and solved behind configure's back.
+        /// The circuit state's bit words are checked against plain flags
+        /// along the way.
+        #[test]
+        fn diff_configure_matches_fresh_build(
+            three_dp in any::<bool>(),
+            priced in any::<bool>(),
+            bits in 2u32..4,
+            steps in proptest::collection::vec(
+                (
+                    (0u8..9, 0usize..1024, 0usize..1024),
+                    0u64..u64::MAX,
+                    0u64..u64::MAX,
+                    any::<bool>(),
+                ),
+                1..24,
+            ),
+        ) {
+            let n = 1usize << bits;
+            let net = if three_dp { omega_3dp(n) } else { omega(n) }.unwrap();
+            let mut cs = CircuitState::new(&net);
+            let mut model = LinkModel {
+                occupied: vec![false; net.num_links()],
+                faulty: vec![false; net.num_links()],
+            };
+            let mut live = Vec::new();
+            let mut reusable = ReusableTransform::new();
+            for ((op, a, b), req_mask, free_mask, decompose) in steps as Vec<Step> {
+                let link = LinkId((a % net.num_links()) as u32);
+                let bx = b % net.num_boxes();
+                let boxed = || {
+                    let node = NodeRef::Box(bx);
+                    net.in_links(node).into_iter().chain(net.out_links(node))
+                };
+                match op {
+                    0 | 1 => {
+                        if let Ok(c) = cs.connect(a % n, b % n) {
+                            for l in cs.circuit_links(c).unwrap() {
+                                model.occupied[l.index()] = true;
+                            }
+                            live.push(c);
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        let c = live.swap_remove(a % live.len());
+                        for l in cs.circuit_links(c).unwrap() {
+                            model.occupied[l.index()] = false;
+                        }
+                        cs.release(c).unwrap();
+                    }
+                    3 => {
+                        cs.release_all();
+                        live.clear();
+                        model.occupied.iter_mut().for_each(|o| *o = false);
+                    }
+                    4 => {
+                        cs.fail_link(link);
+                        model.faulty[link.index()] = true;
+                    }
+                    5 => {
+                        cs.repair_link(link);
+                        model.faulty[link.index()] = false;
+                    }
+                    6 => {
+                        cs.fail_box(bx);
+                        boxed().for_each(|l| model.faulty[l.index()] = true);
+                    }
+                    7 => {
+                        cs.repair_box(bx);
+                        boxed().for_each(|l| model.faulty[l.index()] = false);
+                    }
+                    8 if reusable.transformed().is_some() => {
+                        // Lend the graph: patch a link, retune boundary
+                        // arcs and leave an unrecorded flow behind.
+                        reusable.transformed_mut().unwrap().flow.reset();
+                        reusable.patch_link(link, b % 2 == 0);
+                        let t = reusable.transformed_mut().unwrap();
+                        for (i, &(_, arc)) in t.request_arcs.iter().enumerate() {
+                            t.flow.set_cap(arc, Flow::from(req_mask >> i & 1 == 1));
+                        }
+                        for (i, &(_, arc)) in t.resource_arcs.iter().enumerate() {
+                            t.flow.set_cap(arc, Flow::from(free_mask >> i & 1 == 1));
+                        }
+                        max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
+                    }
+                    _ => {}
+                }
+                model.check(&cs)?;
+
+                let requests: Vec<(usize, u32)> = (0..n)
+                    .filter(|p| req_mask >> p & 1 == 1)
+                    .map(|p| (p, (a + p) as u32 % 5))
+                    .collect();
+                let free: Vec<(usize, u32)> = (0..n)
+                    .filter(|r| free_mask >> (r + 32) & 1 == 1)
+                    .map(|r| (r, (b + r) as u32 % 7))
+                    .collect();
+                let problem = ScheduleProblem::with_priorities(&cs, &requests, &free);
+                let mut fresh = ReusableTransform::new();
+                let want = &fresh.configure(&problem, priced).0.flow;
+                let (t, f0) = reusable.configure(&problem, priced);
+                for (arc, got) in t.flow.forward_arcs() {
+                    prop_assert_eq!(got.cap, want.cap(arc), "arc {:?}", arc);
+                }
+                for i in 0..2 * t.flow.num_arcs() {
+                    let arc = ArcId(i as u32);
+                    prop_assert_eq!(t.flow.residual(arc), t.flow.cap(arc), "arc {:?}", arc);
+                }
+                // Solve, so the next configure has flow to restore.
+                if priced {
+                    min_cost::solve(
+                        &mut t.flow,
+                        t.source,
+                        t.sink,
+                        f0,
+                        min_cost::Algorithm::SuccessiveShortestPaths,
+                    );
+                } else {
+                    max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
+                }
+                if decompose {
+                    verify(&reusable.extract().unwrap(), &problem).unwrap();
+                }
+            }
+            prop_assert_eq!(reusable.rebuilds(), 1);
+        }
     }
 }

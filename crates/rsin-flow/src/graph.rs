@@ -101,6 +101,13 @@ fn fp_mix(fp: u64, word: u64) -> u64 {
 /// FNV-1a offset basis: the fingerprint of the empty topology.
 const FP_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 
+/// How many in-order slot writes of the [`FlowNetwork::reset`] sweep one
+/// restored arc of [`FlowNetwork::reset_carried`] is worth: two writes
+/// through the id permutation plus the permutation reads. Measured break-
+/// even on omega-16 and omega-64 transformation graphs (EXPERIMENTS.md,
+/// CYCLE-STAGES).
+const RESTORE_SLOT_COST: usize = 10;
+
 /// One CSR slot of the hot scan lane: everything a solver inner loop needs
 /// to *reject or take* an arc, packed into exactly 16 bytes and laid out in
 /// adjacency (CSR) order, so scanning a node's out-arcs is one contiguous
@@ -149,6 +156,9 @@ pub struct FlowNetwork {
     /// Permutation `ArcId -> hot/cost_csr/csr_arcs slot`, for id-addressed
     /// reads and writes (`push`, `residual`, bottleneck walks).
     arc_pos: Vec<u32>,
+    /// How many forward arcs have a negative cost (kept by `add_arc` and
+    /// `set_cost`, so [`Self::has_negative_cost`] is O(1)).
+    negative_costs: usize,
     /// Fingerprint of the current topology (mutated by `add_node`/`add_arc`).
     topo_fp: u64,
     /// Fingerprint the CSR cache was built at (`!= topo_fp` ⇒ stale).
@@ -171,6 +181,7 @@ impl Default for FlowNetwork {
             cost_csr: Vec::new(),
             cap_csr: Vec::new(),
             arc_pos: Vec::new(),
+            negative_costs: 0,
             topo_fp: FP_SEED,
             // Deliberately != topo_fp: a fresh network has a stale (empty)
             // CSR cache until the first ensure_csr().
@@ -227,6 +238,7 @@ impl FlowNetwork {
         self.head.push(from);
         self.cap.push(0);
         self.cost.push(-cost);
+        self.negative_costs += usize::from(cost < 0);
         self.topo_fp = fp_mix(
             self.topo_fp,
             0xA000_0000_0000_0000 | (u64::from(from.0) << 30) | u64::from(to.0),
@@ -436,10 +448,23 @@ impl FlowNetwork {
         &self.cost_csr
     }
 
-    /// True when any forward arc has a negative per-unit cost (one
-    /// sequential scan of the cost lane; no arc materialization).
+    /// Arc capacities in CSR order, parallel to [`Self::hot_arcs`]
+    /// (twins carry 0): a slot's flow is its capacity minus its residual.
+    #[inline]
+    pub fn csr_caps(&self) -> &[Flow] {
+        &self.cap_csr
+    }
+
+    /// True when any forward arc has a negative per-unit cost. O(1): the
+    /// count is kept by [`Self::add_arc`] and [`Self::set_cost`]; debug
+    /// builds check it against a scan of the cost lane.
     pub fn has_negative_cost(&self) -> bool {
-        self.cost.iter().step_by(2).any(|&c| c < 0)
+        debug_assert_eq!(
+            self.negative_costs,
+            self.cost.iter().step_by(2).filter(|&&c| c < 0).count(),
+            "negative-cost arc count out of step with the cost lane"
+        );
+        self.negative_costs > 0
     }
 
     /// Iterate all forward arcs with their ids.
@@ -489,6 +514,41 @@ impl FlowNetwork {
         }
     }
 
+    /// [`Self::reset`] that restores only the arcs in `carried`, when the
+    /// caller knows every arc that carries flow: `carried` must list each
+    /// forward arc with nonzero flow at least once (repeats are harmless).
+    /// [`crate::path::PathWalk::carried`] is such a list for an acyclic
+    /// network, where all flow lies on the unit paths a walk decomposes.
+    ///
+    /// Restoring an arc writes two slots through the id permutation, where
+    /// the sweep writes every slot in order. So a list longer than a tenth
+    /// of the slots is swept instead: the choice follows the list's length,
+    /// and the result is the same either way.
+    /// Debug builds check that every slot's residual equals its capacity.
+    pub fn reset_carried(&mut self, carried: &[ArcId]) {
+        self.ensure_csr();
+        if carried.len() * RESTORE_SLOT_COST >= self.hot.len() {
+            self.clear_flow();
+        } else {
+            for &a in carried {
+                debug_assert!(a.is_forward(), "carried lists forward arcs");
+                let p = self.arc_pos[a.index()] as usize;
+                let q = self.arc_pos[a.index() ^ 1] as usize;
+                self.hot[p].res = self.cap_csr[p];
+                self.hot[q].res = self.cap_csr[q];
+            }
+        }
+        self.debug_assert_no_flow();
+    }
+
+    /// Debug builds: every slot's residual equals its capacity (no flow).
+    fn debug_assert_no_flow(&self) {
+        debug_assert!(
+            self.hot.iter().zip(&self.cap_csr).all(|(h, &c)| h.res == c),
+            "flow left after a reset"
+        );
+    }
+
     /// Return the network to its just-built state: zero flow on every arc,
     /// nodes/arcs/capacities/costs untouched. This is the entry point of the
     /// reuse protocol — reset, retune capacities with [`Self::set_cap`] /
@@ -499,6 +559,7 @@ impl FlowNetwork {
     pub fn reset(&mut self) {
         self.ensure_csr();
         self.clear_flow();
+        self.debug_assert_no_flow();
     }
 
     /// Replace the capacity of a forward arc. The residual twin keeps
@@ -554,6 +615,8 @@ impl FlowNetwork {
         assert!(a.is_forward(), "set_cost addresses forward arcs only");
         self.ensure_csr();
         let i = a.index();
+        self.negative_costs =
+            self.negative_costs + usize::from(cost < 0) - usize::from(self.cost[i] < 0);
         self.cost[i] = cost;
         self.cost[i ^ 1] = -cost;
         self.cost_csr[self.arc_pos[i] as usize] = cost;
@@ -790,6 +853,66 @@ mod tests {
         let a = g.add_arc(s, t, 2, 5);
         g.push(a, 2);
         assert_eq!(g.flow_cost(), 10);
+    }
+
+    #[test]
+    fn reset_carried_restores_the_listed_arcs_or_sweeps() {
+        // s -> a -> t and s -> b -> t, both carrying flow.
+        let (mut g, s, t) = diamond();
+        let solved = |g: &mut FlowNetwork| {
+            let mut carried = Vec::new();
+            for &first in g.out_arcs(s).to_vec().iter().filter(|a| a.is_forward()) {
+                let mid = g.head(first);
+                let next = *g
+                    .out_arcs(mid)
+                    .iter()
+                    .find(|a| a.is_forward() && g.head(**a) == t)
+                    .unwrap();
+                g.push(first, 1);
+                g.push(next, 1);
+                carried.extend([first, next]);
+            }
+            carried
+        };
+        // Four arcs of 8 slots: long enough to sweep.
+        let carried = solved(&mut g);
+        assert_eq!(g.flow_value(s), 2);
+        g.reset_carried(&carried);
+        assert_eq!(g.flow_value(s), 0);
+        assert_eq!(g.check_legal_flow(s, t).unwrap(), 0);
+        // The same flow in a graph six times the size: restored arc by arc,
+        // with the same result.
+        let spare = g.add_node("spare");
+        for _ in 0..20 {
+            g.add_arc(spare, t, 1, 0);
+        }
+        g.ensure_csr();
+        let carried = solved(&mut g);
+        assert_eq!(g.flow_value(s), 2);
+        g.reset_carried(&carried);
+        for (a, arc) in g.forward_arcs() {
+            assert_eq!(arc.flow, 0, "{a:?}");
+            assert_eq!(g.residual(a), arc.cap, "{a:?}");
+            assert_eq!(g.residual(a.twin()), 0, "{a:?}");
+        }
+    }
+
+    #[test]
+    fn negative_cost_count_follows_add_arc_and_set_cost() {
+        let mut g = FlowNetwork::new();
+        let s = g.add_node("s");
+        let t = g.add_node("t");
+        let a = g.add_arc(s, t, 1, 3);
+        assert!(!g.has_negative_cost());
+        let b = g.add_arc(s, t, 1, -2);
+        assert!(g.has_negative_cost());
+        g.set_cost(a, -1);
+        g.set_cost(b, 0);
+        assert!(g.has_negative_cost());
+        g.set_cost(a, -5);
+        assert!(g.has_negative_cost());
+        g.set_cost(a, 0);
+        assert!(!g.has_negative_cost(), "twins' negated costs never count");
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn decompose_unit_flow(
     skip: Option<NodeId>,
 ) -> Vec<FlowPath> {
     let mut paths = Vec::new();
-    for_each_unit_path(g, s, t, skip, |arcs| {
+    for_each_unit_path(g, s, t, skip, &mut PathWalk::default(), |arcs| {
         paths.push(FlowPath {
             arcs: arcs.to_vec(),
         });
@@ -57,31 +57,90 @@ pub fn decompose_unit_flow(
     paths
 }
 
+/// Reusable buffers for [`for_each_unit_path`]: one cursor per node and the
+/// walk's trail, every arc it routed a unit over, paths one after another.
+///
+/// Cursors are all-zero between walks (a walk re-zeroes the ones it moved),
+/// so a walk's cost follows the paths, not the graph. After a walk that ran
+/// to the end, the trail lists every forward arc that carries flow in an
+/// acyclic network (each flow-carrying arc of a DAG lies on some unit
+/// path), which is what [`FlowNetwork::reset_carried`] needs to restore.
+#[derive(Debug, Clone, Default)]
+pub struct PathWalk {
+    cursors: Vec<Cursor>,
+    trail: Vec<ArcId>,
+    complete: bool,
+}
+
+impl PathWalk {
+    /// Every arc the last walk routed flow over, when that walk ran to the
+    /// end and [`forget`](Self::forget) was not called since; `None`
+    /// otherwise. Arcs carrying several units appear once per unit.
+    pub fn carried(&self) -> Option<&[ArcId]> {
+        self.complete.then_some(self.trail.as_slice())
+    }
+
+    /// Drop the record: the flow has changed since the last walk.
+    pub fn forget(&mut self) {
+        self.complete = false;
+    }
+}
+
 /// Walk the unit paths of [`decompose_unit_flow`] without materialising
-/// them: `visit` sees each kept path's arcs, `s` to `t`, in one reused
-/// buffer, and the first error it returns stops the walk.
+/// them: `visit` sees each kept path's arcs, `s` to `t`, and the first error
+/// it returns stops the walk.
 ///
 /// Every step leaves a node over its first forward out-arc (in adjacency
 /// order) with flow left to route. Flow left only shrinks, so that arc never
 /// moves backwards: each node keeps a cursor into its out-arcs plus the
 /// units already routed over the cursor arc, and an arc's flow is read from
-/// its twin's residual. The flow in `g` is not modified. Past one zeroed
-/// cursor per node, the work is proportional to the paths and the out-arcs
-/// they pass over — no per-arc flow copy, no rescans, no per-path
-/// allocation.
+/// its own CSR slot (capacity minus residual). The flow in `g` is not
+/// modified. The cursors and the arc buffer come from `walk`, so the work is
+/// proportional to the paths and the out-arcs they pass over — no per-node
+/// or per-arc table, no rescans, no allocation once `walk` has grown.
 pub fn for_each_unit_path<E>(
     g: &FlowNetwork,
     s: NodeId,
     t: NodeId,
     skip: Option<NodeId>,
+    walk: &mut PathWalk,
     mut visit: impl FnMut(&[ArcId]) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut cursors = vec![Cursor::default(); g.num_nodes()];
-    let mut arcs = Vec::new();
+    let PathWalk {
+        cursors,
+        trail,
+        complete,
+    } = walk;
+    if cursors.len() < g.num_nodes() {
+        cursors.resize(g.num_nodes(), Cursor::default());
+    }
+    trail.clear();
+    let walked = walk_paths(g, s, t, skip, cursors, trail, &mut visit);
+    // Re-zero the cursors this walk moved: the source's, and those of the
+    // nodes its arcs entered.
+    cursors[s.index()] = Cursor::default();
+    for &a in trail.iter() {
+        cursors[g.head(a).index()] = Cursor::default();
+    }
+    *complete = walked.is_ok();
+    walked
+}
+
+/// The walk of [`for_each_unit_path`] over zeroed `cursors`, appending every
+/// routed arc to `trail`; each kept path is the trail's last stretch.
+fn walk_paths<E>(
+    g: &FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    skip: Option<NodeId>,
+    cursors: &mut [Cursor],
+    trail: &mut Vec<ArcId>,
+    visit: &mut impl FnMut(&[ArcId]) -> Result<(), E>,
+) -> Result<(), E> {
     // Start a new path over an unexhausted source arc, until none remain.
     while let Some(start) = next_arc(g, &mut cursors[s.index()], s) {
-        arcs.clear();
-        arcs.push(start);
+        let from = trail.len();
+        trail.push(start);
         let mut u = g.head(start);
         let mut skipped = Some(u) == skip;
         while u != t {
@@ -91,10 +150,10 @@ pub fn for_each_unit_path<E>(
             if Some(u) == skip {
                 skipped = true;
             }
-            arcs.push(next);
+            trail.push(next);
         }
         if !skipped {
-            visit(&arcs)?;
+            visit(&trail[from..])?;
         }
     }
     Ok(())
@@ -103,7 +162,7 @@ pub fn for_each_unit_path<E>(
 /// Where a node's out-arc walk stands: arcs before `slot` have no flow
 /// left, `used` units of the arc at `slot` are routed, later arcs are
 /// untouched.
-#[derive(Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     slot: u32,
     used: u32,
@@ -112,12 +171,16 @@ struct Cursor {
 /// Route one unit out of `u`: its first forward out-arc with flow left,
 /// or `None` when every one is exhausted.
 fn next_arc(g: &FlowNetwork, c: &mut Cursor, u: NodeId) -> Option<ArcId> {
-    let out = g.out_arcs(u);
-    while let Some(&a) = out.get(c.slot as usize) {
-        // A forward arc's flow is its twin's residual.
-        if a.is_forward() && g.residual(a.twin()) > Flow::from(c.used) {
+    let range = g.out_range(u);
+    let hot = &g.hot_arcs()[range.clone()];
+    let caps = &g.csr_caps()[range];
+    while let Some(h) = hot.get(c.slot as usize) {
+        // An arc's flow is its capacity minus its residual, read from its
+        // own slot. Twins have capacity 0 and a residual of at least 0, so
+        // only forward arcs ever qualify.
+        if caps[c.slot as usize] - h.res > Flow::from(c.used) {
             c.used += 1;
-            return Some(a);
+            return Some(h.id);
         }
         c.slot += 1;
         c.used = 0;
@@ -257,20 +320,33 @@ mod tests {
             // The visitor sees exactly those paths, in order, and an error
             // stops the walk at the path that raised it.
             let mut visited = Vec::new();
-            let walked = for_each_unit_path(&g, s, t, u, |arcs| {
+            let mut walk = PathWalk::default();
+            let walked = for_each_unit_path(&g, s, t, u, &mut walk, |arcs| {
                 visited.push(arcs.to_vec());
                 if visited.len() == 2 { Err(visited.len()) } else { Ok(()) }
             });
             let want_arcs: Vec<Vec<ArcId>> = want.into_iter().map(|p| p.arcs).collect();
             prop_assert_eq!(walked, if want_arcs.len() >= 2 { Err(2) } else { Ok(()) });
             prop_assert_eq!(visited.as_slice(), &want_arcs[..want_arcs.len().min(2)]);
+            // A stopped walk records nothing.
+            prop_assert_eq!(walk.carried().is_some(), want_arcs.len() < 2);
+            // The same walk again, reusing the cursors the stopped walk
+            // moved: all paths, and a trail that routes exactly each
+            // forward arc's flow over it.
             let mut all = Vec::new();
-            for_each_unit_path(&g, s, t, u, |arcs| {
+            for_each_unit_path(&g, s, t, u, &mut walk, |arcs| {
                 all.push(arcs.to_vec());
                 Ok::<(), ()>(())
             })
             .unwrap();
             prop_assert_eq!(all, want_arcs);
+            let carried = walk.carried().expect("a finished walk records its trail");
+            for (a, arc) in g.forward_arcs() {
+                let units = carried.iter().filter(|&&c| c == a).count() as Flow;
+                prop_assert_eq!(units, arc.flow, "arc {:?}", a);
+            }
+            walk.forget();
+            prop_assert!(walk.carried().is_none());
         }
     }
 

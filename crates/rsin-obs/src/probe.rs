@@ -168,13 +168,23 @@ pub enum Hist {
     /// Wall-clock nanoseconds of one Dinic level-graph (BFS) construction.
     DinicLevelPhaseNs,
     /// Wall-clock nanoseconds of one Dinic blocking-flow (DFS) pass.
-    /// Appended last: `index()` is declaration order.
     DinicBlockingPhaseNs,
+    /// Wall-clock nanoseconds of one batch cycle's configure stage: the
+    /// reusable transformation retuned for the snapshot, flow reset
+    /// included.
+    ConfigureNs,
+    /// Wall-clock nanoseconds of one batch cycle's `extract` stage: the
+    /// solved flow decomposed into assignments.
+    ExtractNs,
+    /// Wall-clock nanoseconds of one batch cycle's `finish_outcome` stage:
+    /// blocked list and Transformation-2 cost. Appended last: `index()` is
+    /// declaration order, so new histograms never reorder existing ones.
+    FinishNs,
 }
 
 impl Hist {
     /// All variants, in report order.
-    pub const ALL: [Hist; 8] = [
+    pub const ALL: [Hist; 11] = [
         Hist::CycleLatencyNs,
         Hist::SolveLatencyNs,
         Hist::QueueDepth,
@@ -183,6 +193,9 @@ impl Hist {
         Hist::DecisionLatencyNs,
         Hist::DinicLevelPhaseNs,
         Hist::DinicBlockingPhaseNs,
+        Hist::ConfigureNs,
+        Hist::ExtractNs,
+        Hist::FinishNs,
     ];
 
     /// Dense array index (== position in [`Hist::ALL`]).
@@ -201,6 +214,9 @@ impl Hist {
             Hist::DecisionLatencyNs => "decision_latency_ns",
             Hist::DinicLevelPhaseNs => "dinic_level_phase_ns",
             Hist::DinicBlockingPhaseNs => "dinic_blocking_phase_ns",
+            Hist::ConfigureNs => "configure_ns",
+            Hist::ExtractNs => "extract_ns",
+            Hist::FinishNs => "finish_ns",
         }
     }
 }

@@ -85,15 +85,31 @@ impl std::fmt::Display for CircuitError {
 
 impl std::error::Error for CircuitError {}
 
+/// One bit per link, 64 links per word: link `l` is bit `l % 64` of word
+/// `l / 64`. Bits past the last link stay clear.
+type LinkBits = Vec<u64>;
+
+/// Word index and bit mask of link `l` in a [`LinkBits`].
+#[inline]
+fn bit(l: LinkId) -> (usize, u64) {
+    (l.index() / 64, 1 << (l.index() % 64))
+}
+
 /// Dynamic occupancy overlay for a network.
+///
+/// Link state is kept the way the paper's switchboxes keep it, as status
+/// bits that change only when a circuit is set up or torn down or a link
+/// fails or is repaired: one `u64` word per 64 links, so a free test is one
+/// bit test, the counts are popcounts and a copy moves `L / 64` words.
 #[derive(Debug, Clone)]
 pub struct CircuitState<'a> {
     net: &'a Network,
-    occupied: Vec<bool>,
+    /// Links carrying a circuit.
+    occupied: LinkBits,
     /// Links currently out of service (fault injection; the paper cites
     /// fault tolerance as an advantage of the distributed architecture).
     /// Toggled by [`fail_link`](Self::fail_link)/[`repair_link`](Self::repair_link).
-    faulty: Vec<bool>,
+    faulty: LinkBits,
     /// Switchboxes currently *misrouting* (Byzantine, per DESIGN §15):
     /// their links stay available — capacity-based schedulers cannot see a
     /// lying box — but a circuit through one fails to deliver. Toggled by
@@ -105,10 +121,11 @@ pub struct CircuitState<'a> {
 impl<'a> CircuitState<'a> {
     /// All links free.
     pub fn new(net: &'a Network) -> Self {
+        let words = net.num_links().div_ceil(64);
         CircuitState {
             net,
-            occupied: vec![false; net.num_links()],
-            faulty: vec![false; net.num_links()],
+            occupied: vec![0; words],
+            faulty: vec![0; words],
             byzantine: vec![false; net.num_boxes()],
             circuits: Vec::new(),
         }
@@ -116,7 +133,7 @@ impl<'a> CircuitState<'a> {
 
     /// A copy with the same link and box state — occupied, faulty and
     /// Byzantine — but an empty circuit table, for schedulers that pin new
-    /// circuits onto a scratch copy. O(links + boxes), where a `clone()`
+    /// circuits onto a scratch copy. O(links / 64 + boxes), where a `clone()`
     /// also copies every circuit this state ever established (released
     /// slots included). Links held by the original's circuits stay occupied
     /// in the copy, but those circuits cannot be released there.
@@ -136,15 +153,51 @@ impl<'a> CircuitState<'a> {
     }
 
     /// Is this link free (neither carrying a circuit nor faulty)?
+    #[inline]
     pub fn is_free(&self, l: LinkId) -> bool {
-        !self.occupied[l.index()] && !self.faulty[l.index()]
+        let (w, m) = bit(l);
+        (self.occupied[w] | self.faulty[w]) & m == 0
+    }
+
+    /// The free links as bit words, 64 links per word in link-id order:
+    /// bit `l % 64` of word `l / 64` is set when link `l` is free. Bits past
+    /// the last link are clear.
+    pub fn free_link_words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let last = self.occupied.len().saturating_sub(1);
+        let tail = match self.net.num_links() % 64 {
+            0 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        self.occupied
+            .iter()
+            .zip(&self.faulty)
+            .enumerate()
+            .map(move |(w, (o, f))| {
+                let free = !(o | f);
+                if w == last {
+                    free & tail
+                } else {
+                    free
+                }
+            })
+    }
+
+    /// Set or clear link `l`'s bit in `bits`.
+    #[inline]
+    fn put(bits: &mut [u64], l: LinkId, on: bool) {
+        let (w, m) = bit(l);
+        if on {
+            bits[w] |= m;
+        } else {
+            bits[w] &= !m;
+        }
     }
 
     /// Mark one link faulty until [`repair_link`](Self::repair_link) is
     /// called. No new circuit may use it; live circuits over it are *not*
     /// torn down (the model is fail-stop for new allocations).
     pub fn fail_link(&mut self, l: LinkId) {
-        self.faulty[l.index()] = true;
+        Self::put(&mut self.faulty, l, true);
     }
 
     /// Mark every link touching switchbox `b` faulty (a dead switchbox).
@@ -156,20 +209,21 @@ impl<'a> CircuitState<'a> {
             .into_iter()
             .chain(self.net.out_links(NodeRef::Box(b)))
         {
-            self.faulty[l.index()] = true;
+            Self::put(&mut self.faulty, l, true);
         }
     }
 
     /// Is this link currently marked faulty?
     pub fn is_faulty(&self, l: LinkId) -> bool {
-        self.faulty[l.index()]
+        let (w, m) = bit(l);
+        self.faulty[w] & m != 0
     }
 
     /// Return a repaired link to service. Idempotent; a link that was never
     /// failed stays healthy. Circuits are never resurrected — a repair only
     /// makes the link eligible for *new* allocations.
     pub fn repair_link(&mut self, l: LinkId) {
-        self.faulty[l.index()] = false;
+        Self::put(&mut self.faulty, l, false);
     }
 
     /// Repair every link touching switchbox `b` (the inverse of
@@ -183,13 +237,13 @@ impl<'a> CircuitState<'a> {
             .into_iter()
             .chain(self.net.out_links(NodeRef::Box(b)))
         {
-            self.faulty[l.index()] = false;
+            Self::put(&mut self.faulty, l, false);
         }
     }
 
-    /// Number of faulty links.
+    /// Number of faulty links (a popcount over the fault words).
     pub fn faulty_count(&self) -> usize {
-        self.faulty.iter().filter(|f| **f).count()
+        self.faulty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Mark switchbox `b` as misrouting (`lying = true`) or honest again.
@@ -224,9 +278,10 @@ impl<'a> CircuitState<'a> {
         })
     }
 
-    /// Number of currently-occupied links.
+    /// Number of currently-occupied links (a popcount over the occupancy
+    /// words).
     pub fn occupied_count(&self) -> usize {
-        self.occupied.iter().filter(|&&o| o).count()
+        self.occupied.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Ids of links unavailable for new circuits (occupied or faulty).
@@ -266,7 +321,7 @@ impl<'a> CircuitState<'a> {
             return Err(CircuitError::LinkOccupied(l));
         }
         for &l in links {
-            self.occupied[l.index()] = true;
+            Self::put(&mut self.occupied, l, true);
         }
         self.circuits.push(Some(links.to_vec()));
         Ok(CircuitId(self.circuits.len() as u32 - 1))
@@ -280,7 +335,7 @@ impl<'a> CircuitState<'a> {
             .ok_or(CircuitError::BadCircuit)?;
         let links = slot.take().ok_or(CircuitError::BadCircuit)?;
         for l in links {
-            self.occupied[l.index()] = false;
+            Self::put(&mut self.occupied, l, false);
         }
         Ok(())
     }
@@ -293,7 +348,7 @@ impl<'a> CircuitState<'a> {
     pub fn release_all(&mut self) {
         for links in self.circuits.drain(..).flatten() {
             for l in links {
-                self.occupied[l.index()] = false;
+                Self::put(&mut self.occupied, l, false);
             }
         }
     }
@@ -503,7 +558,7 @@ mod tests {
             let mut cs = CircuitState::new(&net);
             for (l, &m) in marks.iter().take(net.num_links()).enumerate() {
                 match m {
-                    0 => cs.occupied[l] = true,
+                    0 => CircuitState::put(&mut cs.occupied, LinkId(l as u32), true),
                     1 => cs.fail_link(LinkId(l as u32)),
                     _ => {}
                 }
