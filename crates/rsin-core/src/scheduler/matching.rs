@@ -21,19 +21,15 @@ impl Scheduler for MatchingScheduler {
         "matching(hopcroft-karp)"
     }
 
-    /// # Panics
-    ///
-    /// Panics if the network has more than one stage: interior links of
-    /// deeper MINs are shared between circuits, which matching cannot see.
+    /// Returns [`ScheduleError::MultiStageNetwork`] if the network has more
+    /// than one stage: interior links of deeper MINs are shared between
+    /// circuits, which matching cannot see.
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
         check_ids(problem)?;
-        let net = problem.circuits.network();
-        assert!(
-            net.num_stages() <= 1,
-            "MatchingScheduler requires a single-stage network; {} has {} stages",
-            net.name(),
-            net.num_stages()
-        );
+        let stages = problem.circuits.network().num_stages();
+        if stages > 1 {
+            return Err(ScheduleError::MultiStageNetwork(stages));
+        }
         // Accessibility graph: request i ~ free resource j iff a free path
         // exists and the types agree.
         let mut g = Bipartite::new(problem.requests.len(), problem.free.len());
@@ -128,12 +124,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-stage")]
     fn refuses_multistage_networks() {
         use rsin_topology::builders::omega;
         let net = omega(8).unwrap();
         let cs = CircuitState::new(&net);
         let problem = ScheduleProblem::homogeneous(&cs, &[0], &[0]);
-        let _ = MatchingScheduler.schedule(&problem);
+        let err = MatchingScheduler.try_schedule(&problem).unwrap_err();
+        assert_eq!(err, ScheduleError::MultiStageNetwork(3));
+        assert!(err.to_string().contains("single-stage"), "{err}");
     }
 }

@@ -41,8 +41,6 @@ impl Scheduler for MaxFlowScheduler {
             Algorithm::Dinic => "max-flow(dinic)",
             Algorithm::EdmondsKarp => "max-flow(edmonds-karp)",
             Algorithm::FordFulkerson => "max-flow(ford-fulkerson)",
-            Algorithm::PushRelabel => "max-flow(push-relabel)",
-            Algorithm::CapacityScaling => "max-flow(capacity-scaling)",
         }
     }
 

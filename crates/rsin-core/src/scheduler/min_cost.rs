@@ -42,7 +42,6 @@ impl Scheduler for MinCostScheduler {
         match self.algorithm {
             Algorithm::SuccessiveShortestPaths => "min-cost(ssp)",
             Algorithm::OutOfKilter => "min-cost(out-of-kilter)",
-            Algorithm::CycleCanceling => "min-cost(cycle-canceling)",
         }
     }
 

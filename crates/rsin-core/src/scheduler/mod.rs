@@ -64,6 +64,9 @@ pub enum ScheduleError {
     DuplicateRequest(usize),
     /// A stream `Release` arrived for a processor with nothing to release.
     ReleaseIdle(usize),
+    /// The scheduler handles single-stage networks only and was given one
+    /// with this many stages.
+    MultiStageNetwork(usize),
     /// An internal invariant was violated (corrupted flow or bookkeeping);
     /// the message names the broken invariant.
     Internal(&'static str),
@@ -79,6 +82,9 @@ impl std::fmt::Display for ScheduleError {
                 write!(f, "processor {p} already has an active request")
             }
             ScheduleError::ReleaseIdle(p) => write!(f, "processor {p} has nothing to release"),
+            ScheduleError::MultiStageNetwork(n) => {
+                write!(f, "single-stage network required, got {n} stages")
+            }
             ScheduleError::Internal(m) => write!(f, "internal invariant violated: {m}"),
         }
     }
@@ -603,7 +609,9 @@ pub trait Scheduler: Sync {
 /// is indexed by them: a request from an unknown processor is
 /// [`ScheduleError::UnknownProcessor`], a free resource past the last port
 /// the same `Internal` error [`HierarchicalScheduler::place`] reports.
-pub(crate) fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> {
+/// Schedulers outside this crate whose engines index dense per-port tables
+/// (the distributed token engine) call it at their boundary too.
+pub fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> {
     let net = problem.circuits.network();
     if let Some(r) = problem
         .requests

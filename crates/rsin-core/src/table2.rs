@@ -27,8 +27,6 @@ pub fn table2() -> Vec<DisciplineRow> {
                 "ford-fulkerson (rsin_flow::max_flow::ford_fulkerson)",
                 "edmonds-karp (rsin_flow::max_flow::edmonds_karp)",
                 "dinic (rsin_flow::max_flow::dinic)",
-                "push-relabel (rsin_flow::max_flow::push_relabel)",
-                "capacity scaling (rsin_flow::max_flow::scaling)",
                 "hopcroft-karp on single-stage networks (rsin_flow::bipartite)",
             ],
             architectures: vec![
@@ -43,7 +41,6 @@ pub fn table2() -> Vec<DisciplineRow> {
             algorithms: vec![
                 "out-of-kilter (rsin_flow::min_cost::out_of_kilter)",
                 "successive shortest paths (rsin_flow::min_cost::ssp)",
-                "cycle canceling (rsin_flow::min_cost::cycle_cancel)",
             ],
             architectures: vec!["monitor/software (rsin_core::scheduler::MinCostScheduler)"],
             complexity: "O(|V| |E|^2) for 0-1 capacities (out-of-kilter)",

@@ -23,7 +23,7 @@
 //! the per-request bypass leg `(p,u)` an additional `γ_p`, making the
 //! bypassing of urgent requests strictly dearer. With this, every
 //! minimum-cost flow bypasses the lowest-priority requests and selects the
-//! highest-preference resources, and all three min-cost algorithms agree
+//! highest-preference resources, and both min-cost algorithms agree
 //! with exhaustive search on the assignment cost (a property the
 //! integration tests pin down).
 

@@ -55,33 +55,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Max-flow scheduling: scratch reuse across a random snapshot sequence
-    /// preserves the optimum of every individual solve, for both fully
-    /// scratch-aware algorithms (Dinic and push-relabel share one
-    /// `SolveScratch`, exercising buffer reuse across algorithms too).
+    /// preserves the optimum of every individual Dinic solve. Sharing one
+    /// `SolveScratch` across solvers is covered by rsin-flow's
+    /// `scratch_grows_and_is_reused_across_networks` (Dinic then SSP).
     #[test]
     fn reusable_max_flow_matches_fresh_solve(
         which in 0usize..3,
         snaps in proptest::collection::vec(snapshot_strategy(), 1..5),
     ) {
         let net = network(which);
-        let schedulers = [
-            MaxFlowScheduler::new(rsin_flow::max_flow::Algorithm::Dinic),
-            MaxFlowScheduler::new(rsin_flow::max_flow::Algorithm::PushRelabel),
-        ];
+        let scheduler = MaxFlowScheduler::new(rsin_flow::max_flow::Algorithm::Dinic);
         let mut scratch = ScheduleScratch::new();
         for snap in &snaps {
             let cs = circuit_state(&net, snap);
             let problem = ScheduleProblem::homogeneous(&cs, &snap.requesting, &snap.free);
-            for scheduler in &schedulers {
-                let fresh = scheduler.try_schedule(&problem).unwrap();
-                let reused = scheduler.try_schedule_reusing(&problem, &mut scratch).unwrap();
-                prop_assert_eq!(reused.allocated(), fresh.allocated());
-                prop_assert_eq!(
-                    reused.assignments.len() + reused.blocked.len(),
-                    problem.requests.len()
-                );
-                prop_assert!(verify(&reused.assignments, &problem).is_ok());
-            }
+            let fresh = scheduler.try_schedule(&problem).unwrap();
+            let reused = scheduler.try_schedule_reusing(&problem, &mut scratch).unwrap();
+            prop_assert_eq!(reused.allocated(), fresh.allocated());
+            prop_assert_eq!(
+                reused.assignments.len() + reused.blocked.len(),
+                problem.requests.len()
+            );
+            prop_assert!(verify(&reused.assignments, &problem).is_ok());
         }
     }
 
@@ -292,7 +287,7 @@ proptest! {
     /// topology is *bit-identical in total cost* (and allocation count) to a
     /// fresh Transformation-2 solve on that same faulted topology — the
     /// incremental primary-plus-residual recovery loses no optimality — for
-    /// all three min-cost algorithms, across random topologies, random
+    /// both min-cost algorithms, across random topologies, random
     /// priorities/preferences, and random fault toggle sequences, with the
     /// transform rebuilt exactly once per scratch for the whole sequence.
     #[test]

@@ -16,7 +16,7 @@
 use crate::status::{Event, StatusBus};
 use rsin_core::mapping::Assignment;
 use rsin_core::model::{ScheduleOutcome, ScheduleProblem};
-use rsin_core::scheduler::{ScheduleError, Scheduler};
+use rsin_core::scheduler::{check_ids, ScheduleError, Scheduler};
 use rsin_topology::{LinkId, Network, NodeRef, Switchbox};
 
 /// Dynamic state of one link during a scheduling cycle.
@@ -111,6 +111,12 @@ impl<'n> TokenEngine<'n> {
     /// Run one complete scheduling cycle for the snapshot (priorities and
     /// resource types are ignored: the distributed architecture covers the
     /// homogeneous equal-priority discipline, as in the paper).
+    ///
+    /// # Panics
+    ///
+    /// If a request names a processor or a free resource names a port the
+    /// network does not have. [`DistributedScheduler`] checks ids first and
+    /// returns a [`ScheduleError`] instead.
     pub fn run(problem: &ScheduleProblem<'_, 'n>) -> CycleReport {
         let net = problem.circuits.network();
         let mut engine = TokenEngine {
@@ -171,6 +177,10 @@ impl<'n> TokenEngine<'n> {
     /// from the status-bus trace — the clock-period accounting behind the
     /// paper's Section IV-B speedup claim, exported through the same sink as
     /// the software solvers' instruction counts.
+    ///
+    /// # Panics
+    ///
+    /// On out-of-range ids, as [`Self::run`] does.
     pub fn run_probed(
         problem: &ScheduleProblem<'_, 'n>,
         probe: &dyn rsin_obs::Probe,
@@ -609,6 +619,7 @@ impl Scheduler for DistributedScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         Ok(TokenEngine::run(problem).outcome)
     }
 
@@ -620,6 +631,7 @@ impl Scheduler for DistributedScheduler {
         _scratch: &mut rsin_core::scheduler::ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        check_ids(problem)?;
         let span = probe.start();
         let out = TokenEngine::run_probed(problem, probe).outcome;
         probe.finish(span, rsin_obs::Hist::CycleLatencyNs);
@@ -748,5 +760,29 @@ mod tests {
         let rs = TokenEngine::run(&ps);
         let rb = TokenEngine::run(&pb);
         assert!(rb.clocks > rs.clocks);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_errors_at_both_entry_points() {
+        let net = omega(8).unwrap();
+        let cs = CircuitState::new(&net);
+        let bad_processor = ScheduleProblem::homogeneous(&cs, &[0, 8], &[0, 1]);
+        let bad_resource = ScheduleProblem::homogeneous(&cs, &[0, 1], &[1, 8]);
+        let s = DistributedScheduler;
+        let mut scratch = rsin_core::scheduler::ScheduleScratch::new();
+        let probe = rsin_obs::NoopProbe;
+        assert_eq!(
+            s.try_schedule(&bad_processor).unwrap_err(),
+            ScheduleError::UnknownProcessor(8)
+        );
+        assert_eq!(
+            s.try_schedule_observed(&bad_processor, &mut scratch, &probe)
+                .unwrap_err(),
+            ScheduleError::UnknownProcessor(8)
+        );
+        assert!(s.try_schedule(&bad_resource).is_err());
+        assert!(s
+            .try_schedule_observed(&bad_resource, &mut scratch, &probe)
+            .is_err());
     }
 }

@@ -146,9 +146,8 @@ pub struct FlowNetwork {
     /// as `cap - res`); storing it in adjacency order turns every solver's
     /// out-arc scan into a sequential 16-byte-stride walk.
     hot: Vec<HotArc>,
-    /// Arc costs in CSR order, parallel to `hot`, so cost-aware scans
-    /// (SSP, cycle canceling) zip a second sequential lane instead of
-    /// random-accessing `cost`.
+    /// Arc costs in CSR order, parallel to `hot`, so SSP's Dijkstra scans
+    /// zip a second sequential lane instead of random-accessing `cost`.
     cost_csr: Vec<Cost>,
     /// Arc capacities in CSR order, parallel to `hot` (twins carry 0), so
     /// [`Self::clear_flow`] restores `res = cap` as one sequential zip.

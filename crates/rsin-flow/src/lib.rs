@@ -13,7 +13,7 @@
 //! * **Minimum-cost flow** (Section III-C, Theorem 3): [`min_cost`] provides
 //!   successive shortest paths with Johnson potentials, the classic
 //!   **out-of-kilter** method named by the paper (\[18\] Fulkerson 1961,
-//!   \[13\] Edmonds–Karp 1972), and Klein's cycle canceling; the
+//!   \[13\] Edmonds–Karp 1972), which cross-checks SSP; the
 //!   [`transshipment`] problem (also named in Section III-A) reduces to it.
 //! * **Multicommodity flow** (Section III-D): [`multicommodity`] formulates
 //!   the multicommodity maximum-flow / minimum-cost-flow linear programs of

@@ -1,6 +1,6 @@
 //! Maximum-flow algorithms (Section III-B of the paper).
 //!
-//! Five algorithms are provided behind one entry point, [`solve`]:
+//! Three algorithms are provided behind one entry point, [`solve`]:
 //!
 //! * [`Algorithm::FordFulkerson`] — DFS augmenting paths, the primal-dual
 //!   scheme of Ford & Fulkerson \[17\] described in the paper;
@@ -10,11 +10,7 @@
 //!   maximal-flow phases exactly as the paper's Fig. 7 flow chart does. This
 //!   is the algorithm the distributed token-propagation architecture of
 //!   Section IV realizes, so the layered network is a public type that the
-//!   `rsin-distrib` tests compare against;
-//! * [`Algorithm::PushRelabel`] — FIFO Goldberg–Tarjan with the gap
-//!   heuristic, a post-paper ablation point for the monitor architecture;
-//! * [`Algorithm::CapacityScaling`] — threshold-scaled augmentation for
-//!   wide-capacity networks.
+//!   `rsin-distrib` tests compare against.
 //!
 //! All algorithms leave the optimal flow assignment *in* the
 //! [`FlowNetwork`] (the request→resource mapping
@@ -24,8 +20,6 @@
 pub mod dinic;
 pub mod edmonds_karp;
 pub mod ford_fulkerson;
-pub mod push_relabel;
-pub mod scaling;
 
 pub use dinic::LayeredNetwork;
 
@@ -43,22 +37,14 @@ pub enum Algorithm {
     EdmondsKarp,
     /// Layered networks + blocking flow (Dinic).
     Dinic,
-    /// FIFO push-relabel with the gap heuristic (Goldberg-Tarjan; a
-    /// post-paper ablation point).
-    PushRelabel,
-    /// Capacity scaling (Gabow / Edmonds-Karp scaling) for wide-capacity
-    /// networks.
-    CapacityScaling,
 }
 
 impl Algorithm {
     /// All variants, for cross-checking tests and ablation benches.
-    pub const ALL: [Algorithm; 5] = [
+    pub const ALL: [Algorithm; 3] = [
         Algorithm::FordFulkerson,
         Algorithm::EdmondsKarp,
         Algorithm::Dinic,
-        Algorithm::PushRelabel,
-        Algorithm::CapacityScaling,
     ];
 
     /// The telemetry identity of this algorithm.
@@ -67,8 +53,6 @@ impl Algorithm {
             Algorithm::FordFulkerson => rsin_obs::SolverId::MaxFlowFordFulkerson,
             Algorithm::EdmondsKarp => rsin_obs::SolverId::MaxFlowEdmondsKarp,
             Algorithm::Dinic => rsin_obs::SolverId::MaxFlowDinic,
-            Algorithm::PushRelabel => rsin_obs::SolverId::MaxFlowPushRelabel,
-            Algorithm::CapacityScaling => rsin_obs::SolverId::MaxFlowCapacityScaling,
         }
     }
 }
@@ -89,14 +73,12 @@ pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId, algo: Algorithm) -> MaxF
         Algorithm::FordFulkerson => ford_fulkerson::solve(g, s, t),
         Algorithm::EdmondsKarp => edmonds_karp::solve(g, s, t),
         Algorithm::Dinic => dinic::solve(g, s, t),
-        Algorithm::PushRelabel => push_relabel::solve(g, s, t),
-        Algorithm::CapacityScaling => scaling::solve(g, s, t),
     }
 }
 
-/// [`solve`] reusing caller-provided scratch buffers. Dinic and push-relabel
-/// run fully allocation-free; the augmenting-path algorithms without a
-/// scratch-aware variant fall back to [`solve`] (same results either way).
+/// [`solve`] reusing caller-provided scratch buffers. Dinic runs fully
+/// allocation-free; Ford–Fulkerson and Edmonds–Karp have no scratch-aware
+/// variant and fall back to [`solve`] (same results either way).
 pub fn solve_with(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -106,7 +88,6 @@ pub fn solve_with(
 ) -> MaxFlowResult {
     match algo {
         Algorithm::Dinic => dinic::solve_with(g, s, t, scratch),
-        Algorithm::PushRelabel => push_relabel::solve_with(g, s, t, scratch),
         _ => solve(g, s, t, algo),
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! Transformation 2 turns priority/preference scheduling into: *circulate a
 //! fixed amount `F₀` of flow from source to sink at minimum total cost*.
-//! Three algorithms are provided:
+//! Two algorithms are provided:
 //!
 //! * [`Algorithm::SuccessiveShortestPaths`] — successive shortest augmenting
 //!   paths with Johnson node potentials (Edmonds–Karp scaling ancestor \[13\]);
 //! * [`Algorithm::OutOfKilter`] — Fulkerson's **out-of-kilter** method \[18\],
 //!   the algorithm the paper names for this problem, operating on kilter
-//!   numbers and node potentials (complementary slackness);
-//! * [`Algorithm::CycleCanceling`] — Klein's negative-cycle canceling, a
-//!   conceptually independent third route used as a cross-check.
+//!   numbers and node potentials (complementary slackness), and SSP's
+//!   cross-check.
 //!
 //! Both produce a flow of value `min(target, max-flow)` whose cost is
 //! minimal among flows of that value (a "minimum-cost maximum flow bounded
@@ -18,7 +17,6 @@
 //! guarantees the target is always reachable, and minimizing cost then
 //! simultaneously maximizes the number of real allocations.
 
-pub mod cycle_cancel;
 pub mod out_of_kilter;
 pub mod ssp;
 
@@ -34,24 +32,17 @@ pub enum Algorithm {
     SuccessiveShortestPaths,
     /// Fulkerson's out-of-kilter method.
     OutOfKilter,
-    /// Klein's negative-cycle canceling (max flow first, then cancel).
-    CycleCanceling,
 }
 
 impl Algorithm {
     /// All variants, for cross-checking and ablation benches.
-    pub const ALL: [Algorithm; 3] = [
-        Algorithm::SuccessiveShortestPaths,
-        Algorithm::OutOfKilter,
-        Algorithm::CycleCanceling,
-    ];
+    pub const ALL: [Algorithm; 2] = [Algorithm::SuccessiveShortestPaths, Algorithm::OutOfKilter];
 
     /// The telemetry identity of this algorithm.
     pub fn solver_id(self) -> rsin_obs::SolverId {
         match self {
             Algorithm::SuccessiveShortestPaths => rsin_obs::SolverId::MinCostSsp,
             Algorithm::OutOfKilter => rsin_obs::SolverId::MinCostOutOfKilter,
-            Algorithm::CycleCanceling => rsin_obs::SolverId::MinCostCycleCanceling,
         }
     }
 }
@@ -74,8 +65,8 @@ pub struct MinCostResult {
 /// [`Algorithm::SuccessiveShortestPaths`] requires `g` to carry zero flow
 /// (a fresh or [`FlowNetwork::reset`] network): its returned `cost` sums
 /// this call's augmentations only, and a broken precondition may panic
-/// (a negative reduced cost). The other algorithms return the network's
-/// total `flow_cost()`.
+/// (a negative reduced cost). Out-of-kilter returns the network's total
+/// `flow_cost()`.
 pub fn solve(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -86,16 +77,14 @@ pub fn solve(
     match algo {
         Algorithm::SuccessiveShortestPaths => ssp::solve(g, s, t, target),
         Algorithm::OutOfKilter => out_of_kilter::solve_on_network(g, s, t, target),
-        Algorithm::CycleCanceling => cycle_cancel::solve(g, s, t, target),
     }
 }
 
-/// [`solve`] reusing caller-provided scratch buffers. All three algorithms
-/// have scratch-aware paths: SSP reuses the potential/Dijkstra buffers,
+/// [`solve`] reusing caller-provided scratch buffers. Both algorithms have
+/// scratch-aware paths: SSP reuses the potential/Dijkstra buffers, and
 /// out-of-kilter keeps its circulation network and labeling buffers in the
-/// scratch (and probes max-flow in place instead of cloning the graph), and
-/// cycle canceling reuses the Bellman–Ford and cycle buffers. Results are
-/// identical to [`solve`] either way.
+/// scratch (and probes max-flow in place instead of cloning the graph).
+/// Results are identical to [`solve`] either way.
 pub fn solve_with(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -107,7 +96,6 @@ pub fn solve_with(
     match algo {
         Algorithm::SuccessiveShortestPaths => ssp::solve_with(g, s, t, target, scratch),
         Algorithm::OutOfKilter => out_of_kilter::solve_on_network_with(g, s, t, target, scratch),
-        Algorithm::CycleCanceling => cycle_cancel::solve_with(g, s, t, target, scratch),
     }
 }
 
@@ -138,7 +126,7 @@ pub fn solve_observed(
 /// full transformation — per-assignment costs `(γ'_max − γ_p) + (q'_max −
 /// q_w)` plus a bypass leg strictly dearer than any real allocation — so
 /// every arc cost is nonnegative, which this entry checks in debug builds
-/// (SSP then skips its Bellman–Ford reweighting prepass, and all three
+/// (SSP then skips its Bellman–Ford reweighting prepass, and both
 /// algorithms share one contract). Behaviour is otherwise identical to
 /// [`solve_observed`]: scratch buffers are reused and the solve reports to
 /// the probe.
@@ -252,7 +240,7 @@ mod tests {
     fn residual_entry_matches_plain_solve_on_bypass_shape() {
         // A bypass-shaped residual: two blocked requests, one reachable free
         // resource, bypass node absorbing the overflow at a cost strictly
-        // above any real allocation. All three algorithms must route the
+        // above any real allocation. Both algorithms must route the
         // cheap request to the resource and bypass the other, matching the
         // unobserved solver bit for bit.
         for algo in Algorithm::ALL {

@@ -34,7 +34,7 @@
 use crate::graph::{ArcId, NodeId};
 use crate::min_cost::out_of_kilter::KilterNetwork;
 use crate::min_cost::ssp::BucketQueue;
-use crate::{Cost, Flow};
+use crate::Cost;
 use std::collections::VecDeque;
 
 /// Sentinel for "node not levelled" in the scratch BFS (the plain Dinic uses
@@ -46,10 +46,10 @@ pub(crate) const UNLEVELLED: u32 = u32::MAX;
 /// ([`max_flow::solve_with`](crate::max_flow::solve_with) and
 /// [`min_cost::solve_with`](crate::min_cost::solve_with)).
 ///
-/// One instance serves both the Dinic and the successive-shortest-paths
-/// buffers; create it once and thread it through every solve on the same
-/// (or any) network. Buffers grow to the largest node count seen and are
-/// never shrunk.
+/// One instance serves the Dinic, successive-shortest-paths and
+/// out-of-kilter buffers; create it once and thread it through every solve
+/// on the same (or any) network. Buffers grow to the largest node count
+/// seen and are never shrunk.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// Dinic: BFS level per node (`UNLEVELLED` outside the layered network).
@@ -71,19 +71,6 @@ pub struct SolveScratch {
     /// Out-of-kilter: reusable circulation network (arcs, potentials and
     /// labeling buffers), re-populated per solve via `reset`.
     pub(crate) kilter: KilterNetwork,
-    /// Push-relabel: node heights.
-    pub(crate) height: Vec<usize>,
-    /// Push-relabel: per-node excess.
-    pub(crate) excess: Vec<Flow>,
-    /// Push-relabel: nodes per height (gap heuristic), sized `2n + 1`.
-    pub(crate) hcount: Vec<usize>,
-    /// Push-relabel: FIFO active-node queue.
-    pub(crate) active: VecDeque<NodeId>,
-    /// Push-relabel: queue-membership flags.
-    pub(crate) in_queue: Vec<bool>,
-    /// Push-relabel: snapshot of one node's out-arc list (the plain solver
-    /// clones it per discharge because pushing mutates the graph).
-    pub(crate) arc_buf: Vec<ArcId>,
 }
 
 impl SolveScratch {
@@ -100,22 +87,6 @@ impl SolveScratch {
         self.pot.resize(n, 0);
         self.dist.resize(n, 0);
         self.parent.resize(n, None);
-    }
-
-    /// Reset the push-relabel buffers for a graph of `n` nodes: heights and
-    /// excesses zeroed, gap counters sized `2n + 1`, queue flags cleared.
-    /// Unlike [`Self::ensure_nodes`] this initializes contents — push-relabel
-    /// reads every slot before writing it.
-    pub(crate) fn reset_push_relabel(&mut self, n: usize) {
-        self.height.clear();
-        self.height.resize(n, 0);
-        self.excess.clear();
-        self.excess.resize(n, 0);
-        self.hcount.clear();
-        self.hcount.resize(2 * n + 1, 0);
-        self.in_queue.clear();
-        self.in_queue.resize(n, false);
-        self.active.clear();
     }
 }
 

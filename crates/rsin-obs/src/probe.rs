@@ -230,31 +230,23 @@ pub enum SolverId {
     MaxFlowEdmondsKarp,
     /// Layered networks + blocking flow.
     MaxFlowDinic,
-    /// FIFO push-relabel with the gap heuristic.
-    MaxFlowPushRelabel,
-    /// Capacity-scaled augmentation.
-    MaxFlowCapacityScaling,
     /// Successive shortest paths with potentials.
     MinCostSsp,
     /// Fulkerson's out-of-kilter method.
     MinCostOutOfKilter,
-    /// Klein's negative-cycle canceling.
-    MinCostCycleCanceling,
-    /// The dense two-phase simplex (multicommodity LP).
+    /// The revised simplex that solves the multicommodity LPs
+    /// (`rsin_flow::multicommodity` runs `rsin_lp` with `Method::Revised`).
     Simplex,
 }
 
 impl SolverId {
     /// All variants, in report order.
-    pub const ALL: [SolverId; 9] = [
+    pub const ALL: [SolverId; 6] = [
         SolverId::MaxFlowFordFulkerson,
         SolverId::MaxFlowEdmondsKarp,
         SolverId::MaxFlowDinic,
-        SolverId::MaxFlowPushRelabel,
-        SolverId::MaxFlowCapacityScaling,
         SolverId::MinCostSsp,
         SolverId::MinCostOutOfKilter,
-        SolverId::MinCostCycleCanceling,
         SolverId::Simplex,
     ];
 
@@ -269,11 +261,8 @@ impl SolverId {
             SolverId::MaxFlowFordFulkerson => "max_flow_ford_fulkerson",
             SolverId::MaxFlowEdmondsKarp => "max_flow_edmonds_karp",
             SolverId::MaxFlowDinic => "max_flow_dinic",
-            SolverId::MaxFlowPushRelabel => "max_flow_push_relabel",
-            SolverId::MaxFlowCapacityScaling => "max_flow_capacity_scaling",
             SolverId::MinCostSsp => "min_cost_ssp",
             SolverId::MinCostOutOfKilter => "min_cost_out_of_kilter",
-            SolverId::MinCostCycleCanceling => "min_cost_cycle_canceling",
             SolverId::Simplex => "simplex",
         }
     }
