@@ -10,6 +10,9 @@
 //! For network sizes 8–64, runs the same random scheduling instances
 //! through the software max-flow (instruction-counted) and the token
 //! engine (clock-counted), and prices both with the mid-1980s cost model.
+//! Self-checking: every instance must allocate the same count both ways
+//! (Theorem 4), and the mean speedup must reach 100× on every size and
+//! grow with it (the paper's shape); the binary panics otherwise.
 
 use rsin_bench::{emit_table, parse_or_exit};
 use rsin_core::model::ScheduleProblem;
@@ -30,6 +33,7 @@ fn main() {
         model.instruction_ns, model.clock_ns
     );
     let mut rows = Vec::new();
+    let mut speedups = Vec::new();
     for n in [8usize, 16, 32, 64] {
         let net = omega(n).unwrap();
         let mut instr = Sample::new();
@@ -47,6 +51,7 @@ fn main() {
             clocks.push(hw.clocks as f64);
             speed.push(model.speedup(sw.estimated_instructions, hw.clocks));
         }
+        speedups.push((n, speed.mean()));
         rows.push(vec![
             format!("omega-{n}"),
             format!("{:.0}", instr.mean()),
@@ -72,4 +77,17 @@ fn main() {
         "\npaper shape: orders-of-magnitude speedup, growing with network size \
          (parallel path search + gate-delay cycles). allocation counts verified equal."
     );
+    for &(n, x) in &speedups {
+        assert!(x >= 100.0, "omega-{n}: speedup {x:.0}x is below 100x");
+    }
+    for w in speedups.windows(2) {
+        assert!(
+            w[1].1 > w[0].1,
+            "speedup must grow with n: omega-{} {:.0}x <= omega-{} {:.0}x",
+            w[1].0,
+            w[1].1,
+            w[0].0,
+            w[0].1
+        );
+    }
 }

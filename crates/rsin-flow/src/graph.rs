@@ -108,6 +108,17 @@ const FP_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 /// CYCLE-STAGES).
 const RESTORE_SLOT_COST: usize = 10;
 
+/// A slot's residual at zero flow: its pair capacity on a forward slot,
+/// 0 on a twin's.
+#[inline]
+fn empty_res(h: &HotArc, pair_cap: Flow) -> Flow {
+    if h.id.is_forward() {
+        pair_cap
+    } else {
+        0
+    }
+}
+
 /// One CSR slot of the hot scan lane: everything a solver inner loop needs
 /// to *reject or take* an arc, packed into exactly 16 bytes and laid out in
 /// adjacency (CSR) order, so scanning a node's out-arcs is one contiguous
@@ -149,9 +160,13 @@ pub struct FlowNetwork {
     /// Arc costs in CSR order, parallel to `hot`, so SSP's Dijkstra scans
     /// zip a second sequential lane instead of random-accessing `cost`.
     cost_csr: Vec<Cost>,
-    /// Arc capacities in CSR order, parallel to `hot` (twins carry 0), so
-    /// [`Self::clear_flow`] restores `res = cap` as one sequential zip.
-    cap_csr: Vec<Flow>,
+    /// The pair's forward capacity in CSR order, parallel to `hot`: a
+    /// forward slot and its twin's slot both carry the forward arc's
+    /// capacity. A pair's two residuals sum to it, so the residual of a
+    /// slot's *reverse* arc is `pair_cap - res`, read sequentially, and
+    /// [`Self::clear_flow`] restores `res` (the capacity on forward slots,
+    /// 0 on twins) as one sequential zip.
+    pair_cap_csr: Vec<Flow>,
     /// Permutation `ArcId -> hot/cost_csr/csr_arcs slot`, for id-addressed
     /// reads and writes (`push`, `residual`, bottleneck walks).
     arc_pos: Vec<u32>,
@@ -178,7 +193,7 @@ impl Default for FlowNetwork {
             csr_arcs: Vec::new(),
             hot: Vec::new(),
             cost_csr: Vec::new(),
-            cap_csr: Vec::new(),
+            pair_cap_csr: Vec::new(),
             arc_pos: Vec::new(),
             negative_costs: 0,
             topo_fp: FP_SEED,
@@ -208,7 +223,7 @@ impl FlowNetwork {
             csr_arcs: Vec::with_capacity(2 * arcs),
             hot: Vec::with_capacity(2 * arcs),
             cost_csr: Vec::with_capacity(2 * arcs),
-            cap_csr: Vec::with_capacity(2 * arcs),
+            pair_cap_csr: Vec::with_capacity(2 * arcs),
             arc_pos: Vec::with_capacity(2 * arcs),
             ..Self::default()
         }
@@ -306,8 +321,8 @@ impl FlowNetwork {
         );
         self.cost_csr.clear();
         self.cost_csr.resize(m, 0);
-        self.cap_csr.clear();
-        self.cap_csr.resize(m, 0);
+        self.pair_cap_csr.clear();
+        self.pair_cap_csr.resize(m, 0);
         self.arc_pos.clear();
         self.arc_pos.resize(m, 0);
         let mut cursor = self.csr_offsets.clone();
@@ -321,7 +336,7 @@ impl FlowNetwork {
                 id: ArcId(i as u32),
             };
             self.cost_csr[slot] = self.cost[i];
-            self.cap_csr[slot] = self.cap[i];
+            self.pair_cap_csr[slot] = self.cap[i & !1];
             self.arc_pos[i] = slot as u32;
             *c += 1;
         }
@@ -447,11 +462,17 @@ impl FlowNetwork {
         &self.cost_csr
     }
 
-    /// Arc capacities in CSR order, parallel to [`Self::hot_arcs`]
-    /// (twins carry 0): a slot's flow is its capacity minus its residual.
+    /// Each slot's pair capacity in CSR order, parallel to
+    /// [`Self::hot_arcs`]: the forward arc's capacity, on the forward slot
+    /// and on its twin's slot alike. A slot's residual and its reverse
+    /// arc's residual sum to it, so `pair_caps()[i] - hot_arcs()[i].res` is
+    /// the residual of the slot's reverse arc (head → tail): a sink-side
+    /// search walks the arcs into a node from that node's own slots,
+    /// without the `arc_pos` permutation. On a forward slot the same
+    /// difference is the arc's flow.
     #[inline]
-    pub fn csr_caps(&self) -> &[Flow] {
-        &self.cap_csr
+    pub fn pair_caps(&self) -> &[Flow] {
+        &self.pair_cap_csr
     }
 
     /// True when any forward arc has a negative per-unit cost. O(1): the
@@ -506,10 +527,9 @@ impl FlowNetwork {
     /// Reset all flow to zero, keeping topology and capacities.
     pub fn clear_flow(&mut self) {
         self.ensure_csr();
-        // Zero flow ⇔ residual == capacity on every slot (twins have cap 0);
-        // both lanes are in CSR order, so this is a sequential zip.
-        for (h, &c) in self.hot.iter_mut().zip(&self.cap_csr) {
-            h.res = c;
+        // Both lanes are in CSR order, so this is a sequential zip.
+        for (h, &pair_cap) in self.hot.iter_mut().zip(&self.pair_cap_csr) {
+            h.res = empty_res(h, pair_cap);
         }
     }
 
@@ -533,8 +553,8 @@ impl FlowNetwork {
                 debug_assert!(a.is_forward(), "carried lists forward arcs");
                 let p = self.arc_pos[a.index()] as usize;
                 let q = self.arc_pos[a.index() ^ 1] as usize;
-                self.hot[p].res = self.cap_csr[p];
-                self.hot[q].res = self.cap_csr[q];
+                self.hot[p].res = self.pair_cap_csr[p];
+                self.hot[q].res = 0;
             }
         }
         self.debug_assert_no_flow();
@@ -543,7 +563,10 @@ impl FlowNetwork {
     /// Debug builds: every slot's residual equals its capacity (no flow).
     fn debug_assert_no_flow(&self) {
         debug_assert!(
-            self.hot.iter().zip(&self.cap_csr).all(|(h, &c)| h.res == c),
+            self.hot
+                .iter()
+                .zip(&self.pair_cap_csr)
+                .all(|(h, &pair_cap)| h.res == empty_res(h, pair_cap)),
             "flow left after a reset"
         );
     }
@@ -578,7 +601,8 @@ impl FlowNetwork {
             "set_cap below current flow; call reset() first"
         );
         self.cap[i] = cap;
-        self.cap_csr[p] = cap;
+        self.pair_cap_csr[p] = cap;
+        self.pair_cap_csr[self.arc_pos[i ^ 1] as usize] = cap;
         self.hot[p].res = cap - flow;
     }
 

@@ -14,6 +14,15 @@
 //! network is simply a BFS levelling of the residual graph, cut off at the
 //! sink's layer ("all tokens stop propagating" once a resource server is
 //! reached).
+//!
+//! The solver itself labels from whichever end has less residual capacity.
+//! From the sink side it labels nodes by distance to `t` (the paper's
+//! resource tokens travelling back), so its DFS from `s` only ever steps
+//! onto shortest s–t paths and never walks into a node that cannot reach
+//! `t`. Both sides advance exactly the augmenting paths of the layered
+//! network above, in the same order. A solve also stops, without a final
+//! search, once its flow meets the residual capacity out of `s` or into
+//! `t` (DESIGN.md §14.6).
 
 use super::MaxFlowResult;
 use crate::graph::{ArcId, FlowNetwork, NodeId};
@@ -119,67 +128,106 @@ impl LayeredNetwork {
     }
 }
 
-/// BFS levelling into `scratch.level` — the same traversal, sink-layer
-/// cutoff, and operation counts as [`LayeredNetwork::build`], but writing a
-/// flat `u32` array (sentinel [`UNLEVELLED`]) instead of allocating layers.
-/// Returns `true` when the sink was levelled.
+/// Which end of the network a solve's BFS labels count distance from.
+///
+/// Either side yields the same augmenting paths: the DFS starts at `s` and
+/// only ever steps to a node one label closer to `t`, and every s–t path it
+/// can complete is a shortest one, taken in CSR order. The sides differ in
+/// what the DFS can walk into. Source-side labels admit arcs into nodes
+/// that lead nowhere near `t`, so the DFS walks into dead ends and retreats;
+/// sink-side labels admit only arcs on a shortest s–t path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LabelSide {
+    /// Distance from `s` over residual arcs: the paper's layered network.
+    Source,
+    /// Distance to `t` over residual arcs, searched from `t` over reverse
+    /// residual arcs (the paper's resource tokens travelling back).
+    Sink,
+}
+
+/// BFS labelling into `scratch.level` (sentinel [`UNLEVELLED`]). From the
+/// source side: the traversal, sink-layer cutoff and operation counts of
+/// [`LayeredNetwork::build`]. From the sink side: the mirror image, from
+/// `t` over reverse residual arcs (read as `pair_cap - res` on the slot's
+/// own lane, so no walk through the `arc_pos` permutation), cut off at the
+/// source's layer. Returns `true` when the far end was labelled, i.e. an
+/// augmenting path exists. Requires `s != t`.
 fn level_residual(
     g: &FlowNetwork,
     s: NodeId,
     t: NodeId,
+    side: LabelSide,
     scratch: &mut SolveScratch,
     stats: &mut OpStats,
 ) -> bool {
     stats.phases += 1;
     let n = g.num_nodes();
+    let (root, goal) = match side {
+        LabelSide::Source => (s, t),
+        LabelSide::Sink => (t, s),
+    };
     let SolveScratch { level, queue, .. } = scratch;
     level[..n].fill(UNLEVELLED);
-    level[s.index()] = 0;
+    level[root.index()] = 0;
     queue.clear();
-    queue.push_back(s);
-    // `UNLEVELLED` doubles as "sink not seen yet": no reachable node's level
-    // can compare >= to it, so the cutoff below only bites once t is found.
-    let mut sink_level = if s == t { 0 } else { UNLEVELLED };
+    queue.push_back(root);
+    // `UNLEVELLED` doubles as "goal not seen yet": no reachable node's level
+    // can compare >= to it, so the cutoff below only bites once it is found.
+    let mut goal_level = UNLEVELLED;
+    let (hot, pair_caps) = (g.hot_arcs(), g.pair_caps());
     while let Some(u) = queue.pop_front() {
         stats.node_visits += 1;
         stats.level_node_visits += 1;
         let lu = level[u.index()];
-        // Do not expand nodes at or beyond the sink layer.
-        if lu >= sink_level {
+        // Do not expand nodes at or beyond the goal's layer.
+        if lu >= goal_level {
             continue;
         }
         let r = g.out_range(u);
-        for h in &g.hot_arcs()[r] {
+        for (h, &pair_cap) in hot[r.clone()].iter().zip(&pair_caps[r]) {
             stats.arc_scans += 1;
             stats.level_arc_scans += 1;
-            if h.res > 0 {
+            let res = match side {
+                LabelSide::Source => h.res,
+                LabelSide::Sink => pair_cap - h.res,
+            };
+            if res > 0 {
                 let to = h.head;
                 if level[to.index()] == UNLEVELLED {
                     let lv = lu + 1;
                     level[to.index()] = lv;
-                    if to == t {
-                        sink_level = lv;
+                    if to == goal {
+                        goal_level = lv;
                     }
                     queue.push_back(to);
                 }
             }
         }
     }
-    level[t.index()] != UNLEVELLED
+    level[goal.index()] != UNLEVELLED
 }
 
-/// Find a *maximal* flow in the layered network by DFS with current-arc
-/// pointers, pushing it into `g`. Returns the value advanced. Reads the
-/// levels written by [`level_residual`] and reuses the DFS buffers in
-/// `scratch`.
+/// Find a *maximal* flow over the labelled arcs by DFS from `s` with
+/// current-arc pointers, pushing it into `g`. Returns the value advanced.
+/// An arc is admissible when it has residual capacity and its head is one
+/// label closer to `t`: one more than its tail's label from the source
+/// side, one less from the sink side. Reads the labels written by
+/// [`level_residual`] and reuses the DFS buffers in `scratch`.
 fn blocking_flow(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
+    side: LabelSide,
     scratch: &mut SolveScratch,
     stats: &mut OpStats,
 ) -> Flow {
     let n = g.num_nodes();
+    // One step closer to t, as a wrapping add: +1 or -1. The DFS stands
+    // only on labelled nodes other than t, so neither step wraps.
+    let step = match side {
+        LabelSide::Source => 1,
+        LabelSide::Sink => u32::MAX,
+    };
     let SolveScratch {
         level,
         next_arc,
@@ -194,7 +242,7 @@ fn blocking_flow(
     let mut u = s;
     loop {
         if u == t {
-            // Found an s-t path in the layered network; push bottleneck.
+            // Found a shortest s-t path; push its bottleneck.
             let mut bottleneck = Flow::MAX;
             for &a in path.iter() {
                 bottleneck = bottleneck.min(g.residual(a));
@@ -220,18 +268,17 @@ fn blocking_flow(
             };
             continue;
         }
-        // Advance over the next admissible ("useful") arc out of u: positive
-        // residual, pointing to the next layer — exactly
-        // `LayeredNetwork::contains_arc`. Walks the hot lane by current-arc
-        // pointer, so each probe is one 16-byte slot.
+        // Advance over the next admissible ("useful") arc out of u. Walks
+        // the hot lane by current-arc pointer, so each probe is one 16-byte
+        // slot.
         let range = g.out_range(u);
         let hots = &g.hot_arcs()[range];
-        let lu = level[u.index()];
+        let closer = level[u.index()].wrapping_add(step);
         let mut advanced = false;
         while next_arc[u.index()] < hots.len() {
             let h = hots[next_arc[u.index()]];
             stats.arc_scans += 1;
-            if h.res > 0 && lu != UNLEVELLED && level[h.head.index()] == lu + 1 {
+            if h.res > 0 && level[h.head.index()] == closer {
                 path.push(h.id);
                 u = h.head;
                 advanced = true;
@@ -256,6 +303,22 @@ fn blocking_flow(
     total
 }
 
+/// Residual capacity out of `s` and into `t`: the capacities of the cuts
+/// `{s}` and `V - {t}`, so the flow a solve can still add is at most the
+/// smaller of the two. Two straight sums over `s`'s and `t`'s slots, once
+/// per solve; [`OpStats`] counts search work, so they are not counted.
+fn end_residuals(g: &FlowNetwork, s: NodeId, t: NodeId) -> (Flow, Flow) {
+    let (hot, pair_caps) = (g.hot_arcs(), g.pair_caps());
+    let (rs, rt) = (g.out_range(s), g.out_range(t));
+    let out_of_s = hot[rs].iter().map(|h| h.res).sum();
+    let into_t = hot[rt.clone()]
+        .iter()
+        .zip(&pair_caps[rt])
+        .map(|(h, &pair_cap)| pair_cap - h.res)
+        .sum();
+    (out_of_s, into_t)
+}
+
 /// Compute a maximum `s`→`t` flow with Dinic's algorithm.
 pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
     solve_with(g, s, t, &mut SolveScratch::new())
@@ -273,16 +336,34 @@ pub fn solve_with(
 }
 
 /// [`solve_with`] reporting each of Dinic's two alternating phases to a
-/// telemetry probe: every level-graph construction is timed into
+/// telemetry probe: every labelling search is timed into
 /// [`rsin_obs::Hist::DinicLevelPhaseNs`] and every blocking-flow pass into
 /// [`rsin_obs::Hist::DinicBlockingPhaseNs`], so the BFS-vs-DFS split of a
 /// solve is visible per phase, not just in aggregate. Identical results and
 /// [`OpStats`] to [`solve_with`]; under [`rsin_obs::NoopProbe`] the spans
 /// never read the clock and this monomorphizes to plain [`solve_with`].
+///
+/// Labels run from the smaller end: from `t` when the residual capacity
+/// into `t` is at most that out of `s`, else from `s`. The solve stops
+/// without a final search once the flow it added meets the smaller of the
+/// two (the cut bound).
 pub fn solve_probed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
+    scratch: &mut SolveScratch,
+    probe: &P,
+) -> MaxFlowResult {
+    solve_labelled(g, s, t, None, scratch, probe)
+}
+
+/// [`solve_probed`] with the label side forced (`Some`) or chosen from the
+/// end residuals (`None`). Every side gives the same flow.
+pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
+    g: &mut FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    side: Option<LabelSide>,
     scratch: &mut SolveScratch,
     probe: &P,
 ) -> MaxFlowResult {
@@ -293,16 +374,30 @@ pub fn solve_probed<P: rsin_obs::Probe + ?Sized>(
         return MaxFlowResult { value, stats };
     }
     scratch.ensure_nodes(g.num_nodes());
-    loop {
+    let (out_of_s, into_t) = end_residuals(g, s, t);
+    let side = side.unwrap_or(if into_t <= out_of_s {
+        LabelSide::Sink
+    } else {
+        LabelSide::Source
+    });
+    // A shortest augmenting path leaves s once and enters t once, so each
+    // unit added spends one unit of both end residuals.
+    let bound = out_of_s.min(into_t);
+    while value < bound {
         let span = probe.start();
-        let reached = level_residual(g, s, t, scratch, &mut stats);
+        let reached = level_residual(g, s, t, side, scratch, &mut stats);
         probe.finish(span, rsin_obs::Hist::DinicLevelPhaseNs);
         if !reached {
             break;
         }
         let span = probe.start();
-        value += blocking_flow(g, s, t, scratch, &mut stats);
+        let pushed = blocking_flow(g, s, t, side, scratch, &mut stats);
         probe.finish(span, rsin_obs::Hist::DinicBlockingPhaseNs);
+        debug_assert!(
+            pushed > 0,
+            "labels reached the far end but no path was found"
+        );
+        value += pushed;
     }
     MaxFlowResult { value, stats }
 }
@@ -310,6 +405,126 @@ pub fn solve_probed<P: rsin_obs::Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The source-labelled Dinic this module ran before labels could come
+    /// from the sink side and before the cut-bound stop, kept as the
+    /// exact-path oracle for [`solve_labelled`]: each phase is a
+    /// [`LayeredNetwork::build`] (BFS from `s` cut off at the sink's layer),
+    /// then a DFS with current-arc pointers into every arc the layered
+    /// network contains (dead ends included), until a phase fails to reach
+    /// `t`.
+    fn reference_solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
+        g.ensure_csr();
+        let mut stats = OpStats::new();
+        let mut value = 0;
+        loop {
+            let layered = LayeredNetwork::build(g, s, t, &mut stats);
+            if !layered.reaches_sink() {
+                break;
+            }
+            let mut next_arc = vec![0; g.num_nodes()];
+            let mut path: Vec<ArcId> = Vec::new();
+            let mut u = s;
+            loop {
+                if u == t {
+                    let bottleneck = path.iter().map(|&a| g.residual(a)).min().unwrap();
+                    for &a in &path {
+                        g.push(a, bottleneck);
+                    }
+                    value += bottleneck;
+                    stats.augmentations += 1;
+                    // Retreat to the tail of the first saturated arc.
+                    let first_full = path.iter().position(|&a| g.residual(a) == 0);
+                    path.truncate(first_full.unwrap());
+                    u = path.last().map_or(s, |&a| g.head(a));
+                    continue;
+                }
+                let out = g.out_arcs(u);
+                let i = &mut next_arc[u.index()];
+                while *i < out.len() && !layered.contains_arc(g, out[*i]) {
+                    *i += 1;
+                }
+                if let Some(&a) = out.get(*i) {
+                    path.push(a);
+                    u = g.head(a);
+                } else if let Some(a) = path.pop() {
+                    u = g.tail(a);
+                    next_arc[u.index()] += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        MaxFlowResult { value, stats }
+    }
+
+    /// A random network on `s = 0`, `t = 1` and up to eight more nodes:
+    /// capacities 0–4, parallel arcs, cycles, self-loops, arcs into `s` and
+    /// out of `t`. Half the time it carries a prior (warm-start) flow: a
+    /// partial max flow, routed with some arcs narrowed and then widened
+    /// back, plus one unit around a cycle through `s` and one through `t`.
+    fn random_network(seed: u64) -> (FlowNetwork, NodeId, NodeId) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = FlowNetwork::new();
+        let n = rng.random_range(2..11u32);
+        let nodes: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
+        let (s, t) = (nodes[0], nodes[1]);
+        let mut arcs = Vec::new();
+        for _ in 0..rng.random_range(0..4 * n as usize) {
+            let from = nodes[rng.random_range(0..n as usize)];
+            let to = nodes[rng.random_range(0..n as usize)];
+            arcs.push((g.add_arc(from, to, rng.random_range(0..5), 0), 0));
+        }
+        if rng.random_bool(0.5) {
+            for (a, cap) in arcs.iter_mut() {
+                *cap = g.cap(*a);
+                g.set_cap(*a, rng.random_range(0..=*cap));
+            }
+            reference_solve(&mut g, s, t);
+            for &(a, cap) in &arcs {
+                g.set_cap(a, cap);
+            }
+            let x = nodes[rng.random_range(0..n as usize)];
+            for end in [s, t] {
+                if x != s && x != t {
+                    let out = g.add_arc(end, x, 1, 0);
+                    let back = g.add_arc(x, end, 1, 0);
+                    g.push(out, 1);
+                    g.push(back, 1);
+                }
+            }
+        }
+        g.ensure_csr();
+        (g, s, t)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Each label side, and the automatic choice, advances exactly the
+        /// reference's augmenting paths: the same value, the same number of
+        /// augmentations and the same flow on every arc.
+        #[test]
+        fn every_label_side_matches_the_source_labelled_reference(seed in 0u64..u64::MAX) {
+            let (g, s, t) = random_network(seed);
+            let mut want_g = g.clone();
+            let want = reference_solve(&mut want_g, s, t);
+            let mut scratch = SolveScratch::new();
+            for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
+                let mut got_g = g.clone();
+                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                prop_assert_eq!(got.value, want.value, "{:?}", side);
+                prop_assert_eq!(got.stats.augmentations, want.stats.augmentations, "{:?}", side);
+                for (a, arc) in want_g.forward_arcs() {
+                    prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
+                }
+                prop_assert!(got.stats.phases <= want.stats.phases, "{:?}", side);
+            }
+        }
+    }
 
     #[test]
     fn layered_network_levels_are_bfs_distances() {
@@ -398,9 +613,42 @@ mod tests {
         g.add_arc(b, t, 1, 0);
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 2);
-        // Both unit paths have length 2, so one layered network suffices;
-        // the final phase discovers no sink and terminates.
-        assert_eq!(r.stats.phases, 2);
+        // Both unit paths have length 2, so one layered network suffices.
+        // The flow then meets the cut bound (two open s-arcs, two open
+        // t-arcs), so no final search runs.
+        assert_eq!(r.stats.phases, 1);
+    }
+
+    #[test]
+    fn flow_below_the_cut_bound_runs_the_final_search() {
+        // Two open s-arcs and two open t-arcs, but one unit (c -> d) between
+        // them: the flow stops at 1 < 2, so only a search that fails to
+        // reach t can prove it maximum.
+        let mut g = FlowNetwork::new();
+        let s = g.add_node("s");
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.add_node(n));
+        let t = g.add_node("t");
+        g.add_arc(s, a, 1, 0);
+        g.add_arc(s, b, 1, 0);
+        g.add_arc(a, c, 1, 0);
+        g.add_arc(b, c, 1, 0);
+        g.add_arc(c, d, 1, 0);
+        g.add_arc(d, t, 1, 0);
+        g.add_arc(e, t, 1, 0);
+        for side in [LabelSide::Source, LabelSide::Sink] {
+            g.reset();
+            let r = solve_labelled(
+                &mut g,
+                s,
+                t,
+                Some(side),
+                &mut SolveScratch::new(),
+                &rsin_obs::NoopProbe,
+            );
+            assert_eq!(r.value, 1, "{side:?}");
+            assert_eq!(r.stats.augmentations, 1, "{side:?}");
+            assert_eq!(r.stats.phases, 2, "{side:?}");
+        }
     }
 
     #[test]

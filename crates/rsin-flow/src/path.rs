@@ -173,12 +173,12 @@ struct Cursor {
 fn next_arc(g: &FlowNetwork, c: &mut Cursor, u: NodeId) -> Option<ArcId> {
     let range = g.out_range(u);
     let hot = &g.hot_arcs()[range.clone()];
-    let caps = &g.csr_caps()[range];
+    let caps = &g.pair_caps()[range];
     while let Some(h) = hot.get(c.slot as usize) {
-        // An arc's flow is its capacity minus its residual, read from its
-        // own slot. Twins have capacity 0 and a residual of at least 0, so
-        // only forward arcs ever qualify.
-        if caps[c.slot as usize] - h.res > Flow::from(c.used) {
+        // A forward arc's flow is its capacity minus its residual, read
+        // from its own slot. (On a twin's slot that difference is the
+        // forward arc's residual, not a flow.)
+        if h.id.is_forward() && caps[c.slot as usize] - h.res > Flow::from(c.used) {
             c.used += 1;
             return Some(h.id);
         }

@@ -52,7 +52,8 @@ pub(crate) const UNLEVELLED: u32 = u32::MAX;
 /// seen and are never shrunk.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Dinic: BFS level per node (`UNLEVELLED` outside the layered network).
+    /// Dinic: BFS label per node, the distance from `s` or to `t`
+    /// (`UNLEVELLED` where the search did not reach).
     pub(crate) level: Vec<u32>,
     /// Dinic: BFS frontier.
     pub(crate) queue: VecDeque<NodeId>,

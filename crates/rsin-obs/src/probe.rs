@@ -234,20 +234,16 @@ pub enum SolverId {
     MinCostSsp,
     /// Fulkerson's out-of-kilter method.
     MinCostOutOfKilter,
-    /// The revised simplex that solves the multicommodity LPs
-    /// (`rsin_flow::multicommodity` runs `rsin_lp` with `Method::Revised`).
-    Simplex,
 }
 
 impl SolverId {
     /// All variants, in report order.
-    pub const ALL: [SolverId; 6] = [
+    pub const ALL: [SolverId; 5] = [
         SolverId::MaxFlowFordFulkerson,
         SolverId::MaxFlowEdmondsKarp,
         SolverId::MaxFlowDinic,
         SolverId::MinCostSsp,
         SolverId::MinCostOutOfKilter,
-        SolverId::Simplex,
     ];
 
     /// Dense array index (== position in [`SolverId::ALL`]).
@@ -263,7 +259,6 @@ impl SolverId {
             SolverId::MaxFlowDinic => "max_flow_dinic",
             SolverId::MinCostSsp => "min_cost_ssp",
             SolverId::MinCostOutOfKilter => "min_cost_out_of_kilter",
-            SolverId::Simplex => "simplex",
         }
     }
 }
@@ -277,7 +272,7 @@ pub struct SolveCounts {
     pub node_visits: u64,
     /// Arcs examined during searches.
     pub arc_scans: u64,
-    /// Augmenting paths advanced (or simplex pivots).
+    /// Augmenting paths advanced.
     pub augmentations: u64,
     /// Layered networks built (Dinic phases / SSP iterations).
     pub phases: u64,
