@@ -78,8 +78,8 @@ fn bench_threaded_blocking(c: &mut Criterion) {
     };
     let scheduler = MaxFlowScheduler::default();
     // The determinism contract, checked on the bench workload itself.
-    let one = run_blocking_threads(&net, &scheduler, &cfg, 1);
-    let many = run_blocking_threads(&net, &scheduler, &cfg, 4);
+    let one = run_blocking_threads(&net, &scheduler, &cfg, 1).expect("blocking batch");
+    let many = run_blocking_threads(&net, &scheduler, &cfg, 4).expect("blocking batch");
     assert_eq!(one.blocking.mean.to_bits(), many.blocking.mean.to_bits());
     assert_eq!(one.allocated.mean.to_bits(), many.allocated.mean.to_bits());
 
@@ -98,6 +98,7 @@ fn bench_threaded_blocking(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     run_blocking_threads(&net, &scheduler, &cfg, t)
+                        .expect("blocking batch")
                         .blocking
                         .mean,
                 )

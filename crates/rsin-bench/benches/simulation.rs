@@ -21,6 +21,7 @@ fn bench_blocking_batch(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 run_blocking(&net, &MaxFlowScheduler::default(), &cfg)
+                    .expect("blocking trials")
                     .blocking
                     .mean,
             )

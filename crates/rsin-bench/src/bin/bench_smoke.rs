@@ -224,9 +224,11 @@ fn gate<A, B>(
 }
 
 fn check_blocking_threads(net: &Network, cfg: &BlockingConfig) {
-    let reference = run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, 1);
+    let reference =
+        run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, 1).expect("blocking batch");
     for t in [2, 4, 8] {
-        let r = run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, t);
+        let r = run_blocking_threads(net, &MaxFlowScheduler::default(), cfg, t)
+            .expect("blocking batch");
         assert_eq!(
             reference.blocking.mean.to_bits(),
             r.blocking.mean.to_bits(),
@@ -342,13 +344,15 @@ fn check_sharded() {
         free: 32,
         seed: SEED,
     };
-    let reference = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1);
+    let reference =
+        run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1).expect("sharded trials");
     assert!(
         reference.rebuilds_ok,
         "a shard rebuilt its transformation graph"
     );
     for t in [4, 1, 8] {
-        let r = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, t);
+        let r =
+            run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, t).expect("sharded trials");
         for (name, a, b) in [
             ("blocking.mean", reference.blocking.mean, r.blocking.mean),
             ("allocated.mean", reference.allocated.mean, r.allocated.mean),
@@ -367,7 +371,8 @@ fn check_sharded() {
         }
     }
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let paired = run_paired_trials(&net, &flat, InterShardPolicy::TokenRing, &cfg, threads);
+    let paired = run_paired_trials(&net, &flat, InterShardPolicy::TokenRing, &cfg, threads)
+        .expect("paired trials");
     for (trial, (hier, flat)) in paired.iter().enumerate() {
         assert!(
             hier <= flat,
@@ -628,7 +633,8 @@ fn main() {
     );
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores >= 4 {
-        let blocking = |t| run_blocking_threads(&net, &max_flow, &blocking_cfg, t);
+        let blocking =
+            |t| run_blocking_threads(&net, &max_flow, &blocking_cfg, t).expect("blocking batch");
         ok &= gate(
             "threads_4_vs_1",
             MIN_PARALLEL_SPEEDUP.recip(),

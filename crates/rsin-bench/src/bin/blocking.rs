@@ -56,7 +56,7 @@ fn main() {
                     occupied_circuits: 0,
                     seed: 100 + k as u64,
                 };
-                let st = run_blocking_threads(&net, *s, &cfg, threads);
+                let st = run_blocking_threads(&net, *s, &cfg, threads).expect("blocking trials");
                 all.push(st.blocking.mean);
                 per_k.push(format!("{:.1}", 100.0 * st.blocking.mean));
             }

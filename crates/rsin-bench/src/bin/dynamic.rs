@@ -29,7 +29,10 @@
 //! own `rsin_obs::Telemetry` sink; the reports are merged in replica order
 //! and written as JSON to the given path.
 
-use rsin_bench::{emit_table, network_by_name, parse_or_exit, take_flag};
+use rsin_bench::{
+    emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit, take_flag,
+    write_report,
+};
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
 use rsin_sim::replicate::{
     merge_faulted, run_trials, run_trials_observed, ReplicatedStats, TrialGrid,
@@ -68,23 +71,20 @@ fn sweep(
         .collect()
 }
 
-fn json_row(load: f64, scheduler: &str, s: &ReplicatedStats) -> String {
-    format!(
-        "    {{\"arrival_rate\": {load}, \"scheduler\": \"{scheduler}\", \
-         \"utilization\": {}, \"utilization_ci95\": {}, \
-         \"response\": {}, \"response_ci95\": {}, \"response_p99\": {}, \
-         \"mean_queue\": {}, \"mean_blocking\": {}, \
-         \"completed\": {}, \"cycles\": {}}}",
-        s.utilization.mean,
-        s.utilization.ci95,
-        s.response.mean,
-        s.response.ci95,
-        s.response.p99,
-        s.mean_queue.mean,
-        s.mean_blocking.mean,
-        s.completed,
-        s.cycles,
-    )
+fn sweep_row(load: f64, scheduler: &str, s: &ReplicatedStats) -> String {
+    json_row(&[
+        ("arrival_rate", &load),
+        ("scheduler", &json_str(scheduler)),
+        ("utilization", &s.utilization.mean),
+        ("utilization_ci95", &s.utilization.ci95),
+        ("response", &s.response.mean),
+        ("response_ci95", &s.response.ci95),
+        ("response_p99", &s.response.p99),
+        ("mean_queue", &s.mean_queue.mean),
+        ("mean_blocking", &s.mean_blocking.mean),
+        ("completed", &s.completed),
+        ("cycles", &s.cycles),
+    ])
 }
 
 /// Fraction of offered tasks dropped at a full bounded queue. The
@@ -99,20 +99,18 @@ fn shed_rate(s: &ReplicatedStats) -> f64 {
     }
 }
 
-fn heavy_json_row(rho: f64, scheduler: &str, s: &ReplicatedStats) -> String {
-    format!(
-        "    {{\"rho\": {rho}, \"scheduler\": \"{scheduler}\", \
-         \"utilization\": {}, \"response_p99\": {}, \
-         \"mean_queue\": {}, \"final_queue\": {}, \
-         \"shed_arrivals\": {}, \"shed_rate\": {}, \"completed\": {}}}",
-        s.utilization.mean,
-        s.response.p99,
-        s.mean_queue.mean,
-        s.final_queue.mean,
-        s.shed_arrivals,
-        shed_rate(s),
-        s.completed,
-    )
+fn heavy_row(rho: f64, scheduler: &str, s: &ReplicatedStats) -> String {
+    json_row(&[
+        ("rho", &rho),
+        ("scheduler", &json_str(scheduler)),
+        ("utilization", &s.utilization.mean),
+        ("response_p99", &s.response.p99),
+        ("mean_queue", &s.mean_queue.mean),
+        ("final_queue", &s.final_queue.mean),
+        ("shed_arrivals", &s.shed_arrivals),
+        ("shed_rate", &shed_rate(s)),
+        ("completed", &s.completed),
+    ])
 }
 
 fn main() {
@@ -169,7 +167,7 @@ fn main() {
                 format!("{:.3}", stats.mean_blocking.mean),
                 stats.completed.to_string(),
             ]);
-            json_rows.push(json_row(*load, s.name(), stats));
+            json_rows.push(sweep_row(*load, s.name(), stats));
         }
     }
     emit_table(
@@ -222,7 +220,7 @@ fn main() {
                     format!("{:.4}", shed_rate(stats)),
                     stats.completed.to_string(),
                 ]);
-                heavy_json_rows.push(heavy_json_row(*rho, s.name(), stats));
+                heavy_json_rows.push(heavy_row(*rho, s.name(), stats));
             }
         }
         println!();
@@ -246,25 +244,17 @@ fn main() {
         // No thread count in here: the report must be byte-identical
         // however many workers produced it (the CI determinism job diffs
         // it across --threads values).
-        let heavy_block = if heavy_json_rows.is_empty() {
-            String::new()
-        } else {
-            format!(
-                ",\n  \"heavy_rows\": [\n{}\n  ]",
-                heavy_json_rows.join(",\n")
-            )
-        };
-        let json = format!(
-            "{{\n  \"source\": \"dynamic\",\n  \"network\": \"omega-8\",\n  \
-             \"horizon\": {horizon},\n  \"replicas\": {replicas},\n  \"seed\": 42,\n  \
-             \"rows\": [\n{}\n  ]{heavy_block}\n}}\n",
-            json_rows.join(",\n"),
+        let json = json_report(
+            &[
+                ("source", &json_str("dynamic")),
+                ("network", &json_str("omega-8")),
+                ("horizon", &horizon),
+                ("replicas", &replicas),
+                ("seed", &42),
+            ],
+            &[("rows", &json_rows), ("heavy_rows", &heavy_json_rows)],
         );
-        if let Err(e) = std::fs::write(&jpath, &json) {
-            eprintln!("warning: could not write {jpath}: {e}");
-        } else {
-            println!("\nreport written to {jpath}");
-        }
+        write_report(&jpath, "report", &json);
     }
     if let Some(tpath) = telemetry_path {
         // A replicated probed run at the middle of the sweep; probes only
@@ -288,15 +278,11 @@ fn main() {
         };
         let (_, report) =
             run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
-        let json = report.to_json("dynamic");
-        if let Err(e) = std::fs::write(&tpath, &json) {
-            eprintln!("warning: could not write {tpath}: {e}");
-        } else {
-            println!(
-                "\ntelemetry written to {tpath} (omega-8 / max-flow / load 0.5, \
-                 {replicas} replica(s))"
-            );
-        }
+        write_report(
+            &tpath,
+            &format!("telemetry (omega-8 / max-flow / load 0.5, {replicas} replica(s))"),
+            &report.to_json("dynamic"),
+        );
     }
     println!(
         "\nshape: utilization rises with load toward saturation; the optimal \

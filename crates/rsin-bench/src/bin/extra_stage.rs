@@ -38,8 +38,8 @@ fn main() {
             occupied_circuits: 1,
             seed: 31 + i as u64,
         };
-        let o = run_blocking(net, &optimal as &dyn Scheduler, &cfg);
-        let h = run_blocking(net, &greedy as &dyn Scheduler, &cfg);
+        let o = run_blocking(net, &optimal as &dyn Scheduler, &cfg).expect("blocking trials");
+        let h = run_blocking(net, &greedy as &dyn Scheduler, &cfg).expect("blocking trials");
         rows.push(vec![
             net.name().to_string(),
             pct(o.blocking.mean, o.blocking.ci95),

@@ -61,7 +61,10 @@
 //! Chrome trace-event JSON for Perfetto. Probes only observe, so the
 //! sweep's numbers are unaffected.
 
-use rsin_bench::{emit_table, network_by_name, parse_or_exit, take_flag, usage_error};
+use rsin_bench::{
+    emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit, take_flag,
+    usage_error, write_report,
+};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
@@ -166,51 +169,49 @@ fn fault_cfg_for(model: FaultModel, rate: f64) -> FaultPlanConfig {
 
 // Deliberately no thread count in the report: it must be byte-identical
 // however many workers produced it (the CI determinism job diffs it).
-fn json_report(rows: &[Row], trials: usize, policy: DegradedPolicy, model: FaultModel) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"experiment\": \"faults\",\n");
-    s.push_str(&format!("  \"policy\": \"{}\",\n", policy.name()));
-    s.push_str(&format!("  \"fault_model\": \"{}\",\n", model.name()));
-    s.push_str(&format!("  \"seed\": {SEED},\n"));
-    s.push_str(&format!("  \"trials\": {trials},\n"));
-    s.push_str(&format!("  \"sim_time\": {SIM_TIME},\n"));
-    s.push_str(&format!("  \"warmup\": {WARMUP},\n"));
-    s.push_str(&format!("  \"mean_repair\": {MEAN_REPAIR},\n"));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"network\": \"{}\", \"scheduler\": \"{}\", \"failure_rate\": {}, \
-             \"survival\": {:.6}, \"completed\": {}, \"baseline_completed\": {}, \
-             \"blocking\": {:.6}, \
-             \"shed\": {}, \"recovered\": {}, \"recovery_cost\": {}, \"failures\": {}, \
-             \"repairs\": {}, \"mean_recovery\": {:.6}, \"recoveries_observed\": {}, \
-             \"transform_rebuilds\": {}, \"misrouted\": {}, \"byz_flagged\": {}, \
-             \"byz_false_positives\": {}, \"mean_detection_cycles\": {:.6}}}{}\n",
-            r.network,
-            r.scheduler,
-            r.rate,
-            r.survival,
-            r.completed,
-            r.baseline_completed,
-            r.blocking,
-            r.shed,
-            r.recovered,
-            r.recovery_cost,
-            r.failures,
-            r.repairs,
-            r.mean_recovery,
-            r.recoveries_observed,
-            r.transform_rebuilds,
-            r.misrouted,
-            r.byz_flagged,
-            r.byz_false_positives,
-            r.mean_detection_cycles,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn report(rows: &[Row], trials: usize, policy: DegradedPolicy, model: FaultModel) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            json_row(&[
+                ("network", &json_str(&r.network)),
+                ("scheduler", &json_str(r.scheduler)),
+                ("failure_rate", &r.rate),
+                ("survival", &format!("{:.6}", r.survival)),
+                ("completed", &r.completed),
+                ("baseline_completed", &r.baseline_completed),
+                ("blocking", &format!("{:.6}", r.blocking)),
+                ("shed", &r.shed),
+                ("recovered", &r.recovered),
+                ("recovery_cost", &r.recovery_cost),
+                ("failures", &r.failures),
+                ("repairs", &r.repairs),
+                ("mean_recovery", &format!("{:.6}", r.mean_recovery)),
+                ("recoveries_observed", &r.recoveries_observed),
+                ("transform_rebuilds", &r.transform_rebuilds),
+                ("misrouted", &r.misrouted),
+                ("byz_flagged", &r.byz_flagged),
+                ("byz_false_positives", &r.byz_false_positives),
+                (
+                    "mean_detection_cycles",
+                    &format!("{:.6}", r.mean_detection_cycles),
+                ),
+            ])
+        })
+        .collect();
+    json_report(
+        &[
+            ("experiment", &json_str("faults")),
+            ("policy", &json_str(policy.name())),
+            ("fault_model", &json_str(model.name())),
+            ("seed", &SEED),
+            ("trials", &trials),
+            ("sim_time", &SIM_TIME),
+            ("warmup", &WARMUP),
+            ("mean_repair", &MEAN_REPAIR),
+        ],
+        &[("rows", &rows)],
+    )
 }
 
 fn main() {
@@ -394,12 +395,11 @@ fn main() {
         ],
         &table,
     );
-    let report = json_report(&rows, trials, policy, model);
-    if let Err(e) = std::fs::write(&json_path, &report) {
-        eprintln!("warning: could not write {json_path}: {e}");
-    } else {
-        println!("\nJSON report written to {json_path}");
-    }
+    write_report(
+        &json_path,
+        "JSON report",
+        &report(&rows, trials, policy, model),
+    );
     if let Some(tpath) = telemetry_path {
         // One bounded probed capture at a rate that reliably produces both
         // failures and repairs within the horizon; the sweep above already
@@ -414,12 +414,11 @@ fn main() {
         };
         let (_, report) =
             run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
-        let json = report.to_json("faults");
-        if let Err(e) = std::fs::write(&tpath, &json) {
-            eprintln!("warning: could not write {tpath}: {e}");
-        } else {
-            println!("telemetry written to {tpath} (omega-8 / max-flow / rate 0.005)");
-        }
+        write_report(
+            &tpath,
+            "telemetry (omega-8 / max-flow / rate 0.005)",
+            &report.to_json("faults"),
+        );
     }
     if let Some(tpath) = trace_path {
         // One traced trial of the telemetry capture's configuration: the
@@ -432,16 +431,15 @@ fn main() {
         sim.try_run_faulted_trial_policy_probed(&optimal, &plan, 0, policy, &recorder)
             .expect("traced capture trial");
         let snap = recorder.snapshot();
-        let json = snap.to_chrome_json("faults/omega-8/max-flow");
-        if let Err(e) = std::fs::write(&tpath, &json) {
-            eprintln!("warning: could not write {tpath}: {e}");
-        } else {
-            println!(
-                "lifecycle trace written to {tpath} ({} spans, {} dropped)",
+        write_report(
+            &tpath,
+            &format!(
+                "lifecycle trace ({} spans, {} dropped)",
                 snap.events.len(),
                 snap.dropped
-            );
-        }
+            ),
+            &snap.to_chrome_json("faults/omega-8/max-flow"),
+        );
     }
     println!(
         "\nshape: survival stays near 1.0 at low failure rates and degrades\n\

@@ -36,7 +36,7 @@ fn main() {
                     occupied_circuits: occupied,
                     seed: 7_000 + occupied as u64,
                 };
-                let st = run_blocking(&net, *s, &cfg);
+                let st = run_blocking(&net, *s, &cfg).expect("blocking trials");
                 cells.push(pct(st.blocking.mean, st.blocking.ci95));
             }
             rows.push(cells);

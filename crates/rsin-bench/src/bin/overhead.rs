@@ -59,7 +59,10 @@ fn main() {
                     distributed.release_resource(r);
                 }
             }
-            if let Some(cycle) = monitor.cycle(&MaxFlowScheduler::default()) {
+            if let Some(cycle) = monitor
+                .cycle(&MaxFlowScheduler::default())
+                .expect("monitor cycle")
+            {
                 mon_alloc += cycle.outcome.allocated() as u64;
                 for a in &cycle.outcome.assignments {
                     mon_served.push((a.processor, a.resource));

@@ -34,7 +34,9 @@
 //! trials it ran.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use rsin_bench::{emit_table, parse_or_exit, take_flag};
+use rsin_bench::{
+    emit_table, json_report, json_row, json_str, parse_or_exit, take_flag, write_report,
+};
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
 use rsin_obs::Counter;
 use rsin_sim::sharded::{run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig};
@@ -54,27 +56,23 @@ struct SweepPoint {
     stats: ShardedStats,
 }
 
-fn json_row(p: &SweepPoint) -> String {
+fn point_row(p: &SweepPoint) -> String {
     // No wall-clock numbers in here: the report must be byte-identical
     // however many worker threads produced it.
-    format!(
-        "    {{\"shards\": {}, \"local\": {}, \"global\": \"{}\", \
-         \"policy\": \"{}\", \"load\": {}, \"requests\": {}, \
-         \"blocking\": {}, \"blocking_ci95\": {}, \"allocated\": {}, \
-         \"remote\": {}, \"stage1_blocked\": {}, \"rebuilds_ok\": {}}}",
-        p.shards,
-        p.local,
-        p.global.name(),
-        p.policy.name(),
-        p.load,
-        p.requests,
-        p.stats.blocking.mean,
-        p.stats.blocking.ci95,
-        p.stats.allocated.mean,
-        p.stats.remote.mean,
-        p.stats.stage1_blocked.mean,
-        p.stats.rebuilds_ok,
-    )
+    json_row(&[
+        ("shards", &p.shards),
+        ("local", &p.local),
+        ("global", &json_str(p.global.name())),
+        ("policy", &json_str(p.policy.name())),
+        ("load", &p.load),
+        ("requests", &p.requests),
+        ("blocking", &p.stats.blocking.mean),
+        ("blocking_ci95", &p.stats.blocking.ci95),
+        ("allocated", &p.stats.allocated.mean),
+        ("remote", &p.stats.remote.mean),
+        ("stage1_blocked", &p.stats.stage1_blocked.mean),
+        ("rebuilds_ok", &p.stats.rebuilds_ok),
+    ])
 }
 
 fn main() {
@@ -144,7 +142,8 @@ fn main() {
                         seed,
                     };
                     let t0 = Instant::now();
-                    let stats = run_sharded_trials(&net, policy, &cfg, threads);
+                    let stats =
+                        run_sharded_trials(&net, policy, &cfg, threads).expect("sharded trials");
                     let secs = t0.elapsed().as_secs_f64();
                     assert!(
                         stats.rebuilds_ok,
@@ -258,16 +257,17 @@ fn main() {
     }
 
     if let Some(jpath) = json_path {
-        let json = format!(
-            "{{\n  \"source\": \"sharded\",\n  \"local\": {local},\n  \
-             \"trials\": {trials},\n  \"seed\": {seed},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            points.iter().map(json_row).collect::<Vec<_>>().join(",\n"),
+        let rows: Vec<String> = points.iter().map(point_row).collect();
+        let json = json_report(
+            &[
+                ("source", &json_str("sharded")),
+                ("local", &local),
+                ("trials", &trials),
+                ("seed", &seed),
+            ],
+            &[("rows", &rows)],
         );
-        if let Err(e) = std::fs::write(&jpath, &json) {
-            eprintln!("error: could not write {jpath}: {e}");
-            std::process::exit(2);
-        }
-        println!("report written to {jpath}");
+        write_report(&jpath, "report", &json);
     }
 
     if let Some(bpath) = breakdown_path {
@@ -313,10 +313,6 @@ fn main() {
             &brows,
         );
         let json = report.to_json(&format!("sharded/{}", net.name()));
-        if let Err(e) = std::fs::write(&bpath, &json) {
-            eprintln!("error: could not write {bpath}: {e}");
-            std::process::exit(2);
-        }
-        println!("breakdown written to {bpath}");
+        write_report(&bpath, "breakdown", &json);
     }
 }

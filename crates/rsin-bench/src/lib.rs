@@ -2,6 +2,7 @@
 //! figure/claim; see EXPERIMENTS.md at the workspace root for the index).
 
 use rsin_topology::{builders, Network};
+use std::fmt::Display;
 use std::io::Write;
 
 /// Print a result table and, when `RSIN_CSV_DIR` is set, also write it as
@@ -143,6 +144,45 @@ fn pop_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String
     Ok(Some(v))
 }
 
+/// A JSON string literal: `s` in quotes, with quotes and backslashes
+/// escaped.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// One report row: a JSON object on one indented line. Each value is
+/// written in its `Display` form: a number, a bool, or a [`json_str`].
+pub fn json_row(fields: &[(&str, &dyn Display)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("    {{{}}}", fields.join(", "))
+}
+
+/// A JSON report: the `header` fields one per line, then each nonempty
+/// array of [`json_row`]s under its key. Values as in [`json_row`].
+pub fn json_report(header: &[(&str, &dyn Display)], arrays: &[(&str, &[String])]) -> String {
+    let mut lines: Vec<String> = header
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v}"))
+        .collect();
+    for (key, rows) in arrays.iter().filter(|(_, rows)| !rows.is_empty()) {
+        lines.push(format!("  \"{key}\": [\n{}\n  ]", rows.join(",\n")));
+    }
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Write a report file and name it on stdout (`<what> written to <path>`).
+/// A report that cannot be written is an error: print it and exit with
+/// code 2.
+pub fn write_report(path: &str, what: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        usage_error(&format!("could not write {path}: {e}"));
+    }
+    println!("\n{what} written to {path}");
+}
+
 /// Format a mean ± CI pair as a percentage.
 pub fn pct(mean: f64, ci: f64) -> String {
     format!("{:5.2}% ±{:.2}", 100.0 * mean, 100.0 * ci)
@@ -151,6 +191,23 @@ pub fn pct(mean: f64, ci: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_report_lays_out_header_and_rows() {
+        let rows = [
+            json_row(&[("a", &1), ("name", &json_str("x\"y"))]),
+            json_row(&[("a", &0.5), ("ok", &true)]),
+        ];
+        let report = json_report(
+            &[("source", &json_str("t")), ("seed", &7)],
+            &[("rows", &rows), ("empty", &[])],
+        );
+        assert_eq!(
+            report,
+            "{\n  \"source\": \"t\",\n  \"seed\": 7,\n  \"rows\": [\n    \
+             {\"a\": 1, \"name\": \"x\\\"y\"},\n    {\"a\": 0.5, \"ok\": true}\n  ]\n}\n"
+        );
+    }
 
     #[test]
     fn registry_resolves_known_names() {

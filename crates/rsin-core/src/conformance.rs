@@ -43,7 +43,7 @@
 
 use crate::mapping::Assignment;
 use crate::model::ScheduleProblem;
-use crate::scheduler::{MaxFlowScheduler, Scheduler};
+use crate::scheduler::{MaxFlowScheduler, ScheduleError, Scheduler};
 use rsin_flow::max_flow::Algorithm;
 use rsin_topology::NodeRef;
 
@@ -117,16 +117,17 @@ impl ConformanceDetector {
     /// *before* this cycle's establishments), `assignments` the realized
     /// allocation, and `delivered[i]` whether `assignments[i]` actually
     /// arrived at its resource. Returns the cycle verdict; newly flagged
-    /// boxes are also remembered in [`is_flagged`](Self::is_flagged).
+    /// boxes are also remembered in [`is_flagged`](Self::is_flagged). The
+    /// oracle's error (a snapshot id the network lacks) is returned instead.
     pub fn observe(
         &mut self,
         problem: &ScheduleProblem<'_, '_>,
         assignments: &[Assignment],
         delivered: &[bool],
-    ) -> CycleConformance {
+    ) -> Result<CycleConformance, ScheduleError> {
         assert_eq!(assignments.len(), delivered.len());
         let mut out = CycleConformance {
-            expected: self.oracle_expected(problem, assignments),
+            expected: self.oracle_expected(problem, assignments)?,
             delivered: delivered.iter().filter(|d| **d).count(),
             ..CycleConformance::default()
         };
@@ -200,7 +201,7 @@ impl ConformanceDetector {
         out.newly_flagged.sort_unstable();
         out.newly_flagged.dedup();
         self.cycle += 1;
-        out
+        Ok(out)
     }
 
     /// The oracle half of the differential: a fresh Dinic solve of the
@@ -212,9 +213,9 @@ impl ConformanceDetector {
         &self,
         problem: &ScheduleProblem<'_, '_>,
         assignments: &[Assignment],
-    ) -> usize {
+    ) -> Result<usize, ScheduleError> {
         if assignments.is_empty() {
-            return 0;
+            return Ok(0);
         }
         let sub = ScheduleProblem {
             circuits: problem.circuits,
@@ -231,7 +232,7 @@ impl ConformanceDetector {
                 .copied()
                 .collect(),
         };
-        self.oracle.schedule(&sub).assignments.len()
+        Ok(self.oracle.try_schedule(&sub)?.assignments.len())
     }
 
     /// Has `b` been flagged as misrouting?
@@ -281,7 +282,7 @@ mod tests {
             .iter()
             .map(|a| cs.first_byzantine_on(&a.path).is_none())
             .collect();
-        det.observe(&problem, &out.assignments, &delivered)
+        det.observe(&problem, &out.assignments, &delivered).unwrap()
     }
 
     #[test]
@@ -350,7 +351,7 @@ mod tests {
             .expect("some pair routes through box 5");
         for _ in 0..FLAG_THRESHOLD {
             let (problem, out) = schedule_pair(&cs, p, r);
-            det.observe(&problem, &out.assignments, &[false]);
+            det.observe(&problem, &out.assignments, &[false]).unwrap();
         }
         assert!(
             !det.is_flagged(5),
@@ -360,7 +361,7 @@ mod tests {
         for (q, s) in (0..8).flat_map(|q| (0..8).map(move |s| (q, s))) {
             let (problem, out) = schedule_pair(&cs, q, s);
             if cs.first_byzantine_on(&out.assignments[0].path).is_none() {
-                det.observe(&problem, &out.assignments, &[true]);
+                det.observe(&problem, &out.assignments, &[true]).unwrap();
             }
         }
         assert!(det.is_flagged(5), "old failures now narrow onto the liar");

@@ -1,14 +1,9 @@
 //! The optimal homogeneous scheduler: Transformation 1 + maximum flow.
 
-use super::{
-    check_ids, finish_outcome, DegradedOutcome, OutcomeTables, ScheduleError, ScheduleScratch,
-    Scheduler,
-};
-use crate::mapping::extract;
+use super::cycle::Shape;
+use super::{DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
-use crate::transform::homogeneous;
-use rsin_flow::max_flow::{self, Algorithm};
-use rsin_flow::path::PathWalk;
+use rsin_flow::max_flow::Algorithm;
 
 /// Optimal scheduler for homogeneous MRSINs with equal priorities
 /// (Section III-B). Maximizes the number of allocated resources; by
@@ -45,81 +40,24 @@ impl Scheduler for MaxFlowScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let mut t = homogeneous::transform(problem);
-        let r = max_flow::solve(&mut t.flow, t.source, t.sink, self.algorithm);
-        let assignments = extract(&t, &mut PathWalk::default())?;
-        debug_assert_eq!(assignments.len() as i64, r.value);
-        Ok(finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            &mut OutcomeTables::default(),
-        ))
+        Shape::MaxFlow(self.algorithm).fresh_cycle(problem)
     }
 
-    /// Zero-rebuild path: retune the scratch's superset Transformation-1
-    /// graph for this snapshot and solve with reusable buffers.
     fn try_schedule_reusing(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let ScheduleScratch {
-            solve,
-            max_flow: reusable,
-            outcome,
-            ..
-        } = scratch;
-        let t = reusable.configure_max_flow(problem);
-        let r = max_flow::solve_with(&mut t.flow, t.source, t.sink, self.algorithm, solve);
-        let assignments = reusable.extract()?;
-        debug_assert_eq!(assignments.len() as i64, r.value);
-        Ok(finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            outcome,
-        ))
+        Shape::MaxFlow(self.algorithm).cycle(problem, scratch, &rsin_obs::NoopProbe)
     }
 
-    /// Observed cycle that also reports per-solver operation counts through
-    /// [`max_flow::solve_observed`].
     fn try_schedule_observed(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let span = probe.start();
-        let ScheduleScratch {
-            solve,
-            max_flow: reusable,
-            outcome,
-            ..
-        } = scratch;
-        let stage = probe.start();
-        let t = reusable.configure_max_flow(problem);
-        probe.finish(stage, rsin_obs::Hist::ConfigureNs);
-        let r =
-            max_flow::solve_observed(&mut t.flow, t.source, t.sink, self.algorithm, solve, probe);
-        let stage = probe.start();
-        let assignments = reusable.extract()?;
-        probe.finish(stage, rsin_obs::Hist::ExtractNs);
-        debug_assert_eq!(assignments.len() as i64, r.value);
-        let stage = probe.start();
-        let out = finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            outcome,
-        );
-        probe.finish(stage, rsin_obs::Hist::FinishNs);
-        probe.finish(span, rsin_obs::Hist::CycleLatencyNs);
-        probe.add(rsin_obs::Counter::Cycles, 1);
-        Ok(out)
+        Shape::MaxFlow(self.algorithm).cycle(problem, scratch, probe)
     }
 
     /// Skip the residual solve: the primary mapping is already *maximum*

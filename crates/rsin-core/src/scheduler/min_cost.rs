@@ -1,15 +1,10 @@
 //! The optimal priority/preference scheduler: Transformation 2 + min-cost
 //! flow.
 
-use super::{
-    check_ids, finish_outcome, priced_retry_blocked, DegradedOutcome, OutcomeTables, ScheduleError,
-    ScheduleScratch, Scheduler,
-};
-use crate::mapping::extract;
+use super::cycle::Shape;
+use super::{priced_retry_blocked, DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
-use crate::transform::priority;
-use rsin_flow::min_cost::{self, Algorithm};
-use rsin_flow::path::PathWalk;
+use rsin_flow::min_cost::Algorithm;
 
 /// Optimal scheduler for homogeneous MRSINs with request priorities and
 /// resource preferences (Section III-C, Theorem 3). Maximizes the number of
@@ -46,86 +41,24 @@ impl Scheduler for MinCostScheduler {
     }
 
     fn try_schedule(&self, problem: &ScheduleProblem) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let (mut t, f0) = priority::transform(problem);
-        let r = min_cost::solve(&mut t.flow, t.source, t.sink, f0, self.algorithm);
-        let assignments = extract(&t, &mut PathWalk::default())?;
-        Ok(finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            &mut OutcomeTables::default(),
-        ))
+        Shape::MinCost(self.algorithm).fresh_cycle(problem)
     }
 
-    /// Zero-rebuild path: retune the scratch's superset Transformation-2
-    /// graph (costs included) for this snapshot and solve with reusable
-    /// buffers.
     fn try_schedule_reusing(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let ScheduleScratch {
-            solve,
-            min_cost: reusable,
-            outcome,
-            ..
-        } = scratch;
-        let (t, f0) = reusable.configure_min_cost(problem);
-        let r = min_cost::solve_with(&mut t.flow, t.source, t.sink, f0, self.algorithm, solve);
-        let assignments = reusable.extract()?;
-        Ok(finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            outcome,
-        ))
+        Shape::MinCost(self.algorithm).cycle(problem, scratch, &rsin_obs::NoopProbe)
     }
 
-    /// Observed cycle that also reports per-solver operation counts through
-    /// [`min_cost::solve_observed`].
     fn try_schedule_observed(
         &self,
         problem: &ScheduleProblem,
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        check_ids(problem)?;
-        let span = probe.start();
-        let ScheduleScratch {
-            solve,
-            min_cost: reusable,
-            outcome,
-            ..
-        } = scratch;
-        let stage = probe.start();
-        let (t, f0) = reusable.configure_min_cost(problem);
-        probe.finish(stage, rsin_obs::Hist::ConfigureNs);
-        let r = min_cost::solve_observed(
-            &mut t.flow,
-            t.source,
-            t.sink,
-            f0,
-            self.algorithm,
-            solve,
-            probe,
-        );
-        let stage = probe.start();
-        let assignments = reusable.extract()?;
-        probe.finish(stage, rsin_obs::Hist::ExtractNs);
-        let stage = probe.start();
-        let out = finish_outcome(
-            problem,
-            assignments,
-            r.stats.estimated_instructions(),
-            outcome,
-        );
-        probe.finish(stage, rsin_obs::Hist::FinishNs);
-        probe.finish(span, rsin_obs::Hist::CycleLatencyNs);
-        probe.add(rsin_obs::Counter::Cycles, 1);
-        Ok(out)
+        Shape::MinCost(self.algorithm).cycle(problem, scratch, probe)
     }
 
     /// Shed directly when the snapshot has one resource type: the primary
@@ -145,7 +78,7 @@ impl Scheduler for MinCostScheduler {
         scratch: &mut ScheduleScratch,
         probe: &dyn rsin_obs::Probe,
     ) -> Result<DegradedOutcome, ScheduleError> {
-        if !single_type(problem) {
+        if problem.resource_types().len() > 1 {
             return priced_retry_blocked(problem, primary, scratch, self.algorithm, probe);
         }
         if cfg!(debug_assertions) {
@@ -162,20 +95,6 @@ impl Scheduler for MinCostScheduler {
             );
         }
         Ok(DegradedOutcome::shed_all(primary))
-    }
-}
-
-/// Does every request and every free resource of the snapshot have the same
-/// resource type?
-fn single_type(problem: &ScheduleProblem) -> bool {
-    let mut types = problem
-        .requests
-        .iter()
-        .map(|r| r.resource_type)
-        .chain(problem.free.iter().map(|f| f.resource_type));
-    match types.next() {
-        Some(ty) => types.all(|t| t == ty),
-        None => true,
     }
 }
 

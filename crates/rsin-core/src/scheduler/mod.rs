@@ -15,6 +15,7 @@
 //! assignments can be independently certified with
 //! [`mapping::verify`](crate::mapping::verify).
 
+mod cycle;
 mod exhaustive;
 mod heuristic;
 pub mod hierarchical;
@@ -39,6 +40,7 @@ pub use multicommodity::MultiCommodityScheduler;
 use crate::mapping::{Assignment, MappingError};
 use crate::model::{FreeResource, ScheduleOutcome, ScheduleProblem, ScheduleRequest};
 use crate::transform::reusable::ReusableTransform;
+use cycle::{Graph, Shape};
 use rsin_flow::min_cost::Algorithm as MinCostAlgorithm;
 use rsin_flow::SolveScratch;
 use rsin_topology::circuit::CircuitError;
@@ -250,6 +252,51 @@ impl<'n> Residual<'n> {
         Ok(())
     }
 
+    /// Map the requests `wanted` selects one resource type at a time, in
+    /// ascending type order, since Transformations 1 and 2 are type-blind:
+    /// each round's snapshot holds that type's selected requests and
+    /// untaken free resources over the residual links, `solve` maps it, and
+    /// the round's assignments are committed before the next round, so
+    /// rounds stay link-disjoint. Returns the work `solve` reported.
+    fn rounds(
+        &mut self,
+        problem: &ScheduleProblem,
+        wanted: impl Fn(&ScheduleRequest) -> bool,
+        mut solve: impl FnMut(&ScheduleProblem) -> Result<(Vec<Assignment>, u64), ScheduleError>,
+    ) -> Result<u64, ScheduleError> {
+        let mut types: Vec<usize> = problem
+            .requests
+            .iter()
+            .filter(|r| wanted(r))
+            .map(|r| r.resource_type)
+            .collect();
+        types.sort_unstable();
+        types.dedup();
+        let mut spent = 0;
+        for ty in types {
+            let requests = problem
+                .requests
+                .iter()
+                .filter(|r| r.resource_type == ty && wanted(r))
+                .copied()
+                .collect();
+            let free: Vec<_> = self.untaken(problem, ty).copied().collect();
+            if free.is_empty() {
+                continue;
+            }
+            let (found, work) = solve(&ScheduleProblem {
+                circuits: &self.circuits,
+                requests,
+                free,
+            })?;
+            spent += work;
+            for a in found {
+                self.commit(a)?;
+            }
+        }
+        Ok(spent)
+    }
+
     /// The paper's heuristic routing: each request in turn BFSes over the
     /// free links to *any* untaken resource of its type, with no lookahead
     /// over the requests after it.
@@ -330,12 +377,11 @@ fn retry_blocked(
     })
 }
 
-/// Priced retry of every blocked request of `primary`: per resource type,
-/// since Transformation 2 is type-blind, build a residual min-cost
-/// subproblem over only that type's blocked requests and still-untaken free
-/// resources and solve it through the scratch's reusable Transformation-2
-/// graph (occupied links enter as capacity patches, never a rebuild; the
-/// bypass node absorbs requests no free resource can reach).
+/// Priced retry of every blocked request of `primary`: residual rounds
+/// ([`Residual::rounds`]) over only the blocked requests and still-untaken
+/// free resources, each solved through the scratch's reusable
+/// Transformation-2 graph (occupied links enter as capacity patches, never
+/// a rebuild; the bypass node absorbs requests no free resource can reach).
 ///
 /// The residual's local `γ'_max`/`q'_max` shift every allocation cost by a
 /// per-round constant relative to the full problem's scale, which never
@@ -359,55 +405,20 @@ fn priced_retry_blocked(
         for &p in blocked_list {
             blocked[p] = true;
         }
-        let mut spent = 0;
-        // One residual round per type, in ascending type order; recovered
-        // circuits are established between rounds so rounds stay
-        // link-disjoint.
-        let mut types: Vec<usize> = problem
-            .requests
-            .iter()
-            .filter(|r| blocked[r.processor])
-            .map(|r| r.resource_type)
-            .collect();
-        types.sort_unstable();
-        types.dedup();
-        for ty in types {
-            let requests: Vec<_> = problem
-                .requests
-                .iter()
-                .filter(|r| blocked[r.processor] && r.resource_type == ty)
-                .copied()
-                .collect();
-            let free: Vec<_> = residual.untaken(problem, ty).copied().collect();
-            if free.is_empty() {
-                continue;
-            }
-            // Scope the residual solve so the circuits' immutable borrow
-            // ends before the recovered circuits are pinned.
-            let found = {
-                let sub = ScheduleProblem {
-                    circuits: &residual.circuits,
-                    requests,
-                    free,
-                };
-                let (t, f0) = reusable.configure_min_cost(&sub);
-                let r = rsin_flow::min_cost::solve_residual_observed(
-                    &mut t.flow,
-                    t.source,
-                    t.sink,
-                    f0,
-                    algorithm,
-                    solve,
+        residual.rounds(
+            problem,
+            |r| blocked[r.processor],
+            |sub| {
+                let graph = Graph::Reusing(reusable, solve);
+                cycle::solve(
+                    Shape::MinCost(algorithm),
+                    sub,
+                    graph,
                     probe,
-                );
-                spent += r.stats.estimated_instructions();
-                reusable.extract()?
-            };
-            for a in found {
-                residual.commit(a)?;
-            }
-        }
-        Ok(spent)
+                    &rsin_obs::NoopProbe,
+                )
+            },
+        )
     })
 }
 
@@ -452,7 +463,7 @@ pub trait Scheduler: Sync {
     /// Like [`Self::try_schedule`], but reusing `scratch` across calls so
     /// repeated solves on the same topology skip graph construction and
     /// solver allocations. The default implementation ignores the scratch;
-    /// the flow-based schedulers override it.
+    /// the flow schedulers run their shared cycle with no probe.
     fn try_schedule_reusing(
         &self,
         problem: &ScheduleProblem,
@@ -535,8 +546,8 @@ pub trait Scheduler: Sync {
 
     /// [`Self::try_schedule_reusing`] reporting the cycle to a telemetry
     /// probe: one [`rsin_obs::Hist::CycleLatencyNs`] span over the whole
-    /// scheduling cycle plus a [`rsin_obs::Counter::Cycles`] tick. The
-    /// flow-based schedulers override this to additionally report per-solver
+    /// scheduling cycle plus a [`rsin_obs::Counter::Cycles`] tick. The flow
+    /// schedulers' shared cycle also times its stages and reports per-solver
     /// operation counts through [`rsin_flow`]'s observed solve entry points.
     /// Under [`rsin_obs::NoopProbe`] no clock is read and the call reduces
     /// to [`Self::try_schedule_reusing`].
@@ -574,7 +585,7 @@ pub trait Scheduler: Sync {
     /// [`Self::try_schedule_degraded_priced`] reporting the cycle to a
     /// telemetry probe. The primary pass goes through
     /// [`Self::try_schedule_observed`]; each residual round reports its
-    /// solve through [`rsin_flow::min_cost::solve_residual_observed`]; then
+    /// solve through [`rsin_flow::min_cost::solve_observed`]; then
     /// the merge's counts land in [`rsin_obs::Counter::Recovered`] /
     /// [`rsin_obs::Counter::Shed`] / [`rsin_obs::Counter::RecoveryCost`],
     /// the per-cycle cost in [`rsin_obs::Hist::RecoveryCost`], and the

@@ -1,13 +1,13 @@
 //! The heterogeneous scheduler: multicommodity LP with integral fallback.
 
-use super::{check_ids, finish_outcome, OutcomeTables, ScheduleError, Scheduler};
-use crate::mapping::{extract, extract_hetero, Assignment};
+use super::cycle::{self, Graph, Shape};
+use super::{check_ids, finish_outcome, OutcomeTables, Residual, ScheduleError, Scheduler};
+use crate::mapping::{extract_hetero, Assignment};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
-use crate::transform::{hetero, homogeneous};
+use crate::transform::hetero;
 use rsin_flow::max_flow;
 use rsin_flow::multicommodity;
-use rsin_flow::path::PathWalk;
-use rsin_topology::CircuitState;
+use rsin_obs::NoopProbe;
 
 /// Optimal scheduler for heterogeneous MRSINs (Section III-D): one
 /// commodity per resource type, optimized jointly by the simplex method.
@@ -32,38 +32,18 @@ impl MultiCommodityScheduler {
         }
     }
 
-    /// Sequential per-type fallback (also used when the LP is fractional).
+    /// Sequential per-type fallback (also used when the LP is fractional):
+    /// one Theorem-2 round per type over the residual links, so later
+    /// types see the links consumed by earlier ones.
     fn sequential(&self, problem: &ScheduleProblem) -> Result<Vec<Assignment>, ScheduleError> {
-        // Allocate types one at a time against a scratch circuit state so
-        // later types see the links consumed by earlier ones.
-        let mut scratch: CircuitState = problem.circuits.clone_link_state();
-        let mut all = Vec::new();
-        for ty in problem.resource_types() {
-            let sub = ScheduleProblem {
-                circuits: &scratch,
-                requests: problem
-                    .requests
-                    .iter()
-                    .filter(|r| r.resource_type == ty)
-                    .copied()
-                    .collect(),
-                free: problem
-                    .free
-                    .iter()
-                    .filter(|f| f.resource_type == ty)
-                    .copied()
-                    .collect(),
-            };
-            let mut t = homogeneous::transform(&sub);
-            max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            let assignments = extract(&t, &mut PathWalk::default())?;
-            for a in &assignments {
-                // Paths are free and arc-disjoint within one solve.
-                scratch.establish(&a.path)?;
-            }
-            all.extend(assignments);
-        }
-        Ok(all)
+        let mut residual = Residual::pin(problem, Vec::new())?;
+        let shape = Shape::MaxFlow(max_flow::Algorithm::Dinic);
+        residual.rounds(
+            problem,
+            |_| true,
+            |sub| cycle::solve(shape, sub, Graph::Fresh, &NoopProbe, &NoopProbe),
+        )?;
+        Ok(residual.assignments)
     }
 }
 
@@ -89,29 +69,19 @@ impl Scheduler for MultiCommodityScheduler {
             let sol = multicommodity::max_flow(&t.flow, &t.commodities).ok();
             (t, sol)
         };
-        match sol {
-            Some(sol) if sol.integral => {
-                let assignments = extract_hetero(&t, &sol)?;
-                // Simplex pivots stand in for instruction count here.
-                Ok(finish_outcome(
-                    problem,
-                    assignments,
-                    100 * sol.pivots as u64,
-                    &mut OutcomeTables::default(),
-                ))
-            }
-            _ => {
-                // Fractional vertex or infeasible demand formulation:
-                // integral sequential fallback.
-                let assignments = self.sequential(problem)?;
-                Ok(finish_outcome(
-                    problem,
-                    assignments,
-                    0,
-                    &mut OutcomeTables::default(),
-                ))
-            }
-        }
+        let (assignments, work) = match sol {
+            // Simplex pivots stand in for instruction count here.
+            Some(sol) if sol.integral => (extract_hetero(&t, &sol)?, 100 * sol.pivots as u64),
+            // Fractional vertex or infeasible demand formulation: integral
+            // sequential fallback.
+            _ => (self.sequential(problem)?, 0),
+        };
+        Ok(finish_outcome(
+            problem,
+            assignments,
+            work,
+            &mut OutcomeTables::default(),
+        ))
     }
 }
 

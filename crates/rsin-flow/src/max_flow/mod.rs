@@ -94,15 +94,16 @@ pub fn solve_with(
 
 /// [`solve_with`] reporting the solve to a telemetry probe: one
 /// [`rsin_obs::Hist::SolveLatencyNs`] span plus the run's [`OpStats`] as
-/// pre-aggregated per-solver counts. Under [`rsin_obs::NoopProbe`] the span
-/// never reads the clock and this is [`solve_with`] plus two inlined no-ops.
-pub fn solve_observed(
+/// pre-aggregated per-solver counts. Instantiated with
+/// [`rsin_obs::NoopProbe`] every probe call compiles away and this is
+/// [`solve_with`].
+pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
     algo: Algorithm,
     scratch: &mut SolveScratch,
-    probe: &dyn rsin_obs::Probe,
+    probe: &P,
 ) -> MaxFlowResult {
     let span = probe.start();
     // Dinic goes through the phase-probed entry so each level-graph /

@@ -101,49 +101,23 @@ pub fn solve_with(
 
 /// [`solve_with`] reporting the solve to a telemetry probe: one
 /// [`rsin_obs::Hist::SolveLatencyNs`] span plus the run's [`OpStats`] as
-/// pre-aggregated per-solver counts. Under [`rsin_obs::NoopProbe`] the span
-/// never reads the clock and this is [`solve_with`] plus two inlined no-ops.
-pub fn solve_observed(
+/// pre-aggregated per-solver counts. Instantiated with
+/// [`rsin_obs::NoopProbe`] every probe call compiles away and this is
+/// [`solve_with`].
+pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
     target: Flow,
     algo: Algorithm,
     scratch: &mut SolveScratch,
-    probe: &dyn rsin_obs::Probe,
+    probe: &P,
 ) -> MinCostResult {
     let span = probe.start();
     let r = solve_with(g, s, t, target, algo, scratch);
     probe.finish(span, rsin_obs::Hist::SolveLatencyNs);
     probe.solver(algo.solver_id(), r.stats.probe_counts());
     r
-}
-
-/// [`solve_observed`] specialized to *residual* Transformation-2 networks:
-/// the min-cost subproblem that priced degraded-mode scheduling builds over
-/// only the blocked requests and still-free resources after the primary
-/// discipline ran. The residual graph carries the same cost structure as the
-/// full transformation — per-assignment costs `(γ'_max − γ_p) + (q'_max −
-/// q_w)` plus a bypass leg strictly dearer than any real allocation — so
-/// every arc cost is nonnegative, which this entry checks in debug builds
-/// (SSP then skips its Bellman–Ford reweighting prepass, and both
-/// algorithms share one contract). Behaviour is otherwise identical to
-/// [`solve_observed`]: scratch buffers are reused and the solve reports to
-/// the probe.
-pub fn solve_residual_observed(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: Flow,
-    algo: Algorithm,
-    scratch: &mut SolveScratch,
-    probe: &dyn rsin_obs::Probe,
-) -> MinCostResult {
-    debug_assert!(
-        g.forward_arcs().all(|(_, a)| a.cost >= 0),
-        "residual Transformation-2 networks must have nonnegative arc costs"
-    );
-    solve_observed(g, s, t, target, algo, scratch, probe)
 }
 
 #[cfg(test)]
@@ -238,11 +212,12 @@ mod tests {
 
     #[test]
     fn residual_entry_matches_plain_solve_on_bypass_shape() {
-        // A bypass-shaped residual: two blocked requests, one reachable free
-        // resource, bypass node absorbing the overflow at a cost strictly
-        // above any real allocation. Both algorithms must route the
-        // cheap request to the resource and bypass the other, matching the
-        // unobserved solver bit for bit.
+        // A bypass-shaped residual, as priced degraded-mode scheduling
+        // solves through the observed entry: two blocked requests, one
+        // reachable free resource, bypass node absorbing the overflow at a
+        // cost strictly above any real allocation. Both algorithms must
+        // route the cheap request to the resource and bypass the other,
+        // matching the unobserved solver bit for bit.
         for algo in Algorithm::ALL {
             let build = || {
                 let mut g = FlowNetwork::new();
@@ -265,7 +240,7 @@ mod tests {
             let (mut g, s, t) = build();
             let mut scratch = SolveScratch::default();
             let probe = rsin_obs::NoopProbe;
-            let r = solve_residual_observed(&mut g, s, t, 2, algo, &mut scratch, &probe);
+            let r = solve_observed(&mut g, s, t, 2, algo, &mut scratch, &probe);
             let (mut g2, s2, t2) = build();
             let plain = solve(&mut g2, s2, t2, 2, algo);
             assert_eq!((r.flow, r.cost), (plain.flow, plain.cost), "{algo:?}");

@@ -11,7 +11,7 @@
 use crate::metrics::{Sample, Summary};
 use crate::workload::{random_snapshot, trial_rng};
 use rsin_core::model::ScheduleProblem;
-use rsin_core::scheduler::{ScheduleScratch, Scheduler};
+use rsin_core::scheduler::{ScheduleError, ScheduleScratch, Scheduler};
 use rsin_topology::Network;
 
 /// Parameters of a blocking experiment.
@@ -58,7 +58,7 @@ fn run_trial(
     cfg: &BlockingConfig,
     trial: u64,
     scratch: &mut ScheduleScratch,
-) -> TrialResult {
+) -> Result<TrialResult, ScheduleError> {
     let mut rng = trial_rng(cfg.seed, trial);
     let snap = random_snapshot(
         net,
@@ -69,15 +69,15 @@ fn run_trial(
     );
     let problem = ScheduleProblem::homogeneous(&snap.circuits, &snap.requesting, &snap.free);
     let denom = snap.requesting.len().min(snap.free.len());
-    let out = scheduler.schedule_reusing(&problem, scratch);
+    let out = scheduler.try_schedule_reusing(&problem, scratch)?;
     debug_assert!(
         rsin_core::mapping::verify(&out.assignments, &problem).is_ok(),
         "scheduler produced an invalid mapping"
     );
-    TrialResult {
+    Ok(TrialResult {
         blocking: out.blocking_fraction(denom),
         allocated: out.allocated() as f64,
-    }
+    })
 }
 
 /// Run the experiment for one scheduler on one topology (single-threaded;
@@ -87,7 +87,7 @@ pub fn run_blocking(
     net: &Network,
     scheduler: &dyn Scheduler,
     cfg: &BlockingConfig,
-) -> BlockingStats {
+) -> Result<BlockingStats, ScheduleError> {
     run_blocking_threads(net, scheduler, cfg, 1)
 }
 
@@ -99,13 +99,14 @@ pub fn run_blocking(
 /// number; the Welford reduction then runs sequentially in trial order.
 /// Because the reduction — not the trial execution order — fixes the
 /// floating-point evaluation order, the returned [`BlockingStats`] is
-/// bit-identical for any thread count, including 1.
+/// bit-identical for any thread count, including 1. The first failing
+/// trial's error, in trial order, is returned instead.
 pub fn run_blocking_threads(
     net: &Network,
     scheduler: &dyn Scheduler,
     cfg: &BlockingConfig,
     threads: usize,
-) -> BlockingStats {
+) -> Result<BlockingStats, ScheduleError> {
     let results = crate::pool::run_indexed_with(
         cfg.trials as usize,
         threads,
@@ -118,18 +119,19 @@ pub fn run_blocking_threads(
     let mut blocking = Sample::new();
     let mut allocated = Sample::new();
     let mut trials_with_blocking = 0;
-    for r in &results {
+    for r in results {
+        let r = r?;
         blocking.push(r.blocking);
         allocated.push(r.allocated);
         if r.blocking > 0.0 {
             trials_with_blocking += 1;
         }
     }
-    BlockingStats {
+    Ok(BlockingStats {
         blocking: Summary::from(&blocking),
         allocated: Summary::from(&allocated),
         trials_with_blocking,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -148,8 +150,9 @@ mod tests {
             occupied_circuits: 0,
             seed: 11,
         };
-        let opt = run_blocking(&net, &MaxFlowScheduler::default(), &cfg);
-        let heu = run_blocking(&net, &GreedyScheduler::new(RequestOrder::Shuffled(5)), &cfg);
+        let opt = run_blocking(&net, &MaxFlowScheduler::default(), &cfg).unwrap();
+        let heu =
+            run_blocking(&net, &GreedyScheduler::new(RequestOrder::Shuffled(5)), &cfg).unwrap();
         assert!(
             opt.blocking.mean <= heu.blocking.mean + 1e-12,
             "optimal {} vs heuristic {}",
@@ -170,7 +173,7 @@ mod tests {
             occupied_circuits: 0,
             seed: 13,
         };
-        let opt = run_blocking(&net, &MaxFlowScheduler::default(), &cfg);
+        let opt = run_blocking(&net, &MaxFlowScheduler::default(), &cfg).unwrap();
         assert!(opt.blocking.mean < 0.10, "blocking {}", opt.blocking.mean);
     }
 
@@ -188,8 +191,8 @@ mod tests {
             occupied_circuits: 3,
             ..base
         };
-        let free = run_blocking(&net, &MaxFlowScheduler::default(), &base);
-        let busy = run_blocking(&net, &MaxFlowScheduler::default(), &loaded);
+        let free = run_blocking(&net, &MaxFlowScheduler::default(), &base).unwrap();
+        let busy = run_blocking(&net, &MaxFlowScheduler::default(), &loaded).unwrap();
         assert!(busy.blocking.mean >= free.blocking.mean);
     }
 
@@ -208,9 +211,9 @@ mod tests {
         let schedulers: [&dyn rsin_core::scheduler::Scheduler; 2] =
             [&MaxFlowScheduler::default(), &GreedyScheduler::default()];
         for s in schedulers {
-            let one = run_blocking_threads(&net, s, &cfg, 1);
+            let one = run_blocking_threads(&net, s, &cfg, 1).unwrap();
             for threads in [2, 3, 8] {
-                let many = run_blocking_threads(&net, s, &cfg, threads);
+                let many = run_blocking_threads(&net, s, &cfg, threads).unwrap();
                 assert_eq!(one.blocking.mean.to_bits(), many.blocking.mean.to_bits());
                 assert_eq!(one.blocking.ci95.to_bits(), many.blocking.ci95.to_bits());
                 assert_eq!(one.allocated.mean.to_bits(), many.allocated.mean.to_bits());
@@ -231,8 +234,8 @@ mod tests {
             occupied_circuits: 0,
             seed: 29,
         };
-        let a = run_blocking_threads(&net, &MaxFlowScheduler::default(), &cfg, 16);
-        let b = run_blocking(&net, &MaxFlowScheduler::default(), &cfg);
+        let a = run_blocking_threads(&net, &MaxFlowScheduler::default(), &cfg, 16).unwrap();
+        let b = run_blocking(&net, &MaxFlowScheduler::default(), &cfg).unwrap();
         assert_eq!(a.blocking.mean.to_bits(), b.blocking.mean.to_bits());
         assert_eq!(a.blocking.n, 3);
     }

@@ -45,7 +45,7 @@
 //!
 //! let net = omega(8).unwrap();
 //! let cfg = BlockingConfig { trials: 200, requests: 5, resources: 5, occupied_circuits: 0, seed: 7 };
-//! let stats = run_blocking(&net, &MaxFlowScheduler::default(), &cfg);
+//! let stats = run_blocking(&net, &MaxFlowScheduler::default(), &cfg).unwrap();
 //! assert!(stats.blocking.mean < 0.2, "optimal scheduling blocks rarely on a free Omega");
 //! ```
 

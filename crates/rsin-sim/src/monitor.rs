@@ -15,7 +15,7 @@
 
 use crate::cost::CostModel;
 use rsin_core::model::{ScheduleOutcome, ScheduleProblem, ScheduleRequest};
-use rsin_core::scheduler::Scheduler;
+use rsin_core::scheduler::{ScheduleError, Scheduler};
 use rsin_topology::{CircuitId, CircuitState, Network};
 
 /// When the monitor chooses to enter a scheduling cycle.
@@ -122,12 +122,17 @@ impl<'n> Monitor<'n> {
     }
 
     /// Run one scheduling cycle: snapshot → schedule → commit. Returns
-    /// `None` if there was nothing to do (no pending requests or no free
-    /// resources — the idle states of Fig. 10).
-    pub fn cycle(&mut self, scheduler: &dyn Scheduler) -> Option<CycleOutcome> {
+    /// `Ok(None)` if there was nothing to do (no pending requests or no free
+    /// resources — the idle states of Fig. 10), and the scheduler's error
+    /// when it rejects the snapshot (a request from a processor the network
+    /// lacks) or maps a circuit that cannot be established.
+    pub fn cycle(
+        &mut self,
+        scheduler: &dyn Scheduler,
+    ) -> Result<Option<CycleOutcome>, ScheduleError> {
         let free_now: Vec<usize> = (0..self.free.len()).filter(|&r| self.free[r]).collect();
         if self.pending.is_empty() || free_now.is_empty() {
-            return None;
+            return Ok(None);
         }
         // Batching: hold off the cycle until the policy's threshold is met
         // (Fig. 10's deliberate waiting states).
@@ -135,12 +140,12 @@ impl<'n> Monitor<'n> {
             BatchingPolicy::Immediate => {}
             BatchingPolicy::WaitForRequests(k) => {
                 if self.pending.len() < k {
-                    return None;
+                    return Ok(None);
                 }
             }
             BatchingPolicy::WaitForResources(k) => {
                 if free_now.len() < k {
-                    return None;
+                    return Ok(None);
                 }
             }
         }
@@ -156,14 +161,11 @@ impl<'n> Monitor<'n> {
                 })
                 .collect(),
         };
-        let outcome = scheduler.schedule(&problem);
+        let outcome = scheduler.try_schedule(&problem)?;
         drop(problem);
         // Commit: establish circuits, claim resources, drop served requests.
         for a in &outcome.assignments {
-            let c = self
-                .circuits
-                .establish(&a.path)
-                .expect("scheduler paths are free");
+            let c = self.circuits.establish(&a.path)?;
             self.free[a.resource] = false;
             self.live[a.processor] = Some((c, a.resource));
             self.pending.retain(|r| r.processor != a.processor);
@@ -171,10 +173,10 @@ impl<'n> Monitor<'n> {
         let latency_us = self.cost.monitor_us(outcome.estimated_instructions);
         self.scheduling_us += latency_us;
         self.cycles += 1;
-        Some(CycleOutcome {
+        Ok(Some(CycleOutcome {
             outcome,
             latency_us,
-        })
+        }))
     }
 }
 
@@ -183,6 +185,11 @@ mod tests {
     use super::*;
     use rsin_core::scheduler::MaxFlowScheduler;
     use rsin_topology::builders::omega;
+
+    /// One max-flow cycle of `m`, which must not fail.
+    fn cycle(m: &mut Monitor) -> Option<CycleOutcome> {
+        m.cycle(&MaxFlowScheduler::default()).unwrap()
+    }
 
     fn req(p: usize) -> ScheduleRequest {
         ScheduleRequest {
@@ -196,7 +203,7 @@ mod tests {
     fn idle_monitor_runs_no_cycle() {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
-        assert!(m.cycle(&MaxFlowScheduler::default()).is_none());
+        assert!(cycle(&mut m).is_none());
         assert_eq!(m.cycles, 0);
     }
 
@@ -206,7 +213,7 @@ mod tests {
         let mut m = Monitor::new(&net, CostModel::default());
         m.submit(req(0));
         m.submit(req(3));
-        let c = m.cycle(&MaxFlowScheduler::default()).unwrap();
+        let c = cycle(&mut m).unwrap();
         assert_eq!(c.outcome.allocated(), 2);
         assert!(c.latency_us > 0.0);
         assert_eq!(m.pending_count(), 0);
@@ -220,21 +227,21 @@ mod tests {
         for p in 0..8 {
             m.submit(req(p));
         }
-        let c1 = m.cycle(&MaxFlowScheduler::default()).unwrap();
+        let c1 = cycle(&mut m).unwrap();
         let served = c1.outcome.allocated();
         assert!(served >= 1);
         // All resources claimed (8 served) or all requests queued; submit
         // another request: nothing schedulable if all resources busy.
         if served == 8 {
             m.submit(req(0)); // p0 again (its circuit may still be up)
-            assert!(m.cycle(&MaxFlowScheduler::default()).is_none());
+            assert!(cycle(&mut m).is_none());
         }
         // Release one resource and tear down its processor's circuit.
         let a = &c1.outcome.assignments[0];
         m.transmission_done(a.processor);
         m.release_resource(a.resource);
         m.submit(req(a.processor));
-        let c2 = m.cycle(&MaxFlowScheduler::default()).unwrap();
+        let c2 = cycle(&mut m).unwrap();
         assert_eq!(c2.outcome.allocated(), 1);
     }
 
@@ -245,12 +252,9 @@ mod tests {
         m.set_policy(BatchingPolicy::WaitForRequests(3));
         m.submit(req(0));
         m.submit(req(1));
-        assert!(
-            m.cycle(&MaxFlowScheduler::default()).is_none(),
-            "below threshold"
-        );
+        assert!(cycle(&mut m).is_none(), "below threshold");
         m.submit(req(2));
-        let c = m.cycle(&MaxFlowScheduler::default()).unwrap();
+        let c = cycle(&mut m).unwrap();
         assert_eq!(
             c.outcome.allocated(),
             3,
@@ -267,20 +271,17 @@ mod tests {
         for p in 0..7 {
             m.submit(req(p));
         }
-        m.cycle(&MaxFlowScheduler::default()).unwrap();
+        cycle(&mut m).unwrap();
         m.set_policy(BatchingPolicy::WaitForResources(2));
         m.submit(req(7));
-        assert!(
-            m.cycle(&MaxFlowScheduler::default()).is_none(),
-            "only 1 resource free"
-        );
+        assert!(cycle(&mut m).is_none(), "only 1 resource free");
         // A release brings the pool to the threshold.
         let freed = 0; // resource allocated to p1 in the first cycle? find one:
         let _ = freed;
         // Release any allocated resource: p0's.
         m.transmission_done(0);
         m.release_resource(find_resource_of(&m));
-        let c = m.cycle(&MaxFlowScheduler::default());
+        let c = cycle(&mut m);
         assert!(c.is_some());
     }
 
@@ -294,13 +295,25 @@ mod tests {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
         m.submit(req(0));
-        m.cycle(&MaxFlowScheduler::default()).unwrap();
+        cycle(&mut m).unwrap();
         let t1 = m.scheduling_us;
         m.transmission_done(0);
         m.release_resource(0);
         m.submit(req(1));
-        m.cycle(&MaxFlowScheduler::default()).unwrap();
+        cycle(&mut m).unwrap();
         assert!(m.scheduling_us > t1);
         assert_eq!(m.cycles, 2);
+    }
+
+    #[test]
+    fn unknown_processor_is_a_typed_error() {
+        let net = omega(8).unwrap();
+        let mut m = Monitor::new(&net, CostModel::default());
+        m.submit(req(99));
+        assert_eq!(
+            m.cycle(&MaxFlowScheduler::default()).unwrap_err(),
+            ScheduleError::UnknownProcessor(99)
+        );
+        assert_eq!(m.cycles, 0);
     }
 }

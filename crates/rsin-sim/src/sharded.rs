@@ -121,13 +121,14 @@ fn reduce_trials(results: &[ShardedTrialResult]) -> ShardedStats {
 ///
 /// Determinism contract: trial `i` is a pure function of `(cfg.seed, i)`
 /// and results reduce sequentially in trial order — the returned
-/// [`ShardedStats`] is bit-identical for any `threads`.
+/// [`ShardedStats`] is bit-identical for any `threads`. The first failing
+/// trial's error, in trial order, is returned instead.
 pub fn run_sharded_trials(
     net: &ShardedNetwork,
     policy: InterShardPolicy,
     cfg: &ShardedTrialConfig,
     threads: usize,
-) -> ShardedStats {
+) -> Result<ShardedStats, ScheduleError> {
     let results = crate::pool::run_indexed_with(
         cfg.trials as usize,
         threads,
@@ -137,14 +138,12 @@ pub fn run_sharded_trials(
             let (requests, free) =
                 sharded_snapshot(net.num_ports(), cfg.requests, cfg.free, &mut rng);
             let denom = requests.len().min(free.len());
-            let out = h
-                .schedule(&requests, &free)
-                .expect("hierarchical cycle failed on a well-formed snapshot");
+            let out = h.schedule(&requests, &free)?;
             // Every cycle solves every shard (even empty ones), so after any
             // trial each shard of this worker has built exactly once — the
             // flag is a pure function of the trial, not of worker history.
             let rebuilds_ok = h.rebuilds_per_shard().iter().all(|&r| r == 1);
-            ShardedTrialResult {
+            Ok(ShardedTrialResult {
                 blocking: if denom == 0 {
                     0.0
                 } else {
@@ -154,22 +153,26 @@ pub fn run_sharded_trials(
                 remote: out.remote_placed as f64,
                 stage1_blocked: out.stage1_blocked as f64,
                 rebuilds_ok,
-            }
+            })
         },
     );
-    reduce_trials(&results)
+    let results = results
+        .into_iter()
+        .collect::<Result<Vec<_>, ScheduleError>>()?;
+    Ok(reduce_trials(&results))
 }
 
 /// Per-trial `(hierarchical allocated, flat allocated)` pairs on shared
 /// snapshots — the conformance raw data: hierarchical must never exceed
-/// flat, and stays above a configured fraction of it in aggregate.
+/// flat, and stays above a configured fraction of it in aggregate. The
+/// first failing trial's error, in trial order, is returned instead.
 pub fn run_paired_trials(
     net: &ShardedNetwork,
     flat: &Network,
     policy: InterShardPolicy,
     cfg: &ShardedTrialConfig,
     threads: usize,
-) -> Vec<(usize, usize)> {
+) -> Result<Vec<(usize, usize)>, ScheduleError> {
     crate::pool::run_indexed_with(
         cfg.trials as usize,
         threads,
@@ -183,15 +186,15 @@ pub fn run_paired_trials(
             let mut rng = trial_rng(cfg.seed, trial as u64);
             let (requests, free) =
                 sharded_snapshot(net.num_ports(), cfg.requests, cfg.free, &mut rng);
-            let hier = h
-                .schedule(&requests, &free)
-                .expect("hierarchical cycle failed on a well-formed snapshot");
+            let hier = h.schedule(&requests, &free)?;
             let cs = CircuitState::new(flat);
             let problem = ScheduleProblem::homogeneous(&cs, &requests, &free);
-            let flat_out = MaxFlowScheduler::default().schedule_reusing(&problem, scratch);
-            (hier.allocated(), flat_out.allocated())
+            let flat_out = MaxFlowScheduler::default().try_schedule_reusing(&problem, scratch)?;
+            Ok((hier.allocated(), flat_out.allocated()))
         },
     )
+    .into_iter()
+    .collect()
 }
 
 /// Where an active origin currently sits.
@@ -492,10 +495,11 @@ mod tests {
             free: 10,
             seed: 41,
         };
-        let one = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1);
+        let one = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, 1).unwrap();
         assert!(one.rebuilds_ok);
         for threads in [2, 3, 8] {
-            let other = run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, threads);
+            let other =
+                run_sharded_trials(&net, InterShardPolicy::TokenRing, &cfg, threads).unwrap();
             assert_eq!(one.blocking.mean.to_bits(), other.blocking.mean.to_bits());
             assert_eq!(one.blocking.ci95.to_bits(), other.blocking.ci95.to_bits());
             assert_eq!(one.allocated.mean.to_bits(), other.allocated.mean.to_bits());
@@ -519,7 +523,7 @@ mod tests {
             seed: 43,
         };
         for policy in [InterShardPolicy::TokenRing, InterShardPolicy::MinCost] {
-            let pairs = run_paired_trials(&net, &flat, policy, &cfg, 2);
+            let pairs = run_paired_trials(&net, &flat, policy, &cfg, 2).unwrap();
             assert_eq!(pairs.len(), 40);
             for (i, &(hier, flat_alloc)) in pairs.iter().enumerate() {
                 assert!(

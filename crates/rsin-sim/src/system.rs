@@ -164,7 +164,8 @@ impl DegradedPolicy {
 pub enum SimError {
     /// The scheduler returned an error mid-cycle.
     Schedule {
-        /// [`Scheduler::name`] of the failing scheduler.
+        /// [`Scheduler::name`] of the failing scheduler, or `conformance
+        /// oracle` for the Byzantine detector's Dinic re-solve.
         scheduler: &'static str,
         /// The underlying scheduling error.
         error: ScheduleError,
@@ -708,7 +709,12 @@ impl<'n> SystemSim<'n> {
                     .iter()
                     .map(|a| cs.first_byzantine_on(&a.path).is_none())
                     .collect();
-                let verdict = det.observe(&problem, &out.assignments, &delivered_flags);
+                let verdict = det
+                    .observe(&problem, &out.assignments, &delivered_flags)
+                    .map_err(|error| SimError::Schedule {
+                        scheduler: "conformance oracle",
+                        error,
+                    })?;
                 for &b in &verdict.newly_flagged {
                     byz_flagged += 1;
                     match onset_cycle[b] {

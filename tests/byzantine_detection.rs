@@ -107,7 +107,7 @@ proptest! {
                     .iter()
                     .map(|a| cs.first_byzantine_on(&a.path).is_none())
                     .collect();
-                det.observe(&problem, &out.assignments, &delivered);
+                det.observe(&problem, &out.assignments, &delivered).unwrap();
                 // Soundness after every single cycle.
                 for b in det.flagged_boxes() {
                     prop_assert!(
@@ -144,7 +144,7 @@ proptest! {
                 // Fail-stop faults are in the believed topology: every
                 // realized assignment arrives.
                 let delivered = vec![true; out.assignments.len()];
-                let verdict = det.observe(&problem, &out.assignments, &delivered);
+                let verdict = det.observe(&problem, &out.assignments, &delivered).unwrap();
                 prop_assert_eq!(verdict.deficit, 0, "oracle disagrees on visible faults");
                 prop_assert!(verdict.newly_flagged.is_empty());
             }
@@ -176,7 +176,7 @@ fn single_liar_detection_latency_is_bounded() {
                     .iter()
                     .map(|a| cs.first_byzantine_on(&a.path).is_none())
                     .collect();
-                det.observe(&problem, &out.assignments, &delivered);
+                det.observe(&problem, &out.assignments, &delivered).unwrap();
                 if det.is_flagged(liar) {
                     flagged_at = Some(round * pairs.len() + i);
                     break 'outer;

@@ -116,8 +116,8 @@ fn headline_blocking_numbers() {
         occupied_circuits: 0,
         seed: 2026,
     };
-    let optimal = run_blocking(&cube, &MaxFlowScheduler::default(), &cfg);
-    let address = run_blocking(&cube, &AddressMappedScheduler::new(1), &cfg);
+    let optimal = run_blocking(&cube, &MaxFlowScheduler::default(), &cfg).unwrap();
+    let address = run_blocking(&cube, &AddressMappedScheduler::new(1), &cfg).unwrap();
     assert!(
         optimal.blocking.mean < 0.05,
         "optimal blocking {} should be low single digits",
@@ -131,7 +131,7 @@ fn headline_blocking_numbers() {
     );
     // Omega: the paper's "< 5 percent" claim.
     let om = omega(8).unwrap();
-    let o = run_blocking(&om, &MaxFlowScheduler::default(), &cfg);
+    let o = run_blocking(&om, &MaxFlowScheduler::default(), &cfg).unwrap();
     assert!(
         o.blocking.mean < 0.05,
         "omega optimal blocking {}",
@@ -155,9 +155,11 @@ fn extra_stages_shrink_the_gap() {
     let gap = |extra: usize| {
         let net = omega_extra_stage(8, extra).unwrap();
         let o = run_blocking(&net, &MaxFlowScheduler::default(), &cfg)
+            .unwrap()
             .blocking
             .mean;
         let h = run_blocking(&net, &GreedyScheduler::new(RequestOrder::Shuffled(2)), &cfg)
+            .unwrap()
             .blocking
             .mean;
         h - o

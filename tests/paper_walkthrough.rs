@@ -147,8 +147,8 @@ fn the_paper_in_one_test() {
         occupied_circuits: 0,
         seed: 1986, // the year
     };
-    let opt = run_blocking(&cube, &MaxFlowScheduler::default(), &cfg);
-    let conv = run_blocking(&cube, &AddressMappedScheduler::new(1986), &cfg);
+    let opt = run_blocking(&cube, &MaxFlowScheduler::default(), &cfg).unwrap();
+    let conv = run_blocking(&cube, &AddressMappedScheduler::new(1986), &cfg).unwrap();
     assert!(
         opt.blocking.mean < 0.05,
         "optimal ≈2%: got {}",

@@ -138,7 +138,7 @@ fn hierarchical_keeps_the_aggregate_conformance_fraction() {
             seed: 23,
         };
         for policy in [InterShardPolicy::TokenRing, InterShardPolicy::MinCost] {
-            let pairs = run_paired_trials(&net, &flat, policy, &cfg, 2);
+            let pairs = run_paired_trials(&net, &flat, policy, &cfg, 2).unwrap();
             let (hier, flat_sum) = pairs
                 .iter()
                 .fold((0usize, 0usize), |(h, f), &(ph, pf)| (h + ph, f + pf));

@@ -161,3 +161,118 @@ proptest! {
         check_stream(&net, IncrementalBackend::MinCost, &script)?;
     }
 }
+
+mod fuzz {
+    //! No panic from outside: arbitrary text into the command-log codec and
+    //! arbitrary command sequences, malformed ones included, into the serve
+    //! loop.
+
+    use super::*;
+    use rsin_serve::{serve_commands, ServerConfig};
+    use rsin_sim::stream::{encode_commands, parse_commands, StreamCommand};
+
+    /// The codec's tokens, separators and junk the fuzzer builds text from.
+    const ALPHABET: [&str; 24] = [
+        "R",
+        "F",
+        "S",
+        "0",
+        "1",
+        "7",
+        "9",
+        "42",
+        "-",
+        "+",
+        " ",
+        " ",
+        "\t",
+        "\n",
+        "\n",
+        "\r\n",
+        "#",
+        "x",
+        "é",
+        "\0",
+        "R 3",
+        "F 12",
+        "\n\n",
+        "184467440737095516160",
+    ];
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..ALPHABET.len(), 0..120)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    /// Requests, releases and stats probes naming processors in `0..2·np`:
+    /// unknown ids, duplicate requests and releases of idle processors
+    /// come up often.
+    fn arb_commands(np: usize) -> impl Strategy<Value = Vec<StreamCommand>> {
+        prop::collection::vec((0usize..5, 0..2 * np), 0..80).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(op, processor)| match op {
+                    0 | 1 => StreamCommand::Request { processor },
+                    2 | 3 => StreamCommand::Release { processor },
+                    _ => StreamCommand::Stats,
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A parse error names a line that exists and fails on its own; a
+        /// parsed log encodes and parses back to the same commands.
+        #[test]
+        fn codec_never_panics_and_reports_real_lines(text in arb_text()) {
+            match parse_commands(&text) {
+                Err(e) => {
+                    let line = text.lines().nth(e.line - 1);
+                    prop_assert!(line.is_some(), "line {} of {:?} does not exist", e.line, text);
+                    prop_assert!(parse_commands(line.unwrap_or_default()).is_err());
+                }
+                Ok(cmds) => {
+                    prop_assert_eq!(parse_commands(&encode_commands(&cmds)), Ok(cmds));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every command gets exactly one log line and one verdict, and the
+        /// allocation at shutdown is a fresh Theorem-2 solve on the
+        /// processors the well-formed commands left active.
+        #[test]
+        fn serve_loop_answers_every_command(cmds in arb_commands(8)) {
+            let net = omega(8).unwrap();
+            let mut active = vec![false; net.num_processors()];
+            for c in &cmds {
+                match *c {
+                    StreamCommand::Request { processor: p } if p < active.len() => active[p] = true,
+                    StreamCommand::Release { processor: p } if p < active.len() => active[p] = false,
+                    _ => {}
+                }
+            }
+            let requests: Vec<usize> = (0..active.len()).filter(|&p| active[p]).collect();
+            let all: Vec<usize> = (0..net.num_resources()).collect();
+            let cs = CircuitState::new(&net);
+            let fresh = MaxFlowScheduler::default()
+                .try_schedule(&ScheduleProblem::homogeneous(&cs, &requests, &all))
+                .expect("oracle solves");
+            for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
+                let config = ServerConfig { backend, stats_latency: false };
+                let report = serve_commands(&net, config, &cmds);
+                prop_assert_eq!(report.lines.len(), cmds.len());
+                prop_assert_eq!(
+                    (report.decisions + report.errors + report.stats_probes) as usize,
+                    cmds.len()
+                );
+                prop_assert_eq!(report.allocated, fresh.allocated(), "{:?}", backend);
+            }
+        }
+    }
+}
