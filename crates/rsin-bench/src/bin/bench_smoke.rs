@@ -24,7 +24,9 @@
 //! threads; the heavy-traffic regime sheds at ρ 1.5 and not at ρ 0.7;
 //! incremental ≡ batch allocation counts on every stream prefix; sharded
 //! statistics thread-invariant with one transformation build per shard and
-//! hierarchical ≤ flat on every trial.
+//! hierarchical ≤ flat on every trial. The sharded ledger workload also
+//! runs a plain hierarchical scheduler beside its observed one and exits 1
+//! on the first cycle whose outcomes differ.
 //!
 //! Four paired-ratio gates follow, each timing both sides back to back in
 //! every repetition and taking the best ratio, so machine speed and load
@@ -461,13 +463,15 @@ fn ledger_sim(
 
 /// `sharded_cycle` at CI scale: 8 shards × omega-16 under a global omega,
 /// token ring, load 0.9, plus the flat Theorem-2 oracle on the same
-/// snapshots.
+/// snapshots. A plain scheduler runs beside the observed one, and the first
+/// cycle whose outcomes differ exits 1: sinks must only record.
 fn ledger_sharded(ledger: &mut Ledger) {
     const W: &str = "sharded_cycle";
     let net = ShardedNetwork::new(ShardedSpec::new(8, 16, GlobalTopology::Omega))
         .expect("8x16 omega composition is well-formed");
     let flat_net = net.flatten().expect("composition flattens");
     let h = HierarchicalScheduler::observed(&net, InterShardPolicy::TokenRing);
+    let plain = HierarchicalScheduler::new(&net, InterShardPolicy::TokenRing);
     let flat = Telemetry::new();
     let mut flat_scratch = ScheduleScratch::new();
     let mut flat_allocated = 0;
@@ -475,7 +479,11 @@ fn ledger_sharded(ledger: &mut Ledger) {
     let k = ((total as f64 * 0.9).round() as usize).max(1);
     for c in 0..SHARD_CYCLES {
         let (req, free) = sharded_snapshot(total, k, k, &mut trial_rng(SEED, c));
-        h.schedule(&req, &free).expect("hierarchical cycle");
+        let observed = h.schedule(&req, &free).expect("hierarchical cycle");
+        if plain.schedule(&req, &free) != Ok(observed) {
+            eprintln!("bench_smoke: sharded cycle {c}: the plain and observed schedulers differ");
+            std::process::exit(1);
+        }
         let cs = CircuitState::new(&flat_net);
         let problem = ScheduleProblem::homogeneous(&cs, &req, &free);
         flat_allocated += MaxFlowScheduler::default()

@@ -42,11 +42,13 @@ fn main() {
         for _ in 0..rounds {
             for _ in 0..2 {
                 let p = rng.random_range(0..n);
-                monitor.submit(ScheduleRequest {
-                    processor: p,
-                    priority: 1,
-                    resource_type: 0,
-                });
+                monitor
+                    .submit(ScheduleRequest {
+                        processor: p,
+                        priority: 1,
+                        resource_type: 0,
+                    })
+                    .expect("drawn processor is on the network");
                 distributed.submit(p);
             }
             if mon_served.len() > n / 2 {

@@ -19,8 +19,11 @@
 //! ([`HierarchicalScheduler::observed`]); the merged
 //! [`rsin_core::ShardBreakdown`] report — home/remote placement counters,
 //! per-shard solve-latency histograms, and the occupancy-imbalance ratio —
-//! is written to the given path and summarised on stdout. Sinks only
-//! observe, so the sweep's numbers are unaffected.
+//! is written to the given path and summarised on stdout: one row per
+//! shard, then one row per stage of the shard solves (solve, configure,
+//! extract, and finish where it fires) with its sample count, mean and
+//! p99 from the merged report. Sinks only observe, so the sweep's numbers
+//! are unaffected.
 //!
 //! Determinism contract: every statistic in the table and in the `--json`
 //! report is a pure function of `(seed, trial)` with sequential trial-order
@@ -38,7 +41,7 @@ use rsin_bench::{
     emit_table, json_report, json_row, json_str, parse_or_exit, take_flag, write_report,
 };
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
-use rsin_obs::Counter;
+use rsin_obs::{Counter, Hist};
 use rsin_sim::sharded::{run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig};
 use rsin_sim::workload::trial_rng;
 use rsin_topology::{GlobalTopology, ShardedNetwork, ShardedSpec};
@@ -311,6 +314,27 @@ fn main() {
             "breakdown",
             &["shard", "home placed", "remote in", "allocated", "cycles"],
             &brows,
+        );
+        // Where the shard solves spent their time, over every shard.
+        let merged = &report.merged;
+        let srows: Vec<Vec<String>> = [Hist::SolveLatencyNs, Hist::ConfigureNs, Hist::ExtractNs]
+            .into_iter()
+            .chain(Some(Hist::FinishNs).filter(|h| merged.hists[h.index()].count > 0))
+            .map(|h| {
+                let hist = &merged.hists[h.index()];
+                vec![
+                    h.name().to_string(),
+                    hist.count.to_string(),
+                    format!("{:.0}", hist.mean()),
+                    hist.quantile(0.99).to_string(),
+                ]
+            })
+            .collect();
+        println!();
+        emit_table(
+            "breakdown-stages",
+            &["stage", "count", "mean ns", "p99 ns"],
+            &srows,
         );
         let json = report.to_json(&format!("sharded/{}", net.name()));
         write_report(&bpath, "breakdown", &json);

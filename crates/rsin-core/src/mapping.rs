@@ -45,25 +45,67 @@ pub enum MappingError {
 /// ([`for_each_unit_path`]); each assignment gets one exact-size link list.
 pub fn extract(t: &Transformed, walk: &mut PathWalk) -> Result<Vec<Assignment>, MappingError> {
     let mut out = Vec::new();
+    for_each_circuit(
+        t,
+        walk,
+        |f, l| t.path_ends(f, l),
+        |c| {
+            out.push(c.assignment()?);
+            Ok::<_, MappingError>(())
+        },
+    )?;
+    Ok(out)
+}
+
+/// One circuit of a decomposed flow: the two ends of its unit path and the
+/// flow arcs between them.
+pub(crate) struct Circuit<'a> {
+    /// Requesting processor (the head of the path's request arc).
+    pub(crate) processor: usize,
+    /// Allocated resource (the tail of the path's resource arc).
+    pub(crate) resource: usize,
+    middle: &'a [ArcId],
+    t: &'a Transformed,
+}
+
+impl Circuit<'_> {
+    /// The circuit as an [`Assignment`], its network links listed
+    /// processor → resource.
+    pub(crate) fn assignment(&self) -> Result<Assignment, MappingError> {
+        let mut path = Vec::with_capacity(self.middle.len());
+        for &a in self.middle {
+            path.push(self.t.link_of_arc(a).ok_or(MappingError::MissingLink)?);
+        }
+        Ok(Assignment {
+            processor: self.processor,
+            resource: self.resource,
+            path,
+        })
+    }
+}
+
+/// Walk the unit paths of `t`'s flow with `walk`'s buffers
+/// ([`for_each_unit_path`], bypass flow skipped) and hand each one to
+/// `visit` as a [`Circuit`]. `ends` names the processor of a path's first
+/// arc and the resource of its last; a path it cannot name is
+/// [`MappingError::MalformedPath`]. The first error stops the walk.
+pub(crate) fn for_each_circuit<E: From<MappingError>>(
+    t: &Transformed,
+    walk: &mut PathWalk,
+    ends: impl Fn(ArcId, ArcId) -> Option<(usize, usize)>,
+    mut visit: impl FnMut(Circuit<'_>) -> Result<(), E>,
+) -> Result<(), E> {
     for_each_unit_path(&t.flow, t.source, t.sink, t.bypass, walk, |arcs| {
         let (&first, rest) = arcs.split_first().ok_or(MappingError::MalformedPath)?;
         let (&last, middle) = rest.split_last().ok_or(MappingError::MalformedPath)?;
-        let processor = t
-            .processor_of_arc(first)
-            .ok_or(MappingError::MalformedPath)?;
-        let resource = t.resource_of_arc(last).ok_or(MappingError::MalformedPath)?;
-        let mut path = Vec::with_capacity(middle.len());
-        for &a in middle {
-            path.push(t.link_of_arc(a).ok_or(MappingError::MissingLink)?);
-        }
-        out.push(Assignment {
+        let (processor, resource) = ends(first, last).ok_or(MappingError::MalformedPath)?;
+        visit(Circuit {
             processor,
             resource,
-            path,
-        });
-        Ok(())
-    })?;
-    Ok(out)
+            middle,
+            t,
+        })
+    })
 }
 
 /// Decompose an integral multicommodity solution into assignments.

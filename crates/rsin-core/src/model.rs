@@ -22,6 +22,18 @@ pub struct ScheduleRequest {
     pub resource_type: usize,
 }
 
+impl ScheduleRequest {
+    /// Processor `processor`'s request in a homogeneous, equal-priority
+    /// snapshot: priority 1, type 0.
+    pub(crate) fn homogeneous(processor: usize) -> Self {
+        ScheduleRequest {
+            processor,
+            priority: 1,
+            resource_type: 0,
+        }
+    }
+}
+
 /// A free resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FreeResource {
@@ -32,6 +44,18 @@ pub struct FreeResource {
     pub preference: u32,
     /// Resource type (0 in homogeneous systems).
     pub resource_type: usize,
+}
+
+impl FreeResource {
+    /// Resource `resource` in a homogeneous, equal-preference snapshot:
+    /// preference 1, type 0.
+    pub(crate) fn homogeneous(resource: usize) -> Self {
+        FreeResource {
+            resource,
+            preference: 1,
+            resource_type: 0,
+        }
+    }
 }
 
 /// Snapshot handed to a [`Scheduler`](crate::scheduler::Scheduler) at the
@@ -57,20 +81,9 @@ impl<'a, 'n> ScheduleProblem<'a, 'n> {
             circuits,
             requests: requesting
                 .iter()
-                .map(|&p| ScheduleRequest {
-                    processor: p,
-                    priority: 1,
-                    resource_type: 0,
-                })
+                .map(|&p| ScheduleRequest::homogeneous(p))
                 .collect(),
-            free: free
-                .iter()
-                .map(|&r| FreeResource {
-                    resource: r,
-                    preference: 1,
-                    resource_type: 0,
-                })
-                .collect(),
+            free: free.iter().map(|&r| FreeResource::homogeneous(r)).collect(),
         }
     }
 

@@ -1,10 +1,11 @@
-//! The one Theorem-2/3 solve path: [`solve`] builds or configures a
+//! The one Theorem-2/3 solve path: [`solve_each`] builds or configures a
 //! transformation of the snapshot, solves it and decomposes the flow for
-//! every flow schedule in this module (DESIGN.md §6), and [`cycle`] wraps
-//! it into a scheduling cycle.
+//! every flow schedule in this crate (DESIGN.md §6), [`solve`] collects
+//! its circuits into assignments, and [`cycle`] wraps that into a
+//! scheduling cycle.
 
 use super::{check_ids, finish_outcome, OutcomeTables, ScheduleError, ScheduleScratch};
-use crate::mapping::{self, Assignment};
+use crate::mapping::{self, Assignment, Circuit};
 use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::reusable::ReusableTransform;
 use crate::transform::{homogeneous, priority, Transformed};
@@ -56,10 +57,7 @@ impl Shape {
     }
 }
 
-/// Build or configure → solve → extract: the assignments of an optimal
-/// flow of `shape` on `problem`, and the solve's work in estimated
-/// instructions. `probe` sees the solve; `stages` times configure and
-/// extract, which only [`cycle`] asks for.
+/// [`solve_each`], collecting the circuits into assignments.
 pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
     shape: Shape,
     problem: &ScheduleProblem,
@@ -67,6 +65,32 @@ pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
     probe: &P,
     stages: &S,
 ) -> Result<(Vec<Assignment>, u64), ScheduleError> {
+    let mut assignments = Vec::new();
+    let work = solve_each(shape, problem, graph, probe, stages, &mut |c| {
+        assignments.push(c.assignment()?);
+        Ok(())
+    })?;
+    Ok((assignments, work))
+}
+
+/// Build or configure → solve → extract: hand each circuit of an optimal
+/// flow of `shape` on `problem` to `visit`, in decomposition order, and
+/// return the solve's work in estimated instructions. `probe` sees the
+/// solve; `stages` times configure and extract (`visit` included), which
+/// only the cycles ask for.
+pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
+    shape: Shape,
+    problem: &ScheduleProblem,
+    graph: Graph<'_>,
+    probe: &P,
+    stages: &S,
+    visit: &mut dyn FnMut(Circuit<'_>) -> Result<(), ScheduleError>,
+) -> Result<u64, ScheduleError> {
+    let mut found: Flow = 0;
+    let mut visit = |c: Circuit<'_>| {
+        found += 1;
+        visit(c)
+    };
     // The solve's work in estimated instructions and, under Theorem 2, its
     // flow value (the number of circuits).
     let run = |t: &mut Transformed, target: Flow, scratch: &mut SolveScratch| match shape {
@@ -94,14 +118,16 @@ pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
             (r.stats.estimated_instructions(), None)
         }
     };
-    let (assignments, (work, value)) = match graph {
+    let (work, value) = match graph {
         Graph::Fresh => {
             let (mut t, target) = match shape {
                 Shape::MaxFlow(_) => (homogeneous::transform(problem), 0),
                 Shape::MinCost(_) => priority::transform(problem),
             };
             let r = run(&mut t, target, &mut SolveScratch::new());
-            (mapping::extract(&t, &mut PathWalk::default())?, r)
+            let ends = |f, l| t.path_ends(f, l);
+            mapping::for_each_circuit(&t, &mut PathWalk::default(), ends, &mut visit)?;
+            r
         }
         Graph::Reusing(reusable, scratch) => {
             let stage = stages.start();
@@ -112,13 +138,13 @@ pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
             stages.finish(stage, Hist::ConfigureNs);
             let r = run(t, target, scratch);
             let stage = stages.start();
-            let assignments = reusable.extract()?;
+            reusable.for_each_circuit(&mut visit)?;
             stages.finish(stage, Hist::ExtractNs);
-            (assignments, r)
+            r
         }
     };
-    debug_assert!(value.is_none_or(|v| v == assignments.len() as Flow));
-    Ok((assignments, work))
+    debug_assert!(value.is_none_or(|v| v == found));
+    Ok(work)
 }
 
 /// The flow schedulers' one scheduling cycle: validate ids, [`solve`],

@@ -22,17 +22,26 @@
 //! The per-shard solves are independent: [`HierarchicalScheduler::place`]
 //! partitions, [`HierarchicalScheduler::solve_shard`] runs one shard, and
 //! [`HierarchicalScheduler::reduce`] merges outcomes **in sequential shard
-//! order**. [`HierarchicalScheduler::schedule`] runs the three in turn and
-//! solves the shards in order on the calling thread; a caller that drives
-//! the stages itself may solve the shards in any order, or from several
-//! threads (each shard's scratch sits behind its own mutex), and reduces
-//! to the same outcome.
+//! order**; a caller that drives the stages itself may solve the shards in
+//! any order, or from several threads (each shard's scratch sits behind its
+//! own mutex), and reduces to the same outcome.
+//! [`HierarchicalScheduler::schedule`] solves the shards in order on the
+//! calling thread and skips the per-shard outcomes: Theorem 2 turns each
+//! unit of flow into one processor→resource path, but a
+//! [`GlobalAssignment`] needs only the path's two ends, so each shard's
+//! decomposition writes its allocations straight into the merged outcome
+//! in global numbering, the request's origin read from a table indexed by
+//! local port. Both run one step per shard (configure → Dinic →
+//! decomposition through the flow schedulers' shared solve), so they agree
+//! exactly, telemetry counters included; `solve_shard` additionally keeps each
+//! circuit's local path, which the merge drops.
 //!
-//! Every step around the per-shard solves reuses per-scheduler buffers:
-//! stage 1 keeps its buckets, port table, global circuit state and
-//! free-link BFS ([`RemoteSearch`]) across cycles, and every shard solves
-//! on one shared all-free local circuit state, so a cycle allocates little
-//! beyond the [`Placement`] and the outcomes it returns (DESIGN.md §12.6).
+//! Every step reuses per-scheduler buffers: stage 1 keeps its buckets, port
+//! table, global circuit state, free-link BFS ([`RemoteSearch`]) and the
+//! [`Placement`] itself across cycles, each shard keeps its problem's
+//! request and free lists, and every shard solves on one shared all-free
+//! local circuit state, so a warm `schedule` cycle allocates only the
+//! outcome it returns (DESIGN.md §12.6).
 //!
 //! ## Conformance
 //!
@@ -44,10 +53,12 @@
 //! additionally pins it to a configurable fraction of the flat optimum from
 //! below.
 
-use super::{ScheduleError, ScheduleScratch, Scheduler};
-use crate::model::{ScheduleOutcome, ScheduleProblem};
-use crate::scheduler::MaxFlowScheduler;
-use rsin_obs::{Counter, Probe, Telemetry, TelemetryReport};
+use super::cycle::{self, Graph, Shape};
+use super::{check_ids, ScheduleError, ScheduleScratch};
+use crate::mapping::Circuit;
+use crate::model::{FreeResource, ScheduleOutcome, ScheduleProblem, ScheduleRequest};
+use rsin_flow::max_flow::Algorithm;
+use rsin_obs::{Counter, Hist, NoopProbe, Probe, Telemetry, TelemetryReport};
 use rsin_topology::{CircuitState, LinkId, PathSearch, ShardedNetwork};
 use std::sync::Mutex;
 
@@ -261,8 +272,6 @@ impl RemoteSearch {
 struct PlaceScratch<'n> {
     /// Per shard: the local ports of its requests.
     reqs: Vec<Vec<usize>>,
-    /// Per shard: the local ports of its free resources.
-    free: Vec<Vec<usize>>,
     /// Flat `shards × local_ports`: `used[t * n + port]` marks a local port
     /// already standing in for a request (home or borrowed), so borrows
     /// never collide.
@@ -275,18 +284,53 @@ struct PlaceScratch<'n> {
     /// The global circuits reserved this cycle.
     global: CircuitState<'n>,
     search: RemoteSearch,
+    /// The placement the last cycle wrote, its plans' lists reused.
+    placement: Placement,
 }
 
 impl<'n> PlaceScratch<'n> {
     fn new(net: &'n ShardedNetwork) -> Self {
         PlaceScratch {
             reqs: vec![Vec::new(); net.shards()],
-            free: vec![Vec::new(); net.shards()],
             used: vec![false; net.shards() * net.spec().local_ports],
             surplus: Vec::new(),
             spare: Vec::new(),
             global: CircuitState::new(net.global()),
             search: RemoteSearch::default(),
+            placement: Placement {
+                shards: vec![ShardPlan::default(); net.shards()],
+                stage1_blocked: 0,
+                remote_placed: 0,
+            },
+        }
+    }
+}
+
+/// Marks a local port with no request planned on it in
+/// [`ShardSolver::origin`].
+const UNPLANNED: usize = usize::MAX;
+
+/// One shard's stage-2 state, reused by every solve of that shard.
+#[derive(Debug)]
+struct ShardSolver {
+    /// The shard's reusable transformation graph and solver buffers.
+    scratch: ScheduleScratch,
+    /// The solve's request list, refilled from the plan each cycle.
+    requests: Vec<ScheduleRequest>,
+    /// The solve's free list, refilled from the plan each cycle.
+    free: Vec<FreeResource>,
+    /// Per local port: the global origin of the request planned on it,
+    /// [`UNPLANNED`] elsewhere (reset after every solve).
+    origin: Vec<usize>,
+}
+
+impl ShardSolver {
+    fn new(local_ports: usize) -> Self {
+        ShardSolver {
+            scratch: ScheduleScratch::new(),
+            requests: Vec::new(),
+            free: Vec::new(),
+            origin: vec![UNPLANNED; local_ports],
         }
     }
 }
@@ -294,18 +338,19 @@ impl<'n> PlaceScratch<'n> {
 /// Two-stage scheduler over a [`ShardedNetwork`]: inter-shard placement
 /// followed by independent per-shard Theorem-2 solves.
 ///
-/// Holds one [`ScheduleScratch`] per shard behind a mutex, so
-/// [`solve_shard`](Self::solve_shard) takes `&self` and may be called for
-/// distinct shards from several threads, while every shard still reuses its
-/// own transformation graph (exactly one build per shard, ever). Stage 1's
-/// buffers sit behind one more mutex, so [`place`](Self::place) takes
-/// `&self` too.
+/// Holds one [`ScheduleScratch`] per shard, with the shard's problem
+/// buffers, behind a mutex, so [`solve_shard`](Self::solve_shard) takes
+/// `&self` and may be called for distinct shards from several threads,
+/// while every shard still reuses its own transformation graph (exactly one
+/// build per shard, ever). Stage 1's buffers sit behind one more mutex, so
+/// [`place`](Self::place) takes `&self` too; [`schedule`](Self::schedule)
+/// holds that one for its whole cycle, since it reads the placement where
+/// stage 1 wrote it.
 #[derive(Debug)]
 pub struct HierarchicalScheduler<'n> {
     net: &'n ShardedNetwork,
     policy: InterShardPolicy,
-    scheduler: MaxFlowScheduler,
-    solvers: Vec<Mutex<ScheduleScratch>>,
+    solvers: Vec<Mutex<ShardSolver>>,
     /// The all-free local prototype every shard solves on: shards hold no
     /// circuits between cycles.
     local: CircuitState<'n>,
@@ -323,9 +368,8 @@ impl<'n> HierarchicalScheduler<'n> {
         HierarchicalScheduler {
             net,
             policy,
-            scheduler: MaxFlowScheduler::default(),
             solvers: (0..net.shards())
-                .map(|_| Mutex::new(ScheduleScratch::new()))
+                .map(|_| Mutex::new(ShardSolver::new(net.spec().local_ports)))
                 .collect(),
             local: CircuitState::new(net.local()),
             place_scratch: Mutex::new(PlaceScratch::new(net)),
@@ -404,7 +448,10 @@ impl<'n> HierarchicalScheduler<'n> {
     pub fn rebuilds_per_shard(&self) -> Vec<u64> {
         self.solvers
             .iter()
-            .map(|m| m.lock().expect("shard solver mutex poisoned").rebuilds())
+            .map(|m| {
+                let solver = m.lock().expect("shard solver mutex poisoned");
+                solver.scratch.rebuilds()
+            })
             .collect()
     }
 
@@ -421,24 +468,41 @@ impl<'n> HierarchicalScheduler<'n> {
     /// local port as the solve-stage stand-in. Requests that fit nowhere
     /// are counted in [`Placement::stage1_blocked`].
     pub fn place(&self, requests: &[usize], free: &[usize]) -> Result<Placement, ScheduleError> {
-        let s_count = self.net.shards();
+        let mut scratch = self.lock_place();
+        self.place_into(&mut scratch, requests, free)?;
+        Ok(scratch.placement.clone())
+    }
+
+    fn lock_place(&self) -> std::sync::MutexGuard<'_, PlaceScratch<'n>> {
+        self.place_scratch
+            .lock()
+            .expect("placement scratch mutex poisoned")
+    }
+
+    /// [`place`](Self::place) into `scratch.placement`, reusing its plans'
+    /// lists.
+    fn place_into(
+        &self,
+        scratch: &mut PlaceScratch<'n>,
+        requests: &[usize],
+        free: &[usize],
+    ) -> Result<(), ScheduleError> {
         let n = self.net.spec().local_ports;
         let total = self.net.num_ports();
-        let mut scratch = self
-            .place_scratch
-            .lock()
-            .expect("placement scratch mutex poisoned");
         let PlaceScratch {
             reqs,
-            free: free_ports,
             used,
             surplus,
             spare,
             global,
             search,
-        } = &mut *scratch;
-        for bucket in reqs.iter_mut().chain(free_ports.iter_mut()) {
+            placement,
+        } = scratch;
+        let plans = &mut placement.shards;
+        for (bucket, plan) in reqs.iter_mut().zip(plans.iter_mut()) {
             bucket.clear();
+            plan.requests.clear();
+            plan.free.clear();
         }
         for &p in requests {
             if p >= total {
@@ -450,25 +514,18 @@ impl<'n> HierarchicalScheduler<'n> {
             if r >= total {
                 return Err(ScheduleError::Internal("free resource port out of range"));
             }
-            free_ports[r / n].push(r % n);
+            plans[r / n].free.push(r % n);
         }
 
         // Home placement: shard s keeps its first min(|reqs|, |free|)
-        // requests. A shard never holds more requests than free resources
-        // (borrows only fill spare capacity), so its free count sizes both
-        // of its plan's lists.
+        // requests.
         used.fill(false);
         surplus.clear();
-        let mut plans = Vec::with_capacity(s_count);
-        for s in 0..s_count {
-            reqs[s].sort_unstable();
-            free_ports[s].sort_unstable();
-            let mut plan = ShardPlan {
-                requests: Vec::with_capacity(free_ports[s].len()),
-                free: free_ports[s].clone(),
-            };
-            let keep = reqs[s].len().min(plan.free.len());
-            for (k, &p) in reqs[s].iter().enumerate() {
+        for (s, (reqs, plan)) in reqs.iter_mut().zip(plans.iter_mut()).enumerate() {
+            reqs.sort_unstable();
+            plan.free.sort_unstable();
+            let keep = reqs.len().min(plan.free.len());
+            for (k, &p) in reqs.iter().enumerate() {
                 if k < keep {
                     plan.requests.push((p, s * n + p));
                     used[s * n + p] = true;
@@ -479,7 +536,6 @@ impl<'n> HierarchicalScheduler<'n> {
             if let Some(sinks) = &self.sinks {
                 sinks[s].add(Counter::ShardHomePlaced, keep as u64);
             }
-            plans.push(plan);
         }
 
         // Remote placement over the global network. Reserving an actual
@@ -513,14 +569,12 @@ impl<'n> HierarchicalScheduler<'n> {
                 sinks[t].add(Counter::ShardRemoteIn, 1);
             }
         }
-        for plan in &mut plans {
+        for plan in plans.iter_mut() {
             plan.requests.sort_unstable();
         }
-        Ok(Placement {
-            shards: plans,
-            stage1_blocked,
-            remote_placed,
-        })
+        placement.stage1_blocked = stage1_blocked;
+        placement.remote_placed = remote_placed;
+        Ok(())
     }
 
     /// **Stage 2** — solve one shard of a placement: a homogeneous
@@ -528,28 +582,121 @@ impl<'n> HierarchicalScheduler<'n> {
     /// scratch. Runs even when the shard has no requests, so every shard's
     /// transformation graph is configured (and its rebuild counted) on the
     /// first cycle. Safe to call concurrently for distinct shards.
+    ///
+    /// The same solve [`schedule`](Self::schedule) runs, collected into a
+    /// [`ScheduleOutcome`] in the shard's local numbering: each assignment
+    /// with its local path, the unallocated requests' local ports, and the
+    /// solve's work. Total cost is 0, as on every equal-priority problem.
     pub fn solve_shard(
         &self,
         placement: &Placement,
         shard: usize,
     ) -> Result<ScheduleOutcome, ScheduleError> {
         let plan = &placement.shards[shard];
-        let ports: Vec<usize> = plan.requests.iter().map(|&(p, _)| p).collect();
-        let problem = ScheduleProblem::homogeneous(&self.local, &ports, &plan.free);
-        let mut scratch = self.solvers[shard]
+        let mut assignments = Vec::new();
+        let (_, work) = self.solve_plan(shard, plan, |_, c| {
+            assignments.push(c.assignment()?);
+            Ok(())
+        })?;
+        let mut served: Vec<usize> = assignments.iter().map(|a| a.processor).collect();
+        served.sort_unstable();
+        let blocked = plan
+            .requests
+            .iter()
+            .map(|&(p, _)| p)
+            .filter(|p| served.binary_search(p).is_err())
+            .collect();
+        Ok(ScheduleOutcome {
+            assignments,
+            blocked,
+            total_cost: 0,
+            estimated_instructions: work,
+        })
+    }
+
+    /// Solve shard `shard` of a placement under its telemetry sink, if
+    /// any: [`shard_step`](Self::shard_step) with the shard's solver
+    /// locked.
+    fn solve_plan(
+        &self,
+        shard: usize,
+        plan: &ShardPlan,
+        visit: impl FnMut(usize, Circuit<'_>) -> Result<(), ScheduleError>,
+    ) -> Result<(usize, u64), ScheduleError> {
+        let mut solver = self.solvers[shard]
             .lock()
             .expect("shard solver mutex poisoned");
         match &self.sinks {
+            // Observed solves share the flow cycle's `dyn Probe` solver code.
             Some(sinks) => {
-                let sink = &sinks[shard];
-                let out = self
-                    .scheduler
-                    .try_schedule_observed(&problem, &mut scratch, sink)?;
-                sink.add(Counter::ShardAllocated, out.assignments.len() as u64);
-                Ok(out)
+                let probe: &dyn Probe = &sinks[shard];
+                self.shard_step(plan, &mut solver, probe, visit)
             }
-            None => self.scheduler.try_schedule_reusing(&problem, &mut scratch),
+            None => self.shard_step(plan, &mut solver, &NoopProbe, visit),
         }
+    }
+
+    /// The one stage-2 step: fill the shard's reused problem buffers from
+    /// `plan`, run configure → Dinic → decomposition through the flow
+    /// schedulers' shared solve step, and hand `visit` each circuit with
+    /// the global origin of its request. Returns the circuits found and the
+    /// solve's work. `probe` gets the cycle's latency and stage spans, the
+    /// solve's counts, a [`Counter::Cycles`] tick and the allocations
+    /// ([`Counter::ShardAllocated`]).
+    fn shard_step<P: Probe + ?Sized>(
+        &self,
+        plan: &ShardPlan,
+        solver: &mut ShardSolver,
+        probe: &P,
+        mut visit: impl FnMut(usize, Circuit<'_>) -> Result<(), ScheduleError>,
+    ) -> Result<(usize, u64), ScheduleError> {
+        let ShardSolver {
+            scratch,
+            requests,
+            free,
+            origin,
+        } = solver;
+        requests.clear();
+        requests.extend(
+            plan.requests
+                .iter()
+                .map(|&(p, _)| ScheduleRequest::homogeneous(p)),
+        );
+        free.clear();
+        free.extend(plan.free.iter().map(|&r| FreeResource::homogeneous(r)));
+        let problem = ScheduleProblem {
+            circuits: &self.local,
+            requests: std::mem::take(requests),
+            free: std::mem::take(free),
+        };
+        let mut found = 0;
+        let solved = check_ids(&problem).and_then(|()| {
+            for &(p, o) in &plan.requests {
+                origin[p] = o;
+            }
+            let span = probe.start();
+            let graph = Graph::Reusing(&mut scratch.max_flow, &mut scratch.solve);
+            let work = cycle::solve_each(SHAPE, &problem, graph, probe, probe, &mut |c| {
+                let o = origin[c.processor];
+                if o == UNPLANNED {
+                    return Err(ScheduleError::Internal(
+                        "shard solve allocated an unplanned local port",
+                    ));
+                }
+                found += 1;
+                visit(o, c)
+            });
+            for &(p, _) in &plan.requests {
+                origin[p] = UNPLANNED;
+            }
+            probe.finish(span, Hist::CycleLatencyNs);
+            work
+        });
+        (*requests, *free) = (problem.requests, problem.free);
+        let work = solved?;
+        probe.add(Counter::Cycles, 1);
+        probe.add(Counter::ShardAllocated, found as u64);
+        Ok((found, work))
     }
 
     /// **Reduction** — merge per-shard outcomes into global numbering, in
@@ -564,13 +711,8 @@ impl<'n> HierarchicalScheduler<'n> {
         placement: &Placement,
         outcomes: &[ScheduleOutcome],
     ) -> Result<HierarchicalOutcome, ScheduleError> {
-        let n = self.net.spec().local_ports;
-        let mut merged = HierarchicalOutcome {
-            assignments: Vec::with_capacity(outcomes.iter().map(|o| o.assignments.len()).sum()),
-            stage1_blocked: placement.stage1_blocked,
-            remote_placed: placement.remote_placed,
-            blocked: placement.stage1_blocked,
-        };
+        let mut merged =
+            HierarchicalOutcome::open(placement, outcomes.iter().map(|o| o.allocated()).sum());
         for (s, out) in outcomes.iter().enumerate() {
             let plan = &placement.shards[s];
             for a in &out.assignments {
@@ -581,11 +723,7 @@ impl<'n> HierarchicalScheduler<'n> {
                     .map_err(|_| {
                         ScheduleError::Internal("shard outcome names an unplanned local port")
                     })?;
-                merged.assignments.push(GlobalAssignment {
-                    processor: origin,
-                    resource: s * n + a.resource,
-                    remote: origin / n != s,
-                });
+                merged.push(self.net, s, origin, a.resource);
             }
             merged.blocked += out.blocked.len();
         }
@@ -593,18 +731,56 @@ impl<'n> HierarchicalScheduler<'n> {
     }
 
     /// One full cycle on the calling thread: [`place`](Self::place), then
-    /// [`solve_shard`](Self::solve_shard) for every shard in order, then
-    /// [`reduce`](Self::reduce).
+    /// every shard's solve in shard order, each circuit written straight
+    /// into the merged outcome in global numbering, as
+    /// [`solve_shard`](Self::solve_shard) followed by
+    /// [`reduce`](Self::reduce) would merge it. Once every buffer has
+    /// grown, the cycle allocates only the outcome it returns.
     pub fn schedule(
         &self,
         requests: &[usize],
         free: &[usize],
     ) -> Result<HierarchicalOutcome, ScheduleError> {
-        let placement = self.place(requests, free)?;
-        let outcomes: Vec<ScheduleOutcome> = (0..self.shards())
-            .map(|s| self.solve_shard(&placement, s))
-            .collect::<Result<_, _>>()?;
-        self.reduce(&placement, &outcomes)
+        let mut scratch = self.lock_place();
+        self.place_into(&mut scratch, requests, free)?;
+        let placement = &scratch.placement;
+        let planned = placement.shards.iter().map(|p| p.requests.len()).sum();
+        let mut merged = HierarchicalOutcome::open(placement, planned);
+        for (s, plan) in placement.shards.iter().enumerate() {
+            let (found, _) = self.solve_plan(s, plan, |origin, c| {
+                merged.push(self.net, s, origin, c.resource);
+                Ok(())
+            })?;
+            merged.blocked += plan.requests.len() - found;
+        }
+        Ok(merged)
+    }
+}
+
+/// The shards' solve: Transformation 1 by Dinic (Theorem 2).
+const SHAPE: Shape = Shape::MaxFlow(Algorithm::Dinic);
+
+impl HierarchicalOutcome {
+    /// A cycle's outcome before its shards are solved: stage 1's counts,
+    /// room for `capacity` assignments.
+    fn open(placement: &Placement, capacity: usize) -> Self {
+        HierarchicalOutcome {
+            assignments: Vec::with_capacity(capacity),
+            stage1_blocked: placement.stage1_blocked,
+            remote_placed: placement.remote_placed,
+            blocked: placement.stage1_blocked,
+        }
+    }
+
+    /// Add the allocation of local `resource` on `shard` to the request
+    /// from global port `origin`.
+    fn push(&mut self, net: &ShardedNetwork, shard: usize, origin: usize, resource: usize) {
+        let n = net.spec().local_ports;
+        self.assignments.push(GlobalAssignment {
+            processor: origin,
+            resource: shard * n + resource,
+            remote: origin / n != shard,
+        });
     }
 }
 
@@ -612,6 +788,7 @@ impl<'n> HierarchicalScheduler<'n> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rsin_obs::SolverId;
     use rsin_topology::{GlobalTopology, ShardedSpec};
 
     /// The allocating stage 1 this module used before its buffers became
@@ -825,6 +1002,72 @@ mod tests {
                     let want = reference_reduce(&h, &placement, &outcomes).unwrap();
                     prop_assert_eq!(&h.reduce(&placement, &outcomes).unwrap(), &want);
                     prop_assert_eq!(&h.schedule(&req, &free).unwrap(), &want);
+                }
+            }
+        }
+
+        /// The one stage-2 step behind three drivers: a plain scheduler's
+        /// `schedule`, an observed one's `schedule`, and an observed one
+        /// driven stage by stage (`place`, every `solve_shard`, `reduce`).
+        /// Over 20+ cycles with out-of-range ports mixed in, all three
+        /// return the same outcome or the same error, the two observed
+        /// schedulers end with equal per-shard counters and Dinic totals,
+        /// and no shard rebuilds its graph.
+        #[test]
+        fn schedule_and_staged_drivers_agree(
+            spec in 0usize..ORACLE_SPECS.len(),
+            cycles in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..128, 0..96),
+                    proptest::collection::vec(0usize..128, 0..96),
+                    0u8..12,
+                ),
+                20..28,
+            ),
+        ) {
+            let (shards, local, uplink, global) = ORACLE_SPECS[spec];
+            let net = ShardedNetwork::new(ShardedSpec { shards, local_ports: local, uplink, global })
+                .unwrap();
+            let total = net.num_ports();
+            for policy in [InterShardPolicy::TokenRing, InterShardPolicy::MinCost] {
+                let plain = HierarchicalScheduler::new(&net, policy);
+                let observed = HierarchicalScheduler::observed(&net, policy);
+                let staged = HierarchicalScheduler::observed(&net, policy);
+                for (req, free, bad) in &cycles {
+                    let (mut req, mut free) = (distinct(req, total), distinct(free, total));
+                    match bad {
+                        0 => req.push(total),
+                        1 => free.push(total + 3),
+                        _ => {}
+                    }
+                    let by_stage = staged.place(&req, &free).and_then(|placement| {
+                        let outcomes = (0..shards)
+                            .map(|s| staged.solve_shard(&placement, s))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        staged.reduce(&placement, &outcomes)
+                    });
+                    let want = plain.schedule(&req, &free);
+                    prop_assert_eq!(&observed.schedule(&req, &free), &want, "{:?}", policy);
+                    prop_assert_eq!(&by_stage, &want, "{:?}", policy);
+                }
+                let (a, b) = (observed.shard_report().unwrap(), staged.shard_report().unwrap());
+                let dinic = SolverId::MaxFlowDinic.index();
+                for s in 0..shards {
+                    for c in [
+                        Counter::Cycles,
+                        Counter::ShardAllocated,
+                        Counter::ShardHomePlaced,
+                        Counter::ShardRemoteIn,
+                        Counter::DinicLevelArcScans,
+                        Counter::DinicBlockingArcScans,
+                    ] {
+                        prop_assert_eq!(a.counter(s, c), b.counter(s, c), "shard {} {:?}", s, c);
+                    }
+                    let (x, y) = (&a.per_shard[s].solvers[dinic], &b.per_shard[s].solvers[dinic]);
+                    prop_assert_eq!((x.solves, x.counts), (y.solves, y.counts), "shard {}", s);
+                }
+                for h in [&plain, &observed, &staged] {
+                    prop_assert_eq!(h.rebuilds_per_shard(), vec![1; shards]);
                 }
             }
         }

@@ -67,6 +67,12 @@ impl Transformed {
     pub fn resource_of_arc(&self, a: ArcId) -> Option<usize> {
         owner_of_arc(&self.resource_arcs, a)
     }
+
+    /// `(processor, resource)` of a path whose first arc is a request arc
+    /// and whose last arc is a sink arc.
+    pub(crate) fn path_ends(&self, first: ArcId, last: ArcId) -> Option<(usize, usize)> {
+        Some((self.processor_of_arc(first)?, self.resource_of_arc(last)?))
+    }
 }
 
 /// The element owning arc `a` in an `(element, arc)` table sorted by arc.

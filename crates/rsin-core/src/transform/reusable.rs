@@ -27,7 +27,7 @@
 //! flow reset restores only the arcs the last decomposition walked.
 
 use super::{mirror_network, Transformed};
-use crate::mapping::{self, Assignment, MappingError};
+use crate::mapping::{self, Assignment, Circuit, MappingError};
 use crate::model::ScheduleProblem;
 use rsin_flow::path::PathWalk;
 use rsin_flow::{ArcId, Flow, FlowNetwork};
@@ -60,6 +60,8 @@ struct Inner {
     bypass_arcs: Vec<ArcId>,
     /// The `(u, t)` arc absorbing unallocated requests (priced shape only).
     bypass_sink_arc: Option<ArcId>,
+    /// Where the request and resource arcs sit, for O(1) path ends.
+    boundary: Boundary,
     /// Last-configured availability per topology link, as bit words in the
     /// layout of [`CircuitState::free_link_words`] (all set at build: the
     /// superset mirrors every link at unit capacity). [`configure`] XORs
@@ -83,6 +85,49 @@ struct Inner {
     /// resource arc, so the next configure sweeps the flow and rewrites
     /// every boundary arc.
     lent: bool,
+}
+
+/// The superset's request and resource arcs are built consecutively, one
+/// per id: processor `p`'s request arc is forward arc `request + step·p`
+/// (`step` 2 in the priced shape, where each bypass leg follows its request
+/// arc, else 1) and resource `r`'s sink arc is `resource + r`. So a path's
+/// two ends are found by arithmetic on its first and last arc, where
+/// [`Transformed::processor_of_arc`]/[`resource_of_arc`] binary-search.
+///
+/// [`resource_of_arc`]: Transformed::resource_of_arc
+#[derive(Debug, Clone, Copy)]
+struct Boundary {
+    /// Forward-arc index of processor 0's request arc.
+    request: usize,
+    /// Forward arcs from one request arc to the next.
+    step: usize,
+    processors: usize,
+    /// Forward-arc index of resource 0's sink arc.
+    resource: usize,
+    resources: usize,
+}
+
+impl Boundary {
+    /// The processor whose request arc is `a`, if `a` is one.
+    fn processor_of(self, a: ArcId) -> Option<usize> {
+        let k = (a.index() / 2).checked_sub(self.request)?;
+        let p = k / self.step;
+        (a.is_forward() && k % self.step == 0 && p < self.processors).then_some(p)
+    }
+
+    /// The resource whose sink arc is `a`, if `a` is one.
+    fn resource_of(self, a: ArcId) -> Option<usize> {
+        let r = (a.index() / 2).checked_sub(self.resource)?;
+        (a.is_forward() && r < self.resources).then_some(r)
+    }
+
+    /// [`Transformed::path_ends`] in O(1), checked against its binary
+    /// searches in debug builds.
+    fn ends(self, t: &Transformed, first: ArcId, last: ArcId) -> Option<(usize, usize)> {
+        let ends = Some((self.processor_of(first)?, self.resource_of(last)?));
+        debug_assert_eq!(ends, t.path_ends(first, last));
+        ends
+    }
 }
 
 /// `n` set bits in words, the rest of the last word clear.
@@ -140,6 +185,7 @@ fn build(net: &Network, priced: bool) -> Inner {
     let all_res: Vec<usize> = (0..nr).collect();
     let mut img = mirror_network(&mut flow, net, |_| true, &all_procs, &all_res);
 
+    let first_request = flow.num_arcs();
     let mut request_arcs = Vec::with_capacity(np);
     let mut bypass_arcs = Vec::with_capacity(if priced { np } else { 0 });
     for &p in &all_procs {
@@ -153,6 +199,7 @@ fn build(net: &Network, priced: bool) -> Inner {
             bypass_arcs.push(b);
         }
     }
+    let first_resource = flow.num_arcs();
     let mut resource_arcs = Vec::with_capacity(nr);
     for &r in &all_res {
         let a = flow.add_arc(img.res_node[r].unwrap(), sink, 0, 0);
@@ -180,6 +227,13 @@ fn build(net: &Network, priced: bool) -> Inner {
         fingerprint: net.fingerprint(),
         bypass_arcs,
         bypass_sink_arc,
+        boundary: Boundary {
+            request: first_request,
+            step: if priced { 2 } else { 1 },
+            processors: np,
+            resource: first_resource,
+            resources: nr,
+        },
         link_avail: ones(net.num_links()),
         requests_on: vec![0; np.div_ceil(64)],
         resources_on: vec![0; nr.div_ceil(64)],
@@ -260,15 +314,34 @@ impl ReusableTransform {
         self.configure(problem, true)
     }
 
-    /// Decompose the flow of the last solve into assignments
-    /// ([`mapping::extract`]) with this graph's reusable walk buffers. The
-    /// walk also records the arcs that carry flow, so the next configure
-    /// restores only those. Empty until the first configure.
+    /// Decompose the flow of the last solve into assignments, as
+    /// [`mapping::extract`] does, with this graph's reusable walk buffers.
+    /// The walk also records the arcs that carry flow, so the next
+    /// configure restores only those. Empty until the first configure.
     pub fn extract(&mut self) -> Result<Vec<Assignment>, MappingError> {
-        match self.inner.as_mut() {
-            Some(inner) => mapping::extract(&inner.t, &mut inner.walk),
-            None => Ok(Vec::new()),
-        }
+        let mut out = Vec::new();
+        self.for_each_circuit(|c| {
+            out.push(c.assignment()?);
+            Ok::<_, MappingError>(())
+        })?;
+        Ok(out)
+    }
+
+    /// The walk of [`extract`](Self::extract), handing each path to `visit`
+    /// as a [`Circuit`] whose two ends are found in O(1). Does nothing until
+    /// the first configure.
+    pub(crate) fn for_each_circuit<E: From<MappingError>>(
+        &mut self,
+        visit: impl FnMut(Circuit<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Some(Inner {
+            t, walk, boundary, ..
+        }) = self.inner.as_mut()
+        else {
+            return Ok(());
+        };
+        let (t, boundary) = (&*t, *boundary);
+        mapping::for_each_circuit(t, walk, |f, l| boundary.ends(t, f, l), visit)
     }
 
     fn configure(&mut self, problem: &ScheduleProblem, priced: bool) -> (&mut Transformed, Flow) {
@@ -572,6 +645,42 @@ mod tests {
         assert_eq!(assignments[0].processor, 3);
         assert_eq!(assignments[0].resource, 6);
         verify(&assignments, &tiny).unwrap();
+    }
+
+    #[test]
+    fn boundary_lookup_matches_the_binary_search() {
+        let omega_net = omega(8).unwrap();
+        let dp_net = omega_3dp(8).unwrap();
+        for priced in [false, true] {
+            let mut reusable = ReusableTransform::new();
+            // omega, then 3dp-omega (a rebuild), then omega again.
+            for (net, rebuilds) in [(&omega_net, 1), (&dp_net, 2), (&omega_net, 3)] {
+                let cs = CircuitState::new(net);
+                reusable.configure(&ScheduleProblem::homogeneous(&cs, &[1], &[2]), priced);
+                assert_eq!(reusable.rebuilds(), rebuilds);
+                let inner = reusable.inner.as_ref().unwrap();
+                let (t, b) = (&inner.t, inner.boundary);
+                let named = |a: ArcId| b.processor_of(a).is_some() || b.resource_of(a).is_some();
+                for i in 0..2 * t.flow.num_arcs() {
+                    let a = ArcId(i as u32);
+                    assert_eq!(b.processor_of(a), t.processor_of_arc(a), "{priced} arc {i}");
+                    assert_eq!(b.resource_of(a), t.resource_of_arc(a), "{priced} arc {i}");
+                }
+                for (p, &(q, a)) in t.request_arcs.iter().enumerate() {
+                    assert_eq!((q, b.processor_of(a)), (p, Some(p)));
+                }
+                for (r, &(q, a)) in t.resource_arcs.iter().enumerate() {
+                    assert_eq!((q, b.resource_of(a)), (r, Some(r)));
+                }
+                let links = t.link_arc.iter().map(|a| a.unwrap());
+                let legs = inner.bypass_arcs.iter().copied();
+                for a in links.chain(legs).chain(inner.bypass_sink_arc) {
+                    assert!(!named(a), "{priced} arc {a:?} is no boundary arc");
+                }
+                assert_eq!(inner.bypass_arcs.len(), if priced { 8 } else { 0 });
+                assert_eq!(inner.bypass_sink_arc.is_some(), priced);
+            }
+        }
     }
 
     #[test]

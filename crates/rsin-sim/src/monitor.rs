@@ -98,9 +98,16 @@ impl<'n> Monitor<'n> {
         self.policy = policy;
     }
 
-    /// A processor submits a request; the next cycle sees it.
-    pub fn submit(&mut self, request: ScheduleRequest) {
+    /// A processor submits a request; the next cycle sees it. A processor
+    /// the network lacks is rejected with
+    /// [`ScheduleError::UnknownProcessor`] and nothing is queued, so one bad
+    /// id cannot fail every later cycle.
+    pub fn submit(&mut self, request: ScheduleRequest) -> Result<(), ScheduleError> {
+        if request.processor >= self.circuits.network().num_processors() {
+            return Err(ScheduleError::UnknownProcessor(request.processor));
+        }
         self.pending.push(request);
+        Ok(())
     }
 
     /// A resource finishes its task; the next cycle sees it free.
@@ -124,8 +131,8 @@ impl<'n> Monitor<'n> {
     /// Run one scheduling cycle: snapshot → schedule → commit. Returns
     /// `Ok(None)` if there was nothing to do (no pending requests or no free
     /// resources — the idle states of Fig. 10), and the scheduler's error
-    /// when it rejects the snapshot (a request from a processor the network
-    /// lacks) or maps a circuit that cannot be established.
+    /// when it rejects the snapshot or maps a circuit that cannot be
+    /// established.
     pub fn cycle(
         &mut self,
         scheduler: &dyn Scheduler,
@@ -211,8 +218,8 @@ mod tests {
     fn basic_cycle_allocates_and_prices() {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
-        m.submit(req(0));
-        m.submit(req(3));
+        m.submit(req(0)).unwrap();
+        m.submit(req(3)).unwrap();
         let c = cycle(&mut m).unwrap();
         assert_eq!(c.outcome.allocated(), 2);
         assert!(c.latency_us > 0.0);
@@ -225,7 +232,7 @@ mod tests {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
         for p in 0..8 {
-            m.submit(req(p));
+            m.submit(req(p)).unwrap();
         }
         let c1 = cycle(&mut m).unwrap();
         let served = c1.outcome.allocated();
@@ -233,14 +240,14 @@ mod tests {
         // All resources claimed (8 served) or all requests queued; submit
         // another request: nothing schedulable if all resources busy.
         if served == 8 {
-            m.submit(req(0)); // p0 again (its circuit may still be up)
+            m.submit(req(0)).unwrap(); // p0 again (its circuit may still be up)
             assert!(cycle(&mut m).is_none());
         }
         // Release one resource and tear down its processor's circuit.
         let a = &c1.outcome.assignments[0];
         m.transmission_done(a.processor);
         m.release_resource(a.resource);
-        m.submit(req(a.processor));
+        m.submit(req(a.processor)).unwrap();
         let c2 = cycle(&mut m).unwrap();
         assert_eq!(c2.outcome.allocated(), 1);
     }
@@ -250,10 +257,10 @@ mod tests {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
         m.set_policy(BatchingPolicy::WaitForRequests(3));
-        m.submit(req(0));
-        m.submit(req(1));
+        m.submit(req(0)).unwrap();
+        m.submit(req(1)).unwrap();
         assert!(cycle(&mut m).is_none(), "below threshold");
-        m.submit(req(2));
+        m.submit(req(2)).unwrap();
         let c = cycle(&mut m).unwrap();
         assert_eq!(
             c.outcome.allocated(),
@@ -269,11 +276,11 @@ mod tests {
         let mut m = Monitor::new(&net, CostModel::default());
         // Claim 7 of 8 resources.
         for p in 0..7 {
-            m.submit(req(p));
+            m.submit(req(p)).unwrap();
         }
         cycle(&mut m).unwrap();
         m.set_policy(BatchingPolicy::WaitForResources(2));
-        m.submit(req(7));
+        m.submit(req(7)).unwrap();
         assert!(cycle(&mut m).is_none(), "only 1 resource free");
         // A release brings the pool to the threshold.
         let freed = 0; // resource allocated to p1 in the first cycle? find one:
@@ -294,12 +301,12 @@ mod tests {
     fn accumulates_scheduling_time() {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
-        m.submit(req(0));
+        m.submit(req(0)).unwrap();
         cycle(&mut m).unwrap();
         let t1 = m.scheduling_us;
         m.transmission_done(0);
         m.release_resource(0);
-        m.submit(req(1));
+        m.submit(req(1)).unwrap();
         cycle(&mut m).unwrap();
         assert!(m.scheduling_us > t1);
         assert_eq!(m.cycles, 2);
@@ -309,11 +316,13 @@ mod tests {
     fn unknown_processor_is_a_typed_error() {
         let net = omega(8).unwrap();
         let mut m = Monitor::new(&net, CostModel::default());
-        m.submit(req(99));
-        assert_eq!(
-            m.cycle(&MaxFlowScheduler::default()).unwrap_err(),
-            ScheduleError::UnknownProcessor(99)
-        );
-        assert_eq!(m.cycles, 0);
+        assert_eq!(m.submit(req(99)), Err(ScheduleError::UnknownProcessor(99)));
+        assert_eq!(m.pending_count(), 0);
+        assert!(cycle(&mut m).is_none(), "nothing was queued");
+        // A valid request after the rejected one is scheduled.
+        m.submit(req(3)).unwrap();
+        let c = cycle(&mut m).unwrap();
+        assert_eq!(c.outcome.assignments[0].processor, 3);
+        assert_eq!(m.cycles, 1);
     }
 }

@@ -116,6 +116,9 @@ pub struct CircuitState<'a> {
     /// [`set_byzantine_box`](Self::set_byzantine_box).
     byzantine: Vec<bool>,
     circuits: Vec<Option<Vec<LinkId>>>,
+    /// Link lists [`release_all`](Self::release_all) took off the circuit
+    /// table, for later circuits to refill instead of allocating.
+    spare: Vec<Vec<LinkId>>,
 }
 
 impl<'a> CircuitState<'a> {
@@ -128,6 +131,7 @@ impl<'a> CircuitState<'a> {
             faulty: vec![0; words],
             byzantine: vec![false; net.num_boxes()],
             circuits: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -144,6 +148,7 @@ impl<'a> CircuitState<'a> {
             faulty: self.faulty.clone(),
             byzantine: self.byzantine.clone(),
             circuits: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -323,7 +328,15 @@ impl<'a> CircuitState<'a> {
         for &l in links {
             Self::put(&mut self.occupied, l, true);
         }
-        self.circuits.push(Some(links.to_vec()));
+        let record = match self.spare.pop() {
+            Some(mut spare) => {
+                spare.clear();
+                spare.extend_from_slice(links);
+                spare
+            }
+            None => links.to_vec(),
+        };
+        self.circuits.push(Some(record));
         Ok(CircuitId(self.circuits.len() as u32 - 1))
     }
 
@@ -344,12 +357,14 @@ impl<'a> CircuitState<'a> {
     /// leaving faulty links and misrouting boxes as they are: with no
     /// faults this is the state [`new`](Self::new) returns, at O(links
     /// held) instead of O(links) and with the circuit table's capacity
-    /// kept.
+    /// kept. The released link lists are kept too, so a state reset every
+    /// cycle stops allocating once it has held its most circuits.
     pub fn release_all(&mut self) {
         for links in self.circuits.drain(..).flatten() {
-            for l in links {
+            for &l in &links {
                 Self::put(&mut self.occupied, l, false);
             }
+            self.spare.push(links);
         }
     }
 
@@ -764,8 +779,11 @@ mod tests {
         assert_eq!(cs.occupied_count(), 0);
         assert_eq!(cs.faulty_count(), 1);
         assert!(cs.circuit_links(CircuitId(0)).is_none());
-        // Numbering restarts, as on a fresh state.
+        // Numbering restarts, as on a fresh state, and a refilled link
+        // list holds only the new circuit's links.
         assert_eq!(cs.connect(1, 0), Ok(CircuitId(0)));
+        assert_eq!(cs.circuit_endpoints(CircuitId(0)), Some((1, 0)));
+        assert_eq!(cs.circuit_links(CircuitId(0)).unwrap().len(), 3);
     }
 
     #[test]
