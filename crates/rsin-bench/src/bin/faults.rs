@@ -54,7 +54,10 @@
 //! max-flow, rate 0.005) re-runs after the sweep with one
 //! `rsin_obs::Telemetry` sink per trial, and the reports, merged in trial
 //! order — counters, per-solver phase counts, and histograms such as cycle
-//! latency — are written as JSON to the given path. With `--trace <path>`,
+//! latency — are written as JSON to the given path and summarised on
+//! stdout by one row per stage of the flow cycles (solve, configure,
+//! extract, and finish where it fires) with its sample count, mean and p99.
+//! With `--trace <path>`,
 //! the same capture configuration re-runs one trial with a flight recorder
 //! as its probe, and the timeline — per-request submit/allocate/release
 //! spans plus fault, repair, shed and recovered markers — is exported as
@@ -62,8 +65,8 @@
 //! sweep's numbers are unaffected.
 
 use rsin_bench::{
-    emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit, take_flag,
-    usage_error, write_report,
+    emit_stage_table, emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit,
+    take_flag, usage_error, write_report,
 };
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
@@ -414,6 +417,8 @@ fn main() {
         };
         let (_, report) =
             run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
+        println!("\ntelemetry stages — omega-8 / max-flow / rate 0.005 ({trials} trial(s))");
+        emit_stage_table("telemetry-stages", &report);
         write_report(
             &tpath,
             "telemetry (omega-8 / max-flow / rate 0.005)",

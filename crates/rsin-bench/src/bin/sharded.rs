@@ -38,10 +38,11 @@
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rsin_bench::{
-    emit_table, json_report, json_row, json_str, parse_or_exit, take_flag, write_report,
+    emit_stage_table, emit_table, json_report, json_row, json_str, parse_or_exit, take_flag,
+    write_report,
 };
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
-use rsin_obs::{Counter, Hist};
+use rsin_obs::Counter;
 use rsin_sim::sharded::{run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig};
 use rsin_sim::workload::trial_rng;
 use rsin_topology::{GlobalTopology, ShardedNetwork, ShardedSpec};
@@ -316,26 +317,8 @@ fn main() {
             &brows,
         );
         // Where the shard solves spent their time, over every shard.
-        let merged = &report.merged;
-        let srows: Vec<Vec<String>> = [Hist::SolveLatencyNs, Hist::ConfigureNs, Hist::ExtractNs]
-            .into_iter()
-            .chain(Some(Hist::FinishNs).filter(|h| merged.hists[h.index()].count > 0))
-            .map(|h| {
-                let hist = &merged.hists[h.index()];
-                vec![
-                    h.name().to_string(),
-                    hist.count.to_string(),
-                    format!("{:.0}", hist.mean()),
-                    hist.quantile(0.99).to_string(),
-                ]
-            })
-            .collect();
         println!();
-        emit_table(
-            "breakdown-stages",
-            &["stage", "count", "mean ns", "p99 ns"],
-            &srows,
-        );
+        emit_stage_table("breakdown-stages", &report.merged);
         let json = report.to_json(&format!("sharded/{}", net.name()));
         write_report(&bpath, "breakdown", &json);
     }

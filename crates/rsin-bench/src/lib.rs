@@ -1,6 +1,7 @@
 //! Shared helpers for the experiment binaries (one binary per paper
 //! figure/claim; see EXPERIMENTS.md at the workspace root for the index).
 
+use rsin_obs::{Hist, TelemetryReport};
 use rsin_topology::{builders, Network};
 use std::fmt::Display;
 use std::io::Write;
@@ -47,6 +48,27 @@ fn write_csv(dir: &str, name: &str, headers: &[&str], rows: &[Vec<String>]) -> s
         )?;
     }
     f.flush()
+}
+
+/// Print where a telemetry capture's flow cycles spent their time: one row
+/// each for the solve, configure and extract stages (sample count, mean and
+/// p99 in ns), and the finish stage only where it has samples. `name` is
+/// the table's CSV name (see [`emit_table`]).
+pub fn emit_stage_table(name: &str, report: &TelemetryReport) {
+    let rows: Vec<Vec<String>> = [Hist::SolveLatencyNs, Hist::ConfigureNs, Hist::ExtractNs]
+        .into_iter()
+        .chain(Some(Hist::FinishNs).filter(|h| report.hists[h.index()].count > 0))
+        .map(|h| {
+            let hist = &report.hists[h.index()];
+            vec![
+                h.name().to_string(),
+                hist.count.to_string(),
+                format!("{:.0}", hist.mean()),
+                hist.quantile(0.99).to_string(),
+            ]
+        })
+        .collect();
+    emit_table(name, &["stage", "count", "mean ns", "p99 ns"], &rows);
 }
 
 /// Fixed-width plain-text table printer for experiment output.

@@ -5,12 +5,21 @@
 //! Bellman–Ford pass (needed only when the input has negative arc costs,
 //! which Transformation 2 never produces but the API permits).
 //!
+//! Each Dijkstra stops when `t` settles: the augmenting path is fixed
+//! then. Every potential is raised by `min(dist(v), dist(t))`, which keeps
+//! every residual reduced cost nonnegative (settled nodes have exact
+//! distances; the rest are capped at the sink's), so each later search
+//! still finds a shortest path and the flow stays minimum-cost. Among
+//! equal-cost paths the stopped search may pick another one than a search
+//! run to exhaustion would: the flow value, its cost and the number of
+//! augmentations are the same, the paths need not be.
+//!
 //! Dijkstra's priority queue is a bucket queue: one node bitset per
 //! reduced distance below 256, plus a binary-heap overflow for the rest.
 //! It pops in exactly the `(distance, node id)` order of a
 //! `BinaryHeap<Reverse<(Cost, u32)>>`, so every pop, relaxation, parent and
 //! potential — and hence every flow and [`OpStats`] counter — matches the
-//! plain binary-heap Dijkstra.
+//! same stopped Dijkstra on a plain binary heap.
 
 use super::MinCostResult;
 use crate::graph::{FlowNetwork, NodeId};
@@ -37,8 +46,8 @@ const BUCKETS: usize = 256;
 /// minimum. Bucket entries are exact (one bit per node, a decrease-key
 /// clears the node's old bit); overflow entries are lazy, so an overflow pop
 /// may return a stale `(d, u)` with `d > dist[u]`, which the caller skips
-/// exactly as it would a stale binary-heap entry. Every pop of a full
-/// Dijkstra run drains the queue, so it is empty between runs.
+/// exactly as it would a stale binary-heap entry. A run that stops at the
+/// sink empties the queue with [`Self::clear`], so it is empty between runs.
 #[derive(Debug, Default)]
 pub(crate) struct BucketQueue {
     /// `u64` words per bucket bitset (`ceil(nodes / 64)`, grow-only).
@@ -103,6 +112,21 @@ impl BucketQueue {
             }
         }
         self.push(new, u);
+    }
+
+    /// Drop every entry. Zeroes only the nonempty buckets' bitsets and
+    /// counts (the mask names them), so the cost is the live buckets', not
+    /// the node count's.
+    fn clear(&mut self) {
+        for (i, mask) in self.nonempty.iter_mut().enumerate() {
+            while *mask != 0 {
+                let b = i * 64 + mask.trailing_zeros() as usize;
+                self.bits[b * self.words..(b + 1) * self.words].fill(0);
+                self.len[b] = 0;
+                *mask &= *mask - 1;
+            }
+        }
+        self.overflow.clear();
     }
 
     /// Remove and return the smallest `(distance, node id)` entry.
@@ -204,6 +228,11 @@ pub fn solve_with(
                 continue;
             }
             stats.node_visits += 1;
+            if u == t {
+                // The shortest path to `t` is fixed: scan none of its arcs.
+                queue.clear();
+                break;
+            }
             let pot_u = pot[u.index()];
             // Zip the hot lane with the CSR cost lane: two sequential
             // streams, no per-arc random access.
@@ -230,14 +259,13 @@ pub fn solve_with(
         if dist[t.index()] >= INF {
             break; // no more augmenting paths: max flow reached
         }
-        // Update potentials (unreached nodes get the sink distance so their
-        // future reduced costs stay nonnegative).
-        for v in 0..n {
-            pot[v] += if dist[v] < INF {
-                dist[v]
-            } else {
-                dist[t.index()]
-            };
+        // Raise potentials by the distance capped at the sink's: settled
+        // nodes by their exact distance, the rest (unreached ones at `INF`
+        // included) by `dist(t)`, so every residual reduced cost stays
+        // nonnegative.
+        let dist_t = dist[t.index()];
+        for (p, &d) in pot[..n].iter_mut().zip(&dist[..n]) {
+            *p += d.min(dist_t);
         }
         // Augment along the shortest path, pricing it on the way: from zero
         // flow, the total cost is Σ bottleneck × path cost (a residual
@@ -276,11 +304,29 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Where each Dijkstra of [`reference_ssp`] ends.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Search {
+        /// At the sink's pop, potentials raised by `min(dist(v), dist(t))`:
+        /// the kernel's rule.
+        Stopped,
+        /// When the heap is empty, potentials raised by the exact distance
+        /// (the sink's for unreached nodes): the kernel before the stop.
+        Full,
+    }
+
     /// The binary-heap SSP the bucket queue replaced, kept as the
     /// exact-order oracle: same potentials and relaxations, popping a
     /// `BinaryHeap<Reverse<(Cost, u32)>>` with lazy stale-entry skips, and
-    /// costing the result with an O(arcs) `flow_cost()` scan.
-    fn reference_ssp(g: &mut FlowNetwork, s: NodeId, t: NodeId, target: Flow) -> MinCostResult {
+    /// costing the result with an O(arcs) `flow_cost()` scan. `search`
+    /// picks the kernel's stop at the sink or the full search it replaced.
+    fn reference_ssp(
+        g: &mut FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        target: Flow,
+        search: Search,
+    ) -> MinCostResult {
         g.ensure_csr();
         let n = g.num_nodes();
         let mut stats = OpStats::new();
@@ -328,6 +374,10 @@ mod tests {
                     continue;
                 }
                 stats.node_visits += 1;
+                if search == Search::Stopped && u == t {
+                    heap.clear();
+                    break;
+                }
                 let pot_u = pot[u.index()];
                 let range = g.out_range(u);
                 let hots = &g.hot_arcs()[range.clone()];
@@ -349,11 +399,12 @@ mod tests {
             if dist[t.index()] >= INF {
                 break;
             }
+            let dist_t = dist[t.index()];
             for v in 0..n {
-                pot[v] += if dist[v] < INF {
-                    dist[v]
-                } else {
-                    dist[t.index()]
+                pot[v] += match search {
+                    Search::Stopped => dist[v].min(dist_t),
+                    Search::Full if dist[v] < INF => dist[v],
+                    Search::Full => dist_t,
                 };
             }
             let mut bottleneck = target - flow;
@@ -393,12 +444,17 @@ mod tests {
         Negative,
     }
 
-    /// A random network of 2–40 nodes (`s` = 0, `t` = 1) with multi-unit
-    /// capacities (some 0) and a target anywhere from 1 to past max-flow.
-    fn random_network(seed: u64, costs: Costs) -> (FlowNetwork, NodeId, NodeId, Flow) {
+    /// A random network of 2 to `max_nodes - 1` nodes (`s` = 0, `t` = 1)
+    /// with multi-unit capacities (some 0) and a target anywhere from 1 to
+    /// past max-flow.
+    fn random_network(
+        seed: u64,
+        costs: Costs,
+        max_nodes: u32,
+    ) -> (FlowNetwork, NodeId, NodeId, Flow) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = FlowNetwork::new();
-        let n = rng.random_range(2..40u32);
+        let n = rng.random_range(2..max_nodes);
         for i in 0..n {
             g.add_node(format!("n{i}"));
         }
@@ -436,13 +492,111 @@ mod tests {
         #[test]
         fn bucket_queue_matches_binary_heap_reference(seed in 0u64..u64::MAX, mode in 0u8..3) {
             let costs = [Costs::Small, Costs::Large, Costs::Negative][mode as usize];
-            let (mut want_g, s, t, target) = random_network(seed, costs);
+            let (mut want_g, s, t, target) = random_network(seed, costs, 40);
             let mut got_g = want_g.clone();
-            let want = reference_ssp(&mut want_g, s, t, target);
+            let want = reference_ssp(&mut want_g, s, t, target, Search::Stopped);
             let got = solve(&mut got_g, s, t, target);
             prop_assert_eq!((got.flow, got.cost, got.stats), (want.flow, want.cost, want.stats));
-            let res = |g: &FlowNetwork| g.hot_arcs().iter().map(|h| h.res).collect::<Vec<_>>();
-            prop_assert_eq!(res(&got_g), res(&want_g));
+            prop_assert_eq!(residuals(&got_g), residuals(&want_g));
+        }
+
+        /// Stopping each search at the sink changes neither the flow value,
+        /// nor its cost, nor the number of augmentations of a search run to
+        /// exhaustion, and the final potentials certify optimality: no
+        /// residual arc out of a node `s` can reach has a negative reduced
+        /// cost. (Nodes `s` never reaches keep the Bellman–Ford prepass's
+        /// potential 0, which certifies nothing, and no search scans them;
+        /// `s`'s residual reach only shrinks, so the start network's is the
+        /// whole of it.)
+        #[test]
+        fn stopped_search_matches_full_search(seed in 0u64..u64::MAX, mode in 0u8..3) {
+            let costs = [Costs::Small, Costs::Large, Costs::Negative][mode as usize];
+            let (mut full_g, s, t, target) = random_network(seed, costs, 40);
+            let mut g = full_g.clone();
+            g.ensure_csr();
+            let reach = reachable(&g, s);
+            let full = reference_ssp(&mut full_g, s, t, target, Search::Full);
+            let mut scratch = SolveScratch::new();
+            let got = solve_with(&mut g, s, t, target, &mut scratch);
+            prop_assert_eq!(
+                (got.flow, got.cost, got.stats.augmentations),
+                (full.flow, full.cost, full.stats.augmentations)
+            );
+            let pot = &scratch.pot;
+            for u in g.nodes().filter(|u| reach[u.index()]) {
+                let range = g.out_range(u);
+                for (h, &c) in g.hot_arcs()[range.clone()].iter().zip(&g.csr_costs()[range]) {
+                    let rc = c + pot[u.index()] - pot[h.head.index()];
+                    prop_assert!(h.res <= 0 || rc >= 0, "arc {:?}: reduced cost {}", h.id, rc);
+                }
+            }
+        }
+    }
+
+    /// The residual lane, in CSR order.
+    fn residuals(g: &FlowNetwork) -> Vec<Flow> {
+        g.hot_arcs().iter().map(|h| h.res).collect()
+    }
+
+    /// Nodes `s` reaches over arcs with residual capacity.
+    fn reachable(g: &FlowNetwork, s: NodeId) -> Vec<bool> {
+        let mut seen = vec![false; g.num_nodes()];
+        seen[s.index()] = true;
+        let mut stack = vec![s];
+        while let Some(u) = stack.pop() {
+            for h in &g.hot_arcs()[g.out_range(u)] {
+                if h.res > 0 && !seen[h.head.index()] {
+                    seen[h.head.index()] = true;
+                    stack.push(h.head);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn bucket_queue_clear_empties_a_queue_mid_run() {
+        let mut q = BucketQueue::default();
+        q.ensure_nodes(200);
+        for (d, u) in [(3, 150), (3, 7), (0, 199), (900, 2), (255, 64), (70, 9)] {
+            q.push(d, u);
+        }
+        assert_eq!(q.pop(), Some((0, 199)));
+        q.clear();
+        assert_eq!(q.pop(), None);
+        // Empty again (`ensure_nodes` asserts it), and fresh pushes, into a
+        // bucket that was live before the clear too, pop in order.
+        q.ensure_nodes(200);
+        for (d, u) in [(4, 150), (900, 2), (3, 40), (4, 7), (1, 199), (300, 1)] {
+            q.push(d, u);
+        }
+        q.decrease(4, 2, 150);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            [(1, 199), (2, 150), (3, 40), (4, 7), (300, 1), (900, 2)]
+        );
+    }
+
+    /// One scratch threaded through networks of growing and shrinking
+    /// node counts (bucket bitsets of one to three words) solves each
+    /// exactly as a fresh scratch does.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_across_node_counts() {
+        let mut scratch = SolveScratch::new();
+        for seed in 0..120u64 {
+            let costs = [Costs::Small, Costs::Large, Costs::Negative][seed as usize % 3];
+            let max_nodes = [40, 190][seed as usize % 2];
+            let (mut fresh_g, s, t, target) = random_network(seed, costs, max_nodes);
+            let mut g = fresh_g.clone();
+            let want = solve(&mut fresh_g, s, t, target);
+            let got = solve_with(&mut g, s, t, target, &mut scratch);
+            assert_eq!(
+                (got.flow, got.cost, got.stats),
+                (want.flow, want.cost, want.stats),
+                "seed {seed}"
+            );
+            assert_eq!(residuals(&g), residuals(&fresh_g), "seed {seed}");
         }
     }
 
