@@ -13,18 +13,26 @@
 //! optimal in the low single digits, heuristics an order of magnitude
 //! worse — is the reproduction target.
 
-use rsin_bench::{emit_table, parse_or_exit, pct, standard_networks};
+use rsin_bench::{emit_table, parse_or_exit, pct, standard_networks, usage_error};
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
 };
 use rsin_distrib::engine::DistributedScheduler;
-use rsin_sim::blocking::{run_blocking_threads, BlockingConfig};
+use rsin_sim::blocking::{run_blocking_threads, trials_fit, BlockingConfig};
 use rsin_sim::metrics::Sample;
 
 fn main() {
     let trials = std::env::args()
         .nth(1)
         .map_or(2000u64, |a| parse_or_exit("trials", &a));
+    // Each of the seven cells per row runs `trials / 7` trials and keeps one
+    // result per trial until it reduces them.
+    if !trials_fit(trials / 7) {
+        usage_error(&format!(
+            "{trials} trials: the per-cell table of {} results does not fit in memory",
+            trials / 7
+        ));
+    }
     // Worker threads for each Monte-Carlo batch (arg 2). The statistics are
     // bit-identical for any value; default to the host's parallelism.
     let threads = std::env::args().nth(2).map_or_else(

@@ -39,7 +39,7 @@
 
 use rsin_bench::{
     emit_stage_table, emit_table, json_report, json_row, json_str, parse_or_exit, take_flag,
-    write_report,
+    usage_error, write_report,
 };
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
 use rsin_obs::Counter;
@@ -125,58 +125,67 @@ fn main() {
         eprintln!("error: unknown argument {stray:?}");
         std::process::exit(2);
     }
+    // Build every composition before any work starts, so an unusable
+    // shard count or local size is a usage error with the builder's reason.
+    let mut nets = Vec::new();
+    for &shards in &shard_counts {
+        for &global in &globals {
+            match ShardedNetwork::new(ShardedSpec::new(shards, local, global)) {
+                Ok(net) => nets.push((shards, global, net)),
+                Err(e) => usage_error(&format!(
+                    "{shards} shard(s) of omega-{local} under a global {}: {e}",
+                    global.name()
+                )),
+            }
+        }
+    }
 
     println!("SHARDED — {trials} trial(s)/point, {threads} worker thread(s), seed {seed}\n");
 
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut decided: u64 = 0;
-    for &shards in &shard_counts {
-        for &global in &globals {
-            let net = ShardedNetwork::new(ShardedSpec::new(shards, local, global))
-                .expect("sweep composition is well-formed");
-            let total = net.num_ports();
-            for &policy in &policies {
-                for &load in &LOADS {
-                    let k = ((total as f64 * load).round() as usize).max(1);
-                    let cfg = ShardedTrialConfig {
-                        trials,
-                        requests: k,
-                        free: k,
-                        seed,
-                    };
-                    let t0 = Instant::now();
-                    let stats =
-                        run_sharded_trials(&net, policy, &cfg, threads).expect("sharded trials");
-                    let secs = t0.elapsed().as_secs_f64();
-                    assert!(
-                        stats.rebuilds_ok,
-                        "{}: a shard rebuilt its transformation graph mid-run",
-                        net.name()
-                    );
-                    decided += trials * k as u64;
-                    let dps = (trials * k as u64) as f64 / secs.max(1e-9);
-                    rows.push(vec![
-                        net.name(),
-                        policy.name().to_string(),
-                        format!("{load:.2}"),
-                        k.to_string(),
-                        format!("{:.4}", stats.blocking.mean),
-                        format!("{:.1}", stats.allocated.mean),
-                        format!("{:.1}", stats.remote.mean),
-                        format!("{:.1}", stats.stage1_blocked.mean),
-                        format!("{dps:.0}"),
-                    ]);
-                    points.push(SweepPoint {
-                        shards,
-                        local,
-                        global,
-                        policy,
-                        load,
-                        requests: k,
-                        stats,
-                    });
-                }
+    for &(shards, global, ref net) in &nets {
+        let total = net.num_ports();
+        for &policy in &policies {
+            for &load in &LOADS {
+                let k = ((total as f64 * load).round() as usize).max(1);
+                let cfg = ShardedTrialConfig {
+                    trials,
+                    requests: k,
+                    free: k,
+                    seed,
+                };
+                let t0 = Instant::now();
+                let stats = run_sharded_trials(net, policy, &cfg, threads).expect("sharded trials");
+                let secs = t0.elapsed().as_secs_f64();
+                assert!(
+                    stats.rebuilds_ok,
+                    "{}: a shard rebuilt its transformation graph mid-run",
+                    net.name()
+                );
+                decided += trials * k as u64;
+                let dps = (trials * k as u64) as f64 / secs.max(1e-9);
+                rows.push(vec![
+                    net.name(),
+                    policy.name().to_string(),
+                    format!("{load:.2}"),
+                    k.to_string(),
+                    format!("{:.4}", stats.blocking.mean),
+                    format!("{:.1}", stats.allocated.mean),
+                    format!("{:.1}", stats.remote.mean),
+                    format!("{:.1}", stats.stage1_blocked.mean),
+                    format!("{dps:.0}"),
+                ]);
+                points.push(SweepPoint {
+                    shards,
+                    local,
+                    global,
+                    policy,
+                    load,
+                    requests: k,
+                    stats,
+                });
             }
         }
     }

@@ -14,7 +14,7 @@
 //! (Theorem 4), and the mean speedup must reach 100× on every size and
 //! grow with it (the paper's shape); the binary panics otherwise.
 
-use rsin_bench::{emit_table, parse_or_exit};
+use rsin_bench::{emit_table, parse_or_exit, usage_error};
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{MaxFlowScheduler, Scheduler};
 use rsin_distrib::TokenEngine;
@@ -27,6 +27,9 @@ fn main() {
     let trials = std::env::args()
         .nth(1)
         .map_or(300u64, |a| parse_or_exit("trials", &a));
+    if trials == 0 {
+        usage_error("the trial count must be at least 1");
+    }
     let model = CostModel::default();
     println!(
         "SPEEDUP — monitor ({} ns/instruction) vs token propagation ({} ns/clock), {trials} trials\n",

@@ -5,12 +5,16 @@
 use std::process::Command;
 
 fn exit_code(bin: &str, args: &[&str]) -> Option<i32> {
-    Command::new(bin)
-        .args(args)
-        .output()
-        .expect("binary runs")
-        .status
-        .code()
+    run(bin, args).0
+}
+
+/// Exit code and stderr of one run.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -63,4 +67,36 @@ fn positional_count_bins_reject_bad_numbers() {
     // A missing argument still means the default; a good one still runs.
     assert_eq!(exit_code(env!("CARGO_BIN_EXE_topo_report"), &[]), Some(0));
     assert_eq!(exit_code(env!("CARGO_BIN_EXE_analytic"), &["3"]), Some(0));
+}
+
+#[test]
+fn unusable_sharded_compositions_print_the_builder_error() {
+    // Zero shards, and a local size that is no omega size, both parse;
+    // `ShardedNetwork::new` rejects them.
+    let sharded = env!("CARGO_BIN_EXE_sharded");
+    for (args, reason) in [
+        (&["--shards", "0"][..], "shards must be >= 1"),
+        (&["--local", "3"], "must be a power of two"),
+        (&["--shards", "2,0", "--trials", "1"], "shards must be >= 1"),
+    ] {
+        let (code, stderr) = run(sharded, args);
+        assert_eq!(code, Some(2), "sharded {args:?}: {stderr}");
+        assert!(stderr.contains(reason), "sharded {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unusable_counts_are_usage_errors() {
+    // Each count parses but cannot run: a per-trial table too large to
+    // allocate, or zero trials behind a self-check. Both exit 2 with a
+    // message before any work starts.
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_blocking"),
+        &["18446744073709551615", "1"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("does not fit in memory"), "{stderr}");
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_speedup"), &["0"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("at least 1"), "{stderr}");
 }

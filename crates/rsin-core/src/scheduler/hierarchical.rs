@@ -37,7 +37,7 @@
 //! circuit's local path, which the merge drops.
 //!
 //! Every step reuses per-scheduler buffers: stage 1 keeps its buckets, port
-//! table, global circuit state, free-link BFS ([`RemoteSearch`]) and the
+//! table, global circuit state, free-link BFS (`RemoteSearch`) and the
 //! [`Placement`] itself across cycles, each shard keeps its problem's
 //! request and free lists, and every shard solves on one shared all-free
 //! local circuit state, so a warm `schedule` cycle allocates only the
@@ -200,7 +200,7 @@ impl ShardBreakdown {
 /// Reusable buffers for [`RemoteSearch::pick_target`]: the free-link BFS,
 /// the target's downlink slots and the best path so far.
 #[derive(Debug, Default)]
-pub struct RemoteSearch {
+struct RemoteSearch {
     bfs: PathSearch,
     down: Vec<usize>,
     best: Vec<LinkId>,
@@ -213,9 +213,8 @@ impl RemoteSearch {
     /// order, to any of its downlink slots. Returns the shard and the path
     /// to reserve. [`InterShardPolicy::TokenRing`] takes the first such
     /// shard on the ring after `home`, [`InterShardPolicy::MinCost`] the
-    /// shortest path (lowest shard on ties). Stage 1 and the streaming
-    /// session both pick here.
-    pub fn pick_target(
+    /// shortest path (lowest shard on ties).
+    fn pick_target(
         &mut self,
         net: &ShardedNetwork,
         policy: InterShardPolicy,

@@ -25,15 +25,14 @@
 //! paper's Fig. 3 rearrangement), so which processor holds which resource
 //! can differ from any particular batch solve. See DESIGN.md §11.
 //!
-//! ## Costs
+//! ## One backend
 //!
-//! The [`IncrementalBackend::MinCost`] backend runs on the Transformation-2
-//! superset graph (bypass node present but disabled — a streaming service
-//! queues unallocatable requests instead of bypassing them) and augments
-//! along the *cheapest* path, honoring resource prices set via
-//! [`IncrementalScheduler::set_resource_cost`]. Cost optimality of the
-//! retained flow is maintained only between releases; after a release the
-//! flow stays maximum but may no longer be cheapest (DESIGN.md §11).
+//! The scheduler runs on the Transformation-1 shape only. Theorem 3 prices a
+//! mapping through Transformation 2's request and resource arc costs, but a
+//! stream command (`R`/`F`/`S`) carries no priority or preference: on the
+//! priced shape every arc the service reaches would cost 0, so every maximum
+//! flow is already minimum-cost and a cheapest-path search would only be a
+//! slower route to the same allocation count (DESIGN.md §11).
 
 use super::ScheduleError;
 use crate::mapping::{extract, Assignment};
@@ -41,26 +40,26 @@ use crate::model::ScheduleProblem;
 use crate::transform::reusable::ReusableTransform;
 use crate::transform::Transformed;
 use rsin_flow::path::PathWalk;
-use rsin_flow::{ArcId, Cost, SolveScratch};
+use rsin_flow::{ArcId, SolveScratch};
 use rsin_obs::{Counter, Hist, NoopProbe, Probe, SpanPhase};
 use rsin_topology::{CircuitState, Network};
 
-/// Which flow discipline the incremental scheduler augments with.
+/// The flow discipline the incremental scheduler augments with. It has
+/// one variant; the type and the `backend` parameters of
+/// [`IncrementalScheduler::new`] and `rsin_sim::stream::replay_incremental`
+/// stay only because the benchmark package spells them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalBackend {
     /// Transformation 1: BFS shortest augmenting path (Theorem 2).
     MaxFlow,
-    /// Transformation 2 shape: cheapest augmenting path (Bellman–Ford) over
-    /// priced resource arcs.
-    MinCost,
 }
 
 impl IncrementalBackend {
-    /// Stable lowercase name (used in decision logs and CLI flags).
+    /// Stable lowercase name (serve's sweep rows and trace source, replay
+    /// errors).
     pub const fn name(self) -> &'static str {
         match self {
             IncrementalBackend::MaxFlow => "maxflow",
-            IncrementalBackend::MinCost => "mincost",
         }
     }
 }
@@ -125,7 +124,6 @@ enum ProcState {
 pub struct IncrementalScheduler {
     reusable: ReusableTransform,
     scratch: SolveScratch,
-    backend: IncrementalBackend,
     state: Vec<ProcState>,
     cancel_buf: Vec<ArcId>,
     allocated: usize,
@@ -143,19 +141,15 @@ impl IncrementalScheduler {
     ///
     /// All resources start free and all processors idle; the network's links
     /// are all available. The scheduler holds no borrow of `net` afterwards.
+    /// `backend` has one value and is kept only because the benchmark
+    /// package passes it.
     pub fn new(net: &Network, backend: IncrementalBackend) -> Self {
+        let IncrementalBackend::MaxFlow = backend;
         let mut reusable = ReusableTransform::new();
         {
             let cs = CircuitState::new(net);
             let problem = ScheduleProblem::homogeneous(&cs, &[], &[]);
-            match backend {
-                IncrementalBackend::MaxFlow => {
-                    reusable.configure_max_flow(&problem);
-                }
-                IncrementalBackend::MinCost => {
-                    reusable.configure_min_cost(&problem);
-                }
-            }
+            reusable.configure_max_flow(&problem);
         }
         let t = reusable.transformed_mut().expect("configured above");
         for i in 0..t.resource_arcs.len() {
@@ -166,7 +160,6 @@ impl IncrementalScheduler {
         IncrementalScheduler {
             reusable,
             scratch: SolveScratch::new(),
-            backend,
             state: vec![ProcState::Idle; np],
             cancel_buf: Vec::new(),
             allocated: 0,
@@ -174,25 +167,6 @@ impl IncrementalScheduler {
             next_req: 1,
             req_ids: vec![0; np],
         }
-    }
-
-    /// The backend this scheduler augments with.
-    pub fn backend(&self) -> IncrementalBackend {
-        self.backend
-    }
-
-    /// Price a resource for the min-cost backend (Transformation 2 charges
-    /// `q_max − q_w` on the resource arc, so *lower* cost = more preferred).
-    /// Ignored by the max-flow backend's BFS. Errors if the resource does
-    /// not exist.
-    pub fn set_resource_cost(&mut self, resource: usize, cost: Cost) -> Result<(), ScheduleError> {
-        let t = self.transformed_checked()?;
-        let &(_, a) = t
-            .resource_arcs
-            .get(resource)
-            .ok_or(ScheduleError::Internal("resource index out of range"))?;
-        t.flow.set_cost(a, cost);
-        Ok(())
     }
 
     /// Processors currently holding an allocation.
@@ -252,7 +226,6 @@ impl IncrementalScheduler {
         self.next_req += 1;
         self.req_ids[processor] = req;
         let span = probe.start();
-        let backend = self.backend;
         let scratch = &mut self.scratch;
         let t = self
             .reusable
@@ -260,11 +233,7 @@ impl IncrementalScheduler {
             .ok_or(ScheduleError::Internal("transform not configured"))?;
         let (_, arc) = t.request_arcs[processor];
         t.flow.set_cap(arc, 1);
-        let routed = match backend {
-            IncrementalBackend::MaxFlow => t.flow.augment_one(t.source, t.sink, scratch),
-            IncrementalBackend::MinCost => t.flow.augment_one_cheapest(t.source, t.sink, scratch),
-        };
-        let decision = if let Some(aug) = routed {
+        let decision = if let Some(aug) = t.flow.augment_one(t.source, t.sink, scratch) {
             // The augmenting path necessarily starts with this arrival's
             // source arc (any path avoiding it would have existed before the
             // arrival, contradicting retained maximality) and ends on the
@@ -334,7 +303,6 @@ impl IncrementalScheduler {
                 Ok(decision)
             }
             ProcState::Allocated => {
-                let backend = self.backend;
                 let scratch = &mut self.scratch;
                 let cancel_buf = &mut self.cancel_buf;
                 let t = self
@@ -357,16 +325,7 @@ impl IncrementalScheduler {
                 // Restore maximality: at most one queued request fits the
                 // freed capacity (the optimum dropped by at most one).
                 let mut promoted = None;
-                loop {
-                    let routed = match backend {
-                        IncrementalBackend::MaxFlow => {
-                            t.flow.augment_one(t.source, t.sink, scratch)
-                        }
-                        IncrementalBackend::MinCost => {
-                            t.flow.augment_one_cheapest(t.source, t.sink, scratch)
-                        }
-                    };
-                    let Some(aug) = routed else { break };
+                while let Some(aug) = t.flow.augment_one(t.source, t.sink, scratch) {
                     debug_assert!(promoted.is_none(), "optimum can only rise by one");
                     // The path's first arc is the (unique) newly saturated
                     // source arc of the promoted queued request, and its
@@ -522,62 +481,43 @@ mod tests {
     #[test]
     fn retained_mapping_stays_valid_and_count_matches_batch() {
         let net = omega(8).unwrap();
-        for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-            let mut inc = IncrementalScheduler::new(&net, backend);
-            let script: &[(bool, usize)] = &[
-                (true, 0),
-                (true, 3),
-                (true, 5),
-                (false, 3),
-                (true, 7),
-                (true, 3),
-                (false, 0),
-                (true, 2),
-            ];
-            let mut active = Vec::new();
-            for &(arrive, p) in script {
-                if arrive {
-                    inc.request(p).unwrap();
-                    active.push(p);
-                } else {
-                    inc.release(p).unwrap();
-                    active.retain(|&q| q != p);
-                }
-                active.sort_unstable();
-                // Oracle: batch fresh-solve over the same active set on a
-                // free network.
-                let cs = CircuitState::new(&net);
-                let all: Vec<usize> = (0..net.num_resources()).collect();
-                let problem = ScheduleProblem::homogeneous(&cs, &active, &all);
-                let batch = MaxFlowScheduler::default().schedule(&problem);
-                assert_eq!(
-                    inc.allocated_count(),
-                    batch.assignments.len(),
-                    "{backend:?} diverged from batch on active={active:?}"
-                );
-                let assignments = inc.assignments().unwrap();
-                assert_eq!(assignments.len(), inc.allocated_count());
-                verify(&assignments, &problem).unwrap();
+        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
+        let script: &[(bool, usize)] = &[
+            (true, 0),
+            (true, 3),
+            (true, 5),
+            (false, 3),
+            (true, 7),
+            (true, 3),
+            (false, 0),
+            (true, 2),
+        ];
+        let mut active = Vec::new();
+        for &(arrive, p) in script {
+            if arrive {
+                inc.request(p).unwrap();
+                active.push(p);
+            } else {
+                inc.release(p).unwrap();
+                active.retain(|&q| q != p);
             }
-            assert_eq!(inc.rebuilds(), 1);
+            active.sort_unstable();
+            // Oracle: batch fresh-solve over the same active set on a
+            // free network.
+            let cs = CircuitState::new(&net);
+            let all: Vec<usize> = (0..net.num_resources()).collect();
+            let problem = ScheduleProblem::homogeneous(&cs, &active, &all);
+            let batch = MaxFlowScheduler::default().schedule(&problem);
+            assert_eq!(
+                inc.allocated_count(),
+                batch.assignments.len(),
+                "diverged from batch on active={active:?}"
+            );
+            let assignments = inc.assignments().unwrap();
+            assert_eq!(assignments.len(), inc.allocated_count());
+            verify(&assignments, &problem).unwrap();
         }
-    }
-
-    #[test]
-    fn min_cost_backend_honors_resource_prices() {
-        let net = omega(8).unwrap();
-        let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MinCost);
-        // Make r5 the unique cheapest resource; the first arrival that can
-        // reach it should take it.
-        for r in 0..8 {
-            inc.set_resource_cost(r, if r == 5 { 0 } else { 10 })
-                .unwrap();
-        }
-        let d = inc.request(1).unwrap();
-        let StreamDecision::Allocated { resource, .. } = d else {
-            panic!("expected allocation, got {d:?}");
-        };
-        assert_eq!(resource, 5, "cheapest augmenting path prefers r5");
+        assert_eq!(inc.rebuilds(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use exhaustive::ExhaustiveScheduler;
 pub use heuristic::{AddressMappedScheduler, GreedyScheduler, RequestOrder};
 pub use hierarchical::{
     GlobalAssignment, HierarchicalOutcome, HierarchicalScheduler, InterShardPolicy, Placement,
-    RemoteSearch, ShardBreakdown, ShardPlan,
+    ShardBreakdown, ShardPlan,
 };
 pub use incremental::{IncrementalBackend, IncrementalScheduler, PromotedRequest, StreamDecision};
 pub use matching::MatchingScheduler;

@@ -21,21 +21,13 @@
 //!   with value reduced by one.
 //!
 //! Both reuse [`SolveScratch`] buffers, so a steady-state decision performs
-//! no allocations. [`FlowNetwork::augment_one_cheapest`] is the
-//! Transformation-2 variant: a Bellman–Ford cheapest augmenting path
-//! (residual costs may be negative after cancellations, so Dijkstra with
-//! potentials is not available); when a release has left a negative residual
-//! cycle the predecessor tree can be corrupt, in which case it falls back to
-//! the plain BFS augmentation — the allocation count is unaffected, only
-//! cost optimality degrades (see DESIGN.md §11).
+//! no allocations. There is no cheapest-path variant: a streaming command
+//! carries no priority or preference, so every arc a service reaches costs
+//! 0 and every maximum flow is already minimum-cost (DESIGN.md §11).
 
 use crate::graph::{ArcId, FlowNetwork, NodeId};
 use crate::scratch::{SolveScratch, UNLEVELLED};
-use crate::{Cost, Flow};
-
-/// Distance sentinel for "not reached" in the Bellman–Ford pass, far from
-/// overflow when arc costs are added.
-const UNREACHED: Cost = Cost::MAX / 4;
+use crate::Flow;
 
 /// A completed warm-start augmentation. The endpoint arcs matter to
 /// schedulers: an augmenting path changes the saturation of exactly one
@@ -50,8 +42,6 @@ pub struct Augmentation {
     pub first: ArcId,
     /// The path's last arc (into the sink).
     pub last: ArcId,
-    /// Per-unit path cost × bottleneck (0 on uncosted graphs).
-    pub cost: Cost,
 }
 
 impl FlowNetwork {
@@ -107,7 +97,6 @@ impl FlowNetwork {
             scratch.path.push(a);
             v = self.tail(a);
         }
-        let per_unit: Cost = scratch.path.iter().map(|&a| self.arc_cost(a)).sum();
         for &a in &scratch.path {
             self.push(a, bottleneck);
         }
@@ -116,87 +105,6 @@ impl FlowNetwork {
             bottleneck,
             first: *scratch.path.last().expect("path is nonempty"),
             last: scratch.path[0],
-            cost: per_unit * bottleneck,
-        })
-    }
-
-    /// One *cheapest* augmenting path from `s` to `t` (Bellman–Ford over the
-    /// residual graph, which may carry negative backward costs); pushes the
-    /// bottleneck and describes the path like [`augment_one`](Self::augment_one).
-    ///
-    /// Successive cheapest augmentations from a min-cost flow stay min-cost;
-    /// after a [`cancel_path`](Self::cancel_path) the retained flow may no
-    /// longer be cost-optimal and the residual graph may contain a negative
-    /// cycle. Bellman–Ford still terminates (the pass count is bounded by
-    /// the node count), but its predecessor tree may then be cyclic; the
-    /// reconstruction is bounded and falls back to
-    /// [`augment_one`](Self::augment_one)
-    /// (allocation-equivalent, cost-suboptimal) if it does not reach `s`.
-    pub fn augment_one_cheapest(
-        &mut self,
-        s: NodeId,
-        t: NodeId,
-        scratch: &mut SolveScratch,
-    ) -> Option<Augmentation> {
-        self.ensure_csr();
-        let n = self.num_nodes();
-        scratch.ensure_nodes(n);
-        scratch.dist[..n].fill(UNREACHED);
-        for p in scratch.parent[..n].iter_mut() {
-            *p = None;
-        }
-        scratch.dist[s.index()] = 0;
-        for _ in 1..n.max(2) {
-            let mut changed = false;
-            // num_arcs() counts forward arcs; slot i*2+1 is the residual twin.
-            for i in 0..self.num_arcs() * 2 {
-                let a = ArcId(i as u32);
-                if self.residual(a) <= 0 {
-                    continue;
-                }
-                let du = scratch.dist[self.tail(a).index()];
-                if du >= UNREACHED {
-                    continue;
-                }
-                let nd = du + self.arc_cost(a);
-                let to = self.head(a);
-                if nd < scratch.dist[to.index()] {
-                    scratch.dist[to.index()] = nd;
-                    scratch.parent[to.index()] = Some(a);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        if scratch.dist[t.index()] >= UNREACHED {
-            return None;
-        }
-        scratch.path.clear();
-        let mut v = t;
-        let mut bottleneck = Flow::MAX;
-        let mut steps = 0usize;
-        while v != s {
-            steps += 1;
-            let a = match scratch.parent[v.index()] {
-                Some(a) if steps <= n => a,
-                // Negative-cycle-corrupted tree: fall back to plain BFS.
-                _ => return self.augment_one(s, t, scratch),
-            };
-            bottleneck = bottleneck.min(self.residual(a));
-            scratch.path.push(a);
-            v = self.tail(a);
-        }
-        let per_unit: Cost = scratch.path.iter().map(|&a| self.arc_cost(a)).sum();
-        for &a in &scratch.path {
-            self.push(a, bottleneck);
-        }
-        Some(Augmentation {
-            bottleneck,
-            first: *scratch.path.last().expect("path is nonempty"),
-            last: scratch.path[0],
-            cost: per_unit * bottleneck,
         })
     }
 
@@ -358,27 +266,6 @@ mod tests {
         // The legal one still works and leaves a legal empty flow.
         assert!(g.cancel_path(sa, t, &mut buf).is_ok());
         assert_eq!(g.check_legal_flow(s, t).unwrap(), 0);
-    }
-
-    #[test]
-    fn cheapest_augmentation_prefers_the_cheap_path() {
-        let mut g = FlowNetwork::new();
-        let s = g.add_node("s");
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let t = g.add_node("t");
-        let sa = g.add_arc(s, a, 1, 5);
-        let sb = g.add_arc(s, b, 1, 1);
-        g.add_arc(a, t, 1, 0);
-        g.add_arc(b, t, 1, 0);
-        let mut scratch = SolveScratch::new();
-        let aug = g.augment_one_cheapest(s, t, &mut scratch).unwrap();
-        assert_eq!((aug.bottleneck, aug.cost, aug.first), (1, 1, sb));
-        assert_eq!(g.arc(sb).flow, 1, "cheap leg first");
-        assert_eq!(g.arc(sa).flow, 0);
-        let aug = g.augment_one_cheapest(s, t, &mut scratch).unwrap();
-        assert_eq!((aug.bottleneck, aug.cost, aug.first), (1, 5, sa));
-        assert!(g.augment_one_cheapest(s, t, &mut scratch).is_none());
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! Usage:
 //!
 //! ```text
-//! serve [--net <name>] [--backend maxflow|mincost]
+//! serve [--net <name>]
 //!       [--seed S] [--events N] [--load F] [--trial T]
 //!       [--record FILE] [--replay FILE] [--decisions FILE] [--sweep]
 //!       [--heavy] [--json] [--stats-every N] [--stats-latency] [--trace FILE]
 //! ```
+//!
+//! Every decision is one warm-start BFS augmentation on the retained
+//! Transformation-1 flow; there is no backend choice.
 //!
 //! Modes (in precedence order):
 //!   --record FILE   generate a deterministic command log and write it; no
@@ -58,9 +61,12 @@ use rsin_topology::{GlobalTopology, Network, ShardedNetwork, ShardedSpec};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The one incremental discipline, named in the sweep header, its JSON rows
+/// and the trace source.
+const BACKEND: IncrementalBackend = IncrementalBackend::MaxFlow;
+
 struct Args {
     net: String,
-    backend: IncrementalBackend,
     seed: u64,
     trial: u64,
     events: usize,
@@ -79,7 +85,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         net: "omega16".to_string(),
-        backend: IncrementalBackend::MaxFlow,
         seed: 7,
         trial: 0,
         events: 512,
@@ -105,13 +110,6 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--net" => args.net = value(&mut i)?,
-            "--backend" => {
-                args.backend = match value(&mut i)?.as_str() {
-                    "maxflow" => IncrementalBackend::MaxFlow,
-                    "mincost" => IncrementalBackend::MinCost,
-                    other => return Err(format!("unknown backend {other:?}")),
-                }
-            }
             "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--trial" => args.trial = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--events" => args.events = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
@@ -137,7 +135,20 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
+    check_stream_fits(args.events, args.stats_every)?;
     Ok(args)
+}
+
+/// A generated stream holds every command in memory, stats probes included,
+/// so an event count whose stream cannot be allocated is a usage error
+/// before any work starts.
+fn check_stream_fits(events: usize, stats_every: usize) -> Result<(), String> {
+    let probes = events.checked_div(stats_every).map_or(0, |n| n + 1);
+    events
+        .checked_add(probes)
+        .filter(|&n| Vec::<StreamCommand>::new().try_reserve_exact(n).is_ok())
+        .map(|_| ())
+        .ok_or_else(|| format!("--events {events}: the command stream does not fit in memory"))
 }
 
 fn build_network(spec: &str) -> Result<Network, String> {
@@ -206,7 +217,7 @@ fn sweep(net: &Network, args: &Args) {
             if args.heavy { " (heavy)" } else { "" },
             args.net,
             args.events,
-            args.backend.name()
+            BACKEND.name()
         );
         println!(
             "{:>6} {:>14} {:>14} {:>9} {:>9} {:>9} {:>9} {:>7}",
@@ -230,20 +241,16 @@ fn sweep(net: &Network, args: &Args) {
             args.trial,
         );
         let t0 = Instant::now();
-        let inc = replay_incremental(net, args.backend, &cmds).expect("valid stream");
+        let inc = replay_incremental(net, BACKEND, &cmds).expect("valid stream");
         let inc_secs = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let batch = replay_batch(net, &cmds).expect("valid stream");
         let batch_secs = t1.elapsed().as_secs_f64();
         assert_eq!(inc.len(), batch.len());
         let telemetry = Arc::new(Telemetry::new());
-        let config = ServerConfig {
-            backend: args.backend,
-            stats_latency: false,
-        };
         let report = serve_commands_probed(
             net,
-            config,
+            ServerConfig::default(),
             &cmds,
             Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
         );
@@ -259,7 +266,7 @@ fn sweep(net: &Network, args: &Args) {
                  \"decision_latency_ns\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}}, \
                  \"queued\": {}}}{}",
                 args.net,
-                args.backend.name(),
+                BACKEND.name(),
                 cmds.len(),
                 lat.p50(),
                 lat.p90(),
@@ -329,7 +336,6 @@ fn run() -> Result<(), String> {
     };
 
     let config = ServerConfig {
-        backend: args.backend,
         stats_latency: args.stats_latency,
     };
     let recorder = args
@@ -353,7 +359,7 @@ fn run() -> Result<(), String> {
     }
     if let (Some(path), Some(recorder)) = (&args.trace, &recorder) {
         let snap = recorder.snapshot();
-        let source = format!("serve/{}/{}", args.net, args.backend.name());
+        let source = format!("serve/{}/{}", args.net, BACKEND.name());
         std::fs::write(path, snap.to_chrome_json(&source))
             .map_err(|e| format!("write {path}: {e}"))?;
         println!(

@@ -38,24 +38,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How a [`Server`] is run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerConfig {
-    /// Flow discipline for the retained graph.
-    pub backend: IncrementalBackend,
     /// Append wall-clock decision-latency quantiles (`p50_ns=`/`p90_ns=`/
     /// `p99_ns=`, over the window since the previous `S` probe) to every
     /// stats line. Off by default: latency values vary run to run, so the
     /// determinism contract covers only the event-count fields.
     pub stats_latency: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            backend: IncrementalBackend::MaxFlow,
-            stats_latency: false,
-        }
-    }
 }
 
 /// Final accounting of a served stream.
@@ -185,7 +174,7 @@ impl Server {
         config: ServerConfig,
         probe: Arc<dyn Probe + Send + Sync>,
     ) -> Server {
-        let inc = IncrementalScheduler::new(net, config.backend);
+        let inc = IncrementalScheduler::new(net, IncrementalBackend::MaxFlow);
         let (submit_tx, submit_rx) = mpsc::channel::<StreamCommand>();
         let scheduler = std::thread::spawn(move || {
             scheduler_loop(inc, &*probe, config.stats_latency, submit_rx)
@@ -333,23 +322,14 @@ mod tests {
     use rsin_sim::stream::{generate_commands, replay_incremental, with_stats_every};
     use rsin_topology::builders::omega;
 
-    fn cfg(backend: IncrementalBackend) -> ServerConfig {
-        ServerConfig {
-            backend,
-            stats_latency: false,
-        }
-    }
-
     /// The server-free reference log: `replay_incremental` decisions
     /// rendered with `format_decision`, and every `S` probe rendered with
     /// `format_stats` from counts and occupancy derived from the decisions
     /// before it.
-    fn reference_log(
-        net: &Network,
-        backend: IncrementalBackend,
-        cmds: &[StreamCommand],
-    ) -> Vec<String> {
-        let mut decisions = replay_incremental(net, backend, cmds).unwrap().into_iter();
+    fn reference_log(net: &Network, cmds: &[StreamCommand]) -> Vec<String> {
+        let mut decisions = replay_incremental(net, IncrementalBackend::MaxFlow, cmds)
+            .unwrap()
+            .into_iter();
         let mut snap = StatsSnapshot::default();
         let mut lines = Vec::with_capacity(cmds.len());
         for (seq, cmd) in cmds.iter().enumerate() {
@@ -391,28 +371,22 @@ mod tests {
     #[test]
     fn decision_log_is_byte_identical_across_worker_counts() {
         // One thread decides and renders, so the log equals the server-free
-        // reference line for line, in seq order, on either backend.
+        // reference line for line, in seq order.
         let net = omega(8).unwrap();
         let cmds = with_stats_every(&generate_commands(8, 400, 0.7, 21, 0), 64);
-        for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-            let report = serve_commands(&net, cfg(backend), &cmds);
-            assert_eq!(
-                report.lines,
-                reference_log(&net, backend, &cmds),
-                "{backend:?}"
-            );
-            assert_eq!(report.rebuilds, 1);
-            assert_eq!(report.decisions, 400);
-            assert_eq!(report.stats_probes, 7);
-            assert_eq!(report.errors, 0);
-        }
+        let report = serve_commands(&net, ServerConfig::default(), &cmds);
+        assert_eq!(report.lines, reference_log(&net, &cmds));
+        assert_eq!(report.rebuilds, 1);
+        assert_eq!(report.decisions, 400);
+        assert_eq!(report.stats_probes, 7);
+        assert_eq!(report.errors, 0);
     }
 
     #[test]
     fn server_log_matches_direct_replay() {
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 200, 0.6, 9, 0);
-        let report = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
+        let report = serve_commands(&net, ServerConfig::default(), &cmds);
         let direct = replay_incremental(&net, IncrementalBackend::MaxFlow, &cmds).unwrap();
         let want: Vec<String> = direct
             .iter()
@@ -425,7 +399,7 @@ mod tests {
     #[test]
     fn malformed_commands_become_error_lines_and_service_survives() {
         let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, ServerConfig::default());
         server
             .submit(StreamCommand::Request { processor: 0 })
             .unwrap();
@@ -468,7 +442,7 @@ mod tests {
         let telemetry = Arc::new(Telemetry::new());
         let report = serve_commands_probed(
             &net,
-            cfg(IncrementalBackend::MaxFlow),
+            ServerConfig::default(),
             &cmds,
             Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
         );
@@ -490,38 +464,36 @@ mod tests {
     fn stats_lines_snapshot_the_stream_position_at_any_worker_count() {
         let net = omega(8).unwrap();
         let cmds = with_stats_every(&generate_commands(8, 300, 0.7, 21, 0), 50);
-        for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-            let one = serve_commands(&net, cfg(backend), &cmds);
-            assert_eq!(
-                one.lines,
-                reference_log(&net, backend, &cmds),
-                "stats lines left their stream position ({backend:?})"
-            );
-            assert_eq!(one.stats_probes, 6, "one probe per 50-command chunk");
-            assert_eq!(one.decisions, 300);
-            let stats: Vec<&String> = one.lines.iter().filter(|l| l.contains(" stats ")).collect();
-            assert_eq!(stats.len(), 6);
-            // The first probe sits at seq 50 and has seen exactly 50 decisions.
-            assert!(
-                stats[0].starts_with("50 stats decisions=50 errors=0 "),
-                "{}",
-                stats[0]
-            );
-            // The last probe's cumulative per-kind counts add up to the final
-            // report, and its occupancy matches shutdown occupancy (no
-            // commands follow it).
-            let last = stats.last().unwrap();
-            assert!(
-                last.contains(&format!(
-                    "allocated={} queued={}",
-                    one.allocated, one.queued
-                )),
-                "{last}"
-            );
-            assert!(last.contains("decisions=300"), "{last}");
-            // No wall-clock fields without the flag.
-            assert!(!last.contains("p50_ns="), "{last}");
-        }
+        let one = serve_commands(&net, ServerConfig::default(), &cmds);
+        assert_eq!(
+            one.lines,
+            reference_log(&net, &cmds),
+            "stats lines left their stream position"
+        );
+        assert_eq!(one.stats_probes, 6, "one probe per 50-command chunk");
+        assert_eq!(one.decisions, 300);
+        let stats: Vec<&String> = one.lines.iter().filter(|l| l.contains(" stats ")).collect();
+        assert_eq!(stats.len(), 6);
+        // The first probe sits at seq 50 and has seen exactly 50 decisions.
+        assert!(
+            stats[0].starts_with("50 stats decisions=50 errors=0 "),
+            "{}",
+            stats[0]
+        );
+        // The last probe's cumulative per-kind counts add up to the final
+        // report, and its occupancy matches shutdown occupancy (no
+        // commands follow it).
+        let last = stats.last().unwrap();
+        assert!(
+            last.contains(&format!(
+                "allocated={} queued={}",
+                one.allocated, one.queued
+            )),
+            "{last}"
+        );
+        assert!(last.contains("decisions=300"), "{last}");
+        // No wall-clock fields without the flag.
+        assert!(!last.contains("p50_ns="), "{last}");
     }
 
     #[test]
@@ -529,8 +501,9 @@ mod tests {
         let net = omega(8).unwrap();
         let mut cmds = generate_commands(8, 40, 0.7, 3, 0);
         cmds.push(StreamCommand::Stats);
-        let mut config = cfg(IncrementalBackend::MaxFlow);
-        config.stats_latency = true;
+        let config = ServerConfig {
+            stats_latency: true,
+        };
         let report = serve_commands(&net, config, &cmds);
         let stats_line = report
             .lines
@@ -541,7 +514,7 @@ mod tests {
             assert!(stats_line.contains(field), "{stats_line}");
         }
         // The deterministic prefix is unchanged by the flag.
-        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
+        let plain = serve_commands(&net, ServerConfig::default(), &cmds);
         let plain_line = plain.lines.iter().find(|l| l.contains(" stats ")).unwrap();
         assert!(stats_line.starts_with(plain_line.as_str()), "{stats_line}");
     }
@@ -551,11 +524,11 @@ mod tests {
         use rsin_obs::{validate_spans, FlightRecorder, SpanPhase};
         let net = omega(8).unwrap();
         let cmds = generate_commands(8, 200, 0.8, 17, 0);
-        let plain = serve_commands(&net, cfg(IncrementalBackend::MaxFlow), &cmds);
+        let plain = serve_commands(&net, ServerConfig::default(), &cmds);
         let recorder = Arc::new(FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY));
         let traced = serve_commands_probed(
             &net,
-            cfg(IncrementalBackend::MaxFlow),
+            ServerConfig::default(),
             &cmds,
             Arc::clone(&recorder) as Arc<dyn Probe + Send + Sync>,
         );
@@ -584,7 +557,7 @@ mod tests {
         // Saturate a tiny crossbar-free scenario: more requests than
         // resources forces queueing, then a release must promote.
         let net = omega(4).unwrap();
-        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, ServerConfig::default());
         for p in 0..4 {
             server
                 .submit(StreamCommand::Request { processor: p })
@@ -603,7 +576,7 @@ mod tests {
     #[test]
     fn drop_without_finish_does_not_hang() {
         let net = omega(8).unwrap();
-        let server = Server::start(&net, cfg(IncrementalBackend::MaxFlow));
+        let server = Server::start(&net, ServerConfig::default());
         server
             .submit(StreamCommand::Request { processor: 1 })
             .unwrap();

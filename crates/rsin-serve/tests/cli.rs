@@ -28,6 +28,19 @@ fn bad_arguments_are_usage_errors() {
 }
 
 #[test]
+fn an_event_count_too_large_to_hold_is_a_usage_error() {
+    // The generated stream is held in memory; a count it cannot hold exits
+    // 2 with a message before any work starts, not with a capacity panic.
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--events", "18446744073709551615", "--load", "0"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("does not fit in memory"), "{stderr}");
+}
+
+#[test]
 fn loads_past_saturation_stay_legal() {
     // The `--heavy` ladder drives the generator at rho > 1.
     assert_eq!(

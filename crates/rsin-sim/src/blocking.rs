@@ -48,6 +48,14 @@ struct TrialResult {
     allocated: f64,
 }
 
+/// Whether a run of `trials` trials can hold its per-trial results: the
+/// pool keeps one slot per trial until the reduction. A caller checks this
+/// before starting work, so an oversized count is an error it can report
+/// rather than an allocation failure mid-run.
+pub fn trials_fit(trials: u64) -> bool {
+    usize::try_from(trials).is_ok_and(crate::pool::table_fits::<Result<TrialResult, ScheduleError>>)
+}
+
 /// One Monte-Carlo trial. A pure function of `(net, scheduler, cfg, trial)`:
 /// the RNG stream is derived from `(seed, trial)` alone and the scratch only
 /// caches topology-dependent structures, so the result is independent of

@@ -22,8 +22,7 @@
 //!   [`TrialGrid`] of configurations × independent `(seed, trial)` streams
 //!   on one worker pool, with replicas merged deterministically;
 //! * [`sharded`] — sharded-system experiments: hierarchical and
-//!   flat-oracle conformance trials, and the streaming
-//!   [`sharded::ShardedSession`] over an MRSIN-of-MRSINs;
+//!   flat-oracle conformance trials over an MRSIN-of-MRSINs;
 //! * [`stream`] — streaming command logs for the incremental scheduler:
 //!   deterministic request/release generators, the `R`/`F` text codec, the
 //!   canonical decision-log line, and warm-start vs batch replay helpers;
@@ -73,8 +72,7 @@ pub use replicate::{
     ReplicatedStats, TrialGrid,
 };
 pub use sharded::{
-    run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedSession, ShardedStats,
-    ShardedTrialConfig,
+    run_paired_trials, run_sharded_trials, sharded_snapshot, ShardedStats, ShardedTrialConfig,
 };
 pub use system::{
     fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, DynamicStats, FaultModel,

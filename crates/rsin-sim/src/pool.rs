@@ -70,6 +70,12 @@ where
         .collect()
 }
 
+/// Whether the slot table for `tasks` results of type `T` can be
+/// allocated. The probe allocation is released at once.
+pub fn table_fits<T>(tasks: usize) -> bool {
+    Vec::<OnceLock<T>>::new().try_reserve_exact(tasks).is_ok()
+}
+
 /// [`run_indexed_with`] for stateless tasks.
 pub fn run_indexed<T, F>(tasks: usize, threads: usize, run: F) -> Vec<T>
 where

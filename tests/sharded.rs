@@ -1,27 +1,19 @@
 //! Sharded hierarchical conformance (proptest).
 //!
-//! Two contracts over the MRSIN-of-MRSINs composition (DESIGN.md §12):
-//!
-//! * **Oracle conformance** — on any small composable topology and any
-//!   request/free snapshot, the two-stage hierarchical cycle never
-//!   allocates more than the flat Theorem-2 fresh solve on the flattened
-//!   fabric, every shard's transformation graph builds exactly once, and in
-//!   aggregate the hierarchical allocation count stays above a configurable
-//!   fraction of the flat oracle's (`RSIN_SHARD_CONFORMANCE_FRAC`,
-//!   default 0.75).
-//! * **Placement consistency** — in a streaming [`ShardedSession`], every
-//!   admission (home or cross-shard) lands on a shard with genuinely free
-//!   capacity, no two origins ever share a seat, and the shard-local
-//!   occupancy view never disagrees with the session's global accounting,
-//!   for arbitrary arrival/release interleavings.
+//! Oracle conformance over the MRSIN-of-MRSINs composition (DESIGN.md
+//! §12): on any small composable topology and any request/free snapshot,
+//! the two-stage hierarchical cycle never allocates more than the flat
+//! Theorem-2 fresh solve on the flattened fabric, every shard's
+//! transformation graph builds exactly once, and in aggregate the
+//! hierarchical allocation count stays above a configurable fraction of the
+//! flat oracle's (`RSIN_SHARD_CONFORMANCE_FRAC`, default 0.75).
 
 use proptest::prelude::*;
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{
     HierarchicalScheduler, InterShardPolicy, MaxFlowScheduler, ScheduleScratch, Scheduler,
-    StreamDecision,
 };
-use rsin_sim::sharded::{run_paired_trials, ShardedSession, ShardedTrialConfig};
+use rsin_sim::sharded::{run_paired_trials, ShardedTrialConfig};
 use rsin_topology::{CircuitState, GlobalTopology, ShardedNetwork, ShardedSpec};
 use std::collections::HashSet;
 
@@ -180,112 +172,5 @@ fn flattened_scale_grows_with_shards() {
         // local omega-16, downlink, mergers); the global omega adds the
         // rest.
         assert!(box_ports >= shards * 264, "only {box_ports} box ports");
-    }
-}
-
-/// Replay a toggle script through a [`ShardedSession`], checking the
-/// placement-consistency contract after every event.
-fn check_session(
-    net: &ShardedNetwork,
-    policy: InterShardPolicy,
-    script: &[usize],
-) -> Result<(), TestCaseError> {
-    let total = net.num_ports();
-    let local = net.spec().local_ports;
-    let mut session = ShardedSession::new(
-        net,
-        policy,
-        rsin_core::scheduler::IncrementalBackend::MaxFlow,
-    );
-    let mut active = vec![false; total];
-    for &origin in script {
-        let origin = origin % total;
-        // Occupancy before the event, per shard, from the session's own
-        // seat map — the admission contract is judged against this view.
-        let occupancy_before = |s: usize| -> usize {
-            (0..total)
-                .filter(|&o| session.origin_seat(o).is_some_and(|(sh, _, _)| sh == s))
-                .count()
-        };
-        let before: Vec<usize> = (0..net.shards()).map(occupancy_before).collect();
-        if active[origin] {
-            active[origin] = false;
-            session.release(origin).expect("valid release");
-        } else {
-            active[origin] = true;
-            let decision = session.request(origin).expect("valid request");
-            if let StreamDecision::Allocated { processor, .. } = decision {
-                prop_assert_eq!(processor, origin);
-                let (shard, _, remote) = session.origin_seat(origin).expect("seated");
-                // Stage-1 contract: the admission landed on a shard that
-                // genuinely had free capacity, and went remote only
-                // because the home shard genuinely had none.
-                prop_assert!(
-                    before[shard] < local,
-                    "origin {} seated on full shard {}",
-                    origin,
-                    shard
-                );
-                if remote {
-                    prop_assert_eq!(
-                        before[origin / local],
-                        local,
-                        "origin {} went remote although its home shard had capacity",
-                        origin
-                    );
-                }
-            }
-        }
-        // Global/local consistency after every event: seats are unique,
-        // within bounds, counted identically by the per-shard schedulers
-        // and the session accounting, and only active origins hold them.
-        let seats: Vec<(usize, usize, usize, bool)> = (0..total)
-            .filter_map(|o| session.origin_seat(o).map(|(s, p, r)| (o, s, p, r)))
-            .collect();
-        let mut used = HashSet::new();
-        for &(o, s, p, _) in &seats {
-            prop_assert!(p < local);
-            prop_assert!(used.insert((s, p)), "seat ({s}, {p}) double-booked");
-            prop_assert!(active[o], "idle origin {o} holds a seat");
-        }
-        for s in 0..net.shards() {
-            prop_assert!(seats.iter().filter(|t| t.1 == s).count() <= local);
-        }
-        prop_assert_eq!(seats.len(), session.allocated_count());
-        prop_assert_eq!(
-            seats.iter().filter(|t| t.3).count(),
-            session.remote_active()
-        );
-        prop_assert_eq!(session.remote_active(), session.global_circuits());
-        prop_assert_eq!(
-            session.allocated_count() + session.queued_count(),
-            active.iter().filter(|&&a| a).count()
-        );
-    }
-    prop_assert_eq!(session.rebuilds_per_shard(), vec![1; net.shards()]);
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// 4 shards under a global crossbar, both inter-shard policies.
-    #[test]
-    fn session_occupancy_stays_consistent_on_crossbar(
-        script in proptest::collection::vec(0usize..32, 1..120)
-    ) {
-        let net = ShardedNetwork::new(ShardedSpec::new(4, 8, GlobalTopology::Crossbar)).unwrap();
-        check_session(&net, InterShardPolicy::TokenRing, &script)?;
-        check_session(&net, InterShardPolicy::MinCost, &script)?;
-    }
-
-    /// 2 shards under a global omega, both inter-shard policies.
-    #[test]
-    fn session_occupancy_stays_consistent_on_omega(
-        script in proptest::collection::vec(0usize..16, 1..120)
-    ) {
-        let net = ShardedNetwork::new(ShardedSpec::new(2, 8, GlobalTopology::Omega)).unwrap();
-        check_session(&net, InterShardPolicy::TokenRing, &script)?;
-        check_session(&net, InterShardPolicy::MinCost, &script)?;
     }
 }

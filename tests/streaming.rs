@@ -4,8 +4,8 @@
 //! the incremental scheduler's retained flow is a maximum flow over the
 //! active request arcs and the full resource set, so its allocated count
 //! equals a Theorem 2 batch fresh-solve on the same active set — for
-//! arbitrary interleaved arrival/release sequences, on both flow backends,
-//! with the transformation graph built exactly once. The retained *mapping*
+//! arbitrary interleaved arrival/release sequences, with the transformation
+//! graph built exactly once. The retained *mapping*
 //! is only allocation-count-equivalent (arrivals may re-route existing units
 //! through cancellation arcs), so the mapping itself is checked for
 //! validity, not pointwise equality.
@@ -27,12 +27,8 @@ fn arb_script() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..8, 1..150)
 }
 
-fn check_stream(
-    net: &Network,
-    backend: IncrementalBackend,
-    script: &[usize],
-) -> Result<(), TestCaseError> {
-    let mut inc = IncrementalScheduler::new(net, backend);
+fn check_stream(net: &Network, script: &[usize]) -> Result<(), TestCaseError> {
+    let mut inc = IncrementalScheduler::new(net, IncrementalBackend::MaxFlow);
     let mut active = vec![false; net.num_processors()];
     let oracle = MaxFlowScheduler::default();
     let mut scratch = ScheduleScratch::new();
@@ -63,8 +59,7 @@ fn check_stream(
         prop_assert_eq!(
             inc.allocated_count(),
             batch.assignments.len(),
-            "{:?} diverged from batch after touching p{}",
-            backend,
+            "diverged from batch after touching p{}",
             p
         );
         prop_assert_eq!(inc.allocated_count() + inc.queued_count(), requests.len());
@@ -145,20 +140,16 @@ mod codec_regression {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Omega-8, both backends.
+    /// Omega-8.
     #[test]
     fn streaming_matches_batch_on_omega(script in arb_script()) {
-        let net = omega(8).unwrap();
-        check_stream(&net, IncrementalBackend::MaxFlow, &script)?;
-        check_stream(&net, IncrementalBackend::MinCost, &script)?;
+        check_stream(&omega(8).unwrap(), &script)?;
     }
 
-    /// Generalized cube-8, both backends.
+    /// Generalized cube-8.
     #[test]
     fn streaming_matches_batch_on_cube(script in arb_script()) {
-        let net = generalized_cube(8).unwrap();
-        check_stream(&net, IncrementalBackend::MaxFlow, &script)?;
-        check_stream(&net, IncrementalBackend::MinCost, &script)?;
+        check_stream(&generalized_cube(8).unwrap(), &script)?;
     }
 }
 
@@ -263,16 +254,13 @@ mod fuzz {
             let fresh = MaxFlowScheduler::default()
                 .try_schedule(&ScheduleProblem::homogeneous(&cs, &requests, &all))
                 .expect("oracle solves");
-            for backend in [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost] {
-                let config = ServerConfig { backend, stats_latency: false };
-                let report = serve_commands(&net, config, &cmds);
-                prop_assert_eq!(report.lines.len(), cmds.len());
-                prop_assert_eq!(
-                    (report.decisions + report.errors + report.stats_probes) as usize,
-                    cmds.len()
-                );
-                prop_assert_eq!(report.allocated, fresh.allocated(), "{:?}", backend);
-            }
+            let report = serve_commands(&net, ServerConfig::default(), &cmds);
+            prop_assert_eq!(report.lines.len(), cmds.len());
+            prop_assert_eq!(
+                (report.decisions + report.errors + report.stats_probes) as usize,
+                cmds.len()
+            );
+            prop_assert_eq!(report.allocated, fresh.allocated());
         }
     }
 }

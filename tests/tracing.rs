@@ -2,8 +2,7 @@
 //!
 //! The probe contract (DESIGN.md §13): a probe *observes* the request
 //! lifecycle, it never steers it. For arbitrary interleaved
-//! arrival/release scripts, on both incremental flow backends, running the
-//! same stream plain, under the [`NoopProbe`], and under a live
+//! arrival/release scripts, running the same stream plain, under the [`NoopProbe`], and under a live
 //! [`FlightRecorder`] must produce identical decision sequences and
 //! identical retained allocation counts — and the recorded spans must form
 //! well-chained request lifecycles (`Submit → {Allocate | Queue →
@@ -25,20 +24,13 @@ fn arb_script() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..8, 1..120)
 }
 
-const BACKENDS: [IncrementalBackend; 2] =
-    [IncrementalBackend::MaxFlow, IncrementalBackend::MinCost];
-
-/// Lockstep triple run of one script on one backend: plain vs noop-traced
-/// vs live-traced. Returns the live recorder for span checks.
-fn run_lockstep(
-    backend: IncrementalBackend,
-    script: &[usize],
-) -> Result<(FlightRecorder, usize, usize), TestCaseError> {
+/// Lockstep triple run of one script: plain vs noop-traced vs
+/// live-traced. Returns the live recorder for span checks.
+fn run_lockstep(script: &[usize]) -> Result<(FlightRecorder, usize, usize), TestCaseError> {
     let net = omega(8).unwrap();
     let recorder = FlightRecorder::new(rsin_obs::trace::DEFAULT_TRACE_CAPACITY);
-    let mut plain = IncrementalScheduler::new(&net, backend);
-    let mut noop = IncrementalScheduler::new(&net, backend);
-    let mut live = IncrementalScheduler::new(&net, backend);
+    let new = || IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
+    let (mut plain, mut noop, mut live) = (new(), new(), new());
     let mut active = vec![false; net.num_processors()];
     let mut submits = 0usize;
     for &p in script {
@@ -70,15 +62,13 @@ fn run_lockstep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Tracing is outcome-transparent on both backends: every decision,
+    /// Tracing is outcome-transparent: every decision,
     /// and the retained allocated/queued counts after every command, are
     /// identical whether the stream runs plain, noop-traced, or under a
     /// live flight recorder.
     #[test]
     fn tracing_never_changes_outcomes(script in arb_script()) {
-        for backend in BACKENDS {
-            run_lockstep(backend, &script)?;
-        }
+        run_lockstep(&script)?;
     }
 
     /// The recorded spans chain correctly: the lifecycle state machine
@@ -86,43 +76,38 @@ proptest! {
     /// `Allocate` chains at stream end equal the retained allocations.
     #[test]
     fn recorded_spans_are_well_formed(script in arb_script()) {
-        for backend in BACKENDS {
-            let (recorder, submits, allocated) = run_lockstep(backend, &script)?;
-            let snap = recorder.snapshot();
-            prop_assert_eq!(snap.dropped, 0, "capacity covers every script");
-            if let Err(e) = validate_spans(&snap.events) {
-                prop_assert!(false, "ill-formed span stream: {}", e);
-            }
-            let count = |ph: SpanPhase| snap.events.iter().filter(|e| e.phase == ph).count();
-            prop_assert_eq!(count(SpanPhase::Submit), submits);
-            // Every chain ends in Release or Withdraw or is still open;
-            // open Allocate/Promote chains are exactly the live circuits.
-            let closed = count(SpanPhase::Release) + count(SpanPhase::Withdraw);
-            let opened = count(SpanPhase::Allocate) + count(SpanPhase::Queue);
-            prop_assert!(closed <= submits);
-            prop_assert!(opened >= allocated);
+        let (recorder, submits, allocated) = run_lockstep(&script)?;
+        let snap = recorder.snapshot();
+        prop_assert_eq!(snap.dropped, 0, "capacity covers every script");
+        if let Err(e) = validate_spans(&snap.events) {
+            prop_assert!(false, "ill-formed span stream: {}", e);
         }
+        let count = |ph: SpanPhase| snap.events.iter().filter(|e| e.phase == ph).count();
+        prop_assert_eq!(count(SpanPhase::Submit), submits);
+        // Every chain ends in Release or Withdraw or is still open;
+        // open Allocate/Promote chains are exactly the live circuits.
+        let closed = count(SpanPhase::Release) + count(SpanPhase::Withdraw);
+        let opened = count(SpanPhase::Allocate) + count(SpanPhase::Queue);
+        prop_assert!(closed <= submits);
+        prop_assert!(opened >= allocated);
     }
 
     /// The serve pipeline inherits transparency byte-for-byte: the decision
-    /// log (with interleaved `S` stats lines) is identical plain vs traced,
-    /// on both backends.
+    /// log (with interleaved `S` stats lines) is identical plain vs traced.
     #[test]
     fn traced_serve_log_is_byte_identical(seed in 0u64..64) {
         let net = omega(8).unwrap();
         let commands = with_stats_every(&generate_commands(8, 96, 0.6, seed, 0), 24);
-        for backend in BACKENDS {
-            let cfg = ServerConfig { backend, stats_latency: false };
-            let baseline = serve_commands(&net, cfg, &commands).log();
-            let recorder = Arc::new(FlightRecorder::new(
-                rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
-            ));
-            let report = serve_commands_probed(&net, cfg, &commands, recorder.clone());
-            prop_assert_eq!(&report.log(), &baseline);
-            let snap = recorder.snapshot();
-            if let Err(e) = validate_spans(&snap.events) {
-                prop_assert!(false, "ill-formed serve span stream: {}", e);
-            }
+        let cfg = ServerConfig::default();
+        let baseline = serve_commands(&net, cfg, &commands).log();
+        let recorder = Arc::new(FlightRecorder::new(
+            rsin_obs::trace::DEFAULT_TRACE_CAPACITY,
+        ));
+        let report = serve_commands_probed(&net, cfg, &commands, recorder.clone());
+        prop_assert_eq!(&report.log(), &baseline);
+        let snap = recorder.snapshot();
+        if let Err(e) = validate_spans(&snap.events) {
+            prop_assert!(false, "ill-formed serve span stream: {}", e);
         }
     }
 }
