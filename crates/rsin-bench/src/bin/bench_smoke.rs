@@ -6,7 +6,9 @@
 //! The ledger counts work, as the paper does: instructions for the monitor,
 //! clock periods for the token engine (§IV). It runs CI-scale versions of
 //! the benchmark's four workloads (same topologies, schedulers and
-//! policies) plus the 64-snapshot reset batch under a live
+//! policies), a `serve_queue` stream on a crossbar with fewer resources
+//! than processors (the one workload that queues and promotes), and the
+//! 64-snapshot reset batch under a live
 //! `rsin_obs::Telemetry` sink, and writes one tab-separated line per
 //! `(workload, layer, unit)`: `workload layer unit total ops`, where `ops`
 //! is what the total is counted over (cycles, decisions, trials or
@@ -14,7 +16,8 @@
 //! so CI `cmp`s the file against `ci/op-ledger.tsv`; any change to a count
 //! needs a deliberate baseline bump. Before writing, every row that names
 //! work a path must do is checked non-zero (solves and arc scans on every
-//! solver path, faults and degraded cycles on the faulted workload) and
+//! solver path, faults and degraded cycles on the faulted workload, queues
+//! and promotions on `serve_queue`) and
 //! every transformation must have been built exactly once per owner, so an
 //! empty or bypassed path cannot become a baseline. Allocation counts stay
 //! out: they move with the standard library's allocation pattern.
@@ -55,7 +58,7 @@ use rsin_sim::system::{
     fault_plan_seed, plan_for_model, DegradedPolicy, DynamicConfig, FaultModel, SystemSim,
 };
 use rsin_sim::workload::{random_snapshot, trial_rng};
-use rsin_topology::builders::{omega, omega_3dp};
+use rsin_topology::builders::{crossbar, omega, omega_3dp};
 use rsin_topology::{
     CircuitState, FaultPlan, FaultPlanConfig, GlobalTopology, Network, ShardedNetwork, ShardedSpec,
 };
@@ -383,29 +386,25 @@ fn check_sharded() {
     }
 }
 
-/// `serve_stream` at CI scale: an omega-64 stream at load 0.8 through the
-/// observed incremental scheduler.
-fn ledger_stream(ledger: &mut Ledger) {
-    let net = omega(64).expect("omega-64");
-    let cmds = generate_commands(64, STREAM_EVENTS, 0.8, SEED, 0);
+/// One stream workload at CI scale: [`STREAM_EVENTS`] commands at load 0.8
+/// over every processor of `net`, through the observed incremental
+/// scheduler. `queue_need` is what the `queued` and `promoted` rows must
+/// show.
+fn ledger_stream(ledger: &mut Ledger, workload: &'static str, net: &Network, queue_need: Need) {
+    let cmds = generate_commands(net.num_processors(), STREAM_EVENTS, 0.8, SEED, 0);
     let telemetry = Telemetry::new();
-    let inc = replay_observed(&net, &cmds, &telemetry);
+    let inc = replay_observed(net, &cmds, &telemetry);
     let n = cmds.len() as u64;
     for (unit, c, need) in [
         ("decisions", Counter::StreamDecisions, Need::NonZero),
         ("allocated", Counter::StreamAllocated, Need::NonZero),
-        ("queued", Counter::StreamQueued, Need::Any),
+        ("queued", Counter::StreamQueued, queue_need),
         ("released", Counter::StreamReleased, Need::NonZero),
-        ("promoted", Counter::StreamPromoted, Need::Any),
+        ("promoted", Counter::StreamPromoted, queue_need),
     ] {
-        ledger.put(
-            ("serve_stream", "stream", unit),
-            telemetry.counter(c),
-            n,
-            need,
-        );
+        ledger.put((workload, "stream", unit), telemetry.counter(c), n, need);
     }
-    let key = ("serve_stream", "transform", "rebuilds");
+    let key = (workload, "transform", "rebuilds");
     ledger.put(key, inc.rebuilds(), 1, Need::OnePerOp);
 }
 
@@ -562,7 +561,12 @@ fn main() {
 
     println!("bench_smoke: op-count ledger");
     let mut ledger = Ledger::default();
-    ledger_stream(&mut ledger);
+    let omega64 = omega(64).expect("omega-64");
+    ledger_stream(&mut ledger, "serve_stream", &omega64, Need::Any);
+    // Omega has one resource per processor and never queues; half as many
+    // resources as processors makes the queue and promote paths run.
+    let undersized = crossbar(16, 8).expect("crossbar-16x8");
+    ledger_stream(&mut ledger, "serve_queue", &undersized, Need::NonZero);
     let heavy = DynamicConfig {
         rho: 0.99,
         queue_capacity: 32,
@@ -571,7 +575,6 @@ fn main() {
         seed: SEED,
         ..DynamicConfig::default()
     };
-    let omega64 = omega(64).expect("omega-64");
     let dinic = MaxFlowScheduler::default();
     ledger_sim(&mut ledger, "dynamic_heavy", &omega64, &dinic, heavy, None);
     let faulted = DynamicConfig {

@@ -25,20 +25,26 @@ fn main() {
     let trials = std::env::args()
         .nth(1)
         .map_or(2000u64, |a| parse_or_exit("trials", &a));
-    // Each of the seven cells per row runs `trials / 7` trials and keeps one
-    // result per trial until it reduces them.
-    if !trials_fit(trials / 7) {
-        usage_error(&format!(
-            "{trials} trials: the per-cell table of {} results does not fit in memory",
-            trials / 7
-        ));
-    }
     // Worker threads for each Monte-Carlo batch (arg 2). The statistics are
     // bit-identical for any value; default to the host's parallelism.
     let threads = std::env::args().nth(2).map_or_else(
         || std::thread::available_parallelism().map_or(1, |n| n.get()),
         |a| parse_or_exit("threads", &a),
     );
+    // Each of the seven cells per row (k = 2..=8) runs `trials / 7` trials
+    // and keeps one result per trial until it reduces them.
+    if trials < 7 {
+        usage_error(&format!(
+            "{trials} trials: each of the 7 cells per row runs trials / 7 of them, \
+             so at least 7 are needed"
+        ));
+    }
+    if !trials_fit(trials / 7) {
+        usage_error(&format!(
+            "{trials} trials: the per-cell table of {} results does not fit in memory",
+            trials / 7
+        ));
+    }
     let optimal = MaxFlowScheduler::default();
     let distributed = DistributedScheduler;
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(7));

@@ -107,6 +107,10 @@ fn main() {
     };
     let trials: u64 =
         take_flag(&mut args, "--trials").map_or(16, |v| parse_or_exit("--trials", &v));
+    if trials == 0 {
+        // A zero-trial sweep would report 0 blocking everywhere.
+        usage_error("--trials 0: every sweep point needs at least 1 trial");
+    }
     let threads: usize = take_flag(&mut args, "--threads").map_or_else(
         || std::thread::available_parallelism().map_or(1, |n| n.get()),
         |v| parse_or_exit("--threads", &v),

@@ -100,3 +100,19 @@ fn unusable_counts_are_usage_errors() {
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("at least 1"), "{stderr}");
 }
+
+#[test]
+fn trial_counts_that_run_nothing_are_usage_errors() {
+    // `blocking` splits its trials over 7 cells per row, so 6 would run
+    // none and print a table of 0% blocking; `sharded --trials 0` would
+    // write an all-zero report. Both exit 2 with a message instead.
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_blocking"), &["6", "1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("at least 7"), "{stderr}");
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_sharded"),
+        &["--trials", "0", "--threads", "1"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("at least 1 trial"), "{stderr}");
+}

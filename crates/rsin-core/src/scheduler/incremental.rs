@@ -7,7 +7,8 @@
 //! ([`FlowNetwork::augment_one`](rsin_flow::graph::FlowNetwork::augment_one)),
 //! and a release cancels one unit
 //! ([`FlowNetwork::cancel_path`](rsin_flow::graph::FlowNetwork::cancel_path))
-//! and re-augments once so a queued request can take the freed capacity.
+//! and, when a request is queued, re-augments so it can take the freed
+//! capacity.
 //!
 //! ## Invariant
 //!
@@ -323,33 +324,45 @@ impl IncrementalScheduler {
                 self.state[processor] = ProcState::Idle;
                 self.allocated -= 1;
                 // Restore maximality: at most one queued request fits the
-                // freed capacity (the optimum dropped by at most one).
+                // freed capacity (the optimum dropped by at most one). An
+                // augmenting path leaves `s` on a request arc with residual
+                // capacity, an enabled arc carrying no flow: a queued
+                // processor. With none queued the search cannot succeed,
+                // so it is skipped (debug builds still run it and check).
                 let mut promoted = None;
-                while let Some(aug) = t.flow.augment_one(t.source, t.sink, scratch) {
-                    debug_assert!(promoted.is_none(), "optimum can only rise by one");
-                    // The path's first arc is the (unique) newly saturated
-                    // source arc of the promoted queued request, and its
-                    // last arc the resource it took.
-                    let q = t
-                        .processor_of_arc(aug.first)
-                        .ok_or(ScheduleError::Internal(
-                            "augmenting path did not start on a request arc",
-                        ))?;
-                    if self.state[q] != ProcState::Queued {
-                        return Err(ScheduleError::Internal(
-                            "promotion routed a non-queued processor",
-                        ));
+                if self.queued == 0 {
+                    debug_assert!(
+                        t.flow.augment_one(t.source, t.sink, scratch).is_none(),
+                        "augmenting path with nothing queued"
+                    );
+                } else {
+                    while let Some(aug) = t.flow.augment_one(t.source, t.sink, scratch) {
+                        debug_assert!(promoted.is_none(), "optimum can only rise by one");
+                        // The path's first arc is the (unique) newly saturated
+                        // source arc of the promoted queued request, and its
+                        // last arc the resource it took.
+                        let q = t
+                            .processor_of_arc(aug.first)
+                            .ok_or(ScheduleError::Internal(
+                                "augmenting path did not start on a request arc",
+                            ))?;
+                        if self.state[q] != ProcState::Queued {
+                            return Err(ScheduleError::Internal(
+                                "promotion routed a non-queued processor",
+                            ));
+                        }
+                        let resource =
+                            t.resource_of_arc(aug.last).ok_or(ScheduleError::Internal(
+                                "augmenting path did not end on a resource arc",
+                            ))?;
+                        self.state[q] = ProcState::Allocated;
+                        self.queued -= 1;
+                        self.allocated += 1;
+                        promoted = Some(PromotedRequest {
+                            processor: q,
+                            resource,
+                        });
                     }
-                    let resource = t.resource_of_arc(aug.last).ok_or(ScheduleError::Internal(
-                        "augmenting path did not end on a resource arc",
-                    ))?;
-                    self.state[q] = ProcState::Allocated;
-                    self.queued -= 1;
-                    self.allocated += 1;
-                    promoted = Some(PromotedRequest {
-                        processor: q,
-                        resource,
-                    });
                 }
                 // The release and the promotion it admitted are one causal
                 // step — one span pair, one timestamp.
@@ -406,7 +419,7 @@ mod tests {
     use super::*;
     use crate::mapping::verify;
     use crate::scheduler::{MaxFlowScheduler, Scheduler};
-    use rsin_topology::builders::omega;
+    use rsin_topology::builders::{crossbar, omega};
 
     #[test]
     fn arrivals_allocate_and_duplicate_requests_are_typed_errors() {
@@ -457,25 +470,63 @@ mod tests {
 
     #[test]
     fn queued_request_is_promoted_when_capacity_frees() {
-        // Two processors contending for one resource: price all but r0 out
-        // by failing their resource links via a tiny custom state — simpler:
-        // use the mapping itself. On omega(8) all 8 resources are free, so
-        // to force queueing, occupy all 8 then request a 9th... there is no
-        // 9th processor. Instead drive to saturation and withdraw.
-        let net = omega(8).unwrap();
+        // Four processors share two resources through one crossbar, so the
+        // third and fourth arrivals queue.
+        let net = crossbar(4, 2).unwrap();
         let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
-        for p in 0..8 {
-            inc.request(p).unwrap();
+        let promoted_by = |inc: &mut IncrementalScheduler, p| {
+            let d = inc.release(p).unwrap();
+            let StreamDecision::Released {
+                processor,
+                resource,
+                promoted: Some(promoted),
+            } = d
+            else {
+                panic!("release of p{p} promoted nothing: {d:?}");
+            };
+            assert_eq!(processor, p);
+            assert_eq!(promoted.resource, resource, "takes the freed resource");
+            promoted.processor
+        };
+        for p in 0..2 {
+            assert!(matches!(
+                inc.request(p).unwrap(),
+                StreamDecision::Allocated { .. }
+            ));
         }
-        // All allocated; release then immediately re-request leaves no
-        // queued entry, so exercise Withdrawn via a queued request: release
-        // p0's circuit and p1's, re-request both, then all are allocated
-        // again — promotions are covered by the proptest; here assert the
-        // withdraw path errors correctly.
-        inc.release(0).unwrap();
-        let d = inc.request(0).unwrap();
-        assert!(matches!(d, StreamDecision::Allocated { .. }));
-        assert_eq!(inc.queued_count(), 0);
+        for p in 2..4 {
+            assert_eq!(
+                inc.request(p).unwrap(),
+                StreamDecision::Queued { processor: p }
+            );
+        }
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 2));
+        // Two queued, then one: each release promotes one of them.
+        let first = promoted_by(&mut inc, 0);
+        assert!((2..4).contains(&first));
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 1));
+        assert_eq!(promoted_by(&mut inc, 1), 5 - first);
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 0));
+        // Queue two more; one withdraws, the other is promoted.
+        for p in 0..2 {
+            assert_eq!(
+                inc.request(p).unwrap(),
+                StreamDecision::Queued { processor: p }
+            );
+        }
+        assert_eq!(
+            inc.release(1).unwrap(),
+            StreamDecision::Withdrawn { processor: 1 }
+        );
+        assert_eq!(promoted_by(&mut inc, first), 0);
+        // Nothing is queued now, so the next release promotes nothing.
+        let d = inc.release(0).unwrap();
+        assert!(matches!(d, StreamDecision::Released { promoted: None, .. }));
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (1, 0));
+        let assignments = inc.assignments().unwrap();
+        assert_eq!(assignments.len(), 1);
+        assert_eq!(assignments[0].processor, 5 - first);
+        assert_eq!(inc.rebuilds(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   text codec the CI determinism job records and replays (`S` is the
 //!   in-band stats probe; [`with_stats_every`] interleaves them);
 //! * [`format_decision`] — the canonical decision-log line. The service's
-//!   worker threads, the replay helpers, and the CI byte-comparison all
+//!   scheduler thread, the replay helpers, and the CI byte-comparison all
 //!   format through this one function, so "same decisions" and "same log
 //!   bytes" are the same statement;
 //! * [`replay_incremental`] / [`replay_batch`] — drive a command slice
@@ -249,25 +249,103 @@ pub fn parse_commands(text: &str) -> Result<Vec<StreamCommand>, CodecError> {
 /// The canonical decision-log line for decision `seq` (newline not
 /// included). Everything that writes or compares decision logs goes through
 /// this function.
+///
+/// The line is rendered into a stack buffer and copied out once, so the
+/// returned `String` is one allocation of exactly the line's length
+/// (DESIGN.md §11.3).
 pub fn format_decision(seq: u64, decision: &StreamDecision) -> String {
+    let mut line = LineBuf::new();
+    line.num(seq);
     match *decision {
         StreamDecision::Allocated {
             processor,
             resource,
-        } => format!("{seq} alloc p{processor} r{resource}"),
-        StreamDecision::Queued { processor } => format!("{seq} queue p{processor}"),
+        } => {
+            line.text(b" alloc p")
+                .id(processor)
+                .text(b" r")
+                .id(resource);
+        }
+        StreamDecision::Queued { processor } => {
+            line.text(b" queue p").id(processor);
+        }
         StreamDecision::Released {
             processor,
             resource,
             promoted,
-        } => match promoted {
-            Some(pr) => format!(
-                "{seq} release p{processor} r{resource} promote p{} r{}",
-                pr.processor, pr.resource
-            ),
-            None => format!("{seq} release p{processor} r{resource}"),
-        },
-        StreamDecision::Withdrawn { processor } => format!("{seq} withdraw p{processor}"),
+        } => {
+            line.text(b" release p")
+                .id(processor)
+                .text(b" r")
+                .id(resource);
+            if let Some(pr) = promoted {
+                line.text(b" promote p")
+                    .id(pr.processor)
+                    .text(b" r")
+                    .id(pr.resource);
+            }
+        }
+        StreamDecision::Withdrawn { processor } => {
+            line.text(b" withdraw p").id(processor);
+        }
+    }
+    line.into_string()
+}
+
+/// Digits of the largest `u64`.
+const MAX_DIGITS: usize = 20;
+
+/// The longest decision line: `release … promote …` with all five numbers
+/// at [`MAX_DIGITS`], plus its literal bytes.
+const MAX_LINE: usize = 5 * MAX_DIGITS + " release p r promote p r".len();
+
+// `LineBuf::id` widens `usize` to `u64` losslessly.
+const _: () = assert!(usize::BITS <= u64::BITS);
+
+/// A decision line under construction: ASCII bytes on the stack.
+struct LineBuf {
+    bytes: [u8; MAX_LINE],
+    len: usize,
+}
+
+impl LineBuf {
+    fn new() -> Self {
+        LineBuf {
+            bytes: [0; MAX_LINE],
+            len: 0,
+        }
+    }
+
+    fn text(&mut self, text: &[u8]) -> &mut Self {
+        let end = self.len + text.len();
+        self.bytes[self.len..end].copy_from_slice(text);
+        self.len = end;
+        self
+    }
+
+    /// Append `n` in decimal.
+    fn num(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; MAX_DIGITS];
+        let mut start = MAX_DIGITS;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.text(&digits[start..])
+    }
+
+    /// Append a processor or resource id in decimal.
+    fn id(&mut self, id: usize) -> &mut Self {
+        self.num(id as u64)
+    }
+
+    /// The line as one allocation of exactly its length.
+    fn into_string(self) -> String {
+        String::from_utf8(self.bytes[..self.len].to_vec()).expect("decision lines are ASCII")
     }
 }
 
@@ -334,6 +412,7 @@ pub fn replay_batch(net: &Network, commands: &[StreamCommand]) -> Result<Vec<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{ProptestConfig, Strategy};
     use rsin_topology::builders::omega;
 
     #[test]
@@ -482,6 +561,100 @@ mod tests {
             }
             assert_eq!(allocated, want, "diverged from batch");
         }
+    }
+
+    /// The `format!` renderer the line writer replaced, kept as its oracle.
+    fn format_decision_fmt(seq: u64, decision: &StreamDecision) -> String {
+        match *decision {
+            StreamDecision::Allocated {
+                processor,
+                resource,
+            } => format!("{seq} alloc p{processor} r{resource}"),
+            StreamDecision::Queued { processor } => format!("{seq} queue p{processor}"),
+            StreamDecision::Released {
+                processor,
+                resource,
+                promoted,
+            } => match promoted {
+                Some(pr) => format!(
+                    "{seq} release p{processor} r{resource} promote p{} r{}",
+                    pr.processor, pr.resource
+                ),
+                None => format!("{seq} release p{processor} r{resource}"),
+            },
+            StreamDecision::Withdrawn { processor } => format!("{seq} withdraw p{processor}"),
+        }
+    }
+
+    /// Numbers from the whole `u64` range: 0, `u64::MAX`, and every digit
+    /// count from 1 to 20 equally often.
+    fn arb_u64() -> impl Strategy<Value = u64> {
+        (0u32..=21, 0..=u64::MAX).prop_map(|(digits, raw)| match digits {
+            0 => 0,
+            21 => u64::MAX,
+            d => {
+                let lo = 10u64.pow(d - 1);
+                let hi = 10u64.checked_pow(d).map_or(u64::MAX, |p| p - 1);
+                lo + raw % (hi - lo + 1)
+            }
+        })
+    }
+
+    /// All five line shapes (alloc, queue, release, release + promote,
+    /// withdraw), every id drawn like [`arb_u64`] over the `usize` range.
+    fn arb_decision() -> impl Strategy<Value = StreamDecision> {
+        use rsin_core::scheduler::PromotedRequest;
+        let id = || arb_u64().prop_map(|n| n as usize);
+        (0u8..5, id(), id(), id(), id()).prop_map(|(shape, a, b, c, d)| match shape {
+            0 => StreamDecision::Allocated {
+                processor: a,
+                resource: b,
+            },
+            1 => StreamDecision::Queued { processor: a },
+            2 => StreamDecision::Released {
+                processor: a,
+                resource: b,
+                promoted: None,
+            },
+            3 => StreamDecision::Released {
+                processor: a,
+                resource: b,
+                promoted: Some(PromotedRequest {
+                    processor: c,
+                    resource: d,
+                }),
+            },
+            _ => StreamDecision::Withdrawn { processor: a },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The line writer renders exactly what `format!` did, into a
+        /// `String` with no spare capacity.
+        #[test]
+        fn line_writer_matches_the_format_renderer(seq in arb_u64(), d in arb_decision()) {
+            let line = format_decision(seq, &d);
+            proptest::prop_assert_eq!(&line, &format_decision_fmt(seq, &d));
+            proptest::prop_assert_eq!(line.capacity(), line.len());
+        }
+    }
+
+    #[test]
+    fn longest_line_fits_the_buffer() {
+        use rsin_core::scheduler::PromotedRequest;
+        let d = StreamDecision::Released {
+            processor: usize::MAX,
+            resource: usize::MAX,
+            promoted: Some(PromotedRequest {
+                processor: usize::MAX,
+                resource: usize::MAX,
+            }),
+        };
+        let line = format_decision(u64::MAX, &d);
+        assert_eq!(line, format_decision_fmt(u64::MAX, &d));
+        assert_eq!(line.len(), MAX_LINE);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use rsin_core::scheduler::{
     IncrementalBackend, IncrementalScheduler, MaxFlowScheduler, ScheduleScratch, Scheduler,
     StreamDecision,
 };
-use rsin_topology::builders::{generalized_cube, omega};
+use rsin_topology::builders::{crossbar, generalized_cube, omega};
 use rsin_topology::{CircuitState, Network};
 
 /// A raw interleaving script: processor picks in 0..8. Whether each pick is
@@ -150,6 +150,14 @@ proptest! {
     #[test]
     fn streaming_matches_batch_on_cube(script in arb_script()) {
         check_stream(&generalized_cube(8).unwrap(), &script)?;
+    }
+
+    /// Eight processors on three resources: omega and cube have as many
+    /// resources as processors and never queue, so this is the case that
+    /// queues, promotes and withdraws.
+    #[test]
+    fn streaming_matches_batch_on_undersized_crossbar(script in arb_script()) {
+        check_stream(&crossbar(8, 3).unwrap(), &script)?;
     }
 }
 
