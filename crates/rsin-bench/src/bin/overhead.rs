@@ -2,21 +2,29 @@
 //! whole workload (Fig. 6 monitor vs Fig. 9 distributed engine).
 //!
 //! The SPEEDUP experiment prices a *single* scheduling cycle; this one
-//! drives the same request/release workload through the explicit monitor
-//! (`rsin_sim::monitor::Monitor`, deferred-event cycle semantics) and
-//! through the live distributed system
-//! (`rsin_distrib::system::DistributedSystem`), each maintaining its own
-//! circuit state, and compares the accumulated scheduling time.
+//! drives the same request/release workload through two scheduling shells
+//! (`rsin_sim::monitor::Monitor`, deferred-event cycle semantics), one
+//! running the max-flow monitor and one the distributed token engine, each
+//! maintaining its own circuit state, and compares the accumulated
+//! scheduling time.
 
 use rand::Rng;
 use rsin_bench::{emit_table, parse_or_exit};
 use rsin_core::model::ScheduleRequest;
 use rsin_core::scheduler::MaxFlowScheduler;
-use rsin_distrib::DistributedSystem;
 use rsin_sim::cost::CostModel;
 use rsin_sim::monitor::Monitor;
 use rsin_sim::workload::trial_rng;
 use rsin_topology::builders::omega;
+
+/// One architecture's run: its shell, the (processor, resource) pairs it
+/// holds, and how many it allocated.
+struct Run<'n> {
+    shell: Monitor<'n>,
+    token: bool,
+    served: Vec<(usize, usize)>,
+    alloc: u64,
+}
 
 fn main() {
     let rounds = std::env::args()
@@ -31,65 +39,64 @@ fn main() {
     let mut rows = Vec::new();
     for n in [8usize, 16, 32] {
         let net = omega(n).unwrap();
-        let mut monitor = Monitor::new(&net, model);
-        let mut distributed = DistributedSystem::new(&net);
+        let mut runs = [false, true].map(|token| Run {
+            shell: Monitor::new(&net, model),
+            token,
+            served: Vec::new(),
+            alloc: 0,
+        });
         let mut rng = trial_rng(88, n as u64);
-        // Both architectures receive the identical arrival/release stream.
-        let mut mon_served: Vec<(usize, usize)> = Vec::new();
-        let mut dist_served: Vec<(usize, usize)> = Vec::new();
-        let mut mon_alloc = 0u64;
-        let mut dist_alloc = 0u64;
+        // Both architectures receive the identical arrival/release stream:
+        // tasks finish when the monitor holds more than n/2 of them.
         for _ in 0..rounds {
             for _ in 0..2 {
                 let p = rng.random_range(0..n);
-                monitor
-                    .submit(ScheduleRequest {
-                        processor: p,
-                        priority: 1,
-                        resource_type: 0,
-                    })
-                    .expect("drawn processor is on the network");
-                distributed.submit(p);
-            }
-            if mon_served.len() > n / 2 {
-                for (p, r) in mon_served.drain(..) {
-                    monitor.transmission_done(p);
-                    monitor.release_resource(r);
-                }
-                for (p, r) in dist_served.drain(..) {
-                    distributed.transmission_done(p);
-                    distributed.release_resource(r);
+                for run in &mut runs {
+                    run.shell
+                        .submit(ScheduleRequest {
+                            processor: p,
+                            priority: 1,
+                            resource_type: 0,
+                        })
+                        .expect("drawn processor is on the network");
                 }
             }
-            if let Some(cycle) = monitor
-                .cycle(&MaxFlowScheduler::default())
-                .expect("monitor cycle")
-            {
-                mon_alloc += cycle.outcome.allocated() as u64;
-                for a in &cycle.outcome.assignments {
-                    mon_served.push((a.processor, a.resource));
+            let teardown = runs[0].served.len() > n / 2;
+            for run in &mut runs {
+                if teardown {
+                    for (p, r) in run.served.drain(..) {
+                        run.shell.transmission_done(p).expect("served processor");
+                        run.shell.release_resource(r).expect("served resource");
+                    }
                 }
-            }
-            if let Some(out) = distributed.cycle() {
-                dist_alloc += out.allocated() as u64;
-                for a in &out.assignments {
-                    dist_served.push((a.processor, a.resource));
+                let cycle = if run.token {
+                    run.shell.token_cycle()
+                } else {
+                    run.shell.cycle(&MaxFlowScheduler::default())
+                };
+                if let Some(cycle) = cycle.expect("scheduling cycle") {
+                    run.alloc += cycle.outcome.allocated() as u64;
+                    let pairs = cycle.outcome.assignments.iter();
+                    run.served.extend(pairs.map(|a| (a.processor, a.resource)));
                 }
             }
         }
-        let dist_us = model.distributed_us(distributed.clocks);
+        let [monitor, token] = &runs;
+        let (mon_us, dist_us) = (monitor.shell.scheduling_us(), token.shell.scheduling_us());
         rows.push(vec![
             format!("omega-{n}"),
-            format!("{} ({} alloc)", monitor.cycles, mon_alloc),
-            format!("{:.0} us", monitor.scheduling_us),
-            format!("{} ({} alloc)", distributed.cycles, dist_alloc),
+            format!("{} ({} alloc)", monitor.shell.cycles, monitor.alloc),
+            format!("{:.0} us", mon_us),
+            format!("{} ({} alloc)", token.shell.cycles, token.alloc),
             format!("{:.1} us", dist_us),
-            format!("{:.0}x", monitor.scheduling_us / dist_us.max(1e-9)),
+            format!("{:.0}x", mon_us / dist_us.max(1e-9)),
         ]);
         // Sanity: both architectures serve the same workload volume.
         assert!(
-            (mon_alloc as i64 - dist_alloc as i64).abs() <= (n as i64),
-            "architectures diverged: {mon_alloc} vs {dist_alloc}"
+            monitor.alloc.abs_diff(token.alloc) <= n as u64,
+            "architectures diverged: {} vs {}",
+            monitor.alloc,
+            token.alloc
         );
     }
     emit_table(

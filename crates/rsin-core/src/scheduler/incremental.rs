@@ -440,32 +440,43 @@ mod tests {
 
     #[test]
     fn release_frees_the_resource_and_promotes_a_queued_request() {
-        // Saturate all 8 resources, queue a 9th... omega(8) has 8 of each,
-        // so queue nothing; instead occupy everything, then check a release
-        // frees capacity that the next arrival takes.
-        let net = omega(8).unwrap();
+        // Three processors share two resources through one crossbar, so the
+        // third arrival queues until a release frees a resource.
+        let net = crossbar(3, 2).unwrap();
         let mut inc = IncrementalScheduler::new(&net, IncrementalBackend::MaxFlow);
-        for p in 0..8 {
+        for p in 0..2 {
             assert!(matches!(
                 inc.request(p).unwrap(),
                 StreamDecision::Allocated { .. }
             ));
         }
-        assert_eq!(inc.allocated_count(), 8);
-        let d = inc.release(2).unwrap();
+        assert_eq!(
+            inc.request(2).unwrap(),
+            StreamDecision::Queued { processor: 2 }
+        );
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 1));
+        let d = inc.release(1).unwrap();
         let StreamDecision::Released {
-            processor: 2,
+            processor: 1,
             resource,
-            promoted: None,
+            promoted: Some(promoted),
         } = d
         else {
-            panic!("unexpected decision {d:?}");
+            panic!("release of p1 promoted nothing: {d:?}");
         };
-        assert_eq!(inc.allocated_count(), 7);
-        // Re-request: must allocate again (some free resource exists).
-        let d = inc.request(2).unwrap();
-        assert!(matches!(d, StreamDecision::Allocated { .. }));
-        let _ = resource;
+        assert_eq!(promoted.processor, 2);
+        assert_eq!(promoted.resource, resource, "takes the freed resource");
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 0));
+        // With nothing queued, a release frees its resource for the next
+        // arrival.
+        let d = inc.release(2).unwrap();
+        assert!(matches!(d, StreamDecision::Released { promoted: None, .. }));
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (1, 0));
+        assert!(matches!(
+            inc.request(1).unwrap(),
+            StreamDecision::Allocated { .. }
+        ));
+        assert_eq!((inc.allocated_count(), inc.queued_count()), (2, 0));
     }
 
     #[test]

@@ -35,6 +35,12 @@
 //! periods** (gate delays) instead of instructions, which is the paper's
 //! claimed speedup.
 //!
+//! This crate runs *one* cycle. Multi-cycle operation — requests arriving,
+//! circuits torn down, resources released — lives in one shell for both
+//! architectures, `rsin_sim::monitor::Monitor`: its `cycle` runs a software
+//! scheduler priced in instructions (Fig. 6), its `token_cycle` runs
+//! [`TokenEngine`] priced in clock periods (Fig. 9).
+//!
 //! ```
 //! use rsin_topology::{builders::omega, CircuitState};
 //! use rsin_core::model::ScheduleProblem;
@@ -53,9 +59,7 @@
 pub mod engine;
 pub mod gates;
 pub mod status;
-pub mod system;
 
 pub use engine::{CycleReport, TokenEngine};
 pub use gates::Netlist;
 pub use status::{Event, StatusBus};
-pub use system::DistributedSystem;

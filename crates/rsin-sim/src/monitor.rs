@@ -1,21 +1,28 @@
-//! The monitor architecture (Fig. 6 of the paper), made explicit.
+//! One multi-cycle shell for both of the paper's architectures.
 //!
-//! "A dedicated monitor is responsible for resource scheduling … It
-//! maintains the status of the interconnection network and resources. The
-//! monitor enters a scheduling cycle when there are pending requests.
-//! Requests received or resources released during a scheduling cycle will
-//! not be processed until the next cycle."
+//! The monitor architecture (Fig. 6): "A dedicated monitor is responsible
+//! for resource scheduling … It maintains the status of the
+//! interconnection network and resources. The monitor enters a scheduling
+//! cycle when there are pending requests. Requests received or resources
+//! released during a scheduling cycle will not be processed until the next
+//! cycle."
 //!
-//! [`Monitor`] wraps any [`Scheduler`] with exactly those semantics, and
-//! the Fig. 6 deferral holds by construction: [`Monitor::cycle`] borrows
-//! the monitor mutably, so no request or release can land while a cycle
-//! runs, and whatever arrives after it is seen by the next snapshot. It also prices each cycle with the
-//! [`CostModel`] so experiments can compare the monitor's scheduling
-//! latency against the distributed engine's.
+//! [`Monitor`] keeps that status (pending requests, free resources, live
+//! circuits) and runs each cycle as snapshot → solve → commit. The solve
+//! is either architecture's: [`Monitor::cycle`] runs any [`Scheduler`]
+//! and counts the instructions it reports (Fig. 6), and
+//! [`Monitor::token_cycle`] runs the distributed token engine
+//! ([`TokenEngine`], Fig. 9) and counts its clock periods. The deferral
+//! holds by construction for both: a cycle borrows the shell mutably, so
+//! no request or release can land while it runs, and whatever arrives
+//! after it is seen by the next snapshot. The totals are priced once with
+//! the [`CostModel`] ([`Monitor::scheduling_us`]), so experiments can
+//! compare the two architectures on one workload.
 
 use crate::cost::CostModel;
-use rsin_core::model::{ScheduleOutcome, ScheduleProblem, ScheduleRequest};
-use rsin_core::scheduler::{ScheduleError, Scheduler};
+use rsin_core::model::{FreeResource, ScheduleOutcome, ScheduleProblem, ScheduleRequest};
+use rsin_core::scheduler::{check_ids, ScheduleError, Scheduler};
+use rsin_distrib::TokenEngine;
 use rsin_topology::{CircuitId, CircuitState, Network};
 
 /// When the monitor chooses to enter a scheduling cycle.
@@ -36,54 +43,47 @@ pub enum BatchingPolicy {
     WaitForResources(usize),
 }
 
-/// A centralized scheduling monitor over one network.
+/// A scheduling shell over one homogeneous network, for either
+/// architecture.
 pub struct Monitor<'n> {
     circuits: CircuitState<'n>,
     /// Requests visible to the next cycle.
     pending: Vec<ScheduleRequest>,
     /// Resource availability visible to the next cycle.
     free: Vec<bool>,
-    /// Resource type per resource (0 everywhere in homogeneous systems).
-    resource_types: Vec<usize>,
-    /// Live circuits per processor (so task completion can release them).
-    live: Vec<Option<(CircuitId, usize)>>,
+    /// Live circuit per processor (so task completion can release it).
+    live: Vec<Option<CircuitId>>,
     policy: BatchingPolicy,
     cost: CostModel,
-    /// Total microseconds spent scheduling (monitor latency).
-    pub scheduling_us: f64,
+    /// Monitor instructions summed over all [`Monitor::cycle`]s.
+    pub instructions: u64,
+    /// Clock periods summed over all [`Monitor::token_cycle`]s.
+    pub clocks: u64,
     /// Cycles executed.
     pub cycles: u64,
 }
 
-/// What one monitor cycle did.
+/// What one cycle did.
 #[derive(Debug, Clone)]
 pub struct CycleOutcome {
     /// The mapping committed this cycle.
     pub outcome: ScheduleOutcome,
-    /// Monitor latency charged for this cycle, in microseconds.
+    /// Scheduling latency charged for this cycle, in microseconds.
     pub latency_us: f64,
 }
 
 impl<'n> Monitor<'n> {
-    /// A monitor over a free homogeneous network; all resources available.
+    /// A shell over a free homogeneous network; all resources available.
     pub fn new(net: &'n Network, cost: CostModel) -> Self {
-        let types = vec![0; net.num_resources()];
-        Monitor::with_types(net, cost, types)
-    }
-
-    /// A monitor over a heterogeneous pool: `resource_types[r]` is the type
-    /// of resource `r`.
-    pub fn with_types(net: &'n Network, cost: CostModel, resource_types: Vec<usize>) -> Self {
-        assert_eq!(resource_types.len(), net.num_resources());
         Monitor {
             circuits: CircuitState::new(net),
             pending: Vec::new(),
             free: vec![true; net.num_resources()],
-            resource_types,
             live: vec![None; net.num_processors()],
             policy: BatchingPolicy::Immediate,
             cost,
-            scheduling_us: 0.0,
+            instructions: 0,
+            clocks: 0,
             cycles: 0,
         }
     }
@@ -98,29 +98,57 @@ impl<'n> Monitor<'n> {
         self.policy = policy;
     }
 
-    /// A processor submits a request; the next cycle sees it. A processor
-    /// the network lacks is rejected with
-    /// [`ScheduleError::UnknownProcessor`] and nothing is queued, so one bad
-    /// id cannot fail every later cycle.
+    /// Total scheduling time so far, in microseconds: the instructions of
+    /// every Fig. 6 cycle and the clock periods of every token cycle, each
+    /// total priced once.
+    pub fn scheduling_us(&self) -> f64 {
+        self.cost.monitor_us(self.instructions) + self.cost.distributed_us(self.clocks)
+    }
+
+    /// A processor submits a request; the next cycle sees it. Like the
+    /// request server's RQ pending bit, a processor holds at most one
+    /// pending request: a second submit before a cycle serves the first is
+    /// ignored, and the first keeps its place. A processor the network
+    /// lacks is rejected with [`ScheduleError::UnknownProcessor`] and
+    /// nothing is queued, so one bad id cannot fail every later cycle.
     pub fn submit(&mut self, request: ScheduleRequest) -> Result<(), ScheduleError> {
         if request.processor >= self.circuits.network().num_processors() {
             return Err(ScheduleError::UnknownProcessor(request.processor));
         }
-        self.pending.push(request);
+        if !self
+            .pending
+            .iter()
+            .any(|r| r.processor == request.processor)
+        {
+            self.pending.push(request);
+        }
         Ok(())
     }
 
-    /// A resource finishes its task; the next cycle sees it free.
-    pub fn release_resource(&mut self, resource: usize) {
-        self.free[resource] = true;
+    /// A resource finishes its task; the next cycle sees it free. A
+    /// resource the network lacks is rejected with the error
+    /// [`check_ids`] gives a free resource out of range.
+    pub fn release_resource(&mut self, resource: usize) -> Result<(), ScheduleError> {
+        let free = self
+            .free
+            .get_mut(resource)
+            .ok_or(ScheduleError::Internal("free resource port out of range"))?;
+        *free = true;
+        Ok(())
     }
 
     /// A processor finishes transmitting: its circuit is torn down (the
-    /// resource stays busy until [`Monitor::release_resource`]).
-    pub fn transmission_done(&mut self, processor: usize) {
-        if let Some((c, _)) = self.live[processor].take() {
-            let _ = self.circuits.release(c);
+    /// resource stays busy until [`Monitor::release_resource`]). A
+    /// processor the network lacks is [`ScheduleError::UnknownProcessor`].
+    pub fn transmission_done(&mut self, processor: usize) -> Result<(), ScheduleError> {
+        let live = self
+            .live
+            .get_mut(processor)
+            .ok_or(ScheduleError::UnknownProcessor(processor))?;
+        if let Some(c) = live.take() {
+            self.circuits.release(c)?;
         }
+        Ok(())
     }
 
     /// Number of requests the next cycle will see.
@@ -128,14 +156,35 @@ impl<'n> Monitor<'n> {
         self.pending.len()
     }
 
-    /// Run one scheduling cycle: snapshot → schedule → commit. Returns
-    /// `Ok(None)` if there was nothing to do (no pending requests or no free
-    /// resources — the idle states of Fig. 10), and the scheduler's error
-    /// when it rejects the snapshot or maps a circuit that cannot be
+    /// Run one Fig. 6 cycle with `scheduler`, charged the instructions its
+    /// outcome reports. Returns `Ok(None)` if there was nothing to do (no
+    /// pending requests or no free resources — the idle states of Fig.
+    /// 10 — or the batching threshold is not met), and the scheduler's
+    /// error when it rejects the snapshot or maps a circuit that cannot be
     /// established.
     pub fn cycle(
         &mut self,
         scheduler: &dyn Scheduler,
+    ) -> Result<Option<CycleOutcome>, ScheduleError> {
+        self.run_cycle(|problem| Ok((scheduler.try_schedule(problem)?, 0)))
+    }
+
+    /// Run one Fig. 9 cycle on the distributed token engine, charged its
+    /// clock periods; otherwise as [`Monitor::cycle`].
+    pub fn token_cycle(&mut self) -> Result<Option<CycleOutcome>, ScheduleError> {
+        self.run_cycle(|problem| {
+            check_ids(problem)?;
+            let report = TokenEngine::run(problem);
+            Ok((report.outcome, report.clocks))
+        })
+    }
+
+    /// The cycle both architectures share: snapshot → `solve` → commit.
+    /// `solve` returns the outcome and the clock periods it took; the
+    /// outcome's `estimated_instructions` are the monitor's work.
+    fn run_cycle(
+        &mut self,
+        solve: impl FnOnce(&ScheduleProblem) -> Result<(ScheduleOutcome, u64), ScheduleError>,
     ) -> Result<Option<CycleOutcome>, ScheduleError> {
         let free_now: Vec<usize> = (0..self.free.len()).filter(|&r| self.free[r]).collect();
         if self.pending.is_empty() || free_now.is_empty() {
@@ -161,28 +210,29 @@ impl<'n> Monitor<'n> {
             requests: self.pending.clone(),
             free: free_now
                 .iter()
-                .map(|&r| rsin_core::model::FreeResource {
+                .map(|&r| FreeResource {
                     resource: r,
                     preference: 1,
-                    resource_type: self.resource_types[r],
+                    resource_type: 0,
                 })
                 .collect(),
         };
-        let outcome = scheduler.try_schedule(&problem)?;
+        let (outcome, clocks) = solve(&problem)?;
         drop(problem);
         // Commit: establish circuits, claim resources, drop served requests.
         for a in &outcome.assignments {
             let c = self.circuits.establish(&a.path)?;
             self.free[a.resource] = false;
-            self.live[a.processor] = Some((c, a.resource));
+            self.live[a.processor] = Some(c);
             self.pending.retain(|r| r.processor != a.processor);
         }
-        let latency_us = self.cost.monitor_us(outcome.estimated_instructions);
-        self.scheduling_us += latency_us;
+        let instructions = outcome.estimated_instructions;
+        self.instructions += instructions;
+        self.clocks += clocks;
         self.cycles += 1;
         Ok(Some(CycleOutcome {
             outcome,
-            latency_us,
+            latency_us: self.cost.monitor_us(instructions) + self.cost.distributed_us(clocks),
         }))
     }
 }
@@ -245,8 +295,8 @@ mod tests {
         }
         // Release one resource and tear down its processor's circuit.
         let a = &c1.outcome.assignments[0];
-        m.transmission_done(a.processor);
-        m.release_resource(a.resource);
+        m.transmission_done(a.processor).unwrap();
+        m.release_resource(a.resource).unwrap();
         m.submit(req(a.processor)).unwrap();
         let c2 = cycle(&mut m).unwrap();
         assert_eq!(c2.outcome.allocated(), 1);
@@ -283,11 +333,8 @@ mod tests {
         m.submit(req(7)).unwrap();
         assert!(cycle(&mut m).is_none(), "only 1 resource free");
         // A release brings the pool to the threshold.
-        let freed = 0; // resource allocated to p1 in the first cycle? find one:
-        let _ = freed;
-        // Release any allocated resource: p0's.
-        m.transmission_done(0);
-        m.release_resource(find_resource_of(&m));
+        m.transmission_done(0).unwrap();
+        m.release_resource(find_resource_of(&m)).unwrap();
         let c = cycle(&mut m);
         assert!(c.is_some());
     }
@@ -303,12 +350,12 @@ mod tests {
         let mut m = Monitor::new(&net, CostModel::default());
         m.submit(req(0)).unwrap();
         cycle(&mut m).unwrap();
-        let t1 = m.scheduling_us;
-        m.transmission_done(0);
-        m.release_resource(0);
+        let t1 = m.scheduling_us();
+        m.transmission_done(0).unwrap();
+        m.release_resource(0).unwrap();
         m.submit(req(1)).unwrap();
         cycle(&mut m).unwrap();
-        assert!(m.scheduling_us > t1);
+        assert!(m.scheduling_us() > t1);
         assert_eq!(m.cycles, 2);
     }
 
@@ -324,5 +371,128 @@ mod tests {
         let c = cycle(&mut m).unwrap();
         assert_eq!(c.outcome.assignments[0].processor, 3);
         assert_eq!(m.cycles, 1);
+    }
+
+    #[test]
+    fn unknown_ids_at_teardown_are_typed_errors() {
+        let net = omega(8).unwrap();
+        let mut m = Monitor::new(&net, CostModel::default());
+        assert_eq!(
+            m.transmission_done(8),
+            Err(ScheduleError::UnknownProcessor(8))
+        );
+        // The same error the schedulers' id check gives a resource past
+        // the last port.
+        let out_of_range = ScheduleProblem::homogeneous(m.circuits(), &[], &[8]);
+        let expected = check_ids(&out_of_range).unwrap_err();
+        assert_eq!(m.release_resource(8), Err(expected));
+        // Nothing changed: a cycle still serves a valid request.
+        m.submit(req(1)).unwrap();
+        assert_eq!(token_cycle(&mut m).unwrap().outcome.allocated(), 1);
+    }
+
+    #[test]
+    fn duplicate_submission_costs_nothing_extra() {
+        let net = omega(8).unwrap();
+        let run = |duplicate: bool| {
+            let mut m = Monitor::new(&net, CostModel::default());
+            for p in [1, 4, 6] {
+                m.submit(req(p)).unwrap();
+            }
+            if duplicate {
+                m.submit(req(4)).unwrap();
+            }
+            let pending = m.pending_count();
+            let outcome = cycle(&mut m).unwrap().outcome;
+            (pending, outcome)
+        };
+        let (once_pending, once) = run(false);
+        let (twice_pending, twice) = run(true);
+        assert_eq!(twice_pending, once_pending);
+        assert_eq!(twice.assignments, once.assignments);
+        assert_eq!(twice.blocked, once.blocked);
+        assert_eq!(twice.estimated_instructions, once.estimated_instructions);
+    }
+
+    // The token cycle (Fig. 9) through the same shell.
+
+    /// One token-engine cycle of `m`, which must not fail.
+    fn token_cycle(m: &mut Monitor) -> Option<CycleOutcome> {
+        m.token_cycle().unwrap()
+    }
+
+    #[test]
+    fn lifecycle_submit_cycle_release() {
+        let net = omega(8).unwrap();
+        let mut m = Monitor::new(&net, CostModel::default());
+        assert!(token_cycle(&mut m).is_none());
+        m.submit(req(0)).unwrap();
+        m.submit(req(3)).unwrap();
+        let out = token_cycle(&mut m).unwrap().outcome;
+        assert_eq!(out.allocated(), 2);
+        assert_eq!(m.pending_count(), 0);
+        assert_eq!(m.circuits().occupied_count(), 8);
+        assert!(m.clocks > 0);
+        // Release one and reuse.
+        let a = &out.assignments[0];
+        m.transmission_done(a.processor).unwrap();
+        m.release_resource(a.resource).unwrap();
+        m.submit(req(a.processor)).unwrap();
+        let out2 = token_cycle(&mut m).unwrap().outcome;
+        assert_eq!(out2.allocated(), 1);
+        assert_eq!(m.cycles, 2);
+    }
+
+    #[test]
+    fn saturation_blocks_further_cycles() {
+        let net = omega(8).unwrap();
+        let mut m = Monitor::new(&net, CostModel::default());
+        for p in 0..8 {
+            m.submit(req(p)).unwrap();
+        }
+        let served = token_cycle(&mut m).unwrap().outcome.allocated();
+        assert!(served > 0);
+        if served == 8 {
+            m.submit(req(0)).unwrap();
+            // Everything busy: no cycle can run.
+            assert!(token_cycle(&mut m).is_none());
+        }
+    }
+
+    #[test]
+    fn duplicate_submissions_are_idempotent() {
+        let net = omega(8).unwrap();
+        // The RQ pending bit: under either architecture's cycle.
+        let runs: [fn(&mut Monitor) -> Option<CycleOutcome>; 2] = [cycle, token_cycle];
+        for run in runs {
+            let mut m = Monitor::new(&net, CostModel::default());
+            m.submit(req(2)).unwrap();
+            m.submit(req(2)).unwrap();
+            assert_eq!(m.pending_count(), 1);
+            let out = run(&mut m).unwrap().outcome;
+            assert_eq!(out.allocated(), 1);
+            assert!(out.blocked.is_empty());
+            assert_eq!(m.pending_count(), 0);
+        }
+    }
+
+    #[test]
+    fn clocks_accumulate_across_cycles() {
+        let net = omega(8).unwrap();
+        let mut m = Monitor::new(&net, CostModel::default());
+        m.submit(req(0)).unwrap();
+        let out = token_cycle(&mut m).unwrap().outcome;
+        let c1 = m.clocks;
+        let r = out.assignments[0].resource;
+        m.transmission_done(0).unwrap();
+        m.release_resource(r).unwrap();
+        m.submit(req(1)).unwrap();
+        token_cycle(&mut m).unwrap();
+        assert!(m.clocks > c1);
+        assert_eq!(m.instructions, 0, "token cycles execute no instructions");
+        assert_eq!(
+            m.scheduling_us(),
+            CostModel::default().distributed_us(m.clocks)
+        );
     }
 }

@@ -6,8 +6,10 @@ use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{
     AddressMappedScheduler, MaxFlowScheduler, MinCostScheduler, MultiCommodityScheduler, Scheduler,
 };
-use rsin_distrib::{DistributedSystem, TokenEngine};
+use rsin_distrib::TokenEngine;
 use rsin_sim::blocking::{run_blocking, BlockingConfig};
+use rsin_sim::cost::CostModel;
+use rsin_sim::monitor::Monitor;
 use rsin_topology::builders::{generalized_cube, omega};
 use rsin_topology::CircuitState;
 
@@ -122,16 +124,21 @@ fn the_paper_in_one_test() {
         assert!(vectors.contains(&v), "Fig. 10 vector {v} missing");
     }
     // ... and keeps doing so across a multi-cycle lifetime.
-    let mut sys = DistributedSystem::new(&net);
-    sys.submit(0);
-    sys.submit(5);
-    let first = sys.cycle().unwrap();
+    let req = |processor| ScheduleRequest {
+        processor,
+        priority: 1,
+        resource_type: 0,
+    };
+    let mut sys = Monitor::new(&net, CostModel::default());
+    sys.submit(req(0)).unwrap();
+    sys.submit(req(5)).unwrap();
+    let first = sys.token_cycle().unwrap().unwrap().outcome;
     assert_eq!(first.allocated(), 2);
     let a = &first.assignments[0];
-    sys.transmission_done(a.processor);
-    sys.release_resource(a.resource);
-    sys.submit(a.processor);
-    assert!(sys.cycle().is_some());
+    sys.transmission_done(a.processor).unwrap();
+    sys.release_resource(a.resource).unwrap();
+    sys.submit(req(a.processor)).unwrap();
+    assert!(sys.token_cycle().unwrap().is_some());
     assert!(sys.clocks > 0);
 
     // ------------------------------------------------------------------
