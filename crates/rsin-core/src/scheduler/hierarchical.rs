@@ -511,7 +511,7 @@ impl<'n> HierarchicalScheduler<'n> {
         }
         for &r in free {
             if r >= total {
-                return Err(ScheduleError::Internal("free resource port out of range"));
+                return Err(ScheduleError::UnknownResource(r));
             }
             plans[r / n].free.push(r % n);
         }
@@ -813,7 +813,7 @@ mod tests {
         let mut plans: Vec<ShardPlan> = vec![ShardPlan::default(); s_count];
         for &r in free {
             if r >= total {
-                return Err(ScheduleError::Internal("free resource port out of range"));
+                return Err(ScheduleError::UnknownResource(r));
             }
             plans[r / n].free.push(r % n);
         }
@@ -1171,7 +1171,10 @@ mod tests {
             h.schedule(&[8], &[]),
             Err(ScheduleError::UnknownProcessor(8))
         );
-        assert!(h.schedule(&[], &[99]).is_err());
+        assert_eq!(
+            h.schedule(&[], &[99]),
+            Err(ScheduleError::UnknownResource(99))
+        );
     }
 
     #[test]

@@ -61,6 +61,8 @@ pub enum ScheduleError {
     Circuit(CircuitError),
     /// A stream command named a processor the network does not have.
     UnknownProcessor(usize),
+    /// A snapshot or command named a resource the network does not have.
+    UnknownResource(usize),
     /// A stream `Request` arrived for a processor that is already queued or
     /// allocated.
     DuplicateRequest(usize),
@@ -80,6 +82,7 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::Mapping(e) => write!(f, "flow decomposition failed: {e:?}"),
             ScheduleError::Circuit(e) => write!(f, "circuit establishment failed: {e:?}"),
             ScheduleError::UnknownProcessor(p) => write!(f, "unknown processor {p}"),
+            ScheduleError::UnknownResource(r) => write!(f, "unknown resource {r}"),
             ScheduleError::DuplicateRequest(p) => {
                 write!(f, "processor {p} already has an active request")
             }
@@ -619,7 +622,8 @@ pub trait Scheduler: Sync {
 /// Reject snapshot ids the network does not have, before any dense table
 /// is indexed by them: a request from an unknown processor is
 /// [`ScheduleError::UnknownProcessor`], a free resource past the last port
-/// the same `Internal` error [`HierarchicalScheduler::place`] reports.
+/// [`ScheduleError::UnknownResource`], as [`HierarchicalScheduler::place`]
+/// reports them.
 /// Schedulers outside this crate whose engines index dense per-port tables
 /// (the distributed token engine) call it at their boundary too.
 pub fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> {
@@ -631,12 +635,12 @@ pub fn check_ids(problem: &ScheduleProblem) -> Result<(), ScheduleError> {
     {
         return Err(ScheduleError::UnknownProcessor(r.processor));
     }
-    if problem
+    if let Some(f) = problem
         .free
         .iter()
-        .any(|f| f.resource >= net.num_resources())
+        .find(|f| f.resource >= net.num_resources())
     {
-        return Err(ScheduleError::Internal("free resource port out of range"));
+        return Err(ScheduleError::UnknownResource(f.resource));
     }
     Ok(())
 }
@@ -1050,7 +1054,7 @@ mod tests {
         let problem = ScheduleProblem::homogeneous(&cs, &[0], &[1, 99]);
         assert_eq!(
             entry_point_errors(&problem),
-            vec![ScheduleError::Internal("free resource port out of range"); 35]
+            vec![ScheduleError::UnknownResource(99); 35]
         );
     }
 }

@@ -447,6 +447,31 @@ impl FlowNetwork {
         self.csr_offsets[n.index()] as usize..self.csr_offsets[n.index() + 1] as usize
     }
 
+    /// The CSR offsets: node `n`'s slots are `offsets[n] .. offsets[n + 1]`.
+    /// Same freshness contract as [`Self::out_arcs`].
+    #[inline]
+    pub(crate) fn csr_offsets(&self) -> &[u32] {
+        debug_assert!(
+            self.csr_is_fresh(),
+            "adjacency read on a stale CSR cache: call ensure_csr() after add_node/add_arc"
+        );
+        &self.csr_offsets
+    }
+
+    /// The CSR offsets, the hot lane to write and the `arc_pos`
+    /// permutation, borrowed together: a kernel that walks and pushes by
+    /// slot reaches a twin's slot as `arc_pos[id ^ 1]`. Writers keep each
+    /// pair's two residuals summing to its pair capacity, as
+    /// [`Self::push`] does.
+    #[inline]
+    pub(crate) fn slot_lanes_mut(&mut self) -> (&[u32], &mut [HotArc], &[u32]) {
+        debug_assert!(
+            self.csr_is_fresh(),
+            "adjacency read on a stale CSR cache: call ensure_csr() after add_node/add_arc"
+        );
+        (&self.csr_offsets, &mut self.hot, &self.arc_pos)
+    }
+
     /// The CSR-ordered hot scan lane (`residual`, `head`, `id` per slot).
     /// Index it with [`Self::out_range`]; solver inner loops iterate this
     /// contiguously instead of chasing per-arc lanes through the id

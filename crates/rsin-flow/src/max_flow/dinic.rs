@@ -145,65 +145,67 @@ pub(crate) enum LabelSide {
     Sink,
 }
 
-/// BFS labelling into `scratch.level` (sentinel [`UNLEVELLED`]). From the
-/// source side: the traversal, sink-layer cutoff and operation counts of
+/// BFS labelling into `scratch.level` (sentinel [`UNLEVELLED`]), one body
+/// per label side. From the source side (`FROM_SINK == false`): the
+/// traversal, sink-layer cutoff and operation counts of
 /// [`LayeredNetwork::build`]. From the sink side: the mirror image, from
 /// `t` over reverse residual arcs (read as `pair_cap - res` on the slot's
 /// own lane, so no walk through the `arc_pos` permutation), cut off at the
-/// source's layer. Returns `true` when the far end was labelled, i.e. an
-/// augmenting path exists. Requires `s != t`.
-fn level_residual(
+/// source's layer. The frontier is a flat list read by a head index: every
+/// node it holds is popped exactly once, so the visit count is its length,
+/// and an expanded node's slots are counted in one add. Returns `true`
+/// when the far end was labelled, i.e. an augmenting path exists. Requires
+/// `s != t`.
+fn level_residual<const FROM_SINK: bool>(
     g: &FlowNetwork,
     s: NodeId,
     t: NodeId,
-    side: LabelSide,
     scratch: &mut SolveScratch,
     stats: &mut OpStats,
 ) -> bool {
     stats.phases += 1;
     let n = g.num_nodes();
-    let (root, goal) = match side {
-        LabelSide::Source => (s, t),
-        LabelSide::Sink => (t, s),
-    };
-    let SolveScratch { level, queue, .. } = scratch;
+    let (root, goal) = if FROM_SINK { (t, s) } else { (s, t) };
+    let SolveScratch {
+        level, frontier, ..
+    } = scratch;
     level[..n].fill(UNLEVELLED);
     level[root.index()] = 0;
-    queue.clear();
-    queue.push_back(root);
+    frontier.clear();
+    frontier.reserve(n);
+    frontier.push(root);
     // `UNLEVELLED` doubles as "goal not seen yet": no reachable node's level
     // can compare >= to it, so the cutoff below only bites once it is found.
     let mut goal_level = UNLEVELLED;
-    let (hot, pair_caps) = (g.hot_arcs(), g.pair_caps());
-    while let Some(u) = queue.pop_front() {
-        stats.node_visits += 1;
-        stats.level_node_visits += 1;
+    let (offsets, hot, pair_caps) = (g.csr_offsets(), g.hot_arcs(), g.pair_caps());
+    let mut scans = 0;
+    let mut popped = 0;
+    while let Some(&u) = frontier.get(popped) {
+        popped += 1;
         let lu = level[u.index()];
         // Do not expand nodes at or beyond the goal's layer.
         if lu >= goal_level {
             continue;
         }
-        let r = g.out_range(u);
-        for (h, &pair_cap) in hot[r.clone()].iter().zip(&pair_caps[r]) {
-            stats.arc_scans += 1;
-            stats.level_arc_scans += 1;
-            let res = match side {
-                LabelSide::Source => h.res,
-                LabelSide::Sink => pair_cap - h.res,
-            };
-            if res > 0 {
-                let to = h.head;
-                if level[to.index()] == UNLEVELLED {
-                    let lv = lu + 1;
-                    level[to.index()] = lv;
-                    if to == goal {
-                        goal_level = lv;
-                    }
-                    queue.push_back(to);
+        let (lo, hi) = (offsets[u.index()] as usize, offsets[u.index() + 1] as usize);
+        scans += hi - lo;
+        // The source side never reads `pair_cap`, so its load folds away.
+        for (h, &pair_cap) in hot[lo..hi].iter().zip(&pair_caps[lo..hi]) {
+            let res = if FROM_SINK { pair_cap - h.res } else { h.res };
+            if res > 0 && level[h.head.index()] == UNLEVELLED {
+                let lv = lu + 1;
+                level[h.head.index()] = lv;
+                if h.head == goal {
+                    goal_level = lv;
                 }
+                frontier.push(h.head);
             }
         }
     }
+    stats.node_visits += popped as u64;
+    stats.level_node_visits += popped as u64;
+    stats.arc_scans += scans as u64;
+    stats.level_arc_scans += scans as u64;
     level[goal.index()] != UNLEVELLED
 }
 
@@ -213,93 +215,95 @@ fn level_residual(
 /// label closer to `t`: one more than its tail's label from the source
 /// side, one less from the sink side. Reads the labels written by
 /// [`level_residual`] and reuses the DFS buffers in `scratch`.
-fn blocking_flow(
+///
+/// Everything is addressed by CSR slot: each node's current-arc pointer is
+/// an absolute slot, seeded from the CSR offsets, and the DFS stack holds
+/// the slot taken plus the node it left. Bottleneck, push, retreat and
+/// backtracking read the hot lane at those slots; only the push's write to
+/// the twin goes through the `arc_pos` permutation.
+fn blocking_flow<const FROM_SINK: bool>(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
-    side: LabelSide,
     scratch: &mut SolveScratch,
     stats: &mut OpStats,
 ) -> Flow {
     let n = g.num_nodes();
     // One step closer to t, as a wrapping add: +1 or -1. The DFS stands
     // only on labelled nodes other than t, so neither step wraps.
-    let step = match side {
-        LabelSide::Source => 1,
-        LabelSide::Sink => u32::MAX,
-    };
+    let step = if FROM_SINK { u32::MAX } else { 1 };
     let SolveScratch {
         level,
-        next_arc,
-        path,
+        next_slot,
+        steps,
         ..
     } = scratch;
-    // Current-arc pointer per node: arcs before it are exhausted.
-    next_arc[..n].fill(0);
-    let mut total = 0;
-    // DFS stack of arcs taken from the source to the current node.
-    path.clear();
+    let (offsets, hot, arc_pos) = g.slot_lanes_mut();
+    // Current-arc pointer per node: slots before it are exhausted.
+    next_slot[..n].copy_from_slice(&offsets[..n]);
+    let (mut total, mut scans, mut retreats, mut augmentations) = (0, 0, 0, 0);
+    steps.clear();
     let mut u = s;
     loop {
         if u == t {
             // Found a shortest s-t path; push its bottleneck.
-            let mut bottleneck = Flow::MAX;
-            for &a in path.iter() {
-                bottleneck = bottleneck.min(g.residual(a));
-            }
-            for &a in path.iter() {
-                g.push(a, bottleneck);
+            let bottleneck = steps
+                .iter()
+                .map(|&(slot, _)| hot[slot as usize].res)
+                .min()
+                .expect("s != t, so the path has an arc");
+            for &(slot, _) in steps.iter() {
+                let h = &mut hot[slot as usize];
+                h.res -= bottleneck;
+                let twin = arc_pos[h.id.twin().index()] as usize;
+                hot[twin].res += bottleneck;
             }
             total += bottleneck;
-            stats.augmentations += 1;
-            // Retreat to the first saturated arc on the path.
-            let mut retreat_to = 0;
-            for (i, &a) in path.iter().enumerate() {
-                if g.residual(a) == 0 {
-                    retreat_to = i;
-                    break;
-                }
-            }
-            path.truncate(retreat_to);
-            u = if let Some(&a) = path.last() {
-                g.head(a)
-            } else {
-                s
-            };
+            augmentations += 1;
+            // Retreat to the tail of the first saturated arc on the path.
+            let first_full = steps
+                .iter()
+                .position(|&(slot, _)| hot[slot as usize].res == 0)
+                .expect("the bottleneck arc is saturated");
+            u = steps[first_full].1;
+            steps.truncate(first_full);
             continue;
         }
-        // Advance over the next admissible ("useful") arc out of u. Walks
-        // the hot lane by current-arc pointer, so each probe is one 16-byte
-        // slot.
-        let range = g.out_range(u);
-        let hots = &g.hot_arcs()[range];
+        // Advance over the next admissible ("useful") arc out of u, one
+        // 16-byte slot per probe.
         let closer = level[u.index()].wrapping_add(step);
-        let mut advanced = false;
-        while next_arc[u.index()] < hots.len() {
-            let h = hots[next_arc[u.index()]];
-            stats.arc_scans += 1;
+        let end = offsets[u.index() + 1];
+        let mut slot = next_slot[u.index()];
+        while slot < end {
+            let h = hot[slot as usize];
+            scans += 1;
             if h.res > 0 && level[h.head.index()] == closer {
-                path.push(h.id);
-                u = h.head;
-                advanced = true;
                 break;
             }
-            next_arc[u.index()] += 1;
+            slot += 1;
         }
-        if advanced {
+        next_slot[u.index()] = slot;
+        if slot < end {
+            steps.push((slot, u));
+            u = hot[slot as usize].head;
             continue;
         }
         // Dead end: retreat (or finish if at the source).
         if u == s {
             break;
         }
-        stats.node_visits += 1;
-        let a = path.pop().expect("retreat below source");
-        let prev = g.tail(a);
+        retreats += 1;
+        let (slot, prev) = steps.pop().expect("retreat below source");
         // Exhaust the arc we came through so we never retry this dead end.
-        next_arc[prev.index()] += 1;
+        // Each retreat moves a pointer past a slot for good, so a phase
+        // retreats at most once per slot.
+        next_slot[prev.index()] = slot + 1;
+        debug_assert!(retreats <= hot.len() as u64, "a dead end was retried");
         u = prev;
     }
+    stats.arc_scans += scans;
+    stats.node_visits += retreats;
+    stats.augmentations += augmentations;
     total
 }
 
@@ -369,9 +373,8 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
 ) -> MaxFlowResult {
     g.ensure_csr();
     let mut stats = OpStats::new();
-    let mut value = 0;
     if s == t {
-        return MaxFlowResult { value, stats };
+        return MaxFlowResult { value: 0, stats };
     }
     scratch.ensure_nodes(g.num_nodes());
     let (out_of_s, into_t) = end_residuals(g, s, t);
@@ -383,15 +386,35 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
     // A shortest augmenting path leaves s once and enters t once, so each
     // unit added spends one unit of both end residuals.
     let bound = out_of_s.min(into_t);
+    let value = match side {
+        LabelSide::Source => run_phases::<false, P>(g, s, t, bound, scratch, &mut stats, probe),
+        LabelSide::Sink => run_phases::<true, P>(g, s, t, bound, scratch, &mut stats, probe),
+    };
+    MaxFlowResult { value, stats }
+}
+
+/// Alternate labelling and blocking flow from one side until a search
+/// fails to reach the far end or the flow added meets `bound`. Returns the
+/// flow added.
+fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
+    g: &mut FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    bound: Flow,
+    scratch: &mut SolveScratch,
+    stats: &mut OpStats,
+    probe: &P,
+) -> Flow {
+    let mut value = 0;
     while value < bound {
         let span = probe.start();
-        let reached = level_residual(g, s, t, side, scratch, &mut stats);
+        let reached = level_residual::<FROM_SINK>(g, s, t, scratch, stats);
         probe.finish(span, rsin_obs::Hist::DinicLevelPhaseNs);
         if !reached {
             break;
         }
         let span = probe.start();
-        let pushed = blocking_flow(g, s, t, side, scratch, &mut stats);
+        let pushed = blocking_flow::<FROM_SINK>(g, s, t, scratch, stats);
         probe.finish(span, rsin_obs::Hist::DinicBlockingPhaseNs);
         debug_assert!(
             pushed > 0,
@@ -399,7 +422,7 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
         );
         value += pushed;
     }
-    MaxFlowResult { value, stats }
+    value
 }
 
 #[cfg(test)]
@@ -459,6 +482,188 @@ mod tests {
             }
         }
         MaxFlowResult { value, stats }
+    }
+
+    /// Buffers of the arc-id kernels below.
+    #[derive(Default)]
+    struct ArcIdScratch {
+        level: Vec<u32>,
+        queue: VecDeque<NodeId>,
+        next_arc: Vec<usize>,
+        path: Vec<ArcId>,
+    }
+
+    /// [`solve_labelled`] as it ran before its kernels addressed CSR slots,
+    /// kept as the exact-order oracle for them: the same side rule and
+    /// cut-bound stop around the arc-id level search and DFS below, which
+    /// branch on the side per slot, pop a `VecDeque`, count one scan and
+    /// one visit at a time, and read bottleneck, push, retreat and tail by
+    /// arc id.
+    fn arc_id_solve_labelled(
+        g: &mut FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        side: Option<LabelSide>,
+    ) -> MaxFlowResult {
+        g.ensure_csr();
+        let mut stats = OpStats::new();
+        let mut value = 0;
+        if s == t {
+            return MaxFlowResult { value, stats };
+        }
+        let n = g.num_nodes();
+        let mut scratch = ArcIdScratch {
+            level: vec![UNLEVELLED; n],
+            next_arc: vec![0; n],
+            ..ArcIdScratch::default()
+        };
+        let (out_of_s, into_t) = end_residuals(g, s, t);
+        let side = side.unwrap_or(if into_t <= out_of_s {
+            LabelSide::Sink
+        } else {
+            LabelSide::Source
+        });
+        let bound = out_of_s.min(into_t);
+        while value < bound {
+            if !arc_id_level_residual(g, s, t, side, &mut scratch, &mut stats) {
+                break;
+            }
+            value += arc_id_blocking_flow(g, s, t, side, &mut scratch, &mut stats);
+        }
+        MaxFlowResult { value, stats }
+    }
+
+    /// The arc-id level search of [`arc_id_solve_labelled`].
+    fn arc_id_level_residual(
+        g: &FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        side: LabelSide,
+        scratch: &mut ArcIdScratch,
+        stats: &mut OpStats,
+    ) -> bool {
+        stats.phases += 1;
+        let n = g.num_nodes();
+        let (root, goal) = match side {
+            LabelSide::Source => (s, t),
+            LabelSide::Sink => (t, s),
+        };
+        let ArcIdScratch { level, queue, .. } = scratch;
+        level[..n].fill(UNLEVELLED);
+        level[root.index()] = 0;
+        queue.clear();
+        queue.push_back(root);
+        let mut goal_level = UNLEVELLED;
+        let (hot, pair_caps) = (g.hot_arcs(), g.pair_caps());
+        while let Some(u) = queue.pop_front() {
+            stats.node_visits += 1;
+            stats.level_node_visits += 1;
+            let lu = level[u.index()];
+            if lu >= goal_level {
+                continue;
+            }
+            let r = g.out_range(u);
+            for (h, &pair_cap) in hot[r.clone()].iter().zip(&pair_caps[r]) {
+                stats.arc_scans += 1;
+                stats.level_arc_scans += 1;
+                let res = match side {
+                    LabelSide::Source => h.res,
+                    LabelSide::Sink => pair_cap - h.res,
+                };
+                if res > 0 {
+                    let to = h.head;
+                    if level[to.index()] == UNLEVELLED {
+                        let lv = lu + 1;
+                        level[to.index()] = lv;
+                        if to == goal {
+                            goal_level = lv;
+                        }
+                        queue.push_back(to);
+                    }
+                }
+            }
+        }
+        level[goal.index()] != UNLEVELLED
+    }
+
+    /// The arc-id DFS of [`arc_id_solve_labelled`].
+    fn arc_id_blocking_flow(
+        g: &mut FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        side: LabelSide,
+        scratch: &mut ArcIdScratch,
+        stats: &mut OpStats,
+    ) -> Flow {
+        let n = g.num_nodes();
+        let step = match side {
+            LabelSide::Source => 1,
+            LabelSide::Sink => u32::MAX,
+        };
+        let ArcIdScratch {
+            level,
+            next_arc,
+            path,
+            ..
+        } = scratch;
+        next_arc[..n].fill(0);
+        let mut total = 0;
+        path.clear();
+        let mut u = s;
+        loop {
+            if u == t {
+                let mut bottleneck = Flow::MAX;
+                for &a in path.iter() {
+                    bottleneck = bottleneck.min(g.residual(a));
+                }
+                for &a in path.iter() {
+                    g.push(a, bottleneck);
+                }
+                total += bottleneck;
+                stats.augmentations += 1;
+                let mut retreat_to = 0;
+                for (i, &a) in path.iter().enumerate() {
+                    if g.residual(a) == 0 {
+                        retreat_to = i;
+                        break;
+                    }
+                }
+                path.truncate(retreat_to);
+                u = if let Some(&a) = path.last() {
+                    g.head(a)
+                } else {
+                    s
+                };
+                continue;
+            }
+            let range = g.out_range(u);
+            let hots = &g.hot_arcs()[range];
+            let closer = level[u.index()].wrapping_add(step);
+            let mut advanced = false;
+            while next_arc[u.index()] < hots.len() {
+                let h = hots[next_arc[u.index()]];
+                stats.arc_scans += 1;
+                if h.res > 0 && level[h.head.index()] == closer {
+                    path.push(h.id);
+                    u = h.head;
+                    advanced = true;
+                    break;
+                }
+                next_arc[u.index()] += 1;
+            }
+            if advanced {
+                continue;
+            }
+            if u == s {
+                break;
+            }
+            stats.node_visits += 1;
+            let a = path.pop().expect("retreat below source");
+            let prev = g.tail(a);
+            next_arc[prev.index()] += 1;
+            u = prev;
+        }
+        total
     }
 
     /// A random network on `s = 0`, `t = 1` and up to eight more nodes:
@@ -522,6 +727,30 @@ mod tests {
                     prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
                 }
                 prop_assert!(got.stats.phases <= want.stats.phases, "{:?}", side);
+            }
+        }
+
+        /// The slot kernels are the arc-id kernels they replaced, step for
+        /// step: on each label side and the automatic choice, the same
+        /// value, all six `OpStats` fields and the same flow on every arc
+        /// (the random networks carry parallel arcs, self-loops, arcs into
+        /// `s` and out of `t`, and half the time a warm-start flow). The
+        /// scratch is shared across sides and seeds, as a reusing caller's
+        /// would be.
+        #[test]
+        fn slot_kernels_match_the_arc_id_kernels_exactly(seed in 0u64..u64::MAX) {
+            let (g, s, t) = random_network(seed);
+            let mut scratch = SolveScratch::new();
+            for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
+                let mut want_g = g.clone();
+                let want = arc_id_solve_labelled(&mut want_g, s, t, side);
+                let mut got_g = g.clone();
+                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                prop_assert_eq!(got.value, want.value, "{:?}", side);
+                prop_assert_eq!(got.stats, want.stats, "{:?}", side);
+                for (a, arc) in want_g.forward_arcs() {
+                    prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 //! from a requesting processor to a free resource — so path decomposition is
 //! how a flow assignment is turned back into a request→resource mapping.
 
-use crate::graph::{ArcId, FlowNetwork, NodeId};
+use crate::graph::{ArcId, FlowNetwork, HotArc, NodeId};
 use crate::Flow;
 
 /// One unit-flow path from source to sink (sequence of forward arc ids).
@@ -60,9 +60,10 @@ pub fn decompose_unit_flow(
 /// Reusable buffers for [`for_each_unit_path`]: one cursor per node and the
 /// walk's trail, every arc it routed a unit over, paths one after another.
 ///
-/// Cursors are all-zero between walks (a walk re-zeroes the ones it moved),
-/// so a walk's cost follows the paths, not the graph. After a walk that ran
-/// to the end, the trail lists every forward arc that carries flow in an
+/// Each cursor is stamped with the walk that last moved it, and a cursor
+/// from an earlier walk reads as untouched, so no walk clears cursors and a
+/// walk's cost follows the paths, not the graph. After a walk that ran to
+/// the end, the trail lists every forward arc that carries flow in an
 /// acyclic network (each flow-carrying arc of a DAG lies on some unit
 /// path), which is what [`FlowNetwork::reset_carried`] needs to restore.
 #[derive(Debug, Clone, Default)]
@@ -70,6 +71,8 @@ pub struct PathWalk {
     cursors: Vec<Cursor>,
     trail: Vec<ArcId>,
     complete: bool,
+    /// The current walk's stamp; 0 stamps no walk.
+    walks: u32,
 }
 
 impl PathWalk {
@@ -110,26 +113,33 @@ pub fn for_each_unit_path<E>(
         cursors,
         trail,
         complete,
+        walks,
     } = walk;
     if cursors.len() < g.num_nodes() {
         cursors.resize(g.num_nodes(), Cursor::default());
     }
-    trail.clear();
-    let walked = walk_paths(g, s, t, skip, cursors, trail, &mut visit);
-    // Re-zero the cursors this walk moved: the source's, and those of the
-    // nodes its arcs entered.
-    cursors[s.index()] = Cursor::default();
-    for &a in trail.iter() {
-        cursors[g.head(a).index()] = Cursor::default();
+    *walks = walks.wrapping_add(1);
+    if *walks == 0 {
+        // The stamps wrapped: clear them all, so none matches a live walk.
+        cursors.fill(Cursor::default());
+        *walks = 1;
     }
+    trail.clear();
+    let lanes = Lanes {
+        offsets: g.csr_offsets(),
+        hot: g.hot_arcs(),
+        pair_caps: g.pair_caps(),
+        walk: *walks,
+    };
+    let walked = walk_paths(&lanes, s, t, skip, cursors, trail, &mut visit);
     *complete = walked.is_ok();
     walked
 }
 
-/// The walk of [`for_each_unit_path`] over zeroed `cursors`, appending every
-/// routed arc to `trail`; each kept path is the trail's last stretch.
+/// The walk of [`for_each_unit_path`], appending every routed arc to
+/// `trail`; each kept path is the trail's last stretch.
 fn walk_paths<E>(
-    g: &FlowNetwork,
+    lanes: &Lanes<'_>,
     s: NodeId,
     t: NodeId,
     skip: Option<NodeId>,
@@ -138,19 +148,20 @@ fn walk_paths<E>(
     visit: &mut impl FnMut(&[ArcId]) -> Result<(), E>,
 ) -> Result<(), E> {
     // Start a new path over an unexhausted source arc, until none remain.
-    while let Some(start) = next_arc(g, &mut cursors[s.index()], s) {
+    while let Some(start) = lanes.next_arc(&mut cursors[s.index()], s) {
         let from = trail.len();
-        trail.push(start);
-        let mut u = g.head(start);
+        trail.push(start.id);
+        let mut u = start.head;
         let mut skipped = Some(u) == skip;
         while u != t {
-            let next = next_arc(g, &mut cursors[u.index()], u)
+            let next = lanes
+                .next_arc(&mut cursors[u.index()], u)
                 .expect("legal flow must continue to the sink");
-            u = g.head(next);
+            u = next.head;
             if Some(u) == skip {
                 skipped = true;
             }
-            trail.push(next);
+            trail.push(next.id);
         }
         if !skipped {
             visit(&trail[from..])?;
@@ -159,33 +170,53 @@ fn walk_paths<E>(
     Ok(())
 }
 
-/// Where a node's out-arc walk stands: arcs before `slot` have no flow
-/// left, `used` units of the arc at `slot` are routed, later arcs are
-/// untouched.
+/// Where a node's out-arc walk stands in walk `walk`: slots before `slot`
+/// (an absolute CSR slot) have no flow left, `used` units of the arc at
+/// `slot` are routed, later slots are untouched. Under any other stamp the
+/// cursor is untouched: it stands at the node's first slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
+    walk: u32,
     slot: u32,
     used: u32,
 }
 
-/// Route one unit out of `u`: its first forward out-arc with flow left,
-/// or `None` when every one is exhausted.
-fn next_arc(g: &FlowNetwork, c: &mut Cursor, u: NodeId) -> Option<ArcId> {
-    let range = g.out_range(u);
-    let hot = &g.hot_arcs()[range.clone()];
-    let caps = &g.pair_caps()[range];
-    while let Some(h) = hot.get(c.slot as usize) {
-        // A forward arc's flow is its capacity minus its residual, read
-        // from its own slot. (On a twin's slot that difference is the
-        // forward arc's residual, not a flow.)
-        if h.id.is_forward() && caps[c.slot as usize] - h.res > Flow::from(c.used) {
-            c.used += 1;
-            return Some(h.id);
+/// The CSR lanes a walk reads, borrowed once per walk, and its stamp.
+struct Lanes<'g> {
+    offsets: &'g [u32],
+    hot: &'g [HotArc],
+    pair_caps: &'g [Flow],
+    walk: u32,
+}
+
+impl Lanes<'_> {
+    /// Route one unit out of `u`: its first forward out-arc with flow left,
+    /// as that slot's hot entry (id and head), or `None` when every one is
+    /// exhausted.
+    fn next_arc(&self, c: &mut Cursor, u: NodeId) -> Option<HotArc> {
+        if c.walk != self.walk {
+            *c = Cursor {
+                walk: self.walk,
+                slot: self.offsets[u.index()],
+                used: 0,
+            };
         }
-        c.slot += 1;
-        c.used = 0;
+        let end = self.offsets[u.index() + 1];
+        while c.slot < end {
+            let slot = c.slot as usize;
+            let h = self.hot[slot];
+            // A forward arc's flow is its capacity minus its residual, read
+            // from its own slot. (On a twin's slot that difference is the
+            // forward arc's residual, not a flow.)
+            if h.id.is_forward() && self.pair_caps[slot] - h.res > Flow::from(c.used) {
+                c.used += 1;
+                return Some(h);
+            }
+            c.slot += 1;
+            c.used = 0;
+        }
+        None
     }
-    None
 }
 
 #[cfg(test)]
@@ -236,6 +267,96 @@ mod tests {
             }
         }
         paths
+    }
+
+    /// [`for_each_unit_path`] as it walked before its step read the taken
+    /// slot's head from the hot lane, kept as the exact-order oracle for
+    /// it: each step slices `out_range` and returns an arc id, the walk
+    /// reads the next node with `g.head(arc)`, and a pass over the trail
+    /// re-zeroes every cursor the walk moved.
+    fn arc_id_for_each_unit_path<E>(
+        g: &FlowNetwork,
+        s: NodeId,
+        t: NodeId,
+        skip: Option<NodeId>,
+        walk: &mut ArcIdWalk,
+        mut visit: impl FnMut(&[ArcId]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let ArcIdWalk {
+            cursors,
+            trail,
+            complete,
+        } = walk;
+        if cursors.len() < g.num_nodes() {
+            cursors.resize(g.num_nodes(), ArcIdCursor::default());
+        }
+        trail.clear();
+        let walked = (|| {
+            while let Some(start) = arc_id_next_arc(g, &mut cursors[s.index()], s) {
+                let from = trail.len();
+                trail.push(start);
+                let mut u = g.head(start);
+                let mut skipped = Some(u) == skip;
+                while u != t {
+                    let next = arc_id_next_arc(g, &mut cursors[u.index()], u)
+                        .expect("legal flow must continue to the sink");
+                    u = g.head(next);
+                    if Some(u) == skip {
+                        skipped = true;
+                    }
+                    trail.push(next);
+                }
+                if !skipped {
+                    visit(&trail[from..])?;
+                }
+            }
+            Ok(())
+        })();
+        cursors[s.index()] = ArcIdCursor::default();
+        for &a in trail.iter() {
+            cursors[g.head(a).index()] = ArcIdCursor::default();
+        }
+        *complete = walked.is_ok();
+        walked
+    }
+
+    /// The buffers of [`arc_id_for_each_unit_path`]: cursors all-zero
+    /// between walks, each walk re-zeroing the ones it moved.
+    #[derive(Default)]
+    struct ArcIdWalk {
+        cursors: Vec<ArcIdCursor>,
+        trail: Vec<ArcId>,
+        complete: bool,
+    }
+
+    impl ArcIdWalk {
+        fn carried(&self) -> Option<&[ArcId]> {
+            self.complete.then_some(self.trail.as_slice())
+        }
+    }
+
+    /// A node's place in [`arc_id_for_each_unit_path`]: slot relative to
+    /// the node's first, and units routed over it.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct ArcIdCursor {
+        slot: u32,
+        used: u32,
+    }
+
+    /// The arc-id step of [`arc_id_for_each_unit_path`].
+    fn arc_id_next_arc(g: &FlowNetwork, c: &mut ArcIdCursor, u: NodeId) -> Option<ArcId> {
+        let range = g.out_range(u);
+        let hot = &g.hot_arcs()[range.clone()];
+        let caps = &g.pair_caps()[range];
+        while let Some(h) = hot.get(c.slot as usize) {
+            if h.id.is_forward() && caps[c.slot as usize] - h.res > Flow::from(c.used) {
+                c.used += 1;
+                return Some(h.id);
+            }
+            c.slot += 1;
+            c.used = 0;
+        }
+        None
     }
 
     /// A random graph in the shape of Transformation 1 (`priced == false`)
@@ -347,6 +468,78 @@ mod tests {
             }
             walk.forget();
             prop_assert!(walk.carried().is_none());
+        }
+
+        /// The slot walk is the arc-id walk it replaced, step for step: on
+        /// solved Transformation-1 and Transformation-2 shaped graphs
+        /// (bypass skips and the multi-unit `(u, t)` arc included) it
+        /// visits the same paths in the same order, stops at the same path
+        /// when the visitor errs, and records the same `carried()` trail.
+        /// Both walks reuse their cursors across the two passes.
+        #[test]
+        fn slot_walk_matches_the_arc_id_walk(seed in 0u64..u64::MAX, priced in any::<bool>()) {
+            let (mut g, s, t, u, f0) = random_transform(seed, priced);
+            if priced {
+                crate::min_cost::solve(
+                    &mut g,
+                    s,
+                    t,
+                    f0,
+                    crate::min_cost::Algorithm::SuccessiveShortestPaths,
+                );
+            } else {
+                solve(&mut g, s, t, Algorithm::Dinic);
+            }
+            let (mut got_walk, mut want_walk) = (PathWalk::default(), ArcIdWalk::default());
+            for stop_at in [3, usize::MAX] {
+                let stop = |visited: &Vec<Vec<ArcId>>| {
+                    if visited.len() == stop_at { Err(stop_at) } else { Ok(()) }
+                };
+                let mut got = Vec::new();
+                let got_walked = for_each_unit_path(&g, s, t, u, &mut got_walk, |arcs| {
+                    got.push(arcs.to_vec());
+                    stop(&got)
+                });
+                let mut want = Vec::new();
+                let want_walked = arc_id_for_each_unit_path(&g, s, t, u, &mut want_walk, |arcs| {
+                    want.push(arcs.to_vec());
+                    stop(&want)
+                });
+                prop_assert_eq!(got_walked, want_walked, "stop at {}", stop_at);
+                prop_assert_eq!(got, want, "stop at {}", stop_at);
+                prop_assert_eq!(got_walk.carried(), want_walk.carried(), "stop at {}", stop_at);
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_stamps_wrap_without_reading_stale_cursors() {
+        // Two one-unit routes, s -> a -> t and s -> b -> t, each carrying
+        // flow in turn. A walk stamped 1 exhausts a's cursor; the walk
+        // stamped u32::MAX routes through b only, so a's cursor keeps
+        // stamp 1; the walk after that wraps to stamp 1 again and must
+        // still find a's unit.
+        let mut g = FlowNetwork::new();
+        let [s, a, b, t] = ["s", "a", "b", "t"].map(|n| g.add_node(n));
+        let via_a = [g.add_arc(s, a, 1, 0), g.add_arc(a, t, 1, 0)];
+        let via_b = [g.add_arc(s, b, 1, 0), g.add_arc(b, t, 1, 0)];
+        let mut walk = PathWalk::default();
+        for (route, stamp) in [(via_a, 1), (via_b, u32::MAX), (via_a, 1)] {
+            g.reset();
+            for arc in route {
+                g.push(arc, 1);
+            }
+            if stamp == u32::MAX {
+                walk.walks = u32::MAX - 1;
+            }
+            let mut got = Vec::new();
+            for_each_unit_path(&g, s, t, None, &mut walk, |arcs| {
+                got.push(arcs.to_vec());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert_eq!(walk.walks, stamp);
+            assert_eq!(got, vec![route.to_vec()], "walk stamped {stamp}");
         }
     }
 

@@ -55,11 +55,15 @@ pub struct SolveScratch {
     /// Dinic: BFS label per node, the distance from `s` or to `t`
     /// (`UNLEVELLED` where the search did not reach).
     pub(crate) level: Vec<u32>,
-    /// Dinic: BFS frontier.
+    /// Dinic: BFS frontier, every node in the order it was labelled.
+    pub(crate) frontier: Vec<NodeId>,
+    /// Dinic: current-arc pointer per node, as an absolute CSR slot.
+    pub(crate) next_slot: Vec<u32>,
+    /// Dinic: DFS path stack, the CSR slot taken and the node it left.
+    pub(crate) steps: Vec<(u32, NodeId)>,
+    /// Incremental augmentation: BFS frontier.
     pub(crate) queue: VecDeque<NodeId>,
-    /// Dinic: current-arc pointer per node.
-    pub(crate) next_arc: Vec<usize>,
-    /// Dinic: DFS path stack of arcs.
+    /// Incremental augmentation: the path's arcs.
     pub(crate) path: Vec<ArcId>,
     /// SSP: Johnson node potentials.
     pub(crate) pot: Vec<Cost>,
@@ -84,7 +88,7 @@ impl SolveScratch {
     /// initializing contents (each solver fills what it reads).
     pub(crate) fn ensure_nodes(&mut self, n: usize) {
         self.level.resize(n, UNLEVELLED);
-        self.next_arc.resize(n, 0);
+        self.next_slot.resize(n, 0);
         self.pot.resize(n, 0);
         self.dist.resize(n, 0);
         self.parent.resize(n, None);

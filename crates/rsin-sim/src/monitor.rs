@@ -126,13 +126,13 @@ impl<'n> Monitor<'n> {
     }
 
     /// A resource finishes its task; the next cycle sees it free. A
-    /// resource the network lacks is rejected with the error
-    /// [`check_ids`] gives a free resource out of range.
+    /// resource the network lacks is [`ScheduleError::UnknownResource`],
+    /// the error [`check_ids`] gives a free resource out of range.
     pub fn release_resource(&mut self, resource: usize) -> Result<(), ScheduleError> {
         let free = self
             .free
             .get_mut(resource)
-            .ok_or(ScheduleError::Internal("free resource port out of range"))?;
+            .ok_or(ScheduleError::UnknownResource(resource))?;
         *free = true;
         Ok(())
     }
@@ -384,8 +384,14 @@ mod tests {
         // The same error the schedulers' id check gives a resource past
         // the last port.
         let out_of_range = ScheduleProblem::homogeneous(m.circuits(), &[], &[8]);
-        let expected = check_ids(&out_of_range).unwrap_err();
-        assert_eq!(m.release_resource(8), Err(expected));
+        assert_eq!(
+            check_ids(&out_of_range),
+            Err(ScheduleError::UnknownResource(8))
+        );
+        assert_eq!(
+            m.release_resource(8),
+            Err(ScheduleError::UnknownResource(8))
+        );
         // Nothing changed: a cycle still serves a valid request.
         m.submit(req(1)).unwrap();
         assert_eq!(token_cycle(&mut m).unwrap().outcome.allocated(), 1);
