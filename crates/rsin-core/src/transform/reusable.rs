@@ -31,7 +31,7 @@ use crate::mapping::{self, Assignment, Circuit, MappingError};
 use crate::model::ScheduleProblem;
 use rsin_flow::path::PathWalk;
 use rsin_flow::{ArcId, Flow, FlowNetwork};
-use rsin_topology::{LinkId, Network};
+use rsin_topology::Network;
 
 /// A lazily built, capacity-toggled superset transformation graph.
 ///
@@ -256,34 +256,10 @@ impl ReusableTransform {
         self.rebuild_count
     }
 
-    /// Patch a single topology link's availability in place — O(1), no
-    /// fingerprint check, no rebuild. Returns `true` if the arc's capacity
-    /// actually changed.
-    ///
-    /// This is the fault-toggle fast path for callers that solve on the
-    /// [`Transformed`] directly between `configure_*` calls: flow must be
-    /// cleared first ([`FlowNetwork::reset`]) since the patch may shrink
-    /// capacity under a live flow. The diff state stays consistent, so a
-    /// later `configure_*` will not redo (or undo) the patch unless the
-    /// snapshot disagrees. No-op if nothing has been built yet.
-    pub fn patch_link(&mut self, lid: LinkId, available: bool) -> bool {
-        let Some(inner) = self.inner.as_mut() else {
-            return false;
-        };
-        if bit(&inner.link_avail, lid.index()) == available {
-            return false;
-        }
-        let a = inner.t.link_arc[lid.index()].expect("superset mirrors every link");
-        inner.t.flow.set_cap(a, Flow::from(available));
-        inner.link_avail[lid.index() / 64] ^= 1 << (lid.index() % 64);
-        true
-    }
-
-    /// The currently built transform, for solving directly after
-    /// [`patch_link`](Self::patch_link). `None` until the first configure.
-    /// The caller may push flow and retune any request or resource arc; the
-    /// next `configure_*` then sweeps all flow and rewrites every one of
-    /// them before applying its snapshot.
+    /// The currently built transform, for solving on it directly. `None`
+    /// until the first configure. The caller may push flow and retune any
+    /// request or resource arc; the next `configure_*` then sweeps all flow
+    /// and rewrites every one of them before applying its snapshot.
     pub fn transformed_mut(&mut self) -> Option<&mut Transformed> {
         self.inner.as_mut().map(|i| {
             i.lent = true;
@@ -455,7 +431,7 @@ mod tests {
     use proptest::test_runner::TestCaseError;
     use rsin_flow::{max_flow, min_cost};
     use rsin_topology::builders::{generalized_cube, omega, omega_3dp};
-    use rsin_topology::{CircuitState, NodeRef};
+    use rsin_topology::{CircuitState, LinkId, NodeRef};
 
     #[test]
     fn reconfigured_superset_matches_fresh_build_value() {
@@ -575,51 +551,6 @@ mod tests {
             );
             assert_eq!(got.value, want.value);
         }
-        assert_eq!(reusable.rebuilds(), 1);
-    }
-
-    #[test]
-    fn patch_link_is_equivalent_to_reconfigure() {
-        let net = omega(8).unwrap();
-        let mut cs = CircuitState::new(&net);
-        let all: Vec<usize> = (0..8).collect();
-        let problem = ScheduleProblem::homogeneous(&cs, &all, &all);
-        let mut reusable = ReusableTransform::new();
-        assert!(
-            !reusable.patch_link(rsin_topology::LinkId(0), false),
-            "unbuilt → no-op"
-        );
-        let t = reusable.configure_max_flow(&problem);
-        let healthy = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-        assert_eq!(healthy.value, 8);
-
-        // Kill processor 0's only exit link directly on the transform.
-        let lid = net.processor_link(0).unwrap();
-        let t = reusable.transformed_mut().unwrap();
-        t.flow.reset();
-        assert!(reusable.patch_link(lid, false));
-        assert!(!reusable.patch_link(lid, false), "second patch is a no-op");
-        let t = reusable.transformed_mut().unwrap();
-        let patched = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-
-        // Fresh rebuild of the same faulted topology agrees.
-        cs.fail_link(lid);
-        let faulted = ScheduleProblem::homogeneous(&cs, &all, &all);
-        let mut fresh = homogeneous::transform(&faulted);
-        let want = max_flow::solve(
-            &mut fresh.flow,
-            fresh.source,
-            fresh.sink,
-            max_flow::Algorithm::Dinic,
-        );
-        assert_eq!(patched.value, want.value);
-        assert_eq!(patched.value, 7);
-
-        // A configure with the faulted snapshot agrees with (not undoes)
-        // the patch, still without rebuilding.
-        let t = reusable.configure_max_flow(&faulted);
-        let again = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-        assert_eq!(again.value, 7);
         assert_eq!(reusable.rebuilds(), 1);
     }
 
@@ -819,7 +750,7 @@ mod tests {
         /// flow left, after any sequence of circuit, fault and repair
         /// changes — with a solve (and usually a decomposition, whose walk
         /// the next reset restores) between configures, and the graph
-        /// sometimes lent out, patched and solved behind configure's back.
+        /// sometimes lent out, retuned and solved behind configure's back.
         /// The circuit state's bit words are checked against plain flags
         /// along the way.
         #[test]
@@ -891,11 +822,10 @@ mod tests {
                         boxed().for_each(|l| model.faulty[l.index()] = false);
                     }
                     8 if reusable.transformed().is_some() => {
-                        // Lend the graph: patch a link, retune boundary
-                        // arcs and leave an unrecorded flow behind.
-                        reusable.transformed_mut().unwrap().flow.reset();
-                        reusable.patch_link(link, b % 2 == 0);
+                        // Lend the graph: retune boundary arcs and leave an
+                        // unrecorded flow behind.
                         let t = reusable.transformed_mut().unwrap();
+                        t.flow.reset();
                         for (i, &(_, arc)) in t.request_arcs.iter().enumerate() {
                             t.flow.set_cap(arc, Flow::from(req_mask >> i & 1 == 1));
                         }

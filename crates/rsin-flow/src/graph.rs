@@ -23,13 +23,13 @@
 //! FNV-1a topology fingerprint, and [`FlowNetwork::ensure_csr`] rebuilds the
 //! adjacency (counting sort, `O(V + E)`) only when the fingerprint differs
 //! from the one the cache was built at. Capacity patches
-//! ([`FlowNetwork::set_cap`] / [`FlowNetwork::patch_caps`]), cost updates,
-//! pushes, and resets touch only the SoA lanes — never the fingerprint — so
-//! the PR 1 zero-rebuild contract (patch caps between solves, `rebuilds()
-//! == 1`) is preserved by construction. Arc ids ascend in insertion order,
-//! so the counting sort reproduces exactly the per-node arc order the
-//! nested `Vec<Vec<ArcId>>` layout used to produce: traversal order, and
-//! with it every solver's `OpStats`, is bit-identical to the old layout.
+//! ([`FlowNetwork::set_cap`]), cost updates, pushes, and resets touch only
+//! the SoA lanes — never the fingerprint — so the zero-rebuild contract
+//! (patch caps between solves, `rebuilds() == 1`) holds by construction.
+//! Arc ids ascend in insertion order, so the counting sort reproduces
+//! exactly the per-node arc order the nested `Vec<Vec<ArcId>>` layout used
+//! to produce: traversal order, and with it every solver's `OpStats`, is
+//! bit-identical to the old layout.
 
 use crate::{Cost, Flow};
 use std::fmt::Write as _;
@@ -637,26 +637,6 @@ impl FlowNetwork {
         self.cap[a.index()]
     }
 
-    /// Apply a batch of capacity patches, skipping no-ops. Returns how many
-    /// arcs actually changed.
-    ///
-    /// This is the fault-toggle entry point: a link failure or repair in the
-    /// source topology maps to re-capacitating a handful of arcs, and a
-    /// caller holding the arc ids can patch exactly those instead of
-    /// re-deriving every capacity. Same contract as [`Self::set_cap`]: flow
-    /// must have been cleared first (patches may shrink capacity below the
-    /// current flow otherwise).
-    pub fn patch_caps(&mut self, patches: impl IntoIterator<Item = (ArcId, Flow)>) -> usize {
-        let mut changed = 0;
-        for (a, cap) in patches {
-            if self.cap[a.index()] != cap {
-                self.set_cap(a, cap);
-                changed += 1;
-            }
-        }
-        changed
-    }
-
     /// Replace the per-unit cost of a forward arc; the twin gets `-cost` so
     /// cancellation stays consistent.
     pub fn set_cost(&mut self, a: ArcId, cost: Cost) {
@@ -853,22 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_caps_skips_noops_and_counts_changes() {
-        let (mut g, s, _) = diamond();
-        let sa = g.out_arcs(s)[0];
-        let sb = g.out_arcs(s)[1];
-        assert_eq!(g.cap(sa), 1);
-        // One real change (sa: 1 -> 0), one no-op (sb already 1).
-        let changed = g.patch_caps([(sa, 0), (sb, 1)]);
-        assert_eq!(changed, 1);
-        assert_eq!(g.cap(sa), 0);
-        assert_eq!(g.cap(sb), 1);
-        // Repair: toggle back.
-        assert_eq!(g.patch_caps([(sa, 1)]), 1);
-        assert_eq!(g.cap(sa), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "forward arcs only")]
     fn set_cap_rejects_residual_twin() {
         let (mut g, s, _) = diamond();
@@ -982,7 +946,6 @@ mod tests {
         g.reset();
         g.set_cap(a, 5);
         g.set_cost(a, 3);
-        assert_eq!(g.patch_caps([(a, 2)]), 1);
         assert!(g.csr_is_fresh());
         assert_eq!(g.csr_rebuilds(), 1);
         // Topology mutation stales it; the next ensure rebuilds once.

@@ -20,6 +20,7 @@ use crate::workload::{exponential, trial_rng};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rsin_core::conformance::ConformanceDetector;
+use rsin_core::mapping::Assignment;
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
 use rsin_obs::{Counter, NoopProbe, Probe, SpanPhase};
@@ -208,7 +209,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Aggregate results of a dynamic run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DynamicStats {
     /// Mean fraction of resources busy (post-warmup time average).
     pub utilization: f64,
@@ -248,7 +249,7 @@ pub struct DynamicStats {
 /// [`DynamicStats`]. Compare `stats.completed` against a fault-free
 /// baseline run (same config, [`FaultPlan::empty`]) for the "allocations
 /// achieved vs. fault-free" survival ratio.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultedStats {
     /// The ordinary dynamic statistics (post-warmup, as in [`SystemSim::run`]).
     pub stats: DynamicStats,
@@ -300,47 +301,43 @@ pub struct FaultedStats {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventType {
-    Arrival {
-        processor: usize,
-    },
-    TransmissionDone {
-        processor: usize,
-        resource: usize,
-        circuit: CircuitId,
-        arrived: f64,
-        /// Lifecycle-trace request id of the transmitting task (assigned
-        /// whether or not a recorder is attached).
-        req: u64,
-        /// The task's resource type, kept so a misrouted task can re-queue.
-        ty: usize,
-        /// Whether the transmission actually reached `resource`. False only
-        /// when a Byzantine box on the circuit misrouted it; the task then
-        /// returns to the front of its processor's queue instead of being
-        /// serviced.
-        delivered: bool,
-    },
-    ServiceDone {
-        resource: usize,
-        arrived: f64,
-    },
+    /// Tasks arrive at this processor.
+    Arrival(usize),
+    TransmissionDone(Transmission),
+    /// The transmission's resource finishes its task.
+    ServiceDone(Transmission),
     /// The `index`-th event of the run's [`FaultPlan`] takes effect.
-    Fault {
-        index: usize,
-    },
+    Fault(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A queued task; `req` is its lifecycle-trace request id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Task {
+    arrived: f64,
+    ty: usize,
+    req: u64,
+}
+
+/// A task on its circuit, from establishment to service completion.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Transmission {
+    task: Task,
+    processor: usize,
+    resource: usize,
+    circuit: CircuitId,
+    /// False when a Byzantine box on the circuit misrouted it: the task
+    /// then re-queues instead of being serviced.
+    delivered: bool,
+}
+
+/// A heap entry; `seq` is unique, so equality is identity.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Event {
     time: f64,
     seq: u64,
     kind: EventType,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
 impl Eq for Event {}
 impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -354,6 +351,422 @@ impl Ord for Event {
             .time
             .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Byzantine bookkeeping, present only for plans with misrouting events:
+/// the conformance detector runs a Dinic oracle every cycle, so fail-stop
+/// runs skip it and stay draw-for-draw identical to the pre-Byzantine sim.
+#[derive(Clone)]
+struct Byzantine {
+    detector: ConformanceDetector,
+    /// Cycle count at each box's misrouting onset (None = honest).
+    onset_cycle: Vec<Option<u64>>,
+    quarantined: Vec<bool>,
+    /// Per assignment of the current cycle: does its circuit deliver?
+    delivered: Vec<bool>,
+    /// Boxes flagged this cycle, quarantined after its establishments.
+    flagged: Vec<usize>,
+    /// Cycles from misrouting onset to a true detection.
+    detection: Sample,
+}
+
+impl Byzantine {
+    /// Differential conformance check: the Dinic oracle certifies the
+    /// cycle's allocation, and failed deliveries accuse their paths' boxes.
+    fn observe(&mut self, p: &ScheduleProblem, a: &[Assignment]) -> Result<(), SimError> {
+        let cs = p.circuits;
+        self.delivered.clear();
+        self.delivered
+            .extend(a.iter().map(|a| cs.first_byzantine_on(&a.path).is_none()));
+        let scheduler = "conformance oracle";
+        let verdict = self.detector.observe(p, a, &self.delivered);
+        let verdict = verdict.map_err(|error| SimError::Schedule { scheduler, error })?;
+        self.flagged = verdict.newly_flagged;
+        Ok(())
+    }
+}
+
+/// One trial's state. [`step`](Trial::step) pops an event, runs its
+/// [`EventType`]'s handler, then a scheduling [`cycle`](Trial::cycle). The
+/// solver cache ([`ScheduleScratch`]) is passed in, not owned, so a clone
+/// is an independent copy of the run that resumes where the original is.
+#[derive(Clone)]
+struct Trial<'a> {
+    cfg: DynamicConfig,
+    scheduler: &'a dyn Scheduler,
+    plan: &'a FaultPlan,
+    policy: DegradedPolicy,
+    probe: &'a dyn Probe,
+    /// Rate of arrival events.
+    gap_rate: f64,
+    rng: StdRng,
+    heap: BinaryHeap<Event>,
+    /// Last pushed event's number: equal times pop in push order.
+    seq: u64,
+    cs: CircuitState<'a>,
+    queue: Vec<VecDeque<Task>>,
+    next_req: u64,
+    transmitting: Vec<bool>,
+    busy: Vec<bool>,
+    // Running totals, so the time integrals cost O(1) per event.
+    busy_count: usize,
+    queued: usize,
+    // Snapshot buffers, lent to each cycle's `ScheduleProblem`.
+    requests: Vec<ScheduleRequest>,
+    free: Vec<FreeResource>,
+    last_t: f64,
+    blocking: Sample,
+    recovery: Sample,
+    /// Time of the last repair still awaiting a zero-shed cycle.
+    pending_recovery: Option<f64>,
+    byzantine: Option<Byzantine>,
+    /// Counters accumulate in place; so do the busy and queue time
+    /// integrals, in `utilization` and `mean_queue` until [`Trial::finish`].
+    out: FaultedStats,
+}
+
+impl<'a> Trial<'a> {
+    /// Draw each processor's first arrival and schedule every plan event.
+    fn new(
+        sim: &SystemSim<'a>,
+        scheduler: &'a dyn Scheduler,
+        plan: &'a FaultPlan,
+        trial: u64,
+        policy: DegradedPolicy,
+        probe: &'a dyn Probe,
+    ) -> Self {
+        let (cfg, net) = (sim.cfg, sim.net);
+        let (np, nr, nb) = (net.num_processors(), net.num_resources(), net.num_boxes());
+        let mut t = Trial {
+            cfg,
+            scheduler,
+            plan,
+            policy,
+            probe,
+            // ρ overrides the arrival rate, and a batch stretches the gap by
+            // its size so the offered load is unchanged.
+            gap_rate: cfg.effective_arrival_rate(np, nr) / cfg.batch_size.max(1) as f64,
+            rng: trial_rng(cfg.seed, trial),
+            heap: BinaryHeap::new(),
+            seq: 0,
+            cs: CircuitState::new(net),
+            queue: vec![VecDeque::new(); np],
+            next_req: 0,
+            transmitting: vec![false; np],
+            busy: vec![false; nr],
+            busy_count: 0,
+            queued: 0,
+            requests: Vec::with_capacity(np),
+            free: Vec::with_capacity(nr),
+            last_t: cfg.warmup,
+            blocking: Sample::new(),
+            recovery: Sample::new(),
+            pending_recovery: None,
+            byzantine: plan.has_byzantine().then(|| Byzantine {
+                detector: ConformanceDetector::new(nb),
+                onset_cycle: vec![None; nb],
+                quarantined: vec![false; nb],
+                delivered: Vec::new(),
+                flagged: Vec::new(),
+                detection: Sample::new(),
+            }),
+            out: FaultedStats::default(),
+        };
+        for p in 0..np {
+            let gap = exponential(&mut t.rng, t.gap_rate);
+            t.push(gap, EventType::Arrival(p));
+        }
+        for (index, fe) in plan.events().iter().enumerate() {
+            t.push(fe.time, EventType::Fault(index));
+        }
+        t
+    }
+
+    fn push(&mut self, time: f64, kind: EventType) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Event { time, seq, kind });
+    }
+
+    /// Handle the next event and run a scheduling cycle after it; `false`
+    /// once the next event lies past the horizon.
+    fn step(&mut self, scratch: &mut ScheduleScratch) -> Result<bool, SimError> {
+        let Some(ev) = self.heap.pop().filter(|ev| ev.time <= self.cfg.sim_time) else {
+            return Ok(false);
+        };
+        let now = ev.time;
+        if now > self.cfg.warmup {
+            let dt = now - self.last_t;
+            self.out.stats.utilization += dt * self.busy_count as f64;
+            self.out.stats.mean_queue += dt * self.queued as f64;
+            self.last_t = now;
+        }
+        match ev.kind {
+            EventType::Arrival(processor) => self.arrive(now, processor),
+            EventType::TransmissionDone(tx) => self.transmission_done(now, tx)?,
+            EventType::ServiceDone(tx) => self.service_done(now, tx),
+            EventType::Fault(index) => self.fault(now, index),
+        }
+        self.cycle(now, scratch)?;
+        Ok(true)
+    }
+
+    /// A burst of `batch_size` tasks (1 = the classic Poisson stream). A
+    /// task arriving at a full bounded queue is shed: it still draws its
+    /// type, so the stream behind it is unperturbed, but is never queued.
+    fn arrive(&mut self, arrived: f64, processor: usize) {
+        let batch = self.cfg.batch_size.max(1);
+        self.probe.add(Counter::Requests, batch as u64);
+        for _ in 0..batch {
+            let ty = if self.cfg.types > 1 {
+                self.rng.random_range(0..self.cfg.types)
+            } else {
+                0
+            };
+            self.next_req += 1;
+            let (req, queue) = (self.next_req, &mut self.queue[processor]);
+            if self.cfg.queue_capacity > 0 && queue.len() >= self.cfg.queue_capacity {
+                self.out.stats.shed_arrivals += 1;
+                continue;
+            }
+            self.probe
+                .span(req, SpanPhase::Submit, processor as u64, ty as u64);
+            queue.push_back(Task { arrived, ty, req });
+            self.queued += 1;
+        }
+        let next = arrived + exponential(&mut self.rng, self.gap_rate);
+        self.push(next, EventType::Arrival(processor));
+    }
+
+    fn transmission_done(&mut self, now: f64, tx: Transmission) -> Result<(), SimError> {
+        let context = "releasing a transmitted task's circuit";
+        let err = |error| SimError::Circuit { context, error };
+        self.cs.release(tx.circuit).map_err(err)?;
+        self.probe.add(Counter::Releases, 1);
+        let (processor, resource) = (tx.processor as u64, tx.resource as u64);
+        self.probe
+            .span(tx.task.req, SpanPhase::Release, processor, resource);
+        self.transmitting[tx.processor] = false;
+        if tx.delivered {
+            let done = now + exponential(&mut self.rng, 1.0 / self.cfg.mean_service);
+            self.push(done, EventType::ServiceDone(tx));
+        } else {
+            // A Byzantine box misrouted the circuit: nothing reached the
+            // resource, and the task is retried from the front of its queue.
+            self.queue[tx.processor].push_front(tx.task);
+            self.queued += 1;
+        }
+        Ok(())
+    }
+
+    fn service_done(&mut self, now: f64, tx: Transmission) {
+        if std::mem::replace(&mut self.busy[tx.resource], false) {
+            self.busy_count -= 1;
+        }
+        if now > self.cfg.warmup {
+            self.out.stats.response.push(now - tx.task.arrived);
+            self.out.stats.completed += 1;
+        }
+    }
+
+    fn fault(&mut self, now: f64, index: usize) {
+        let fe = &self.plan.events()[index];
+        self.plan.apply_event(index, &mut self.cs);
+        let phase = match fe.action {
+            FaultAction::Fail => {
+                self.out.failures += 1;
+                self.probe.add(Counter::Faults, 1);
+                SpanPhase::Fault
+            }
+            FaultAction::Repair => {
+                self.out.repairs += 1;
+                self.probe.add(Counter::Repairs, 1);
+                // Measure recovery from the *latest* repair.
+                self.pending_recovery = Some(now);
+                SpanPhase::Repair
+            }
+        };
+        if let (FaultTarget::ByzantineBox(b), Some(byz)) = (fe.target, self.byzantine.as_mut()) {
+            match fe.action {
+                // Onset stamps the cycle count so detection latency is
+                // measured in scheduling cycles.
+                FaultAction::Fail => byz.onset_cycle[b] = Some(self.out.stats.cycles),
+                FaultAction::Repair => {
+                    byz.onset_cycle[b] = None;
+                    byz.detector.reset_box(b);
+                    // The box is honest again: lift any quarantine.
+                    if std::mem::replace(&mut byz.quarantined[b], false) {
+                        self.cs.repair_box(b);
+                    }
+                }
+            }
+        }
+        // Operands: component index and kind (link, box, domain, Byzantine).
+        let (component, target_kind) = match fe.target {
+            FaultTarget::Link(l) => (l.index() as u64, 0),
+            FaultTarget::Box(b) => (b as u64, 1),
+            FaultTarget::Domain(d) => (d as u64, 2),
+            FaultTarget::ByzantineBox(b) => (b as u64, 3),
+        };
+        self.probe.span(0, phase, component, target_kind);
+    }
+
+    /// Scheduling cycle whenever requests and free resources coexist.
+    fn cycle(&mut self, now: f64, scratch: &mut ScheduleScratch) -> Result<(), SimError> {
+        let (levels, types) = (self.cfg.priority_levels.max(1), self.cfg.types);
+        let (queue, transmitting, busy) = (&self.queue, &self.transmitting, &self.busy);
+        let (np, nr) = (queue.len(), busy.len());
+        self.requests.clear();
+        self.requests
+            .extend((0..np).filter(|&p| !transmitting[p]).filter_map(|p| {
+                // `front()` folds the non-empty check into the type lookup; a
+                // drained queue simply contributes no request.
+                queue[p].front().map(|task| ScheduleRequest {
+                    processor: p,
+                    priority: 1 + (p as u32) % levels,
+                    resource_type: task.ty,
+                })
+            }));
+        self.free.clear();
+        self.free
+            .extend((0..nr).filter(|&r| !busy[r]).map(|r| FreeResource {
+                resource: r,
+                preference: 1 + (r as u32) % levels,
+                resource_type: if types > 1 { r % types } else { 0 },
+            }));
+        if self.requests.is_empty() || self.free.is_empty() {
+            return Ok(());
+        }
+        let (scheduler, probe) = (self.scheduler, self.probe);
+        if probe.enabled() {
+            probe.record(rsin_obs::Hist::QueueDepth, self.queued as u64);
+        }
+        let denom = self.requests.len().min(self.free.len());
+        let problem = ScheduleProblem {
+            circuits: &self.cs,
+            requests: std::mem::take(&mut self.requests),
+            free: std::mem::take(&mut self.free),
+        };
+        // Degraded-mode scheduling only while something is faulty: fault-free
+        // cycles take the ordinary path, so `run()` (empty plan) stays
+        // bit-identical to the pre-fault simulator under every policy.
+        let faulty = self.cs.faulty_count() > 0;
+        let d = match self.policy {
+            DegradedPolicy::Bfs if faulty => {
+                scheduler.try_schedule_degraded_observed(&problem, scratch, probe)
+            }
+            DegradedPolicy::Priced if faulty => {
+                scheduler.try_schedule_degraded_priced_observed(&problem, scratch, probe)
+            }
+            // No retry: under faults every blocked request is shed; a
+            // fault-free cycle sheds nothing.
+            _ => scheduler
+                .try_schedule_observed(&problem, scratch, probe)
+                .map(|outcome| DegradedOutcome {
+                    shed: if faulty { outcome.blocked.len() } else { 0 },
+                    recovered: 0,
+                    recovery_cost: 0,
+                    outcome,
+                }),
+        }
+        .map_err(|error| SimError::Schedule {
+            scheduler: scheduler.name(),
+            error,
+        })?;
+        let (out, recovered, shed) = (d.outcome, d.recovered as u64, d.shed as u64);
+        debug_assert!(rsin_core::mapping::verify(&out.assignments, &problem).is_ok());
+        if let Some(byz) = self.byzantine.as_mut() {
+            byz.observe(&problem, &out.assignments)?;
+        }
+        (self.requests, self.free) = (problem.requests, problem.free);
+        self.out.stats.cycles += 1;
+        self.out.shed_total += shed;
+        self.out.recovered_total += recovered;
+        self.out.recovery_cost += d.recovery_cost;
+        if recovered > 0 {
+            probe.span(0, SpanPhase::Recovered, recovered, 0);
+        }
+        if shed > 0 {
+            probe.span(0, SpanPhase::Shed, shed, 0);
+        } else if let Some(t0) = self.pending_recovery.take() {
+            self.recovery.push(now - t0);
+        }
+        if now > self.cfg.warmup && denom > 0 {
+            self.blocking.push(out.blocking_fraction(denom));
+        }
+        self.out.allocations += out.assignments.len() as u64;
+        let context = "establishing a scheduled circuit";
+        let err = |error| SimError::Circuit { context, error };
+        for (i, a) in out.assignments.iter().enumerate() {
+            let circuit = self.cs.establish(&a.path).map_err(err)?;
+            let task = self.queue[a.processor].pop_front().ok_or(SimError::State(
+                "assignment for a processor with an empty queue",
+            ))?;
+            self.queued -= 1;
+            let (processor, resource) = (a.processor, a.resource);
+            probe.span(
+                task.req,
+                SpanPhase::Allocate,
+                processor as u64,
+                resource as u64,
+            );
+            self.transmitting[processor] = true;
+            // A misrouted circuit holds its links until the transmission
+            // times out, but nothing reaches the resource: it stays free.
+            let delivered = self.byzantine.as_ref().is_none_or(|b| b.delivered[i]);
+            if !delivered {
+                self.out.misrouted += 1;
+            } else if !std::mem::replace(&mut self.busy[resource], true) {
+                self.busy_count += 1;
+            }
+            let tx_done = now + exponential(&mut self.rng, 1.0 / self.cfg.mean_transmission);
+            let tx = Transmission {
+                task,
+                processor,
+                resource,
+                circuit,
+                delivered,
+            };
+            self.push(tx_done, EventType::TransmissionDone(tx));
+        }
+        if let Some(byz) = self.byzantine.as_mut() {
+            for &b in &byz.flagged {
+                self.out.byz_flagged += 1;
+                match byz.onset_cycle[b] {
+                    // Onset stamped the cycle count before the lie began.
+                    Some(c0) => byz.detection.push((self.out.stats.cycles - c0) as f64),
+                    None => self.out.byz_false_positives += 1,
+                }
+                if !std::mem::replace(&mut byz.quarantined[b], true) {
+                    self.cs.fail_box(b);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The run's statistics: the accumulated counters plus the time
+    /// averages and sample means. `transform_rebuilds` counts the solver
+    /// cache's work, not the trial's, so its owner fills it in.
+    fn finish(self) -> FaultedStats {
+        let horizon = (self.cfg.sim_time - self.cfg.warmup).max(f64::MIN_POSITIVE);
+        let mut out = self.out;
+        let s = &mut out.stats;
+        s.utilization = s.utilization / horizon / self.busy.len() as f64;
+        s.mean_response = s.response.mean();
+        s.response_ci95 = s.response.ci95_half_width();
+        s.response_p99 = s.response.p99();
+        s.mean_queue /= horizon;
+        s.mean_blocking = self.blocking.mean();
+        s.final_queue = self.queued as u64;
+        out.mean_recovery = self.recovery.mean();
+        out.recoveries_observed = self.recovery.count();
+        if let Some(byz) = &self.byzantine {
+            out.mean_detection_cycles = byz.detection.mean();
+            out.detections_observed = byz.detection.count();
+        }
+        out
     }
 }
 
@@ -371,9 +784,6 @@ impl<'n> SystemSim<'n> {
 
     /// Run the fault-free trial 0 to the horizon under the given scheduler.
     pub fn run(&self, scheduler: &dyn Scheduler) -> Result<DynamicStats, SimError> {
-        // Delegating with an empty plan is bit-identical to the fault-free
-        // loop: no fault events enter the heap, no extra RNG draws happen,
-        // and fault-free cycles never take the degraded-retry path.
         self.try_run_faulted_trial_policy_probed(
             scheduler,
             &FaultPlan::empty(),
@@ -385,31 +795,22 @@ impl<'n> SystemSim<'n> {
     }
 
     /// Run one trial to the horizon: arrivals and service times come from
-    /// the `(cfg.seed, trial)` RNG stream and `plan`'s fault events are
-    /// interleaved into the event stream.
+    /// the `(cfg.seed, trial)` RNG stream, and `plan`'s fault events, which
+    /// draw no randomness, are interleaved into the event stream, so
+    /// [`FaultPlan::empty`] reproduces [`SystemSim::run`] exactly. While
+    /// something is faulty, blocked requests are handled by `policy` (all
+    /// policies agree under an empty plan), and the shed/recovered counts
+    /// feed the survival metrics. Faults and repairs never rebuild the
+    /// transformation graph (see `FaultedStats::transform_rebuilds`).
     ///
-    /// Fault events are pushed into the event heap up front and consume no
-    /// simulation randomness, so a run with [`FaultPlan::empty`] reproduces
-    /// [`SystemSim::run`] exactly. While at least one component is faulty,
-    /// blocked requests are handled by `policy` (see [`DegradedPolicy`]),
-    /// and the shed/recovered counts feed the survival metrics; the policy
-    /// only takes effect while something is faulty, so all policies are
-    /// bit-identical under an empty plan. The transformation graph is never
-    /// rebuilt on a fault or repair: toggles arrive as incremental capacity
-    /// patches (see `FaultedStats::transform_rebuilds`).
-    ///
-    /// `probe` receives the arrival, release, fault, and repair counters,
-    /// per-cycle queue depths in [`rsin_obs::Hist::QueueDepth`], and every
-    /// scheduling cycle runs through the scheduler's observed entry points.
-    /// It also receives the per-request lifecycle spans: every task emits
-    /// `submit` at arrival, `allocate` when its circuit is established, and
-    /// `release` when transmission completes, with `fault` / `repair`
-    /// markers on every applied plan event and `shed` / `recovered`
-    /// markers on degraded cycles. Request ids are globally unique within
-    /// the run. Probes only observe: they consume no simulation randomness
-    /// and influence no control flow, so the statistics are bit-identical
-    /// to the [`NoopProbe`] run. Scheduler failures and
-    /// bookkeeping-invariant violations come back as [`SimError`].
+    /// `probe` receives the arrival, release, fault and repair counters,
+    /// per-cycle queue depths ([`rsin_obs::Hist::QueueDepth`]), every
+    /// cycle's observed scheduler calls, and the lifecycle spans: `submit`,
+    /// `allocate` and `release` per task (request ids are unique within the
+    /// run), `fault`/`repair` per plan event and `shed`/`recovered` per
+    /// degraded cycle. Probes only observe: the statistics are bit-identical
+    /// to the [`NoopProbe`] run. Scheduler failures and bookkeeping-invariant
+    /// violations come back as [`SimError`].
     pub fn try_run_faulted_trial_policy_probed(
         &self,
         scheduler: &dyn Scheduler,
@@ -418,415 +819,13 @@ impl<'n> SystemSim<'n> {
         policy: DegradedPolicy,
         probe: &dyn Probe,
     ) -> Result<FaultedStats, SimError> {
-        let cfg = &self.cfg;
-        let mut rng: StdRng = trial_rng(cfg.seed, trial);
-        let np = self.net.num_processors();
-        let nr = self.net.num_resources();
-
-        // Heavy-traffic regime: ρ overrides the arrival rate, and batches
-        // stretch the inter-arrival gap by their size so the offered load
-        // is unchanged. With the defaults (rho 0, batch 1) `gap_rate`
-        // equals `cfg.arrival_rate` and every RNG draw below lands exactly
-        // where the pre-knob simulator drew it.
-        let batch = cfg.batch_size.max(1);
-        let gap_rate = cfg.effective_arrival_rate(np, nr) / batch as f64;
-
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Event>, seq: &mut u64, time: f64, kind: EventType| {
-            *seq += 1;
-            heap.push(Event {
-                time,
-                seq: *seq,
-                kind,
-            });
-        };
-        for p in 0..np {
-            let t = exponential(&mut rng, gap_rate);
-            push(&mut heap, &mut seq, t, EventType::Arrival { processor: p });
-        }
-        for (index, fe) in plan.events().iter().enumerate() {
-            push(&mut heap, &mut seq, fe.time, EventType::Fault { index });
-        }
-
-        let mut cs = CircuitState::new(self.net);
-        // One scratch for the whole run: every scheduling cycle reuses the
-        // same transformation graph and solver buffers (the topology never
-        // changes mid-run).
+        // One solver cache for every cycle of the run.
         let mut scratch = ScheduleScratch::new();
-        // Each queued task is (arrival time, resource type, trace req id).
-        let mut queue: Vec<VecDeque<(f64, usize, u64)>> = vec![VecDeque::new(); np];
-        let mut next_req = 0u64;
-        let mut transmitting = vec![false; np];
-        let mut busy = vec![false; nr];
-        // Running totals of busy resources and queued tasks, so the time
-        // integrals cost O(1) per event instead of a scan of every port.
-        let mut busy_count = 0usize;
-        let mut queued = 0usize;
-        // Per-cycle snapshot buffers, handed to the scheduler inside the
-        // `ScheduleProblem` and taken back after the cycle.
-        let mut requests: Vec<ScheduleRequest> = Vec::with_capacity(np);
-        let mut free: Vec<FreeResource> = Vec::with_capacity(nr);
-
-        let mut busy_integral = 0.0;
-        let mut queue_integral = 0.0;
-        let mut last_t = cfg.warmup;
-        let mut response = Sample::new();
-        let mut blocking = Sample::new();
-        let mut completed = 0u64;
-        let mut cycles = 0u64;
-
-        let levels = cfg.priority_levels.max(1);
-        let mut shed_arrivals = 0u64;
-        let mut allocations = 0u64;
-        let mut shed_total = 0u64;
-        let mut recovered_total = 0u64;
-        let mut recovery_cost_total = 0i64;
-        let mut failures = 0u64;
-        let mut repairs = 0u64;
-        let mut recovery = Sample::new();
-        // Time of the last repair still awaiting a zero-shed cycle.
-        let mut pending_recovery: Option<f64> = None;
-
-        // Byzantine bookkeeping, engaged only for plans that carry
-        // misrouting events: the conformance detector runs its Dinic oracle
-        // every scheduling cycle, so fail-stop-only runs skip it entirely
-        // (and stay draw-for-draw identical to the pre-Byzantine simulator).
-        let byzantine_mode = plan.has_byzantine();
-        let nb = self.net.num_boxes();
-        let mut detector = byzantine_mode.then(|| ConformanceDetector::new(nb));
-        // Scheduling-cycle count at each box's misrouting onset (None =
-        // currently honest), and which boxes the sim has quarantined.
-        let mut onset_cycle: Vec<Option<u64>> = vec![None; if byzantine_mode { nb } else { 0 }];
-        let mut quarantined = vec![false; if byzantine_mode { nb } else { 0 }];
-        let mut misrouted = 0u64;
-        let mut byz_flagged = 0u64;
-        let mut byz_false_positives = 0u64;
-        let mut detection = Sample::new();
-
-        while let Some(ev) = heap.pop() {
-            if ev.time > cfg.sim_time {
-                break;
-            }
-            let now = ev.time;
-            if now > cfg.warmup {
-                let dt = now - last_t;
-                busy_integral += dt * busy_count as f64;
-                queue_integral += dt * queued as f64;
-                last_t = now;
-            }
-            match ev.kind {
-                EventType::Arrival { processor } => {
-                    probe.add(Counter::Requests, batch as u64);
-                    // One burst of `batch` tasks per event (batch 1 = the
-                    // classic per-task Poisson stream, draw-for-draw). A
-                    // task arriving at a full bounded queue is shed: it
-                    // still consumes its type draw (so the stream behind it
-                    // is unperturbed) but is never queued or scheduled.
-                    for _ in 0..batch {
-                        let ty = if cfg.types > 1 {
-                            rng.random_range(0..cfg.types)
-                        } else {
-                            0
-                        };
-                        next_req += 1;
-                        if cfg.queue_capacity > 0 && queue[processor].len() >= cfg.queue_capacity {
-                            shed_arrivals += 1;
-                            continue;
-                        }
-                        probe.span(next_req, SpanPhase::Submit, processor as u64, ty as u64);
-                        queue[processor].push_back((now, ty, next_req));
-                        queued += 1;
-                    }
-                    let next = now + exponential(&mut rng, gap_rate);
-                    push(&mut heap, &mut seq, next, EventType::Arrival { processor });
-                }
-                EventType::TransmissionDone {
-                    processor,
-                    resource,
-                    circuit,
-                    arrived,
-                    req,
-                    ty,
-                    delivered,
-                } => {
-                    cs.release(circuit).map_err(|error| SimError::Circuit {
-                        context: "releasing a transmitted task's circuit",
-                        error,
-                    })?;
-                    probe.add(Counter::Releases, 1);
-                    probe.span(req, SpanPhase::Release, processor as u64, resource as u64);
-                    transmitting[processor] = false;
-                    if delivered {
-                        let done = now + exponential(&mut rng, 1.0 / cfg.mean_service);
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            done,
-                            EventType::ServiceDone { resource, arrived },
-                        );
-                    } else {
-                        // A Byzantine box misrouted the circuit: nothing
-                        // reached `resource` (it was never marked busy), and
-                        // the task returns to the front of its queue to be
-                        // retried with its original arrival time.
-                        queue[processor].push_front((arrived, ty, req));
-                        queued += 1;
-                    }
-                }
-                EventType::ServiceDone { resource, arrived } => {
-                    if std::mem::replace(&mut busy[resource], false) {
-                        busy_count -= 1;
-                    }
-                    if now > cfg.warmup {
-                        response.push(now - arrived);
-                        completed += 1;
-                    }
-                }
-                EventType::Fault { index } => {
-                    let fe = &plan.events()[index];
-                    plan.apply_event(index, &mut cs);
-                    let phase = match fe.action {
-                        FaultAction::Fail => {
-                            failures += 1;
-                            probe.add(Counter::Faults, 1);
-                            SpanPhase::Fault
-                        }
-                        FaultAction::Repair => {
-                            repairs += 1;
-                            probe.add(Counter::Repairs, 1);
-                            // Measure recovery from the *latest* repair.
-                            pending_recovery = Some(now);
-                            SpanPhase::Repair
-                        }
-                    };
-                    if let FaultTarget::ByzantineBox(b) = fe.target {
-                        match fe.action {
-                            // Onset stamps the cycle count so detection
-                            // latency is measured in scheduling cycles.
-                            FaultAction::Fail => onset_cycle[b] = Some(cycles),
-                            FaultAction::Repair => {
-                                onset_cycle[b] = None;
-                                if let Some(det) = detector.as_mut() {
-                                    det.reset_box(b);
-                                }
-                                // Lift any quarantine the detector imposed:
-                                // the box is honest again.
-                                if quarantined[b] {
-                                    quarantined[b] = false;
-                                    cs.repair_box(b);
-                                }
-                            }
-                        }
-                    }
-                    // Operands: component index, and 0 = link / 1 = box /
-                    // 2 = correlated domain / 3 = Byzantine box.
-                    let (component, target_kind) = match fe.target {
-                        FaultTarget::Link(l) => (l.index() as u64, 0),
-                        FaultTarget::Box(b) => (b as u64, 1),
-                        FaultTarget::Domain(d) => (d as u64, 2),
-                        FaultTarget::ByzantineBox(b) => (b as u64, 3),
-                    };
-                    probe.span(0, phase, component, target_kind);
-                }
-            }
-            // Scheduling cycle whenever requests and resources coexist.
-            requests.clear();
-            requests.extend((0..np).filter(|&p| !transmitting[p]).filter_map(|p| {
-                // `front()` folds the non-empty check into the type
-                // lookup; a drained queue simply contributes no request.
-                queue[p].front().map(|&(_, ty, _)| ScheduleRequest {
-                    processor: p,
-                    priority: 1 + (p as u32) % levels,
-                    resource_type: ty,
-                })
-            }));
-            free.clear();
-            free.extend((0..nr).filter(|&r| !busy[r]).map(|r| FreeResource {
-                resource: r,
-                preference: 1 + (r as u32) % levels,
-                resource_type: if cfg.types > 1 { r % cfg.types } else { 0 },
-            }));
-            if requests.is_empty() || free.is_empty() {
-                continue;
-            }
-            if probe.enabled() {
-                probe.record(rsin_obs::Hist::QueueDepth, queued as u64);
-            }
-            let denom_requests = requests.len();
-            let denom_free = free.len();
-            let problem = ScheduleProblem {
-                circuits: &cs,
-                requests: std::mem::take(&mut requests),
-                free: std::mem::take(&mut free),
-            };
-            // Degraded-mode scheduling only while something is actually
-            // faulty; fault-free cycles take the ordinary path so `run()`
-            // (empty plan) stays bit-identical to the pre-fault simulator,
-            // and all policies agree under an empty plan.
-            let fail = |error: ScheduleError| SimError::Schedule {
-                scheduler: scheduler.name(),
-                error,
-            };
-            let faulty = cs.faulty_count() > 0;
-            let DegradedOutcome {
-                outcome: out,
-                recovered,
-                shed,
-                recovery_cost,
-            } = match policy {
-                DegradedPolicy::Bfs if faulty => {
-                    scheduler.try_schedule_degraded_observed(&problem, &mut scratch, probe)
-                }
-                DegradedPolicy::Priced if faulty => {
-                    scheduler.try_schedule_degraded_priced_observed(&problem, &mut scratch, probe)
-                }
-                // No retry: under faults every blocked request is shed; a
-                // fault-free cycle sheds nothing.
-                _ => scheduler
-                    .try_schedule_observed(&problem, &mut scratch, probe)
-                    .map(|outcome| DegradedOutcome {
-                        shed: if faulty { outcome.blocked.len() } else { 0 },
-                        recovered: 0,
-                        recovery_cost: 0,
-                        outcome,
-                    }),
-            }
-            .map_err(fail)?;
-            let (recovered, shed) = (recovered as u64, shed as u64);
-            debug_assert!(rsin_core::mapping::verify(&out.assignments, &problem).is_ok());
-            // Differential conformance check (Byzantine runs only): the
-            // Dinic oracle certifies this cycle's realized allocation on the
-            // believed-healthy snapshot, failed deliveries accuse the boxes
-            // on their paths, and boxes the detector flags are quarantined
-            // below — after this cycle's establishments, since the scheduler
-            // routed against the pre-quarantine state.
-            let mut delivered_flags: Vec<bool> = Vec::new();
-            let mut to_quarantine: Vec<usize> = Vec::new();
-            if let Some(det) = detector.as_mut() {
-                delivered_flags = out
-                    .assignments
-                    .iter()
-                    .map(|a| cs.first_byzantine_on(&a.path).is_none())
-                    .collect();
-                let verdict = det
-                    .observe(&problem, &out.assignments, &delivered_flags)
-                    .map_err(|error| SimError::Schedule {
-                        scheduler: "conformance oracle",
-                        error,
-                    })?;
-                for &b in &verdict.newly_flagged {
-                    byz_flagged += 1;
-                    match onset_cycle[b] {
-                        // This cycle is number `cycles + 1`; onset stamped
-                        // the count completed before the lie began.
-                        Some(c0) => detection.push((cycles + 1 - c0) as f64),
-                        None => byz_false_positives += 1,
-                    }
-                    to_quarantine.push(b);
-                }
-            }
-            ScheduleProblem { requests, free, .. } = problem;
-            cycles += 1;
-            shed_total += shed;
-            recovered_total += recovered;
-            recovery_cost_total += recovery_cost;
-            if recovered > 0 {
-                probe.span(0, SpanPhase::Recovered, recovered, 0);
-            }
-            if shed > 0 {
-                probe.span(0, SpanPhase::Shed, shed, 0);
-            }
-            if shed == 0 {
-                if let Some(t0) = pending_recovery.take() {
-                    recovery.push(now - t0);
-                }
-            }
-            let denom = denom_requests.min(denom_free);
-            if now > cfg.warmup && denom > 0 {
-                blocking.push(out.blocking_fraction(denom));
-            }
-            allocations += out.assignments.len() as u64;
-            for (i, a) in out.assignments.iter().enumerate() {
-                let circuit = cs.establish(&a.path).map_err(|error| SimError::Circuit {
-                    context: "establishing a scheduled circuit",
-                    error,
-                })?;
-                let (arrived, ty, req) = queue[a.processor].pop_front().ok_or(SimError::State(
-                    "assignment for a processor with an empty queue",
-                ))?;
-                queued -= 1;
-                probe.span(
-                    req,
-                    SpanPhase::Allocate,
-                    a.processor as u64,
-                    a.resource as u64,
-                );
-                transmitting[a.processor] = true;
-                // A misrouted circuit still holds its links until the
-                // transmission times out, but nothing reaches the resource:
-                // it stays free for honest traffic.
-                let delivered = delivered_flags.get(i).copied().unwrap_or(true);
-                if delivered {
-                    if !std::mem::replace(&mut busy[a.resource], true) {
-                        busy_count += 1;
-                    }
-                } else {
-                    misrouted += 1;
-                }
-                let tx_done = now + exponential(&mut rng, 1.0 / cfg.mean_transmission);
-                push(
-                    &mut heap,
-                    &mut seq,
-                    tx_done,
-                    EventType::TransmissionDone {
-                        processor: a.processor,
-                        resource: a.resource,
-                        circuit,
-                        arrived,
-                        req,
-                        ty,
-                        delivered,
-                    },
-                );
-            }
-            for b in to_quarantine {
-                if !quarantined[b] {
-                    quarantined[b] = true;
-                    cs.fail_box(b);
-                }
-            }
-        }
-        let horizon = (cfg.sim_time - cfg.warmup).max(f64::MIN_POSITIVE);
-        Ok(FaultedStats {
-            stats: DynamicStats {
-                utilization: busy_integral / horizon / nr as f64,
-                mean_response: response.mean(),
-                response_ci95: response.ci95_half_width(),
-                response_p99: response.p99(),
-                completed,
-                mean_queue: queue_integral / horizon,
-                cycles,
-                mean_blocking: blocking.mean(),
-                shed_arrivals,
-                final_queue: queued as u64,
-                response,
-            },
-            allocations,
-            shed_total,
-            recovered_total,
-            failures,
-            repairs,
-            mean_recovery: recovery.mean(),
-            recoveries_observed: recovery.count(),
-            transform_rebuilds: scratch.rebuilds(),
-            recovery_cost: recovery_cost_total,
-            misrouted,
-            byz_flagged,
-            byz_false_positives,
-            mean_detection_cycles: detection.mean(),
-            detections_observed: detection.count(),
-        })
+        let mut t = Trial::new(self, scheduler, plan, trial, policy, probe);
+        while t.step(&mut scratch)? {}
+        let mut stats = t.finish();
+        stats.transform_rebuilds = scratch.rebuilds();
+        Ok(stats)
     }
 }
 
@@ -1644,5 +1643,105 @@ pub(crate) mod tests {
             assert_eq!(stat_bits(a), stat_bits(b), "{case}");
         }
         check(&serial.concat());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(36))]
+
+        /// A trial cloned after `k` events (before its last cycle) and run
+        /// to the horizon on a fresh scratch finishes with exactly the
+        /// statistics of the original, which kept its own scratch.
+        #[test]
+        fn cloned_trial_resumes_to_identical_stats(
+            model in 0usize..3,
+            policy in 0usize..3,
+            trial_no in 0u64..4,
+            frac in 0.0f64..1.0,
+            instant in 0usize..2,
+            pick_delicate in 0usize..2,
+        ) {
+            use rsin_core::scheduler::AddressMappedScheduler;
+            let net = omega(8).unwrap();
+            // Instant transmissions put a cycle's completions at one time,
+            // so the heap's push-order tie-break decides their order. Not
+            // under Byzantine plans: there a misrouted task is re-sent at
+            // the same instant forever.
+            let instant = instant == 1 && model < 2;
+            let cfg = DynamicConfig {
+                arrival_rate: 0.5,
+                mean_transmission: if instant { 0.0 } else { 0.2 },
+                sim_time: 150.0,
+                warmup: 15.0,
+                priority_levels: 3,
+                ..DynamicConfig::default()
+            };
+            let (fcfg, model) = match model {
+                0 => (FaultPlanConfig::links(0.01, 20.0, 150.0), FaultModel::Independent),
+                1 => (
+                    FaultPlanConfig::links(0.01, 20.0, 150.0),
+                    FaultModel::Correlated { domain_boxes: 2 },
+                ),
+                _ => (
+                    FaultPlanConfig {
+                        link_failure_rate: 0.0,
+                        box_failure_rate: 0.004,
+                        mean_repair: 40.0,
+                        horizon: 150.0,
+                    },
+                    FaultModel::Byzantine,
+                ),
+            };
+            let plan = plan_for_model(&net, &fcfg, model, fault_plan_seed(cfg.seed, trial_no));
+            let policy = [DegradedPolicy::None, DegradedPolicy::Bfs, DegradedPolicy::Priced][policy];
+            // Address mapping binds blind, so degraded cycles have requests
+            // to recover.
+            let scheduler = AddressMappedScheduler::new(7);
+            let sim = SystemSim::new(&net, cfg);
+            let mut original = Trial::new(&sim, &scheduler, &plan, trial_no, policy, &NoopProbe);
+            // Dry run: `last` counts the steps up to the last cycle, and
+            // `delicate` collects the step counts after which a clone is
+            // easiest to get wrong: two events wait at one time (push order
+            // decides), or a repair awaits the cycle that observes its
+            // recovery.
+            let mut dry_run = original.clone();
+            let mut scratch = ScheduleScratch::new();
+            let (mut steps, mut last, mut cycles, mut recoveries) = (0, 0, 0, 0);
+            let (mut delicate, mut awaiting) = (Vec::new(), Vec::new());
+            while dry_run.step(&mut scratch).unwrap() {
+                steps += 1;
+                if dry_run.out.stats.cycles > cycles {
+                    (cycles, last) = (dry_run.out.stats.cycles, steps);
+                }
+                if dry_run.recovery.count() > recoveries {
+                    recoveries = dry_run.recovery.count();
+                    delicate.append(&mut awaiting);
+                }
+                match dry_run.pending_recovery {
+                    Some(_) => awaiting.push(steps),
+                    None => awaiting.clear(),
+                }
+                let mut times: Vec<f64> = dry_run.heap.iter().map(|e| e.time).collect();
+                times.sort_by(f64::total_cmp);
+                if times.windows(2).any(|w| w[0] == w[1]) {
+                    delicate.push(steps);
+                }
+            }
+            delicate.retain(|&k| k < last);
+            let k = match delicate.len() {
+                n if n > 0 && pick_delicate == 1 => delicate[(frac * n as f64) as usize],
+                _ => (frac * last as f64) as usize,
+            };
+            let mut scratch = ScheduleScratch::new();
+            for _ in 0..k {
+                proptest::prop_assert!(original.step(&mut scratch).unwrap());
+            }
+            let mut resumed = original.clone();
+            let mut fresh = ScheduleScratch::new();
+            while original.step(&mut scratch).unwrap() {}
+            while resumed.step(&mut fresh).unwrap() {}
+            let (want, got) = (original.finish(), resumed.finish());
+            proptest::prop_assert!(want.stats.cycles > 0);
+            proptest::prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
+        }
     }
 }
