@@ -26,12 +26,13 @@
 //!
 //! With `--telemetry <path>`, a replicated probed run (omega-8, max-flow,
 //! load 0.5) re-executes after the sweep, each replica recording into its
-//! own `rsin_obs::Telemetry` sink; the reports are merged in replica order
-//! and written as JSON to the given path.
+//! own `rsin_obs::Telemetry` sink; the reports are merged in replica order,
+//! their stage table (flow cycle and sim loop) is printed, and the merged
+//! report is written as JSON to the given path.
 
 use rsin_bench::{
-    emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit, take_flag,
-    write_report,
+    emit_stage_table, emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit,
+    take_flag, write_report,
 };
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
 use rsin_sim::replicate::{
@@ -278,6 +279,8 @@ fn main() {
         };
         let (_, report) =
             run_trials_observed(&net, &optimal, &grid, threads).expect("telemetry capture");
+        println!("\ntelemetry stages — omega-8 / max-flow / load 0.5 ({replicas} replica(s))");
+        emit_stage_table("telemetry-stages", &report);
         write_report(
             &tpath,
             &format!("telemetry (omega-8 / max-flow / load 0.5, {replicas} replica(s))"),

@@ -50,14 +50,23 @@ fn write_csv(dir: &str, name: &str, headers: &[&str], rows: &[Vec<String>]) -> s
     f.flush()
 }
 
-/// Print where a telemetry capture's flow cycles spent their time: one row
-/// each for the solve, configure and extract stages (sample count, mean and
-/// p99 in ns), and the finish stage only where it has samples. `name` is
+/// Print where a telemetry capture's cycles spent their time: one row each
+/// for the flow cycle's solve, configure and extract stages (sample count,
+/// mean and p99 in ns), then the finish stage and the simulation's event,
+/// snapshot and commit stages, each only where it has samples. `name` is
 /// the table's CSV name (see [`emit_table`]).
 pub fn emit_stage_table(name: &str, report: &TelemetryReport) {
+    let sampled = [
+        Hist::FinishNs,
+        Hist::EventNs,
+        Hist::SnapshotNs,
+        Hist::CommitNs,
+    ]
+    .into_iter()
+    .filter(|h| report.hists[h.index()].count > 0);
     let rows: Vec<Vec<String>> = [Hist::SolveLatencyNs, Hist::ConfigureNs, Hist::ExtractNs]
         .into_iter()
-        .chain(Some(Hist::FinishNs).filter(|h| report.hists[h.index()].count > 0))
+        .chain(sampled)
         .map(|h| {
             let hist = &report.hists[h.index()];
             vec![

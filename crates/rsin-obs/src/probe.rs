@@ -177,14 +177,24 @@ pub enum Hist {
     /// solved flow decomposed into assignments.
     ExtractNs,
     /// Wall-clock nanoseconds of one batch cycle's `finish_outcome` stage:
-    /// blocked list and Transformation-2 cost. Appended last: `index()` is
-    /// declaration order, so new histograms never reorder existing ones.
+    /// blocked list and Transformation-2 cost.
     FinishNs,
+    /// Wall-clock nanoseconds of one simulation event: the heap pop and the
+    /// event's handler.
+    EventNs,
+    /// Wall-clock nanoseconds of one simulation cycle's snapshot: the
+    /// request and free-resource lists built for the scheduler.
+    SnapshotNs,
+    /// Wall-clock nanoseconds of one simulation cycle's commit: its
+    /// circuits established and their transmission events pushed. Appended
+    /// last: `index()` is declaration order, so new histograms never
+    /// reorder existing ones.
+    CommitNs,
 }
 
 impl Hist {
     /// All variants, in report order.
-    pub const ALL: [Hist; 11] = [
+    pub const ALL: [Hist; 14] = [
         Hist::CycleLatencyNs,
         Hist::SolveLatencyNs,
         Hist::QueueDepth,
@@ -196,6 +206,9 @@ impl Hist {
         Hist::ConfigureNs,
         Hist::ExtractNs,
         Hist::FinishNs,
+        Hist::EventNs,
+        Hist::SnapshotNs,
+        Hist::CommitNs,
     ];
 
     /// Dense array index (== position in [`Hist::ALL`]).
@@ -217,6 +230,9 @@ impl Hist {
             Hist::ConfigureNs => "configure_ns",
             Hist::ExtractNs => "extract_ns",
             Hist::FinishNs => "finish_ns",
+            Hist::EventNs => "event_ns",
+            Hist::SnapshotNs => "snapshot_ns",
+            Hist::CommitNs => "commit_ns",
         }
     }
 }

@@ -23,7 +23,7 @@ use rsin_core::conformance::ConformanceDetector;
 use rsin_core::mapping::Assignment;
 use rsin_core::model::{FreeResource, ScheduleProblem, ScheduleRequest};
 use rsin_core::scheduler::{DegradedOutcome, ScheduleError, ScheduleScratch, Scheduler};
-use rsin_obs::{Counter, NoopProbe, Probe, SpanPhase};
+use rsin_obs::{Counter, Hist, NoopProbe, Probe, Span, SpanPhase};
 use rsin_topology::{
     CircuitError, CircuitId, CircuitState, FaultAction, FaultDomain, FaultPlan, FaultPlanConfig,
     FaultTarget, Network,
@@ -180,6 +180,8 @@ pub enum SimError {
     },
     /// A simulator bookkeeping invariant broke (queue/assignment mismatch).
     State(&'static str),
+    /// The configuration cannot run to the horizon; the message says why.
+    InvalidConfig(&'static str),
     /// A [`TrialGrid`](crate::replicate::TrialGrid) with no configuration
     /// or no trial per configuration: there is nothing to run or merge.
     EmptyGrid {
@@ -198,6 +200,7 @@ impl std::fmt::Display for SimError {
             }
             SimError::Circuit { context, error } => write!(f, "{context}: {error}"),
             SimError::State(m) => write!(f, "simulator invariant violated: {m}"),
+            SimError::InvalidConfig(m) => write!(f, "invalid simulation config: {m}"),
             SimError::EmptyGrid { configs, trials } => write!(
                 f,
                 "empty trial grid: {configs} config(s) x {trials} trial(s)"
@@ -299,15 +302,18 @@ pub struct FaultedStats {
     pub detections_observed: u64,
 }
 
+/// What a heap event does. Each payload is an index into the trial's state,
+/// so an [`Event`] is 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventType {
     /// Tasks arrive at this processor.
-    Arrival(usize),
-    TransmissionDone(Transmission),
-    /// The transmission's resource finishes its task.
-    ServiceDone(Transmission),
+    Arrival(u32),
+    /// This processor's in-flight transmission ends.
+    TransmissionDone(u32),
+    /// This resource finishes its task.
+    ServiceDone(u32),
     /// The `index`-th event of the run's [`FaultPlan`] takes effect.
-    Fault(usize),
+    Fault(u32),
 }
 
 /// A queued task; `req` is its lifecycle-trace request id.
@@ -318,11 +324,11 @@ struct Task {
     req: u64,
 }
 
-/// A task on its circuit, from establishment to service completion.
+/// A task on its circuit, from establishment to the end of transmission;
+/// [`Trial`] keeps it at its processor's index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Transmission {
     task: Task,
-    processor: usize,
     resource: usize,
     circuit: CircuitId,
     /// False when a Byzantine box on the circuit misrouted it: the task
@@ -337,6 +343,8 @@ struct Event {
     seq: u64,
     kind: EventType,
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
 
 impl Eq for Event {}
 impl PartialOrd for Event {
@@ -387,10 +395,39 @@ impl Byzantine {
     }
 }
 
+/// Set (`on`) or clear bit `i` of a bit-word set.
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    let (w, mask) = (i / 64, 1u64 << (i % 64));
+    if on {
+        words[w] |= mask;
+    } else {
+        words[w] &= !mask;
+    }
+}
+
+/// The set bits of a bit-word set, in ascending order.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
 /// One trial's state. [`step`](Trial::step) pops an event, runs its
 /// [`EventType`]'s handler, then a scheduling [`cycle`](Trial::cycle). The
 /// solver cache ([`ScheduleScratch`]) is passed in, not owned, so a clone
 /// is an independent copy of the run that resumes where the original is.
+///
+/// The `ready` and `idle` words are the cycle's snapshot kept current: each
+/// handler and each establishment updates the bits its change touches, so
+/// a cycle reads its requests and free resources off the set bits instead
+/// of scanning every processor and resource.
 #[derive(Clone)]
 struct Trial<'a> {
     cfg: DynamicConfig,
@@ -398,6 +435,9 @@ struct Trial<'a> {
     plan: &'a FaultPlan,
     policy: DegradedPolicy,
     probe: &'a dyn Probe,
+    /// `probe.enabled()`, read once: only an observed trial reads the clock
+    /// for the stage timers.
+    observed: bool,
     /// Rate of arrival events.
     gap_rate: f64,
     rng: StdRng,
@@ -407,10 +447,16 @@ struct Trial<'a> {
     cs: CircuitState<'a>,
     queue: Vec<VecDeque<Task>>,
     next_req: u64,
-    transmitting: Vec<bool>,
-    busy: Vec<bool>,
-    // Running totals, so the time integrals cost O(1) per event.
-    busy_count: usize,
+    /// Each processor's transmission in flight; one at most (model point 5).
+    inflight: Vec<Option<Transmission>>,
+    /// Arrival time of the task each busy resource serves (None = free).
+    serving: Vec<Option<f64>>,
+    /// Bit `p`: processor `p` transmits nothing and has a task queued.
+    ready: Vec<u64>,
+    /// Bit `r`: resource `r` is free (`serving[r]` is None).
+    idle: Vec<u64>,
+    /// Queued tasks, so the queue integral costs O(1) per event (the busy
+    /// count is the `idle` words' complement).
     queued: usize,
     // Snapshot buffers, lent to each cycle's `ScheduleProblem`.
     requests: Vec<ScheduleRequest>,
@@ -438,12 +484,15 @@ impl<'a> Trial<'a> {
     ) -> Self {
         let (cfg, net) = (sim.cfg, sim.net);
         let (np, nr, nb) = (net.num_processors(), net.num_resources(), net.num_boxes());
+        let mut idle = vec![0; nr.div_ceil(64)];
+        (0..nr).for_each(|r| set_bit(&mut idle, r, true));
         let mut t = Trial {
             cfg,
             scheduler,
             plan,
             policy,
             probe,
+            observed: probe.enabled(),
             // ρ overrides the arrival rate, and a batch stretches the gap by
             // its size so the offered load is unchanged.
             gap_rate: cfg.effective_arrival_rate(np, nr) / cfg.batch_size.max(1) as f64,
@@ -453,9 +502,10 @@ impl<'a> Trial<'a> {
             cs: CircuitState::new(net),
             queue: vec![VecDeque::new(); np],
             next_req: 0,
-            transmitting: vec![false; np],
-            busy: vec![false; nr],
-            busy_count: 0,
+            inflight: vec![None; np],
+            serving: vec![None; nr],
+            ready: vec![0; np.div_ceil(64)],
+            idle,
             queued: 0,
             requests: Vec::with_capacity(np),
             free: Vec::with_capacity(nr),
@@ -473,11 +523,11 @@ impl<'a> Trial<'a> {
             }),
             out: FaultedStats::default(),
         };
-        for p in 0..np {
+        for p in 0..np as u32 {
             let gap = exponential(&mut t.rng, t.gap_rate);
             t.push(gap, EventType::Arrival(p));
         }
-        for (index, fe) in plan.events().iter().enumerate() {
+        for (index, fe) in (0..).zip(plan.events()) {
             t.push(fe.time, EventType::Fault(index));
         }
         t
@@ -489,25 +539,52 @@ impl<'a> Trial<'a> {
         self.heap.push(Event { time, seq, kind });
     }
 
+    /// Start a stage timer; it reads the clock only on an observed trial.
+    fn stage_start(&self) -> Span {
+        if self.observed {
+            self.probe.start()
+        } else {
+            Span::disabled()
+        }
+    }
+
+    /// Record a stage timer into `hist` on an observed trial.
+    fn stage_end(&self, span: Span, hist: Hist) {
+        if self.observed {
+            self.probe.finish(span, hist);
+        }
+    }
+
+    /// Recompute processor `p`'s ready bit after its queue or its
+    /// transmission changed.
+    fn refresh_ready(&mut self, p: usize) {
+        let ready = self.inflight[p].is_none() && !self.queue[p].is_empty();
+        set_bit(&mut self.ready, p, ready);
+    }
+
     /// Handle the next event and run a scheduling cycle after it; `false`
     /// once the next event lies past the horizon.
     fn step(&mut self, scratch: &mut ScheduleScratch) -> Result<bool, SimError> {
+        let span = self.stage_start();
         let Some(ev) = self.heap.pop().filter(|ev| ev.time <= self.cfg.sim_time) else {
             return Ok(false);
         };
         let now = ev.time;
         if now > self.cfg.warmup {
             let dt = now - self.last_t;
-            self.out.stats.utilization += dt * self.busy_count as f64;
+            let idle: u32 = self.idle.iter().map(|w| w.count_ones()).sum();
+            let busy = self.serving.len() - idle as usize;
+            self.out.stats.utilization += dt * busy as f64;
             self.out.stats.mean_queue += dt * self.queued as f64;
             self.last_t = now;
         }
         match ev.kind {
-            EventType::Arrival(processor) => self.arrive(now, processor),
-            EventType::TransmissionDone(tx) => self.transmission_done(now, tx)?,
-            EventType::ServiceDone(tx) => self.service_done(now, tx),
-            EventType::Fault(index) => self.fault(now, index),
+            EventType::Arrival(p) => self.arrive(now, p as usize),
+            EventType::TransmissionDone(p) => self.transmission_done(now, p as usize)?,
+            EventType::ServiceDone(r) => self.service_done(now, r as usize)?,
+            EventType::Fault(index) => self.fault(now, index as usize),
         }
+        self.stage_end(span, Hist::EventNs);
         self.cycle(now, scratch)?;
         Ok(true)
     }
@@ -535,39 +612,48 @@ impl<'a> Trial<'a> {
             queue.push_back(Task { arrived, ty, req });
             self.queued += 1;
         }
+        self.refresh_ready(processor);
         let next = arrived + exponential(&mut self.rng, self.gap_rate);
-        self.push(next, EventType::Arrival(processor));
+        self.push(next, EventType::Arrival(processor as u32));
     }
 
-    fn transmission_done(&mut self, now: f64, tx: Transmission) -> Result<(), SimError> {
+    fn transmission_done(&mut self, now: f64, p: usize) -> Result<(), SimError> {
+        let tx = self.inflight[p].take().ok_or(SimError::State(
+            "transmission done at a processor with nothing in flight",
+        ))?;
         let context = "releasing a transmitted task's circuit";
         let err = |error| SimError::Circuit { context, error };
         self.cs.release(tx.circuit).map_err(err)?;
         self.probe.add(Counter::Releases, 1);
-        let (processor, resource) = (tx.processor as u64, tx.resource as u64);
-        self.probe
-            .span(tx.task.req, SpanPhase::Release, processor, resource);
-        self.transmitting[tx.processor] = false;
+        self.probe.span(
+            tx.task.req,
+            SpanPhase::Release,
+            p as u64,
+            tx.resource as u64,
+        );
         if tx.delivered {
             let done = now + exponential(&mut self.rng, 1.0 / self.cfg.mean_service);
-            self.push(done, EventType::ServiceDone(tx));
+            self.push(done, EventType::ServiceDone(tx.resource as u32));
         } else {
             // A Byzantine box misrouted the circuit: nothing reached the
             // resource, and the task is retried from the front of its queue.
-            self.queue[tx.processor].push_front(tx.task);
+            self.queue[p].push_front(tx.task);
             self.queued += 1;
         }
+        self.refresh_ready(p);
         Ok(())
     }
 
-    fn service_done(&mut self, now: f64, tx: Transmission) {
-        if std::mem::replace(&mut self.busy[tx.resource], false) {
-            self.busy_count -= 1;
-        }
+    fn service_done(&mut self, now: f64, r: usize) -> Result<(), SimError> {
+        let arrived = self.serving[r].take().ok_or(SimError::State(
+            "service done at a resource that serves nothing",
+        ))?;
+        set_bit(&mut self.idle, r, true);
         if now > self.cfg.warmup {
-            self.out.stats.response.push(now - tx.task.arrived);
+            self.out.stats.response.push(now - arrived);
             self.out.stats.completed += 1;
         }
+        Ok(())
     }
 
     fn fault(&mut self, now: f64, index: usize) {
@@ -612,35 +698,63 @@ impl<'a> Trial<'a> {
         self.probe.span(0, phase, component, target_kind);
     }
 
-    /// Scheduling cycle whenever requests and free resources coexist.
-    fn cycle(&mut self, now: f64, scratch: &mut ScheduleScratch) -> Result<(), SimError> {
+    /// The request and free-resource lists found by scanning every
+    /// processor and resource: the oracle the `ready` and `idle` words must
+    /// reproduce (debug builds check it every cycle).
+    fn scan(&self) -> (Vec<ScheduleRequest>, Vec<FreeResource>) {
         let (levels, types) = (self.cfg.priority_levels.max(1), self.cfg.types);
-        let (queue, transmitting, busy) = (&self.queue, &self.transmitting, &self.busy);
-        let (np, nr) = (queue.len(), busy.len());
-        self.requests.clear();
-        self.requests
-            .extend((0..np).filter(|&p| !transmitting[p]).filter_map(|p| {
-                // `front()` folds the non-empty check into the type lookup; a
-                // drained queue simply contributes no request.
-                queue[p].front().map(|task| ScheduleRequest {
+        let requests = (0..self.queue.len())
+            .filter(|&p| self.inflight[p].is_none())
+            .filter_map(|p| {
+                self.queue[p].front().map(|task| ScheduleRequest {
                     processor: p,
                     priority: 1 + (p as u32) % levels,
                     resource_type: task.ty,
                 })
-            }));
-        self.free.clear();
-        self.free
-            .extend((0..nr).filter(|&r| !busy[r]).map(|r| FreeResource {
+            })
+            .collect();
+        let free = (0..self.serving.len())
+            .filter(|&r| self.serving[r].is_none())
+            .map(|r| FreeResource {
                 resource: r,
                 preference: 1 + (r as u32) % levels,
                 resource_type: if types > 1 { r % types } else { 0 },
-            }));
-        if self.requests.is_empty() || self.free.is_empty() {
+            })
+            .collect();
+        (requests, free)
+    }
+
+    /// Scheduling cycle whenever requests and free resources coexist.
+    fn cycle(&mut self, now: f64, scratch: &mut ScheduleScratch) -> Result<(), SimError> {
+        if self.ready.iter().all(|&w| w == 0) || self.idle.iter().all(|&w| w == 0) {
+            debug_assert!({
+                let (requests, free) = self.scan();
+                requests.is_empty() || free.is_empty()
+            });
             return Ok(());
         }
+        let span = self.stage_start();
+        let (levels, types) = (self.cfg.priority_levels.max(1), self.cfg.types);
+        let queue = &self.queue;
+        self.requests.clear();
+        self.requests
+            .extend(ones(&self.ready).map(|p| ScheduleRequest {
+                processor: p,
+                priority: 1 + (p as u32) % levels,
+                // A ready processor has a task queued.
+                resource_type: queue[p].front().map_or(0, |task| task.ty),
+            }));
+        self.free.clear();
+        self.free.extend(ones(&self.idle).map(|r| FreeResource {
+            resource: r,
+            preference: 1 + (r as u32) % levels,
+            resource_type: if types > 1 { r % types } else { 0 },
+        }));
+        self.stage_end(span, Hist::SnapshotNs);
+        debug_assert_eq!(self.scan(), (self.requests.clone(), self.free.clone()));
         let (scheduler, probe) = (self.scheduler, self.probe);
-        if probe.enabled() {
-            probe.record(rsin_obs::Hist::QueueDepth, self.queued as u64);
+        if self.observed {
+            probe.record(Hist::QueueDepth, self.queued as u64);
         }
         let denom = self.requests.len().min(self.free.len());
         let problem = ScheduleProblem {
@@ -696,6 +810,7 @@ impl<'a> Trial<'a> {
             self.blocking.push(out.blocking_fraction(denom));
         }
         self.out.allocations += out.assignments.len() as u64;
+        let span = self.stage_start();
         let context = "establishing a scheduled circuit";
         let err = |error| SimError::Circuit { context, error };
         for (i, a) in out.assignments.iter().enumerate() {
@@ -711,25 +826,29 @@ impl<'a> Trial<'a> {
                 processor as u64,
                 resource as u64,
             );
-            self.transmitting[processor] = true;
+            set_bit(&mut self.ready, processor, false);
             // A misrouted circuit holds its links until the transmission
             // times out, but nothing reaches the resource: it stays free.
             let delivered = self.byzantine.as_ref().is_none_or(|b| b.delivered[i]);
-            if !delivered {
+            if delivered {
+                let prev = self.serving[resource].replace(task.arrived);
+                debug_assert!(prev.is_none(), "resource {resource} serves one task");
+                set_bit(&mut self.idle, resource, false);
+            } else {
                 self.out.misrouted += 1;
-            } else if !std::mem::replace(&mut self.busy[resource], true) {
-                self.busy_count += 1;
             }
             let tx_done = now + exponential(&mut self.rng, 1.0 / self.cfg.mean_transmission);
             let tx = Transmission {
                 task,
-                processor,
                 resource,
                 circuit,
                 delivered,
             };
-            self.push(tx_done, EventType::TransmissionDone(tx));
+            let prev = self.inflight[processor].replace(tx);
+            debug_assert!(prev.is_none(), "processor {processor} sends one task");
+            self.push(tx_done, EventType::TransmissionDone(processor as u32));
         }
+        self.stage_end(span, Hist::CommitNs);
         if let Some(byz) = self.byzantine.as_mut() {
             for &b in &byz.flagged {
                 self.out.byz_flagged += 1;
@@ -753,7 +872,7 @@ impl<'a> Trial<'a> {
         let horizon = (self.cfg.sim_time - self.cfg.warmup).max(f64::MIN_POSITIVE);
         let mut out = self.out;
         let s = &mut out.stats;
-        s.utilization = s.utilization / horizon / self.busy.len() as f64;
+        s.utilization = s.utilization / horizon / self.serving.len() as f64;
         s.mean_response = s.response.mean();
         s.response_ci95 = s.response.ci95_half_width();
         s.response_p99 = s.response.p99();
@@ -808,9 +927,13 @@ impl<'n> SystemSim<'n> {
     /// cycle's observed scheduler calls, and the lifecycle spans: `submit`,
     /// `allocate` and `release` per task (request ids are unique within the
     /// run), `fault`/`repair` per plan event and `shed`/`recovered` per
-    /// degraded cycle. Probes only observe: the statistics are bit-identical
-    /// to the [`NoopProbe`] run. Scheduler failures and bookkeeping-invariant
-    /// violations come back as [`SimError`].
+    /// degraded cycle. An observed probe also gets the sim's stage timers:
+    /// [`Hist::EventNs`] per event, [`Hist::SnapshotNs`] and
+    /// [`Hist::CommitNs`] per cycle. Probes only observe: the statistics are
+    /// bit-identical to the [`NoopProbe`] run. Scheduler failures and
+    /// bookkeeping-invariant violations come back as [`SimError`], and a
+    /// Byzantine plan without a positive `mean_transmission` is
+    /// [`SimError::InvalidConfig`] before the first event.
     pub fn try_run_faulted_trial_policy_probed(
         &self,
         scheduler: &dyn Scheduler,
@@ -819,6 +942,15 @@ impl<'n> SystemSim<'n> {
         policy: DegradedPolicy,
         probe: &dyn Probe,
     ) -> Result<FaultedStats, SimError> {
+        // A misrouted task re-queues and is re-sent at once; with instant
+        // transmissions no other delivery ever exonerates the suspects, so
+        // simulated time would stop. `!(x > 0)` also rejects NaN.
+        let timed = self.cfg.mean_transmission > 0.0;
+        if plan.has_byzantine() && !timed {
+            return Err(SimError::InvalidConfig(
+                "a Byzantine plan needs a positive mean_transmission",
+            ));
+        }
         // One solver cache for every cycle of the run.
         let mut scratch = ScheduleScratch::new();
         let mut t = Trial::new(self, scheduler, plan, trial, policy, probe);
@@ -1645,8 +1777,159 @@ pub(crate) mod tests {
         check(&serial.concat());
     }
 
+    #[test]
+    fn byzantine_plan_with_instant_transmissions_is_an_invalid_config() {
+        use rsin_core::scheduler::AddressMappedScheduler;
+        let net = omega(8).unwrap();
+        let fcfg = FaultPlanConfig {
+            link_failure_rate: 0.0,
+            box_failure_rate: 0.004,
+            mean_repair: 40.0,
+            horizon: 150.0,
+        };
+        let scheduler = AddressMappedScheduler::new(7);
+        for mean_transmission in [0.0, -1.0, f64::NAN] {
+            let cfg = DynamicConfig {
+                arrival_rate: 0.5,
+                mean_transmission,
+                sim_time: 150.0,
+                warmup: 15.0,
+                priority_levels: 3,
+                ..DynamicConfig::default()
+            };
+            let sim = SystemSim::new(&net, cfg);
+            // Trial 1 once spun at t = 16.66 with no detection in sight.
+            for t in 0..4 {
+                let seed = fault_plan_seed(cfg.seed, t);
+                let plan = plan_for_model(&net, &fcfg, FaultModel::Byzantine, seed);
+                assert!(plan.has_byzantine());
+                let run = sim.try_run_faulted_trial_policy_probed(
+                    &scheduler,
+                    &plan,
+                    t,
+                    DegradedPolicy::Bfs,
+                    &NoopProbe,
+                );
+                assert!(
+                    matches!(run, Err(SimError::InvalidConfig(_))),
+                    "mean_transmission {mean_transmission}, trial {t}: {run:?}"
+                );
+            }
+        }
+        // Fail-stop plans keep instant transmissions.
+        let cfg = DynamicConfig {
+            mean_transmission: 0.0,
+            sim_time: 150.0,
+            warmup: 15.0,
+            ..DynamicConfig::default()
+        };
+        let plan = FaultPlan::generate(&net, &FaultPlanConfig::links(0.01, 20.0, 150.0), 3);
+        let run = trial(&net, cfg, &plan, 0, DegradedPolicy::Bfs);
+        assert!(run.stats.completed > 0);
+    }
+
+    #[test]
+    fn observed_trial_times_every_event_and_cycle() {
+        use rsin_obs::Telemetry;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Off, but counts the sim stage timers a trial records anyway.
+        #[derive(Default)]
+        struct Unobserved(AtomicU64);
+        impl Probe for Unobserved {
+            fn finish(&self, _: Span, hist: Hist) {
+                if matches!(hist, Hist::EventNs | Hist::SnapshotNs | Hist::CommitNs) {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let net = omega(8).unwrap();
+        let cfg = DynamicConfig {
+            arrival_rate: 0.5,
+            sim_time: 200.0,
+            warmup: 20.0,
+            ..DynamicConfig::default()
+        };
+        let fcfg = FaultPlanConfig::links(0.005, 20.0, cfg.sim_time);
+        let plan = FaultPlan::generate(&net, &fcfg, fault_plan_seed(cfg.seed, 0));
+        let (sim, scheduler) = (SystemSim::new(&net, cfg), GreedyScheduler::default());
+        let telemetry = Telemetry::new();
+        let policy = DegradedPolicy::Bfs;
+        let mut observed = Trial::new(&sim, &scheduler, &plan, 0, policy, &telemetry);
+        let mut scratch = ScheduleScratch::new();
+        let mut events = 0;
+        while observed.step(&mut scratch).unwrap() {
+            events += 1;
+        }
+        let report = telemetry.report();
+        let count = |h: Hist| report.hists[h.index()].count;
+        assert!(events > 0 && observed.out.stats.cycles > 0);
+        assert_eq!(count(Hist::EventNs), events);
+        assert_eq!(count(Hist::SnapshotNs), observed.out.stats.cycles);
+        assert_eq!(count(Hist::CommitNs), observed.out.stats.cycles);
+        let off = Unobserved::default();
+        let mut plain = Trial::new(&sim, &scheduler, &plan, 0, policy, &off);
+        while plain.step(&mut scratch).unwrap() {}
+        assert_eq!(off.0.load(Ordering::Relaxed), 0, "no timer call while off");
+        let (want, got) = (observed.finish(), plain.finish());
+        assert_eq!(format!("{want:?}"), format!("{got:?}"));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(36))]
+
+        /// After every step the maintained `ready` and `idle` words name
+        /// exactly the processors and resources a full scan finds, over
+        /// batches, bounded queues, types, priority levels and every fault
+        /// model.
+        #[test]
+        fn snapshot_words_match_the_scan(
+            batch_size in 1usize..5,
+            bounded in 0usize..2,
+            types in 1usize..4,
+            priority_levels in 1u32..5,
+            model in 0usize..4,
+            trial_no in 0u64..4,
+        ) {
+            let net = omega(8).unwrap();
+            let cfg = DynamicConfig {
+                arrival_rate: 0.5,
+                sim_time: 100.0,
+                warmup: 10.0,
+                types,
+                priority_levels,
+                batch_size,
+                queue_capacity: 3 * bounded,
+                ..DynamicConfig::default()
+            };
+            let byzantine = FaultPlanConfig {
+                link_failure_rate: 0.0,
+                box_failure_rate: 0.004,
+                mean_repair: 40.0,
+                horizon: 100.0,
+            };
+            let links = FaultPlanConfig::links(0.01, 20.0, 100.0);
+            let seed = fault_plan_seed(cfg.seed, trial_no);
+            let plan = match model {
+                0 => FaultPlan::empty(),
+                1 => plan_for_model(&net, &links, FaultModel::Independent, seed),
+                2 => plan_for_model(&net, &links, FaultModel::Correlated { domain_boxes: 2 }, seed),
+                _ => plan_for_model(&net, &byzantine, FaultModel::Byzantine, seed),
+            };
+            // Greedy routing honours resource types.
+            let scheduler = GreedyScheduler::default();
+            let sim = SystemSim::new(&net, cfg);
+            let policy = DegradedPolicy::Bfs;
+            let mut t = Trial::new(&sim, &scheduler, &plan, trial_no, policy, &NoopProbe);
+            let mut scratch = ScheduleScratch::new();
+            while t.step(&mut scratch).unwrap() {
+                let (requests, free) = t.scan();
+                let ready: Vec<usize> = requests.iter().map(|r| r.processor).collect();
+                let idle: Vec<usize> = free.iter().map(|f| f.resource).collect();
+                proptest::prop_assert_eq!(ones(&t.ready).collect::<Vec<_>>(), ready);
+                proptest::prop_assert_eq!(ones(&t.idle).collect::<Vec<_>>(), idle);
+            }
+            proptest::prop_assert!(t.out.stats.cycles > 0);
+        }
 
         /// A trial cloned after `k` events (before its last cycle) and run
         /// to the horizon on a fresh scratch finishes with exactly the
@@ -1664,8 +1947,8 @@ pub(crate) mod tests {
             let net = omega(8).unwrap();
             // Instant transmissions put a cycle's completions at one time,
             // so the heap's push-order tie-break decides their order. Not
-            // under Byzantine plans: there a misrouted task is re-sent at
-            // the same instant forever.
+            // under Byzantine plans, which reject them (a misrouted task
+            // would be re-sent at the same instant forever).
             let instant = instant == 1 && model < 2;
             let cfg = DynamicConfig {
                 arrival_rate: 0.5,
