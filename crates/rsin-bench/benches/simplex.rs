@@ -3,7 +3,7 @@
 //! paper's "empirically linear" claim qualitatively.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rsin_lp::{Cmp, Method, Problem, Sense};
+use rsin_lp::{standard, tableau, Cmp, Problem, Sense};
 use std::hint::black_box;
 
 fn assignment_lp(k: usize) -> Problem {
@@ -31,10 +31,14 @@ fn bench_simplex(c: &mut Criterion) {
     for k in [4usize, 6, 8, 10] {
         let p = assignment_lp(k);
         group.bench_with_input(BenchmarkId::new("tableau", k), &p, |b, p| {
-            b.iter(|| black_box(p.solve().unwrap().objective))
+            b.iter(|| {
+                let sf = standard::standardize(p);
+                let r = tableau::solve_standard(&sf.a, &sf.b, &sf.c).unwrap();
+                black_box(sf.objective(r.objective))
+            })
         });
         group.bench_with_input(BenchmarkId::new("revised", k), &p, |b, p| {
-            b.iter(|| black_box(p.solve_with(Method::Revised).unwrap().objective))
+            b.iter(|| black_box(p.solve().unwrap().objective))
         });
     }
     group.finish();

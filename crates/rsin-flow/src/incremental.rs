@@ -49,7 +49,7 @@ impl FlowNetwork {
     /// residual graph; pushes the path's bottleneck and describes the path,
     /// or returns `None` when the retained flow is already maximum.
     ///
-    /// Reuses `scratch.level` / `scratch.queue` / `scratch.parent` /
+    /// Reuses `scratch.level` / `scratch.frontier` / `scratch.parent` /
     /// `scratch.path`, so repeated calls on a same-size graph allocate
     /// nothing. The traversal order (out-arc declaration order) is fixed, so
     /// results are deterministic.
@@ -63,11 +63,15 @@ impl FlowNetwork {
         let n = self.num_nodes();
         scratch.ensure_nodes(n);
         scratch.level[..n].fill(UNLEVELLED);
-        scratch.queue.clear();
+        scratch.frontier.clear();
+        scratch.frontier.reserve(n);
         scratch.level[s.index()] = 0;
         scratch.parent[s.index()] = None;
-        scratch.queue.push_back(s);
-        'bfs: while let Some(u) = scratch.queue.pop_front() {
+        scratch.frontier.push(s);
+        // FIFO order: the frontier is a flat list read by a head index.
+        let mut popped = 0;
+        'bfs: while let Some(&u) = scratch.frontier.get(popped) {
+            popped += 1;
             let range = self.out_range(u);
             for h in &self.hot_arcs()[range] {
                 if h.res <= 0 {
@@ -82,7 +86,7 @@ impl FlowNetwork {
                 if v == t {
                     break 'bfs;
                 }
-                scratch.queue.push_back(v);
+                scratch.frontier.push(v);
             }
         }
         if scratch.level[t.index()] == UNLEVELLED {

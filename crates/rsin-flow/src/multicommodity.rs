@@ -13,7 +13,7 @@
 
 use crate::graph::{ArcId, FlowNetwork, NodeId};
 use crate::{Cost, Flow};
-use rsin_lp::{Cmp, LpError, Method, Problem, Sense, VarId};
+use rsin_lp::{Cmp, LpError, Problem, Sense, VarId};
 
 /// What a commodity wants: maximize its own throughput, or circulate a
 /// fixed demand (the paper's `F₀^i`).
@@ -232,7 +232,7 @@ pub fn max_flow(g: &FlowNetwork, commodities: &[Commodity]) -> Result<MultiSolut
     }
     // Multicommodity LPs have far more columns (arcs x commodities) than
     // rows, the shape the revised simplex prices efficiently.
-    let sol = p.solve_with(Method::Revised)?;
+    let sol = p.solve()?;
     Ok(extract(g, commodities, &vars, &sol))
 }
 
@@ -255,46 +255,8 @@ pub fn min_cost(
         let terms = net_out_terms(g, &vars[i], com.source);
         p.add_constraint(terms, Cmp::Eq, demand as f64);
     }
-    let sol = p.solve_with(Method::Revised)?;
+    let sol = p.solve()?;
     Ok(extract(g, commodities, &vars, &sol))
-}
-
-/// Greedy fallback when an LP vertex is fractional: route commodities one at
-/// a time by single-commodity max-flow on the remaining shared capacity.
-/// Always integral, not necessarily optimal — the trade-off the paper
-/// ascribes to NP-hardness of general integral multicommodity flow.
-pub fn sequential_max_flow(g: &FlowNetwork, commodities: &[Commodity]) -> Vec<(Flow, Vec<Flow>)> {
-    let mut shared = g.clone();
-    shared.clear_flow();
-    let mut out = Vec::with_capacity(commodities.len());
-    for com in commodities {
-        // Residual capacities after earlier commodities.
-        let mut sub = FlowNetwork::with_capacity(shared.num_nodes(), shared.num_arcs());
-        for n in shared.nodes() {
-            sub.add_node(shared.name(n).to_string());
-        }
-        let arcs: Vec<_> = shared.forward_arcs().collect();
-        for (_, a) in &arcs {
-            sub.add_arc(a.from, a.to, a.residual(), a.cost);
-        }
-        let r = crate::max_flow::solve(
-            &mut sub,
-            com.source,
-            com.sink,
-            crate::max_flow::Algorithm::Dinic,
-        );
-        // Commit this commodity's flow to the shared network.
-        let mut per_arc = Vec::with_capacity(arcs.len());
-        for (k, (id, _)) in arcs.iter().enumerate() {
-            let f = sub.arc(ArcId(2 * k as u32)).flow.max(0);
-            per_arc.push(f);
-            if f > 0 {
-                shared.push(*id, f);
-            }
-        }
-        out.push((r.value, per_arc));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -462,17 +424,6 @@ mod tests {
         let sol = min_cost(&g, &c).unwrap();
         assert!((sol.objective - 7.0).abs() < 1e-6);
         assert!(sol.integral);
-    }
-
-    #[test]
-    fn sequential_fallback_is_integral_and_legal() {
-        let (g, c) = shared_bottleneck();
-        let result = sequential_max_flow(&g, &c);
-        let total: Flow = result.iter().map(|(v, _)| v).sum();
-        assert_eq!(total, 1);
-        // Joint capacity respected on the bottleneck arc (index 2).
-        let joint: Flow = result.iter().map(|(_, f)| f[2]).sum();
-        assert!(joint <= 1);
     }
 
     #[test]

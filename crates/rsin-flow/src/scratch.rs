@@ -35,7 +35,6 @@ use crate::graph::{ArcId, NodeId};
 use crate::min_cost::out_of_kilter::KilterNetwork;
 use crate::min_cost::ssp::BucketQueue;
 use crate::Cost;
-use std::collections::VecDeque;
 
 /// Sentinel for "node not levelled" in the scratch BFS (the plain Dinic uses
 /// `Option<u32>`; the scratch variant packs the same information into a bare
@@ -55,14 +54,13 @@ pub struct SolveScratch {
     /// Dinic: BFS label per node, the distance from `s` or to `t`
     /// (`UNLEVELLED` where the search did not reach).
     pub(crate) level: Vec<u32>,
-    /// Dinic: BFS frontier, every node in the order it was labelled.
+    /// Dinic and incremental augmentation: BFS frontier, every node in the
+    /// order it was labelled.
     pub(crate) frontier: Vec<NodeId>,
     /// Dinic: current-arc pointer per node, as an absolute CSR slot.
     pub(crate) next_slot: Vec<u32>,
     /// Dinic: DFS path stack, the CSR slot taken and the node it left.
     pub(crate) steps: Vec<(u32, NodeId)>,
-    /// Incremental augmentation: BFS frontier.
-    pub(crate) queue: VecDeque<NodeId>,
     /// Incremental augmentation: the path's arcs.
     pub(crate) path: Vec<ArcId>,
     /// SSP: Johnson node potentials.

@@ -12,10 +12,12 @@
 //!   assembling LPs with bounded variables and `<=` / `=` / `>=` rows;
 //! * conversion to standard computational form (`min c'x, Ax = b, x >= 0`)
 //!   in [`standard`];
-//! * a dense two-phase tableau simplex with Bland's anti-cycling rule in
-//!   [`tableau`], plus a *revised* simplex with an explicit basis inverse in
-//!   [`revised`] (cheaper when columns far outnumber rows, as in
-//!   multicommodity flow LPs);
+//! * a two-phase *revised* simplex with Bland's anti-cycling rule and an
+//!   explicit basis inverse in [`revised`] (cheap when columns far outnumber
+//!   rows, as in multicommodity flow LPs): the one solver [`Problem::solve`]
+//!   runs;
+//! * a dense full-tableau simplex in [`tableau`], kept as the reference the
+//!   property tests and the `simplex` bench compare the revised one with;
 //! * a solver driver returning primal values, objective, and solution status
 //!   in [`solver`].
 //!
@@ -49,7 +51,7 @@ pub mod tableau;
 
 pub use error::LpError;
 pub use model::{Cmp, Constraint, Problem, Sense, VarId, Variable};
-pub use solver::{Method, Solution, SolveStatus};
+pub use solver::{Solution, SolveStatus};
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// optimality tests. LPs in this workspace have integer data, so a fairly

@@ -5,7 +5,7 @@
 //! [`crate::solver`] runs two-phase simplex on it.
 
 use crate::error::LpError;
-use crate::solver::{solve_problem, solve_problem_with, Method, Solution};
+use crate::solver::{solve_problem, Solution};
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,19 +164,13 @@ impl Problem {
         Ok(())
     }
 
-    /// Solve the problem with two-phase simplex (tableau method).
+    /// Solve the problem with the two-phase revised simplex.
     ///
     /// Returns [`LpError::Infeasible`] / [`LpError::Unbounded`] when
     /// appropriate.
     pub fn solve(&self) -> Result<Solution, LpError> {
         self.validate()?;
         solve_problem(self)
-    }
-
-    /// Solve with an explicitly chosen simplex implementation.
-    pub fn solve_with(&self, method: Method) -> Result<Solution, LpError> {
-        self.validate()?;
-        solve_problem_with(self, method)
     }
 }
 

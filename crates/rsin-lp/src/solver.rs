@@ -1,21 +1,10 @@
-//! Solver driver: standardize → two-phase simplex → recover original values.
+//! Solver driver: standardize → two-phase revised simplex → recover
+//! original values.
 
 use crate::error::LpError;
 use crate::model::{Problem, VarId};
 use crate::revised::solve_standard_revised;
 use crate::standard::standardize;
-use crate::tableau::solve_standard;
-
-/// Which simplex implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Method {
-    /// Full-tableau simplex (default; simplest, fine for small LPs).
-    #[default]
-    Tableau,
-    /// Revised simplex with explicit basis inverse (prices columns on
-    /// demand; preferable when columns far outnumber rows).
-    Revised,
-}
 
 /// Termination status of a successful solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,23 +45,13 @@ impl Solution {
     }
 }
 
-/// Solve an LP model (called via [`Problem::solve`]).
+/// Solve an LP model (called via [`Problem::solve`]) with the revised
+/// simplex.
 pub fn solve_problem(p: &Problem) -> Result<Solution, LpError> {
-    solve_problem_with(p, Method::Tableau)
-}
-
-/// Solve an LP model with an explicit simplex implementation.
-pub fn solve_problem_with(p: &Problem, method: Method) -> Result<Solution, LpError> {
     let sf = standardize(p);
-    let r = match method {
-        Method::Tableau => solve_standard(&sf.a, &sf.b, &sf.c)?,
-        Method::Revised => solve_standard_revised(&sf.a, &sf.b, &sf.c)?,
-    };
+    let r = solve_standard_revised(&sf.a, &sf.b, &sf.c)?;
     let values = sf.recover(&r.x);
-    let mut objective = r.objective + sf.obj_offset;
-    if sf.negated {
-        objective = -objective;
-    }
+    let objective = sf.objective(r.objective);
     // Duals back in user coordinates: undo row sign flips and the max->min
     // negation; drop the internal range rows appended after user rows.
     let duals = r

@@ -60,6 +60,16 @@ impl StandardForm {
             })
             .collect()
     }
+
+    /// Recover the original objective value from the optimal `c'x`.
+    pub fn objective(&self, standard: f64) -> f64 {
+        let v = standard + self.obj_offset;
+        if self.negated {
+            -v
+        } else {
+            v
+        }
+    }
 }
 
 /// Convert `p` into standard form.

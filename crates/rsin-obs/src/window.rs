@@ -25,7 +25,7 @@ fn empty_snapshot() -> HistogramSnapshot {
 /// on both (via [`HistogramSnapshot`]'s interpolated p50/p90/p99).
 ///
 /// Single-writer by design (`&mut self` recording): the owner is one
-/// thread — e.g. the serve scheduler thread.
+/// writer — e.g. the serve step that decides each submitted command.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
     cur: HistogramSnapshot,

@@ -1,10 +1,10 @@
 //! SERVE — the streaming scheduler service CLI.
 //!
-//! Drives the long-lived [`rsin_serve::Server`] event loop from the command
-//! line: generate or replay `R <p>` / `F <p>` command logs, write the
-//! canonical seq-ordered decision log, or sweep offered load and compare
-//! incremental (warm-start) decision throughput against per-event batch
-//! re-solves.
+//! Drives the long-lived [`rsin_serve::Server`] from the command line, on
+//! one thread (each command is decided inside `submit`): generate or replay
+//! `R <p>` / `F <p>` command logs, write the canonical seq-ordered decision
+//! log, or sweep offered load and compare incremental (warm-start) decision
+//! throughput against per-event batch re-solves.
 //!
 //! Usage:
 //!

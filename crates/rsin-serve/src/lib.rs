@@ -1,41 +1,41 @@
 //! # rsin-serve — streaming scheduler service
 //!
-//! A long-lived event loop over the warm-start
-//! [`IncrementalScheduler`]: commands arrive on an mpsc submit channel, and
-//! one scheduler thread makes every decision **incrementally** on the
-//! retained residual flow (the transformation graph is built exactly once —
-//! `rebuilds` stays 1 for the lifetime of the service) and renders the
-//! canonical decision-log line for it.
+//! A long-lived service over the warm-start [`IncrementalScheduler`]: each
+//! submitted command is decided **incrementally** on the retained residual
+//! flow (the transformation graph is built exactly once — `rebuilds` stays
+//! 1 for the lifetime of the service), and its canonical decision-log line
+//! is rendered, inside [`Server::submit`], on the caller's thread.
 //!
 //! ## Determinism contract
 //!
-//! One thread decides and renders in submission order. The scheduler thread
-//! stamps every command with its sequence number, renders the decision,
-//! error, or in-band `S` stats line on the spot (a stats line quotes live
-//! occupancy at the probe's exact position in the stream), and appends it to
-//! the log, so the log is in sequence order by construction. The emitted
-//! log — decision, error, and stats lines alike — is therefore a pure
-//! function of the command stream; the CI `determinism` job replays a
-//! recorded command log (with interleaved `S` probes) and `cmp`s it against
-//! the log of the same stream generated in-process. Wall-clock latency
-//! quantiles are the one nondeterministic readout, so they only appear
-//! under [`ServerConfig::stats_latency`], which CI leaves off.
+//! Commands are decided and rendered one at a time, in submission order.
+//! Every command is stamped with its position in the submitted stream, and
+//! its decision, error, or in-band `S` stats line (a stats line quotes live
+//! occupancy at the probe's exact position in the stream) is appended to
+//! the log before `submit` returns, so the log is in sequence order by
+//! construction. The emitted log — decision, error, and stats lines alike —
+//! is therefore a pure function of the command stream; the CI
+//! `determinism` job replays a recorded command log (with interleaved `S`
+//! probes) and `cmp`s it against the log of the same stream generated
+//! in-process. Wall-clock latency quantiles are the one nondeterministic
+//! readout, so they only appear under [`ServerConfig::stats_latency`],
+//! which CI leaves off.
 //!
 //! ## Error handling
 //!
 //! A malformed command (unknown processor, duplicate request, release of an
 //! idle processor) yields a typed [`ScheduleError`]; the service renders it
 //! as an `error` log line and keeps serving — a bad client command must not
-//! take the event loop down. See DESIGN.md §11 for the architecture and the
+//! take the service down. See DESIGN.md §11 for the architecture and the
 //! cancel/augment invariants the scheduler relies on.
 
 use rsin_core::scheduler::{IncrementalBackend, IncrementalScheduler, ScheduleError};
 use rsin_obs::{NoopProbe, Probe, WindowedHistogram};
 use rsin_sim::stream::{format_decision, StreamCommand};
 use rsin_topology::Network;
-use std::sync::mpsc;
+use std::cell::RefCell;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// How a [`Server`] is run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,18 +81,6 @@ impl ServeReport {
     }
 }
 
-/// The submit side of a server was already closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Closed;
-
-impl std::fmt::Display for Closed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "server event loop is closed")
-    }
-}
-
-impl std::error::Error for Closed {}
-
 /// The canonical rendering of a rejected command (kept next to
 /// [`format_decision`] semantics: sequence number first, then the verdict).
 pub fn format_error(seq: u64, e: &ScheduleError) -> String {
@@ -100,10 +88,9 @@ pub fn format_error(seq: u64, e: &ScheduleError) -> String {
 }
 
 /// What one in-band `S` probe sees: cumulative event counts plus the live
-/// occupancy, all snapshotted on the scheduler thread at the probe's
-/// position in the stream. Every field is a deterministic function of the
-/// command prefix, so the rendered line is part of the byte-identical
-/// determinism contract.
+/// occupancy, all snapshotted at the probe's position in the stream. Every
+/// field is a deterministic function of the command prefix, so the rendered
+/// line is part of the byte-identical determinism contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Commands decided so far (excluding errors and probes).
@@ -148,96 +135,97 @@ pub fn format_stats(seq: u64, s: &StatsSnapshot) -> String {
 
 /// A running streaming scheduler service.
 ///
-/// Built by [`Server::start`]; fed with [`Server::submit`]; torn down with
-/// [`Server::finish`], which closes the submit channel, joins the scheduler
-/// thread, and returns the [`ServeReport`].
+/// Built by [`Server::start`]; fed with [`Server::submit`], which decides
+/// and renders each command before it returns; torn down with
+/// [`Server::finish`], which returns the [`ServeReport`].
 pub struct Server {
-    submit: Option<mpsc::Sender<StreamCommand>>,
-    scheduler: Option<JoinHandle<ServeReport>>,
+    /// Behind a `RefCell` only so `submit` can take `&self`: the benchmark
+    /// submits through a binding that is not `mut`.
+    state: RefCell<ServeState>,
+}
+
+/// Everything one served stream decides and renders.
+struct ServeState {
+    inc: IncrementalScheduler,
+    probe: Arc<dyn Probe + Send + Sync>,
+    stats_latency: bool,
+    /// One line per submitted command, so its length is the next `seq`.
+    lines: Vec<String>,
+    snap: StatsSnapshot,
+    stats_probes: u64,
+    latency: WindowedHistogram,
 }
 
 impl Server {
-    /// Start the event loop for `net` (unobserved).
+    /// Start the service for `net` (unobserved).
     pub fn start(net: &Network, config: ServerConfig) -> Server {
         Self::start_probed(net, config, Arc::new(NoopProbe))
     }
 
-    /// Start the event loop with per-decision probe reporting. A
+    /// Start the service with per-decision probe reporting. A
     /// [`Telemetry`](rsin_obs::Telemetry) probe gets the `stream_*`
     /// counters and each decision's latency in `decision_latency_ns`; a
     /// [`FlightRecorder`](rsin_obs::FlightRecorder) gets every decision's
     /// submit/allocate/queue/promote/release span, for export after
     /// [`finish`](Self::finish). Probes never change decisions or log
-    /// bytes.
+    /// bytes. The probe stays an `Arc` because the benchmark passes one.
     pub fn start_probed(
         net: &Network,
         config: ServerConfig,
         probe: Arc<dyn Probe + Send + Sync>,
     ) -> Server {
-        let inc = IncrementalScheduler::new(net, IncrementalBackend::MaxFlow);
-        let (submit_tx, submit_rx) = mpsc::channel::<StreamCommand>();
-        let scheduler = std::thread::spawn(move || {
-            scheduler_loop(inc, &*probe, config.stats_latency, submit_rx)
-        });
         Server {
-            submit: Some(submit_tx),
-            scheduler: Some(scheduler),
+            state: RefCell::new(ServeState {
+                inc: IncrementalScheduler::new(net, IncrementalBackend::MaxFlow),
+                probe,
+                stats_latency: config.stats_latency,
+                lines: Vec::new(),
+                snap: StatsSnapshot::default(),
+                stats_probes: 0,
+                latency: WindowedHistogram::new(),
+            }),
         }
     }
 
-    /// Enqueue one command. Fails only if the event loop is gone.
-    pub fn submit(&self, cmd: StreamCommand) -> Result<(), Closed> {
-        self.submit
-            .as_ref()
-            .ok_or(Closed)?
-            .send(cmd)
-            .map_err(|_| Closed)
+    /// Decide and render one command on the caller's thread. Never fails;
+    /// the `Result` stays only because the benchmark maps its error.
+    pub fn submit(&self, cmd: StreamCommand) -> Result<(), Infallible> {
+        self.state.borrow_mut().step(cmd);
+        Ok(())
     }
 
-    /// Close the submit channel, let the scheduler thread drain it, and
-    /// return the report.
-    pub fn finish(mut self) -> ServeReport {
-        self.submit.take();
-        self.scheduler
-            .take()
-            .expect("finish runs once")
-            .join()
-            .expect("scheduler thread never panics")
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Closing the submit side is enough: the scheduler thread drains the
-        // channel and exits on disconnect. The detached handle finishes on
-        // its own; nothing blocks.
-        self.submit.take();
+    /// The report of everything submitted so far.
+    pub fn finish(self) -> ServeReport {
+        let st = self.state.into_inner();
+        ServeReport {
+            decisions: st.snap.decisions,
+            errors: st.snap.errors,
+            stats_probes: st.stats_probes,
+            allocated: st.inc.allocated_count(),
+            queued: st.inc.queued_count(),
+            rebuilds: st.inc.rebuilds(),
+            lines: st.lines,
+        }
     }
 }
 
-fn scheduler_loop(
-    mut inc: IncrementalScheduler,
-    probe: &dyn Probe,
-    stats_latency: bool,
-    submit_rx: mpsc::Receiver<StreamCommand>,
-) -> ServeReport {
-    let mut lines = Vec::new();
-    let mut snap = StatsSnapshot::default();
-    let mut stats_probes = 0u64;
-    let mut latency = WindowedHistogram::new();
-    for (seq, cmd) in submit_rx.into_iter().enumerate() {
-        let seq = seq as u64;
+impl ServeState {
+    /// Decide `cmd` (or snapshot the stats, for an `S` probe) and append its
+    /// log line.
+    fn step(&mut self, cmd: StreamCommand) {
+        let seq = self.lines.len() as u64;
+        let snap = &mut self.snap;
         if matches!(cmd, StreamCommand::Stats) {
-            stats_probes += 1;
-            snap.allocated = inc.allocated_count();
-            snap.queued = inc.queued_count();
-            let mut line = format_stats(seq, &snap);
-            if stats_latency {
-                // Close the window that accumulated since the last probe
-                // and quote it. Wall-clock values: never part of the
+            self.stats_probes += 1;
+            snap.allocated = self.inc.allocated_count();
+            snap.queued = self.inc.queued_count();
+            let mut line = format_stats(seq, snap);
+            if self.stats_latency {
+                // Close the window that accumulated since the last probe and
+                // quote it. Wall-clock values: never part of the
                 // deterministic byte contract, hence behind the flag.
-                latency.rotate();
-                let w = latency.previous();
+                self.latency.rotate();
+                let w = self.latency.previous();
                 line.push_str(&format!(
                     " p50_ns={} p90_ns={} p99_ns={}",
                     w.p50(),
@@ -245,17 +233,18 @@ fn scheduler_loop(
                     w.p99()
                 ));
             }
-            lines.push(line);
-            continue;
+            self.lines.push(line);
+            return;
         }
-        let started = stats_latency.then(std::time::Instant::now);
+        let started = self.stats_latency.then(std::time::Instant::now);
+        let probe = &*self.probe;
         let result = match cmd {
-            StreamCommand::Request { processor } => inc.request_observed(processor, probe),
-            StreamCommand::Release { processor } => inc.release_observed(processor, probe),
+            StreamCommand::Request { processor } => self.inc.request_observed(processor, probe),
+            StreamCommand::Release { processor } => self.inc.release_observed(processor, probe),
             StreamCommand::Stats => unreachable!("handled above"),
         };
         if let Some(t) = started {
-            latency.record(t.elapsed().as_nanos() as u64);
+            self.latency.record(t.elapsed().as_nanos() as u64);
         }
         let line = match &result {
             Ok(d) => {
@@ -277,16 +266,7 @@ fn scheduler_loop(
                 format_error(seq, e)
             }
         };
-        lines.push(line);
-    }
-    ServeReport {
-        lines,
-        decisions: snap.decisions,
-        errors: snap.errors,
-        stats_probes,
-        allocated: inc.allocated_count(),
-        queued: inc.queued_count(),
-        rebuilds: inc.rebuilds(),
+        self.lines.push(line);
     }
 }
 
@@ -308,8 +288,7 @@ pub fn serve_commands_probed(
 ) -> ServeReport {
     let server = Server::start_probed(net, config, probe);
     for &cmd in commands {
-        // The loop outlives the submit side by construction here.
-        server.submit(cmd).expect("event loop is running");
+        let Ok(()) = server.submit(cmd);
     }
     server.finish()
 }
@@ -370,8 +349,8 @@ mod tests {
 
     #[test]
     fn decision_log_is_byte_identical_across_worker_counts() {
-        // One thread decides and renders, so the log equals the server-free
-        // reference line for line, in seq order.
+        // Commands are decided and rendered in submission order, so the log
+        // equals the server-free reference line for line, in seq order.
         let net = omega(8).unwrap();
         let cmds = with_stats_every(&generate_commands(8, 400, 0.7, 21, 0), 64);
         let report = serve_commands(&net, ServerConfig::default(), &cmds);
@@ -458,6 +437,46 @@ mod tests {
         assert_eq!(telemetry.counter(Counter::StreamAllocated), allocs);
         let hist = telemetry.histogram(rsin_obs::Hist::DecisionLatencyNs);
         assert_eq!(hist.count, report.decisions);
+    }
+
+    #[test]
+    fn submit_decides_before_it_returns() {
+        // Three processors share two resources through one crossbar: p2
+        // queues, and the release of p1 promotes it.
+        let net = rsin_topology::builders::crossbar(3, 2).unwrap();
+        let telemetry = Arc::new(Telemetry::new());
+        let server = Server::start_probed(
+            &net,
+            ServerConfig::default(),
+            Arc::clone(&telemetry) as Arc<dyn Probe + Send + Sync>,
+        );
+        let (request, release) = (
+            |processor| StreamCommand::Request { processor },
+            |processor| StreamCommand::Release { processor },
+        );
+        let cmds = [
+            request(0),
+            request(1),
+            request(2),
+            StreamCommand::Stats,
+            release(1),
+            release(0),
+        ];
+        let mut scheduling = 0u64;
+        for cmd in cmds {
+            server.submit(cmd).unwrap();
+            scheduling += u64::from(!matches!(cmd, StreamCommand::Stats));
+            assert_eq!(
+                telemetry.counter(Counter::StreamDecisions),
+                scheduling,
+                "{cmd:?} was not decided when submit returned"
+            );
+        }
+        assert_eq!(telemetry.counter(Counter::StreamQueued), 1);
+        assert_eq!(telemetry.counter(Counter::StreamPromoted), 1);
+        let report = server.finish();
+        assert_eq!(report.decisions, scheduling);
+        assert_eq!(report.lines[2], "2 queue p2");
     }
 
     #[test]

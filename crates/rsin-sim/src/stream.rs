@@ -12,8 +12,8 @@
 //!   text codec the CI determinism job records and replays (`S` is the
 //!   in-band stats probe; [`with_stats_every`] interleaves them);
 //! * [`format_decision`] — the canonical decision-log line. The service's
-//!   scheduler thread, the replay helpers, and the CI byte-comparison all
-//!   format through this one function, so "same decisions" and "same log
+//!   `submit`, the replay helpers, and the CI byte-comparison all format
+//!   through this one function, so "same decisions" and "same log
 //!   bytes" are the same statement;
 //! * [`replay_incremental`] / [`replay_batch`] — drive a command slice
 //!   through the warm-start scheduler, or re-solve every prefix from zero
