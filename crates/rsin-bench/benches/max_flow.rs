@@ -77,11 +77,14 @@ fn held_omega64_graph() -> Vec<ReusableTransform> {
     vec![rt]
 }
 
-/// The Theorem-2 Dinic solve and the unit-path walk after it, timed apart.
-/// An iteration covers every graph of the set: `dinic` zeroes each graph's
-/// flow (one sequential sweep) and solves it, `walk` decomposes the solved
-/// flow with a reused [`PathWalk`]. On the sharded graphs an iteration is
-/// one cycle's 8 shard solves or walks.
+/// The Theorem-2 Dinic solve and the unit-path walk after it, timed apart,
+/// and the two as a cycle runs them. An iteration covers every graph of
+/// the set: `dinic` zeroes each graph's flow (one sequential sweep) and
+/// solves it, `walk` decomposes the solved flow with a reused
+/// [`PathWalk`], and `extract` solves and then decomposes as the cycle
+/// does ([`ReusableTransform::extract_solved`]: a one-pass solve's
+/// augmenting paths, else the walk). On the sharded graphs an iteration is
+/// one cycle's 8 shard solves, walks or both.
 fn bench_theorem2_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("theorem2_kernels");
     for (name, mut graphs) in [
@@ -123,6 +126,24 @@ fn bench_theorem2_kernels(c: &mut Criterion) {
                     .unwrap();
                 }
                 black_box(paths)
+            })
+        });
+        group.bench_function(format!("extract/{name}"), |b| {
+            b.iter(|| {
+                let mut circuits = 0;
+                for rt in graphs.iter_mut() {
+                    let t = rt.transformed_mut().unwrap();
+                    t.flow.reset();
+                    solve_with(
+                        &mut t.flow,
+                        t.source,
+                        t.sink,
+                        Algorithm::Dinic,
+                        &mut scratch,
+                    );
+                    circuits += rt.extract_solved(&scratch).unwrap().len();
+                }
+                black_box(circuits)
             })
         });
     }

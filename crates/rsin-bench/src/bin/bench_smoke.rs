@@ -12,12 +12,17 @@
 //! `rsin_obs::Telemetry` sink, and writes one tab-separated line per
 //! `(workload, layer, unit)`: `workload layer unit total ops`, where `ops`
 //! is what the total is counted over (cycles, decisions, trials or
-//! shards). Every value is an integer and repeats exactly from run to run,
+//! shards). The `extract` rows of the three Theorem-2 workloads
+//! (`dynamic_heavy`, `sharded_cycle`, the reset batch's max-flow half)
+//! count how their solved flows were decomposed: read off a one-pass Dinic
+//! solve's augmenting paths, or walked. Every value is an integer and
+//! repeats exactly from run to run,
 //! so CI `cmp`s the file against `ci/op-ledger.tsv`; any change to a count
 //! needs a deliberate baseline bump. Before writing, every row that names
 //! work a path must do is checked non-zero (solves and arc scans on every
 //! solver path, faults and degraded cycles on the faulted workload, queues
-//! and promotions on `serve_queue`) and
+//! and promotions on `serve_queue`, recorded decompositions on the
+//! `extract` rows) and
 //! every transformation must have been built exactly once per owner, so an
 //! empty or bypassed path cannot become a baseline. Allocation counts stay
 //! out: they move with the standard library's allocation pattern.
@@ -129,6 +134,22 @@ impl Ledger {
             ("dinic_blocking_arc_scans", blocking, Need::Any),
         ] {
             self.put((workload, layer, unit), total, ops, need);
+        }
+    }
+
+    /// How the Theorem-2 solves of `r` were decomposed, counted over
+    /// `ops`: read off a one-pass Dinic solve's augmenting paths, or walked.
+    fn extract(&mut self, workload: &'static str, r: &TelemetryReport, ops: u64) {
+        for (unit, c, need) in [
+            ("recorded", Counter::RecordedDecompositions, Need::NonZero),
+            ("walked", Counter::WalkedDecompositions, Need::Any),
+        ] {
+            self.put(
+                (workload, "extract", unit),
+                r.counters[c.index()],
+                ops,
+                need,
+            );
         }
     }
 
@@ -410,7 +431,8 @@ fn ledger_stream(ledger: &mut Ledger, workload: &'static str, net: &Network, que
 
 /// One sim workload at CI scale: [`SIM_TRIALS`] trials of the observed
 /// faulted-trial entry point under the priced degraded policy, with
-/// correlated stage-power-domain faults when `faults` is set.
+/// correlated stage-power-domain faults when `faults` is set. Returns the
+/// workload's telemetry.
 fn ledger_sim(
     ledger: &mut Ledger,
     workload: &'static str,
@@ -418,7 +440,7 @@ fn ledger_sim(
     scheduler: &dyn Scheduler,
     cfg: DynamicConfig,
     faults: Option<FaultPlanConfig>,
-) {
+) -> TelemetryReport {
     let telemetry = Telemetry::new();
     let mut rebuilds = 0;
     for trial in 0..SIM_TRIALS {
@@ -458,6 +480,7 @@ fn ledger_sim(
     ledger.flow(workload, "flow", &r, cycles);
     let key = (workload, "transform", "transform_rebuilds");
     ledger.put(key, rebuilds, SIM_TRIALS, Need::OnePerOp);
+    r
 }
 
 /// `sharded_cycle` at CI scale: 8 shards × omega-16 under a global omega,
@@ -504,6 +527,7 @@ fn ledger_sharded(ledger: &mut Ledger) {
     let key = (W, "shards", "rebuilds_per_shard");
     ledger.put(key, rebuilds.iter().sum(), shards, Need::OnePerOp);
     ledger.flow(W, "flow", &merged, SHARD_CYCLES);
+    ledger.extract(W, &merged, SHARD_CYCLES);
     let key = (W, "flat", "allocated");
     ledger.put(key, flat_allocated, SHARD_CYCLES, Need::NonZero);
     ledger.flow(W, "flat", &flat.report(), SHARD_CYCLES);
@@ -528,6 +552,7 @@ fn ledger_reset_batch(ledger: &mut Ledger, net: &Network) -> TelemetryReport {
     );
     let mut merged = max_flow.report();
     ledger.flow("reset_batch", "max_flow", &merged, BATCH_TRIALS);
+    ledger.extract("reset_batch", &merged, BATCH_TRIALS);
     let min_cost = min_cost.report();
     ledger.flow("reset_batch", "min_cost", &min_cost, BATCH_TRIALS);
     merged.merge(&min_cost);
@@ -576,7 +601,8 @@ fn main() {
         ..DynamicConfig::default()
     };
     let dinic = MaxFlowScheduler::default();
-    ledger_sim(&mut ledger, "dynamic_heavy", &omega64, &dinic, heavy, None);
+    let r = ledger_sim(&mut ledger, "dynamic_heavy", &omega64, &dinic, heavy, None);
+    ledger.extract("dynamic_heavy", &r, r.counters[Counter::Cycles.index()]);
     let faulted = DynamicConfig {
         rho: 0.9,
         priority_levels: 4,

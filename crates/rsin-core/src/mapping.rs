@@ -96,15 +96,71 @@ pub(crate) fn for_each_circuit<E: From<MappingError>>(
     mut visit: impl FnMut(Circuit<'_>) -> Result<(), E>,
 ) -> Result<(), E> {
     for_each_unit_path(&t.flow, t.source, t.sink, t.bypass, walk, |arcs| {
-        let (&first, rest) = arcs.split_first().ok_or(MappingError::MalformedPath)?;
-        let (&last, middle) = rest.split_last().ok_or(MappingError::MalformedPath)?;
-        let (processor, resource) = ends(first, last).ok_or(MappingError::MalformedPath)?;
-        visit(Circuit {
-            processor,
-            resource,
-            middle,
-            t,
-        })
+        visit(circuit(t, arcs, &ends)?)
+    })
+}
+
+/// [`for_each_circuit`] for a flow whose unit paths are already known:
+/// `paths` lists them one after another, each ending with its arc into the
+/// sink, as [`SolveScratch::one_pass_paths`] does after a one-pass Dinic
+/// solve from zero flow. The circuits are split off at the arcs into the
+/// sink and nothing is walked. Transformation 1 only: it has no bypass.
+///
+/// Debug builds walk the flow too and assert that its paths, in its order,
+/// are `paths`.
+///
+/// [`SolveScratch::one_pass_paths`]: rsin_flow::SolveScratch::one_pass_paths
+pub(crate) fn for_each_recorded_circuit<E: From<MappingError>>(
+    t: &Transformed,
+    paths: &[ArcId],
+    ends: impl Fn(ArcId, ArcId) -> Option<(usize, usize)>,
+    mut visit: impl FnMut(Circuit<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    debug_assert!(t.bypass.is_none(), "a recorded flow has no bypass paths");
+    #[cfg(debug_assertions)]
+    {
+        let mut walked = Vec::new();
+        for_each_unit_path(
+            &t.flow,
+            t.source,
+            t.sink,
+            None,
+            &mut PathWalk::default(),
+            |arcs| {
+                walked.extend_from_slice(arcs);
+                Ok::<(), std::convert::Infallible>(())
+            },
+        )
+        .unwrap_or_else(|never| match never {});
+        debug_assert_eq!(walked, paths, "the recorded paths are not the walk's");
+    }
+    let mut rest = paths;
+    while !rest.is_empty() {
+        let len = rest
+            .iter()
+            .position(|&a| t.flow.head(a) == t.sink)
+            .ok_or(MappingError::MalformedPath)?;
+        let (arcs, tail) = rest.split_at(len + 1);
+        rest = tail;
+        visit(circuit(t, arcs, &ends)?)?;
+    }
+    Ok(())
+}
+
+/// The circuit of one unit path `s` to `t`, its ends named by `ends`.
+fn circuit<'a>(
+    t: &'a Transformed,
+    arcs: &'a [ArcId],
+    ends: impl Fn(ArcId, ArcId) -> Option<(usize, usize)>,
+) -> Result<Circuit<'a>, MappingError> {
+    let (&first, rest) = arcs.split_first().ok_or(MappingError::MalformedPath)?;
+    let (&last, middle) = rest.split_last().ok_or(MappingError::MalformedPath)?;
+    let (processor, resource) = ends(first, last).ok_or(MappingError::MalformedPath)?;
+    Ok(Circuit {
+        processor,
+        resource,
+        middle,
+        t,
     })
 }
 

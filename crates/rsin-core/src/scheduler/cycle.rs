@@ -10,7 +10,7 @@ use crate::model::{ScheduleOutcome, ScheduleProblem};
 use crate::transform::reusable::ReusableTransform;
 use crate::transform::{homogeneous, priority, Transformed};
 use rsin_flow::path::PathWalk;
-use rsin_flow::{max_flow, min_cost, Flow, SolveScratch};
+use rsin_flow::{max_flow, min_cost, ArcId, Flow, SolveScratch};
 use rsin_obs::{Counter, Hist, NoopProbe, Probe};
 
 /// A flow scheduler's transformation and solver.
@@ -75,9 +75,11 @@ pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
 
 /// Build or configure → solve → extract: hand each circuit of an optimal
 /// flow of `shape` on `problem` to `visit`, in decomposition order, and
-/// return the solve's work in estimated instructions. `probe` sees the
-/// solve; `stages` times configure and extract (`visit` included), which
-/// only the cycles ask for.
+/// return the solve's work in estimated instructions. Extract reads the
+/// circuits off a one-pass Dinic solve's augmenting paths and walks the
+/// flow otherwise. `probe` sees the solve and counts the decomposition as
+/// recorded or walked; `stages` times configure and extract (`visit`
+/// included), which only the cycles ask for.
 pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
     shape: Shape,
     problem: &ScheduleProblem,
@@ -118,16 +120,21 @@ pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
             (r.stats.estimated_instructions(), None)
         }
     };
-    let (work, value) = match graph {
+    let (work, value, recorded) = match graph {
         Graph::Fresh => {
             let (mut t, target) = match shape {
                 Shape::MaxFlow(_) => (homogeneous::transform(problem), 0),
                 Shape::MinCost(_) => priority::transform(problem),
             };
-            let r = run(&mut t, target, &mut SolveScratch::new());
+            let scratch = &mut SolveScratch::new();
+            let (work, value) = run(&mut t, target, scratch);
             let ends = |f, l| t.path_ends(f, l);
-            mapping::for_each_circuit(&t, &mut PathWalk::default(), ends, &mut visit)?;
-            r
+            let recorded = recorded_paths(shape, scratch);
+            match recorded {
+                Some(paths) => mapping::for_each_recorded_circuit(&t, paths, ends, &mut visit)?,
+                None => mapping::for_each_circuit(&t, &mut PathWalk::default(), ends, &mut visit)?,
+            }
+            (work, value, recorded.is_some())
         }
         Graph::Reusing(reusable, scratch) => {
             let stage = stages.start();
@@ -136,15 +143,35 @@ pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
                 Shape::MinCost(_) => reusable.configure_min_cost(problem),
             };
             stages.finish(stage, Hist::ConfigureNs);
-            let r = run(t, target, scratch);
+            let (work, value) = run(t, target, scratch);
             let stage = stages.start();
-            reusable.for_each_circuit(&mut visit)?;
+            let recorded = recorded_paths(shape, scratch);
+            reusable.for_each_circuit(recorded, &mut visit)?;
             stages.finish(stage, Hist::ExtractNs);
-            r
+            (work, value, recorded.is_some())
         }
     };
     debug_assert!(value.is_none_or(|v| v == found));
+    let decomposed = if recorded {
+        Counter::RecordedDecompositions
+    } else {
+        Counter::WalkedDecompositions
+    };
+    probe.add(decomposed, 1);
     Ok(work)
+}
+
+/// The solve's augmenting paths when they are its flow's decomposition: a
+/// Dinic solve that ran at most one blocking-flow pass. Every solve here
+/// starts from zero flow (a fresh graph has none, and a configure resets
+/// it), so within its one pass no twin arc is admissible and the
+/// current-arc DFS completes the paths the walk would take, in the walk's
+/// order (DESIGN.md §14.8).
+fn recorded_paths(shape: Shape, scratch: &SolveScratch) -> Option<&[ArcId]> {
+    match shape {
+        Shape::MaxFlow(max_flow::Algorithm::Dinic) => scratch.one_pass_paths(),
+        _ => None,
+    }
 }
 
 /// The flow schedulers' one scheduling cycle: validate ids, [`solve`],
@@ -168,4 +195,192 @@ fn cycle<P: Probe + ?Sized>(
     probe.finish(span, Hist::CycleLatencyNs);
     probe.add(Counter::Cycles, 1);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapping::MappingError;
+    use crate::scheduler::{HierarchicalScheduler, InterShardPolicy};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rsin_obs::Telemetry;
+    use rsin_topology::builders::{generalized_cube, omega, omega_3dp};
+    use rsin_topology::{
+        CircuitState, GlobalTopology, LinkId, Network, ShardedNetwork, ShardedSpec,
+    };
+
+    /// A circuit as the tests compare it: processor, resource and the
+    /// network links between them.
+    type Key = (usize, usize, Vec<LinkId>);
+
+    fn key(c: &Circuit<'_>) -> Key {
+        (c.processor, c.resource, c.assignment().unwrap().path)
+    }
+
+    /// The circuits of `t`'s flow in walk order, and the walk's trail.
+    fn walked(t: &Transformed) -> (Vec<Key>, Vec<ArcId>) {
+        let mut walk = PathWalk::default();
+        let mut circuits = Vec::new();
+        let ends = |f, l| t.path_ends(f, l);
+        mapping::for_each_circuit(t, &mut walk, ends, |c| {
+            circuits.push(key(&c));
+            Ok::<_, MappingError>(())
+        })
+        .unwrap();
+        (circuits, walk.carried().unwrap().to_vec())
+    }
+
+    /// A random number of distinct ids below `n`, in random order.
+    fn pick(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.shuffle(rng);
+        ids.truncate(rng.random_range(0..=n));
+        ids
+    }
+
+    /// One Theorem-2 `solve_each` on `graph`: its circuits, in the order
+    /// handed out, and its blocking-flow passes. Asserts that it read them
+    /// off the solve's augmenting paths exactly when the solve ran at most
+    /// one pass, and walked otherwise.
+    fn solve_counted(
+        problem: &ScheduleProblem,
+        graph: Graph<'_>,
+    ) -> Result<(Vec<Key>, u64), TestCaseError> {
+        let telemetry = Telemetry::new();
+        let mut got = Vec::new();
+        let shape = Shape::MaxFlow(max_flow::Algorithm::Dinic);
+        solve_each(shape, problem, graph, &telemetry, &NoopProbe, &mut |c| {
+            got.push(key(&c));
+            Ok(())
+        })
+        .unwrap();
+        // From zero flow the cut bound is min(requests, free resources); a
+        // solve below it ran one last search that found nothing.
+        let report = telemetry.report();
+        let phases: u64 = report.solvers.iter().map(|s| s.counts.phases).sum();
+        let bound = problem.requests.len().min(problem.free.len());
+        let passes = phases - u64::from(got.len() < bound);
+        let counter = |c: Counter| report.counters[c.index()];
+        prop_assert_eq!(
+            counter(Counter::RecordedDecompositions),
+            u64::from(passes <= 1)
+        );
+        prop_assert_eq!(
+            counter(Counter::WalkedDecompositions),
+            u64::from(passes > 1)
+        );
+        Ok((got, passes))
+    }
+
+    /// [`solve_counted`] on `reusable`'s graph, checked against the walk
+    /// of the flow it solved: the same circuits in the same order, and the
+    /// walk's trail as the next configure's restore list. Returns the
+    /// solve's passes.
+    fn check_reusing(
+        problem: &ScheduleProblem,
+        reusable: &mut ReusableTransform,
+        scratch: &mut SolveScratch,
+    ) -> Result<u64, TestCaseError> {
+        let (got, passes) = solve_counted(problem, Graph::Reusing(reusable, scratch))?;
+        let (want, trail) = walked(reusable.transformed().unwrap());
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(reusable.carried(), Some(trail.as_slice()));
+        Ok(passes)
+    }
+
+    /// A random snapshot of `net`: a few circuits held, a few links
+    /// failed, random requests and free resources.
+    fn snapshot<'n>(
+        net: &'n Network,
+        rng: &mut StdRng,
+    ) -> (CircuitState<'n>, Vec<usize>, Vec<usize>) {
+        let (np, nr) = (net.num_processors(), net.num_resources());
+        let mut cs = CircuitState::new(net);
+        for _ in 0..rng.random_range(0..np / 2) {
+            let _ = cs.connect(rng.random_range(0..np), rng.random_range(0..nr));
+        }
+        for _ in 0..rng.random_range(0..4) {
+            cs.fail_link(LinkId(rng.random_range(0..net.num_links() as u32)));
+        }
+        let requests = pick(rng, np);
+        let free = pick(rng, nr);
+        (cs, requests, free)
+    }
+
+    /// The solves of [`one_pass_paths_are_the_walk`] for one seed, each
+    /// checked; returns how many ran at most one pass and how many more.
+    fn check_seed(seed: u64) -> Result<[u32; 2], TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = match seed % 3 {
+            0 => omega(16),
+            1 => generalized_cube(16),
+            _ => omega_3dp(16),
+        }
+        .unwrap();
+        let mut passes = [0; 2];
+        let mut tally = |p: u64| passes[usize::from(p > 1)] += 1;
+        let (mut reusable, mut scratch) = (ReusableTransform::new(), SolveScratch::new());
+        for _ in 0..6 {
+            let (cs, requests, free) = snapshot(&net, &mut rng);
+            let problem = ScheduleProblem::homogeneous(&cs, &requests, &free);
+            let (got, p) = solve_counted(&problem, Graph::Fresh)?;
+            tally(p);
+            let mut t = homogeneous::transform(&problem);
+            max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
+            prop_assert_eq!(got, walked(&t).0);
+            tally(check_reusing(&problem, &mut reusable, &mut scratch)?);
+        }
+        prop_assert_eq!(reusable.rebuilds(), 1);
+
+        let sharded = ShardedNetwork::new(ShardedSpec::new(4, 16, GlobalTopology::Omega))
+            .expect("4x16 omega composition is well-formed");
+        let h = HierarchicalScheduler::new(&sharded, InterShardPolicy::TokenRing);
+        let local = CircuitState::new(sharded.local());
+        let mut shards: Vec<ReusableTransform> = (0..4).map(|_| ReusableTransform::new()).collect();
+        for _ in 0..4 {
+            let ports = sharded.num_ports();
+            let requests = pick(&mut rng, ports);
+            let free = pick(&mut rng, ports);
+            let placement = h.place(&requests, &free).unwrap();
+            for (plan, shard) in placement.shards.iter().zip(&mut shards) {
+                let requests: Vec<usize> = plan.requests.iter().map(|&(p, _)| p).collect();
+                let problem = ScheduleProblem::homogeneous(&local, &requests, &plan.free);
+                tally(check_reusing(&problem, shard, &mut scratch)?);
+            }
+        }
+        Ok(passes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A one-pass Dinic solve's augmenting paths are the walk's
+        /// decomposition of its flow. On random Transformation-1
+        /// snapshots of omega, cube and 3dp-omega networks (circuits held,
+        /// links failed), through one reusable graph cycle after cycle and
+        /// on freshly built graphs, and on the shard plans of random
+        /// hierarchical placements: every solve hands out the walk's
+        /// circuits (processor, resource, links, order), a one-pass solve's
+        /// record becomes exactly the walk's `carried` trail, and every
+        /// multi-pass solve walks.
+        #[test]
+        fn one_pass_paths_are_the_walk(seed in 0u64..u64::MAX) {
+            check_seed(seed)?;
+        }
+    }
+
+    /// The seeds above reach both kinds of solve: the property is not
+    /// vacuous on either side.
+    #[test]
+    fn one_pass_and_multi_pass_solves_are_both_checked() {
+        let mut total = [0; 2];
+        for seed in 0..12 {
+            let [one, multi] = check_seed(seed).unwrap();
+            total = [total[0] + one, total[1] + multi];
+        }
+        assert!(total[0] > 0 && total[1] > 0, "{total:?}");
+    }
 }

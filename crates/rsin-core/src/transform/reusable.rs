@@ -24,13 +24,13 @@
 //! A configure costs what changed since the last one, not what the topology
 //! holds (DESIGN.md §6): link availability and the request and resource
 //! arcs are diffed as bit words and only flipped arcs are written, and the
-//! flow reset restores only the arcs the last decomposition walked.
+//! flow reset restores only the arcs on the last decomposition's paths.
 
 use super::{mirror_network, Transformed};
 use crate::mapping::{self, Assignment, Circuit, MappingError};
 use crate::model::ScheduleProblem;
 use rsin_flow::path::PathWalk;
-use rsin_flow::{ArcId, Flow, FlowNetwork};
+use rsin_flow::{ArcId, Flow, FlowNetwork, SolveScratch};
 use rsin_topology::Network;
 
 /// A lazily built, capacity-toggled superset transformation graph.
@@ -295,19 +295,43 @@ impl ReusableTransform {
     /// The walk also records the arcs that carry flow, so the next
     /// configure restores only those. Empty until the first configure.
     pub fn extract(&mut self) -> Result<Vec<Assignment>, MappingError> {
+        self.extract_recorded(None)
+    }
+
+    /// [`extract`](Self::extract) after a Dinic solve of this graph with
+    /// `solved`, from the zero flow a configure leaves: the scheduling
+    /// cycle's decomposition. When that solve ran one blocking-flow pass its
+    /// augmenting paths are the decomposition, so the circuits are read
+    /// from them and nothing is walked
+    /// ([`SolveScratch::one_pass_paths`]); otherwise the flow is walked.
+    pub fn extract_solved(
+        &mut self,
+        solved: &SolveScratch,
+    ) -> Result<Vec<Assignment>, MappingError> {
+        self.extract_recorded(solved.one_pass_paths())
+    }
+
+    fn extract_recorded(
+        &mut self,
+        recorded: Option<&[ArcId]>,
+    ) -> Result<Vec<Assignment>, MappingError> {
         let mut out = Vec::new();
-        self.for_each_circuit(|c| {
+        self.for_each_circuit(recorded, |c| {
             out.push(c.assignment()?);
             Ok::<_, MappingError>(())
         })?;
         Ok(out)
     }
 
-    /// The walk of [`extract`](Self::extract), handing each path to `visit`
-    /// as a [`Circuit`] whose two ends are found in O(1). Does nothing until
-    /// the first configure.
+    /// The decomposition of [`extract`](Self::extract), handing each path
+    /// to `visit` as a [`Circuit`] whose two ends are found in O(1). With
+    /// `recorded`, the flow's unit paths one after another (a one-pass
+    /// Dinic solve's, from zero flow), the circuits are split off them and
+    /// they become the next configure's restore list; otherwise the flow is
+    /// walked. Does nothing until the first configure.
     pub(crate) fn for_each_circuit<E: From<MappingError>>(
         &mut self,
+        recorded: Option<&[ArcId]>,
         visit: impl FnMut(Circuit<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
         let Some(Inner {
@@ -317,7 +341,22 @@ impl ReusableTransform {
             return Ok(());
         };
         let (t, boundary) = (&*t, *boundary);
-        mapping::for_each_circuit(t, walk, |f, l| boundary.ends(t, f, l), visit)
+        let ends = |f, l| boundary.ends(t, f, l);
+        let Some(paths) = recorded else {
+            return mapping::for_each_circuit(t, walk, ends, visit);
+        };
+        let split = mapping::for_each_recorded_circuit(t, paths, ends, visit);
+        match split {
+            Ok(()) => walk.adopt(paths),
+            Err(_) => walk.forget(),
+        }
+        split
+    }
+
+    /// The arcs the next configure restores, as its walk records them.
+    #[cfg(test)]
+    pub(crate) fn carried(&self) -> Option<&[ArcId]> {
+        self.inner.as_ref().and_then(|i| i.walk.carried())
     }
 
     fn configure(&mut self, problem: &ScheduleProblem, priced: bool) -> (&mut Transformed, Flow) {
@@ -345,7 +384,7 @@ impl ReusableTransform {
         let lent = std::mem::take(lent);
 
         // Flow: the transform graphs are DAGs, so every arc carrying flow
-        // lies on a path the last decomposition walked. Restore those arcs,
+        // lies on a path of the last decomposition. Restore those arcs,
         // or sweep when nothing was recorded since the last configure or
         // the graph was lent out.
         match walk.carried() {

@@ -221,6 +221,11 @@ fn level_residual<const FROM_SINK: bool>(
 /// the slot taken plus the node it left. Bottleneck, push, retreat and
 /// backtracking read the hot lane at those slots; only the push's write to
 /// the twin goes through the `arc_pos` permutation.
+///
+/// Each augmenting path's arc ids are appended to `scratch.paths` as it is
+/// pushed, and a push of more than one unit clears `scratch.unit_pushes`:
+/// a one-pass solve's record is then its flow's decomposition
+/// ([`SolveScratch::one_pass_paths`]).
 fn blocking_flow<const FROM_SINK: bool>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -236,6 +241,8 @@ fn blocking_flow<const FROM_SINK: bool>(
         level,
         next_slot,
         steps,
+        paths,
+        unit_pushes,
         ..
     } = scratch;
     let (offsets, hot, arc_pos) = g.slot_lanes_mut();
@@ -258,6 +265,10 @@ fn blocking_flow<const FROM_SINK: bool>(
                 let twin = arc_pos[h.id.twin().index()] as usize;
                 hot[twin].res += bottleneck;
             }
+            // Recorded after the push loop: a `Vec` push inside it slowed
+            // the DFS (EXPERIMENTS.md ONE-PASS).
+            paths.extend(steps.iter().map(|&(slot, _)| hot[slot as usize].id));
+            *unit_pushes &= bottleneck == 1;
             total += bottleneck;
             augmentations += 1;
             // Retreat to the tail of the first saturated arc on the path.
@@ -330,6 +341,8 @@ pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
 
 /// [`solve`] with caller-provided scratch buffers: identical results and
 /// [`OpStats`], allocation-free after the first call on a given node count.
+/// The solve leaves its augmenting paths and pass count in `scratch`
+/// ([`SolveScratch::one_pass_paths`]).
 pub fn solve_with(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -371,6 +384,9 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
     scratch: &mut SolveScratch,
     probe: &P,
 ) -> MaxFlowResult {
+    scratch.paths.clear();
+    scratch.passes = 0;
+    scratch.unit_pushes = true;
     g.ensure_csr();
     let mut stats = OpStats::new();
     if s == t {
@@ -394,8 +410,8 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
 }
 
 /// Alternate labelling and blocking flow from one side until a search
-/// fails to reach the far end or the flow added meets `bound`. Returns the
-/// flow added.
+/// fails to reach the far end or the flow added meets `bound`, counting
+/// the blocking-flow passes in `scratch.passes`. Returns the flow added.
 fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -416,6 +432,7 @@ fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
         let span = probe.start();
         let pushed = blocking_flow::<FROM_SINK>(g, s, t, scratch, stats);
         probe.finish(span, rsin_obs::Hist::DinicBlockingPhaseNs);
+        scratch.passes += 1;
         debug_assert!(
             pushed > 0,
             "labels reached the far end but no path was found"
@@ -428,6 +445,7 @@ fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::{for_each_unit_path, PathWalk};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -750,6 +768,41 @@ mod tests {
                 prop_assert_eq!(got.stats, want.stats, "{:?}", side);
                 for (a, arc) in want_g.forward_arcs() {
                     prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A solve from zero flow that ran at most one blocking-flow pass
+        /// and pushed one unit per augmenting path leaves those paths as
+        /// its flow's unit-path decomposition: on each label side and the
+        /// automatic choice, the record is the walk's `carried()` trail,
+        /// path for path and in order. Any other solve (a second pass, a
+        /// wider push) offers no record. The random networks carry
+        /// capacities 0–4, parallel arcs, cycles, self-loops, arcs into `s`
+        /// and out of `t`.
+        #[test]
+        fn one_pass_record_is_the_unit_path_walk(seed in 0u64..u64::MAX) {
+            let (mut g, s, t) = random_network(seed);
+            g.reset();
+            let (out_of_s, into_t) = end_residuals(&g, s, t);
+            let mut scratch = SolveScratch::new();
+            for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
+                let mut solved = g.clone();
+                let r = solve_labelled(&mut solved, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                // Below the cut bound the last search found nothing.
+                let passes = r.stats.phases - u64::from(r.value < out_of_s.min(into_t));
+                let unit_pushes = r.value == r.stats.augmentations as Flow;
+                let recorded = scratch.one_pass_paths();
+                prop_assert_eq!(recorded.is_some(), passes <= 1 && unit_pushes, "{:?}", side);
+                if let Some(paths) = recorded {
+                    let mut walk = PathWalk::default();
+                    for_each_unit_path(&solved, s, t, None, &mut walk, |_| Ok::<(), ()>(()))
+                        .unwrap();
+                    prop_assert_eq!(walk.carried(), Some(paths), "{:?}", side);
                 }
             }
         }

@@ -87,6 +87,16 @@ impl PathWalk {
     pub fn forget(&mut self) {
         self.complete = false;
     }
+
+    /// Record `trail` as [`carried`](Self::carried), as a walk that ran to
+    /// the end would: for a flow whose unit paths are known without
+    /// walking it, such as a one-pass Dinic solve's
+    /// ([`SolveScratch::one_pass_paths`](crate::scratch::SolveScratch::one_pass_paths)).
+    pub fn adopt(&mut self, trail: &[ArcId]) {
+        self.trail.clear();
+        self.trail.extend_from_slice(trail);
+        self.complete = true;
+    }
 }
 
 /// Walk the unit paths of [`decompose_unit_flow`] without materialising

@@ -61,6 +61,14 @@ pub struct SolveScratch {
     pub(crate) next_slot: Vec<u32>,
     /// Dinic: DFS path stack, the CSR slot taken and the node it left.
     pub(crate) steps: Vec<(u32, NodeId)>,
+    /// Dinic: every augmenting path of the last solve, its arc ids `s` to
+    /// `t`, one path after another in the order pushed.
+    pub(crate) paths: Vec<ArcId>,
+    /// Dinic: blocking-flow passes of the last solve.
+    pub(crate) passes: u32,
+    /// Dinic: whether every augmentation of the last solve pushed one
+    /// unit, so `paths` holds each unit path once.
+    pub(crate) unit_pushes: bool,
     /// Incremental augmentation: the path's arcs.
     pub(crate) path: Vec<ArcId>,
     /// SSP: Johnson node potentials.
@@ -80,6 +88,23 @@ impl SolveScratch {
     /// Empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The last Dinic solve's augmenting paths, arc ids `s` to `t`, one
+    /// path after another in the order pushed, when that solve ran at most
+    /// one blocking-flow pass and pushed one unit per path; `None` after
+    /// any other Dinic solve. Other solvers leave it as the last Dinic
+    /// solve left it.
+    ///
+    /// When that solve started from zero flow these are exactly the unit
+    /// paths [`for_each_unit_path`](crate::path::for_each_unit_path) walks
+    /// in its flow, in the walk's order, and their concatenation is the
+    /// walk's `carried()` trail (DESIGN.md §14.8): within one pass from
+    /// zero flow no twin arc is admissible and the admissible set only
+    /// shrinks, so each path the current-arc DFS completes is the first
+    /// remaining one in slot order, which is the one the walk takes.
+    pub fn one_pass_paths(&self) -> Option<&[ArcId]> {
+        (self.passes <= 1 && self.unit_pushes).then_some(self.paths.as_slice())
     }
 
     /// Size every per-node buffer for a graph of `n` nodes without

@@ -49,12 +49,13 @@ impl Inverse {
         y
     }
 
-    /// `d = B_inv * a` (right multiply by a column vector).
-    fn right_mul(&self, a: &[f64]) -> Vec<f64> {
+    /// `d = B_inv * a` for a column given by its nonzeros `(row, value)`,
+    /// rows ascending: O(m) per nonzero, not O(m²).
+    fn times_sparse(&self, a: &[(usize, f64)]) -> Vec<f64> {
         (0..self.m)
             .map(|i| {
                 let row = self.row(i);
-                a.iter().enumerate().map(|(j, &aj)| row[j] * aj).sum()
+                a.iter().map(|&(j, aj)| row[j] * aj).sum()
             })
             .collect()
     }
@@ -83,9 +84,44 @@ impl Inverse {
     }
 }
 
+/// The structural columns of `A` as their nonzeros `(row, value)`, rows
+/// ascending, built once per solve: the flow LPs solved here have a few
+/// nonzeros per column, so pricing and `B_inv a_q` read those, not `m`
+/// strided rows.
+struct Columns {
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Columns {
+    fn new(a: &[Vec<f64>], n: usize) -> Self {
+        let mut start = Vec::with_capacity(n + 1);
+        let mut entries = Vec::new();
+        start.push(0);
+        for j in 0..n {
+            for (i, row) in a.iter().enumerate() {
+                if row[j] != 0.0 {
+                    entries.push((i, row[j]));
+                }
+            }
+            start.push(entries.len());
+        }
+        Columns { start, entries }
+    }
+
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
 /// Solve `min c'x, Ax = b, x >= 0` (with `b >= 0`) by two-phase *revised*
 /// simplex with Bland's rule. Same contract as
 /// [`crate::tableau::solve_standard`].
+///
+/// Columns are read at their sparsity: reduced costs and the entering
+/// direction `B_inv a_q` sum over a column's nonzeros only, and a flag per
+/// column says whether it is basic. Zero entries add nothing to those
+/// sums, so every pivot is the one the dense products would choose.
 pub fn solve_standard_revised(
     a: &[Vec<f64>],
     b: &[f64],
@@ -95,65 +131,51 @@ pub fn solve_standard_revised(
     let n = if m > 0 { a[0].len() } else { c.len() };
     let max_iters = 2000 + 200 * (m + n);
 
-    // Column access: structural columns from `a`, artificial j >= n is e_{j-n}.
-    let col = |j: usize, out: &mut Vec<f64>| {
-        out.clear();
-        if j < n {
-            for row in a {
-                out.push(row[j]);
-            }
-        } else {
-            for i in 0..m {
-                out.push(if i == j - n { 1.0 } else { 0.0 });
-            }
-        }
-    };
+    // Structural columns from `a`; artificial j >= n is e_{j-n}.
+    let cols = Columns::new(a, n);
 
     let total = n + m;
     let mut basis: Vec<usize> = (n..total).collect();
+    let mut in_basis: Vec<bool> = (0..total).map(|j| j >= n).collect();
     let mut binv = Inverse::identity(m);
     let mut xb: Vec<f64> = b.to_vec();
     let mut pivots = 0usize;
     let mut banned = vec![false; total];
-    let mut scratch = Vec::with_capacity(m);
 
     // One simplex phase over the cost vector `cost(j)`.
-    let mut run_phase = |basis: &mut Vec<usize>,
-                         binv: &mut Inverse,
-                         xb: &mut Vec<f64>,
-                         banned: &[bool],
-                         cost: &dyn Fn(usize) -> f64,
-                         pivots: &mut usize|
+    let run_phase = |basis: &mut Vec<usize>,
+                     in_basis: &mut Vec<bool>,
+                     binv: &mut Inverse,
+                     xb: &mut Vec<f64>,
+                     banned: &[bool],
+                     cost: &dyn Fn(usize) -> f64,
+                     pivots: &mut usize|
      -> Result<(), LpError> {
         for _ in 0..max_iters {
             // Simplex multipliers y = c_B' B_inv.
             let cb: Vec<f64> = basis.iter().map(|&j| cost(j)).collect();
             let y = binv.left_mul(&cb);
             // Bland pricing: smallest j with negative reduced cost.
-            let mut entering = None;
-            'price: for j in 0..total {
-                if banned[j] || basis.contains(&j) {
-                    continue;
+            let entering = (0..total).find(|&j| {
+                if banned[j] || in_basis[j] {
+                    return false;
                 }
-                // reduced = cost(j) - y' a_j, computed sparsely.
+                // reduced = cost(j) - y' a_j, over a_j's nonzeros.
                 let mut red = cost(j);
                 if j < n {
-                    for (i, row) in a.iter().enumerate() {
-                        red -= y[i] * row[j];
+                    for &(i, aij) in cols.col(j) {
+                        red -= y[i] * aij;
                     }
                 } else {
                     red -= y[j - n];
                 }
-                if red < -EPS {
-                    entering = Some(j);
-                    break 'price;
-                }
-            }
+                red < -EPS
+            });
             let Some(q) = entering else {
                 return Ok(());
             };
-            col(q, &mut scratch);
-            let d = binv.right_mul(&scratch);
+            let artificial = [(q.wrapping_sub(n), 1.0)];
+            let d = binv.times_sparse(if q < n { cols.col(q) } else { &artificial });
             // Ratio test with Bland tie-break.
             let mut leaving: Option<(usize, f64)> = None;
             for i in 0..m {
@@ -178,6 +200,8 @@ pub fn solve_standard_revised(
             }
             xb[r] = theta;
             binv.pivot(r, &d);
+            in_basis[basis[r]] = false;
+            in_basis[q] = true;
             basis[r] = q;
             *pivots += 1;
         }
@@ -188,6 +212,7 @@ pub fn solve_standard_revised(
     let phase1_cost = |j: usize| if j >= n { 1.0 } else { 0.0 };
     run_phase(
         &mut basis,
+        &mut in_basis,
         &mut binv,
         &mut xb,
         &banned,
@@ -208,30 +233,27 @@ pub fn solve_standard_revised(
         if basis[r] >= n {
             let row_r: Vec<f64> = binv.row(r).to_vec();
             let replacement = (0..n).find(|&j| {
-                if basis.contains(&j) {
+                if in_basis[j] {
                     return false;
                 }
                 // d_r = (B_inv a_j)_r
                 let mut dr = 0.0;
-                for (i, arow) in a.iter().enumerate() {
-                    dr += row_r[i] * arow[j];
+                for &(i, aij) in cols.col(j) {
+                    dr += row_r[i] * aij;
                 }
                 dr.abs() > 1e-7
             });
             if let Some(j) = replacement {
-                let mut aj = Vec::with_capacity(m);
-                for row in a {
-                    aj.push(row[j]);
-                }
-                let d = binv.right_mul(&aj);
+                let d = binv.times_sparse(cols.col(j));
                 binv.pivot(r, &d);
+                in_basis[basis[r]] = false;
+                in_basis[j] = true;
                 basis[r] = j;
                 pivots += 1;
             }
         }
     }
-    for (j, bj) in banned.iter_mut().enumerate().take(total).skip(n) {
-        let _ = j;
+    for bj in banned.iter_mut().skip(n) {
         *bj = true;
     }
 
@@ -239,6 +261,7 @@ pub fn solve_standard_revised(
     let phase2_cost = |j: usize| if j < n { c[j] } else { 0.0 };
     run_phase(
         &mut basis,
+        &mut in_basis,
         &mut binv,
         &mut xb,
         &banned,

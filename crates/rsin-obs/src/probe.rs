@@ -72,14 +72,20 @@ pub enum Counter {
     /// solves (subset of the solver's `arc_scans`).
     DinicLevelArcScans,
     /// Arc scans spent in Dinic's blocking-flow (DFS) phase across observed
-    /// solves. Appended last: `index()` is the declaration order, so new
-    /// counters must never reorder existing ones.
+    /// solves.
     DinicBlockingArcScans,
+    /// Solved flows decomposed from a one-pass Dinic solve's augmenting
+    /// paths, with no walk.
+    RecordedDecompositions,
+    /// Solved flows decomposed by walking their unit paths. Appended last:
+    /// `index()` is the declaration order, so new counters must never
+    /// reorder existing ones.
+    WalkedDecompositions,
 }
 
 impl Counter {
     /// All variants, in report order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 29] = [
         Counter::Cycles,
         Counter::DegradedCycles,
         Counter::Recovered,
@@ -107,6 +113,8 @@ impl Counter {
         Counter::ShardAllocated,
         Counter::DinicLevelArcScans,
         Counter::DinicBlockingArcScans,
+        Counter::RecordedDecompositions,
+        Counter::WalkedDecompositions,
     ];
 
     /// Dense array index (== position in [`Counter::ALL`]).
@@ -144,6 +152,8 @@ impl Counter {
             Counter::ShardAllocated => "shard_allocated",
             Counter::DinicLevelArcScans => "dinic_level_arc_scans",
             Counter::DinicBlockingArcScans => "dinic_blocking_arc_scans",
+            Counter::RecordedDecompositions => "recorded_decompositions",
+            Counter::WalkedDecompositions => "walked_decompositions",
         }
     }
 }
