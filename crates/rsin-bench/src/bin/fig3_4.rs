@@ -5,12 +5,12 @@
 //! `s-c-d-a-b-t` cancels the arc `a→d` and yields the mapping
 //! {(pa, rb), (pc, rd)} with both resources allocated.
 
-use rsin_flow::graph::FlowNetwork;
+use rsin_flow::graph::FlowNetworkBuilder;
 use rsin_flow::max_flow::{solve, Algorithm};
 use rsin_flow::path::decompose_unit_flow;
 
 fn main() {
-    let mut g = FlowNetwork::new();
+    let mut g = FlowNetworkBuilder::new();
     let s = g.add_node("s");
     let a = g.add_node("a");
     let b = g.add_node("b");
@@ -24,6 +24,7 @@ fn main() {
     let cd = g.add_arc(c, d, 1, 0);
     let bt = g.add_arc(b, t, 1, 0);
     let dt = g.add_arc(d, t, 1, 0);
+    let mut g = g.build();
 
     // Initial (suboptimal-order) flow: s-a-d-t, i.e. (pa, rd).
     g.push(sa, 1);

@@ -7,7 +7,7 @@
 //! which all three resources are allocated (p4 reallocated to r3, p2 to
 //! r1).
 
-use rsin_flow::graph::FlowNetwork;
+use rsin_flow::graph::FlowNetworkBuilder;
 use rsin_flow::max_flow::{solve, Algorithm, LayeredNetwork};
 use rsin_flow::path::decompose_unit_flow;
 use rsin_flow::stats::OpStats;
@@ -15,7 +15,7 @@ use rsin_flow::stats::OpStats;
 fn main() {
     // The flow network of Fig. 8(a): a 2-stage 4x4 MRSIN with boxes 4,5
     // (stage 0) and 6,7 (stage 1).
-    let mut g = FlowNetwork::new();
+    let mut g = FlowNetworkBuilder::new();
     let s = g.add_node("s");
     let p1 = g.add_node("p1");
     let p2 = g.add_node("p2");
@@ -45,6 +45,7 @@ fn main() {
     let r1_t = g.add_arc(r1, t, 1, 0);
     g.add_arc(r3, t, 1, 0);
     let r4_t = g.add_arc(r4, t, 1, 0);
+    let mut g = g.build();
 
     // Initial flow: p1 -> 4 -> 7 -> r4 and p4 -> 5 -> 6 -> r1 (dashed in the figure).
     for arc in [

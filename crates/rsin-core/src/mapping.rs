@@ -191,10 +191,9 @@ pub fn extract_hetero(
             let mut resource = None;
             let mut bypassed = false;
             while node != com.sink {
-                let Some(&next) = t
+                let Some(next) = t
                     .flow
                     .out_arcs(node)
-                    .iter()
                     .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
                 else {
                     return Err(MappingError::MalformedPath);

@@ -12,7 +12,7 @@
 use super::{mirror_network, NetworkImage};
 use crate::model::ScheduleProblem;
 use rsin_flow::multicommodity::{Commodity, Objective};
-use rsin_flow::{ArcId, Flow, FlowNetwork, NodeId};
+use rsin_flow::{ArcId, Flow, FlowNetwork, FlowNetworkBuilder, NodeId};
 use rsin_topology::LinkId;
 
 /// A flow network with one commodity per resource type.
@@ -37,7 +37,7 @@ pub struct HeteroTransformed {
 fn build(problem: &ScheduleProblem, with_priorities: bool) -> HeteroTransformed {
     let net = problem.circuits.network();
     let types = problem.resource_types();
-    let mut flow = FlowNetwork::new();
+    let mut flow = FlowNetworkBuilder::new();
     // Per-type boundary nodes first.
     let sources: Vec<NodeId> = types
         .iter()
@@ -124,9 +124,8 @@ fn build(problem: &ScheduleProblem, with_priorities: bool) -> HeteroTransformed 
             costs: None,
         });
     }
-    flow.ensure_csr();
     HeteroTransformed {
-        flow,
+        flow: flow.build(),
         types,
         commodities,
         request_arcs,

@@ -10,7 +10,7 @@
 
 use super::{mirror_network, Transformed};
 use crate::model::ScheduleProblem;
-use rsin_flow::FlowNetwork;
+use rsin_flow::FlowNetworkBuilder;
 
 /// Apply Transformation 1 to a homogeneous scheduling snapshot.
 ///
@@ -19,7 +19,7 @@ use rsin_flow::FlowNetwork;
 /// them).
 pub fn transform(problem: &ScheduleProblem) -> Transformed {
     let net = problem.circuits.network();
-    let mut flow = FlowNetwork::with_capacity(
+    let mut flow = FlowNetworkBuilder::with_capacity(
         net.num_boxes() + problem.requests.len() + problem.free.len() + 2,
         net.num_links() + problem.requests.len() + problem.free.len(),
     );
@@ -46,9 +46,8 @@ pub fn transform(problem: &ScheduleProblem) -> Transformed {
         img.arc_link.push(None);
         resource_arcs.push((r, a));
     }
-    flow.ensure_csr();
     Transformed {
-        flow,
+        flow: flow.build(),
         source,
         sink,
         link_arc: img.link_arc,

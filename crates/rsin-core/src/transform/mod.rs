@@ -21,7 +21,7 @@ pub mod homogeneous;
 pub mod priority;
 pub mod reusable;
 
-use rsin_flow::{ArcId, FlowNetwork, NodeId};
+use rsin_flow::{ArcId, FlowNetwork, FlowNetworkBuilder, NodeId};
 use rsin_topology::{LinkId, Network, NodeRef};
 
 /// A flow network derived from an MRSIN snapshot, with the bookkeeping
@@ -97,7 +97,7 @@ pub(crate) struct NetworkImage {
 }
 
 pub(crate) fn mirror_network(
-    flow: &mut FlowNetwork,
+    flow: &mut FlowNetworkBuilder,
     net: &Network,
     link_free: impl Fn(LinkId) -> bool,
     requesting: &[usize],
@@ -156,14 +156,14 @@ mod tests {
     #[test]
     fn mirror_counts_free_links_only() {
         let net = omega(8).unwrap();
-        let mut flow = FlowNetwork::new();
+        let mut flow = FlowNetworkBuilder::new();
         let all_procs: Vec<usize> = (0..8).collect();
         let all_res: Vec<usize> = (0..8).collect();
         let img = mirror_network(&mut flow, &net, |_| true, &all_procs, &all_res);
         assert_eq!(flow.num_arcs(), net.num_links());
         assert!(img.link_arc.iter().all(|a| a.is_some()));
 
-        let mut flow2 = FlowNetwork::new();
+        let mut flow2 = FlowNetworkBuilder::new();
         let img2 = mirror_network(&mut flow2, &net, |l| l.0 != 0, &all_procs, &all_res);
         assert_eq!(flow2.num_arcs(), net.num_links() - 1);
         assert!(img2.link_arc[0].is_none());
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn mirror_skips_unrequesting_processors() {
         let net = omega(8).unwrap();
-        let mut flow = FlowNetwork::new();
+        let mut flow = FlowNetworkBuilder::new();
         let img = mirror_network(&mut flow, &net, |_| true, &[0], &[0]);
         assert!(img.proc_node[0].is_some());
         assert!(img.proc_node[1].is_none());
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn arc_link_roundtrip() {
         let net = omega(8).unwrap();
-        let mut flow = FlowNetwork::new();
+        let mut flow = FlowNetworkBuilder::new();
         let img = mirror_network(&mut flow, &net, |_| true, &[0, 1], &[2, 3]);
         for (lid, _) in net.links() {
             if let Some(arc) = img.link_arc[lid.index()] {

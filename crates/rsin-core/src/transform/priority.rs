@@ -29,7 +29,7 @@
 
 use super::{mirror_network, Transformed};
 use crate::model::ScheduleProblem;
-use rsin_flow::{Flow, FlowNetwork};
+use rsin_flow::{Flow, FlowNetworkBuilder};
 
 /// Apply Transformation 2 to a homogeneous snapshot with priorities.
 ///
@@ -37,7 +37,7 @@ use rsin_flow::{Flow, FlowNetwork};
 /// circulate (= number of requests).
 pub fn transform(problem: &ScheduleProblem) -> (Transformed, Flow) {
     let net = problem.circuits.network();
-    let mut flow = FlowNetwork::with_capacity(
+    let mut flow = FlowNetworkBuilder::with_capacity(
         net.num_boxes() + problem.requests.len() + problem.free.len() + 3,
         net.num_links() + 2 * problem.requests.len() + problem.free.len() + 1,
     );
@@ -79,10 +79,9 @@ pub fn transform(problem: &ScheduleProblem) -> (Transformed, Flow) {
     flow.add_arc(bypass, sink, problem.requests.len() as Flow, bypass_cost);
     img.arc_link.push(None);
 
-    flow.ensure_csr();
     (
         Transformed {
-            flow,
+            flow: flow.build(),
             source,
             sink,
             link_arc: img.link_arc,

@@ -30,7 +30,7 @@ use super::{mirror_network, Transformed};
 use crate::mapping::{self, Assignment, Circuit, MappingError};
 use crate::model::ScheduleProblem;
 use rsin_flow::path::PathWalk;
-use rsin_flow::{ArcId, Flow, FlowNetwork, SolveScratch};
+use rsin_flow::{ArcId, Flow, FlowNetworkBuilder, SolveScratch};
 use rsin_topology::Network;
 
 /// A lazily built, capacity-toggled superset transformation graph.
@@ -170,7 +170,7 @@ fn apply_bits(on: &mut [u64], want: &[u64], n: usize, all: bool, mut set: impl F
 fn build(net: &Network, priced: bool) -> Inner {
     let np = net.num_processors();
     let nr = net.num_resources();
-    let mut flow = FlowNetwork::with_capacity(
+    let mut flow = FlowNetworkBuilder::with_capacity(
         net.num_boxes() + np + nr + if priced { 3 } else { 2 },
         net.num_links() + np * if priced { 2 } else { 1 } + nr + usize::from(priced),
     );
@@ -211,10 +211,9 @@ fn build(net: &Network, priced: bool) -> Inner {
         img.arc_link.push(None);
         a
     });
-    flow.ensure_csr();
     Inner {
         t: Transformed {
-            flow,
+            flow: flow.build(),
             source,
             sink,
             link_arc: img.link_arc,

@@ -152,13 +152,13 @@ impl Bipartite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::FlowNetwork;
+    use crate::graph::{FlowNetwork, FlowNetworkBuilder};
     use crate::max_flow::{solve, Algorithm};
     use crate::NodeId;
 
     /// Flow-network equivalent of a bipartite graph, for cross-checking.
     fn as_flow(g: &Bipartite) -> (FlowNetwork, NodeId, NodeId) {
-        let mut f = FlowNetwork::new();
+        let mut f = FlowNetworkBuilder::new();
         let s = f.add_node("s");
         let t = f.add_node("t");
         let lefts: Vec<_> = (0..g.n_left())
@@ -178,6 +178,7 @@ mod tests {
                 f.add_arc(lefts[l], rights[r], 1, 0);
             }
         }
+        let f = f.build();
         (f, s, t)
     }
 

@@ -30,7 +30,7 @@ pub fn min_cut(g: &FlowNetwork, s: NodeId) -> Cut {
     reachable[s.index()] = true;
     let mut stack = vec![s];
     while let Some(u) = stack.pop() {
-        for &a in g.out_arcs(u) {
+        for a in g.out_arcs(u) {
             let arc = g.arc(a);
             if arc.residual() > 0 && !reachable[arc.to.index()] {
                 reachable[arc.to.index()] = true;
@@ -75,11 +75,12 @@ pub fn verify_max_flow(g: &FlowNetwork, s: NodeId, t: NodeId) -> Result<Flow, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
     use crate::max_flow::{solve, Algorithm};
 
     #[test]
     fn cut_certifies_max_flow() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -89,6 +90,7 @@ mod tests {
         g.add_arc(a, t, 2, 0);
         g.add_arc(b, t, 3, 0);
         g.add_arc(a, b, 5, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t, Algorithm::Dinic);
         assert_eq!(r.value, 5);
         assert_eq!(verify_max_flow(&g, s, t).unwrap(), 5);
@@ -96,11 +98,11 @@ mod tests {
 
     #[test]
     fn partial_flow_fails_verification() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 2, 0);
-        g.ensure_csr();
+        let g = g.build();
         // Zero flow is legal but not maximum.
         assert!(verify_max_flow(&g, s, t).is_err());
     }
@@ -108,12 +110,13 @@ mod tests {
     #[test]
     fn bottleneck_cut_identified() {
         // s -> a (10), a -> t (1): the min cut is {a->t}.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let t = g.add_node("t");
         g.add_arc(s, a, 10, 0);
         let at = g.add_arc(a, t, 1, 0);
+        let mut g = g.build();
         solve(&mut g, s, t, Algorithm::EdmondsKarp);
         let cut = min_cut(&g, s);
         assert_eq!(cut.capacity, 1);
@@ -123,10 +126,10 @@ mod tests {
 
     #[test]
     fn zero_flow_on_disconnected_graph_verifies() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
-        g.ensure_csr();
+        let g = g.build();
         assert_eq!(verify_max_flow(&g, s, t).unwrap(), 0);
     }
 }

@@ -59,7 +59,6 @@ impl FlowNetwork {
         t: NodeId,
         scratch: &mut SolveScratch,
     ) -> Option<Augmentation> {
-        self.ensure_csr();
         let n = self.num_nodes();
         scratch.ensure_nodes(n);
         scratch.level[..n].fill(UNLEVELLED);
@@ -137,7 +136,6 @@ impl FlowNetwork {
         t: NodeId,
         path: &mut Vec<ArcId>,
     ) -> Result<(), String> {
-        self.ensure_csr();
         if !first.is_forward() {
             return Err(format!(
                 "cancel_path: arc {} is a residual twin, not a forward arc",
@@ -161,8 +159,6 @@ impl FlowNetwork {
             }
             let next = self
                 .out_arcs(u)
-                .iter()
-                .copied()
                 .find(|&a| a.is_forward() && self.arc_flow(a) > 0)
                 .ok_or_else(|| {
                     format!(
@@ -183,11 +179,12 @@ impl FlowNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
     use crate::max_flow::{solve, Algorithm};
 
     /// s -> a,b -> t diamond, all unit caps.
     fn diamond() -> (FlowNetwork, NodeId, NodeId, ArcId, ArcId) {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -196,6 +193,7 @@ mod tests {
         let sb = g.add_arc(s, b, 1, 0);
         g.add_arc(a, t, 1, 0);
         g.add_arc(b, t, 1, 0);
+        let g = g.build();
         (g, s, t, sa, sb)
     }
 
@@ -215,7 +213,7 @@ mod tests {
     fn augment_one_reroutes_through_cancellation_arcs() {
         // Fig. 3 shape: the greedy first unit takes s->a->d->t, and the
         // second must cancel it back through the (d, a) residual arc.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -229,6 +227,7 @@ mod tests {
         let sc = g.add_arc(s, c, 1, 0);
         g.add_arc(c, d, 1, 0);
         g.add_arc(d, t, 1, 0);
+        let mut g = g.build();
         let mut scratch = SolveScratch::new();
         // Force the awkward first unit by hand: s->a->d->t.
         g.push(sa, 1);
@@ -277,7 +276,7 @@ mod tests {
         // Random-ish interleaving on a ladder: every prefix's incremental
         // value equals a from-scratch Dinic solve on the same capacities.
         let build = |enabled: &[bool]| {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let t = g.add_node("t");
             let mut source_arcs = Vec::new();
@@ -287,6 +286,7 @@ mod tests {
                 source_arcs.push(g.add_arc(s, m, cap, 0));
                 g.add_arc(m, t, 1, 0);
             }
+            let g = g.build();
             (g, s, t, source_arcs)
         };
         let mut enabled = [false; 4];

@@ -23,7 +23,9 @@
 //! * **Bipartite matching** ([`bipartite`]): Hopcroft–Karp, the degenerate
 //!   crossbar case of the reduction where max-flow collapses to matching.
 //! * Supporting machinery: an arena [`graph::FlowNetwork`] with paired
-//!   residual arcs, [`cut`] (min-cut extraction and max-flow = min-cut
+//!   residual arcs, whose [`graph::FlowNetworkBuilder`] lays its CSR
+//!   adjacency out once at build (a [`graph::HotArc`] scan lane of
+//!   residual, head, and arc id per slot), [`cut`] (min-cut extraction and max-flow = min-cut
 //!   verification), [`path`] (flow decomposition into arc-disjoint s–t paths,
 //!   which *are* the request→resource circuits), [`incremental`] (warm-start
 //!   single augmentations and one-unit flow cancellation for streaming
@@ -31,19 +33,20 @@
 //!   monitor-architecture cost model).
 //!
 //! ```
-//! use rsin_flow::graph::FlowNetwork;
+//! use rsin_flow::graph::FlowNetworkBuilder;
 //! use rsin_flow::max_flow::{solve, Algorithm};
 //!
 //! // The diamond network: s -> a,b -> t, all unit capacity.
-//! let mut g = FlowNetwork::new();
-//! let s = g.add_node("s");
-//! let a = g.add_node("a");
-//! let b = g.add_node("b");
-//! let t = g.add_node("t");
-//! g.add_arc(s, a, 1, 0);
-//! g.add_arc(s, b, 1, 0);
-//! g.add_arc(a, t, 1, 0);
-//! g.add_arc(b, t, 1, 0);
+//! let mut net = FlowNetworkBuilder::new();
+//! let s = net.add_node("s");
+//! let a = net.add_node("a");
+//! let b = net.add_node("b");
+//! let t = net.add_node("t");
+//! net.add_arc(s, a, 1, 0);
+//! net.add_arc(s, b, 1, 0);
+//! net.add_arc(a, t, 1, 0);
+//! net.add_arc(b, t, 1, 0);
+//! let mut g = net.build();
 //! let r = solve(&mut g, s, t, Algorithm::Dinic);
 //! assert_eq!(r.value, 2);
 //! ```
@@ -60,7 +63,7 @@ pub mod scratch;
 pub mod stats;
 pub mod transshipment;
 
-pub use graph::{ArcId, FlowNetwork, NodeId};
+pub use graph::{ArcId, FlowNetwork, FlowNetworkBuilder, NodeId};
 pub use max_flow::{Algorithm, MaxFlowResult};
 pub use min_cost::MinCostResult;
 pub use scratch::SolveScratch;

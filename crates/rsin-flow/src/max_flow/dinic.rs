@@ -67,7 +67,7 @@ impl LayeredNetwork {
                     continue;
                 }
             }
-            for &a in g.out_arcs(u) {
+            for a in g.out_arcs(u) {
                 stats.arc_scans += 1;
                 stats.level_arc_scans += 1;
                 let arc = g.arc(a);
@@ -387,7 +387,6 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
     scratch.paths.clear();
     scratch.passes = 0;
     scratch.unit_pushes = true;
-    g.ensure_csr();
     let mut stats = OpStats::new();
     if s == t {
         return MaxFlowResult { value: 0, stats };
@@ -445,6 +444,7 @@ fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
     use crate::path::{for_each_unit_path, PathWalk};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -458,7 +458,6 @@ mod tests {
     /// network contains (dead ends included), until a phase fails to reach
     /// `t`.
     fn reference_solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
-        g.ensure_csr();
         let mut stats = OpStats::new();
         let mut value = 0;
         loop {
@@ -483,7 +482,7 @@ mod tests {
                     u = path.last().map_or(s, |&a| g.head(a));
                     continue;
                 }
-                let out = g.out_arcs(u);
+                let out: Vec<ArcId> = g.out_arcs(u).collect();
                 let i = &mut next_arc[u.index()];
                 while *i < out.len() && !layered.contains_arc(g, out[*i]) {
                     *i += 1;
@@ -523,7 +522,6 @@ mod tests {
         t: NodeId,
         side: Option<LabelSide>,
     ) -> MaxFlowResult {
-        g.ensure_csr();
         let mut stats = OpStats::new();
         let mut value = 0;
         if s == t {
@@ -691,36 +689,46 @@ mod tests {
     /// back, plus one unit around a cycle through `s` and one through `t`.
     fn random_network(seed: u64) -> (FlowNetwork, NodeId, NodeId) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = FlowNetwork::new();
+        let mut b = FlowNetworkBuilder::new();
         let n = rng.random_range(2..11u32);
-        let nodes: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
+        let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("n{i}"))).collect();
         let (s, t) = (nodes[0], nodes[1]);
         let mut arcs = Vec::new();
         for _ in 0..rng.random_range(0..4 * n as usize) {
             let from = nodes[rng.random_range(0..n as usize)];
             let to = nodes[rng.random_range(0..n as usize)];
-            arcs.push((g.add_arc(from, to, rng.random_range(0..5), 0), 0));
+            let cap = rng.random_range(0..5);
+            arcs.push((b.add_arc(from, to, cap, 0), cap));
         }
-        if rng.random_bool(0.5) {
-            for (a, cap) in arcs.iter_mut() {
-                *cap = g.cap(*a);
-                g.set_cap(*a, rng.random_range(0..=*cap));
-            }
-            reference_solve(&mut g, s, t);
-            for &(a, cap) in &arcs {
-                g.set_cap(a, cap);
-            }
-            let x = nodes[rng.random_range(0..n as usize)];
-            for end in [s, t] {
-                if x != s && x != t {
-                    let out = g.add_arc(end, x, 1, 0);
-                    let back = g.add_arc(x, end, 1, 0);
-                    g.push(out, 1);
-                    g.push(back, 1);
-                }
+        if !rng.random_bool(0.5) {
+            return (b.build(), s, t);
+        }
+        let narrowed: Vec<Flow> = arcs
+            .iter()
+            .map(|&(_, cap)| rng.random_range(0..=cap))
+            .collect();
+        // The cycle arcs exist from the start, closed until the partial
+        // flow is routed.
+        let x = nodes[rng.random_range(0..n as usize)];
+        let mut cycles = Vec::new();
+        for end in [s, t] {
+            if x != s && x != t {
+                cycles.push(b.add_arc(end, x, 0, 0));
+                cycles.push(b.add_arc(x, end, 0, 0));
             }
         }
-        g.ensure_csr();
+        let mut g = b.build();
+        for (&(a, _), &cap) in arcs.iter().zip(&narrowed) {
+            g.set_cap(a, cap);
+        }
+        reference_solve(&mut g, s, t);
+        for &(a, cap) in &arcs {
+            g.set_cap(a, cap);
+        }
+        for a in cycles {
+            g.set_cap(a, 1);
+            g.push(a, 1);
+        }
         (g, s, t)
     }
 
@@ -810,7 +818,7 @@ mod tests {
 
     #[test]
     fn layered_network_levels_are_bfs_distances() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -819,7 +827,7 @@ mod tests {
         g.add_arc(a, b, 1, 0);
         g.add_arc(b, t, 1, 0);
         g.add_arc(s, b, 1, 0); // shortcut
-        g.ensure_csr();
+        let g = g.build();
         let mut st = OpStats::new();
         let ln = LayeredNetwork::build(&g, s, t, &mut st);
         assert_eq!(ln.level(s), Some(0));
@@ -834,13 +842,13 @@ mod tests {
     #[test]
     fn layered_network_stops_at_sink_layer() {
         // A node strictly beyond the sink's layer must not be levelled.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         let far = g.add_node("far");
         g.add_arc(s, t, 1, 0);
         g.add_arc(t, far, 1, 0);
-        g.ensure_csr();
+        let g = g.build();
         let mut st = OpStats::new();
         let ln = LayeredNetwork::build(&g, s, t, &mut st);
         assert_eq!(ln.level(t), Some(1));
@@ -849,14 +857,14 @@ mod tests {
 
     #[test]
     fn contains_arc_requires_consecutive_layers() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let t = g.add_node("t");
         let sa = g.add_arc(s, a, 1, 0);
         let st_arc = g.add_arc(s, t, 1, 0);
         let at = g.add_arc(a, t, 1, 0);
-        g.ensure_csr();
+        let g = g.build();
         let mut st = OpStats::new();
         let ln = LayeredNetwork::build(&g, s, t, &mut st);
         // t is at level 1, a at level 1: s->a in LN, s->t in LN, a->t not.
@@ -867,11 +875,11 @@ mod tests {
 
     #[test]
     fn saturated_arcs_are_not_useful() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         let a = g.add_arc(s, t, 1, 0);
-        g.ensure_csr();
+        let mut g = g.build();
         g.push(a, 1);
         let mut st = OpStats::new();
         let ln = LayeredNetwork::build(&g, s, t, &mut st);
@@ -884,7 +892,7 @@ mod tests {
 
     #[test]
     fn blocking_flow_saturates_every_short_path() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -893,6 +901,7 @@ mod tests {
         g.add_arc(s, b, 1, 0);
         g.add_arc(a, t, 1, 0);
         g.add_arc(b, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 2);
         // Both unit paths have length 2, so one layered network suffices.
@@ -906,7 +915,7 @@ mod tests {
         // Two open s-arcs and two open t-arcs, but one unit (c -> d) between
         // them: the flow stops at 1 < 2, so only a search that fails to
         // reach t can prove it maximum.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.add_node(n));
         let t = g.add_node("t");
@@ -917,6 +926,7 @@ mod tests {
         g.add_arc(c, d, 1, 0);
         g.add_arc(d, t, 1, 0);
         g.add_arc(e, t, 1, 0);
+        let mut g = g.build();
         for side in [LabelSide::Source, LabelSide::Sink] {
             g.reset();
             let r = solve_labelled(
@@ -937,7 +947,7 @@ mod tests {
     fn phases_grow_logarithmically_not_linearly() {
         // Dinic needs at most O(sqrt(E)) phases on unit networks; build a
         // ladder where FF might do many augmentations.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         let mut mids = Vec::new();
@@ -953,6 +963,7 @@ mod tests {
         for w in mids.windows(2) {
             g.add_arc(w[0].0, w[1].1, 1, 0);
         }
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 20);
         assert!(r.stats.phases <= 4, "phases = {}", r.stats.phases);
@@ -965,7 +976,7 @@ mod tests {
         // path for p2 must cancel the arc 5->6. We reproduce the topology:
         // nodes: s, p1, p2, p4 (requesting), 4/5/6/7 (switchboxes),
         // r1, r3, r4, t.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let p1 = g.add_node("p1");
         let p2 = g.add_node("p2");
@@ -998,7 +1009,7 @@ mod tests {
         for &r in &[r1, r3, r4] {
             g.add_arc(r, t, 1, 0);
         }
-        g.ensure_csr();
+        let mut g = g.build();
         // Initial flow: p1 -> 4 -> 7 -> r4 and p4 -> 5 -> 6 -> r1.
         for &(arc, path_head) in &[
             (a_p1_4, s),
@@ -1012,12 +1023,12 @@ mod tests {
             g.push(arc, 1);
         }
         // Complete the source/sink legs of the initial flow.
-        let s_p1 = *g.out_arcs(s).iter().find(|a| g.arc(**a).to == p1).unwrap();
-        let s_p4 = *g.out_arcs(s).iter().find(|a| g.arc(**a).to == p4).unwrap();
+        let s_p1 = g.out_arcs(s).find(|&a| g.arc(a).to == p1).unwrap();
+        let s_p4 = g.out_arcs(s).find(|&a| g.arc(a).to == p4).unwrap();
         g.push(s_p1, 1);
         g.push(s_p4, 1);
-        let r4_t = *g.out_arcs(r4).iter().find(|a| a.is_forward()).unwrap();
-        let r1_t = *g.out_arcs(r1).iter().find(|a| a.is_forward()).unwrap();
+        let r4_t = g.out_arcs(r4).find(|a| a.is_forward()).unwrap();
+        let r1_t = g.out_arcs(r1).find(|a| a.is_forward()).unwrap();
         g.push(r4_t, 1);
         g.push(r1_t, 1);
         assert_eq!(g.check_legal_flow(s, t).unwrap(), 2);

@@ -9,7 +9,6 @@ use std::collections::VecDeque;
 
 /// Compute a maximum `s`→`t` flow by repeated BFS augmentation.
 pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
-    g.ensure_csr();
     let mut stats = OpStats::new();
     let mut value = 0;
     if s == t {
@@ -66,12 +65,13 @@ pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
 
     #[test]
     fn finds_shortest_paths_first() {
         // s->t direct (length 1) plus a 3-hop path; BFS saturates the direct
         // arc on the first augmentation.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -80,6 +80,7 @@ mod tests {
         g.add_arc(s, a, 1, 0);
         g.add_arc(a, b, 1, 0);
         g.add_arc(b, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 2);
         assert_eq!(g.arc(direct).flow, 1);
@@ -89,7 +90,7 @@ mod tests {
     fn zigzag_instance_known_hard_for_dfs() {
         // Bipartite-ish instance where naive DFS could do many augmentations;
         // BFS still produces the right value.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let u = g.add_node("u");
         let v = g.add_node("v");
@@ -99,6 +100,7 @@ mod tests {
         g.add_arc(u, v, 1, 0);
         g.add_arc(u, t, 100, 0);
         g.add_arc(v, t, 100, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 200);
         // Shortest-path augmentation needs only 2 phases of big pushes.

@@ -13,7 +13,6 @@ use crate::Flow;
 
 /// Compute a maximum `s`→`t` flow by repeated DFS augmentation.
 pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
-    g.ensure_csr();
     let mut stats = OpStats::new();
     let mut value = 0;
     if s == t {
@@ -71,14 +70,16 @@ pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
 
     #[test]
     fn counts_augmentations() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 1, 0);
         g.add_arc(s, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 2);
         assert_eq!(r.stats.augmentations, 2);
@@ -89,7 +90,7 @@ mod tests {
     fn respects_residual_twins() {
         // s -> a -> t with cap 1 and s -> b -> a with cap 1: second unit must
         // not exist because a -> t is saturated.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -98,6 +99,7 @@ mod tests {
         g.add_arc(s, b, 1, 0);
         g.add_arc(b, a, 1, 0);
         g.add_arc(a, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t);
         assert_eq!(r.value, 1);
     }

@@ -130,10 +130,11 @@ pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
 
     /// Classic CLRS instance with known max flow 23.
     fn clrs() -> (FlowNetwork, NodeId, NodeId) {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let v1 = g.add_node("v1");
         let v2 = g.add_node("v2");
@@ -149,6 +150,7 @@ mod tests {
         g.add_arc(v3, t, 20, 0);
         g.add_arc(v4, v3, 7, 0);
         g.add_arc(v4, t, 4, 0);
+        let g = g.build();
         (g, s, t)
     }
 
@@ -165,11 +167,12 @@ mod tests {
     #[test]
     fn disconnected_sink_gives_zero() {
         for algo in Algorithm::ALL {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let a = g.add_node("a");
             let t = g.add_node("t");
             g.add_arc(s, a, 5, 0);
+            let mut g = g.build();
             let r = solve(&mut g, s, t, algo);
             assert_eq!(r.value, 0, "{algo:?}");
         }
@@ -178,10 +181,11 @@ mod tests {
     #[test]
     fn source_equals_sink_is_zero_flow() {
         for algo in Algorithm::ALL {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let t = g.add_node("t");
             g.add_arc(s, t, 3, 0);
+            let mut g = g.build();
             let r = solve(&mut g, s, s, algo);
             assert_eq!(r.value, 0, "{algo:?}");
         }
@@ -190,11 +194,12 @@ mod tests {
     #[test]
     fn parallel_arcs_accumulate() {
         for algo in Algorithm::ALL {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let t = g.add_node("t");
             g.add_arc(s, t, 2, 0);
             g.add_arc(s, t, 3, 0);
+            let mut g = g.build();
             let r = solve(&mut g, s, t, algo);
             assert_eq!(r.value, 5, "{algo:?}");
         }
@@ -206,7 +211,7 @@ mod tests {
         // mapping; the augmenting path s-c-d-a-b-t cancels d->a... here we
         // verify algorithms find value 2 from scratch on that topology.
         for algo in Algorithm::ALL {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let a = g.add_node("a");
             let b = g.add_node("b");
@@ -220,6 +225,7 @@ mod tests {
             g.add_arc(c, d, 1, 0);
             g.add_arc(b, t, 1, 0);
             g.add_arc(d, t, 1, 0);
+            let mut g = g.build();
             let r = solve(&mut g, s, t, algo);
             assert_eq!(r.value, 2, "{algo:?}");
         }

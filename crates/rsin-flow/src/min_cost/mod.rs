@@ -123,10 +123,11 @@ pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
 
     /// Two parallel routes with different costs.
     fn two_routes() -> (FlowNetwork, NodeId, NodeId) {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -135,6 +136,7 @@ mod tests {
         g.add_arc(a, t, 2, 1);
         g.add_arc(s, b, 2, 5);
         g.add_arc(b, t, 2, 5);
+        let g = g.build();
         (g, s, t)
     }
 
@@ -186,7 +188,7 @@ mod tests {
         for target in [1, 2, 3, 5] {
             let mut costs = Vec::new();
             for algo in Algorithm::ALL {
-                let mut g = FlowNetwork::new();
+                let mut g = FlowNetworkBuilder::new();
                 let s = g.add_node("s");
                 let n1 = g.add_node("1");
                 let n2 = g.add_node("2");
@@ -200,6 +202,7 @@ mod tests {
                 g.add_arc(n1, t, 2, 2);
                 g.add_arc(n2, t, 1, 6);
                 g.add_arc(n3, t, 2, 1);
+                let mut g = g.build();
                 let r = solve(&mut g, s, t, target, algo);
                 costs.push((r.flow, r.cost));
             }
@@ -220,7 +223,7 @@ mod tests {
         // matching the unobserved solver bit for bit.
         for algo in Algorithm::ALL {
             let build = || {
-                let mut g = FlowNetwork::new();
+                let mut g = FlowNetworkBuilder::new();
                 let s = g.add_node("s");
                 let p0 = g.add_node("p0");
                 let p1 = g.add_node("p1");
@@ -235,6 +238,7 @@ mod tests {
                 g.add_arc(p1, u, 1, 9);
                 g.add_arc(u, t, 2, 6);
                 g.add_arc(r0, t, 1, 0);
+                let g = g.build();
                 (g, s, t)
             };
             let (mut g, s, t) = build();
@@ -256,7 +260,7 @@ mod tests {
         // Cheap route shares an arc with the only other route; optimal
         // 2-unit flow must reroute (cost cancellation), not just greedily add.
         for algo in Algorithm::ALL {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let a = g.add_node("a");
             let b = g.add_node("b");
@@ -266,6 +270,7 @@ mod tests {
             g.add_arc(a, b, 1, 0);
             g.add_arc(a, t, 1, 10);
             g.add_arc(b, t, 1, 0);
+            let mut g = g.build();
             // Optimal single unit: s-a-b-t cost 0. Optimal two units:
             // s-a-t (10) + s-b-t (10) = 20.
             let r = solve(&mut g, s, t, 2, algo);

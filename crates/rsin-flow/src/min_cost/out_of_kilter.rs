@@ -335,7 +335,6 @@ pub fn solve_on_network_with(
     target: Flow,
     scratch: &mut SolveScratch,
 ) -> MinCostResult {
-    g.ensure_csr();
     let mut stats = OpStats::new();
     if s == t || target <= 0 {
         g.clear_flow();

@@ -168,7 +168,6 @@ pub fn solve_with(
     target: Flow,
     scratch: &mut SolveScratch,
 ) -> MinCostResult {
-    g.ensure_csr();
     let n = g.num_nodes();
     let mut stats = OpStats::new();
     let mut flow = 0;
@@ -300,6 +299,7 @@ pub fn solve_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -327,7 +327,6 @@ mod tests {
         target: Flow,
         search: Search,
     ) -> MinCostResult {
-        g.ensure_csr();
         let n = g.num_nodes();
         let mut stats = OpStats::new();
         let mut flow = 0;
@@ -453,7 +452,7 @@ mod tests {
         max_nodes: u32,
     ) -> (FlowNetwork, NodeId, NodeId, Flow) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let n = rng.random_range(2..max_nodes);
         for i in 0..n {
             g.add_node(format!("n{i}"));
@@ -479,6 +478,7 @@ mod tests {
             };
             g.add_arc(NodeId(a), NodeId(b), rng.random_range(0..4i64), cost);
         }
+        let g = g.build();
         (g, NodeId(0), NodeId(1), rng.random_range(1..12i64))
     }
 
@@ -513,7 +513,6 @@ mod tests {
             let costs = [Costs::Small, Costs::Large, Costs::Negative][mode as usize];
             let (mut full_g, s, t, target) = random_network(seed, costs, 40);
             let mut g = full_g.clone();
-            g.ensure_csr();
             let reach = reachable(&g, s);
             let full = reference_ssp(&mut full_g, s, t, target, Search::Full);
             let mut scratch = SolveScratch::new();
@@ -645,13 +644,14 @@ mod tests {
 
     #[test]
     fn handles_negative_costs_via_bellman_ford() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let t = g.add_node("t");
         g.add_arc(s, a, 1, -5);
         g.add_arc(a, t, 1, 2);
         g.add_arc(s, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t, 2);
         assert_eq!(r.flow, 2);
         assert_eq!(r.cost, -3);
@@ -659,10 +659,11 @@ mod tests {
 
     #[test]
     fn partial_target_stops_early() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 5, 2);
+        let mut g = g.build();
         let r = solve(&mut g, s, t, 3);
         assert_eq!(r.flow, 3);
         assert_eq!(r.cost, 6);
@@ -675,7 +676,7 @@ mod tests {
         let mut marginals = Vec::new();
         let mut last_cost = 0;
         for k in 1..=4 {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             let s = g.add_node("s");
             let a = g.add_node("a");
             let b = g.add_node("b");
@@ -684,6 +685,7 @@ mod tests {
             g.add_arc(a, t, 2, 1);
             g.add_arc(s, b, 2, 3);
             g.add_arc(b, t, 2, 3);
+            let mut g = g.build();
             let r = solve(&mut g, s, t, k);
             marginals.push(r.cost - last_cost);
             last_cost = r.cost;

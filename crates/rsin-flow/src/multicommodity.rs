@@ -262,10 +262,11 @@ pub fn min_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
 
     /// Two commodities sharing a middle arc of capacity 1.
     fn shared_bottleneck() -> (FlowNetwork, Vec<Commodity>) {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s1 = g.add_node("s1");
         let s2 = g.add_node("s2");
         let m = g.add_node("m");
@@ -277,6 +278,7 @@ mod tests {
         g.add_arc(m, n, 1, 0); // shared bottleneck
         g.add_arc(n, t1, 1, 0);
         g.add_arc(n, t2, 1, 0);
+        let g = g.build();
         let c = vec![
             Commodity {
                 source: s1,
@@ -308,13 +310,14 @@ mod tests {
 
     #[test]
     fn disjoint_commodities_both_saturate() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s1 = g.add_node("s1");
         let t1 = g.add_node("t1");
         let s2 = g.add_node("s2");
         let t2 = g.add_node("t2");
         g.add_arc(s1, t1, 2, 0);
         g.add_arc(s2, t2, 3, 0);
+        let g = g.build();
         let c = vec![
             Commodity {
                 source: s1,
@@ -337,7 +340,7 @@ mod tests {
 
     #[test]
     fn min_cost_respects_demands_and_costs() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -346,6 +349,7 @@ mod tests {
         g.add_arc(s, b, 2, 4);
         g.add_arc(a, t, 2, 0);
         g.add_arc(b, t, 2, 0);
+        let g = g.build();
         let c = vec![Commodity {
             source: s,
             sink: t,
@@ -360,10 +364,11 @@ mod tests {
 
     #[test]
     fn min_cost_infeasible_demand_errors() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 1, 1);
+        let g = g.build();
         let c = vec![Commodity {
             source: s,
             sink: t,
@@ -375,10 +380,11 @@ mod tests {
 
     #[test]
     fn min_cost_rejects_maximize_commodities_with_typed_error() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 1, 1);
+        let g = g.build();
         let c = vec![
             Commodity {
                 source: s,
@@ -403,10 +409,11 @@ mod tests {
     fn per_commodity_cost_overrides() {
         // One arc, two commodities with different costs for it; the cheap
         // commodity should carry the demand... both have demand 0 and 1.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 2, 7);
+        let g = g.build();
         let c = vec![
             Commodity {
                 source: s,
@@ -428,10 +435,11 @@ mod tests {
 
     #[test]
     fn int_flow_rounds_vertex_solution() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         let a = g.add_arc(s, t, 2, 0);
+        let g = g.build();
         let c = vec![Commodity {
             source: s,
             sink: t,

@@ -232,6 +232,7 @@ impl Lanes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::FlowNetworkBuilder;
     use crate::max_flow::{solve, Algorithm};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -250,8 +251,6 @@ mod tests {
         let mut paths = Vec::new();
         while let Some(start) = g
             .out_arcs(s)
-            .iter()
-            .copied()
             .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
         {
             let mut arcs = vec![start];
@@ -261,8 +260,6 @@ mod tests {
             while u != t {
                 let next = g
                     .out_arcs(u)
-                    .iter()
-                    .copied()
                     .find(|a| a.is_forward() && remaining[a.index() / 2] > 0)
                     .expect("legal flow must continue to the sink");
                 remaining[next.index() / 2] -= 1;
@@ -379,7 +376,7 @@ mod tests {
         priced: bool,
     ) -> (FlowNetwork, NodeId, NodeId, Option<NodeId>, Flow) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         let u = priced.then(|| g.add_node("u"));
@@ -421,6 +418,7 @@ mod tests {
         if let Some(u) = u {
             g.add_arc(u, t, requests, 5);
         }
+        let g = g.build();
         (g, s, t, u, requests)
     }
 
@@ -529,10 +527,11 @@ mod tests {
         // stamped u32::MAX routes through b only, so a's cursor keeps
         // stamp 1; the walk after that wraps to stamp 1 again and must
         // still find a's unit.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let [s, a, b, t] = ["s", "a", "b", "t"].map(|n| g.add_node(n));
         let via_a = [g.add_arc(s, a, 1, 0), g.add_arc(a, t, 1, 0)];
         let via_b = [g.add_arc(s, b, 1, 0), g.add_arc(b, t, 1, 0)];
+        let mut g = g.build();
         let mut walk = PathWalk::default();
         for (route, stamp) in [(via_a, 1), (via_b, u32::MAX), (via_a, 1)] {
             g.reset();
@@ -555,7 +554,7 @@ mod tests {
 
     #[test]
     fn decomposes_into_disjoint_paths() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -564,6 +563,7 @@ mod tests {
         g.add_arc(s, b, 1, 0);
         g.add_arc(a, t, 1, 0);
         g.add_arc(b, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t, Algorithm::Dinic);
         let paths = decompose_unit_flow(&g, s, t, None);
         assert_eq!(paths.len() as i64, r.value);
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn skip_node_excluded_from_paths() {
         // s -> bypass -> t carries flow but must be ignored.
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let bypass = g.add_node("u");
         let a = g.add_node("a");
@@ -591,7 +591,7 @@ mod tests {
         let bt = g.add_arc(bypass, t, 1, 0);
         let sa = g.add_arc(s, a, 1, 0);
         let at = g.add_arc(a, t, 1, 0);
-        g.ensure_csr();
+        let mut g = g.build();
         g.push(sb, 1);
         g.push(bt, 1);
         g.push(sa, 1);
@@ -603,11 +603,11 @@ mod tests {
 
     #[test]
     fn zero_flow_decomposes_empty() {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         g.add_arc(s, t, 1, 0);
-        g.ensure_csr();
+        let g = g.build();
         assert!(decompose_unit_flow(&g, s, t, None).is_empty());
     }
 
@@ -615,7 +615,7 @@ mod tests {
     fn cancellation_yields_simple_paths() {
         // After augmenting through a cancellation, decomposition must still
         // produce simple forward paths (Fig. 3(c): two separate paths).
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -629,6 +629,7 @@ mod tests {
         g.add_arc(c, d, 1, 0);
         g.add_arc(b, t, 1, 0);
         g.add_arc(d, t, 1, 0);
+        let mut g = g.build();
         let r = solve(&mut g, s, t, Algorithm::Dinic);
         assert_eq!(r.value, 2);
         let paths = decompose_unit_flow(&g, s, t, None);

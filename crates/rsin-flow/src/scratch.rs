@@ -7,14 +7,15 @@
 //! so a caller can do
 //!
 //! ```
-//! use rsin_flow::graph::FlowNetwork;
+//! use rsin_flow::graph::FlowNetworkBuilder;
 //! use rsin_flow::scratch::SolveScratch;
 //! use rsin_flow::max_flow::{self, Algorithm};
 //!
-//! let mut g = FlowNetwork::new();
-//! let s = g.add_node("s");
-//! let t = g.add_node("t");
-//! g.add_arc(s, t, 2, 0);
+//! let mut b = FlowNetworkBuilder::new();
+//! let s = b.add_node("s");
+//! let t = b.add_node("t");
+//! b.add_arc(s, t, 2, 0);
+//! let mut g = b.build();
 //! let mut scratch = SolveScratch::new();
 //! for _ in 0..3 {
 //!     g.reset();
@@ -121,11 +122,11 @@ impl SolveScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::FlowNetwork;
+    use crate::graph::{FlowNetwork, FlowNetworkBuilder};
     use crate::{max_flow, min_cost};
 
     fn ladder() -> (FlowNetwork, NodeId, NodeId) {
-        let mut g = FlowNetwork::new();
+        let mut g = FlowNetworkBuilder::new();
         let s = g.add_node("s");
         let t = g.add_node("t");
         for i in 0..6 {
@@ -135,16 +136,18 @@ mod tests {
             g.add_arc(u, v, 1, 0);
             g.add_arc(v, t, 1, 1);
         }
+        let g = g.build();
         (g, s, t)
     }
 
     #[test]
     fn scratch_grows_and_is_reused_across_networks() {
         let mut scratch = SolveScratch::new();
-        let mut small = FlowNetwork::new();
+        let mut small = FlowNetworkBuilder::new();
         let s = small.add_node("s");
         let t = small.add_node("t");
         small.add_arc(s, t, 4, 0);
+        let mut small = small.build();
         let r = max_flow::solve_with(&mut small, s, t, max_flow::Algorithm::Dinic, &mut scratch);
         assert_eq!(r.value, 4);
 

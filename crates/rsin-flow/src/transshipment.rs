@@ -12,7 +12,7 @@
 //! hold *several* queued requests and resources expose *several* service
 //! slots — the load-balancing view of Section I.
 
-use crate::graph::{ArcId, FlowNetwork, NodeId};
+use crate::graph::{ArcId, FlowNetworkBuilder, NodeId};
 use crate::min_cost::{self, Algorithm};
 use crate::stats::OpStats;
 use crate::{Cost, Flow};
@@ -88,21 +88,22 @@ impl Transshipment {
         if self.supply.iter().sum::<Flow>() != 0 {
             return Err(TransshipmentError::Unbalanced);
         }
-        let mut g = FlowNetwork::with_capacity(self.names.len() + 2, self.arcs.len() + 4);
-        let s = g.add_node("super-source");
-        let t = g.add_node("super-sink");
-        let nodes: Vec<NodeId> = self.names.iter().map(|n| g.add_node(n.clone())).collect();
+        let mut b = FlowNetworkBuilder::with_capacity(self.names.len() + 2, self.arcs.len() + 4);
+        let s = b.add_node("super-source");
+        let t = b.add_node("super-sink");
+        let nodes: Vec<NodeId> = self.names.iter().map(|n| b.add_node(n.clone())).collect();
         let mut arc_ids: Vec<ArcId> = Vec::with_capacity(self.arcs.len());
         for &(from, to, cap, cost) in &self.arcs {
-            arc_ids.push(g.add_arc(nodes[from], nodes[to], cap, cost));
+            arc_ids.push(b.add_arc(nodes[from], nodes[to], cap, cost));
         }
         for (i, &sup) in self.supply.iter().enumerate() {
             if sup > 0 {
-                g.add_arc(s, nodes[i], sup, 0);
+                b.add_arc(s, nodes[i], sup, 0);
             } else if sup < 0 {
-                g.add_arc(nodes[i], t, -sup, 0);
+                b.add_arc(nodes[i], t, -sup, 0);
             }
         }
+        let mut g = b.build();
         let total = self.total_supply();
         let r = min_cost::solve(&mut g, s, t, total, algo);
         if r.flow < total {

@@ -2,14 +2,14 @@
 //! properties in the workspace `tests/` member).
 
 use proptest::prelude::*;
-use rsin_flow::graph::FlowNetwork;
+use rsin_flow::graph::{FlowNetwork, FlowNetworkBuilder};
 use rsin_flow::max_flow::{solve, Algorithm};
 use rsin_flow::min_cost::out_of_kilter::KilterNetwork;
 use rsin_flow::stats::OpStats;
 use rsin_flow::NodeId;
 
 fn build(n: usize, arcs: &[(usize, usize, i64, i64)]) -> FlowNetwork {
-    let mut g = FlowNetwork::new();
+    let mut g = FlowNetworkBuilder::new();
     for i in 0..n {
         g.add_node(format!("n{i}"));
     }
@@ -18,7 +18,7 @@ fn build(n: usize, arcs: &[(usize, usize, i64, i64)]) -> FlowNetwork {
             g.add_arc(NodeId(u as u32), NodeId(v as u32), cap, cost);
         }
     }
-    g
+    g.build()
 }
 
 proptest! {

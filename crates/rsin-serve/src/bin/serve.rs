@@ -110,12 +110,12 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--net" => args.net = value(&mut i)?,
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--trial" => args.trial = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--events" => args.events = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => args.seed = number("--seed", &value(&mut i)?)?,
+            "--trial" => args.trial = number("--trial", &value(&mut i)?)?,
+            "--events" => args.events = number("--events", &value(&mut i)?)?,
             "--load" => {
                 let v = value(&mut i)?;
-                args.load = v.parse().map_err(|e| format!("--load {v:?}: {e}"))?;
+                args.load = number("--load", &v)?;
                 if !(args.load.is_finite() && args.load >= 0.0) {
                     return Err(format!("--load {v:?}: must be a finite value >= 0"));
                 }
@@ -126,9 +126,7 @@ fn parse_args() -> Result<Args, String> {
             "--sweep" => args.sweep = true,
             "--heavy" => args.heavy = true,
             "--json" => args.json = true,
-            "--stats-every" => {
-                args.stats_every = value(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--stats-every" => args.stats_every = number("--stats-every", &value(&mut i)?)?,
             "--stats-latency" => args.stats_latency = true,
             "--trace" => args.trace = Some(value(&mut i)?),
             other => return Err(format!("unknown flag {other:?}")),
@@ -137,6 +135,14 @@ fn parse_args() -> Result<Args, String> {
     }
     check_stream_fits(args.events, args.stats_every)?;
     Ok(args)
+}
+
+/// `flag`'s value `v` as a number; the error names both.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
 }
 
 /// A generated stream holds every command in memory, stats probes included,

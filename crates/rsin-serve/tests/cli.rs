@@ -28,6 +28,22 @@ fn bad_arguments_are_usage_errors() {
 }
 
 #[test]
+fn numeric_flag_errors_name_the_flag_and_the_value() {
+    for flag in ["--seed", "--trial", "--events", "--stats-every", "--load"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args([flag, "x"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("serve: {flag} \"x\": ")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn an_event_count_too_large_to_hold_is_a_usage_error() {
     // The generated stream is held in memory; a count it cannot hold exits
     // 2 with a message before any work starts, not with a capacity panic.

@@ -69,30 +69,6 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
-impl FaultEvent {
-    /// Apply this event to a circuit state. Fail-stop semantics: live
-    /// circuits are untouched; only future allocations see the change.
-    ///
-    /// # Panics
-    ///
-    /// Domain events carry an index into the owning plan's domain table,
-    /// which a bare event cannot see — apply those through
-    /// [`FaultPlan::apply_event`] instead.
-    pub fn apply(&self, cs: &mut CircuitState<'_>) {
-        match (self.target, self.action) {
-            (FaultTarget::Link(l), FaultAction::Fail) => cs.fail_link(l),
-            (FaultTarget::Link(l), FaultAction::Repair) => cs.repair_link(l),
-            (FaultTarget::Box(b), FaultAction::Fail) => cs.fail_box(b),
-            (FaultTarget::Box(b), FaultAction::Repair) => cs.repair_box(b),
-            (FaultTarget::ByzantineBox(b), FaultAction::Fail) => cs.set_byzantine_box(b, true),
-            (FaultTarget::ByzantineBox(b), FaultAction::Repair) => cs.set_byzantine_box(b, false),
-            (FaultTarget::Domain(_), _) => {
-                panic!("domain events need the plan's domain table; use FaultPlan::apply_event")
-            }
-        }
-    }
-}
-
 /// A named group of links and switchboxes that fail and repair together
 /// (a shared power supply, a board, a stage enclosure).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -542,35 +518,37 @@ impl FaultPlan {
             .any(|e| matches!(e.target, FaultTarget::ByzantineBox(_)))
     }
 
-    /// Apply the event at `index`, expanding `Domain` targets through the
-    /// plan's domain table: every member link fails/repairs, then every
-    /// member box. Non-domain events behave exactly like
-    /// [`FaultEvent::apply`].
+    /// Apply the event at `index` to a circuit state. Fail-stop semantics:
+    /// live circuits are untouched; only future allocations see the change.
+    /// `Domain` targets expand through the plan's domain table: every
+    /// member link fails/repairs, then every member box.
     pub fn apply_event(&self, index: usize, cs: &mut CircuitState<'_>) {
         let e = &self.events[index];
-        match e.target {
-            FaultTarget::Domain(d) => {
+        match (e.target, e.action) {
+            (FaultTarget::Link(l), FaultAction::Fail) => cs.fail_link(l),
+            (FaultTarget::Link(l), FaultAction::Repair) => cs.repair_link(l),
+            (FaultTarget::Box(b), FaultAction::Fail) => cs.fail_box(b),
+            (FaultTarget::Box(b), FaultAction::Repair) => cs.repair_box(b),
+            (FaultTarget::ByzantineBox(b), FaultAction::Fail) => cs.set_byzantine_box(b, true),
+            (FaultTarget::ByzantineBox(b), FaultAction::Repair) => cs.set_byzantine_box(b, false),
+            (FaultTarget::Domain(d), FaultAction::Fail) => {
                 let dom = &self.domains[d];
-                match e.action {
-                    FaultAction::Fail => {
-                        for &l in &dom.links {
-                            cs.fail_link(l);
-                        }
-                        for &b in &dom.boxes {
-                            cs.fail_box(b);
-                        }
-                    }
-                    FaultAction::Repair => {
-                        for &l in &dom.links {
-                            cs.repair_link(l);
-                        }
-                        for &b in &dom.boxes {
-                            cs.repair_box(b);
-                        }
-                    }
+                for &l in &dom.links {
+                    cs.fail_link(l);
+                }
+                for &b in &dom.boxes {
+                    cs.fail_box(b);
                 }
             }
-            _ => e.apply(cs),
+            (FaultTarget::Domain(d), FaultAction::Repair) => {
+                let dom = &self.domains[d];
+                for &l in &dom.links {
+                    cs.repair_link(l);
+                }
+                for &b in &dom.boxes {
+                    cs.repair_box(b);
+                }
+            }
         }
     }
 
@@ -731,14 +709,16 @@ mod tests {
         let mut cs = CircuitState::new(&net);
         plan.apply_until(f64::INFINITY, &mut cs);
         assert_eq!(cs.faulty_count(), plan.len());
-        for e in plan.events() {
-            FaultEvent {
-                time: e.time,
-                target: e.target,
+        let repairs = plan
+            .events()
+            .iter()
+            .map(|e| FaultEvent {
                 action: FaultAction::Repair,
-            }
-            .apply(&mut cs);
-        }
+                ..*e
+            })
+            .collect();
+        let repairs = FaultPlan::from_events(&net, repairs).unwrap();
+        assert_eq!(repairs.apply_until(f64::INFINITY, &mut cs), plan.len());
         assert_eq!(cs.faulty_count(), 0);
     }
 
@@ -961,13 +941,14 @@ mod tests {
             target: FaultTarget::Box(0),
             action: FaultAction::Fail,
         };
-        e.apply(&mut cs);
-        assert!(cs.faulty_count() >= 4, "a 2x2 box touches >= 4 links");
-        FaultEvent {
+        let repair = FaultEvent {
             action: FaultAction::Repair,
             ..e
-        }
-        .apply(&mut cs);
+        };
+        let plan = FaultPlan::from_events(&net, vec![e, repair]).unwrap();
+        plan.apply_event(0, &mut cs);
+        assert!(cs.faulty_count() >= 4, "a 2x2 box touches >= 4 links");
+        plan.apply_event(1, &mut cs);
         assert_eq!(cs.faulty_count(), 0);
     }
 

@@ -6,7 +6,7 @@ use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{AddressMappedScheduler, MaxFlowScheduler, MinCostScheduler, Scheduler};
 use rsin_distrib::TokenEngine;
 use rsin_flow::max_flow::{solve as max_flow_solve, Algorithm};
-use rsin_flow::FlowNetwork;
+use rsin_flow::FlowNetworkBuilder;
 use rsin_sim::blocking::{run_blocking, BlockingConfig};
 use rsin_topology::builders::{generalized_cube, omega};
 use rsin_topology::CircuitState;
@@ -40,7 +40,7 @@ fn fig2_optimal_allocates_all_five() {
 /// Figs. 3–4: augmenting through a cancellation reallocates resources.
 #[test]
 fn fig3_4_augmentation_reallocates() {
-    let mut g = FlowNetwork::new();
+    let mut g = FlowNetworkBuilder::new();
     let s = g.add_node("s");
     let a = g.add_node("a");
     let b = g.add_node("b");
@@ -54,6 +54,7 @@ fn fig3_4_augmentation_reallocates() {
     g.add_arc(c, d, 1, 0);
     g.add_arc(b, t, 1, 0);
     let dt = g.add_arc(d, t, 1, 0);
+    let mut g = g.build();
     g.push(sa, 1);
     g.push(ad, 1);
     g.push(dt, 1);

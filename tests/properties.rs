@@ -13,7 +13,7 @@ use rsin_flow::cut::verify_max_flow;
 use rsin_flow::max_flow::{solve, Algorithm};
 use rsin_flow::min_cost;
 use rsin_flow::path::decompose_unit_flow;
-use rsin_flow::FlowNetwork;
+use rsin_flow::{FlowNetwork, FlowNetworkBuilder};
 use rsin_integration::{problem_with_attrs, snapshot};
 use rsin_sim::workload::trial_rng;
 use rsin_topology::builders::{generalized_cube, omega, omega_3dp, omega_extra_stage};
@@ -28,7 +28,7 @@ fn arb_flow_network() -> impl Strategy<Value = (usize, Vec<(usize, usize, i64, i
 }
 
 fn build(n: usize, arcs: &[(usize, usize, i64, i64)]) -> FlowNetwork {
-    let mut g = FlowNetwork::new();
+    let mut g = FlowNetworkBuilder::new();
     for i in 0..n {
         g.add_node(format!("n{i}"));
     }
@@ -42,7 +42,7 @@ fn build(n: usize, arcs: &[(usize, usize, i64, i64)]) -> FlowNetwork {
             );
         }
     }
-    g
+    g.build()
 }
 
 proptest! {
@@ -251,7 +251,7 @@ fn three_disjoint_paths_certified_by_unit_capacity_max_flow() {
     let net = omega_3dp(8).unwrap();
     for p in 0..net.num_processors() {
         for r in 0..net.num_resources() {
-            let mut g = FlowNetwork::new();
+            let mut g = FlowNetworkBuilder::new();
             for b in 0..net.num_boxes() {
                 g.add_node(format!("b{b}"));
             }
@@ -265,6 +265,7 @@ fn three_disjoint_paths_certified_by_unit_capacity_max_flow() {
                     );
                 }
             }
+            let mut g = g.build();
             let NodeRef::Box(entry) = net.link(net.processor_link(p).unwrap()).dst else {
                 panic!("processor {p} not attached to a box");
             };
