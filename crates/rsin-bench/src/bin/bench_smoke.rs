@@ -15,17 +15,20 @@
 //! shards). The `extract` rows of the three Theorem-2 workloads
 //! (`dynamic_heavy`, `sharded_cycle`, the reset batch's max-flow half)
 //! count how their solved flows were decomposed: read off a one-pass Dinic
-//! solve's augmenting paths, or walked. Every value is an integer and
-//! repeats exactly from run to run,
-//! so CI `cmp`s the file against `ci/op-ledger.tsv`; any change to a count
-//! needs a deliberate baseline bump. Before writing, every row that names
-//! work a path must do is checked non-zero (solves and arc scans on every
-//! solver path, faults and degraded cycles on the faulted workload, queues
-//! and promotions on `serve_queue`, recorded decompositions on the
-//! `extract` rows) and
-//! every transformation must have been built exactly once per owner, so an
-//! empty or bypassed path cannot become a baseline. Allocation counts stay
-//! out: they move with the standard library's allocation pattern.
+//! solve's augmenting paths, or walked; their `graded_phases` rows count
+//! the Dinic solves whose first phase took the network's grading instead
+//! of a search, and `sharded_cycle`'s `stage1` rows count the inter-shard
+//! stage's free-link searches and the links they reached. Every value is
+//! an integer and repeats exactly from run to run, so CI `cmp`s the file
+//! against `ci/op-ledger.tsv`; any change to a count needs a deliberate
+//! baseline bump. Before writing, every row that names work a path must do
+//! is checked non-zero (solves and arc scans on every solver path, faults
+//! and degraded cycles on the faulted workload, queues and promotions on
+//! `serve_queue`, recorded decompositions on the `extract` rows, graded
+//! phases and stage-1 searches on `sharded_cycle`) and every
+//! transformation must have been built exactly once per owner, so an empty
+//! or bypassed path cannot become a baseline. Allocation counts stay out:
+//! they move with the standard library's allocation pattern.
 //!
 //! The contracts, asserted first: blocking statistics bit-identical at
 //! 1/2/4/8 threads; replicated dynamic statistics bit-identical at 1/2/8
@@ -151,6 +154,20 @@ impl Ledger {
                 need,
             );
         }
+    }
+
+    /// Solves of `r` whose first Dinic phase took the network's grading,
+    /// as the `graded_phases` row of `layer`, counted over `ops`.
+    fn graded(
+        &mut self,
+        workload: &'static str,
+        layer: &'static str,
+        r: &TelemetryReport,
+        ops: u64,
+        need: Need,
+    ) {
+        let total = r.counters[Counter::GradedPhases.index()];
+        self.put((workload, layer, "graded_phases"), total, ops, need);
     }
 
     /// Raise the requirement on an existing row.
@@ -528,6 +545,15 @@ fn ledger_sharded(ledger: &mut Ledger) {
     ledger.put(key, rebuilds.iter().sum(), shards, Need::OnePerOp);
     ledger.flow(W, "flow", &merged, SHARD_CYCLES);
     ledger.extract(W, &merged, SHARD_CYCLES);
+    // Shards hold no circuits between cycles: every solve that has a cut
+    // to fill starts on an idle, graded fabric.
+    ledger.graded(W, "flow", &merged, SHARD_CYCLES, Need::NonZero);
+    for (unit, c) in [
+        ("searches", Counter::RemoteSearches),
+        ("links_reached", Counter::RemoteLinksReached),
+    ] {
+        ledger.put((W, "stage1", unit), counter(c), SHARD_CYCLES, Need::NonZero);
+    }
     let key = (W, "flat", "allocated");
     ledger.put(key, flat_allocated, SHARD_CYCLES, Need::NonZero);
     ledger.flow(W, "flat", &flat.report(), SHARD_CYCLES);
@@ -553,6 +579,7 @@ fn ledger_reset_batch(ledger: &mut Ledger, net: &Network) -> TelemetryReport {
     let mut merged = max_flow.report();
     ledger.flow("reset_batch", "max_flow", &merged, BATCH_TRIALS);
     ledger.extract("reset_batch", &merged, BATCH_TRIALS);
+    ledger.graded("reset_batch", "max_flow", &merged, BATCH_TRIALS, Need::Any);
     let min_cost = min_cost.report();
     ledger.flow("reset_batch", "min_cost", &min_cost, BATCH_TRIALS);
     merged.merge(&min_cost);
@@ -602,7 +629,9 @@ fn main() {
     };
     let dinic = MaxFlowScheduler::default();
     let r = ledger_sim(&mut ledger, "dynamic_heavy", &omega64, &dinic, heavy, None);
-    ledger.extract("dynamic_heavy", &r, r.counters[Counter::Cycles.index()]);
+    let cycles = r.counters[Counter::Cycles.index()];
+    ledger.extract("dynamic_heavy", &r, cycles);
+    ledger.graded("dynamic_heavy", "flow", &r, cycles, Need::Any);
     let faulted = DynamicConfig {
         rho: 0.9,
         priority_levels: 4,

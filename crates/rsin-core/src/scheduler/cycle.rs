@@ -77,9 +77,10 @@ pub(crate) fn solve<P: Probe + ?Sized, S: Probe + ?Sized>(
 /// flow of `shape` on `problem` to `visit`, in decomposition order, and
 /// return the solve's work in estimated instructions. Extract reads the
 /// circuits off a one-pass Dinic solve's augmenting paths and walks the
-/// flow otherwise. `probe` sees the solve and counts the decomposition as
-/// recorded or walked; `stages` times configure and extract (`visit`
-/// included), which only the cycles ask for.
+/// flow otherwise. `probe` sees the solve, counts a Dinic solve whose first
+/// phase took the graph's grading and counts the decomposition as recorded
+/// or walked; `stages` times configure and extract (`visit` included),
+/// which only the cycles ask for.
 pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
     shape: Shape,
     problem: &ScheduleProblem,
@@ -98,6 +99,9 @@ pub(crate) fn solve_each<P: Probe + ?Sized, S: Probe + ?Sized>(
     let run = |t: &mut Transformed, target: Flow, scratch: &mut SolveScratch| match shape {
         Shape::MaxFlow(algo) => {
             let r = max_flow::solve_observed(&mut t.flow, t.source, t.sink, algo, scratch, probe);
+            if algo == max_flow::Algorithm::Dinic && scratch.graded_first_phase() {
+                probe.add(Counter::GradedPhases, 1);
+            }
             (r.stats.estimated_instructions(), Some(r.value))
         }
         Shape::MinCost(algo) => {
@@ -244,11 +248,16 @@ mod tests {
     /// One Theorem-2 `solve_each` on `graph`: its circuits, in the order
     /// handed out, and its blocking-flow passes. Asserts that it read them
     /// off the solve's augmenting paths exactly when the solve ran at most
-    /// one pass, and walked otherwise.
+    /// one pass, and walked otherwise, and that its first phase took the
+    /// graph's grading exactly when it had a cut to fill and no closed
+    /// interior arc: always on a fresh graph, which leaves held and failed
+    /// links out, and on the reusable graph when no link is held or failed.
     fn solve_counted(
         problem: &ScheduleProblem,
         graph: Graph<'_>,
     ) -> Result<(Vec<Key>, u64), TestCaseError> {
+        let cs = problem.circuits;
+        let idle = matches!(graph, Graph::Fresh) || cs.occupied_count() + cs.faulty_count() == 0;
         let telemetry = Telemetry::new();
         let mut got = Vec::new();
         let shape = Shape::MaxFlow(max_flow::Algorithm::Dinic);
@@ -272,6 +281,7 @@ mod tests {
             counter(Counter::WalkedDecompositions),
             u64::from(passes > 1)
         );
+        prop_assert_eq!(counter(Counter::GradedPhases), u64::from(idle && bound > 0));
         Ok((got, passes))
     }
 
@@ -364,8 +374,9 @@ mod tests {
         /// on freshly built graphs, and on the shard plans of random
         /// hierarchical placements: every solve hands out the walk's
         /// circuits (processor, resource, links, order), a one-pass solve's
-        /// record becomes exactly the walk's `carried` trail, and every
-        /// multi-pass solve walks.
+        /// record becomes exactly the walk's `carried` trail, every
+        /// multi-pass solve walks, and the first phase takes the graph's
+        /// grading exactly when no interior arc is closed.
         #[test]
         fn one_pass_paths_are_the_walk(seed in 0u64..u64::MAX) {
             check_seed(seed)?;

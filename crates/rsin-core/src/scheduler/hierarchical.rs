@@ -213,7 +213,9 @@ impl RemoteSearch {
     /// order, to any of its downlink slots. Returns the shard and the path
     /// to reserve. [`InterShardPolicy::TokenRing`] takes the first such
     /// shard on the ring after `home`, [`InterShardPolicy::MinCost`] the
-    /// shortest path (lowest shard on ties).
+    /// shortest path (lowest shard on ties). Each search ticks `sink`, if
+    /// any, with [`Counter::RemoteSearches`] and the links it reached
+    /// ([`Counter::RemoteLinksReached`]).
     fn pick_target(
         &mut self,
         net: &ShardedNetwork,
@@ -221,19 +223,20 @@ impl RemoteSearch {
         home: usize,
         global: &CircuitState<'_>,
         viable: impl Fn(usize) -> bool,
+        sink: Option<&Telemetry>,
     ) -> Option<(usize, &[LinkId])> {
         let s_count = net.shards();
         match policy {
             InterShardPolicy::TokenRing => {
                 let t = (1..s_count)
                     .map(|d| (home + d) % s_count)
-                    .find(|&t| viable(t) && self.route(net, home, t, global).is_some())?;
+                    .find(|&t| viable(t) && self.route(net, home, t, global, sink).is_some())?;
                 Some((t, self.bfs.path()))
             }
             InterShardPolicy::MinCost => {
                 let mut pick = None;
                 for t in (0..s_count).filter(|&t| t != home && viable(t)) {
-                    match self.route(net, home, t, global) {
+                    match self.route(net, home, t, global, sink) {
                         Some(len) if pick.is_none() || len < self.best.len() => {
                             self.best.clear();
                             self.best.extend_from_slice(self.bfs.path());
@@ -254,13 +257,19 @@ impl RemoteSearch {
         home: usize,
         t: usize,
         global: &CircuitState<'_>,
+        sink: Option<&Telemetry>,
     ) -> Option<usize> {
         self.down.clear();
         self.down.extend(net.uplink_slots(t));
         net.uplink_slots(home).find_map(|up| {
-            global
+            let found = global
                 .find_path_to_any_in(up, &self.down, &mut self.bfs)
-                .map(|(_, path)| path.len())
+                .map(|(_, path)| path.len());
+            if let Some(sink) = sink {
+                sink.add(Counter::RemoteSearches, 1);
+                sink.add(Counter::RemoteLinksReached, self.bfs.reached() as u64);
+            }
+            found
         })
     }
 }
@@ -378,7 +387,9 @@ impl<'n> HierarchicalScheduler<'n> {
 
     /// [`new`](Self::new) with one [`Telemetry`] sink per shard: stage-1
     /// placement ticks each shard's intake counters
-    /// ([`Counter::ShardHomePlaced`] / [`Counter::ShardRemoteIn`]), every
+    /// ([`Counter::ShardHomePlaced`] / [`Counter::ShardRemoteIn`]) and, on
+    /// the home shard's sink, each free-link search for its surplus
+    /// ([`Counter::RemoteSearches`] / [`Counter::RemoteLinksReached`]), every
     /// per-shard solve runs observed (cycle/solve latency histograms,
     /// per-solver operation counts) and ticks
     /// [`Counter::ShardAllocated`]. Sinks only record — scheduling results
@@ -546,8 +557,10 @@ impl<'n> HierarchicalScheduler<'n> {
         let mut stage1_blocked = 0;
         let mut remote_placed = 0;
         for &(origin, s) in surplus.iter() {
+            let sink = self.sinks.as_ref().map(|sinks| &sinks[s]);
+            let viable = |t: usize| spare[t] > 0;
             let Some((t, path)) =
-                search.pick_target(self.net, self.policy, s, global, |t| spare[t] > 0)
+                search.pick_target(self.net, self.policy, s, global, viable, sink)
             else {
                 stage1_blocked += 1;
                 continue;
@@ -1201,6 +1214,14 @@ mod tests {
             assert_eq!(report.counter(0, Counter::ShardRemoteIn), 0);
             assert_eq!(report.counter(1, Counter::ShardHomePlaced), 0);
             assert_eq!(report.counter(1, Counter::ShardRemoteIn), 6);
+            // Shard 0's 3 surplus requests a cycle each ran at least one
+            // free-link search, and only shard 0 had a surplus.
+            assert!(
+                report.counter(0, Counter::RemoteSearches) >= 9,
+                "{policy:?}"
+            );
+            assert!(report.counter(0, Counter::RemoteLinksReached) > 0);
+            assert_eq!(report.counter(1, Counter::RemoteSearches), 0);
             // Merged allocations equal the scheduled outcome across cycles.
             let out = plain.schedule(&requests, &free).unwrap();
             let merged_alloc = report.merged.counters[Counter::ShardAllocated.index()];

@@ -151,7 +151,49 @@ pub(crate) fn mirror_network(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsin_topology::builders::omega;
+    use crate::model::ScheduleProblem;
+    use crate::transform::reusable::ReusableTransform;
+    use rsin_topology::builders::{
+        baseline, crossbar, generalized_cube, omega, omega_3dp, omega_extra_stage,
+    };
+    use rsin_topology::{CircuitState, GlobalTopology, ShardedNetwork, ShardedSpec};
+
+    /// Which transformation graphs [`FlowNetwork::grading`] grades, on the
+    /// all-free snapshot with every processor requesting and every resource
+    /// free. Transformation 1 of a multistage network is graded by its
+    /// stages, in the fresh graph and in the reusable superset alike. The
+    /// flattened sharded network is not: its splitters' local and uplink
+    /// legs cross different numbers of boxes. Nor is Transformation 2: its
+    /// bypass legs reach `t` in two arcs from a processor.
+    #[test]
+    fn which_transformations_are_graded() {
+        let sharded = ShardedNetwork::new(ShardedSpec::new(8, 16, GlobalTopology::Omega)).unwrap();
+        let cases = [
+            (omega(16).unwrap(), true),
+            (generalized_cube(16).unwrap(), true),
+            (baseline(16).unwrap(), true),
+            (omega_extra_stage(16, 1).unwrap(), true),
+            (omega_3dp(16).unwrap(), true),
+            (crossbar(16, 8).unwrap(), true),
+            (sharded.flatten().unwrap(), false),
+        ];
+        for (net, graded) in &cases {
+            let cs = CircuitState::new(net);
+            let procs: Vec<usize> = (0..net.num_processors()).collect();
+            let res: Vec<usize> = (0..net.num_resources()).collect();
+            let problem = ScheduleProblem::homogeneous(&cs, &procs, &res);
+            let name = net.name();
+            let fresh = homogeneous::transform(&problem);
+            assert_eq!(fresh.flow.grading().is_some(), *graded, "{name} fresh");
+            let mut reusable = ReusableTransform::new();
+            let superset = &reusable.configure_max_flow(&problem).flow;
+            assert_eq!(superset.grading().is_some(), *graded, "{name} superset");
+            let (priced, _) = priority::transform(&problem);
+            assert!(priced.flow.grading().is_none(), "{name} priced");
+            let (superset, _) = reusable.configure_min_cost(&problem);
+            assert!(superset.flow.grading().is_none(), "{name} priced superset");
+        }
+    }
 
     #[test]
     fn mirror_counts_free_links_only() {

@@ -289,45 +289,34 @@ impl ReusableTransform {
         self.configure(problem, true)
     }
 
-    /// Decompose the flow of the last solve into assignments, as
-    /// [`mapping::extract`] does, with this graph's reusable walk buffers.
-    /// The walk also records the arcs that carry flow, so the next
-    /// configure restores only those. Empty until the first configure.
-    pub fn extract(&mut self) -> Result<Vec<Assignment>, MappingError> {
-        self.extract_recorded(None)
-    }
-
-    /// [`extract`](Self::extract) after a Dinic solve of this graph with
-    /// `solved`, from the zero flow a configure leaves: the scheduling
-    /// cycle's decomposition. When that solve ran one blocking-flow pass its
-    /// augmenting paths are the decomposition, so the circuits are read
-    /// from them and nothing is walked
-    /// ([`SolveScratch::one_pass_paths`]); otherwise the flow is walked.
+    /// Decompose the flow of a Dinic solve of this graph with `solved`,
+    /// from the zero flow a configure leaves, into assignments: the
+    /// scheduling cycle's decomposition. When that solve ran one
+    /// blocking-flow pass its augmenting paths are the decomposition, so
+    /// the circuits are read from them and nothing is walked
+    /// ([`SolveScratch::one_pass_paths`]); otherwise the flow is walked, as
+    /// [`mapping::extract`] walks it, with this graph's reusable walk
+    /// buffers. Either way the next configure restores only the arcs that
+    /// carry flow. Empty until the first configure.
     pub fn extract_solved(
         &mut self,
         solved: &SolveScratch,
     ) -> Result<Vec<Assignment>, MappingError> {
-        self.extract_recorded(solved.one_pass_paths())
-    }
-
-    fn extract_recorded(
-        &mut self,
-        recorded: Option<&[ArcId]>,
-    ) -> Result<Vec<Assignment>, MappingError> {
         let mut out = Vec::new();
-        self.for_each_circuit(recorded, |c| {
+        self.for_each_circuit(solved.one_pass_paths(), |c| {
             out.push(c.assignment()?);
             Ok::<_, MappingError>(())
         })?;
         Ok(out)
     }
 
-    /// The decomposition of [`extract`](Self::extract), handing each path
-    /// to `visit` as a [`Circuit`] whose two ends are found in O(1). With
+    /// The decomposition of the last solve's flow, handing each path to
+    /// `visit` as a [`Circuit`] whose two ends are found in O(1). With
     /// `recorded`, the flow's unit paths one after another (a one-pass
     /// Dinic solve's, from zero flow), the circuits are split off them and
     /// they become the next configure's restore list; otherwise the flow is
-    /// walked. Does nothing until the first configure.
+    /// walked, and the walk records the arcs that carry flow for that list.
+    /// Does nothing until the first configure.
     pub(crate) fn for_each_circuit<E: From<MappingError>>(
         &mut self,
         recorded: Option<&[ArcId]>,
@@ -471,6 +460,19 @@ mod tests {
     use rsin_topology::builders::{generalized_cube, omega, omega_3dp};
     use rsin_topology::{CircuitState, LinkId, NodeRef};
 
+    /// The last solve's flow, walked into assignments: the decomposition
+    /// for any solver.
+    fn walked(reusable: &mut ReusableTransform) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        reusable
+            .for_each_circuit(None, |c| {
+                out.push(c.assignment()?);
+                Ok::<_, MappingError>(())
+            })
+            .unwrap();
+        out
+    }
+
     #[test]
     fn reconfigured_superset_matches_fresh_build_value() {
         let net = omega(8).unwrap();
@@ -492,7 +494,7 @@ mod tests {
             let t = reusable.configure_max_flow(&problem);
             let got = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
             assert_eq!(got.value, want.value);
-            let assignments = reusable.extract().unwrap();
+            let assignments = walked(&mut reusable);
             assert_eq!(assignments.len() as i64, want.value);
             verify(&assignments, &problem).unwrap();
         }
@@ -527,7 +529,7 @@ mod tests {
                 min_cost::Algorithm::SuccessiveShortestPaths,
             );
             assert_eq!((got.flow, got.cost), (want.flow, want.cost));
-            let assignments = reusable.extract().unwrap();
+            let assignments = walked(&mut reusable);
             verify(&assignments, &problem).unwrap();
         }
     }
@@ -548,7 +550,7 @@ mod tests {
             let p2 = ScheduleProblem::homogeneous(&cube_cs, &[1, 3, 5, 7], &[0, 3, 5, 7]);
             let t = reusable.configure_max_flow(&p2);
             let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            let assignments = reusable.extract().unwrap();
+            let assignments = walked(&mut reusable);
             assert_eq!(assignments.len() as i64, r.value);
             verify(&assignments, &p2).unwrap();
         }
@@ -609,7 +611,7 @@ mod tests {
         let t = reusable.configure_max_flow(&tiny);
         let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
         assert_eq!(r.value, 1);
-        let assignments = reusable.extract().unwrap();
+        let assignments = walked(&mut reusable);
         assert_eq!(assignments.len(), 1);
         assert_eq!(assignments[0].processor, 3);
         assert_eq!(assignments[0].resource, 6);
@@ -706,7 +708,7 @@ mod tests {
 
             let t = reusable.configure_max_flow(&problem);
             let r = max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
-            verify(&reusable.extract().unwrap(), &problem).unwrap();
+            verify(&walked(&mut reusable), &problem).unwrap();
             assert_eq!(enabled_arcs(&reusable), want);
 
             let (t, f0) = priced.configure_min_cost(&problem);
@@ -718,7 +720,7 @@ mod tests {
                 min_cost::Algorithm::SuccessiveShortestPaths,
             );
             assert_eq!(got.flow, procs.len() as i64);
-            assert_eq!(priced.extract().unwrap().len() as i64, r.value);
+            assert_eq!(walked(&mut priced).len() as i64, r.value);
             assert_eq!(enabled_arcs(&priced), want);
             let inner = priced.inner.as_ref().unwrap();
             let bypassing: Vec<usize> = (0..8)
@@ -908,7 +910,7 @@ mod tests {
                     max_flow::solve(&mut t.flow, t.source, t.sink, max_flow::Algorithm::Dinic);
                 }
                 if decompose {
-                    verify(&reusable.extract().unwrap(), &problem).unwrap();
+                    verify(&walked(&mut reusable), &problem).unwrap();
                 }
             }
             prop_assert_eq!(reusable.rebuilds(), 1);

@@ -28,6 +28,12 @@
 //! order, so the counting sort reproduces exactly the per-node arc order
 //! the nested `Vec<Vec<ArcId>>` layout used to produce: traversal order,
 //! and with it every solver's `OpStats`, is bit-identical to the old layout.
+//!
+//! `build` also grades the nodes, when the topology allows it: a grade per
+//! node that rises by one along every forward arc ([`FlowNetwork::grading`]).
+//! A multistage network's transformation is graded by its stages, and a
+//! solve from zero flow can take that grading as its first layered network
+//! instead of searching for it (DESIGN.md §14.9).
 
 use crate::{Cost, Flow};
 use std::fmt::Write as _;
@@ -224,6 +230,8 @@ impl FlowNetworkBuilder {
             arc_pos[i] = slot as u32;
         }
         let negative_costs = cost.iter().step_by(2).filter(|&&c| c < 0).count();
+        let closed_arcs = cap.iter().step_by(2).filter(|&&c| c == 0).count();
+        let grading = grade(&csr_offsets, &hot);
         FlowNetwork {
             names,
             head,
@@ -235,8 +243,54 @@ impl FlowNetworkBuilder {
             pair_cap_csr,
             arc_pos,
             negative_costs,
+            closed_arcs,
+            grading,
         }
     }
+}
+
+/// A grade per node with `grade(head) = grade(tail) + 1` on every forward
+/// arc, or `None` when no such grading exists (a cycle, a self-loop, or two
+/// paths of unequal length between the same nodes). One breadth-first pass
+/// over the CSR, `O(V + E)`: a node's slots hold its forward arcs (head one
+/// grade up) and the twins of the arcs into it (head one grade down), so
+/// each weakly connected component is graded from its first node and then
+/// shifted so that its lowest grade is 0. Capacities play no part.
+fn grade(offsets: &[u32], hot: &[HotArc]) -> Option<Vec<u32>> {
+    const UNSEEN: i64 = i64::MIN;
+    let n = offsets.len() - 1;
+    let mut rel = vec![UNSEEN; n];
+    let mut grading = vec![0; n];
+    let mut component = Vec::with_capacity(n);
+    for root in 0..n {
+        if rel[root] != UNSEEN {
+            continue;
+        }
+        rel[root] = 0;
+        component.clear();
+        component.push(root);
+        let mut lowest = 0;
+        let mut next = 0;
+        while let Some(&u) = component.get(next) {
+            next += 1;
+            let slots = &hot[offsets[u] as usize..offsets[u + 1] as usize];
+            for h in slots {
+                let want = rel[u] + if h.id.is_forward() { 1 } else { -1 };
+                let v = h.head.index();
+                if rel[v] == UNSEEN {
+                    rel[v] = want;
+                    lowest = lowest.min(want);
+                    component.push(v);
+                } else if rel[v] != want {
+                    return None;
+                }
+            }
+        }
+        for &v in &component {
+            grading[v] = (rel[v] - lowest) as u32;
+        }
+    }
+    Some(grading)
 }
 
 /// A directed flow network with named nodes, built by a
@@ -273,6 +327,11 @@ pub struct FlowNetwork {
     /// How many forward arcs have a negative cost (counted by `build` and
     /// kept by `set_cost`, so [`Self::has_negative_cost`] is O(1)).
     negative_costs: usize,
+    /// How many forward arcs have capacity 0 (counted by `build` and kept
+    /// by `set_cap`, so [`Self::closed_arcs`] is O(1)).
+    closed_arcs: usize,
+    /// The topology's grading, if it has one (see [`Self::grading`]).
+    grading: Option<Vec<u32>>,
 }
 
 impl FlowNetwork {
@@ -399,6 +458,40 @@ impl FlowNetwork {
         self.negative_costs > 0
     }
 
+    /// How many forward arcs are closed (capacity 0). O(1): the count is
+    /// kept by [`FlowNetworkBuilder::build`] and [`Self::set_cap`]; debug
+    /// builds check it against a scan of the capacity lane.
+    pub(crate) fn closed_arcs(&self) -> usize {
+        debug_assert_eq!(
+            self.closed_arcs,
+            self.cap.iter().step_by(2).filter(|&&c| c == 0).count(),
+            "closed-arc count out of step with the capacity lane"
+        );
+        self.closed_arcs
+    }
+
+    /// The node grading [`FlowNetworkBuilder::build`] found, indexed by
+    /// node: every forward arc leads from grade `k` to grade `k + 1`, and
+    /// each weakly connected component's lowest grade is 0. `None` when the
+    /// topology has no such grading (a cycle, a self-loop, or paths of
+    /// unequal length between the same two nodes). It depends on the
+    /// topology alone, so no capacity patch can change it.
+    ///
+    /// At zero flow every residual arc is a forward arc, so a node `v`
+    /// reachable from `s` lies at distance `grade(v) - grade(s)` from it:
+    /// the grading is the layered network of a solve's first phase.
+    pub fn grading(&self) -> Option<&[u32]> {
+        self.grading.as_deref()
+    }
+
+    /// The same network with no grading, so every Dinic phase searches:
+    /// the oracle the graded first phase is compared against.
+    #[cfg(test)]
+    pub(crate) fn without_grading(mut self) -> Self {
+        self.grading = None;
+        self
+    }
+
     /// Iterate all forward arcs with their ids.
     pub fn forward_arcs(&self) -> impl Iterator<Item = (ArcId, Arc)> + '_ {
         (0..self.head.len())
@@ -501,6 +594,7 @@ impl FlowNetwork {
             flow <= cap,
             "set_cap below current flow; call reset() first"
         );
+        self.closed_arcs = self.closed_arcs + usize::from(cap == 0) - usize::from(self.cap[i] == 0);
         self.cap[i] = cap;
         self.pair_cap_csr[p] = cap;
         self.pair_cap_csr[self.arc_pos[i ^ 1] as usize] = cap;
@@ -804,6 +898,61 @@ mod tests {
         assert!(g.has_negative_cost());
         g.set_cost(a, 0);
         assert!(!g.has_negative_cost(), "twins' negated costs never count");
+    }
+
+    #[test]
+    fn grading_rises_by_one_along_every_forward_arc() {
+        // The diamond: s at 0, a and b at 1, t at 2; the spare node feeds t,
+        // so it sits at 1 too.
+        let (g, _, _) = diamond_with_spares(2);
+        assert_eq!(g.grading(), Some(&[0, 1, 1, 2, 1][..]));
+        for (_, arc) in g.forward_arcs() {
+            let grade = |n: NodeId| g.grading().unwrap()[n.index()];
+            assert_eq!(grade(arc.to), grade(arc.from) + 1);
+        }
+        // Two components, each shifted to start at grade 0, and an isolated
+        // node at 0.
+        let mut b = FlowNetworkBuilder::new();
+        let [x, y, z, w, _lone] = ["x", "y", "z", "w", "lone"].map(|n| b.add_node(n));
+        b.add_arc(y, x, 1, 0);
+        b.add_arc(w, z, 0, 0);
+        assert_eq!(b.build().grading(), Some(&[1, 0, 1, 0, 0][..]));
+    }
+
+    #[test]
+    fn cycles_self_loops_and_unequal_paths_have_no_grading() {
+        let ungraded = |arcs: &[(usize, usize)]| {
+            let mut b = FlowNetworkBuilder::new();
+            let nodes: Vec<NodeId> = (0..4).map(|i| b.add_node(format!("n{i}"))).collect();
+            for &(u, v) in arcs {
+                b.add_arc(nodes[u], nodes[v], 1, 0);
+            }
+            b.build().grading().is_none()
+        };
+        assert!(!ungraded(&[(0, 1), (1, 2), (0, 3), (3, 2)]));
+        assert!(ungraded(&[(0, 1), (1, 2), (0, 2)]), "a bypass leg");
+        assert!(ungraded(&[(0, 1), (1, 2), (2, 0)]), "a cycle");
+        assert!(ungraded(&[(0, 1), (1, 0)]), "a two-cycle");
+        assert!(ungraded(&[(0, 1), (2, 2)]), "a self-loop");
+    }
+
+    #[test]
+    fn closed_arc_count_follows_build_and_set_cap() {
+        let mut b = FlowNetworkBuilder::new();
+        let s = b.add_node("s");
+        let t = b.add_node("t");
+        let a = b.add_arc(s, t, 0, 0);
+        let c = b.add_arc(s, t, 2, 0);
+        let mut g = b.build();
+        assert_eq!(g.closed_arcs(), 1, "twins never count");
+        g.set_cap(a, 1);
+        assert_eq!(g.closed_arcs(), 0);
+        g.set_cap(c, 0);
+        g.set_cap(c, 0);
+        assert_eq!(g.closed_arcs(), 1);
+        g.set_cap(a, 0);
+        assert_eq!(g.closed_arcs(), 2);
+        assert!(g.grading().is_some(), "capacities never touch the grading");
     }
 
     #[test]

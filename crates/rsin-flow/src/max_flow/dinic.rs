@@ -23,6 +23,12 @@
 //! network above, in the same order. A solve also stops, without a final
 //! search, once its flow meets the residual capacity out of `s` or into
 //! `t` (DESIGN.md §14.6).
+//!
+//! On a graded network ([`FlowNetwork::grading`]: a multistage fabric's
+//! stages) a solve from zero flow with no closed interior arc skips its
+//! first search: the grading is that phase's layered network, as the
+//! paper's request tokens cross one switchbox stage per clock
+//! (DESIGN.md §14.9).
 
 use super::MaxFlowResult;
 use crate::graph::{ArcId, FlowNetwork, NodeId};
@@ -318,20 +324,54 @@ fn blocking_flow<const FROM_SINK: bool>(
     total
 }
 
-/// Residual capacity out of `s` and into `t`: the capacities of the cuts
-/// `{s}` and `V - {t}`, so the flow a solve can still add is at most the
-/// smaller of the two. Two straight sums over `s`'s and `t`'s slots, once
-/// per solve; [`OpStats`] counts search work, so they are not counted.
-fn end_residuals(g: &FlowNetwork, s: NodeId, t: NodeId) -> (Flow, Flow) {
+/// What one pass over `s`'s and `t`'s slots tells a solve.
+struct Ends {
+    /// Residual capacity out of `s`: the capacity of the cut `{s}`.
+    out_of_s: Flow,
+    /// Residual capacity into `t`: the capacity of the cut `V - {t}`.
+    into_t: Flow,
+    /// Flow on the arcs at `s`, in and out (counted when `IDLE`).
+    s_flow: Flow,
+    /// Closed (capacity-0) forward arcs with an end at `s` or `t`, each
+    /// counted once on a network without self-loops (counted when `IDLE`).
+    closed: usize,
+}
+
+/// One straight pass over `s`'s and `t`'s slots, once per solve: the cut
+/// capacities, so the flow a solve can still add is at most the smaller
+/// of the two. With `IDLE` the same pass also sums the flow at `s` and
+/// counts the closed arcs at either end, which the graded first phase
+/// needs (§14.9); an arc between `s` and `t` has a slot at both, and
+/// `t`'s side skips the slots whose head is `s`. [`OpStats`] counts
+/// search work, so the pass is not counted.
+fn end_residuals<const IDLE: bool>(g: &FlowNetwork, s: NodeId, t: NodeId) -> Ends {
     let (hot, pair_caps) = (g.hot_arcs(), g.pair_caps());
     let (rs, rt) = (g.out_range(s), g.out_range(t));
-    let out_of_s = hot[rs].iter().map(|h| h.res).sum();
-    let into_t = hot[rt.clone()]
-        .iter()
-        .zip(&pair_caps[rt])
-        .map(|(h, &pair_cap)| pair_cap - h.res)
-        .sum();
-    (out_of_s, into_t)
+    let mut ends = Ends {
+        out_of_s: 0,
+        into_t: 0,
+        s_flow: 0,
+        closed: 0,
+    };
+    for (h, &pair_cap) in hot[rs.clone()].iter().zip(&pair_caps[rs]) {
+        ends.out_of_s += h.res;
+        if IDLE {
+            // A forward slot's flow is `pair_cap - res`, a twin's its `res`.
+            ends.s_flow += if h.id.is_forward() {
+                pair_cap - h.res
+            } else {
+                h.res
+            };
+            ends.closed += usize::from(pair_cap == 0);
+        }
+    }
+    for (h, &pair_cap) in hot[rt.clone()].iter().zip(&pair_caps[rt]) {
+        ends.into_t += pair_cap - h.res;
+        if IDLE {
+            ends.closed += usize::from(pair_cap == 0 && h.head != s);
+        }
+    }
+    ends
 }
 
 /// Compute a maximum `s`→`t` flow with Dinic's algorithm.
@@ -363,7 +403,10 @@ pub fn solve_with(
 /// Labels run from the smaller end: from `t` when the residual capacity
 /// into `t` is at most that out of `s`, else from `s`. The solve stops
 /// without a final search once the flow it added meets the smaller of the
-/// two (the cut bound).
+/// two (the cut bound). A solve from zero flow on a graded network with no
+/// closed interior arc takes the grading as its first phase's labels
+/// ([`SolveScratch::graded_first_phase`]); that phase is timed as a
+/// blocking-flow pass only.
 pub fn solve_probed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -387,25 +430,77 @@ pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
     scratch.paths.clear();
     scratch.passes = 0;
     scratch.unit_pushes = true;
+    scratch.graded = false;
     let mut stats = OpStats::new();
     if s == t {
         return MaxFlowResult { value: 0, stats };
     }
     scratch.ensure_nodes(g.num_nodes());
-    let (out_of_s, into_t) = end_residuals(g, s, t);
-    let side = side.unwrap_or(if into_t <= out_of_s {
+    // The graded first phase needs a graded network with no closed
+    // interior arc. If there are more closed arcs than `s` and `t` have
+    // slots, some are interior: a test in O(1) before the end pass counts.
+    let slots_at_ends = g.out_range(s).len() + g.out_range(t).len();
+    let may_grade = g.grading().is_some() && g.closed_arcs() <= slots_at_ends;
+    let ends = if may_grade {
+        end_residuals::<true>(g, s, t)
+    } else {
+        end_residuals::<false>(g, s, t)
+    };
+    let side = side.unwrap_or(if ends.into_t <= ends.out_of_s {
         LabelSide::Sink
     } else {
         LabelSide::Source
     });
     // A shortest augmenting path leaves s once and enters t once, so each
     // unit added spends one unit of both end residuals.
-    let bound = out_of_s.min(into_t);
-    let value = match side {
-        LabelSide::Source => run_phases::<false, P>(g, s, t, bound, scratch, &mut stats, probe),
-        LabelSide::Sink => run_phases::<true, P>(g, s, t, bound, scratch, &mut stats, probe),
+    let bound = ends.out_of_s.min(ends.into_t);
+    // In a graded network (acyclic) no flow at s means no flow anywhere.
+    // Closed interior arcs are held or failed links: there the sink-side
+    // labels prune dead regions that the grading would let the DFS walk.
+    let graded = may_grade && ends.s_flow == 0 && bound > 0 && g.closed_arcs() == ends.closed;
+    let mut value = 0;
+    if graded {
+        let span = probe.start();
+        value = graded_phase(g, s, t, scratch, &mut stats);
+        probe.finish(span, rsin_obs::Hist::DinicBlockingPhaseNs);
+        if value == 0 {
+            // The DFS covered everything reachable from s: t is not.
+            return MaxFlowResult { value, stats };
+        }
+    }
+    let rest = bound - value;
+    value += match side {
+        LabelSide::Source => run_phases::<false, P>(g, s, t, rest, scratch, &mut stats, probe),
+        LabelSide::Sink => run_phases::<true, P>(g, s, t, rest, scratch, &mut stats, probe),
     };
     MaxFlowResult { value, stats }
+}
+
+/// The first phase of a solve from zero flow on a graded network: the
+/// grading is copied in as the labels, with no search, and the
+/// source-side DFS runs over it (DESIGN.md §14.9). At zero flow the
+/// residual arcs are the open forward arcs, and each of them rises one
+/// grade, so every node reachable from `s` is labelled with its distance
+/// from `s` (shifted by `s`'s grade). The DFS therefore completes the
+/// augmenting paths, in the order, that it completes after either side's
+/// search; the grading only admits more dead ends, which it walks into and
+/// retreats from. Counts one phase, and a pass when it pushed flow.
+/// Returns the flow pushed; 0 means `t` is out of reach.
+fn graded_phase(
+    g: &mut FlowNetwork,
+    s: NodeId,
+    t: NodeId,
+    scratch: &mut SolveScratch,
+    stats: &mut OpStats,
+) -> Flow {
+    stats.phases += 1;
+    let n = g.num_nodes();
+    let grading = g.grading().expect("graded_phase needs a graded network");
+    scratch.level[..n].copy_from_slice(grading);
+    scratch.graded = true;
+    let pushed = blocking_flow::<false>(g, s, t, scratch, stats);
+    scratch.passes += u32::from(pushed > 0);
+    pushed
 }
 
 /// Alternate labelling and blocking flow from one side until a search
@@ -533,13 +628,13 @@ mod tests {
             next_arc: vec![0; n],
             ..ArcIdScratch::default()
         };
-        let (out_of_s, into_t) = end_residuals(g, s, t);
-        let side = side.unwrap_or(if into_t <= out_of_s {
+        let ends = end_residuals::<false>(g, s, t);
+        let side = side.unwrap_or(if ends.into_t <= ends.out_of_s {
             LabelSide::Sink
         } else {
             LabelSide::Source
         });
-        let bound = out_of_s.min(into_t);
+        let bound = ends.out_of_s.min(ends.into_t);
         while value < bound {
             if !arc_id_level_residual(g, s, t, side, &mut scratch, &mut stats) {
                 break;
@@ -762,7 +857,9 @@ mod tests {
         /// (the random networks carry parallel arcs, self-loops, arcs into
         /// `s` and out of `t`, and half the time a warm-start flow). The
         /// scratch is shared across sides and seeds, as a reusing caller's
-        /// would be.
+        /// would be. The arc-id kernels always search, so a solve that took
+        /// the graded first phase (DESIGN.md §14.9) matches them in value,
+        /// flow, augmentations and phases, but not in search counts.
         #[test]
         fn slot_kernels_match_the_arc_id_kernels_exactly(seed in 0u64..u64::MAX) {
             let (g, s, t) = random_network(seed);
@@ -773,7 +870,12 @@ mod tests {
                 let mut got_g = g.clone();
                 let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
                 prop_assert_eq!(got.value, want.value, "{:?}", side);
-                prop_assert_eq!(got.stats, want.stats, "{:?}", side);
+                if scratch.graded_first_phase() {
+                    prop_assert_eq!(got.stats.augmentations, want.stats.augmentations, "{:?}", side);
+                    prop_assert_eq!(got.stats.phases, want.stats.phases, "{:?}", side);
+                } else {
+                    prop_assert_eq!(got.stats, want.stats, "{:?}", side);
+                }
                 for (a, arc) in want_g.forward_arcs() {
                     prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
                 }
@@ -796,13 +898,13 @@ mod tests {
         fn one_pass_record_is_the_unit_path_walk(seed in 0u64..u64::MAX) {
             let (mut g, s, t) = random_network(seed);
             g.reset();
-            let (out_of_s, into_t) = end_residuals(&g, s, t);
+            let ends = end_residuals::<false>(&g, s, t);
             let mut scratch = SolveScratch::new();
             for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
                 let mut solved = g.clone();
                 let r = solve_labelled(&mut solved, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
                 // Below the cut bound the last search found nothing.
-                let passes = r.stats.phases - u64::from(r.value < out_of_s.min(into_t));
+                let passes = r.stats.phases - u64::from(r.value < ends.out_of_s.min(ends.into_t));
                 let unit_pushes = r.value == r.stats.augmentations as Flow;
                 let recorded = scratch.one_pass_paths();
                 prop_assert_eq!(recorded.is_some(), passes <= 1 && unit_pushes, "{:?}", side);
@@ -811,6 +913,121 @@ mod tests {
                     for_each_unit_path(&solved, s, t, None, &mut walk, |_| Ok::<(), ()>(()))
                         .unwrap();
                     prop_assert_eq!(walk.carried(), Some(paths), "{:?}", side);
+                }
+            }
+        }
+    }
+
+    /// A random graded network: 1–3 nodes on each grade `0..=depth + 2`,
+    /// `s` on grade 1 and `t` usually on grade `depth + 1` (sometimes on
+    /// grade 0, out of reach), and arcs of capacity 1–2 between random
+    /// nodes of consecutive grades, parallel ones included. So `s` has arcs
+    /// in and `t` arcs out. Arcs with an end at `s` or `t` are closed at
+    /// random; half the networks close interior arcs too, and a quarter
+    /// carry a warm-start flow.
+    fn random_graded_network(seed: u64) -> (FlowNetwork, NodeId, NodeId) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = FlowNetworkBuilder::new();
+        let depth = rng.random_range(1..6usize);
+        let mut grades: Vec<Vec<NodeId>> = vec![Vec::new(); depth + 3];
+        let s = b.add_node("s");
+        let t = b.add_node("t");
+        grades[1].push(s);
+        grades[if rng.random_bool(0.9) { depth + 1 } else { 0 }].push(t);
+        for (k, nodes) in grades.iter_mut().enumerate() {
+            for i in 0..rng.random_range(1..4) {
+                nodes.push(b.add_node(format!("g{k}.{i}")));
+            }
+        }
+        let mut arcs = Vec::new();
+        for k in 0..=depth + 1 {
+            for _ in 0..rng.random_range(0..3 * grades[k].len()) {
+                let from = grades[k][rng.random_range(0..grades[k].len())];
+                let to = grades[k + 1][rng.random_range(0..grades[k + 1].len())];
+                let cap = rng.random_range(1..=2);
+                arcs.push((b.add_arc(from, to, cap, 0), from, to, cap));
+            }
+        }
+        let mut g = b.build();
+        assert!(g.grading().is_some(), "arcs join consecutive grades");
+        let close_interior = rng.random_bool(0.5);
+        for &(a, from, to, _) in &arcs {
+            let boundary = [from, to].iter().any(|&n| n == s || n == t);
+            let p = if boundary {
+                0.3
+            } else if close_interior {
+                0.2
+            } else {
+                0.0
+            };
+            if rng.random_bool(p) {
+                g.set_cap(a, 0);
+            }
+        }
+        if rng.random_bool(0.25) {
+            let caps: Vec<Flow> = arcs.iter().map(|&(a, ..)| g.cap(a)).collect();
+            for &(a, ..) in &arcs {
+                let narrowed = rng.random_range(0..=g.cap(a));
+                g.set_cap(a, narrowed);
+            }
+            reference_solve(&mut g, s, t);
+            for (&(a, ..), &cap) in arcs.iter().zip(&caps) {
+                g.set_cap(a, cap);
+            }
+        }
+        (g, s, t)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The graded first phase (DESIGN.md §14.9) is the searched one
+        /// with other op counts: on each label side and the automatic
+        /// choice, a solve of a random graded network equals the solve of
+        /// the same network with its grading removed in value, flow on
+        /// every arc, augmentations, phases, passes and one-pass record. It
+        /// takes the grading exactly when no arc carries flow, the cut
+        /// bound is positive and every closed arc ends at `s` or `t`.
+        #[test]
+        fn graded_first_phase_matches_the_searched_one(seed in 0u64..u64::MAX) {
+            let (g, s, t) = random_graded_network(seed);
+            let searched = g.clone().without_grading();
+            let ends = [s, t];
+            let idle = g.forward_arcs().all(|(_, a)| a.flow == 0);
+            let interior_closed = g
+                .forward_arcs()
+                .any(|(_, a)| a.cap == 0 && !ends.contains(&a.from) && !ends.contains(&a.to));
+            let cut = |out: bool| -> Flow {
+                g.forward_arcs()
+                    .filter(|(_, a)| if out { a.from == s } else { a.to == t })
+                    .map(|(_, a)| a.cap)
+                    .sum()
+            };
+            let qualifies = idle && !interior_closed && cut(true).min(cut(false)) > 0;
+            let (mut got_scratch, mut want_scratch) = (SolveScratch::new(), SolveScratch::new());
+            for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
+                let mut got_g = g.clone();
+                let got = solve_labelled(&mut got_g, s, t, side, &mut got_scratch, &rsin_obs::NoopProbe);
+                let mut want_g = searched.clone();
+                let want =
+                    solve_labelled(&mut want_g, s, t, side, &mut want_scratch, &rsin_obs::NoopProbe);
+                prop_assert_eq!(got_scratch.graded_first_phase(), qualifies, "{:?}", side);
+                prop_assert!(!want_scratch.graded_first_phase());
+                prop_assert_eq!(got.value, want.value, "{:?}", side);
+                for (a, arc) in want_g.forward_arcs() {
+                    prop_assert_eq!(got_g.arc_flow(a), arc.flow, "{:?} arc {:?}", side, a);
+                }
+                prop_assert_eq!(got.stats.augmentations, want.stats.augmentations, "{:?}", side);
+                prop_assert_eq!(got.stats.phases, want.stats.phases, "{:?}", side);
+                prop_assert_eq!(got_scratch.passes, want_scratch.passes, "{:?}", side);
+                prop_assert_eq!(
+                    got_scratch.one_pass_paths(),
+                    want_scratch.one_pass_paths(),
+                    "{:?}",
+                    side
+                );
+                if !qualifies {
+                    prop_assert_eq!(got.stats, want.stats, "{:?}", side);
                 }
             }
         }
@@ -902,12 +1119,53 @@ mod tests {
         g.add_arc(a, t, 1, 0);
         g.add_arc(b, t, 1, 0);
         let mut g = g.build();
-        let r = solve(&mut g, s, t);
+        let mut scratch = SolveScratch::new();
+        let r = solve_with(&mut g, s, t, &mut scratch);
         assert_eq!(r.value, 2);
         // Both unit paths have length 2, so one layered network suffices.
         // The flow then meets the cut bound (two open s-arcs, two open
-        // t-arcs), so no final search runs.
+        // t-arcs), so no final search runs. The network is graded and
+        // idle, so that layered network is its grading: nothing searched.
         assert_eq!(r.stats.phases, 1);
+        assert!(scratch.graded_first_phase());
+        assert_eq!(r.stats.level_arc_scans, 0);
+    }
+
+    #[test]
+    fn closed_interior_arcs_send_the_first_phase_back_to_the_search() {
+        // s -> a -> c -> t and s -> b -> d -> t: a -> c and b -> d are the
+        // interior arcs.
+        let mut b = FlowNetworkBuilder::new();
+        let s = b.add_node("s");
+        let [x, y, c, d] = ["a", "b", "c", "d"].map(|n| b.add_node(n));
+        let t = b.add_node("t");
+        let first = b.add_arc(s, x, 1, 0);
+        b.add_arc(s, y, 1, 0);
+        let mid = b.add_arc(x, c, 1, 0);
+        b.add_arc(y, d, 1, 0);
+        let last = b.add_arc(c, t, 1, 0);
+        b.add_arc(d, t, 1, 0);
+        let mut g = b.build();
+        let mut scratch = SolveScratch::new();
+        // A held link closes an interior arc; requests and resources that
+        // are off close arcs at s and t.
+        for (arc, graded) in [(first, true), (last, true), (mid, false)] {
+            g.reset();
+            g.set_cap(arc, 0);
+            let r = solve_with(&mut g, s, t, &mut scratch);
+            assert_eq!(r.value, 1, "{arc:?}");
+            assert_eq!(scratch.graded_first_phase(), graded, "{arc:?}");
+            assert_eq!(r.stats.level_arc_scans == 0, graded, "{arc:?}");
+            g.set_cap(arc, 1);
+        }
+        // A solve that starts with flow at s searches.
+        g.reset();
+        g.push(first, 1);
+        g.push(mid, 1);
+        g.push(last, 1);
+        let r = solve_with(&mut g, s, t, &mut scratch);
+        assert_eq!(r.value, 1);
+        assert!(!scratch.graded_first_phase());
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub struct SolveScratch {
     /// Dinic: whether every augmentation of the last solve pushed one
     /// unit, so `paths` holds each unit path once.
     pub(crate) unit_pushes: bool,
+    /// Dinic: whether the last solve's first phase took the network's
+    /// grading as its labels, with no search.
+    pub(crate) graded: bool,
     /// Incremental augmentation: the path's arcs.
     pub(crate) path: Vec<ArcId>,
     /// SSP: Johnson node potentials.
@@ -106,6 +109,16 @@ impl SolveScratch {
     /// remaining one in slot order, which is the one the walk takes.
     pub fn one_pass_paths(&self) -> Option<&[ArcId]> {
         (self.passes <= 1 && self.unit_pushes).then_some(self.paths.as_slice())
+    }
+
+    /// Whether the last Dinic solve's first phase took the network's
+    /// grading as its layered network instead of searching for one: a
+    /// solve from zero flow on a graded network whose only closed arcs end
+    /// at `s` or `t` (DESIGN.md §14.9). Its flow, augmenting paths and
+    /// passes are those of the searched phase; only the op counts differ.
+    /// Other solvers leave it as the last Dinic solve left it.
+    pub fn graded_first_phase(&self) -> bool {
+        self.graded
     }
 
     /// Size every per-node buffer for a graph of `n` nodes without

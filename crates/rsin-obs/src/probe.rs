@@ -77,15 +77,24 @@ pub enum Counter {
     /// Solved flows decomposed from a one-pass Dinic solve's augmenting
     /// paths, with no walk.
     RecordedDecompositions,
-    /// Solved flows decomposed by walking their unit paths. Appended last:
+    /// Solved flows decomposed by walking their unit paths.
+    WalkedDecompositions,
+    /// Dinic solves whose first phase took the network's grading as its
+    /// layered network, with no search (a solve from zero flow on a graded
+    /// network with no closed interior arc).
+    GradedPhases,
+    /// Free-link searches the hierarchical scheduler's inter-shard stage
+    /// ran over the global network, one per (home uplink, target) tried.
+    RemoteSearches,
+    /// Global links those searches reached, summed. Appended last:
     /// `index()` is the declaration order, so new counters must never
     /// reorder existing ones.
-    WalkedDecompositions,
+    RemoteLinksReached,
 }
 
 impl Counter {
     /// All variants, in report order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 32] = [
         Counter::Cycles,
         Counter::DegradedCycles,
         Counter::Recovered,
@@ -115,6 +124,9 @@ impl Counter {
         Counter::DinicBlockingArcScans,
         Counter::RecordedDecompositions,
         Counter::WalkedDecompositions,
+        Counter::GradedPhases,
+        Counter::RemoteSearches,
+        Counter::RemoteLinksReached,
     ];
 
     /// Dense array index (== position in [`Counter::ALL`]).
@@ -154,6 +166,9 @@ impl Counter {
             Counter::DinicBlockingArcScans => "dinic_blocking_arc_scans",
             Counter::RecordedDecompositions => "recorded_decompositions",
             Counter::WalkedDecompositions => "walked_decompositions",
+            Counter::GradedPhases => "graded_phases",
+            Counter::RemoteSearches => "remote_searches",
+            Counter::RemoteLinksReached => "remote_links_reached",
         }
     }
 }

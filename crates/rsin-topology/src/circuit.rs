@@ -35,12 +35,20 @@ pub struct PathSearch {
     queue: Vec<LinkId>,
     /// The path of the last successful search.
     path: Vec<LinkId>,
+    /// How many links the last search reached.
+    reached: usize,
 }
 
 impl PathSearch {
     /// The path the last successful search returned (empty before any).
     pub fn path(&self) -> &[LinkId] {
         &self.path
+    }
+
+    /// How many links the last search reached, its start link included:
+    /// 0 when that link was busy, so the search ended at once.
+    pub fn reached(&self) -> usize {
+        self.reached
     }
 
     /// Size the tables for `net`. Tables are all-clear between searches,
@@ -429,6 +437,7 @@ impl<'a> CircuitState<'a> {
                 search.expanded[b] = false;
             }
         }
+        search.reached = search.queue.len();
         search.queue.clear();
         found.map(|r| (r, search.path.as_slice()))
     }
@@ -446,6 +455,7 @@ impl<'a> CircuitState<'a> {
             parent,
             queue,
             path,
+            ..
         } = search;
         queue.push(start);
         let mut head = 0;
@@ -609,6 +619,26 @@ mod tests {
         b.link_box_to_res(b1, 0, 0);
         b.link_box_to_res(b1, 1, 1);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn search_reports_the_links_it_reached() {
+        let net = two_stage();
+        let mut cs = CircuitState::new(&net);
+        let mut search = PathSearch::default();
+        // No candidate: the search reaches all 5 links from p0's.
+        assert!(cs.find_path_to_any_in(0, &[], &mut search).is_none());
+        assert_eq!(search.reached(), 5);
+        // With box0's first output failed, r0 is found over the second one:
+        // the failed output is never reached.
+        let first = cs.find_path(0, 0).unwrap();
+        cs.fail_link(first[1]);
+        assert!(cs.find_path_to_any_in(1, &[0], &mut search).is_some());
+        assert_eq!(search.reached(), 4);
+        // A busy processor link ends the search at once.
+        cs.connect(0, 1).unwrap();
+        assert!(cs.find_path_to_any_in(0, &[0], &mut search).is_none());
+        assert_eq!(search.reached(), 0);
     }
 
     #[test]
