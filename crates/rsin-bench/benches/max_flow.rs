@@ -9,9 +9,10 @@ use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{HierarchicalScheduler, InterShardPolicy};
 use rsin_core::transform::homogeneous;
 use rsin_core::transform::reusable::ReusableTransform;
-use rsin_flow::max_flow::{solve, solve_with, Algorithm};
+use rsin_flow::max_flow::{solve, solve_observed, Algorithm};
 use rsin_flow::path::{for_each_unit_path, PathWalk};
 use rsin_flow::scratch::SolveScratch;
+use rsin_obs::NoopProbe;
 use rsin_sim::sharded::sharded_snapshot;
 use rsin_sim::workload::{random_snapshot, trial_rng};
 use rsin_topology::builders::omega;
@@ -97,12 +98,13 @@ fn bench_theorem2_kernels(c: &mut Criterion) {
             for rt in graphs {
                 let t = rt.transformed_mut().unwrap();
                 t.flow.reset();
-                value += solve_with(
+                value += solve_observed(
                     &mut t.flow,
                     t.source,
                     t.sink,
                     Algorithm::Dinic,
                     &mut scratch,
+                    &NoopProbe,
                 )
                 .value;
             }
@@ -134,12 +136,13 @@ fn bench_theorem2_kernels(c: &mut Criterion) {
                 for rt in graphs.iter_mut() {
                     let t = rt.transformed_mut().unwrap();
                     t.flow.reset();
-                    solve_with(
+                    solve_observed(
                         &mut t.flow,
                         t.source,
                         t.sink,
                         Algorithm::Dinic,
                         &mut scratch,
+                        &NoopProbe,
                     );
                     circuits += rt.extract_solved(&scratch).unwrap().len();
                 }

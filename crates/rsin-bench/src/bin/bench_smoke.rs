@@ -48,7 +48,7 @@
 //!
 //! `--telemetry <path>` writes the reset batch's telemetry report as JSON.
 
-use rsin_bench::{take_flag, usage_error};
+use rsin_bench::{reject_stray, take_flag, usage_error};
 use rsin_core::model::ScheduleProblem;
 use rsin_core::scheduler::{
     HierarchicalScheduler, IncrementalBackend, IncrementalScheduler, InterShardPolicy,
@@ -589,9 +589,7 @@ fn ledger_reset_batch(ledger: &mut Ledger, net: &Network) -> TelemetryReport {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let telemetry_path = take_flag(&mut args, "--telemetry");
-    if let Some(stray) = args.iter().find(|a| a.starts_with('-')).or(args.get(1)) {
-        usage_error(&format!("unknown argument {stray:?}"));
-    }
+    reject_stray(&args, 1);
     let out_path = args.pop().unwrap_or_else(|| "OPS_ledger.tsv".into());
 
     let net = omega(16).expect("omega-16");

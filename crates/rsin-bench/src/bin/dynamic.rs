@@ -7,7 +7,10 @@
 //! utilization and response time (mean and tail p99).
 //!
 //! Usage: `dynamic [--telemetry <path>] [--json <path>] [--replicas <n>]
-//! [--threads <n>] [--heavy] [horizon] [threads]`
+//! [--threads <n>] [--heavy] [horizon]`
+//!
+//! `horizon` is the simulated time per trial (default 3000); `--threads`
+//! defaults to the host's parallelism. Any other argument exits with code 2.
 //!
 //! With `--heavy`, a second table runs the heavy-traffic regime: the
 //! utilization-targeting ρ knob sweeps {0.9, 0.95, 0.99, 1.05} with bursty
@@ -32,7 +35,7 @@
 
 use rsin_bench::{
     emit_stage_table, emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit,
-    take_flag, write_report,
+    reject_stray, take_flag, write_report,
 };
 use rsin_core::scheduler::{GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler};
 use rsin_sim::replicate::{
@@ -122,12 +125,12 @@ fn main() {
     let replicas: usize = take_flag(&mut args, "--replicas")
         .map_or(1, |v| parse_or_exit("--replicas", &v))
         .max(1);
-    let threads_flag: Option<usize> =
-        take_flag(&mut args, "--threads").map(|v| parse_or_exit("--threads", &v));
+    let threads: usize = take_flag(&mut args, "--threads").map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |v| parse_or_exit("--threads", &v),
+    );
+    reject_stray(&args, 1);
     let horizon: f64 = args.first().map_or(3000.0, |a| parse_or_exit("horizon", a));
-    let threads = threads_flag
-        .or_else(|| args.get(1).map(|a| parse_or_exit("threads", a)))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let net = network_by_name("omega-8").unwrap();
     let optimal = MaxFlowScheduler::default();
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(5));

@@ -13,8 +13,9 @@
 //! Usage: `faults [--policy none|bfs|priced]
 //! [--fault-model independent|correlated|byzantine]
 //! [--topology legacy|omega|extra-stage|3dp|diversity] [--telemetry <path>]
-//! [--trace <path>] [--json <path>] [--replicas <n>] [--threads <n>]
-//! [trials] [threads] [json-path]`
+//! [--trace <path>] [--json <path>] [--replicas <n>] [--threads <n>]`
+//!
+//! Any other argument exits with code 2.
 //!
 //! `--policy` selects how blocked requests are handled during faulty
 //! cycles (default `bfs`): shed immediately (`none`), BFS-retried to any
@@ -45,10 +46,10 @@
 //! sequentially in trial order ([`merge_faulted`]), so every number — and
 //! every byte of the JSON report, which deliberately records no thread
 //! count — is bit-identical for any `--threads` value; the CI determinism
-//! job diffs the file across thread counts. `--replicas` is a synonym for
-//! the trial count (each trial *is* an independent `(seed, replica)`
-//! replication). The JSON report goes to `--json`/`json-path` (default
-//! `faults_report.json`).
+//! job diffs the file across thread counts. `--replicas` is the trial
+//! count (default 6; each trial *is* an independent `(seed, replica)`
+//! replication), and `--threads` defaults to the host's parallelism. The
+//! JSON report goes to `--json` (default `faults_report.json`).
 //!
 //! With `--telemetry <path>`, one bounded probed capture (omega-8,
 //! max-flow, rate 0.005) re-runs after the sweep with one
@@ -66,7 +67,7 @@
 
 use rsin_bench::{
     emit_stage_table, emit_table, json_report, json_row, json_str, network_by_name, parse_or_exit,
-    take_flag, usage_error, write_report,
+    reject_stray, take_flag, usage_error, write_report,
 };
 use rsin_core::scheduler::{
     AddressMappedScheduler, GreedyScheduler, MaxFlowScheduler, RequestOrder, Scheduler,
@@ -257,23 +258,17 @@ fn main() {
     };
     let telemetry_path = take_flag(&mut args, "--telemetry");
     let trace_path = take_flag(&mut args, "--trace");
-    let replicas_flag: Option<usize> =
-        take_flag(&mut args, "--replicas").map(|v| parse_or_exit("--replicas", &v));
-    let threads_flag: Option<usize> =
-        take_flag(&mut args, "--threads").map(|v| parse_or_exit("--threads", &v));
-    let json_flag = take_flag(&mut args, "--json");
-    let trials: usize = replicas_flag
-        .or_else(|| args.first().map(|a| parse_or_exit("trials", a)))
-        .unwrap_or(6);
+    let trials: usize =
+        take_flag(&mut args, "--replicas").map_or(6, |v| parse_or_exit("--replicas", &v));
     if trials == 0 {
         usage_error("the trial count must be at least 1");
     }
-    let threads = threads_flag
-        .or_else(|| args.get(1).map(|a| parse_or_exit("threads", a)))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let json_path = json_flag
-        .or_else(|| args.get(2).cloned())
-        .unwrap_or_else(|| "faults_report.json".into());
+    let threads: usize = take_flag(&mut args, "--threads").map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |v| parse_or_exit("--threads", &v),
+    );
+    let json_path = take_flag(&mut args, "--json").unwrap_or_else(|| "faults_report.json".into());
+    reject_stray(&args, 0);
     let optimal = MaxFlowScheduler::default();
     let greedy = GreedyScheduler::new(RequestOrder::Shuffled(17));
     // Address-mapped binds a resource *before* routing, so dead links under

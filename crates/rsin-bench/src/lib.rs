@@ -104,40 +104,17 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Build a network by registry name (used by sweep experiments):
-/// `omega-8`, `cube-8`, `baseline-8`, `benes-8`, `flip-8`, `crossbar-8`,
-/// `indirect-cube-8`, `gamma-8`, `omega-16`, …, plus the path-diverse
-/// variants `omega-8+1` (extra-stage augmentation, `+k` extra stages) and
-/// `3dp-omega-8` (three arc-disjoint planes).
+/// Build a network by the name [`Network::name`] prints
+/// ([`builders::by_name`]): `omega-8`, `cube-8`, `crossbar-8x8`, the
+/// path-diverse `omega-8+1` and `3dp-omega-8`, …; `None` for a name no
+/// builder prints or an unusable size.
 pub fn network_by_name(name: &str) -> Option<Network> {
-    let (kind, size) = name.rsplit_once('-')?;
-    if let Some((n, extra)) = size.split_once('+') {
-        // `omega-8+1`: an Omega with `extra` redundant stages prepended.
-        let n: usize = n.parse().ok()?;
-        let extra: usize = extra.parse().ok()?;
-        return match kind {
-            "omega" => builders::omega_extra_stage(n, extra).ok(),
-            _ => None,
-        };
-    }
-    let n: usize = size.parse().ok()?;
-    match kind {
-        "omega" => builders::omega(n).ok(),
-        "3dp-omega" => builders::omega_3dp(n).ok(),
-        "cube" => builders::generalized_cube(n).ok(),
-        "indirect-cube" => builders::indirect_cube(n).ok(),
-        "baseline" => builders::baseline(n).ok(),
-        "benes" => builders::benes(n).ok(),
-        "flip" => builders::flip(n).ok(),
-        "crossbar" => builders::crossbar(n, n).ok(),
-        "gamma" => builders::gamma(n).ok(),
-        _ => None,
-    }
+    builders::by_name(name).ok()
 }
 
 /// The standard set of 8×8 topologies the experiments sweep over.
 pub fn standard_networks() -> Vec<Network> {
-    ["omega-8", "cube-8", "baseline-8", "benes-8", "crossbar-8"]
+    ["omega-8", "cube-8", "baseline-8", "benes-8", "crossbar-8x8"]
         .iter()
         .map(|n| network_by_name(n).expect("registry"))
         .collect()
@@ -147,6 +124,18 @@ pub fn standard_networks() -> Vec<Network> {
 /// value after it is a usage error: print it and exit with code 2.
 pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     pop_flag(args, flag).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// Exit with code 2 on an argument no flag took: one that starts with `-`,
+/// or a positional past the first `positional`.
+pub fn reject_stray(args: &[String], positional: usize) {
+    if let Some(stray) = args
+        .iter()
+        .find(|a| a.starts_with('-'))
+        .or(args.get(positional))
+    {
+        usage_error(&format!("unknown argument {stray:?}"));
+    }
 }
 
 /// Parse `value` (named `what` in the message), exiting with code 2 when it

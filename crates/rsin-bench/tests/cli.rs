@@ -44,6 +44,30 @@ fn unparseable_numbers_are_usage_errors() {
 }
 
 #[test]
+fn leftover_arguments_are_usage_errors() {
+    // `dynamic` takes one positional, the horizon; `faults` takes none. The
+    // thread count, trial count and report path are flags only, and an
+    // argument no flag took exits 2 before any work starts.
+    let dynamic = env!("CARGO_BIN_EXE_dynamic");
+    let faults = env!("CARGO_BIN_EXE_faults");
+    for (bin, args) in [
+        (dynamic, &["400", "8"][..]),
+        (dynamic, &["--bogus", "400"]),
+        (dynamic, &["--replicas", "4", "400", "1"]),
+        (faults, &["8"]),
+        (faults, &["8", "4", "faults_report.json"]),
+        (faults, &["--replicas", "4", "--bogus"]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown argument"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn positional_count_bins_reject_bad_numbers() {
     // Each bin's first positional argument is a trial/round/sample count;
     // a bad one exits 2 before any work starts.

@@ -24,8 +24,8 @@ pub fn table2() -> Vec<DisciplineRow> {
             discipline: "homogeneous, no priority & preference",
             flow_problem: "maximum flow",
             algorithms: vec![
-                "ford-fulkerson (rsin_flow::max_flow::ford_fulkerson)",
-                "edmonds-karp (rsin_flow::max_flow::edmonds_karp)",
+                "ford-fulkerson (rsin_flow::max_flow::Algorithm::FordFulkerson)",
+                "edmonds-karp (rsin_flow::max_flow::Algorithm::EdmondsKarp)",
                 "dinic (rsin_flow::max_flow::dinic)",
                 "hopcroft-karp on single-stage networks (rsin_flow::bipartite)",
             ],

@@ -26,7 +26,9 @@
 //! 0 and every maximum flow is already minimum-cost (DESIGN.md §11).
 
 use crate::graph::{ArcId, FlowNetwork, NodeId};
-use crate::scratch::{SolveScratch, UNLEVELLED};
+use crate::max_flow::augmenting;
+use crate::scratch::SolveScratch;
+use crate::stats::OpStats;
 use crate::Flow;
 
 /// A completed warm-start augmentation. The endpoint arcs matter to
@@ -47,67 +49,27 @@ pub struct Augmentation {
 impl FlowNetwork {
     /// One BFS shortest augmenting path from `s` to `t` over the current
     /// residual graph; pushes the path's bottleneck and describes the path,
-    /// or returns `None` when the retained flow is already maximum.
+    /// or returns `None` when the retained flow is already maximum (and
+    /// when `s == t`, where every solver's flow is 0).
     ///
-    /// Reuses `scratch.level` / `scratch.frontier` / `scratch.parent` /
-    /// `scratch.path`, so repeated calls on a same-size graph allocate
-    /// nothing. The traversal order (out-arc declaration order) is fixed, so
-    /// results are deterministic.
+    /// This is Edmonds–Karp's search, run once. It reuses `scratch.level` /
+    /// `scratch.frontier` / `scratch.parent` / `scratch.path`, so repeated
+    /// calls on a same-size graph allocate nothing. The traversal order
+    /// (out-arc declaration order) is fixed, so results are deterministic.
     pub fn augment_one(
         &mut self,
         s: NodeId,
         t: NodeId,
         scratch: &mut SolveScratch,
     ) -> Option<Augmentation> {
-        let n = self.num_nodes();
-        scratch.ensure_nodes(n);
-        scratch.level[..n].fill(UNLEVELLED);
-        scratch.frontier.clear();
-        scratch.frontier.reserve(n);
-        scratch.level[s.index()] = 0;
-        scratch.parent[s.index()] = None;
-        scratch.frontier.push(s);
-        // FIFO order: the frontier is a flat list read by a head index.
-        let mut popped = 0;
-        'bfs: while let Some(&u) = scratch.frontier.get(popped) {
-            popped += 1;
-            let range = self.out_range(u);
-            for h in &self.hot_arcs()[range] {
-                if h.res <= 0 {
-                    continue;
-                }
-                let v = h.head;
-                if scratch.level[v.index()] != UNLEVELLED {
-                    continue;
-                }
-                scratch.level[v.index()] = scratch.level[u.index()] + 1;
-                scratch.parent[v.index()] = Some(h.id);
-                if v == t {
-                    break 'bfs;
-                }
-                scratch.frontier.push(v);
-            }
-        }
-        if scratch.level[t.index()] == UNLEVELLED {
-            return None;
-        }
-        scratch.path.clear();
-        let mut v = t;
-        let mut bottleneck = Flow::MAX;
-        while v != s {
-            let a = scratch.parent[v.index()].expect("BFS tree reaches back to s");
-            bottleneck = bottleneck.min(self.residual(a));
-            scratch.path.push(a);
-            v = self.tail(a);
-        }
-        for &a in &scratch.path {
-            self.push(a, bottleneck);
-        }
+        let bottleneck =
+            augmenting::augment::<false, false>(self, s, t, scratch, &mut OpStats::new())?;
         // path was collected sink-first: [0] touches t, the final entry s.
+        let path = &scratch.path;
         Some(Augmentation {
             bottleneck,
-            first: *scratch.path.last().expect("path is nonempty"),
-            last: scratch.path[0],
+            first: path[path.len() - 1],
+            last: path[0],
         })
     }
 
@@ -207,6 +169,15 @@ mod tests {
         assert_eq!((a2.bottleneck, a2.first), (1, sb));
         assert!(g.augment_one(s, t, &mut scratch).is_none());
         assert_eq!(g.check_legal_flow(s, t).unwrap(), 2);
+    }
+
+    #[test]
+    fn augment_one_with_source_equal_to_sink_is_none() {
+        let (mut g, s, t, _, _) = diamond();
+        let mut scratch = SolveScratch::new();
+        assert_eq!(g.augment_one(s, s, &mut scratch), None);
+        assert_eq!(g.augment_one(t, t, &mut scratch), None);
+        assert_eq!(g.check_legal_flow(s, t).unwrap(), 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! Networks in Multiprocessors*) reduces resource scheduling to:
 //!
 //! * **Maximum flow** (Section III-B, Theorems 1–2): [`max_flow`] provides
-//!   Ford–Fulkerson with DFS augmentation, Edmonds–Karp (BFS), and **Dinic's
+//!   Ford–Fulkerson with DFS augmentation and Edmonds–Karp (BFS), one
+//!   augmenting-path search read as a stack or a queue, and **Dinic's
 //!   algorithm with an explicit layered network** — the algorithm the paper's
 //!   distributed token-propagation architecture realizes (Fig. 7). The unit-
 //!   capacity specialization achieves the `O(|V|^{2/3} |E|)` bound cited for
@@ -31,6 +32,13 @@
 //!   single augmentations and one-unit flow cancellation for streaming
 //!   schedulers), and [`stats`] (operation counting used by the
 //!   monitor-architecture cost model).
+//!
+//! Each problem has one way to run a solve:
+//! [`max_flow::solve_observed`] and [`min_cost::solve_observed`] take the
+//! algorithm, a reusable [`SolveScratch`] and a telemetry probe, and
+//! [`max_flow::solve`] / [`min_cost::solve`] are those with a fresh scratch
+//! and no probe. Every solver fills the scratch buffers it reads, so a
+//! reused scratch gives a fresh one's flow and operation counts.
 //!
 //! ```
 //! use rsin_flow::graph::FlowNetworkBuilder;

@@ -374,51 +374,12 @@ fn end_residuals<const IDLE: bool>(g: &FlowNetwork, s: NodeId, t: NodeId) -> End
     ends
 }
 
-/// Compute a maximum `s`→`t` flow with Dinic's algorithm.
-pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId) -> MaxFlowResult {
-    solve_with(g, s, t, &mut SolveScratch::new())
-}
-
-/// [`solve`] with caller-provided scratch buffers: identical results and
-/// [`OpStats`], allocation-free after the first call on a given node count.
-/// The solve leaves its augmenting paths and pass count in `scratch`
-/// ([`SolveScratch::one_pass_paths`]).
-pub fn solve_with(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    scratch: &mut SolveScratch,
-) -> MaxFlowResult {
-    solve_probed(g, s, t, scratch, &rsin_obs::NoopProbe)
-}
-
-/// [`solve_with`] reporting each of Dinic's two alternating phases to a
-/// telemetry probe: every labelling search is timed into
-/// [`rsin_obs::Hist::DinicLevelPhaseNs`] and every blocking-flow pass into
-/// [`rsin_obs::Hist::DinicBlockingPhaseNs`], so the BFS-vs-DFS split of a
-/// solve is visible per phase, not just in aggregate. Identical results and
-/// [`OpStats`] to [`solve_with`]; under [`rsin_obs::NoopProbe`] the spans
-/// never read the clock and this monomorphizes to plain [`solve_with`].
-///
-/// Labels run from the smaller end: from `t` when the residual capacity
-/// into `t` is at most that out of `s`, else from `s`. The solve stops
-/// without a final search once the flow it added meets the smaller of the
-/// two (the cut bound). A solve from zero flow on a graded network with no
-/// closed interior arc takes the grading as its first phase's labels
-/// ([`SolveScratch::graded_first_phase`]); that phase is timed as a
-/// blocking-flow pass only.
-pub fn solve_probed<P: rsin_obs::Probe + ?Sized>(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    scratch: &mut SolveScratch,
-    probe: &P,
-) -> MaxFlowResult {
-    solve_labelled(g, s, t, None, scratch, probe)
-}
-
-/// [`solve_probed`] with the label side forced (`Some`) or chosen from the
-/// end residuals (`None`). Every side gives the same flow.
+/// Compute a maximum `s`→`t` flow with Dinic's algorithm, reusing
+/// `scratch` and timing each labelling search and blocking-flow pass into
+/// `probe` (the contract is
+/// [`max_flow::solve_observed`](crate::max_flow::solve_observed)'s). The
+/// label side is forced (`Some`) or chosen from the end residuals (`None`,
+/// the smaller end). Every side gives the same flow.
 pub(crate) fn solve_labelled<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -540,10 +501,12 @@ fn run_phases<const FROM_SINK: bool, P: rsin_obs::Probe + ?Sized>(
 mod tests {
     use super::*;
     use crate::graph::FlowNetworkBuilder;
+    use crate::max_flow::{solve, Algorithm};
     use crate::path::{for_each_unit_path, PathWalk};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use rsin_obs::NoopProbe;
 
     /// The source-labelled Dinic this module ran before labels could come
     /// from the sink side and before the cut-bound stop, kept as the
@@ -841,7 +804,7 @@ mod tests {
             let mut scratch = SolveScratch::new();
             for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
                 let mut got_g = g.clone();
-                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &NoopProbe);
                 prop_assert_eq!(got.value, want.value, "{:?}", side);
                 prop_assert_eq!(got.stats.augmentations, want.stats.augmentations, "{:?}", side);
                 for (a, arc) in want_g.forward_arcs() {
@@ -868,7 +831,7 @@ mod tests {
                 let mut want_g = g.clone();
                 let want = arc_id_solve_labelled(&mut want_g, s, t, side);
                 let mut got_g = g.clone();
-                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                let got = solve_labelled(&mut got_g, s, t, side, &mut scratch, &NoopProbe);
                 prop_assert_eq!(got.value, want.value, "{:?}", side);
                 if scratch.graded_first_phase() {
                     prop_assert_eq!(got.stats.augmentations, want.stats.augmentations, "{:?}", side);
@@ -902,7 +865,7 @@ mod tests {
             let mut scratch = SolveScratch::new();
             for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
                 let mut solved = g.clone();
-                let r = solve_labelled(&mut solved, s, t, side, &mut scratch, &rsin_obs::NoopProbe);
+                let r = solve_labelled(&mut solved, s, t, side, &mut scratch, &NoopProbe);
                 // Below the cut bound the last search found nothing.
                 let passes = r.stats.phases - u64::from(r.value < ends.out_of_s.min(ends.into_t));
                 let unit_pushes = r.value == r.stats.augmentations as Flow;
@@ -1007,10 +970,10 @@ mod tests {
             let (mut got_scratch, mut want_scratch) = (SolveScratch::new(), SolveScratch::new());
             for side in [None, Some(LabelSide::Source), Some(LabelSide::Sink)] {
                 let mut got_g = g.clone();
-                let got = solve_labelled(&mut got_g, s, t, side, &mut got_scratch, &rsin_obs::NoopProbe);
+                let got = solve_labelled(&mut got_g, s, t, side, &mut got_scratch, &NoopProbe);
                 let mut want_g = searched.clone();
                 let want =
-                    solve_labelled(&mut want_g, s, t, side, &mut want_scratch, &rsin_obs::NoopProbe);
+                    solve_labelled(&mut want_g, s, t, side, &mut want_scratch, &NoopProbe);
                 prop_assert_eq!(got_scratch.graded_first_phase(), qualifies, "{:?}", side);
                 prop_assert!(!want_scratch.graded_first_phase());
                 prop_assert_eq!(got.value, want.value, "{:?}", side);
@@ -1120,7 +1083,7 @@ mod tests {
         g.add_arc(b, t, 1, 0);
         let mut g = g.build();
         let mut scratch = SolveScratch::new();
-        let r = solve_with(&mut g, s, t, &mut scratch);
+        let r = solve_labelled(&mut g, s, t, None, &mut scratch, &NoopProbe);
         assert_eq!(r.value, 2);
         // Both unit paths have length 2, so one layered network suffices.
         // The flow then meets the cut bound (two open s-arcs, two open
@@ -1152,7 +1115,7 @@ mod tests {
         for (arc, graded) in [(first, true), (last, true), (mid, false)] {
             g.reset();
             g.set_cap(arc, 0);
-            let r = solve_with(&mut g, s, t, &mut scratch);
+            let r = solve_labelled(&mut g, s, t, None, &mut scratch, &NoopProbe);
             assert_eq!(r.value, 1, "{arc:?}");
             assert_eq!(scratch.graded_first_phase(), graded, "{arc:?}");
             assert_eq!(r.stats.level_arc_scans == 0, graded, "{arc:?}");
@@ -1163,7 +1126,7 @@ mod tests {
         g.push(first, 1);
         g.push(mid, 1);
         g.push(last, 1);
-        let r = solve_with(&mut g, s, t, &mut scratch);
+        let r = solve_labelled(&mut g, s, t, None, &mut scratch, &NoopProbe);
         assert_eq!(r.value, 1);
         assert!(!scratch.graded_first_phase());
     }
@@ -1193,7 +1156,7 @@ mod tests {
                 t,
                 Some(side),
                 &mut SolveScratch::new(),
-                &rsin_obs::NoopProbe,
+                &NoopProbe,
             );
             assert_eq!(r.value, 1, "{side:?}");
             assert_eq!(r.stats.augmentations, 1, "{side:?}");
@@ -1222,7 +1185,7 @@ mod tests {
             g.add_arc(w[0].0, w[1].1, 1, 0);
         }
         let mut g = g.build();
-        let r = solve(&mut g, s, t);
+        let r = solve(&mut g, s, t, Algorithm::Dinic);
         assert_eq!(r.value, 20);
         assert!(r.stats.phases <= 4, "phases = {}", r.stats.phases);
     }
@@ -1303,7 +1266,7 @@ mod tests {
         let _ = a_5_7;
 
         // Augment: all three resources allocated.
-        let r = solve(&mut g, s, t);
+        let r = solve(&mut g, s, t, Algorithm::Dinic);
         assert_eq!(r.value + 2, 3, "one more unit advanced");
         assert_eq!(g.check_legal_flow(s, t).unwrap(), 3);
     }

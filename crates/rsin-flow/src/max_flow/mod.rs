@@ -1,6 +1,7 @@
 //! Maximum-flow algorithms (Section III-B of the paper).
 //!
-//! Three algorithms are provided behind one entry point, [`solve`]:
+//! Three algorithms are provided behind one entry point, [`solve_observed`]
+//! ([`solve`] is it with a fresh scratch and no probe):
 //!
 //! * [`Algorithm::FordFulkerson`] — DFS augmenting paths, the primal-dual
 //!   scheme of Ford & Fulkerson \[17\] described in the paper;
@@ -12,14 +13,19 @@
 //!   Section IV realizes, so the layered network is a public type that the
 //!   `rsin-distrib` tests compare against.
 //!
+//! Ford–Fulkerson and Edmonds–Karp are one augmenting-path search read as a
+//! stack or as a queue, the search a streaming arrival runs once
+//! ([`FlowNetwork::augment_one`]).
+//!
 //! All algorithms leave the optimal flow assignment *in* the
 //! [`FlowNetwork`] (the request→resource mapping
 //! is then read out of it by flow decomposition) and report operation counts
 //! via [`OpStats`].
+//!
+//! [`OpStats`]: crate::stats::OpStats
 
+pub(crate) mod augmenting;
 pub mod dinic;
-pub mod edmonds_karp;
-pub mod ford_fulkerson;
 
 pub use dinic::LayeredNetwork;
 
@@ -67,36 +73,40 @@ pub struct MaxFlowResult {
     pub stats: OpStats,
 }
 
-/// Compute a maximum `s`→`t` flow in place.
+/// Compute a maximum `s`→`t` flow in place: [`solve_observed`] with a
+/// fresh scratch and no probe.
 pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId, algo: Algorithm) -> MaxFlowResult {
-    match algo {
-        Algorithm::FordFulkerson => ford_fulkerson::solve(g, s, t),
-        Algorithm::EdmondsKarp => edmonds_karp::solve(g, s, t),
-        Algorithm::Dinic => dinic::solve(g, s, t),
-    }
+    solve_observed(
+        g,
+        s,
+        t,
+        algo,
+        &mut SolveScratch::new(),
+        &rsin_obs::NoopProbe,
+    )
 }
 
-/// [`solve`] reusing caller-provided scratch buffers. Dinic runs fully
-/// allocation-free; Ford–Fulkerson and Edmonds–Karp have no scratch-aware
-/// variant and fall back to [`solve`] (same results either way).
-pub fn solve_with(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    algo: Algorithm,
-    scratch: &mut SolveScratch,
-) -> MaxFlowResult {
-    match algo {
-        Algorithm::Dinic => dinic::solve_with(g, s, t, scratch),
-        _ => solve(g, s, t, algo),
-    }
-}
-
-/// [`solve_with`] reporting the solve to a telemetry probe: one
+/// Compute a maximum `s`→`t` flow in place, reusing `scratch` and
+/// reporting the solve to a telemetry probe: one
 /// [`rsin_obs::Hist::SolveLatencyNs`] span plus the run's [`OpStats`] as
-/// pre-aggregated per-solver counts. Instantiated with
-/// [`rsin_obs::NoopProbe`] every probe call compiles away and this is
-/// [`solve_with`].
+/// pre-aggregated per-solver counts. Every algorithm is allocation-free
+/// once the scratch has seen the node count, and a reused scratch gives
+/// the results and [`OpStats`] of a fresh one.
+///
+/// Dinic also times each labelling search into
+/// [`rsin_obs::Hist::DinicLevelPhaseNs`] and each blocking-flow pass into
+/// [`rsin_obs::Hist::DinicBlockingPhaseNs`], and leaves its augmenting
+/// paths, passes and graded first phase in `scratch`
+/// ([`SolveScratch::one_pass_paths`], [`SolveScratch::graded_first_phase`]).
+/// Its labels run from the smaller end: from `t` when the residual
+/// capacity into `t` is at most that out of `s`, else from `s`. The solve
+/// stops without a final search once the flow it added meets the smaller
+/// of the two (the cut bound). A solve from zero flow on a graded network
+/// with no closed interior arc takes the grading as its first phase's
+/// labels; that phase is timed as a blocking-flow pass only.
+///
+/// Under [`rsin_obs::NoopProbe`] the spans never read the clock and every
+/// probe call compiles away.
 pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -106,11 +116,10 @@ pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     probe: &P,
 ) -> MaxFlowResult {
     let span = probe.start();
-    // Dinic goes through the phase-probed entry so each level-graph /
-    // blocking-flow alternation is timed individually.
     let r = match algo {
-        Algorithm::Dinic => dinic::solve_probed(g, s, t, scratch, probe),
-        _ => solve_with(g, s, t, algo, scratch),
+        Algorithm::FordFulkerson => augmenting::solve::<true>(g, s, t, scratch),
+        Algorithm::EdmondsKarp => augmenting::solve::<false>(g, s, t, scratch),
+        Algorithm::Dinic => dinic::solve_labelled(g, s, t, None, scratch, probe),
     };
     probe.finish(span, rsin_obs::Hist::SolveLatencyNs);
     probe.solver(algo.solver_id(), r.stats.probe_counts());
@@ -228,6 +237,96 @@ mod tests {
             let mut g = g.build();
             let r = solve(&mut g, s, t, algo);
             assert_eq!(r.value, 2, "{algo:?}");
+        }
+    }
+}
+
+/// Edmonds–Karp's own cases: the augmenting-path search read as a queue.
+#[cfg(test)]
+mod edmonds_karp {
+    mod tests {
+        use crate::graph::FlowNetworkBuilder;
+        use crate::max_flow::{solve, Algorithm};
+
+        #[test]
+        fn finds_shortest_paths_first() {
+            // s->t direct (length 1) plus a 3-hop path; BFS saturates the
+            // direct arc on the first augmentation.
+            let mut g = FlowNetworkBuilder::new();
+            let s = g.add_node("s");
+            let a = g.add_node("a");
+            let b = g.add_node("b");
+            let t = g.add_node("t");
+            let direct = g.add_arc(s, t, 1, 0);
+            g.add_arc(s, a, 1, 0);
+            g.add_arc(a, b, 1, 0);
+            g.add_arc(b, t, 1, 0);
+            let mut g = g.build();
+            let r = solve(&mut g, s, t, Algorithm::EdmondsKarp);
+            assert_eq!(r.value, 2);
+            assert_eq!(g.arc(direct).flow, 1);
+        }
+
+        #[test]
+        fn zigzag_instance_known_hard_for_dfs() {
+            // Bipartite-ish instance where naive DFS could do many
+            // augmentations; BFS still produces the right value.
+            let mut g = FlowNetworkBuilder::new();
+            let s = g.add_node("s");
+            let u = g.add_node("u");
+            let v = g.add_node("v");
+            let t = g.add_node("t");
+            g.add_arc(s, u, 100, 0);
+            g.add_arc(s, v, 100, 0);
+            g.add_arc(u, v, 1, 0);
+            g.add_arc(u, t, 100, 0);
+            g.add_arc(v, t, 100, 0);
+            let mut g = g.build();
+            let r = solve(&mut g, s, t, Algorithm::EdmondsKarp);
+            assert_eq!(r.value, 200);
+            // Shortest-path augmentation needs only 2 phases of big pushes.
+            assert!(r.stats.augmentations <= 4);
+        }
+    }
+}
+
+/// Ford–Fulkerson's own cases: the augmenting-path search read as a stack.
+#[cfg(test)]
+mod ford_fulkerson {
+    mod tests {
+        use crate::graph::FlowNetworkBuilder;
+        use crate::max_flow::{solve, Algorithm};
+
+        #[test]
+        fn counts_augmentations() {
+            let mut g = FlowNetworkBuilder::new();
+            let s = g.add_node("s");
+            let t = g.add_node("t");
+            g.add_arc(s, t, 1, 0);
+            g.add_arc(s, t, 1, 0);
+            let mut g = g.build();
+            let r = solve(&mut g, s, t, Algorithm::FordFulkerson);
+            assert_eq!(r.value, 2);
+            assert_eq!(r.stats.augmentations, 2);
+            assert!(r.stats.node_visits > 0);
+        }
+
+        #[test]
+        fn respects_residual_twins() {
+            // s -> a -> t with cap 1 and s -> b -> a with cap 1: second
+            // unit must not exist because a -> t is saturated.
+            let mut g = FlowNetworkBuilder::new();
+            let s = g.add_node("s");
+            let a = g.add_node("a");
+            let b = g.add_node("b");
+            let t = g.add_node("t");
+            g.add_arc(s, a, 1, 0);
+            g.add_arc(s, b, 1, 0);
+            g.add_arc(b, a, 1, 0);
+            g.add_arc(a, t, 1, 0);
+            let mut g = g.build();
+            let r = solve(&mut g, s, t, Algorithm::FordFulkerson);
+            assert_eq!(r.value, 1);
         }
     }
 }

@@ -60,7 +60,8 @@ pub struct MinCostResult {
     pub stats: OpStats,
 }
 
-/// Compute a minimum-cost flow of value `min(target, max-flow)` in place.
+/// Compute a minimum-cost flow of value `min(target, max-flow)` in place:
+/// [`solve_observed`] with a fresh scratch and no probe.
 ///
 /// [`Algorithm::SuccessiveShortestPaths`] requires `g` to carry zero flow
 /// (a fresh or [`FlowNetwork::reset`] network): its returned `cost` sums
@@ -74,36 +75,26 @@ pub fn solve(
     target: Flow,
     algo: Algorithm,
 ) -> MinCostResult {
-    match algo {
-        Algorithm::SuccessiveShortestPaths => ssp::solve(g, s, t, target),
-        Algorithm::OutOfKilter => out_of_kilter::solve_on_network(g, s, t, target),
-    }
+    solve_observed(
+        g,
+        s,
+        t,
+        target,
+        algo,
+        &mut SolveScratch::new(),
+        &rsin_obs::NoopProbe,
+    )
 }
 
-/// [`solve`] reusing caller-provided scratch buffers. Both algorithms have
-/// scratch-aware paths: SSP reuses the potential/Dijkstra buffers, and
-/// out-of-kilter keeps its circulation network and labeling buffers in the
-/// scratch (and probes max-flow in place instead of cloning the graph).
-/// Results are identical to [`solve`] either way.
-pub fn solve_with(
-    g: &mut FlowNetwork,
-    s: NodeId,
-    t: NodeId,
-    target: Flow,
-    algo: Algorithm,
-    scratch: &mut SolveScratch,
-) -> MinCostResult {
-    match algo {
-        Algorithm::SuccessiveShortestPaths => ssp::solve_with(g, s, t, target, scratch),
-        Algorithm::OutOfKilter => out_of_kilter::solve_on_network_with(g, s, t, target, scratch),
-    }
-}
-
-/// [`solve_with`] reporting the solve to a telemetry probe: one
+/// Compute a minimum-cost flow of value `min(target, max-flow)` in place,
+/// reusing `scratch` and reporting the solve to a telemetry probe: one
 /// [`rsin_obs::Hist::SolveLatencyNs`] span plus the run's [`OpStats`] as
-/// pre-aggregated per-solver counts. Instantiated with
-/// [`rsin_obs::NoopProbe`] every probe call compiles away and this is
-/// [`solve_with`].
+/// pre-aggregated per-solver counts. SSP reuses the scratch's
+/// potential/Dijkstra buffers; out-of-kilter keeps its circulation network
+/// and labeling buffers there and probes the max flow in place instead of
+/// cloning the graph. A reused scratch gives the results of a fresh one.
+/// Same precondition as [`solve`]. Under [`rsin_obs::NoopProbe`] every
+/// probe call compiles away.
 pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     g: &mut FlowNetwork,
     s: NodeId,
@@ -114,7 +105,10 @@ pub fn solve_observed<P: rsin_obs::Probe + ?Sized>(
     probe: &P,
 ) -> MinCostResult {
     let span = probe.start();
-    let r = solve_with(g, s, t, target, algo, scratch);
+    let r = match algo {
+        Algorithm::SuccessiveShortestPaths => ssp::solve(g, s, t, target, scratch),
+        Algorithm::OutOfKilter => out_of_kilter::solve_on_network(g, s, t, target, scratch),
+    };
     probe.finish(span, rsin_obs::Hist::SolveLatencyNs);
     probe.solver(algo.solver_id(), r.stats.probe_counts());
     r

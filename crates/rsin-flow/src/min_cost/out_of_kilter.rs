@@ -19,14 +19,15 @@
 //! terminates with an optimal circulation (or proves infeasibility of the
 //! lower bounds).
 //!
-//! The min-cost *flow* adapter ([`solve_on_network`]) first computes the
+//! The min-cost *flow* adapter (behind
+//! [`min_cost::solve_observed`](super::solve_observed)) first computes the
 //! maximum-flow value `F*` (capped by the target) and then asks for a
 //! circulation with a return arc `t→s` bounded `[F*, F*]`, i.e. the
 //! minimum-cost flow of value `F*`.
 
 use super::MinCostResult;
 use crate::graph::{ArcId, FlowNetwork, NodeId};
-use crate::max_flow;
+use crate::max_flow::dinic;
 use crate::scratch::SolveScratch;
 use crate::stats::OpStats;
 use crate::{Cost, Flow};
@@ -318,17 +319,12 @@ enum LabelOutcome {
 
 /// Min-cost-flow adapter: compute the minimum-cost flow of value
 /// `min(target, max-flow)` on `g` using the out-of-kilter method, writing
-/// the optimal flow back into `g`.
-pub fn solve_on_network(g: &mut FlowNetwork, s: NodeId, t: NodeId, target: Flow) -> MinCostResult {
-    solve_on_network_with(g, s, t, target, &mut SolveScratch::new())
-}
-
-/// [`solve_on_network`] reusing caller-provided scratch: the phase-A
-/// max-flow probe runs on `g` itself through the scratch-aware Dinic (no
-/// graph clone — `g` is cleared before write-back regardless), and the
-/// kilter network and its labeling buffers live inside the scratch, so a
-/// hot-loop caller allocates nothing after the first solve.
-pub fn solve_on_network_with(
+/// the optimal flow back into `g`. The phase-A max-flow probe runs on `g`
+/// itself through Dinic (no graph clone — `g` is cleared before write-back
+/// regardless), and the kilter network and its labeling buffers live inside
+/// the scratch, so a hot-loop caller allocates nothing after the first
+/// solve.
+pub(crate) fn solve_on_network(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
@@ -346,7 +342,7 @@ pub fn solve_on_network_with(
     }
     // Phase A: the achievable value, probed in place.
     g.clear_flow();
-    let mf = max_flow::solve_with(g, s, t, max_flow::Algorithm::Dinic, scratch);
+    let mf = dinic::solve_labelled(g, s, t, None, scratch, &rsin_obs::NoopProbe);
     stats.merge(&mf.stats);
     let fstar = target.min(mf.value);
 

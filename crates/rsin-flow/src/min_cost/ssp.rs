@@ -148,20 +148,14 @@ impl BucketQueue {
     }
 }
 
-/// Compute a minimum-cost flow of value `min(target, max-flow)`.
+/// Compute a minimum-cost flow of value `min(target, max-flow)`, reusing
+/// `scratch`: allocation-free after the first call on a given node count.
 ///
 /// Precondition: `g` carries zero flow (a fresh or [`FlowNetwork::reset`]
 /// network). The Bellman–Ford prepass reads forward arcs only, Dijkstra
 /// needs nonnegative reduced costs on every residual arc, and the returned
 /// cost sums this call's augmentations only.
-pub fn solve(g: &mut FlowNetwork, s: NodeId, t: NodeId, target: Flow) -> MinCostResult {
-    solve_with(g, s, t, target, &mut SolveScratch::new())
-}
-
-/// [`solve`] with caller-provided scratch buffers: identical results,
-/// allocation-free after the first call on a given node count. Same
-/// zero-flow precondition.
-pub fn solve_with(
+pub(crate) fn solve(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
@@ -495,7 +489,7 @@ mod tests {
             let (mut want_g, s, t, target) = random_network(seed, costs, 40);
             let mut got_g = want_g.clone();
             let want = reference_ssp(&mut want_g, s, t, target, Search::Stopped);
-            let got = solve(&mut got_g, s, t, target);
+            let got = solve(&mut got_g, s, t, target, &mut SolveScratch::new());
             prop_assert_eq!((got.flow, got.cost, got.stats), (want.flow, want.cost, want.stats));
             prop_assert_eq!(residuals(&got_g), residuals(&want_g));
         }
@@ -516,7 +510,7 @@ mod tests {
             let reach = reachable(&g, s);
             let full = reference_ssp(&mut full_g, s, t, target, Search::Full);
             let mut scratch = SolveScratch::new();
-            let got = solve_with(&mut g, s, t, target, &mut scratch);
+            let got = solve(&mut g, s, t, target, &mut scratch);
             prop_assert_eq!(
                 (got.flow, got.cost, got.stats.augmentations),
                 (full.flow, full.cost, full.stats.augmentations)
@@ -588,8 +582,8 @@ mod tests {
             let max_nodes = [40, 190][seed as usize % 2];
             let (mut fresh_g, s, t, target) = random_network(seed, costs, max_nodes);
             let mut g = fresh_g.clone();
-            let want = solve(&mut fresh_g, s, t, target);
-            let got = solve_with(&mut g, s, t, target, &mut scratch);
+            let want = solve(&mut fresh_g, s, t, target, &mut SolveScratch::new());
+            let got = solve(&mut g, s, t, target, &mut scratch);
             assert_eq!(
                 (got.flow, got.cost, got.stats),
                 (want.flow, want.cost, want.stats),
@@ -652,7 +646,7 @@ mod tests {
         g.add_arc(a, t, 1, 2);
         g.add_arc(s, t, 1, 0);
         let mut g = g.build();
-        let r = solve(&mut g, s, t, 2);
+        let r = solve(&mut g, s, t, 2, &mut SolveScratch::new());
         assert_eq!(r.flow, 2);
         assert_eq!(r.cost, -3);
     }
@@ -664,7 +658,7 @@ mod tests {
         let t = g.add_node("t");
         g.add_arc(s, t, 5, 2);
         let mut g = g.build();
-        let r = solve(&mut g, s, t, 3);
+        let r = solve(&mut g, s, t, 3, &mut SolveScratch::new());
         assert_eq!(r.flow, 3);
         assert_eq!(r.cost, 6);
     }
@@ -686,7 +680,7 @@ mod tests {
             g.add_arc(s, b, 2, 3);
             g.add_arc(b, t, 2, 3);
             let mut g = g.build();
-            let r = solve(&mut g, s, t, k);
+            let r = solve(&mut g, s, t, k, &mut SolveScratch::new());
             marginals.push(r.cost - last_cost);
             last_cost = r.cost;
         }

@@ -1,15 +1,15 @@
 //! Reusable solver scratch space for the zero-rebuild hot path.
 //!
 //! The Monte-Carlo and dynamic simulations solve thousands of flow problems
-//! on the *same* transformation graph (one per snapshot). The plain solvers
-//! allocate their working vectors (BFS levels, Dijkstra distances, DFS
-//! stacks, heaps) afresh per call; [`SolveScratch`] hoists those buffers out
-//! so a caller can do
+//! on the *same* transformation graph (one per snapshot). Every solver's
+//! working vectors (BFS levels and frontiers, Dijkstra distances, DFS
+//! stacks, heaps) live in a [`SolveScratch`], so a caller can do
 //!
 //! ```
 //! use rsin_flow::graph::FlowNetworkBuilder;
 //! use rsin_flow::scratch::SolveScratch;
 //! use rsin_flow::max_flow::{self, Algorithm};
+//! use rsin_obs::NoopProbe;
 //!
 //! let mut b = FlowNetworkBuilder::new();
 //! let s = b.add_node("s");
@@ -19,16 +19,19 @@
 //! let mut scratch = SolveScratch::new();
 //! for _ in 0..3 {
 //!     g.reset();
-//!     let r = max_flow::solve_with(&mut g, s, t, Algorithm::Dinic, &mut scratch);
+//!     let r = max_flow::solve_observed(&mut g, s, t, Algorithm::Dinic, &mut scratch, &NoopProbe);
 //!     assert_eq!(r.value, 2);
 //! }
 //! ```
 //!
 //! and pay for allocation only on the first solve (or when the node count
-//! grows). The scratch-aware code paths are exact rewrites of the plain
-//! ones — same traversal order, same augmentations, same [`OpStats`] — so
-//! `solve_with` and `solve` are interchangeable result-for-result; a
-//! property test in `rsin-core` pins that equivalence on random snapshots.
+//! grows). Every solver fills what it reads before reading it, so a scratch
+//! that served any other solve gives the results of a fresh one — the same
+//! traversal order, augmentations and [`OpStats`]. The plain `solve`
+//! entry points are `solve_observed` with a fresh scratch; the
+//! `scratch_serves_interleaved_solvers_like_a_fresh_one` property in
+//! `tests/csr_equivalence.rs` pins the equivalence across interleaved
+//! solvers and node counts.
 //!
 //! [`OpStats`]: crate::stats::OpStats
 
@@ -42,21 +45,23 @@ use crate::Cost;
 /// `u32` so resetting is a `fill`).
 pub(crate) const UNLEVELLED: u32 = u32::MAX;
 
-/// Reusable working memory for the scratch-aware solvers
-/// ([`max_flow::solve_with`](crate::max_flow::solve_with) and
-/// [`min_cost::solve_with`](crate::min_cost::solve_with)).
+/// Reusable working memory for every solver
+/// ([`max_flow::solve_observed`](crate::max_flow::solve_observed),
+/// [`min_cost::solve_observed`](crate::min_cost::solve_observed) and
+/// [`FlowNetwork::augment_one`](crate::FlowNetwork::augment_one)).
 ///
-/// One instance serves the Dinic, successive-shortest-paths and
-/// out-of-kilter buffers; create it once and thread it through every solve
+/// One instance serves the augmenting-path, Dinic,
+/// successive-shortest-paths and out-of-kilter buffers; create it once and thread it through every solve
 /// on the same (or any) network. Buffers grow to the largest node count
 /// seen and are never shrunk.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
     /// Dinic: BFS label per node, the distance from `s` or to `t`
-    /// (`UNLEVELLED` where the search did not reach).
+    /// (`UNLEVELLED` where the search did not reach). Augmenting-path
+    /// search: the labelled mark, the depth in its search tree.
     pub(crate) level: Vec<u32>,
-    /// Dinic and incremental augmentation: BFS frontier, every node in the
-    /// order it was labelled.
+    /// Dinic: BFS frontier, every node in the order it was labelled.
+    /// Augmenting-path search: the frontier, read as a queue or a stack.
     pub(crate) frontier: Vec<NodeId>,
     /// Dinic: current-arc pointer per node, as an absolute CSR slot.
     pub(crate) next_slot: Vec<u32>,
@@ -73,13 +78,13 @@ pub struct SolveScratch {
     /// Dinic: whether the last solve's first phase took the network's
     /// grading as its labels, with no search.
     pub(crate) graded: bool,
-    /// Incremental augmentation: the path's arcs.
+    /// Augmenting-path search: the last path's arcs, sink first.
     pub(crate) path: Vec<ArcId>,
     /// SSP: Johnson node potentials.
     pub(crate) pot: Vec<Cost>,
     /// SSP: Dijkstra/Bellman-Ford tentative distances.
     pub(crate) dist: Vec<Cost>,
-    /// SSP: predecessor arc on the shortest-path tree.
+    /// SSP and augmenting-path search: predecessor arc on the search tree.
     pub(crate) parent: Vec<Option<ArcId>>,
     /// SSP: Dijkstra priority queue (distance buckets plus overflow heap).
     pub(crate) dist_queue: BucketQueue,
@@ -137,6 +142,7 @@ mod tests {
     use super::*;
     use crate::graph::{FlowNetwork, FlowNetworkBuilder};
     use crate::{max_flow, min_cost};
+    use rsin_obs::NoopProbe;
 
     fn ladder() -> (FlowNetwork, NodeId, NodeId) {
         let mut g = FlowNetworkBuilder::new();
@@ -161,37 +167,40 @@ mod tests {
         let t = small.add_node("t");
         small.add_arc(s, t, 4, 0);
         let mut small = small.build();
-        let r = max_flow::solve_with(&mut small, s, t, max_flow::Algorithm::Dinic, &mut scratch);
+        let dinic = max_flow::Algorithm::Dinic;
+        let r = max_flow::solve_observed(&mut small, s, t, dinic, &mut scratch, &NoopProbe);
         assert_eq!(r.value, 4);
 
         let (mut big, s, t) = ladder();
-        let r = max_flow::solve_with(&mut big, s, t, max_flow::Algorithm::Dinic, &mut scratch);
+        let r = max_flow::solve_observed(&mut big, s, t, dinic, &mut scratch, &NoopProbe);
         assert_eq!(r.value, 6);
         assert!(scratch.level.len() >= big.num_nodes());
 
         big.reset();
-        let r = min_cost::solve_with(
+        let r = min_cost::solve_observed(
             &mut big,
             s,
             t,
             3,
             min_cost::Algorithm::SuccessiveShortestPaths,
             &mut scratch,
+            &NoopProbe,
         );
         assert_eq!(r.flow, 3);
     }
 
     #[test]
-    fn solve_with_matches_plain_solve_including_stats() {
+    fn reused_scratch_matches_plain_solve_including_stats() {
         let mut scratch = SolveScratch::new();
         for algo in max_flow::Algorithm::ALL {
             let (mut fresh, s, t) = ladder();
             let plain = max_flow::solve(&mut fresh, s, t, algo);
             let (mut reused, s2, t2) = ladder();
             // Dirty the scratch with an unrelated solve first.
-            let r = max_flow::solve_with(&mut reused, s2, t2, algo, &mut scratch);
+            let r = max_flow::solve_observed(&mut reused, s2, t2, algo, &mut scratch, &NoopProbe);
             reused.reset();
-            let again = max_flow::solve_with(&mut reused, s2, t2, algo, &mut scratch);
+            let again =
+                max_flow::solve_observed(&mut reused, s2, t2, algo, &mut scratch, &NoopProbe);
             assert_eq!(plain.value, r.value, "{algo:?}");
             assert_eq!(plain.value, again.value, "{algo:?}");
             assert_eq!(plain.stats.phases, again.stats.phases, "{algo:?}");
@@ -206,7 +215,8 @@ mod tests {
             let (mut fresh, s, t) = ladder();
             let plain = min_cost::solve(&mut fresh, s, t, 4, algo);
             let (mut reused, s2, t2) = ladder();
-            let with = min_cost::solve_with(&mut reused, s2, t2, 4, algo, &mut scratch);
+            let with =
+                min_cost::solve_observed(&mut reused, s2, t2, 4, algo, &mut scratch, &NoopProbe);
             assert_eq!((plain.flow, plain.cost), (with.flow, with.cost), "{algo:?}");
             assert_eq!(
                 plain.stats.augmentations, with.stats.augmentations,

@@ -14,6 +14,7 @@ use rsin_flow::graph::{ArcId, FlowNetwork, FlowNetworkBuilder};
 use rsin_flow::scratch::SolveScratch;
 use rsin_flow::stats::OpStats;
 use rsin_flow::{max_flow, min_cost, Flow, NodeId};
+use rsin_obs::NoopProbe;
 use std::collections::VecDeque;
 
 /// Random-instance arc spec: `(from, to, cap, cost)` with indexes clamped by
@@ -115,22 +116,24 @@ fn solvers() -> impl Iterator<Item = Solver> {
     max.chain(min_cost::Algorithm::ALL.into_iter().map(Solver::Min))
 }
 
-/// Solve `g` from zero flow (min-cost solvers up to `target`): the value,
-/// the cost, every forward arc's flow, and the operation counters.
+/// Solve `g` from zero flow (min-cost solvers up to `target`) in
+/// `scratch`: the value, the cost, every forward arc's flow, and the
+/// operation counters.
 fn solve(
     g: &mut FlowNetwork,
     s: NodeId,
     t: NodeId,
     target: Flow,
     solver: Solver,
+    scratch: &mut SolveScratch,
 ) -> (Flow, i64, Vec<Flow>, OpStats) {
     let (value, stats) = match solver {
         Solver::Max(algo) => {
-            let r = max_flow::solve(g, s, t, algo);
+            let r = max_flow::solve_observed(g, s, t, algo, scratch, &NoopProbe);
             (r.value, r.stats)
         }
         Solver::Min(algo) => {
-            let r = min_cost::solve(g, s, t, target, algo);
+            let r = min_cost::solve_observed(g, s, t, target, algo, scratch, &NoopProbe);
             (r.flow, r.stats)
         }
     };
@@ -197,13 +200,56 @@ proptest! {
             let plain = max_flow::solve(&mut g1, s, t, algo);
             let (mut g2, _) = build_with_shadow(n, &arcs);
             let mut scratch = SolveScratch::new();
-            let reused = max_flow::solve_with(&mut g2, s, t, algo, &mut scratch);
+            let reused = max_flow::solve_observed(&mut g2, s, t, algo, &mut scratch, &NoopProbe);
             prop_assert_eq!(plain.value, reused.value, "{:?}", algo);
             prop_assert_eq!(plain.stats, reused.stats, "{:?} scratch changed counters", algo);
             prop_assert_eq!(flows(&g1), flows(&g2), "{:?} scratch changed flows", algo);
             match reference {
                 None => reference = Some(plain.value),
                 Some(v) => prop_assert_eq!(plain.value, v, "{:?} disagrees on max flow", algo),
+            }
+        }
+    }
+
+    /// One scratch serves interleaved solves of all five solvers and runs
+    /// of `augment_one`, on graphs of different node counts, and each gives
+    /// what a fresh scratch gives: the value, the cost, every arc's flow and
+    /// the full operation counters, and for `augment_one` the augmentation
+    /// it reports. The augmenting-path search writes the `parent`,
+    /// `frontier` and `level` buffers that SSP and Dinic read.
+    #[test]
+    fn scratch_serves_interleaved_solvers_like_a_fresh_one(
+        steps in proptest::collection::vec(
+            (3usize..12, arcs_strategy(12, 40), 0usize..6, 1i64..6),
+            4..24,
+        ),
+    ) {
+        let mut shared = SolveScratch::new();
+        for (n, arcs, pick, target) in steps {
+            let s = NodeId(0);
+            let t = NodeId(n as u32 - 1);
+            // Every arc lands on the step's nodes, so small graphs are dense.
+            let arcs: Vec<ArcSpec> = arcs.iter().map(|&(u, v, c, w)| (u % n, v % n, c, w)).collect();
+            let (mut reused, _) = build_with_shadow(n, &arcs);
+            let (mut fresh, _) = build_with_shadow(n, &arcs);
+            match solvers().nth(pick) {
+                Some(solver) => prop_assert_eq!(
+                    solve(&mut reused, s, t, target, solver, &mut shared),
+                    solve(&mut fresh, s, t, target, solver, &mut SolveScratch::new()),
+                    "{:?} on {} nodes",
+                    solver,
+                    n
+                ),
+                // Arrivals one augmentation at a time, up to the maximum.
+                None => loop {
+                    let got = reused.augment_one(s, t, &mut shared);
+                    let want = fresh.augment_one(s, t, &mut SolveScratch::new());
+                    prop_assert_eq!(got, want, "augment_one on {} nodes", n);
+                    prop_assert_eq!(flows(&reused), flows(&fresh));
+                    if got.is_none() {
+                        break;
+                    }
+                },
             }
         }
     }
@@ -265,7 +311,7 @@ proptest! {
         }
         for solver in solvers() {
             let (mut patched, _) = build_with_shadow(n, &kept);
-            solve(&mut patched, s, t, target, solver);
+            solve(&mut patched, s, t, target, solver, &mut SolveScratch::new());
             patched.reset();
             for &(i, cap, cost) in &patches {
                 let a = ArcId(2 * i as u32);
@@ -274,8 +320,8 @@ proptest! {
             }
             let (mut fresh, _) = build_with_shadow(n, &patched_spec);
             prop_assert_eq!(
-                solve(&mut patched, s, t, target, solver),
-                solve(&mut fresh, s, t, target, solver),
+                solve(&mut patched, s, t, target, solver, &mut SolveScratch::new()),
+                solve(&mut fresh, s, t, target, solver, &mut SolveScratch::new()),
                 "{:?}",
                 solver
             );

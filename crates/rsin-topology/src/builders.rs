@@ -354,7 +354,9 @@ pub fn delta(a: usize, digits: u32) -> Result<Network, NetworkError> {
             "delta needs a >= 2, digits >= 1".into(),
         ));
     }
-    let n = a.pow(digits);
+    let n = a
+        .checked_pow(digits)
+        .ok_or_else(|| NetworkError::BadParameter(format!("delta size {a}^{digits} overflows")))?;
     let boxes_per_stage = n / a;
     let mut b = NetworkBuilder::new(format!("delta-{a}^{digits}"), n, n);
     for s in 0..digits as usize {
@@ -441,6 +443,61 @@ fn pm2i(n: usize, msb_first: bool) -> Result<Network, NetworkError> {
         b.link_box_to_res(bx, 0, r);
     }
     b.build()
+}
+
+/// The network a builder above names `name`, the inverse of
+/// [`Network::name`] for every family: `omega-8`, `omega-8x2` (dilated),
+/// `omega-8+1` (extra stages), `3dp-omega-8`, `flip-8`, `baseline-8`,
+/// `cube-8`, `indirect-cube-8`, `benes-8`, `crossbar-8x4`, `clos-2-2-4`,
+/// `delta-2^3`, `gamma-8` and `adm-8`.
+///
+/// A name that no builder prints, one that spells a number another way
+/// (`omega-08`) included, is [`NetworkError::UnknownName`]; a well-formed
+/// name with unusable sizes is the builder's own error.
+pub fn by_name(name: &str) -> Result<Network, NetworkError> {
+    let unknown = || NetworkError::UnknownName(name.to_string());
+    let num = |s: &str| s.parse::<usize>().map_err(|_| unknown());
+    // The family ends at the first `-` that a size follows: `3dp-omega-8`
+    // is family `3dp-omega`, `clos-2-2-4` family `clos`.
+    let (family, size) = name
+        .char_indices()
+        .find(|&(i, c)| c == '-' && name[i + 1..].starts_with(|d: char| d.is_ascii_digit()))
+        .map(|(i, _)| (&name[..i], &name[i + 1..]))
+        .ok_or_else(unknown)?;
+    let net = match family {
+        "omega" => match (size.split_once('x'), size.split_once('+')) {
+            (Some((n, d)), _) => omega_dilated(num(n)?, num(d)?),
+            (None, Some((n, extra))) => omega_extra_stage(num(n)?, num(extra)?),
+            (None, None) => omega(num(size)?),
+        },
+        "3dp-omega" => omega_3dp(num(size)?),
+        "flip" => flip(num(size)?),
+        "baseline" => baseline(num(size)?),
+        "cube" => generalized_cube(num(size)?),
+        "indirect-cube" => indirect_cube(num(size)?),
+        "benes" => benes(num(size)?),
+        "crossbar" => {
+            let (n, m) = size.split_once('x').ok_or_else(unknown)?;
+            crossbar(num(n)?, num(m)?)
+        }
+        "clos" => {
+            let (m, rest) = size.split_once('-').ok_or_else(unknown)?;
+            let (n, r) = rest.split_once('-').ok_or_else(unknown)?;
+            clos(num(m)?, num(n)?, num(r)?)
+        }
+        "delta" => {
+            let (a, digits) = size.split_once('^').ok_or_else(unknown)?;
+            delta(num(a)?, digits.parse().map_err(|_| unknown())?)
+        }
+        "gamma" => gamma(num(size)?),
+        "adm" => data_manipulator(num(size)?),
+        _ => return Err(unknown()),
+    }?;
+    if net.name() == name {
+        Ok(net)
+    } else {
+        Err(unknown())
+    }
 }
 
 #[cfg(test)]
@@ -740,5 +797,64 @@ mod tests {
         cs.connect(1, 5).unwrap(); // p2 -> r6 (0-based 1 -> 5)
         cs.connect(3, 3).unwrap(); // p4 -> r4
         assert_eq!(cs.occupied_count(), 8); // two 4-link circuits
+    }
+
+    #[test]
+    fn by_name_inverts_every_family_name() {
+        let nets = [
+            omega(8),
+            omega(16),
+            omega_dilated(8, 2),
+            omega_extra_stage(8, 1),
+            omega_extra_stage(8, 0),
+            omega_3dp(8),
+            flip(8),
+            baseline(8),
+            generalized_cube(8),
+            indirect_cube(8),
+            benes(8),
+            crossbar(8, 8),
+            crossbar(4, 2),
+            clos(2, 2, 4),
+            delta(3, 2),
+            gamma(8),
+            data_manipulator(8),
+        ];
+        for net in nets {
+            let net = net.unwrap();
+            let named = by_name(net.name()).unwrap();
+            assert_eq!(named.name(), net.name());
+            assert_eq!(named.fingerprint(), net.fingerprint(), "{}", net.name());
+        }
+    }
+
+    #[test]
+    fn by_name_rejects_names_no_builder_prints() {
+        for name in [
+            "",
+            "omega",
+            "omega-",
+            "nonsense-8",
+            "omega-08",
+            "omega-8+x",
+            "benes-8+1",
+            "crossbar-8",
+            "clos-2-2",
+            "delta-2",
+            "Omega-8",
+        ] {
+            assert_eq!(
+                by_name(name).unwrap_err(),
+                NetworkError::UnknownName(name.to_string()),
+                "{name:?}"
+            );
+        }
+        // A well-formed name with an unusable size is the builder's error.
+        for name in ["omega-7", "3dp-omega-7", "crossbar-0x8", "delta-2^80"] {
+            assert!(
+                matches!(by_name(name), Err(NetworkError::BadParameter(_))),
+                "{name:?}"
+            );
+        }
     }
 }

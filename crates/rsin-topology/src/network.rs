@@ -85,6 +85,9 @@ pub enum NetworkError {
     /// A builder was called with unusable parameters (e.g. a binary MIN
     /// size that is not a power of two).
     BadParameter(String),
+    /// [`builders::by_name`](crate::builders::by_name) was given a name no
+    /// builder prints.
+    UnknownName(String),
 }
 
 impl fmt::Display for NetworkError {
@@ -94,6 +97,7 @@ impl fmt::Display for NetworkError {
             NetworkError::PortConflict(s) => write!(f, "port conflict: {s}"),
             NetworkError::Cyclic => write!(f, "network contains a cycle"),
             NetworkError::BadParameter(s) => write!(f, "bad parameter: {s}"),
+            NetworkError::UnknownName(s) => write!(f, "unknown topology {s:?}"),
         }
     }
 }

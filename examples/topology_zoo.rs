@@ -1,5 +1,7 @@
 //! Topology zoo: build any implemented network, print its survey card and
-//! a Graphviz DOT rendering.
+//! a Graphviz DOT rendering. A network is named as `Network::name` prints
+//! it (`rsin_topology::builders::by_name`); a name no builder prints, or an
+//! unusable size, exits with code 2.
 //!
 //! ```text
 //! cargo run -p rsin-examples --bin topology_zoo -- omega-8
@@ -8,34 +10,21 @@
 
 use rsin_topology::analysis::analyze;
 use rsin_topology::builders;
-use rsin_topology::Network;
-
-fn by_name(name: &str) -> Option<Network> {
-    let (kind, size) = name.rsplit_once('-')?;
-    let n: usize = size.parse().ok()?;
-    match kind {
-        "omega" => builders::omega(n).ok(),
-        "baseline" => builders::baseline(n).ok(),
-        "cube" => builders::generalized_cube(n).ok(),
-        "indirect-cube" => builders::indirect_cube(n).ok(),
-        "benes" => builders::benes(n).ok(),
-        "gamma" => builders::gamma(n).ok(),
-        "adm" => builders::data_manipulator(n).ok(),
-        "crossbar" => builders::crossbar(n, n).ok(),
-        _ => None,
-    }
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "omega-8".into());
     let want_dot = args.any(|a| a == "--dot");
-    let Some(net) = by_name(&name) else {
-        eprintln!(
-            "unknown topology '{name}'; try omega-8, baseline-8, cube-8, \
-             indirect-cube-8, benes-8, gamma-8, adm-8, crossbar-8"
-        );
-        std::process::exit(1);
+    let net = match builders::by_name(&name) {
+        Ok(net) => net,
+        Err(e) => {
+            eprintln!(
+                "error: {e}; try omega-8, omega-8x2, omega-8+1, 3dp-omega-8, flip-8, \
+                 baseline-8, cube-8, indirect-cube-8, benes-8, crossbar-8x8, clos-2-2-4, \
+                 delta-2^3, gamma-8, adm-8"
+            );
+            std::process::exit(2);
+        }
     };
     if want_dot {
         print!("{}", net.to_dot());
